@@ -195,20 +195,39 @@ def f_coefficients(n_max):
     closed form (2 - x - x*sqrt(1-8x)) / (2*(1 - 2x + 2x^2)).
 
     Entirely independent of the rule-system DP: agreement between the two
-    is one of the strongest checks in the test suite.  Raises if any
-    coefficient comes out fractional or negative, which would mean the
-    closed form is wrong.
+    is one of the strongest checks in the test suite.  Two integer
+    recurrences give the n_max + 1 coefficients in O(n_max) steps:
+
+      r_0 = 1,  k*r_k = 4*(2k - 3)*r_(k-1)       r = sqrt(1 - 8x)
+      2*f_k = N_k + 4*f_(k-1) - 4*f_(k-2)        N = 2 - x - x*r
+
+    the second being division by 2 - 4x + 4x^2 (f_j = 0 for j < 0).
+    Every division is checked to be exact, and every f_k to be
+    nonnegative; a failure raises ArithmeticError, since it would mean
+    the closed form is wrong.
     """
-    root = series_sqrt(TruncatedSeries([1, -8], n_max))
-    x = TruncatedSeries([0, 1], n_max)
-    f = (2 - x - x * root) / TruncatedSeries([2, -4, 4], n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    r = [1]                 # only r_0 .. r_(n_max-1) reach x^n_max
+    for k in range(1, n_max):
+        r_k, rem = divmod(4 * (2 * k - 3) * r[-1], k)
+        if rem:
+            raise ArithmeticError(
+                "sqrt(1-8x) coefficient of x^%d is not an integer" % k)
+        r.append(r_k)
+    num = [2, -1] + [0] * n_max
+    for k, c in enumerate(r, 1):
+        num[k] -= c
     out = []
-    for k, c in enumerate(f.coefficients):
-        if not isinstance(c, int):
-            raise ArithmeticError("coefficient of x^%d is not an integer: %r" % (k, c))
-        if c < 0:
-            raise ArithmeticError("coefficient of x^%d is negative: %r" % (k, c))
-        out.append(c)
+    f1 = f2 = 0             # f_(k-1), f_(k-2)
+    for k in range(n_max + 1):
+        f, rem = divmod(num[k] + 4 * f1 - 4 * f2, 2)
+        if rem:
+            raise ArithmeticError("coefficient of x^%d is not an integer" % k)
+        if f < 0:
+            raise ArithmeticError("coefficient of x^%d is negative: %r" % (k, f))
+        out.append(f)
+        f1, f2 = f, f1
     return out
 
 
@@ -402,6 +421,8 @@ def _check_system_violation(n_max, profiles=None):
     Returns None when everything holds, else (label, x_degree, u_degree)
     of the first failure.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     if profiles is None:
         profiles = list(profile_slices_201_210(n_max))
     a_biv = _biv_from_rows([p[0] for p in profiles], n_max)
@@ -589,6 +610,8 @@ def iterate_fe(system_id, n_max):
         rhs = _FE_RHS[system_id]
     except KeyError:
         raise ValueError("no functional equation for system %r" % system_id) from None
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     s = [dict() for _ in range(n_max + 1)]
     s[0][(0, 0)] = 1
     for _ in range(n_max):

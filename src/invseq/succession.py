@@ -18,11 +18,16 @@ objects of size n.  Three systems are built in:
     systems produce identical counting sequences as far as anyone has
     checked, which is why they share a module.
 
-A level vector is a plain dict mapping states to positive integer counts;
-the depth is whatever number of steps produced it.  step() applies the
-rules literally; step_fast() uses suffix partial sums so each level costs
-time linear in the number of live states, which is what makes n in the
-thousands routine.
+At the API a level vector is a plain dict mapping states to positive
+integer counts; the depth is whatever number of steps produced it.
+step() applies the rules literally and is the reference.  The counting
+functions instead step a dense level: three k-indexed lists (a, b, c)
+for 201-210, and for the 2-parameter systems an exact triangle
+rows[k][ell] with k + ell < len(rows).  Each RuleSystem carries its
+dense kernel, which turns the ranged productions into partial sums so
+one depth costs time linear in the number of cells, and its conversions
+between dense and dict levels.  step_fast() is the dict-level wrapper
+around the kernel; state_profile() converts once, at the end.
 
 >>> count_via_rules("201-210", 7)
 3720
@@ -30,20 +35,45 @@ thousands routine.
 51
 """
 
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import add
 
 # ---------- the three rule systems ----------
 
 
 class RuleSystem:
-    """A named succession system: axiom, productions, acceptance."""
+    """A named succession system: axiom, productions, acceptance, and the
+    dense form the counting functions step.
 
-    def __init__(self, name, axiom, successors, accept, state_str):
+    kernel(level) takes a dense level to the next depth and also returns
+    the accepted count of the level it was given, which falls out of its
+    partial sums; accepted(level) computes that count directly.
+    """
+
+    def __init__(self, name, axiom, successors, accept, state_str,
+                 kernel, accepted, to_dense, to_dict):
         self.name = name
         self.axiom = axiom
         self.successors = successors
         self.accept = accept
         self.state_str = state_str
+        self.kernel = kernel
+        self.accepted = accepted
+        self.to_dense = to_dense
+        self.to_dict = to_dict
+
+    def levels(self, n):
+        """Yield (dense level, accepted count) for depths 0..n, starting
+        from the axiom: the one stepping loop every counting function
+        uses."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        level = self.to_dense({self.axiom: 1})
+        for _ in range(n):
+            nxt, accepted = self.kernel(level)
+            yield level, accepted
+            level = nxt
+        yield level, self.accepted(level)
 
     def __repr__(self):
         return "RuleSystem(%r)" % self.name
@@ -103,7 +133,7 @@ def _str_2(state):
     return "(%d,%d)" % state
 
 
-# ---------- generic and fast stepping ----------
+# ---------- literal stepping ----------
 
 
 def step(system, level):
@@ -119,109 +149,94 @@ def step(system, level):
     return {s: c for s, c in nxt.items() if c}
 
 
+# ---------- dense kernels ----------
+
+
 def _suffix_sums(xs):
-    """S with S[j] = xs[j] + xs[j+1] + ...; one longer than xs, ends in 0."""
+    """S with S[j] = xs[j] + xs[j+1] + ..., as long as xs."""
     out = list(accumulate(reversed(xs)))
     out.reverse()
-    out.append(0)
     return out
 
 
-def _fast_step_201_210(a, b, c):
+def _fast_step_201_210(level):
     """Advance the three k-indexed count slices one depth.
 
     a[k], b[k], c[k] hold the counts of states (k,F,F), (k,T,F), (k,T,T).
-    Ranged productions (i, ...) for i = 1..k turn into suffix sums over k,
-    and the triangular multiplicities k - i + 1 into suffix sums of suffix
-    sums, so one call is O(max k) integer additions.
+    Ranged productions (i, ...) for i = 1..k turn into the suffix sums
+    sa, sb, sc over k, and the triangular multiplicities k - i + 1 into
+    t, the suffix sums of sa + sb.  Folding in the productions that raise
+    k leaves, for j >= 1,
+
+        new_a[j] = sa[j-1]
+        new_b[j] = b[j-1] + sb[j-1] + c[j-1]
+        new_c[j] = sc[j-1] + t[j]
+
+    and new_c is itself one suffix sum, of w[i] = c[i] + sa[i+1] + sb[i+1],
+    so a depth costs seven integer additions per k.  Also returns the
+    accepted count of the input level, sa[0] + sb[0].
     """
-    n = len(a)
-    sa, sb, sc = _suffix_sums(a), _suffix_sums(b), _suffix_sums(c)
-    sab = [x + y for x, y in zip(sa, sb)]
-    t = _suffix_sums(sab)
-    new_a = [0] * (n + 1)
-    new_b = [0] * (n + 1)
-    new_c = [0] * (n + 1)
-    for j in range(1, n + 1):
-        new_a[j] = a[j - 1] + sa[j]
-        new_b[j] = 2 * b[j - 1] + sb[j] + c[j - 1]
-        new_c[j] = c[j - 1] + sc[j] + t[j]
-    return new_a, new_b, new_c
+    a, b, c = level
+    sa, sb = _suffix_sums(a), _suffix_sums(b)
+    w = [*map(add, c, map(add, islice(sa, 1, None), islice(sb, 1, None))),
+         c[-1]]
+    new_a = [0, *sa]
+    new_b = [0, *map(add, map(add, b, sb), c)]
+    new_c = [0, *_suffix_sums(w)]
+    return (new_a, new_b, new_c), sa[0] + sb[0]
 
 
-def _fast_step_2int(rows, diagonal_spread):
-    """Advance a dense triangle rows[k][ell] one depth.
+def _fast_step_011_201(rows):
+    """Advance the 011-201 triangle rows[k][ell] one depth.
 
-    With diagonal_spread True this is the 011-201 system, whose bouncing
-    production (i, ell + k - i) walks along anti-diagonals; with False it
-    is the 010-100-120-210 system, whose production (i, k - i) forgets ell
-    and lands on the diagonal k' + ell' = k.  Both are O(states) per call.
+    A state (k, ell) feeds (k + 1, 0), every (k + 1, i) with i < ell, and
+    along its anti-diagonal every (i, ell + k - i) with 1 <= i <= k.  With
+    S the suffix sums of row k - 1 and D_k[ell] = rows[k][ell] +
+    D_{k+1}[ell - 1] the anti-diagonal sums, built from the bottom row up,
+
+        new[k][ell] = S[ell + 1] + D_k[ell]   (plus S[0] when ell = 0)
+
+    Also returns the input level's total.
     """
-    nrows = len(rows)
-    max_d = max((k + len(r) - 1 for k, r in enumerate(rows) if r), default=0)
-    size = max_d + 2               # next level holds k + ell up to max_d + 1
-    row_sum = [sum(r) for r in rows]
-    row_suf = [_suffix_sums(r) for r in rows]
-    if diagonal_spread:
-        # diag_suf[d][j] = sum of rows[k][d - k] over k >= j
-        diag_suf = []
-        for d in range(max_d + 1):
-            diag = [rows[k][d - k] if k < nrows and d - k < len(rows[k]) else 0
-                    for k in range(d + 1)]
-            diag_suf.append(_suffix_sums(diag))
-    new = [[0] * (size - k) for k in range(size)]
-    for k in range(1, size):
-        prev = k - 1
-        prev_row = rows[prev] if prev < nrows else ()
-        prev_suf = row_suf[prev] if prev < nrows else ()
-        for ell in range(size - k):
-            total = 0
-            if diagonal_spread:
-                if ell == 0 and prev < nrows:
-                    total += row_sum[prev]
-            elif ell < len(prev_row):
-                total += prev_row[ell]
-            if ell + 1 < len(prev_suf):
-                total += prev_suf[ell + 1]
-            d = k + ell
-            if diagonal_spread:
-                if d <= max_d and k <= d:
-                    total += diag_suf[d][k]
-            elif d < nrows:
-                total += row_sum[d]
-            new[k][ell] = total
-    return new
+    m = len(rows)
+    new = []
+    diag = []                      # D_k for the row k being built
+    total = 0
+    for k in range(m, 0, -1):
+        prev = rows[k - 1]
+        suf = _suffix_sums(prev)
+        row = [*map(add, suf[1:], diag), 0]
+        row[0] += suf[0]
+        new.append(row)
+        total += suf[0]
+        diag = [prev[0], *map(add, prev[1:], diag)]
+    new.append([0] * (m + 1))
+    new.reverse()
+    return new, total
 
 
-def _accept_all(state):
-    return True
+def _fast_step_010_100_120_210(rows):
+    """Advance the 010-100-120-210 triangle rows[k][ell] one depth.
 
-def _accept_uncommitted(state):
-    return not state[2]
-
-
-SYSTEMS = {
-    "201-210": RuleSystem("201-210", (0, False, False), _successors_201_210,
-                          _accept_uncommitted, _str_3),
-    "011-201": RuleSystem("011-201", (0, 0), _successors_011_201,
-                          _accept_all, _str_2),
-    "010-100-120-210": RuleSystem("010-100-120-210", (0, 0),
-                                  _successors_010_100_120_210,
-                                  _accept_all, _str_2),
-}
-
-
-def get_system(system_id):
-    if system_id not in SYSTEMS:
-        raise ValueError("unknown succession system %r (have: %s)"
-                         % (system_id, ", ".join(sorted(SYSTEMS))))
-    return SYSTEMS[system_id]
+    A state (k, ell) feeds (k + 1, i) for every i <= ell, and (i, k - i)
+    for 1 <= i <= k, forgetting ell.  With S the suffix sums of row
+    k - 1, new[k][ell] = S[ell] + sum(rows[k + ell]).  Also returns the
+    input level's total.
+    """
+    m = len(rows)
+    sufs = [_suffix_sums(r) for r in rows]
+    row_sum = [s[0] for s in sufs]
+    row_sum.append(0)
+    new = [[0] * (m + 1)]
+    for k in range(1, m + 1):
+        new.append(list(map(add, sufs[k - 1], row_sum[k:])))
+    return new, sum(row_sum)
 
 
-# dict <-> dense conversions for the public step_fast
+# ---------- dense <-> dict conversions ----------
 
 
-def _to_slices_201_210(level):
+def _slices_from_dict(level):
     top = max((s[0] for s in level), default=0)
     a = [0] * (top + 1)
     b = [0] * (top + 1)
@@ -233,65 +248,82 @@ def _to_slices_201_210(level):
     return a, b, c
 
 
-def _to_rows_2int(level):
-    top = max((max(s) for s in level), default=0)
-    rows = [[0] * (top + 1) for _ in range(top + 1)]
+def _slices_to_dict(level):
+    out = {}
+    for flags, counts in zip(((False, False), (True, False), (True, True)),
+                             level):
+        for k, m in enumerate(counts):
+            if m:
+                out[(k,) + flags] = m
+    return out
+
+
+def _triangle_from_dict(level):
+    size = max((k + ell for k, ell in level), default=0) + 1
+    rows = [[0] * (size - k) for k in range(size)]
     for (k, ell), m in level.items():
         rows[k][ell] = m
     return rows
 
 
-def step_fast(system, level):
-    """Same contract as step(), via the per-system partial-sum kernels."""
-    if not level:
-        return {}
-    if system.name == "201-210":
-        a, b, c = _fast_step_201_210(*_to_slices_201_210(level))
-        out = {}
-        for k, m in enumerate(a):
-            if m:
-                out[(k, False, False)] = m
-        for k, m in enumerate(b):
-            if m:
-                out[(k, True, False)] = m
-        for k, m in enumerate(c):
-            if m:
-                out[(k, True, True)] = m
-        return out
-    rows = _fast_step_2int(_to_rows_2int(level),
-                           diagonal_spread=(system.name == "011-201"))
+def _triangle_to_dict(rows):
     return {(k, ell): m
             for k, row in enumerate(rows) for ell, m in enumerate(row) if m}
+
+
+def _accepted_201_210(level):
+    a, b, _ = level
+    return sum(a) + sum(b)
+
+
+def _accepted_triangle(rows):
+    return sum(map(sum, rows))
+
+
+def _accept_all(state):
+    return True
+
+
+def _accept_uncommitted(state):
+    return not state[2]
+
+
+SYSTEMS = {
+    "201-210": RuleSystem(
+        "201-210", (0, False, False), _successors_201_210,
+        _accept_uncommitted, _str_3, _fast_step_201_210, _accepted_201_210,
+        _slices_from_dict, _slices_to_dict),
+    "011-201": RuleSystem(
+        "011-201", (0, 0), _successors_011_201, _accept_all, _str_2,
+        _fast_step_011_201, _accepted_triangle,
+        _triangle_from_dict, _triangle_to_dict),
+    "010-100-120-210": RuleSystem(
+        "010-100-120-210", (0, 0), _successors_010_100_120_210,
+        _accept_all, _str_2, _fast_step_010_100_120_210, _accepted_triangle,
+        _triangle_from_dict, _triangle_to_dict),
+}
+
+
+def get_system(system_id):
+    if system_id not in SYSTEMS:
+        raise ValueError("unknown succession system %r (have: %s)"
+                         % (system_id, ", ".join(sorted(SYSTEMS))))
+    return SYSTEMS[system_id]
+
+
+def step_fast(system, level):
+    """Same contract as step(), via the system's dense kernel."""
+    nxt, _ = system.kernel(system.to_dense(level))
+    return system.to_dict(nxt)
 
 
 # ---------- counting ----------
 
 
-def _accepted_201_210(a, b, c):
-    return sum(a) + sum(b)
-
-
 def rule_counting_sequence(system_id, n_max):
     """[count at depth 0, ..., count at depth n_max] for one system,
     summing accepted states at every level of a single DP run."""
-    system = get_system(system_id)
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    out = []
-    if system.name == "201-210":
-        a, b, c = [1], [0], [0]
-        out.append(_accepted_201_210(a, b, c))
-        for _ in range(n_max):
-            a, b, c = _fast_step_201_210(a, b, c)
-            out.append(_accepted_201_210(a, b, c))
-    else:
-        rows = [[1]]
-        spread = system.name == "011-201"
-        out.append(1)
-        for _ in range(n_max):
-            rows = _fast_step_2int(rows, diagonal_spread=spread)
-            out.append(sum(map(sum, rows)))
-    return out
+    return [accepted for _, accepted in get_system(system_id).levels(n_max)]
 
 
 def count_via_rules(system_id, n):
@@ -307,22 +339,16 @@ def profile_slices_201_210(n_max):
     generating-function checks consume these directly as the coefficient
     rows of the bivariate series they verify.
     """
-    a, b, c = [1], [0], [0]
-    yield a, b, c
-    for _ in range(n_max):
-        a, b, c = _fast_step_201_210(a, b, c)
-        yield a, b, c
+    for level, _ in SYSTEMS["201-210"].levels(n_max):
+        yield level
 
 
 def state_profile(system_id, n):
     """The full depth-n level vector, as a dict from state to count."""
     system = get_system(system_id)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    level = {system.axiom: 1}
-    for _ in range(n):
-        level = step_fast(system, level)
-    return level
+    for level, _ in system.levels(n):
+        pass
+    return system.to_dict(level)
 
 
 # ---------- diagram output ----------

@@ -3,7 +3,16 @@ import sys
 
 import pytest
 
-from invseq.cli import CHECKS, KNOWN_COUNTS, main, parse_basis
+from invseq.cli import CHECKS, main, parse_basis
+
+# Regression fixture: pinned values that must never drift, whatever else
+# changes.  test_known_counts_fixture asserts the CLI reproduces them.
+KNOWN_COUNTS = {
+    ("201-210", 5): 116,
+    ("201-210", 7): 3720,
+    ("011-201", 5): 51,
+    ("010-100-120-210", 5): 51,
+}
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +78,16 @@ def test_known_counts_fixture(capsys):
                                "--n", str(n))
         assert code == 0
         assert out == "%d\n" % expected
+
+
+def test_count_prints_integers_past_the_str_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "count", "--system", "201-210",
+                             "--n", "5000", "--method", "gf")
+    assert code == 0, err
+    assert out.endswith("\n") and out[:-1].isdigit()
+    assert len(out) - 1 > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 # -- list -------------------------------------------------------------------

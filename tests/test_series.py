@@ -120,6 +120,16 @@ def test_f_coefficients_pinned():
     assert f[0] == 1
 
 
+def test_f_coefficients_match_series_algebra():
+    """The integer recurrences against the closed form evaluated with
+    TruncatedSeries and series_sqrt."""
+    for n in list(range(8)) + [300]:
+        root = series_sqrt(TruncatedSeries([1, -8], n))
+        x = TruncatedSeries([0, 1], n)
+        f = (2 - x - x * root) / TruncatedSeries([2, -4, 4], n)
+        assert f_coefficients(n) == f.coefficients, n
+
+
 def test_f_coefficients_match_rules_to_60():
     assert f_coefficients(60) == rule_counting_sequence("201-210", 60)
 

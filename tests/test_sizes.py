@@ -1,0 +1,52 @@
+"""Every public entry point that takes a size rejects a negative one with
+ValueError, whatever layer it lives in."""
+
+import pytest
+
+from invseq.oracle import count_avoiders, count_sequence, list_avoiders
+from invseq.series import (
+    check_system_201_210,
+    f_coefficients,
+    ff_slice_series,
+    iterate_fe,
+    tf_slice_series,
+    TruncatedSeries,
+    verify_conjecture_010_102,
+)
+from invseq.succession import (
+    count_via_rules,
+    emit_diagram,
+    get_system,
+    profile_slices_201_210,
+    rule_counting_sequence,
+    state_profile,
+)
+
+B_201_210 = ((2, 0, 1), (2, 1, 0))
+
+ENTRY_POINTS = {
+    "count_sequence": lambda n: count_sequence(B_201_210, n),
+    "count_avoiders": lambda n: count_avoiders(B_201_210, n),
+    "list_avoiders": lambda n: list_avoiders(B_201_210, n),
+    "rule_counting_sequence": lambda n: rule_counting_sequence("011-201", n),
+    "count_via_rules": lambda n: count_via_rules("201-210", n),
+    "state_profile": lambda n: state_profile("010-100-120-210", n),
+    "profile_slices_201_210": lambda n: list(profile_slices_201_210(n)),
+    "RuleSystem.levels": lambda n: list(get_system("201-210").levels(n)),
+    "emit_diagram": lambda n: emit_diagram("201-210", n),
+    "TruncatedSeries": lambda n: TruncatedSeries([1], n),
+    "f_coefficients": f_coefficients,
+    "ff_slice_series": ff_slice_series,
+    "tf_slice_series": tf_slice_series,
+    "check_system_201_210": check_system_201_210,
+    "iterate_fe": lambda n: iterate_fe("011-201", n),
+    "verify_conjecture_010_102": verify_conjecture_010_102,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_negative_size_is_value_error(name):
+    call = ENTRY_POINTS[name]
+    with pytest.raises(ValueError):
+        call(-1)
+    call(0)

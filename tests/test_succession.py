@@ -90,6 +90,20 @@ def test_step_fast_equals_step_from_axiom():
             level = fast
 
 
+@pytest.mark.parametrize("system_id",
+                         ["201-210", "011-201", "010-100-120-210"])
+def test_dense_stepping_equals_literal_steps(system_id):
+    """state_profile and rule_counting_sequence step the dense kernels;
+    both must match n literal step() calls from the axiom."""
+    sys_ = get_system(system_id)
+    counts = rule_counting_sequence(system_id, 12)
+    level = {sys_.axiom: 1}
+    for n in range(13):
+        assert state_profile(system_id, n) == level, n
+        assert counts[n] == sum(m for s, m in level.items() if sys_.accept(s))
+        level = step(sys_, level)
+
+
 _FLAGS = [(F, F), (T, F), (T, T)]
 
 _state_3 = st.tuples(st.integers(0, 25), st.sampled_from(_FLAGS)).map(
