@@ -1,7 +1,11 @@
+import contextlib
+import io
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invseq.cli import CHECKS, main, parse_basis
 
@@ -102,6 +106,24 @@ def test_list_via_system(capsys):
     code, out, _ = run_cli(capsys, "list", "--system", "201-210", "--n", "2")
     assert code == 0
     assert out == "00\n01\n"
+
+
+# -- deep, thin trees --------------------------------------------------------
+#
+# Avoiding 01 leaves one avoider per length, the all-zero word, so the walk
+# is a single path as deep as n; these depths are past the default
+# recursion limit.  The empty basis has n! avoiders of length n.
+
+@pytest.mark.parametrize("argv, expected", [
+    (("count", "--basis", "01", "--n", "1500"), "1\n"),
+    (("list", "--basis", "01", "--n", "1200"), "0" * 1200 + "\n"),
+    (("count", "--basis", "01,0123", "--n", "1400"), "1\n"),
+    (("list", "--basis", "01,1012", "--n", "1300"), "0" * 1300 + "\n"),
+    (("count", "--basis", "", "--n", "200"), "%d\n" % math.factorial(200)),
+], ids=["count-01", "list-01", "count-01,0123", "list-01,1012", "count-empty"])
+def test_deep_thin_trees(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
 
 
 # -- series -----------------------------------------------------------------
@@ -223,3 +245,36 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert r.returncode == 0
     assert r.stdout == "116\n"
+
+
+TOKENS = st.one_of(
+    st.text(alphabet="0123", min_size=1, max_size=4),  # words, some invalid
+    st.sampled_from(["", "x", "-", "-1", " 01", "0 1", "\u00b2", "01x"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["count", "list", "series"]),
+       st.lists(TOKENS, max_size=4),
+       st.booleans(),
+       st.integers(min_value=-2, max_value=7))
+def test_exit_status_is_zero_or_two(command, tokens, duplicate, n):
+    """Any --basis text and size either works or is a usage error."""
+    if duplicate and tokens:
+        tokens.append(tokens[0])
+    size = "--n-max" if command == "series" else "--n"
+    argv = [command, "--basis", ",".join(tokens), size, str(n)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            assert exc.code == 2, argv
+            assert "error:" in err.getvalue()
+            return
+    assert code in (0, 2), argv
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invseq.cli import SYSTEM_BASES
 from invseq.core import avoids, contains, is_valid_pattern, structure_check_201_210
 from invseq.oracle import (
     _count_generic,
@@ -11,12 +12,18 @@ from invseq.oracle import (
     count_sequence,
     list_avoiders,
 )
+from invseq.series import _conjecture_residual
+from invseq.succession import rule_counting_sequence
 
 B_201_210 = ((2, 0, 1), (2, 1, 0))
 
 # every valid length-3 pattern; there are 13
 PATTERNS_3 = [p for p in itertools.product(range(3), repeat=3)
               if is_valid_pattern(p)]
+
+# every valid pattern of length 1 to 4: 1 + 3 + 13 + 75
+PATTERNS_1_4 = [p for k in range(1, 5) for p in itertools.product(range(k), repeat=k)
+                if is_valid_pattern(p)]
 
 
 def all_inversion_sequences(n):
@@ -25,6 +32,7 @@ def all_inversion_sequences(n):
 
 def test_patterns_3_census():
     assert len(PATTERNS_3) == 13
+    assert len(PATTERNS_1_4) == 92
 
 
 def test_count_avoiders_pinned():
@@ -131,3 +139,27 @@ def test_fast_walk_matches_generic_walk(data):
     basis = tuple(data.draw(st.permutations(pool))[:k])
     n_max = data.draw(st.integers(min_value=0, max_value=6))
     assert count_sequence(basis, n_max) == _count_generic(clean_basis(basis), n_max)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(PATTERNS_1_4), max_size=3),
+       st.integers(min_value=0, max_value=6))
+def test_oracle_matches_generate_and_filter(basis, n):
+    """count_sequence and list_avoiders against filtering every inversion
+    sequence with core.avoids, which shares no ban logic with the walks."""
+    words = [[e for e in all_inversion_sequences(m) if avoids(e, basis)]
+             for m in range(n + 1)]
+    assert count_sequence(basis, n) == [len(w) for w in words]
+    assert list_avoiders(basis, n) == words[n]
+
+
+def test_cubic_fits_010_102_to_16_conjecture_evidence():
+    """Evidence, not a proof: the conjectured cubic for {010, 102} fits
+    brute-force counts through n = 16."""
+    assert _conjecture_residual(count_sequence(((0, 1, 0), (1, 0, 2)), 16)) is None
+
+
+def test_oracle_matches_rules_through_13():
+    for system_id, basis in SYSTEM_BASES.items():
+        assert count_sequence(basis, 13) == rule_counting_sequence(system_id, 13), \
+            system_id
