@@ -19,7 +19,13 @@ import argparse
 import itertools
 import sys
 
-from .core import avoids, is_valid_pattern, render_word, structure_check_201_210
+from .core import (
+    avoids,
+    digit_word,
+    render_word,
+    structure_check_201_210,
+    validate_pattern,
+)
 from .oracle import count_sequence, list_avoiders
 from .series import (
     MINPOLY_A,
@@ -42,33 +48,19 @@ from .succession import (
     SYSTEMS,
 )
 
-# The basis each rule system enumerates the avoiders of.
-SYSTEM_BASES = {
-    "201-210": ((2, 0, 1), (2, 1, 0)),
-    "011-201": ((0, 1, 1), (2, 0, 1)),
-    "010-100-120-210": ((0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0)),
-}
 
 def parse_basis(text):
     """Parse a comma-separated list of pattern words, e.g. "201,210".
 
     The empty string is the empty basis (avoid nothing).  Each word must
-    be all digits and use every value from 0 up to its maximum.
+    be ASCII digits and use every value from 0 up to its maximum.
     """
     if text == "":
         return ()
-    basis = []
-    for token in text.split(","):
-        if not token.isdigit():
-            raise ValueError(
-                "bad basis word '%s': non-digit content" % token)
-        word = tuple(int(ch) for ch in token)
-        if not is_valid_pattern(word):
-            raise ValueError(
-                "'%s' is not an inversion pattern: missing intermediate value"
-                % token)
-        basis.append(word)
-    return tuple(basis)
+    basis = tuple(digit_word(token, "basis word") for token in text.split(","))
+    for word in basis:
+        validate_pattern(word)
+    return basis
 
 
 def _require(condition, message):
@@ -78,7 +70,7 @@ def _require(condition, message):
 
 def _resolve_basis(args):
     if args.system is not None:
-        return SYSTEM_BASES[args.system]
+        return get_system(args.system).basis
     return parse_basis(args.basis)
 
 
@@ -93,7 +85,7 @@ def _counts_through(args, n_max):
             _require(args.system == "201-210",
                      "method gf only applies to system 201-210")
             return f_coefficients(n_max)
-        return count_sequence(SYSTEM_BASES[args.system], n_max)
+        return count_sequence(get_system(args.system).basis, n_max)
     method = args.method or "oracle"
     _require(method == "oracle",
              "--basis only supports method oracle; use --system for %s" % method)
@@ -107,8 +99,9 @@ def _cmd_count(args):
 
 def _cmd_list(args):
     _require(args.n >= 0, "n must be nonnegative")
-    for e in list_avoiders(_resolve_basis(args), args.n):
-        print(render_word(e))
+    words = list_avoiders(_resolve_basis(args), args.n)
+    text = "\n".join(map(render_word, words))
+    sys.stdout.write(text + "\n" if words else text)
     return 0
 
 
@@ -161,8 +154,8 @@ def _verify_gf_vs_rules(n_max):
 
 
 def _verify_oracle_vs_rules(n_max):
-    for system_id, basis in SYSTEM_BASES.items():
-        m = _first_mismatch(count_sequence(basis, n_max),
+    for system_id, system in SYSTEMS.items():
+        m = _first_mismatch(count_sequence(system.basis, n_max),
                             rule_counting_sequence(system_id, n_max))
         if m:
             return False, ["FAIL for %s at n=%d: oracle %d != rules %d"
@@ -199,7 +192,7 @@ def _verify_system(n_max):
 
 
 def _verify_structure(n_max):
-    basis = SYSTEM_BASES["201-210"]
+    basis = get_system("201-210").basis
     for n in range(n_max + 1):
         for e in itertools.product(*[range(i + 1) for i in range(n)]):
             if structure_check_201_210(e) != avoids(e, basis):

@@ -7,7 +7,32 @@ words are plain tuples indexed from 0, so the bound reads e[i] <= i.
 A pattern is a word that uses every value between 0 and its maximum, e.g.
 101 is a pattern but 202 is not.  A sequence contains a pattern if some
 (not necessarily consecutive) subsequence standardizes to it; otherwise it
-avoids the pattern.
+avoids the pattern.  A subsequence standardizes to p exactly when every
+pair of its entries compares (<, =, >) as the same pair of p does.
+
+The matcher.  avoids(e, basis) is the one matcher; contains(e, p) is
+avoids(e, (p,)) negated.  A basis is compiled once, through a small
+cache keyed on it as a tuple of tuples, and each pattern is validated
+there; a bad pattern is never cached, so it raises on every call.  The
+matcher shares nothing with the oracle's bans and is checked in the
+tests against the definition (standardize over itertools.combinations).
+
+- Length 3, the middle-entry test.  Fix the position j of the middle
+  entry of a would-be occurrence of (x, y, z).  Its first entry a lies
+  in the left class {a before j : cmp(a, e[j]) = cmp(x, y)} and its last
+  entry b in the right class {b after j : cmp(b, e[j]) = cmp(z, y)};
+  the one comparison left, between a and b, must equal cmp(z, x).  Some
+  pair of the two classes passes it exactly when the classes share a
+  value (cmp(z, x) = 0), min(right) < max(left) (cmp(z, x) < 0), or
+  max(right) > min(left) (cmp(z, x) > 0).  So one pass over j decides
+  every length-3 pattern, with the classes held as bitmasks of values;
+  patterns with the same cmp(x, y), such as 201 and 210, share the left
+  class.
+- Any other length: a depth-first, left-to-right search on an explicit
+  stack.  Once the earlier entries of an occurrence are picked, the
+  next value must equal one of them or lie strictly between two of
+  them, both fixed by the pattern alone, so each pattern compiles to one
+  such window per entry and a candidate costs two comparisons.
 
 >>> standardize((4, 3, 4, 7, 1, 9, 9, 3))
 (2, 1, 2, 3, 0, 4, 4, 1)
@@ -18,6 +43,21 @@ True
 """
 
 from collections import namedtuple
+from functools import lru_cache
+
+_INF = float("inf")
+
+
+def digit_word(text, what="word"):
+    """The word a string of ASCII digits spells, one value per digit.
+
+    Anything else raises ValueError that names the text as `what`: the
+    empty string, signs, spaces, and the other characters str.isdigit
+    accepts, such as Arabic-Indic digits and superscripts.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("bad %s '%s': non-digit content" % (what, text))
+    return tuple(map(int, text))
 
 
 def parse_word(text):
@@ -31,20 +71,18 @@ def parse_word(text):
     if not text:
         return ()
     if "," in text:
-        values = tuple(int(part) for part in text.split(","))
-        if any(v < 0 for v in values):
-            raise ValueError("word %r has negative entries" % text)
-        return values
-    if not text.isdigit():
-        raise ValueError("word %r is neither digits nor comma-separated integers" % text)
-    return tuple(int(ch) for ch in text)
+        parts = [part.strip() for part in text.split(",")]
+        for part in parts:
+            digit_word(part, "entry")  # int() alone would take signs and '_'
+        return tuple(map(int, parts))
+    return digit_word(text)
 
 
 def render_word(word):
     """Inverse of parse_word: digit-string when all values fit in one digit."""
-    if all(v <= 9 for v in word):
-        return "".join(str(v) for v in word)
-    return ",".join(str(v) for v in word)
+    if max(word, default=0) > 9:
+        return ",".join(map(str, word))
+    return "".join(map(str, word))
 
 
 def standardize(word):
@@ -89,38 +127,145 @@ def _cmp(a, b):
     return (a > b) - (a < b)
 
 
+def _windows(p):
+    """Per entry t of p, the earlier entries that pin its value: (eq, lo, hi)
+    is the index s < t with p[s] == p[t], else the indices of the largest
+    earlier value below p[t] and of the smallest above it; -1 where absent.
+    """
+    windows = []
+    for t, x in enumerate(p):
+        eq = lo = hi = -1
+        for s, y in enumerate(p[:t]):
+            if y == x:
+                eq = s
+            elif y < x and (lo < 0 or y > p[lo]):
+                lo = s
+            elif y > x and (hi < 0 or y < p[hi]):
+                hi = s
+        windows.append((eq, lo, hi))
+    return tuple(windows)
+
+
+@lru_cache(maxsize=64)
+def _compile(basis):
+    """Validate each pattern of a basis (a tuple of tuples) once and turn it
+    into matcher data: length-3 patterns grouped by the class of their
+    left entry, windows for every other length."""
+    groups = {}
+    searches = []
+    for p in dict.fromkeys(basis):
+        validate_pattern(p)
+        if len(p) == 3:
+            x, y, z = p
+            groups.setdefault(_cmp(x, y) + 1, []).append((_cmp(z, y) + 1, _cmp(z, x)))
+        else:
+            searches.append(_windows(p))
+    return tuple((rel, tuple(tests)) for rel, tests in groups.items()), tuple(searches)
+
+
+def _middle_match(e, groups):
+    """Does e hold an occurrence of a length-3 pattern compiled into groups?
+
+    Sets of values are bitmasks; right[j] holds the values after e[j].
+    """
+    n = len(e)
+    if n < 3:
+        return False
+    if min(e) < 0 or max(e) >= n:
+        e = standardize(e)  # values in 0..n-1 keep every mask within n bits
+    right = [0] * n
+    mask = 0
+    for j in range(n - 1, 0, -1):
+        right[j] = mask
+        mask |= 1 << e[j]
+    left = 1 << e[0]
+    for j in range(1, n - 1):
+        bit = 1 << e[j]
+        # the values below, equal to and above e[j], indexed by cmp + 1;
+        # -(bit << 1) sets every bit above e[j]
+        classes = (bit - 1, bit, -(bit << 1))
+        for rel, tests in groups:
+            lc = left & classes[rel]
+            if not lc:
+                continue
+            for right_rel, order in tests:
+                rc = right[j] & classes[right_rel]
+                if not rc:
+                    continue
+                if order == 0:  # a value in both classes
+                    hit = lc & rc
+                elif order < 0:  # min(right) < max(left)
+                    hit = (rc & -rc).bit_length() < lc.bit_length()
+                else:  # max(right) > min(left)
+                    hit = rc.bit_length() > (lc & -lc).bit_length()
+                if hit:
+                    return True
+        left |= bit
+    return False
+
+
+def _search(e, windows):
+    """Does e hold an occurrence of the pattern compiled to windows?
+
+    Depth first, left to right, on an explicit stack: depth t picks the
+    position of the pattern's t-th entry, and its window bounds the value
+    there by the values picked before it.
+    """
+    n, k = len(e), len(windows)
+    if k > n:
+        return False
+    vals = [0] * k
+    nxt = [0] * k  # first position still to try at each depth
+    t = 0
+    while t >= 0:
+        eq, lo, hi = windows[t]
+        if eq >= 0:
+            low = high = vals[eq]
+        else:
+            low = vals[lo] + 1 if lo >= 0 else -_INF
+            high = vals[hi] - 1 if hi >= 0 else _INF
+        i, last = nxt[t], n - k + t  # leave room for the entries still needed
+        while i <= last and not low <= e[i] <= high:
+            i += 1
+        if i > last:
+            t -= 1
+        elif t == k - 1:
+            return True
+        else:
+            vals[t] = e[i]
+            nxt[t] = i + 1
+            t += 1
+            nxt[t] = i + 1
+    return False
+
+
 def contains(e, p):
     """Does e contain the pattern p as a classical (subsequence) pattern?
 
-    A subsequence matches p exactly when all pairwise comparisons agree with
-    those of p, so we search depth-first for positions whose values are
-    order-isomorphic to p, pruning branches with too few entries left.
+    Raises ValueError unless p is a valid nonempty pattern.
     """
-    p = tuple(p)
-    validate_pattern(p)
-    e = tuple(e)
-    n, k = len(e), len(p)
-    if k > n:
-        return False
-
-    def extend(start, chosen):
-        j = len(chosen)
-        if j == k:
-            return True
-        # leave room for the k - j values still needed
-        for i in range(start, n - (k - j) + 1):
-            v = e[i]
-            if all(_cmp(v, c) == _cmp(p[j], p[t]) for t, c in enumerate(chosen)):
-                if extend(i + 1, chosen + (v,)):
-                    return True
-        return False
-
-    return extend(0, ())
+    return not avoids(e, (tuple(p),))
 
 
 def avoids(e, basis):
-    """True when e contains none of the patterns in basis."""
-    return not any(contains(e, p) for p in basis)
+    """True when e contains none of the patterns in basis.
+
+    Raises ValueError, on every call, when a pattern of basis is empty or
+    not a valid pattern.
+    """
+    if type(basis) is not tuple:
+        basis = tuple(map(tuple, basis))
+    try:
+        groups, searches = _compile(basis)
+    except TypeError:  # a pattern given as a list: the cache keys on tuples
+        groups, searches = _compile(tuple(map(tuple, basis)))
+    e = tuple(e)
+    if groups and _middle_match(e, groups):
+        return False
+    for windows in searches:
+        if _search(e, windows):
+            return False
+    return True
 
 
 def structure_check_201_210(e):

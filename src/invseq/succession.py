@@ -45,14 +45,18 @@ class RuleSystem:
     """A named succession system: axiom, productions, acceptance, and the
     dense form the counting functions step.
 
+    basis is the tuple of patterns whose avoiders the system counts, so
+    that other routes (the oracle, pattern matching) can count them too.
+
     kernel(level) takes a dense level to the next depth and also returns
     the accepted count of the level it was given, which falls out of its
     partial sums; accepted(level) computes that count directly.
     """
 
-    def __init__(self, name, axiom, successors, accept, state_str,
+    def __init__(self, name, basis, axiom, successors, accept, state_str,
                  kernel, accepted, to_dense, to_dict):
         self.name = name
+        self.basis = basis
         self.axiom = axiom
         self.successors = successors
         self.accept = accept
@@ -290,15 +294,18 @@ def _accept_uncommitted(state):
 
 SYSTEMS = {
     "201-210": RuleSystem(
-        "201-210", (0, False, False), _successors_201_210,
+        "201-210", ((2, 0, 1), (2, 1, 0)),
+        (0, False, False), _successors_201_210,
         _accept_uncommitted, _str_3, _fast_step_201_210, _accepted_201_210,
         _slices_from_dict, _slices_to_dict),
     "011-201": RuleSystem(
-        "011-201", (0, 0), _successors_011_201, _accept_all, _str_2,
+        "011-201", ((0, 1, 1), (2, 0, 1)),
+        (0, 0), _successors_011_201, _accept_all, _str_2,
         _fast_step_011_201, _accepted_triangle,
         _triangle_from_dict, _triangle_to_dict),
     "010-100-120-210": RuleSystem(
-        "010-100-120-210", (0, 0), _successors_010_100_120_210,
+        "010-100-120-210", ((0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0)),
+        (0, 0), _successors_010_100_120_210,
         _accept_all, _str_2, _fast_step_010_100_120_210, _accepted_triangle,
         _triangle_from_dict, _triangle_to_dict),
 }

@@ -108,6 +108,16 @@ def test_list_via_system(capsys):
     assert out == "00\n01\n"
 
 
+@pytest.mark.parametrize("basis, n, expected", [
+    ("0", 2, ""),            # no avoiders: nothing, not an empty line
+    ("201,210", 0, "\n"),    # the empty word
+    ("00", 11, "0,1,2,3,4,5,6,7,8,9,10\n"),
+], ids=["empty", "n0", "comma-form"])
+def test_list_edge_output(capsys, basis, n, expected):
+    code, out, _ = run_cli(capsys, "list", "--basis", basis, "--n", str(n))
+    assert (code, out) == (0, expected)
+
+
 # -- deep, thin trees --------------------------------------------------------
 #
 # Avoiding 01 leaves one avoider per length, the all-zero word, so the walk
@@ -211,6 +221,14 @@ def test_bad_basis_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "count", "--basis", "202", "--n", "3")
     assert code == 2
     assert "not an inversion pattern" in err
+
+
+@pytest.mark.parametrize("basis", ["\u0660\u0661", "\u00b2"],
+                         ids=["arabic-indic-01", "superscript-2"])
+def test_non_ascii_digit_basis_is_usage_error(capsys, basis):
+    code, out, err = run_cli(capsys, "count", "--basis", basis, "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: bad basis word '%s': non-digit content\n" % basis
 
 
 def test_rules_need_a_system(capsys):

@@ -35,7 +35,8 @@ def test_parse_comma_form():
 
 
 def test_parse_garbage_rejected():
-    for bad in ("2x1", "1,", ",1", "1, 2,", "-1", "2,-1"):
+    for bad in ("2x1", "1,", ",1", "1, 2,", "-1", "2,-1",
+                "\u0660\u0661", "\u00b2", "\u0663,1", "+1,2", "1_0,2"):
         with pytest.raises(ValueError):
             parse_word(bad)
 
@@ -136,17 +137,55 @@ def test_avoids():
     assert avoids((0, 1, 0), ())
 
 
-@settings(max_examples=150)
-@given(st.data())
-def test_contains_matches_brute_force(data):
-    n = data.draw(st.integers(min_value=0, max_value=6))
-    e = tuple(data.draw(st.integers(min_value=0, max_value=i)) for i in range(n))
-    p = data.draw(st.sampled_from(
-        [(0,), (0, 0), (0, 1), (1, 0), (0, 1, 0), (1, 0, 2), (2, 0, 1),
-         (2, 1, 0), (0, 1, 1), (0, 0, 0), (1, 0, 1)]))
-    brute = any(standardize(sub) == p
-                for sub in itertools.combinations(e, len(p)))
-    assert contains(e, p) == brute
+def test_contains_rejects_invalid_patterns_on_every_call():
+    # valid calls fill the compiled-basis cache first; a bad pattern must
+    # still raise each time, never be served from the cache
+    for p in ((0, 1, 0), (1, 0), (0, 1, 2, 0)):
+        contains((0, 1, 0, 2), p)
+        avoids((0, 1, 0, 2), [list(p)])
+    for _ in range(3):
+        for bad in ((), (0, 2)):
+            with pytest.raises(ValueError):
+                contains((0, 1, 0, 2), bad)
+            with pytest.raises(ValueError):
+                avoids((0, 1, 0, 2), ((0, 1), bad))
+
+
+# every valid pattern of length 1 to 4: 1 + 3 + 13 + 75
+PATTERNS_1_4 = [p for k in range(1, 5) for p in itertools.product(range(k), repeat=k)
+                if is_valid_pattern(p)]
+
+
+def occurs(e, p):
+    """The definition: some subsequence of e standardizes to p."""
+    return any(standardize(sub) == p for sub in itertools.combinations(e, len(p)))
+
+
+inversion_sequences = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(*[st.integers(min_value=0, max_value=i) for i in range(n)]))
+
+
+@settings(max_examples=400)
+@given(inversion_sequences, st.sampled_from(PATTERNS_1_4))
+def test_contains_matches_brute_force(e, p):
+    assert contains(e, p) == occurs(e, p)
+
+
+@settings(max_examples=300)
+@given(inversion_sequences,
+       st.lists(st.sampled_from(PATTERNS_1_4), max_size=3),
+       st.booleans())
+def test_avoids_matches_definition(e, patterns, as_lists):
+    # duplicates are allowed, and some bases arrive as lists of lists
+    basis = [list(p) for p in patterns] if as_lists else tuple(patterns)
+    assert avoids(e, basis) == (not any(occurs(e, p) for p in patterns))
+
+
+def test_contains_any_integer_word():
+    # words outside inversion-sequence range are matched by value order
+    assert contains((-3, 40, 7), (0, 2, 1))
+    assert not contains((10**30, -5, 10**30), (0, 1, 0))
+    assert contains((5, -1, 5, 2), (1, 0, 1))
 
 
 @settings(max_examples=120)

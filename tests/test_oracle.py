@@ -3,7 +3,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invseq.cli import SYSTEM_BASES
 from invseq.core import avoids, contains, is_valid_pattern, structure_check_201_210
 from invseq.oracle import (
     _count_generic,
@@ -13,7 +12,7 @@ from invseq.oracle import (
     list_avoiders,
 )
 from invseq.series import _conjecture_residual
-from invseq.succession import rule_counting_sequence
+from invseq.succession import SYSTEMS, get_system, rule_counting_sequence
 
 B_201_210 = ((2, 0, 1), (2, 1, 0))
 
@@ -160,6 +159,7 @@ def test_cubic_fits_010_102_to_16_conjecture_evidence():
 
 
 def test_oracle_matches_rules_through_13():
-    for system_id, basis in SYSTEM_BASES.items():
+    for system_id in SYSTEMS:
+        basis = get_system(system_id).basis
         assert count_sequence(basis, 13) == rule_counting_sequence(system_id, 13), \
             system_id
