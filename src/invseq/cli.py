@@ -10,8 +10,9 @@ Six subcommands tie the package together:
     invseq diagram --system 201-210 --n-max 3
     invseq verify  --check oracle-vs-rules --n-max 10
 
-Exit status is 0 on success, 1 when a verify check fails, 2 on usage
-errors.  Output is deterministic: the same invocation always produces
+Exit status is 0 on success, 1 when a verify check fails (an arithmetic
+error inside a check, such as an inexact division, counts as a failure),
+and 2 on usage errors or an arithmetic error in any other command.  Output is deterministic: the same invocation always produces
 byte-identical text, so the commands are safe to diff in CI.
 """
 
@@ -251,7 +252,10 @@ def _cmd_verify(args):
     check, default_depth = CHECKS[args.check]
     n_max = args.n_max if args.n_max is not None else default_depth
     _require(n_max >= 0, "n-max must be nonnegative")
-    ok, lines = check(n_max)
+    try:
+        ok, lines = check(n_max)
+    except ArithmeticError as exc:
+        ok, lines = False, ["FAIL: %s" % exc]
     for line in lines:
         print("%s: %s" % (args.check, line))
     return 0 if ok else 1
@@ -325,7 +329,7 @@ def main(argv=None):
         sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     finally:

@@ -6,21 +6,24 @@ floating point anywhere.  The module has four layers:
 
   * ``TruncatedSeries``: univariate power series known through ``x^order``.
   * polynomial relations (``PolyRelation`` / ``relation_residual``) used to
-    test that a series satisfies an algebraic equation.
+    test that a series satisfies an algebraic equation, by Horner's rule
+    in y^2 with y^2 formed once by a symmetric square.
   * bivariate series in x and u, the ``phi`` operator, and
     ``check_system_201_210`` which replays the defining equations of the
     201-210 rule system against its own census data.
-  * trivariate functional-equation iteration (``iterate_fe``) for the two
-    2-parameter systems, with divided differences done by exact synthetic
-    division.
+  * the trivariate functional equations of the two 2-parameter systems,
+    solved one x-degree at a time (``iterate_fe``), with divided
+    differences done by checked exact synthetic division.  This layer
+    shares no code with the succession-rule DP it cross-checks.
 
 Bivariate series are plain lists over x-degree of ``{u_power: coeff}``
-dicts, trivariate ones use ``{(u_power, v_power): coeff}``.  Dicts never
-store zeros.
+dicts, trivariate slices are ``{(u_power, v_power): coeff}`` dicts.
+Dicts never store zeros.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .oracle import count_sequence
 from .succession import profile_slices_201_210
@@ -105,15 +108,8 @@ class TruncatedSeries:
         if other is NotImplemented:
             return NotImplemented
         n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        for i, ci in enumerate(self.coefficients[:n + 1]):
-            if ci == 0:
-                continue
-            for j in range(n + 1 - i):
-                cj = other.coefficients[j]
-                if cj:
-                    out[i + j] += ci * cj
-        return TruncatedSeries(out, n)
+        return TruncatedSeries(
+            _product(self.coefficients[:n + 1], other.coefficients, n), n)
 
     __rmul__ = __mul__
 
@@ -231,17 +227,22 @@ def f_coefficients(n_max):
     return out
 
 
+def _slice_series(index, n_max):
+    """Series whose x^n coefficient sums slice ``index`` of the depth-n
+    level of the 201-210 DP: 0 for the states (k,F,F), 1 for (k,T,F)."""
+    return TruncatedSeries(
+        [sum(level[index]) for level in profile_slices_201_210(n_max)], n_max)
+
+
 def ff_slice_series(n_max):
     """Series counting the depth-n states (k,F,F) of the 201-210 system,
     summed over k.  Its coefficients are the Catalan numbers."""
-    return TruncatedSeries(
-        [sum(a) for a, _, _ in profile_slices_201_210(n_max)], n_max)
+    return _slice_series(0, n_max)
 
 
 def tf_slice_series(n_max):
     """Series counting the depth-n states (k,T,F), summed over k."""
-    return TruncatedSeries(
-        [sum(b) for _, b, _ in profile_slices_201_210(n_max)], n_max)
+    return _slice_series(1, n_max)
 
 
 # -- polynomial relations ---------------------------------------------------
@@ -254,16 +255,60 @@ PolyRelation = namedtuple("PolyRelation", ["name", "coefficients"])
 
 
 def relation_residual(relation, s):
-    """Evaluate the relation at y = s by Horner's rule.
+    """Evaluate the relation at y = s; return the order of the first
+    nonzero coefficient of the residual, or None if the relation holds
+    through s.order.
 
-    Returns the order of the first nonzero coefficient of the residual,
-    or None if the relation holds through s.order.
+    Runs Horner's rule in y^2 on P(y) = sum_i (p_2i + p_2i+1*y)*(y^2)^i.
+    The p_j are short polynomials, so a p_j times a series is cheap.  The
+    full-length products are the truncated square giving y^2 (half the
+    multiplications of a product) and each Horner step whose accumulator
+    is already a series: half a product in all for y-degree 2, one and a
+    half for y-degree 3 or 4.
     """
+    n = s.order
+    y = s.coefficients
     polys = relation.coefficients
-    acc = TruncatedSeries(polys[-1], s.order)
-    for poly in reversed(polys[:-1]):
-        acc = acc * s + TruncatedSeries(poly, s.order)
-    return acc.first_nonzero()
+    y2 = _square(y) if len(polys) > 2 else None
+    acc = None
+    for i in reversed(range(0, len(polys), 2)):
+        if i + 1 < len(polys):
+            term = _plus_poly(_product(polys[i + 1], y, n), polys[i])
+        else:
+            term = list(polys[i][:n + 1])
+        acc = term if acc is None else _plus_poly(_product(acc, y2, n), term)
+    return next((k for k, c in enumerate(acc) if c), None)
+
+
+def _product(a, b, n):
+    """Coefficients 0..n of a*b.  b has at least n + 1 coefficients; a may
+    have fewer (a polynomial), and then costs len(a) multiplications per
+    coefficient."""
+    rb = b[n::-1]
+    m = len(a)
+    return [sum(map(mul, a, rb[n - k:n - k + m])) for k in range(n + 1)]
+
+
+def _square(a):
+    """Coefficients of a*a through the order of a, each cross term a_i*a_j
+    (i < j) formed once and doubled."""
+    out = []
+    for k in range(len(a)):
+        h = (k + 1) // 2
+        c = 2 * sum(map(mul, a[:h], a[k:k - h:-1]))
+        if not k % 2:
+            c += a[k // 2] * a[k // 2]
+        out.append(c)
+    return out
+
+
+def _plus_poly(coeffs, poly):
+    """``coeffs + poly`` as a new list, truncated to the length of
+    ``coeffs``."""
+    out = list(coeffs)
+    for k, c in enumerate(poly[:len(out)]):
+        out[k] += c
+    return out
 
 
 def _pmul(*polys):
@@ -490,6 +535,10 @@ def check_system_201_210(n_max):
 
 
 # -- trivariate layer -------------------------------------------------------
+#
+# Both functional equations have the form S = 1 + xu*L(S) with L linear
+# and free of x, so slice d+1 of the fixed point is u*L(slice d): one
+# per-slice step per system, applied n_max times, gives the solution.
 
 def _dd_uv_slice(slice_):
     """(g(u,v) - g(v,v)) / (u - v) for one x-degree, by synthetic division
@@ -519,12 +568,18 @@ def _dd_uv_slice(slice_):
     return {k: c for k, c in out.items() if c}
 
 
-def _dd_v_slice(slice_):
-    """(g(u,v) - g(u,1)) / (v - 1) for one x-degree: phi in the v
-    variable, one u-power at a time."""
+def _dd_v_slice(slice_, at_v1):
+    """(g(u,v) - g(u,1)) / (v - 1) for one x-degree, given g(u,1) as
+    ``at_v1``: phi in the v variable, one u-power at a time.  The
+    remainder g(u,1) - at_v1 must vanish and is checked."""
     by_u = {}
     for (ju, jv), c in slice_.items():
         by_u.setdefault(ju, {})[jv] = c
+    rem = {ju: sum(vpoly.values()) for ju, vpoly in by_u.items()}
+    for (ju, _), c in at_v1.items():
+        rem[ju] = rem.get(ju, 0) - c
+    if any(rem.values()):
+        raise ArithmeticError("division by v - 1 left remainder %r" % rem)
     out = {}
     for ju, vpoly in by_u.items():
         for jv, c in _phi_slice(vpoly).items():
@@ -533,6 +588,7 @@ def _dd_v_slice(slice_):
 
 
 def _collapse_v(slice_):
+    """g(u,1) for one x-degree, as a slice with v-degree 0."""
     out = {}
     for (ju, _), c in slice_.items():
         v = out.get((ju, 0), 0) + c
@@ -543,85 +599,75 @@ def _collapse_v(slice_):
     return out
 
 
-def _fe_rhs_011_201(s):
-    """One application of S -> 1 + xu*( S(x,u,1)
-                                      + (S - S(x,u,1)) / (v - 1)
-                                      + (S - S(x,v,v)) / (u - v) )."""
-    n_max = len(s) - 1
-    out = [dict() for _ in range(n_max + 1)]
-    out[0][(0, 0)] = 1
-    for deg in range(n_max):
-        slice_ = s[deg]
-        if not slice_:
-            continue
-        part = _collapse_v(slice_)
-        for key, c in _dd_v_slice(slice_).items():
-            part[key] = part.get(key, 0) + c
-        for key, c in _dd_uv_slice(slice_).items():
-            part[key] = part.get(key, 0) + c
-        tgt = out[deg + 1]
+def _times_u(*parts):
+    """u times the sum of the given slices, zeros dropped."""
+    out = {}
+    for part in parts:
         for (ju, jv), c in part.items():
-            if c:
-                tgt[(ju + 1, jv)] = c
-    return out
+            key = (ju + 1, jv)
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
-def _fe_rhs_010_100_120_210(s):
-    """One application of S -> 1 + xu*( S
-                                      + (S - S(x,u,1)) / (v - 1)
-                                      + (S(x,u,1) - S(x,v,1)) / (u - v) )."""
-    n_max = len(s) - 1
-    out = [dict() for _ in range(n_max + 1)]
-    out[0][(0, 0)] = 1
-    for deg in range(n_max):
-        slice_ = s[deg]
-        if not slice_:
-            continue
-        part = dict(slice_)
-        for key, c in _dd_v_slice(slice_).items():
-            part[key] = part.get(key, 0) + c
-        for key, c in _dd_uv_slice(_collapse_v(slice_)).items():
-            part[key] = part.get(key, 0) + c
-        tgt = out[deg + 1]
-        for (ju, jv), c in part.items():
-            if c:
-                tgt[(ju + 1, jv)] = c
-    return out
+def _fe_step_011_201(slice_):
+    """Slice d+1 of S = 1 + xu*( S(x,u,1)
+                               + (S - S(x,u,1)) / (v - 1)
+                               + (S - S(x,v,v)) / (u - v) ) from slice d."""
+    at_v1 = _collapse_v(slice_)
+    return _times_u(at_v1, _dd_v_slice(slice_, at_v1), _dd_uv_slice(slice_))
 
 
-_FE_RHS = {
-    "011-201": _fe_rhs_011_201,
-    "010-100-120-210": _fe_rhs_010_100_120_210,
+def _fe_step_010_100_120_210(slice_):
+    """Slice d+1 of S = 1 + xu*( S
+                               + (S - S(x,u,1)) / (v - 1)
+                               + (S(x,u,1) - S(x,v,1)) / (u - v) ) from slice d."""
+    at_v1 = _collapse_v(slice_)
+    return _times_u(slice_, _dd_v_slice(slice_, at_v1), _dd_uv_slice(at_v1))
+
+
+_FE_STEP = {
+    "011-201": _fe_step_011_201,
+    "010-100-120-210": _fe_step_010_100_120_210,
 }
 
 
-def iterate_fe(system_id, n_max):
-    """Iterate the trivariate functional equation of a 2-parameter system
-    to its fixed point through x^n_max and return the counting sequence
-    at u = v = 1.
+def _fe_slices(system_id, n_max):
+    """Yield the slices x^0 .. x^n_max of the solution S(x,u,v) of a
+    2-parameter system's functional equation, each a ``{(u_power,
+    v_power): coeff}`` dict.
 
-    Starts from S = 1 and applies the equation n_max times; after m
-    rounds the iterate is exact through x^m.  All divided differences
-    divide exactly (checked), and the u- and v-degrees never exceed the
-    x-degree (also checked).  Deliberately naive: this is the
-    cross-check, not the fast path.
+    Slice d+1 is one step applied to slice d, so only the current slice
+    is kept.  Every divided difference is checked to divide exactly, and
+    every slice to keep its u- and v-degrees within its x-degree; either
+    failure raises ArithmeticError.
     """
     try:
-        rhs = _FE_RHS[system_id]
+        step = _FE_STEP[system_id]
     except KeyError:
         raise ValueError("no functional equation for system %r" % system_id) from None
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    s = [dict() for _ in range(n_max + 1)]
-    s[0][(0, 0)] = 1
-    for _ in range(n_max):
-        s = rhs(s)
-    for deg, slice_ in enumerate(s):
+    slice_ = {(0, 0): 1}
+    yield slice_
+    for deg in range(1, n_max + 1):
+        slice_ = step(slice_)
         for ju, jv in slice_:
             if ju > deg or jv > deg:
                 raise ArithmeticError(
                     "u^%d v^%d at x^%d breaks the degree bound" % (ju, jv, deg))
-    return [sum(slice_.values()) for slice_ in s]
+        yield slice_
+
+
+def iterate_fe(system_id, n_max):
+    """Solve the trivariate functional equation of a 2-parameter system
+    through x^n_max and return the counting sequence at u = v = 1.
+
+    The equation S = 1 + xu*L(S) keeps x-degrees apart, so the solution
+    is built degree by degree (see _fe_slices) in O(n_max) steps, with
+    checked exact division throughout.  It shares nothing with the
+    succession-rule DP, which makes it a cross-check of the rules.
+    """
+    return [sum(slice_.values()) for slice_ in _fe_slices(system_id, n_max)]
 
 
 def _conjecture_residual(counts):

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invseq import cli, series
 from invseq.cli import CHECKS, main, parse_basis
 
 # Regression fixture: pinned values that must never drift, whatever else
@@ -208,6 +209,45 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--check", "gf-vs-rules")
     assert code == 1
     assert "FAIL at n=3" in out
+
+
+def test_verify_arithmetic_error_is_a_failure(capsys, monkeypatch):
+    """A v = 1 specialization step that drops a term makes the next
+    division by v - 1 leave a remainder; verify reports that as its FAIL
+    line and exit status 1, not as a traceback."""
+    real = series._collapse_v
+
+    def drops_a_term(slice_):
+        out = real(slice_)
+        out.pop(max(out))
+        return out
+    monkeypatch.setattr(series, "_collapse_v", drops_a_term)
+    code, out, err = run_cli(capsys, "verify", "--check", "fe-vs-rules",
+                             "--n-max", "5")
+    assert code == 1
+    assert out.startswith("fe-vs-rules: FAIL: division by v - 1 left remainder")
+    assert out.count("\n") == 1
+    assert err == ""
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("f_coefficients", ["count", "--system", "201-210", "--method", "gf",
+                        "--n", "5"]),
+    ("f_coefficients", ["series", "--system", "201-210", "--method", "gf",
+                        "--n-max", "5"]),
+    ("list_avoiders", ["list", "--basis", "01", "--n", "3"]),
+    ("state_profile", ["profile", "--system", "201-210", "--n", "3"]),
+    ("emit_diagram", ["diagram", "--system", "201-210", "--n-max", "2"]),
+], ids=["count", "series", "list", "profile", "diagram"])
+def test_arithmetic_error_outside_verify_is_usage_error(capsys, monkeypatch,
+                                                        name, argv):
+    def inexact(*args):
+        raise ArithmeticError("coefficient of x^3 is not an integer")
+    monkeypatch.setattr(cli, name, inexact)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: coefficient of x^3 is not an integer\n"
 
 
 def test_all_checks_have_defaults():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invseq import series
 from invseq.series import (
     _check_system_violation,
     _conjecture_residual,
@@ -16,6 +17,7 @@ from invseq.series import (
     MINPOLY_B,
     MINPOLY_F,
     phi,
+    PolyRelation,
     relation_residual,
     series_sqrt,
     tf_slice_series,
@@ -157,6 +159,50 @@ def test_relation_residual_nonzero_example():
     assert relation_residual(MINPOLY_A, TruncatedSeries([1, 1], 5)) == 2
 
 
+def _plain_horner(polys, coeffs):
+    """Reference: the residual's coefficients by Horner's rule in y, one
+    full product per step."""
+    n = len(coeffs) - 1
+    acc = [0] * (n + 1)
+    for poly in reversed(polys):
+        acc = [sum(acc[i] * coeffs[k - i] for i in range(k + 1))
+               for k in range(n + 1)]
+        for k, c in enumerate(poly[:n + 1]):
+            acc[k] += c
+    return acc
+
+
+def _first_nonzero(coeffs):
+    return next((k for k, c in enumerate(coeffs) if c), None)
+
+
+_small_fraction = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_relation_residual_matches_plain_horner(data):
+    """Random relations of y-degree 0-5 at int or Fraction series, once
+    as drawn and once with one coefficient corrupted.  Half the draws
+    replace p_0 so that the series is a root through its order, which
+    puts the corruption's first nonzero residual at or past its
+    position."""
+    coeff = st.integers(-20, 20)
+    if data.draw(st.booleans()):
+        coeff = st.one_of(coeff, _small_fraction)
+    y = data.draw(st.lists(coeff, min_size=1, max_size=16))
+    polys = data.draw(st.lists(
+        st.lists(st.integers(-9, 9), max_size=6), min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        polys[0] = [-c for c in _plain_horner([()] + polys[1:], y)]
+    relation = PolyRelation("random", tuple(tuple(p) for p in polys))
+    assert relation_residual(relation, TruncatedSeries(y)) == \
+        _first_nonzero(_plain_horner(polys, y))
+    y[data.draw(st.integers(0, len(y) - 1))] += data.draw(coeff.filter(bool))
+    assert relation_residual(relation, TruncatedSeries(y)) == \
+        _first_nonzero(_plain_horner(polys, y))
+
+
 def test_relation_residual_catches_interior_corruption():
     f = f_coefficients(12)
     f[5] += 1
@@ -239,15 +285,54 @@ def test_iterate_fe_unknown_system():
 
 def test_iterate_fe_matches_rules():
     for system_id in ("011-201", "010-100-120-210"):
-        assert iterate_fe(system_id, 20) == \
-            rule_counting_sequence(system_id, 20)
+        assert iterate_fe(system_id, 40) == \
+            rule_counting_sequence(system_id, 40)
+
+
+def _add_term(out, key, c):
+    out[key] = out.get(key, 0) + c
+
+
+def _fe_rhs_by_expansion(system_id, s):
+    """Reference: 1 + xu*L(S) on a whole trivariate series, every divided
+    difference expanded term by term,
+
+      (u^a - v^a) / (u - v) = sum_{i<a} u^i v^(a-1-i),
+      (v^b - 1) / (v - 1)   = sum_{i<b} v^i,
+
+    with no synthetic division."""
+    out = [{(0, 0): 1}] + [dict() for _ in s[:-1]]
+    for deg, slice_ in enumerate(s[:-1]):
+        tgt = out[deg + 1]
+        for (a, b), c in slice_.items():
+            if system_id == "011-201":
+                _add_term(tgt, (a + 1, 0), c)               # S(x,u,1)
+                for i in range(a):                          # (S - S(x,v,v))/(u-v)
+                    _add_term(tgt, (i + 1, a - 1 - i + b), c)
+            else:
+                _add_term(tgt, (a + 1, b), c)               # S
+                for i in range(a):                          # (S(x,u,1) - S(x,v,1))/(u-v)
+                    _add_term(tgt, (i + 1, a - 1 - i), c)
+            for i in range(b):                              # (S - S(x,u,1))/(v-1)
+                _add_term(tgt, (a + 1, i), c)
+    return [{k: c for k, c in slice_.items() if c} for slice_ in out]
+
+
+@pytest.mark.parametrize("system_id", ["011-201", "010-100-120-210"])
+def test_fe_solution_is_a_fixed_point(system_id):
+    """The degree-by-degree solution, fed whole to the equation's
+    right-hand side, comes back unchanged through x^25."""
+    s = list(series._fe_slices(system_id, 25))
+    assert len(s) == 26
+    assert _fe_rhs_by_expansion(system_id, s) == s
+    assert [sum(slice_.values()) for slice_ in s] == iterate_fe(system_id, 25)
 
 
 def test_fe_specializations_agree_conjecture_evidence():
     """The u=v=1 specializations of the two functional equations agree
     (checked, not proven); the full trivariate solutions differ, so
     nothing here compares them."""
-    assert iterate_fe("011-201", 60) == iterate_fe("010-100-120-210", 60)
+    assert iterate_fe("011-201", 80) == iterate_fe("010-100-120-210", 80)
 
 
 # -- the conjectured cubic --------------------------------------------------
