@@ -10,19 +10,31 @@ Six subcommands tie the package together:
     invseq diagram --system 201-210 --n-max 3
     invseq verify  --check oracle-vs-rules --n-max 10
 
-Exit status is 0 on success, 1 when a verify check fails (an arithmetic
-error inside a check, such as an inexact division, counts as a failure),
-and 2 on usage errors or an arithmetic error in any other command.  Output is deterministic: the same invocation always produces
+Exit status is 0 on success and 1 when a verify check fails; an
+arithmetic error inside a check, such as an inexact division, counts as
+a failure.  Status 2 means the command did not run to an answer: a usage
+error, an arithmetic error in any other command, or an internal error.
+An internal error is any other exception (a bug, MemoryError,
+RecursionError); it prints one "error: internal error: <Type>: <message>"
+line on stderr, or "... <Type>" when the message is empty, and never a
+traceback.
+
+Output is deterministic: the same invocation always produces
 byte-identical text, so the commands are safe to diff in CI.
+
+main() builds the argument parser once per process, on its first call,
+and reuses it; build_parser() still returns a fresh one.
 """
 
 import argparse
+import functools
 import itertools
 import sys
 
 from .core import (
     avoids,
     digit_word,
+    render_listing,
     render_word,
     structure_check_201_210,
     validate_pattern,
@@ -100,9 +112,7 @@ def _cmd_count(args):
 
 def _cmd_list(args):
     _require(args.n >= 0, "n must be nonnegative")
-    words = list_avoiders(_resolve_basis(args), args.n)
-    text = "\n".join(map(render_word, words))
-    sys.stdout.write(text + "\n" if words else text)
+    sys.stdout.write(render_listing(list_avoiders(_resolve_basis(args), args.n)))
     return 0
 
 
@@ -320,8 +330,21 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The parser main() uses, built on its first call.  parse_args returns
+    a fresh Namespace every time, so reuse carries nothing over."""
+    return build_parser()
+
+
+def _one_line(exc):
+    """'<Type>: <message>' on one line, or just the type without a message."""
+    message = " ".join(str(exc).split())
+    return "%s: %s" % (type(exc).__name__, message) if message else type(exc).__name__
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     # Exact counts outgrow the cap Python (3.10.7 and later) puts on
     # int -> str conversion; lift it for this call only.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -331,6 +354,9 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug, MemoryError, RecursionError, ...
+        print("error: internal error: %s" % _one_line(exc), file=sys.stderr)
         return 2
     finally:
         if digit_limit is not None:

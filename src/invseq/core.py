@@ -44,8 +44,7 @@ True
 
 from collections import namedtuple
 from functools import lru_cache
-
-_INF = float("inf")
+from itertools import chain, repeat
 
 
 def digit_word(text, what="word"):
@@ -83,6 +82,40 @@ def render_word(word):
     if max(word, default=0) > 9:
         return ",".join(map(str, word))
     return "".join(map(str, word))
+
+
+# Bytes 0..9 are digit values and byte 10 ends a line.
+_LISTING_BYTES = bytes(range(11))
+_LISTING_TEXT = bytes.maketrans(_LISTING_BYTES, b"0123456789\n")
+
+
+def render_listing(words):
+    """The text of a listing: each word as render_word gives it, followed
+    by a newline.  The empty listing is the empty string, and the listing
+    of the empty word alone is one newline.
+
+    words is a list of tuples of integers.  When every value is a digit
+    0..9, as in any inversion sequence of length at most 10, the words
+    become one bytes object with a 10 after each word.  One translate
+    checks that it holds nothing above 10, a count that its only 10s are
+    the separators, and one translate maps it to ASCII.  Any other listing
+    (a negative value, which bytes() rejects, or one of 10 or more) is
+    rendered word by word.
+
+    >>> print(render_listing([(0, 0, 1), (0, 1, 2)]), end="")
+    001
+    012
+    >>> print(render_listing([(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)]), end="")
+    0,1,2,3,4,5,6,7,8,9,10
+    """
+    try:
+        data = bytes(chain.from_iterable(map(tuple.__add__, words, repeat((10,)))))
+    except ValueError:  # a value below 0 or above 255
+        data = None
+    if (data is None or data.translate(None, _LISTING_BYTES)
+            or data.count(10) != len(words)):
+        return "".join([render_word(word) + "\n" for word in words])
+    return data.translate(_LISTING_TEXT).decode("ascii")
 
 
 def standardize(word):
@@ -214,6 +247,7 @@ def _search(e, windows):
     n, k = len(e), len(windows)
     if k > n:
         return False
+    bottom, top = min(e), max(e)  # bounds for an entry with no window side
     vals = [0] * k
     nxt = [0] * k  # first position still to try at each depth
     t = 0
@@ -222,8 +256,8 @@ def _search(e, windows):
         if eq >= 0:
             low = high = vals[eq]
         else:
-            low = vals[lo] + 1 if lo >= 0 else -_INF
-            high = vals[hi] - 1 if hi >= 0 else _INF
+            low = vals[lo] + 1 if lo >= 0 else bottom
+            high = vals[hi] - 1 if hi >= 0 else top
         i, last = nxt[t], n - k + t  # leave room for the entries still needed
         while i <= last and not low <= e[i] <= high:
             i += 1

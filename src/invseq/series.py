@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 
 from .oracle import count_sequence
-from .succession import profile_slices_201_210
+from .succession import ff_slices_201_210, profile_slices_201_210
 
 
 def _normalize(c):
@@ -227,22 +227,16 @@ def f_coefficients(n_max):
     return out
 
 
-def _slice_series(index, n_max):
-    """Series whose x^n coefficient sums slice ``index`` of the depth-n
-    level of the 201-210 DP: 0 for the states (k,F,F), 1 for (k,T,F)."""
-    return TruncatedSeries(
-        [sum(level[index]) for level in profile_slices_201_210(n_max)], n_max)
-
-
 def ff_slice_series(n_max):
     """Series counting the depth-n states (k,F,F) of the 201-210 system,
     summed over k.  Its coefficients are the Catalan numbers."""
-    return _slice_series(0, n_max)
+    return TruncatedSeries(list(map(sum, ff_slices_201_210(n_max))), n_max)
 
 
 def tf_slice_series(n_max):
     """Series counting the depth-n states (k,T,F), summed over k."""
-    return _slice_series(1, n_max)
+    return TruncatedSeries(
+        [sum(b) for _, b, _ in profile_slices_201_210(n_max)], n_max)
 
 
 # -- polynomial relations ---------------------------------------------------

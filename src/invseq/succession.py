@@ -163,6 +163,16 @@ def _suffix_sums(xs):
     return out
 
 
+def _step_ff(a):
+    """Advance the 201-210 slice a[k] of states (k,F,F) one depth.
+
+    The slice is closed: (k,F,F) produces (k+1,F,F) and (i,F,F) for
+    1 <= i <= k, and no other state produces (k,F,F), so new_a[j] is the
+    suffix sum of a from j - 1 and new_a[0] is 0.
+    """
+    return [0, *_suffix_sums(a)]
+
+
 def _fast_step_201_210(level):
     """Advance the three k-indexed count slices one depth.
 
@@ -177,17 +187,17 @@ def _fast_step_201_210(level):
         new_c[j] = sc[j-1] + t[j]
 
     and new_c is itself one suffix sum, of w[i] = c[i] + sa[i+1] + sb[i+1],
-    so a depth costs seven integer additions per k.  Also returns the
-    accepted count of the input level, sa[0] + sb[0].
+    so a depth costs seven integer additions per k.  new_a is _step_ff(a),
+    which is [0, *sa].  Also returns the accepted count of the input
+    level, sa[0] + sb[0].
     """
     a, b, c = level
-    sa, sb = _suffix_sums(a), _suffix_sums(b)
-    w = [*map(add, c, map(add, islice(sa, 1, None), islice(sb, 1, None))),
+    new_a, sb = _step_ff(a), _suffix_sums(b)
+    w = [*map(add, c, map(add, islice(new_a, 2, None), islice(sb, 1, None))),
          c[-1]]
-    new_a = [0, *sa]
     new_b = [0, *map(add, map(add, b, sb), c)]
     new_c = [0, *_suffix_sums(w)]
-    return (new_a, new_b, new_c), sa[0] + sb[0]
+    return (new_a, new_b, new_c), new_a[1] + sb[0]
 
 
 def _fast_step_011_201(rows):
@@ -348,6 +358,21 @@ def profile_slices_201_210(n_max):
     """
     for level, _ in SYSTEMS["201-210"].levels(n_max):
         yield level
+
+
+def ff_slices_201_210(n_max):
+    """Yield the (k,F,F) slice a of the 201-210 DP for depths 0..n_max.
+
+    Equal to the first slice profile_slices_201_210 yields, but the slice
+    is closed under the rules (see _step_ff), so it is stepped alone.
+    """
+    if n_max < 0:
+        raise ValueError("n must be non-negative")
+    a = [1]
+    for _ in range(n_max):
+        yield a
+        a = _step_ff(a)
+    yield a
 
 
 def state_profile(system_id, n):

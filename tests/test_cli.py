@@ -178,11 +178,58 @@ def test_diagram(capsys):
 
 
 def test_output_is_deterministic(capsys):
-    first = run_cli(capsys, "diagram", "--system", "010-100-120-210",
-                    "--n-max", "4")
-    second = run_cli(capsys, "diagram", "--system", "010-100-120-210",
-                     "--n-max", "4")
-    assert first == second
+    for argv in (("diagram", "--system", "010-100-120-210", "--n-max", "4"),
+                 ("list", "--basis", "011,201", "--n", "7")):
+        first = run_cli(capsys, *argv)
+        second = run_cli(capsys, *argv)
+        assert first == second
+        assert first[0] == 0 and first[1]
+
+
+# -- one parser per process -------------------------------------------------
+
+# Each command form once, in an order where a flag left over from one
+# request would change the next: the gf request just before a system gf
+# does not apply to, a usage error between two good requests.
+MIXED_REQUESTS = [
+    ["count", "--system", "201-210", "--n", "6", "--method", "gf"],
+    ["count", "--system", "011-201", "--n", "5"],
+    ["list", "--basis", "201,210", "--n", "4"],
+    ["series", "--basis", "10", "--n-max", "5"],
+    ["series", "--system", "011-201", "--n-max", "5", "--format", "csv"],
+    ["count", "--n", "3"],  # no source: argparse exits 2
+    ["series", "--system", "201-210", "--n-max", "5", "--format", "bfile"],
+    ["verify", "--check", "gf-vs-rules", "--n-max", "20"],
+]
+
+
+def replies(capsys, requests):
+    out = []
+    for argv in requests:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out.append((code,) + capsys.readouterr())
+    return out
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    build_parser = cli.build_parser
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", build_parser)  # a fresh parser per call
+        fresh = replies(capsys, MIXED_REQUESTS)
+    assert [reply[0] for reply in fresh] == [0, 0, 0, 0, 0, 2, 0, 0]
+
+    built = []
+
+    def counted_build_parser():
+        built.append(1)
+        return build_parser()
+    monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+    cli._parser.cache_clear()
+    assert replies(capsys, MIXED_REQUESTS * 2) == fresh * 2
+    assert len(built) == 1
 
 
 # -- verify -----------------------------------------------------------------
@@ -248,6 +295,28 @@ def test_arithmetic_error_outside_verify_is_usage_error(capsys, monkeypatch,
     assert code == 2
     assert out == ""
     assert err == "error: coefficient of x^3 is not an integer\n"
+
+
+@pytest.mark.parametrize("exc, line", [
+    (RuntimeError("planted\nfailure"), "RuntimeError: planted failure"),
+    (MemoryError(), "MemoryError"),
+], ids=["RuntimeError", "MemoryError"])
+@pytest.mark.parametrize("name, argv", [
+    ("count_sequence", ["count", "--basis", "201,210", "--n", "5"]),
+    ("list_avoiders", ["list", "--basis", "01", "--n", "3"]),
+    ("rule_counting_sequence", ["verify", "--check", "gf-vs-rules",
+                                "--n-max", "5"]),
+], ids=["count", "list", "verify"])
+def test_internal_error_is_one_line_and_exit_two(capsys, monkeypatch,
+                                                 name, argv, exc, line):
+    """Any other exception, a bug or MemoryError, is one stderr line and
+    exit 2, never a traceback or exit 1 (which means a failed check)."""
+    def broken(*args):
+        raise exc
+    monkeypatch.setattr(cli, name, broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: internal error: %s\n" % line
 
 
 def test_all_checks_have_defaults():

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invseq.core import (
     avoids,
@@ -9,6 +9,7 @@ from invseq.core import (
     is_inversion_sequence,
     is_valid_pattern,
     parse_word,
+    render_listing,
     render_word,
     standardize,
     structure_check_201_210,
@@ -45,6 +46,21 @@ def test_render_word():
     assert render_word((2, 0, 1)) == "201"
     assert render_word((10, 2, 0)) == "10,2,0"
     assert render_word(()) == ""
+
+
+@settings(max_examples=100)
+@given(st.one_of(
+    st.lists(st.tuples(), max_size=2),  # [] and [()], n = 0
+    st.lists(st.lists(st.integers(min_value=-3, max_value=40), max_size=12)
+             .map(tuple), max_size=8),
+    st.lists(st.lists(st.integers(min_value=0, max_value=9), max_size=12)
+             .map(tuple), max_size=8),
+))
+@example([(10,)])  # a value equal to the separator byte
+@example([(0, 10, 2), (1,)])
+def test_render_listing_matches_render_word(words):
+    text = "\n".join(map(render_word, words))
+    assert render_listing(words) == (text + "\n" if words else text)
 
 
 def test_parse_render_round_trip():

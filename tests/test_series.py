@@ -25,7 +25,11 @@ from invseq.series import (
     verify_conjecture_010_102,
 )
 from invseq.oracle import count_sequence
-from invseq.succession import profile_slices_201_210, rule_counting_sequence
+from invseq.succession import (
+    ff_slices_201_210,
+    profile_slices_201_210,
+    rule_counting_sequence,
+)
 
 SEQ_201_210 = [1, 1, 2, 6, 24, 116, 632, 3720, 23072, 148528, 983072]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -141,6 +145,14 @@ def test_f_coefficients_match_rules_to_60():
 def test_slice_series_pinned():
     assert ff_slice_series(10).coefficients == CATALAN
     assert tf_slice_series(10).coefficients == TF_SLICE
+
+
+def test_ff_slice_series_equals_the_full_dp_slice():
+    """Stepping the closed (k,F,F) slice alone gives the slice that the
+    whole 201-210 DP computes, k by k and summed."""
+    levels = list(profile_slices_201_210(120))
+    assert list(ff_slices_201_210(120)) == [a for a, _, _ in levels]
+    assert ff_slice_series(120).coefficients == [sum(a) for a, _, _ in levels]
 
 
 def test_ff_slice_counts_avoiders_of_10():

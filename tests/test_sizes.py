@@ -16,6 +16,7 @@ from invseq.series import (
 from invseq.succession import (
     count_via_rules,
     emit_diagram,
+    ff_slices_201_210,
     get_system,
     profile_slices_201_210,
     rule_counting_sequence,
@@ -32,6 +33,7 @@ ENTRY_POINTS = {
     "count_via_rules": lambda n: count_via_rules("201-210", n),
     "state_profile": lambda n: state_profile("010-100-120-210", n),
     "profile_slices_201_210": lambda n: list(profile_slices_201_210(n)),
+    "ff_slices_201_210": lambda n: list(ff_slices_201_210(n)),
     "RuleSystem.levels": lambda n: list(get_system("201-210").levels(n)),
     "emit_diagram": lambda n: emit_diagram("201-210", n),
     "TruncatedSeries": lambda n: TruncatedSeries([1], n),
