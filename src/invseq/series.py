@@ -16,14 +16,19 @@ floating point anywhere.  The module has four layers:
     differences done by checked exact synthetic division.  This layer
     shares no code with the succession-rule DP it cross-checks.
 
-Bivariate series are plain lists over x-degree of ``{u_power: coeff}``
-dicts, trivariate slices are ``{(u_power, v_power): coeff}`` dicts.
-Dicts never store zeros.
+The verify-side algebra works on dense integer rows.  A bivariate series
+is a list over x-degree of rows, each a list of coefficients indexed by
+the u-power, so phi is a suffix sum on a row.  A trivariate slice (one
+x-degree) is a list over u-power of rows indexed by the v-power, so
+``s[u_power][v_power]`` is a coefficient.  Rows may carry zeros and may
+differ in length.  Only the public ``phi`` takes and returns
+``{u_power: coeff}`` dicts, for readability at the API.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate, zip_longest
+from operator import add, mul, sub
 
 from .oracle import count_sequence
 from .succession import ff_slices_201_210, profile_slices_201_210
@@ -353,97 +358,98 @@ RELATIONS = {rel.name: rel for rel in
 
 # -- bivariate layer --------------------------------------------------------
 
+def _suffix_sums(row):
+    """S with S[j] = row[j] + row[j+1] + ..., as long as row.
+
+    S[0] is the row's value at u = 1, and S[1:] is phi of the row: phi
+    sends u^k to 1 + u + ... + u^(k-1), so u^j collects every u^k, k > j.
+    """
+    out = list(accumulate(reversed(row)))
+    out.reverse()
+    return out
+
+
 def phi(f):
     """The operator sending u^k to 1 + u + ... + u^(k-1), per x-degree.
 
-    Computed as (g(u) - g(1)) / (u - 1) by synthetic division; the
-    remainder vanishes identically for polynomial slices but is checked
-    anyway.
+    f is a list over x-degree of ``{u_power: coeff}`` dicts, and so is the
+    result, with zeros dropped.  A negative u-power raises ValueError.
+
+    >>> phi([{}, {0: 1, 1: 1, 2: 3}])
+    [{}, {0: 4, 1: 3}]
     """
-    return [_phi_slice(slice_) for slice_ in f]
-
-
-def _phi_slice(slice_):
-    if not slice_:
-        return {}
-    deg = max(slice_)
-    coeffs = [slice_.get(j, 0) for j in range(deg + 1)]
-    coeffs[0] -= sum(coeffs)
-    # dividing by u - 1 at root 1 turns into plain suffix sums
-    q = [0] * deg
-    carry = 0
-    for j in range(deg, 0, -1):
-        carry += coeffs[j]
-        q[j - 1] = carry
-    if carry + coeffs[0] != 0:
-        raise ArithmeticError("phi division left remainder %r" % (carry + coeffs[0]))
-    return {j: c for j, c in enumerate(q) if c}
-
-
-def _biv_add(*fs):
-    n = min(len(f) for f in fs) - 1
-    out = [dict() for _ in range(n + 1)]
-    for f in fs:
-        for deg in range(n + 1):
-            tgt = out[deg]
-            for j, c in f[deg].items():
-                v = tgt.get(j, 0) + c
-                if v:
-                    tgt[j] = v
-                elif j in tgt:
-                    del tgt[j]
-    return out
-
-
-def _biv_apply(terms, f):
-    """Sum of coeff * x^dx * u^du * f over (coeff, dx, du) terms, truncated
-    to f's x-order."""
-    n = len(f) - 1
-    out = [dict() for _ in range(n + 1)]
-    for coeff, dx, du in terms:
-        for deg in range(n + 1 - dx):
-            tgt = out[deg + dx]
-            for j, c in f[deg].items():
-                v = tgt.get(j + du, 0) + coeff * c
-                if v:
-                    tgt[j + du] = v
-                elif j + du in tgt:
-                    del tgt[j + du]
-    return out
-
-
-def _biv_from_rows(rows_by_depth, n_max):
     out = []
-    for n in range(n_max + 1):
-        row = rows_by_depth[n]
-        slice_ = {k: c for k, c in enumerate(row) if c}
-        if slice_ and max(slice_) > n:
-            raise ArithmeticError("u-degree exceeds x-degree at x^%d" % n)
-        out.append(slice_)
+    for slice_ in f:
+        low = min(slice_, default=0)
+        if low < 0:
+            raise ValueError("phi needs nonnegative u-powers, got u^%d" % low)
+        row = [slice_.get(j, 0) for j in range(max(slice_, default=-1) + 1)]
+        out.append({j: c for j, c in enumerate(_suffix_sums(row)[1:]) if c})
     return out
 
 
-def _biv_embed(series_coeffs):
-    return [{0: c} if c else {} for c in series_coeffs]
+def _census_row(row, deg):
+    """The census row at x^deg as a list of length deg + 1; a nonzero
+    coefficient past u^deg raises ArithmeticError."""
+    if any(row[deg + 1:]):
+        raise ArithmeticError("u-degree exceeds x-degree at x^%d" % deg)
+    return [*row[:deg + 1], *[0] * (deg + 1 - len(row))]
 
 
-def _biv_first_diff(f, g):
-    """Lowest (x_degree, u_degree) where f and g disagree, or None."""
-    for deg in range(min(len(f), len(g))):
-        fs, gs = f[deg], g[deg]
-        for j in sorted(set(fs) | set(gs)):
-            if fs.get(j, 0) != gs.get(j, 0):
-                return (deg, j)
-    return None
+def _combine(length, *terms):
+    """The row of the given length summing sign * u^shift * row over the
+    (sign, shift, row) terms, with sign 1 or -1."""
+    out = [0] * length
+    for sign, shift, row in terms:
+        end = shift + len(row)
+        out[shift:end] = map(add if sign > 0 else sub, out[shift:end], row)
+    return out
+
+
+_SYSTEM_LABELS = ("A", "B", "C", "P1", "P2", "P3", "P4")
+
+
+def _system_residuals(a, b, c):
+    """Yield, per x-degree m, the residual rows of the seven identities of
+    _check_system_violation in label order, each of length m + 2.
+
+    Rows of x-degree m - 1 enter through the factor x; at m = 0 they are
+    empty.  Terms use row + phi(row) = suffix sums of row, phi(u*row) =
+    suffix sums of row, and g(x,1) = the first suffix sum (a one-entry
+    row, empty when g is)."""
+    prev = [], [], [], [], [], [], [], []
+    for m, (am, bm, cm) in enumerate(zip(a, b, c)):
+        sa, sb, sc = _suffix_sums(am), _suffix_sums(bm), _suffix_sums(cm)
+        dm = [*map(add, sa[1:], sb[1:])]                    # D = phi(A + B)
+        sd = _suffix_sums(dm)
+        ap, bp, cp, dp, sap, sbp, scp, sdp = prev
+        one = [1] if m == 0 else []
+        w = m + 2
+        yield (
+            _combine(w, (1, 0, am), (-1, 0, one), (-1, 1, sap)),
+            _combine(w, (1, 0, bm), (-1, 1, bp), (-1, 1, sbp), (-1, 1, cp)),
+            _combine(w, (1, 0, cm), (-1, 1, sdp), (-1, 1, scp)),
+            _combine(w, (1, 0, am), (-1, 1, am), (1, 2, ap), (-1, 1, sap[:1]),
+                     (1, 1, one), (-1, 0, one)),
+            _combine(w, (1, 0, bm), (-1, 1, bm), (-1, 1, bp), (1, 2, bp),
+                     (1, 2, bp), (-1, 1, sbp[:1]), (1, 2, cp), (-1, 1, cp)),
+            _combine(w, (1, 0, cm), (-1, 1, cm), (1, 2, cp), (-1, 1, scp[:1]),
+                     (1, 2, dp), (-1, 1, sdp[:1])),
+            _combine(w, (1, 0, dm), (-1, 1, dm), (1, 0, am), (1, 0, bm),
+                     (-1, 0, sa[:1]), (-1, 0, sb[:1])),
+        )
+        prev = am, bm, cm, dm, sa, sb, sc, sd
 
 
 def _check_system_violation(n_max, profiles=None):
     """Replay the defining equations of the 201-210 system on its census.
 
-    Builds the three bivariate slice series from the DP (or from injected
-    profiles, which the tests use to make sure a corrupted census is
-    actually caught), then verifies, coefficient by coefficient through
-    x^n_max:
+    Reads the three census slices from the DP (or from injected profiles,
+    which the tests use to make sure a corrupted census is actually
+    caught) as rows: A, B and C have, at x^m, the row of counts of the
+    states (k,F,F), (k,T,F) and (k,T,T) indexed by u^k.  A nonzero count
+    at a u-power above m raises ArithmeticError.  Then it verifies,
+    coefficient by coefficient through x^n_max:
 
       A = 1 + xu*(A + phi(A))
       B = xu*(2B + phi(B) + C)
@@ -457,68 +463,25 @@ def _check_system_violation(n_max, profiles=None):
       (1 - u + xu^2)C - xu*C(x,1) + xu^2*D - xu*D(x,1)             = 0
       (1 - u)D + A + B - A(x,1) - B(x,1)                           = 0
 
-    Returns None when everything holds, else (label, x_degree, u_degree)
-    of the first failure.
+    Each identity is a residual row (left side minus right side) per
+    x-degree, with phi a suffix sum on a row.  Returns None when every
+    residual is zero, else (label, x_degree, u_degree) of the first
+    failure: labels in the order above, then the lowest x-degree, then
+    the lowest u-degree.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if profiles is None:
         profiles = list(profile_slices_201_210(n_max))
-    a_biv = _biv_from_rows([p[0] for p in profiles], n_max)
-    b_biv = _biv_from_rows([p[1] for p in profiles], n_max)
-    c_biv = _biv_from_rows([p[2] for p in profiles], n_max)
-    d_biv = phi(_biv_add(a_biv, b_biv))
-
-    one = [dict() for _ in range(n_max + 1)]
-    one[0][0] = 1
-    xu = [(1, 1, 1)]
-
-    checks = []
-    rhs = _biv_apply(xu, _biv_add(a_biv, phi(a_biv)))
-    checks.append(("A", a_biv, _biv_add(one, rhs)))
-    rhs = _biv_apply(xu, _biv_add(b_biv, b_biv, phi(b_biv), c_biv))
-    checks.append(("B", b_biv, rhs))
-    rhs = _biv_apply(
-        xu, _biv_add(phi(_biv_apply([(1, 0, 1)], d_biv)), phi(c_biv), c_biv))
-    checks.append(("C", c_biv, rhs))
-    for label, lhs, rhs in checks:
-        diff = _biv_first_diff(lhs, rhs)
-        if diff is not None:
-            return (label,) + diff
-
-    a1 = [sum(s.values()) for s in a_biv]
-    b1 = [sum(s.values()) for s in b_biv]
-    c1 = [sum(s.values()) for s in c_biv]
-    d1 = [sum(s.values()) for s in d_biv]
-    u_minus_1 = [dict() for _ in range(n_max + 1)]
-    u_minus_1[0] = {1: 1, 0: -1}
-    zero = [dict() for _ in range(n_max + 1)]
-
-    cleared = [
-        ("P1", _biv_add(
-            _biv_apply([(1, 0, 0), (-1, 0, 1), (1, 1, 2)], a_biv),
-            _biv_apply([(-1, 1, 1)], _biv_embed(a1)),
-            u_minus_1)),
-        ("P2", _biv_add(
-            _biv_apply([(1, 0, 0), (-1, 0, 1), (-1, 1, 1), (2, 1, 2)], b_biv),
-            _biv_apply([(-1, 1, 1)], _biv_embed(b1)),
-            _biv_apply([(1, 1, 2), (-1, 1, 1)], c_biv))),
-        ("P3", _biv_add(
-            _biv_apply([(1, 0, 0), (-1, 0, 1), (1, 1, 2)], c_biv),
-            _biv_apply([(-1, 1, 1)], _biv_embed(c1)),
-            _biv_apply([(1, 1, 2)], d_biv),
-            _biv_apply([(-1, 1, 1)], _biv_embed(d1)))),
-        ("P4", _biv_add(
-            _biv_apply([(1, 0, 0), (-1, 0, 1)], d_biv),
-            a_biv, b_biv,
-            _biv_embed([-v for v in a1]),
-            _biv_embed([-v for v in b1]))),
-    ]
-    for label, residual in cleared:
-        diff = _biv_first_diff(residual, zero)
-        if diff is not None:
-            return (label,) + diff
-    return None
+    a, b, c = ([_census_row(profiles[m][i], m) for m in range(n_max + 1)]
+               for i in range(3))
+    first = {}
+    for m, rows in enumerate(_system_residuals(a, b, c)):
+        for label, row in zip(_SYSTEM_LABELS, rows):
+            if label not in first and any(row):
+                first[label] = (label, m, next(j for j, v in enumerate(row) if v))
+    return next((first[label] for label in _SYSTEM_LABELS if label in first),
+                None)
 
 
 def check_system_201_210(n_max):
@@ -534,73 +497,59 @@ def check_system_201_210(n_max):
 # and free of x, so slice d+1 of the fixed point is u*L(slice d): one
 # per-slice step per system, applied n_max times, gives the solution.
 
+def _add_rows(x, y):
+    """x + y for two coefficient rows of any lengths."""
+    if len(x) < len(y):
+        x, y = y, x
+    return [*map(add, x, y), *x[len(y):]]
+
+
 def _dd_uv_slice(slice_):
     """(g(u,v) - g(v,v)) / (u - v) for one x-degree, by synthetic division
-    in u at root v.  The remainder must vanish and is checked."""
-    if not slice_:
-        return {}
-    deg = max(ju for ju, _ in slice_)
-    by_u = [dict() for _ in range(deg + 1)]
-    for (ju, jv), c in slice_.items():
-        by_u[ju][jv] = by_u[ju].get(jv, 0) + c
-    out = {}
-    b = {}
-    for j in range(deg, 0, -1):
-        nb = dict(by_u[j])
-        for jv, c in b.items():
-            nb[jv + 1] = nb.get(jv + 1, 0) + c
-        b = {jv: c for jv, c in nb.items() if c}
-        for jv, c in b.items():
-            out[(j - 1, jv)] = out.get((j - 1, jv), 0) + c
-    rem = dict(by_u[0])
-    for jv, c in b.items():
-        rem[jv + 1] = rem.get(jv + 1, 0) + c
-    for (ju, jv), c in slice_.items():
-        rem[ju + jv] = rem.get(ju + jv, 0) - c
-    if any(rem.values()):
+    in u at root v: b <- row_j + v*b from the top u-power down, and b
+    after row j is row j - 1 of the quotient.  The remainder row_0 + v*b
+    must equal g(v,v) and is checked."""
+    out = []
+    b = []
+    for row in reversed(slice_[1:]):
+        b = _add_rows(row, [0, *b])
+        out.append(b)
+    out.reverse()
+    at_vv = []
+    for ju, row in enumerate(slice_):
+        at_vv = _add_rows(at_vv, [*[0] * ju, *row])
+    rem = _add_rows(_add_rows(slice_[0], [0, *b]), [-c for c in at_vv])
+    if any(rem):
         raise ArithmeticError("division by u - v left remainder %r" % rem)
-    return {k: c for k, c in out.items() if c}
+    return out
 
 
 def _dd_v_slice(slice_, at_v1):
     """(g(u,v) - g(u,1)) / (v - 1) for one x-degree, given g(u,1) as
-    ``at_v1``: phi in the v variable, one u-power at a time.  The
-    remainder g(u,1) - at_v1 must vanish and is checked."""
-    by_u = {}
-    for (ju, jv), c in slice_.items():
-        by_u.setdefault(ju, {})[jv] = c
-    rem = {ju: sum(vpoly.values()) for ju, vpoly in by_u.items()}
-    for (ju, _), c in at_v1.items():
-        rem[ju] = rem.get(ju, 0) - c
-    if any(rem.values()):
+    ``at_v1`` (a list over u): phi in the v variable, one row at a time.
+    The remainder g(u,1) - at_v1 must vanish and is checked."""
+    sums = [_suffix_sums(row) for row in slice_]
+    rem = _add_rows([s[0] if s else 0 for s in sums], [-c for c in at_v1])
+    if any(rem):
         raise ArithmeticError("division by v - 1 left remainder %r" % rem)
-    out = {}
-    for ju, vpoly in by_u.items():
-        for jv, c in _phi_slice(vpoly).items():
-            out[(ju, jv)] = c
-    return out
+    return [s[1:] for s in sums]
 
 
 def _collapse_v(slice_):
-    """g(u,1) for one x-degree, as a slice with v-degree 0."""
-    out = {}
-    for (ju, _), c in slice_.items():
-        v = out.get((ju, 0), 0) + c
-        if v:
-            out[(ju, 0)] = v
-        elif (ju, 0) in out:
-            del out[(ju, 0)]
-    return out
+    """g(u,1) for one x-degree: the row sums, as a list over u."""
+    return [*map(sum, slice_)]
 
 
 def _times_u(*parts):
-    """u times the sum of the given slices, zeros dropped."""
-    out = {}
-    for part in parts:
-        for (ju, jv), c in part.items():
-            key = (ju + 1, jv)
-            out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
+    """u times the sum of the given slices: an empty row for u^0, then the
+    rows of the sum."""
+    out = [[]]
+    for rows in zip_longest(*parts, fillvalue=[]):
+        acc = rows[0]
+        for row in rows[1:]:
+            acc = _add_rows(acc, row)
+        out.append(acc)
+    return out
 
 
 def _fe_step_011_201(slice_):
@@ -608,7 +557,8 @@ def _fe_step_011_201(slice_):
                                + (S - S(x,u,1)) / (v - 1)
                                + (S - S(x,v,v)) / (u - v) ) from slice d."""
     at_v1 = _collapse_v(slice_)
-    return _times_u(at_v1, _dd_v_slice(slice_, at_v1), _dd_uv_slice(slice_))
+    return _times_u([[c] for c in at_v1], _dd_v_slice(slice_, at_v1),
+                    _dd_uv_slice(slice_))
 
 
 def _fe_step_010_100_120_210(slice_):
@@ -616,7 +566,8 @@ def _fe_step_010_100_120_210(slice_):
                                + (S - S(x,u,1)) / (v - 1)
                                + (S(x,u,1) - S(x,v,1)) / (u - v) ) from slice d."""
     at_v1 = _collapse_v(slice_)
-    return _times_u(slice_, _dd_v_slice(slice_, at_v1), _dd_uv_slice(at_v1))
+    return _times_u(slice_, _dd_v_slice(slice_, at_v1),
+                    _dd_uv_slice([[c] for c in at_v1]))
 
 
 _FE_STEP = {
@@ -627,13 +578,13 @@ _FE_STEP = {
 
 def _fe_slices(system_id, n_max):
     """Yield the slices x^0 .. x^n_max of the solution S(x,u,v) of a
-    2-parameter system's functional equation, each a ``{(u_power,
-    v_power): coeff}`` dict.
+    2-parameter system's functional equation, each as rows
+    ``s[u_power][v_power]`` of coefficients (see the trivariate layer).
 
     Slice d+1 is one step applied to slice d, so only the current slice
     is kept.  Every divided difference is checked to divide exactly, and
-    every slice to keep its u- and v-degrees within its x-degree; either
-    failure raises ArithmeticError.
+    every slice to have no nonzero coefficient at a u- or v-degree above
+    its x-degree; either failure raises ArithmeticError.
     """
     try:
         step = _FE_STEP[system_id]
@@ -641,12 +592,14 @@ def _fe_slices(system_id, n_max):
         raise ValueError("no functional equation for system %r" % system_id) from None
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    slice_ = {(0, 0): 1}
+    slice_ = [[1]]
     yield slice_
     for deg in range(1, n_max + 1):
         slice_ = step(slice_)
-        for ju, jv in slice_:
-            if ju > deg or jv > deg:
+        for ju, row in enumerate(slice_):
+            top = 0 if ju > deg else deg + 1
+            if any(row[top:]):
+                jv = next(j for j, c in enumerate(row) if c and j >= top)
                 raise ArithmeticError(
                     "u^%d v^%d at x^%d breaks the degree bound" % (ju, jv, deg))
         yield slice_
@@ -661,7 +614,7 @@ def iterate_fe(system_id, n_max):
     checked exact division throughout.  It shares nothing with the
     succession-rule DP, which makes it a cross-check of the rules.
     """
-    return [sum(slice_.values()) for slice_ in _fe_slices(system_id, n_max)]
+    return [sum(map(sum, slice_)) for slice_ in _fe_slices(system_id, n_max)]
 
 
 def _conjecture_residual(counts):

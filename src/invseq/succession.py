@@ -22,12 +22,14 @@ At the API a level vector is a plain dict mapping states to positive
 integer counts; the depth is whatever number of steps produced it.
 step() applies the rules literally and is the reference.  The counting
 functions instead step a dense level: three k-indexed lists (a, b, c)
-for 201-210, and for the 2-parameter systems an exact triangle
-rows[k][ell] with k + ell < len(rows).  Each RuleSystem carries its
-dense kernel, which turns the ranged productions into partial sums so
-one depth costs time linear in the number of cells, and its conversions
-between dense and dict levels.  step_fast() is the dict-level wrapper
-around the kernel; state_profile() converts once, at the end.
+for 201-210, and for the 2-parameter systems an exact triangle of rows,
+rows[k] holding the counts of (k, ell) for ell = len(rows) - 1 - k down
+to 0, so that the suffix sums over ell are running sums of the row.
+Each RuleSystem carries its dense kernel, which turns the ranged
+productions into partial sums so one depth costs time linear in the
+number of cells, and its conversions between dense and dict levels.
+step_fast() is the dict-level wrapper around the kernel;
+state_profile() converts once, at the end.
 
 >>> count_via_rules("201-210", 7)
 3720
@@ -201,15 +203,18 @@ def _fast_step_201_210(level):
 
 
 def _fast_step_011_201(rows):
-    """Advance the 011-201 triangle rows[k][ell] one depth.
+    """Advance the 011-201 triangle one depth (rows[k] lists the counts of
+    (k, ell) with ell descending, see the module docstring).
 
     A state (k, ell) feeds (k + 1, 0), every (k + 1, i) with i < ell, and
     along its anti-diagonal every (i, ell + k - i) with 1 <= i <= k.  With
-    S the suffix sums of row k - 1 and D_k[ell] = rows[k][ell] +
+    S the suffix sums over ell of row k - 1 and D_k[ell] = rows[k][ell] +
     D_{k+1}[ell - 1] the anti-diagonal sums, built from the bottom row up,
 
         new[k][ell] = S[ell + 1] + D_k[ell]   (plus S[0] when ell = 0)
 
+    In the descending order S is the running sum of the row and D_k is
+    row k plus D_{k+1} entry by entry, then the last entry of row k.
     Also returns the input level's total.
     """
     m = len(rows)
@@ -218,33 +223,33 @@ def _fast_step_011_201(rows):
     total = 0
     for k in range(m, 0, -1):
         prev = rows[k - 1]
-        suf = _suffix_sums(prev)
-        row = [*map(add, suf[1:], diag), 0]
-        row[0] += suf[0]
+        suf = list(accumulate(prev))
+        row = [0, *map(add, suf, diag)]
+        row[-1] += suf[-1]
         new.append(row)
-        total += suf[0]
-        diag = [prev[0], *map(add, prev[1:], diag)]
+        total += suf[-1]
+        diag = [*map(add, prev, diag), prev[-1]]
     new.append([0] * (m + 1))
     new.reverse()
     return new, total
 
 
 def _fast_step_010_100_120_210(rows):
-    """Advance the 010-100-120-210 triangle rows[k][ell] one depth.
+    """Advance the 010-100-120-210 triangle one depth (rows[k] lists the
+    counts of (k, ell) with ell descending, see the module docstring).
 
     A state (k, ell) feeds (k + 1, i) for every i <= ell, and (i, k - i)
-    for 1 <= i <= k, forgetting ell.  With S the suffix sums of row
-    k - 1, new[k][ell] = S[ell] + sum(rows[k + ell]).  Also returns the
-    input level's total.
+    for 1 <= i <= k, forgetting ell.  With S the suffix sums over ell of
+    row k - 1, new[k][ell] = S[ell] + sum(rows[k + ell]); in the
+    descending order S is the running sum of the row and the row sums
+    are read from the last row up.  Also returns the input level's total.
     """
     m = len(rows)
-    sufs = [_suffix_sums(r) for r in rows]
-    row_sum = [s[0] for s in sufs]
-    row_sum.append(0)
+    sufs = [list(accumulate(r)) for r in rows]
+    row_sums = [0, *(s[-1] for s in reversed(sufs))]   # rows m, m-1, ..., 0
     new = [[0] * (m + 1)]
-    for k in range(1, m + 1):
-        new.append(list(map(add, sufs[k - 1], row_sum[k:])))
-    return new, sum(row_sum)
+    new.extend([*map(add, s, row_sums)] for s in sufs)
+    return new, sum(row_sums)
 
 
 # ---------- dense <-> dict conversions ----------
@@ -276,13 +281,13 @@ def _triangle_from_dict(level):
     size = max((k + ell for k, ell in level), default=0) + 1
     rows = [[0] * (size - k) for k in range(size)]
     for (k, ell), m in level.items():
-        rows[k][ell] = m
+        rows[k][size - k - 1 - ell] = m
     return rows
 
 
 def _triangle_to_dict(rows):
-    return {(k, ell): m
-            for k, row in enumerate(rows) for ell, m in enumerate(row) if m}
+    return {(k, len(row) - 1 - i): m
+            for k, row in enumerate(rows) for i, m in enumerate(row) if m}
 
 
 def _accepted_201_210(level):

@@ -1,0 +1,98 @@
+"""Import boundaries between the layers.
+
+The routes to the counting numbers stay independent only while the code
+keeps them apart: the core matcher depends on no counting route, the
+oracle needs nothing but pattern validation, the series layer reads
+only the census slices of the succession DP, and the closed form and the
+functional-equation iteration reach no succession code at all.  These
+tests read the imports from the source (``ast``) and the names the
+functions load (``co_names``)."""
+
+import ast
+import inspect
+import types
+
+import pytest
+
+from invseq import core, oracle, series, succession
+
+
+def _invseq_imports(source):
+    """{(module name, imported name)} for every import of an invseq module
+    in the source text, at any depth; a whole-module import has name
+    None."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and not base.startswith("invseq"):
+                continue
+            base = "" if base == "invseq" else base.split(".")[-1]
+            for alias in node.names:
+                found.add((base, alias.name) if base else (alias.name, None))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("invseq."):
+                    found.add((alias.name.split(".")[1], None))
+    return found
+
+
+def _imports_of(module):
+    return _invseq_imports(inspect.getsource(module))
+
+
+def test_the_import_reader_sees_every_form():
+    text = ("from .a import x\nfrom . import b\nimport invseq.c\n"
+            "from invseq.d import y\nfrom invseq import e\nimport os\n"
+            "from os import path\ndef f():\n    from .g import z\n")
+    assert _invseq_imports(text) == {("a", "x"), ("b", None), ("c", None),
+                                     ("d", "y"), ("e", None), ("g", "z")}
+
+
+def test_core_imports_no_counting_route():
+    assert not {m for m, _ in _imports_of(core)} & {
+        "oracle", "succession", "series"}
+
+
+def test_oracle_imports_only_pattern_validation():
+    assert _imports_of(oracle) == {("core", "validate_pattern")}
+
+
+def test_series_reads_only_the_census_slices_of_succession():
+    from_succession = {name for m, name in _imports_of(series)
+                       if m == "succession"}
+    assert from_succession == {"ff_slices_201_210", "profile_slices_201_210"}
+
+
+def _reachable(functions, namespace):
+    """Every object that the given functions load by global name from the
+    namespace, followed through the functions and dict values they reach
+    in the same module."""
+    seen = {}
+    todo = list(functions)
+    while todo:
+        fn = todo.pop()
+        codes = [fn.__code__]
+        while codes:
+            code = codes.pop()
+            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            for name in code.co_names:
+                if name in namespace and name not in seen:
+                    obj = seen[name] = namespace[name]
+                    targets = obj.values() if isinstance(obj, dict) else [obj]
+                    todo.extend(t for t in targets
+                                if isinstance(t, types.FunctionType)
+                                and t.__module__ == series.__name__)
+    return seen
+
+
+def test_the_walk_follows_calls_and_dispatch_tables():
+    reached = _reachable([series.iterate_fe], vars(series))
+    assert {"_fe_slices", "_FE_STEP", "_dd_uv_slice", "_suffix_sums"} <= set(reached)
+
+
+@pytest.mark.parametrize("name", ["f_coefficients", "iterate_fe", "_fe_slices"])
+def test_closed_form_and_fe_reach_no_succession_code(name):
+    for ref, obj in _reachable([getattr(series, name)], vars(series)).items():
+        assert obj is not succession, ref
+        assert getattr(obj, "__module__", None) != succession.__name__, ref

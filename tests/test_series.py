@@ -236,6 +236,13 @@ def test_phi_trivia():
     assert phi([{3: 1}]) == [{0: 1, 1: 1, 2: 1}]
 
 
+def test_phi_rejects_a_negative_u_power():
+    with pytest.raises(ValueError, match=r"u\^-1"):
+        phi([{-1: 1}])
+    with pytest.raises(ValueError, match=r"u\^-2"):
+        phi([{0: 1}, {-2: 1, 3: 4}])
+
+
 _biv_slice = st.dictionaries(st.integers(0, 6),
                              st.integers(-9, 9).filter(bool), max_size=4)
 
@@ -282,6 +289,144 @@ def test_check_system_canary():
     assert _check_system_violation(20, profiles=profiles) is not None
 
 
+def test_check_system_rejects_a_u_degree_above_the_x_degree():
+    profiles = [(list(a), list(b), list(c))
+                for a, b, c in profile_slices_201_210(6)]
+    profiles[4][1].extend([0, 0])               # zeros past u^4 are fine
+    assert _check_system_violation(6, profiles=profiles) is None
+    profiles[4][1][5] = 1
+    with pytest.raises(ArithmeticError, match="x\\^4"):
+        _check_system_violation(6, profiles=profiles)
+
+
+# Reference: the seven identities on bivariate series held as lists over
+# x-degree of {u_power: coeff} dicts with no zeros stored, phi by synthetic
+# division at root 1.  This is the implementation the dense rows replaced.
+
+def _ref_phi(f):
+    out = []
+    for slice_ in f:
+        if not slice_:
+            out.append({})
+            continue
+        deg = max(slice_)
+        coeffs = [slice_.get(j, 0) for j in range(deg + 1)]
+        coeffs[0] -= sum(coeffs)
+        q = [0] * deg
+        carry = 0
+        for j in range(deg, 0, -1):
+            carry += coeffs[j]
+            q[j - 1] = carry
+        assert carry + coeffs[0] == 0
+        out.append({j: c for j, c in enumerate(q) if c})
+    return out
+
+
+def _ref_add(*fs):
+    n = min(len(f) for f in fs) - 1
+    out = [dict() for _ in range(n + 1)]
+    for f in fs:
+        for deg in range(n + 1):
+            for j, c in f[deg].items():
+                out[deg][j] = out[deg].get(j, 0) + c
+    return [{j: c for j, c in d.items() if c} for d in out]
+
+
+def _ref_apply(terms, f):
+    """Sum of coeff * x^dx * u^du * f over (coeff, dx, du) terms, truncated
+    to f's x-order."""
+    n = len(f) - 1
+    out = [dict() for _ in range(n + 1)]
+    for coeff, dx, du in terms:
+        for deg in range(n + 1 - dx):
+            for j, c in f[deg].items():
+                out[deg + dx][j + du] = out[deg + dx].get(j + du, 0) + coeff * c
+    return [{j: c for j, c in d.items() if c} for d in out]
+
+
+def _ref_embed(coeffs):
+    return [{0: c} if c else {} for c in coeffs]
+
+
+def _ref_first_diff(f, g):
+    for deg in range(min(len(f), len(g))):
+        for j in sorted(set(f[deg]) | set(g[deg])):
+            if f[deg].get(j, 0) != g[deg].get(j, 0):
+                return (deg, j)
+    return None
+
+
+def _reference_violation(n_max, profiles):
+    def biv(i):
+        return [{k: c for k, c in enumerate(profiles[n][i]) if c}
+                for n in range(n_max + 1)]
+
+    a, b, c = biv(0), biv(1), biv(2)
+    d = _ref_phi(_ref_add(a, b))
+    one = [{0: 1}] + [dict() for _ in range(n_max)]
+    xu = [(1, 1, 1)]
+    checks = [
+        ("A", a, _ref_add(one, _ref_apply(xu, _ref_add(a, _ref_phi(a))))),
+        ("B", b, _ref_apply(xu, _ref_add(b, b, _ref_phi(b), c))),
+        ("C", c, _ref_apply(xu, _ref_add(
+            _ref_phi(_ref_apply([(1, 0, 1)], d)), _ref_phi(c), c))),
+    ]
+    a1, b1, c1, d1 = ([sum(s.values()) for s in f] for f in (a, b, c, d))
+    u_minus_1 = [{1: 1, 0: -1}] + [dict() for _ in range(n_max)]
+    zero = [dict() for _ in range(n_max + 1)]
+    checks += [
+        ("P1", zero, _ref_add(
+            _ref_apply([(1, 0, 0), (-1, 0, 1), (1, 1, 2)], a),
+            _ref_apply([(-1, 1, 1)], _ref_embed(a1)),
+            u_minus_1)),
+        ("P2", zero, _ref_add(
+            _ref_apply([(1, 0, 0), (-1, 0, 1), (-1, 1, 1), (2, 1, 2)], b),
+            _ref_apply([(-1, 1, 1)], _ref_embed(b1)),
+            _ref_apply([(1, 1, 2), (-1, 1, 1)], c))),
+        ("P3", zero, _ref_add(
+            _ref_apply([(1, 0, 0), (-1, 0, 1), (1, 1, 2)], c),
+            _ref_apply([(-1, 1, 1)], _ref_embed(c1)),
+            _ref_apply([(1, 1, 2)], d),
+            _ref_apply([(-1, 1, 1)], _ref_embed(d1)))),
+        ("P4", zero, _ref_add(
+            _ref_apply([(1, 0, 0), (-1, 0, 1)], d), a, b,
+            _ref_embed([-v for v in a1]), _ref_embed([-v for v in b1]))),
+    ]
+    for label, lhs, rhs in checks:
+        diff = _ref_first_diff(lhs, rhs)
+        if diff is not None:
+            return (label,) + diff
+    return None
+
+
+_CENSUS = [(list(a), list(b), list(c))
+           for a, b, c in profile_slices_201_210(30)]
+
+
+def test_check_system_matches_the_dict_reference_on_the_census():
+    for n_max in range(31):
+        assert _reference_violation(n_max, _CENSUS) is None
+        assert _check_system_violation(n_max) is None
+        assert _check_system_violation(n_max, profiles=_CENSUS) is None
+
+
+_cell = st.tuples(st.integers(0, 14), st.integers(0, 2), st.integers(0, 14),
+                 st.integers(-3, 3).filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 14), st.lists(_cell, min_size=1, max_size=2))
+def test_check_system_reports_the_reference_first_failure(n_max, cells):
+    """One or two census cells corrupted, anywhere through x^n_max: the
+    dense check names the same (label, x, u) as the dict reference."""
+    profiles = [tuple(list(row) for row in p) for p in _CENSUS[:n_max + 1]]
+    for m, i, k, delta in cells:
+        m %= n_max + 1
+        profiles[m][i][k % (m + 1)] += delta
+    expected = _reference_violation(n_max, profiles)
+    assert _check_system_violation(n_max, profiles=profiles) == expected
+
+
 # -- functional equations ---------------------------------------------------
 
 def test_iterate_fe_pinned():
@@ -297,8 +442,49 @@ def test_iterate_fe_unknown_system():
 
 def test_iterate_fe_matches_rules():
     for system_id in ("011-201", "010-100-120-210"):
-        assert iterate_fe(system_id, 40) == \
-            rule_counting_sequence(system_id, 40)
+        assert iterate_fe(system_id, 60) == \
+            rule_counting_sequence(system_id, 60)
+
+
+def test_dd_v_slice_checks_the_value_at_v_1():
+    slice_ = [[1, 2], [0, 3, 1]]                 # 1 + 2v + 3uv + uv^2
+    assert series._dd_v_slice(slice_, [3, 4]) == [[2], [4, 1]]
+    for at_v1 in ([3, 5], [3], [3, 4, 1], [2, 4]):
+        with pytest.raises(ArithmeticError, match="division by v - 1"):
+            series._dd_v_slice(slice_, at_v1)
+
+
+def test_dd_uv_slice_checks_its_remainder(monkeypatch):
+    """(u^2 v - v^3) / (u - v) = uv + v^2.  The remainder of synthetic
+    division equals g(v,v) whatever the input, so what the check guards
+    is the division itself: corrupting one step must raise."""
+    slice_ = [[0, 0, 0, -1], [], [0, 1]]
+    assert series._dd_uv_slice(slice_) == [[0, 0, 1], [0, 1]]
+    real = series._add_rows
+    calls = []
+
+    def off_by_one_once(x, y):
+        out = real(x, y)
+        if not calls:
+            out[0] += 1
+        calls.append(1)
+        return out
+    monkeypatch.setattr(series, "_add_rows", off_by_one_once)
+    with pytest.raises(ArithmeticError, match="division by u - v"):
+        series._dd_uv_slice(slice_)
+
+
+@pytest.mark.parametrize("system_id", ["011-201", "010-100-120-210"])
+def test_fe_slices_check_the_degree_bound(monkeypatch, system_id):
+    real = series._FE_STEP[system_id]
+
+    def one_v_too_many(slice_):
+        out = real(slice_)
+        out[1] = [*out[1], *[0] * len(out), 1]
+        return out
+    monkeypatch.setitem(series._FE_STEP, system_id, one_v_too_many)
+    with pytest.raises(ArithmeticError, match="u\\^1 v\\^3 at x\\^1 breaks"):
+        list(series._fe_slices(system_id, 3))
 
 
 def _add_term(out, key, c):
@@ -334,7 +520,9 @@ def _fe_rhs_by_expansion(system_id, s):
 def test_fe_solution_is_a_fixed_point(system_id):
     """The degree-by-degree solution, fed whole to the equation's
     right-hand side, comes back unchanged through x^25."""
-    s = list(series._fe_slices(system_id, 25))
+    s = [{(ju, jv): c for ju, row in enumerate(slice_)
+          for jv, c in enumerate(row) if c}
+         for slice_ in series._fe_slices(system_id, 25)]
     assert len(s) == 26
     assert _fe_rhs_by_expansion(system_id, s) == s
     assert [sum(slice_.values()) for slice_ in s] == iterate_fe(system_id, 25)
@@ -344,7 +532,7 @@ def test_fe_specializations_agree_conjecture_evidence():
     """The u=v=1 specializations of the two functional equations agree
     (checked, not proven); the full trivariate solutions differ, so
     nothing here compares them."""
-    assert iterate_fe("011-201", 80) == iterate_fe("010-100-120-210", 80)
+    assert iterate_fe("011-201", 120) == iterate_fe("010-100-120-210", 120)
 
 
 # -- the conjectured cubic --------------------------------------------------
