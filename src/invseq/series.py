@@ -508,7 +508,10 @@ def _dd_uv_slice(slice_):
     """(g(u,v) - g(v,v)) / (u - v) for one x-degree, by synthetic division
     in u at root v: b <- row_j + v*b from the top u-power down, and b
     after row j is row j - 1 of the quotient.  The remainder row_0 + v*b
-    must equal g(v,v) and is checked."""
+    must equal g(v,v) and is checked, but synthetic division at root v
+    always leaves exactly g(v,v), so the check guards only the division
+    arithmetic: it cannot catch a wrong functional equation (see
+    iterate_fe for what does)."""
     out = []
     b = []
     for row in reversed(slice_[1:]):
@@ -527,7 +530,9 @@ def _dd_uv_slice(slice_):
 def _dd_v_slice(slice_, at_v1):
     """(g(u,v) - g(u,1)) / (v - 1) for one x-degree, given g(u,1) as
     ``at_v1`` (a list over u): phi in the v variable, one row at a time.
-    The remainder g(u,1) - at_v1 must vanish and is checked."""
+    The remainder g(u,1) - at_v1 must vanish and is checked; every caller
+    takes at_v1 as the row sums of the same slice (_collapse_v), so the
+    check guards only the division arithmetic, not the equation."""
     sums = [_suffix_sums(row) for row in slice_]
     rem = _add_rows([s[0] if s else 0 for s in sums], [-c for c in at_v1])
     if any(rem):
@@ -584,7 +589,9 @@ def _fe_slices(system_id, n_max):
     Slice d+1 is one step applied to slice d, so only the current slice
     is kept.  Every divided difference is checked to divide exactly, and
     every slice to have no nonzero coefficient at a u- or v-degree above
-    its x-degree; either failure raises ArithmeticError.
+    its x-degree; either failure raises ArithmeticError.  The division
+    remainders vanish for any input (see _dd_uv_slice and _dd_v_slice),
+    so they guard the arithmetic, not the equations.
     """
     try:
         step = _FE_STEP[system_id]
@@ -610,8 +617,12 @@ def iterate_fe(system_id, n_max):
     through x^n_max and return the counting sequence at u = v = 1.
 
     The equation S = 1 + xu*L(S) keeps x-degrees apart, so the solution
-    is built degree by degree (see _fe_slices) in O(n_max) steps, with
-    checked exact division throughout.  It shares nothing with the
+    is built degree by degree (see _fe_slices) in O(n_max) steps.  The
+    divisions are checked to be exact, but those checks pass for any
+    equation of this shape and only guard the arithmetic.  What validates
+    the equations is the comparison with the rules (the fe-vs-rules
+    verify check) and the term-by-term fixed-point test in the suite
+    (test_fe_solution_is_a_fixed_point).  It shares nothing with the
     succession-rule DP, which makes it a cross-check of the rules.
     """
     return [sum(map(sum, slice_)) for slice_ in _fe_slices(system_id, n_max)]

@@ -31,6 +31,15 @@ number of cells, and its conversions between dense and dict levels.
 step_fast() is the dict-level wrapper around the kernel;
 state_profile() converts once, at the end.
 
+rule_counting_sequence(), count_via_rules() and state_profile() share
+a memo per system and per process: the counts at depths 0..L and the
+dense level at depth L, for the deepest L requested so far.  A shorter
+request reads the counts from it and a deeper one resumes the DP at
+depth L, so a process serving many requests steps each depth once; the
+price is that the process keeps that one deepest level.  A single
+request in a fresh process does the same work as a plain run from the
+axiom.  profile_slices_201_210() and ff_slices_201_210() do not use it.
+
 >>> count_via_rules("201-210", 7)
 3720
 >>> count_via_rules("011-201", 5)
@@ -53,6 +62,14 @@ class RuleSystem:
     kernel(level) takes a dense level to the next depth and also returns
     the accepted count of the level it was given, which falls out of its
     partial sums; accepted(level) computes that count directly.
+
+    Each system memoises its deepest run: the accepted counts at depths
+    0..L and the dense level at depth L, for the largest L any request in
+    this process has asked for.  A counting sequence never changes, so a
+    request for depth at most L is read from the memo and a deeper one
+    resumes the DP at depth L (see _reach).  The memo is per process and
+    per system; it keeps the depth-L level alive, which the request that
+    computed it held anyway, and nothing ever shrinks it.
     """
 
     def __init__(self, name, basis, axiom, successors, accept, state_str,
@@ -67,19 +84,58 @@ class RuleSystem:
         self.accepted = accepted
         self.to_dense = to_dense
         self.to_dict = to_dict
+        self._memo = None
 
-    def levels(self, n):
+    def levels(self, n, _start=None):
         """Yield (dense level, accepted count) for depths 0..n, starting
         from the axiom: the one stepping loop every counting function
-        uses."""
+        uses.
+
+        Called as levels(n) it neither reads nor writes the memo.  The
+        private _start = (depth, level) resumes from a level already
+        computed and yields depths depth..n instead: _reach extends the
+        memo this way, so the memo has no stepping loop of its own.  The
+        kernels never mutate a level, so a yielded level can be kept.
+        """
         if n < 0:
             raise ValueError("n must be non-negative")
-        level = self.to_dense({self.axiom: 1})
-        for _ in range(n):
+        depth, level = _start or (0, self.to_dense({self.axiom: 1}))
+        for _ in range(n - depth):
             nxt, accepted = self.kernel(level)
             yield level, accepted
             level = nxt
         yield level, self.accepted(level)
+
+    def _reach(self, n):
+        """The memo as (counts, level), extended to depth n if it is not
+        that deep yet: counts[d] is the accepted count at depth d for
+        every d < len(counts), and level is the dense level at depth
+        len(counts) - 1 >= n.
+
+        Neither part is ever mutated once stored, and callers must not
+        mutate what they get.  Threads need no lock: the memo is one
+        attribute read once, a deeper run extends a private copy of the
+        counts, and the pair is written back only when it is longer than
+        the memo at that moment, so the memo always holds a consistent
+        pair.  Two threads may still race between that check and the
+        write, and a shorter pair may then replace a longer one; that
+        costs a later request some recomputation, never a wrong answer.
+        """
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        memo = self._memo
+        if memo is None:
+            counts, start = [], None
+        elif len(memo[0]) > n:
+            return memo
+        else:
+            counts, start = memo[0][:-1], (len(memo[0]) - 1, memo[1])
+        for level, accepted in self.levels(n, start):
+            counts.append(accepted)
+        memo = self._memo
+        if memo is None or len(counts) > len(memo[0]):
+            self._memo = (counts, level)
+        return counts, level
 
     def __repr__(self):
         return "RuleSystem(%r)" % self.name
@@ -344,14 +400,18 @@ def step_fast(system, level):
 
 def rule_counting_sequence(system_id, n_max):
     """[count at depth 0, ..., count at depth n_max] for one system,
-    summing accepted states at every level of a single DP run."""
-    return [accepted for _, accepted in get_system(system_id).levels(n_max)]
+    summing accepted states at every level of the DP.
+
+    The list is a fresh copy of the system's memo, extended first if it
+    is shorter (see RuleSystem).
+    """
+    return get_system(system_id)._reach(n_max)[0][:n_max + 1]
 
 
 def count_via_rules(system_id, n):
     """Number of accepted depth-n states, counted with multiplicity: the
     size of the class the system enumerates."""
-    return rule_counting_sequence(system_id, n)[n]
+    return get_system(system_id)._reach(n)[0][n]
 
 
 def profile_slices_201_210(n_max):
@@ -381,10 +441,17 @@ def ff_slices_201_210(n_max):
 
 
 def state_profile(system_id, n):
-    """The full depth-n level vector, as a dict from state to count."""
+    """The full depth-n level vector, as a dict from state to count.
+
+    At or past the memo's depth the DP resumes from the memo and advances
+    it; below it the level is recomputed from the axiom, since the memo
+    keeps only its deepest level.  The dict is always built afresh.
+    """
     system = get_system(system_id)
-    for level, _ in system.levels(n):
-        pass
+    counts, level = system._reach(n)
+    if len(counts) - 1 != n:
+        for level, _ in system.levels(n):
+            pass
     return system.to_dict(level)
 
 

@@ -1,8 +1,14 @@
+import sys
+import threading
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from invseq.oracle import count_sequence
 from invseq.succession import (
+    SYSTEMS,
+    RuleSystem,
     count_via_rules,
     emit_diagram,
     get_system,
@@ -159,3 +165,183 @@ def test_diagram_depth_three():
 
 def test_diagram_deterministic():
     assert emit_diagram("011-201", 3) == emit_diagram("011-201", 3)
+
+
+# ---------- the per-system memo ----------
+
+SYSTEM_IDS = tuple(SYSTEMS)
+
+ENTRY_POINTS = {
+    "rule_counting_sequence": rule_counting_sequence,
+    "count_via_rules": count_via_rules,
+    "state_profile": state_profile,
+}
+
+
+def _fresh(system_id, calls=None):
+    """A copy of a built-in system with an empty memo.  When calls is a
+    dict, calls["kernel"] and calls["accepted"] count the calls made to
+    the system's kernel and accepted functions."""
+    s = SYSTEMS[system_id]
+    kernel, accepted = s.kernel, s.accepted
+    if calls is not None:
+        calls.update(kernel=0, accepted=0)
+
+        def kernel(level):
+            calls["kernel"] += 1
+            return s.kernel(level)
+
+        def accepted(level):
+            calls["accepted"] += 1
+            return s.accepted(level)
+    return RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
+                      s.state_str, kernel, accepted, s.to_dense, s.to_dict)
+
+
+@cache
+def _cold(system_id, n_max):
+    """(counts, dict levels) for depths 0..n_max: one run of levels from
+    the axiom on a system whose memo is never used."""
+    system = _fresh(system_id)
+    runs = [(accepted, system.to_dict(level))
+            for level, accepted in system.levels(n_max)]
+    return [c for c, _ in runs], [d for _, d in runs]
+
+
+def _expected(name, system_id, n):
+    counts, profiles = _cold(system_id, 60)
+    return {"rule_counting_sequence": counts[:n + 1],
+            "count_via_rules": counts[n],
+            "state_profile": profiles[n]}[name]
+
+
+def _spoil(answer):
+    """Mutate a returned list or dict in place."""
+    if isinstance(answer, list):
+        answer[0] = -1
+        answer.append(-1)
+    elif isinstance(answer, dict):
+        answer.clear()
+        answer["spoiled"] = -1
+
+
+_calls = st.lists(st.tuples(st.sampled_from(sorted(ENTRY_POINTS)),
+                            st.sampled_from(SYSTEM_IDS),
+                            st.integers(0, 60)),
+                  min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_calls)
+def test_memo_answers_equal_a_cold_run(calls):
+    """Any sequence of requests, served from one memo per system, gets
+    the answers of a cold run from the axiom, even when the caller
+    mutates every answer it gets."""
+    with pytest.MonkeyPatch.context() as mp:
+        for system_id in SYSTEM_IDS:
+            mp.setitem(SYSTEMS, system_id, _fresh(system_id))
+        for name, system_id, n in calls:
+            answer = ENTRY_POINTS[name](system_id, n)
+            assert answer == _expected(name, system_id, n), (name, system_id, n)
+            _spoil(answer)
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+def test_mutating_an_answer_leaves_the_memo_intact(system_id, monkeypatch):
+    monkeypatch.setitem(SYSTEMS, system_id, _fresh(system_id))
+    for n in (20, 12, 20, 25):
+        _spoil(rule_counting_sequence(system_id, n))
+        _spoil(state_profile(system_id, n))
+    for name in ENTRY_POINTS:
+        for n in (0, 12, 25, 30):
+            assert ENTRY_POINTS[name](system_id, n) == \
+                _expected(name, system_id, n), (name, n)
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+def test_state_profile_around_the_memo_depth(system_id, monkeypatch):
+    """Below the memo's depth state_profile recomputes, at it the memo's
+    level is converted, above it the memo is advanced; all three equal
+    literal step() calls from the axiom."""
+    system = _fresh(system_id)
+    monkeypatch.setitem(SYSTEMS, system_id, system)
+    literal = [{system.axiom: 1}]
+    for _ in range(30):
+        literal.append(step(system, literal[-1]))
+    rule_counting_sequence(system_id, 20)
+    for n, memo_depth in ((20, 20), (7, 20), (0, 20), (25, 25), (20, 25),
+                          (30, 30), (29, 30), (30, 30)):
+        assert state_profile(system_id, n) == literal[n], n
+        assert len(system._memo[0]) - 1 == memo_depth, n
+
+
+def test_negative_n_raises_and_leaves_the_memo(monkeypatch):
+    system = _fresh("201-210")
+    monkeypatch.setitem(SYSTEMS, "201-210", system)
+    for warm in (False, True):
+        if warm:
+            rule_counting_sequence("201-210", 10)
+        memo = system._memo
+        for fn in ENTRY_POINTS.values():
+            with pytest.raises(ValueError):
+                fn("201-210", -1)
+            assert system._memo is memo
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+@pytest.mark.parametrize("first", sorted(ENTRY_POINTS))
+def test_kernel_calls_per_request(system_id, first, monkeypatch):
+    """A cold request for depth n steps the kernel n times and counts
+    the last level once; a shorter prefix steps nothing; a request k
+    deeper than the memo steps k times."""
+    calls = {}
+    monkeypatch.setitem(SYSTEMS, system_id, _fresh(system_id, calls))
+    ENTRY_POINTS[first](system_id, 40)
+    assert calls == {"kernel": 40, "accepted": 1}
+    for name, n, k in (("rule_counting_sequence", 25, 0),
+                       ("count_via_rules", 40, 0),
+                       ("state_profile", 40, 0),
+                       ("rule_counting_sequence", 47, 7),
+                       ("count_via_rules", 50, 3),
+                       ("count_via_rules", 13, 0),
+                       ("state_profile", 61, 11)):
+        calls.update(kernel=0, accepted=0)
+        ENTRY_POINTS[name](system_id, n)
+        assert calls == {"kernel": k, "accepted": 1 if k else 0}, (name, n)
+
+
+@pytest.mark.parametrize("system_id", ["201-210", "011-201"])
+def test_concurrent_requests_share_a_consistent_memo(system_id, monkeypatch):
+    """Four threads request different depths of one system at once; a
+    tiny switch interval makes them interleave inside the DP."""
+    requests = [("rule_counting_sequence", 45), ("state_profile", 60),
+                ("count_via_rules", 30), ("rule_counting_sequence", 55)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            system = _fresh(system_id)
+            monkeypatch.setitem(SYSTEMS, system_id, system)
+            barrier = threading.Barrier(len(requests))
+            answers = {}
+
+            def serve(name, n):
+                barrier.wait(timeout=30)
+                answers[name, n] = ENTRY_POINTS[name](system_id, n)
+
+            threads = [threading.Thread(target=serve, args=r) for r in requests]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert answers == {(name, n): _expected(name, system_id, n)
+                               for name, n in requests}
+            counts, level = system._memo
+            depth = len(counts) - 1
+            cold_counts, cold_profiles = _cold(system_id, 60)
+            assert depth >= 30
+            assert counts == cold_counts[:depth + 1]
+            assert system.to_dict(level) == cold_profiles[depth]
+    finally:
+        sys.setswitchinterval(switch)
