@@ -4,6 +4,7 @@ Four cooperating views of the same counting problems: a brute-force
 oracle (``invseq.oracle``), generating-tree rule systems
 (``invseq.succession``), exact series algebra (``invseq.series``), and
 the word-level machinery underneath all of them (``invseq.core``).  The
+named cross-checks between them live in ``invseq.checks``, and the
 ``invseq`` command line ties them together.
 """
 
@@ -22,7 +23,6 @@ from .core import (
 )
 from .oracle import count_avoiders, count_sequence, list_avoiders
 from .series import (
-    check_system_201_210,
     f_coefficients,
     format_series,
     iterate_fe,
@@ -31,7 +31,6 @@ from .series import (
     relation_residual,
     series_sqrt,
     TruncatedSeries,
-    verify_conjecture_010_102,
 )
 from .succession import (
     count_via_rules,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "avoids",
-    "check_system_201_210",
     "contains",
     "count_avoiders",
     "count_sequence",
@@ -76,5 +74,4 @@ __all__ = [
     "StructureProfile",
     "TruncatedSeries",
     "validate_pattern",
-    "verify_conjecture_010_102",
 ]

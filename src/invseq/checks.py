@@ -1,0 +1,161 @@
+"""The named cross-checks behind ``invseq verify``.
+
+Each check compares two routes to the same numbers (closed form, rules,
+oracle, series relations, functional equations, the core matcher)
+through a depth n_max and returns (ok, lines).  The lines always include
+the first counterexample on failure; checks that only gather evidence for
+open conjectures say so explicitly on success.
+
+``CHECKS`` maps each name to (check, default depth), and ``run_check``
+runs one by name, the way the command line and the acceptance suite do:
+
+>>> run_check("gf-vs-rules", 5)
+(True, ['OK: closed form matches the rules through n=5'])
+"""
+
+import itertools
+
+from .core import avoids, render_word, structure_check_201_210
+from .oracle import count_sequence
+from .series import (
+    _check_system_violation,
+    CUBIC_010_102,
+    f_coefficients,
+    ff_slice_series,
+    iterate_fe,
+    MINPOLY_A,
+    MINPOLY_B,
+    MINPOLY_F,
+    relation_residual,
+    tf_slice_series,
+    TruncatedSeries,
+)
+from .succession import get_system, rule_counting_sequence, SYSTEMS
+
+
+def _first_mismatch(xs, ys):
+    for n, (a, b) in enumerate(zip(xs, ys)):
+        if a != b:
+            return n, a, b
+    return None
+
+
+def _verify_gf_vs_rules(n_max):
+    m = _first_mismatch(f_coefficients(n_max),
+                        rule_counting_sequence("201-210", n_max))
+    if m:
+        return False, ["FAIL at n=%d: closed form %d != rules %d" % m]
+    return True, ["OK: closed form matches the rules through n=%d" % n_max]
+
+
+def _verify_oracle_vs_rules(n_max):
+    for system_id, system in SYSTEMS.items():
+        m = _first_mismatch(count_sequence(system.basis, n_max),
+                            rule_counting_sequence(system_id, n_max))
+        if m:
+            return False, ["FAIL for %s at n=%d: oracle %d != rules %d"
+                           % ((system_id,) + m)]
+    return True, ["OK: oracle matches the rules for all three systems "
+                  "through n=%d" % n_max]
+
+
+def _verify_minpoly(relation, series, n_max):
+    residual = relation_residual(relation, series)
+    if residual is not None:
+        return False, ["FAIL: residual first nonzero at order %d" % residual]
+    return True, ["OK: relation holds through n=%d" % n_max]
+
+
+def _verify_minpoly_a(n_max):
+    return _verify_minpoly(MINPOLY_A, ff_slice_series(n_max), n_max)
+
+
+def _verify_minpoly_b(n_max):
+    return _verify_minpoly(MINPOLY_B, tf_slice_series(n_max), n_max)
+
+
+def _verify_minpoly_f(n_max):
+    series = TruncatedSeries(rule_counting_sequence("201-210", n_max))
+    return _verify_minpoly(MINPOLY_F, series, n_max)
+
+
+def _verify_system(n_max):
+    violation = _check_system_violation(n_max)
+    if violation is not None:
+        return False, ["FAIL: equation %s first differs at x^%d u^%d" % violation]
+    return True, ["OK: all seven bivariate identities hold through n=%d" % n_max]
+
+
+def _verify_structure(n_max):
+    basis = get_system("201-210").basis
+    for n in range(n_max + 1):
+        for e in itertools.product(*[range(i + 1) for i in range(n)]):
+            if structure_check_201_210(e) != avoids(e, basis):
+                return False, ["FAIL at e=%s: checker %s, avoidance %s"
+                               % (render_word(e), structure_check_201_210(e),
+                                  avoids(e, basis))]
+    return True, ["OK: checker agrees with pattern avoidance for all "
+                  "inversion sequences through n=%d" % n_max]
+
+
+def _verify_fe_vs_rules(n_max):
+    for system_id in ("011-201", "010-100-120-210"):
+        m = _first_mismatch(iterate_fe(system_id, n_max),
+                            rule_counting_sequence(system_id, n_max))
+        if m:
+            return False, ["FAIL for %s at n=%d: iteration %d != rules %d"
+                           % ((system_id,) + m)]
+    return True, ["OK: functional-equation iteration matches the rules "
+                  "through n=%d" % n_max]
+
+
+def _verify_wilf(n_max):
+    m = _first_mismatch(rule_counting_sequence("011-201", n_max),
+                        rule_counting_sequence("010-100-120-210", n_max))
+    if m:
+        return False, ["FAIL at n=%d: 011-201 gives %d, 010-100-120-210 "
+                       "gives %d" % m]
+    return True, ["OK: the two systems agree through n=%d "
+                  "(evidence for the conjecture, not a proof)" % n_max]
+
+
+def _verify_conjecture(n_max):
+    counts = count_sequence(((0, 1, 0), (1, 0, 2)), n_max)
+    residual = relation_residual(CUBIC_010_102, TruncatedSeries(counts))
+    if residual is not None:
+        return False, ["FAIL: cubic residual first nonzero at order %d" % residual]
+    return True, ["OK: conjectured cubic fits brute-force counts through "
+                  "n=%d (evidence, not a proof)" % n_max]
+
+
+CHECKS = {
+    "gf-vs-rules": (_verify_gf_vs_rules, 60),
+    "oracle-vs-rules": (_verify_oracle_vs_rules, 10),
+    "minpoly-A": (_verify_minpoly_a, 200),
+    "minpoly-B": (_verify_minpoly_b, 200),
+    "minpoly-F": (_verify_minpoly_f, 200),
+    "system-201-210": (_verify_system, 40),
+    "structure-theorem": (_verify_structure, 9),
+    "fe-vs-rules": (_verify_fe_vs_rules, 30),
+    "wilf-011-201": (_verify_wilf, 200),
+    "conjecture-010-102": (_verify_conjecture, 14),
+}
+
+
+def run_check(name, n_max=None):
+    """Run the named check through n_max (its default depth when None)
+    and return (ok, lines).
+
+    A negative depth raises ValueError.  An arithmetic error inside the
+    check, such as an inexact division, is a failure: (False,
+    ["FAIL: <message>"]).
+    """
+    check, default_depth = CHECKS[name]
+    if n_max is None:
+        n_max = default_depth
+    if n_max < 0:
+        raise ValueError("n-max must be nonnegative")
+    try:
+        return check(n_max)
+    except ArithmeticError as exc:
+        return False, ["FAIL: %s" % exc]

@@ -10,6 +10,9 @@ Six subcommands tie the package together:
     invseq diagram --system 201-210 --n-max 3
     invseq verify  --check oracle-vs-rules --n-max 10
 
+verify runs one of the named checks in ``invseq.checks`` through
+``run_check`` and prints its lines after the check's name.
+
 Exit status is 0 on success and 1 when a verify check fails; an
 arithmetic error inside a check, such as an inexact division, counts as
 a failure.  Status 2 means the command did not run to an answer: a usage
@@ -28,31 +31,12 @@ and reuses it; build_parser() still returns a fresh one.
 
 import argparse
 import functools
-import itertools
 import sys
 
-from .core import (
-    avoids,
-    digit_word,
-    render_listing,
-    render_word,
-    structure_check_201_210,
-    validate_pattern,
-)
+from .checks import CHECKS, run_check
+from .core import digit_word, render_listing, validate_pattern
 from .oracle import count_sequence, list_avoiders
-from .series import (
-    MINPOLY_A,
-    MINPOLY_B,
-    MINPOLY_F,
-    _check_system_violation,
-    _conjecture_residual,
-    f_coefficients,
-    ff_slice_series,
-    iterate_fe,
-    relation_residual,
-    tf_slice_series,
-    TruncatedSeries,
-)
+from .series import f_coefficients
 from .succession import (
     emit_diagram,
     get_system,
@@ -143,129 +127,8 @@ def _cmd_diagram(args):
     return 0
 
 
-# -- verify checks ----------------------------------------------------------
-#
-# Each check returns (ok, lines).  The lines always include the first
-# counterexample on failure; checks that only gather evidence for open
-# conjectures say so explicitly on success.
-
-def _first_mismatch(xs, ys):
-    for n, (a, b) in enumerate(zip(xs, ys)):
-        if a != b:
-            return n, a, b
-    return None
-
-
-def _verify_gf_vs_rules(n_max):
-    m = _first_mismatch(f_coefficients(n_max),
-                        rule_counting_sequence("201-210", n_max))
-    if m:
-        return False, ["FAIL at n=%d: closed form %d != rules %d" % m]
-    return True, ["OK: closed form matches the rules through n=%d" % n_max]
-
-
-def _verify_oracle_vs_rules(n_max):
-    for system_id, system in SYSTEMS.items():
-        m = _first_mismatch(count_sequence(system.basis, n_max),
-                            rule_counting_sequence(system_id, n_max))
-        if m:
-            return False, ["FAIL for %s at n=%d: oracle %d != rules %d"
-                           % ((system_id,) + m)]
-    return True, ["OK: oracle matches the rules for all three systems "
-                  "through n=%d" % n_max]
-
-
-def _verify_minpoly(relation, series, n_max):
-    residual = relation_residual(relation, series)
-    if residual is not None:
-        return False, ["FAIL: residual first nonzero at order %d" % residual]
-    return True, ["OK: relation holds through n=%d" % n_max]
-
-
-def _verify_minpoly_a(n_max):
-    return _verify_minpoly(MINPOLY_A, ff_slice_series(n_max), n_max)
-
-
-def _verify_minpoly_b(n_max):
-    return _verify_minpoly(MINPOLY_B, tf_slice_series(n_max), n_max)
-
-
-def _verify_minpoly_f(n_max):
-    series = TruncatedSeries(rule_counting_sequence("201-210", n_max))
-    return _verify_minpoly(MINPOLY_F, series, n_max)
-
-
-def _verify_system(n_max):
-    violation = _check_system_violation(n_max)
-    if violation is not None:
-        return False, ["FAIL: equation %s first differs at x^%d u^%d" % violation]
-    return True, ["OK: all seven bivariate identities hold through n=%d" % n_max]
-
-
-def _verify_structure(n_max):
-    basis = get_system("201-210").basis
-    for n in range(n_max + 1):
-        for e in itertools.product(*[range(i + 1) for i in range(n)]):
-            if structure_check_201_210(e) != avoids(e, basis):
-                return False, ["FAIL at e=%s: checker %s, avoidance %s"
-                               % (render_word(e), structure_check_201_210(e),
-                                  avoids(e, basis))]
-    return True, ["OK: checker agrees with pattern avoidance for all "
-                  "inversion sequences through n=%d" % n_max]
-
-
-def _verify_fe_vs_rules(n_max):
-    for system_id in ("011-201", "010-100-120-210"):
-        m = _first_mismatch(iterate_fe(system_id, n_max),
-                            rule_counting_sequence(system_id, n_max))
-        if m:
-            return False, ["FAIL for %s at n=%d: iteration %d != rules %d"
-                           % ((system_id,) + m)]
-    return True, ["OK: functional-equation iteration matches the rules "
-                  "through n=%d" % n_max]
-
-
-def _verify_wilf(n_max):
-    m = _first_mismatch(rule_counting_sequence("011-201", n_max),
-                        rule_counting_sequence("010-100-120-210", n_max))
-    if m:
-        return False, ["FAIL at n=%d: 011-201 gives %d, 010-100-120-210 "
-                       "gives %d" % m]
-    return True, ["OK: the two systems agree through n=%d "
-                  "(evidence for the conjecture, not a proof)" % n_max]
-
-
-def _verify_conjecture(n_max):
-    counts = count_sequence(((0, 1, 0), (1, 0, 2)), n_max)
-    residual = _conjecture_residual(counts)
-    if residual is not None:
-        return False, ["FAIL: cubic residual first nonzero at order %d" % residual]
-    return True, ["OK: conjectured cubic fits brute-force counts through "
-                  "n=%d (evidence, not a proof)" % n_max]
-
-
-CHECKS = {
-    "gf-vs-rules": (_verify_gf_vs_rules, 60),
-    "oracle-vs-rules": (_verify_oracle_vs_rules, 10),
-    "minpoly-A": (_verify_minpoly_a, 200),
-    "minpoly-B": (_verify_minpoly_b, 200),
-    "minpoly-F": (_verify_minpoly_f, 200),
-    "system-201-210": (_verify_system, 40),
-    "structure-theorem": (_verify_structure, 9),
-    "fe-vs-rules": (_verify_fe_vs_rules, 30),
-    "wilf-011-201": (_verify_wilf, 200),
-    "conjecture-010-102": (_verify_conjecture, 14),
-}
-
-
 def _cmd_verify(args):
-    check, default_depth = CHECKS[args.check]
-    n_max = args.n_max if args.n_max is not None else default_depth
-    _require(n_max >= 0, "n-max must be nonnegative")
-    try:
-        ok, lines = check(n_max)
-    except ArithmeticError as exc:
-        ok, lines = False, ["FAIL: %s" % exc]
+    ok, lines = run_check(args.check, args.n_max)
     for line in lines:
         print("%s: %s" % (args.check, line))
     return 0 if ok else 1

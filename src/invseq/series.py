@@ -9,8 +9,8 @@ floating point anywhere.  The module has four layers:
     test that a series satisfies an algebraic equation, by Horner's rule
     in y^2 with y^2 formed once by a symmetric square.
   * bivariate series in x and u, the ``phi`` operator, and
-    ``check_system_201_210`` which replays the defining equations of the
-    201-210 rule system against its own census data.
+    ``_check_system_violation`` which replays the defining equations of
+    the 201-210 rule system against its own census data.
   * the trivariate functional equations of the two 2-parameter systems,
     solved one x-degree at a time (``iterate_fe``), with divided
     differences done by checked exact synthetic division.  This layer
@@ -30,7 +30,6 @@ from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import add, mul, sub
 
-from .oracle import count_sequence
 from .succession import ff_slices_201_210, profile_slices_201_210
 
 
@@ -352,10 +351,6 @@ CUBIC_010_102 = PolyRelation("conjecture-010-102", (
     _pmul((0, 1), (1, -1, 1), (1, -2, 1)),          # x(x^2-x+1)(x-1)^2
 ))
 
-RELATIONS = {rel.name: rel for rel in
-             (MINPOLY_A, MINPOLY_B, MINPOLY_F, CUBIC_010_102)}
-
-
 # -- bivariate layer --------------------------------------------------------
 
 def _suffix_sums(row):
@@ -482,13 +477,6 @@ def _check_system_violation(n_max, profiles=None):
                 first[label] = (label, m, next(j for j, v in enumerate(row) if v))
     return next((first[label] for label in _SYSTEM_LABELS if label in first),
                 None)
-
-
-def check_system_201_210(n_max):
-    """True when the 201-210 census satisfies all seven bivariate
-    identities through x^n_max.  See _check_system_violation for the
-    list."""
-    return _check_system_violation(n_max) is None
 
 
 # -- trivariate layer -------------------------------------------------------
@@ -627,16 +615,3 @@ def iterate_fe(system_id, n_max):
     """
     return [sum(map(sum, slice_)) for slice_ in _fe_slices(system_id, n_max)]
 
-
-def _conjecture_residual(counts):
-    return relation_residual(CUBIC_010_102, TruncatedSeries(counts))
-
-
-def verify_conjecture_010_102(n_max):
-    """Check the conjectured cubic for the {010,102} counting sequence
-    against brute-force counts through n_max.
-
-    Evidence, not proof: a True return means no counterexample below the
-    cutoff, nothing more.
-    """
-    return _conjecture_residual(count_sequence(((0, 1, 0), (1, 0, 2)), n_max)) is None

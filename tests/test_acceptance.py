@@ -5,24 +5,16 @@ captured output of a failure).  Checks marked as conjecture evidence
 gather exactly that: agreement below a cutoff, no proof claimed.
 """
 
-import itertools
 import time
 
-from invseq.core import avoids, structure_check_201_210
+from invseq.checks import run_check
 from invseq.oracle import count_avoiders, count_sequence
 from invseq.series import (
-    check_system_201_210,
     CUBIC_010_102,
     f_coefficients,
     ff_slice_series,
-    iterate_fe,
-    MINPOLY_A,
-    MINPOLY_B,
-    MINPOLY_F,
     relation_residual,
-    tf_slice_series,
     TruncatedSeries,
-    verify_conjecture_010_102,
 )
 from invseq.succession import count_via_rules, emit_diagram, rule_counting_sequence
 
@@ -61,21 +53,20 @@ def test_criterion_01_counting_sequence_reproduction():
 
 def test_criterion_02_closed_form_agreement():
     with Timer() as t:
-        ok = f_coefficients(1000) == rule_counting_sequence("201-210", 1000)
+        ok, lines = run_check("gf-vs-rules", 1000)
     report(2, ok, t.elapsed, 30, "closed form matches rules for n <= 1000")
-    assert ok
+    assert ok, lines
     assert t.elapsed < 30
 
 
 def test_criterion_03_minimal_polynomial_residuals():
     with Timer() as t_f:
-        r_f = relation_residual(
-            MINPOLY_F, TruncatedSeries(rule_counting_sequence("201-210", 200)))
+        r_f = run_check("minpoly-F", 200)
     with Timer() as t_a:
-        r_a = relation_residual(MINPOLY_A, ff_slice_series(200))
+        r_a = run_check("minpoly-A", 200)
     with Timer() as t_b:
-        r_b = relation_residual(MINPOLY_B, tf_slice_series(200))
-    ok = r_f is None and r_a is None and r_b is None
+        r_b = run_check("minpoly-B", 200)
+    ok = r_f[0] and r_a[0] and r_b[0]
     report(3, ok, t_f.elapsed + t_a.elapsed + t_b.elapsed, 10,
            "quadratic, Catalan, and quartic residuals all vanish to N=200")
     assert ok, (r_f, r_a, r_b)
@@ -85,10 +76,10 @@ def test_criterion_03_minimal_polynomial_residuals():
 
 def test_criterion_04_bivariate_system():
     with Timer() as t:
-        ok = check_system_201_210(40)
+        ok, lines = run_check("system-201-210", 40)
     report(4, ok, t.elapsed, 30,
            "defining equations and cleared polynomials hold to x^40")
-    assert ok
+    assert ok, lines
     assert t.elapsed < 30
 
 
@@ -122,56 +113,42 @@ def test_criterion_06_corrected_count():
 
 def test_criterion_07_wilf_equivalence_conjecture_evidence():
     with Timer() as t:
-        a = rule_counting_sequence("011-201", 200)
-        b = rule_counting_sequence("010-100-120-210", 200)
-    ok = a == b
+        ok, lines = run_check("wilf-011-201", 200)
     report(7, ok, t.elapsed, 60,
            "both systems agree for n <= 200 (conjecture evidence, not a proof)")
-    assert ok
+    assert ok, lines
     assert t.elapsed < 60
 
 
 def test_criterion_08_functional_equation_consistency():
-    # iterate_fe raises on any nonzero divided-difference remainder, so a
-    # plain return already certifies exact division throughout
+    # iterate_fe raises on any nonzero divided-difference remainder, which
+    # run_check reports as a FAIL line, so a pass also certifies exact
+    # division throughout
     with Timer() as t:
-        checks = [
-            iterate_fe("011-201", 30) == rule_counting_sequence("011-201", 30),
-            iterate_fe("010-100-120-210", 30) ==
-            rule_counting_sequence("010-100-120-210", 30),
-        ]
-    ok = all(checks)
+        ok, lines = run_check("fe-vs-rules", 30)
     report(8, ok, t.elapsed, 60,
            "functional-equation iteration matches rules to n=30")
-    assert ok, checks
+    assert ok, lines
     assert t.elapsed < 60
 
 
 def test_criterion_09_cubic_conjecture_evidence():
     with Timer() as t:
-        ok = verify_conjecture_010_102(14)
+        ok, lines = run_check("conjecture-010-102", 14)
     report(9, ok, t.elapsed, 300,
            "cubic fits brute-force counts to n=14 (conjecture evidence, "
            "not a proof)")
-    assert ok
+    assert ok, lines
     assert t.elapsed < 300
 
 
 def test_criterion_10_structure_theorem_exhaustive():
     with Timer() as t:
-        bad = None
-        for n in range(10):
-            for e in itertools.product(*[range(i + 1) for i in range(n)]):
-                if structure_check_201_210(e) != avoids(e, B_201_210):
-                    bad = e
-                    break
-            if bad:
-                break
-    ok = bad is None
+        ok, lines = run_check("structure-theorem", 9)
     report(10, ok, t.elapsed, 60,
            "characterization matches avoidance for all sequences of "
            "length <= 9")
-    assert ok, bad
+    assert ok, lines
     assert t.elapsed < 60
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invseq import cli, series
+from invseq import checks, cli, series
 from invseq.cli import CHECKS, main, parse_basis
 
 # Regression fixture: pinned values that must never drift, whatever else
@@ -301,27 +301,120 @@ def test_arithmetic_error_outside_verify_is_usage_error(capsys, monkeypatch,
     (RuntimeError("planted\nfailure"), "RuntimeError: planted failure"),
     (MemoryError(), "MemoryError"),
 ], ids=["RuntimeError", "MemoryError"])
-@pytest.mark.parametrize("name, argv", [
-    ("count_sequence", ["count", "--basis", "201,210", "--n", "5"]),
-    ("list_avoiders", ["list", "--basis", "01", "--n", "3"]),
-    ("rule_counting_sequence", ["verify", "--check", "gf-vs-rules",
-                                "--n-max", "5"]),
+@pytest.mark.parametrize("module, name, argv", [
+    (cli, "count_sequence", ["count", "--basis", "201,210", "--n", "5"]),
+    (cli, "list_avoiders", ["list", "--basis", "01", "--n", "3"]),
+    (checks, "rule_counting_sequence", ["verify", "--check", "gf-vs-rules",
+                                        "--n-max", "5"]),
 ], ids=["count", "list", "verify"])
-def test_internal_error_is_one_line_and_exit_two(capsys, monkeypatch,
+def test_internal_error_is_one_line_and_exit_two(capsys, monkeypatch, module,
                                                  name, argv, exc, line):
     """Any other exception, a bug or MemoryError, is one stderr line and
     exit 2, never a traceback or exit 1 (which means a failed check)."""
     def broken(*args):
         raise exc
-    monkeypatch.setattr(cli, name, broken)
+    monkeypatch.setattr(module, name, broken)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: internal error: %s\n" % line
 
 
-def test_all_checks_have_defaults():
-    for name, (_, default_depth) in CHECKS.items():
-        assert default_depth >= 0, name
+def _bump_at(k, key=None):
+    """A plant for a route that returns a sequence or a TruncatedSeries:
+    add 1 to its entry k, on the calls whose first argument is key when
+    key is given."""
+    def plant(real):
+        def planted(*args):
+            out = real(*args)
+            if key is None or args[0] == key:
+                coefficients = list(getattr(out, "coefficients", out))
+                coefficients[k] += 1
+                out = (series.TruncatedSeries(coefficients)
+                       if isinstance(out, series.TruncatedSeries)
+                       else coefficients)
+            return out
+        return planted
+    return plant
+
+
+def _bump_census(real):
+    """Census slices with one more (k,F,F) state at x^5 u^2."""
+    def planted(n_max):
+        for m, (a, b, c) in enumerate(real(n_max)):
+            if m == 5:
+                a = list(a)
+                a[2] += 1
+            yield a, b, c
+    return planted
+
+
+B_011_201 = ((0, 1, 1), (2, 0, 1))
+
+# check: (module, route the check reads, plant, depth, OK line, FAIL line)
+CHECK_CASES = {
+    "gf-vs-rules": (
+        checks, "f_coefficients", _bump_at(3), 6,
+        "OK: closed form matches the rules through n=6",
+        "FAIL at n=3: closed form 7 != rules 6"),
+    "oracle-vs-rules": (
+        checks, "count_sequence", _bump_at(5, B_011_201), 6,
+        "OK: oracle matches the rules for all three systems through n=6",
+        "FAIL for 011-201 at n=5: oracle 52 != rules 51"),
+    "minpoly-A": (
+        checks, "ff_slice_series", _bump_at(4), 8,
+        "OK: relation holds through n=8",
+        "FAIL: residual first nonzero at order 4"),
+    "minpoly-B": (
+        checks, "tf_slice_series", _bump_at(4), 8,
+        "OK: relation holds through n=8",
+        "FAIL: residual first nonzero at order 5"),
+    "minpoly-F": (
+        checks, "rule_counting_sequence", _bump_at(4), 8,
+        "OK: relation holds through n=8",
+        "FAIL: residual first nonzero at order 5"),
+    "system-201-210": (
+        series, "profile_slices_201_210", _bump_census, 8,
+        "OK: all seven bivariate identities hold through n=8",
+        "FAIL: equation A first differs at x^5 u^2"),
+    "structure-theorem": (
+        checks, "structure_check_201_210",
+        lambda real: lambda e: real(e) != (e == (0, 1, 0)), 4,
+        "OK: checker agrees with pattern avoidance for all inversion "
+        "sequences through n=4",
+        "FAIL at e=010: checker False, avoidance True"),
+    "fe-vs-rules": (
+        checks, "iterate_fe", _bump_at(4, "010-100-120-210"), 6,
+        "OK: functional-equation iteration matches the rules through n=6",
+        "FAIL for 010-100-120-210 at n=4: iteration 16 != rules 15"),
+    "wilf-011-201": (
+        checks, "rule_counting_sequence", _bump_at(6, "010-100-120-210"), 8,
+        "OK: the two systems agree through n=8 (evidence for the "
+        "conjecture, not a proof)",
+        "FAIL at n=6: 011-201 gives 189, 010-100-120-210 gives 190"),
+    "conjecture-010-102": (
+        checks, "count_sequence", _bump_at(5), 8,
+        "OK: conjectured cubic fits brute-force counts through n=8 "
+        "(evidence, not a proof)",
+        "FAIL: cubic residual first nonzero at order 5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_every_check_prints_its_ok_and_fail_lines(capsys, monkeypatch, name):
+    """On the real routes each check prints its OK line; one planted
+    counterexample, where the check reads the route, makes it print its
+    exact FAIL line and exit 1."""
+    assert CHECKS[name][1] >= 0
+    module, route, plant, depth, ok_line, fail_line = CHECK_CASES[name]
+    argv = ["verify", "--check", name, "--n-max", str(depth)]
+    assert run_cli(capsys, *argv) == (0, "%s: %s\n" % (name, ok_line), "")
+    monkeypatch.setattr(module, route, plant(getattr(module, route)))
+    assert run_cli(capsys, *argv) == (1, "%s: %s\n" % (name, fail_line), "")
+
+
+def test_verify_negative_depth_is_usage_error(capsys):
+    assert run_cli(capsys, "verify", "--check", "gf-vs-rules",
+                   "--n-max", "-1") == (2, "", "error: n-max must be nonnegative\n")
 
 
 # -- usage errors -----------------------------------------------------------

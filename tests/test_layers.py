@@ -3,8 +3,10 @@
 The routes to the counting numbers stay independent only while the code
 keeps them apart: the core matcher depends on no counting route, the
 oracle needs nothing but pattern validation, the series layer reads
-only the census slices of the succession DP, and the closed form and the
-functional-equation iteration reach no succession code at all.  These
+only the census slices of the succession DP and nothing of the oracle,
+and the closed form and the functional-equation iteration reach no
+succession code at all.  The command line reaches the checks through
+the public registry in ``invseq.checks``, not through private names.  These
 tests read the imports from the source (``ast``) and the names the
 functions load (``co_names``)."""
 
@@ -14,7 +16,7 @@ import types
 
 import pytest
 
-from invseq import core, oracle, series, succession
+from invseq import cli, core, oracle, series, succession
 
 
 def _invseq_imports(source):
@@ -62,6 +64,15 @@ def test_series_reads_only_the_census_slices_of_succession():
     from_succession = {name for m, name in _imports_of(series)
                        if m == "succession"}
     assert from_succession == {"ff_slices_201_210", "profile_slices_201_210"}
+
+
+def test_series_imports_nothing_from_the_oracle():
+    assert "oracle" not in {m for m, _ in _imports_of(series)}
+
+
+def test_cli_imports_no_private_name():
+    assert not {(m, name) for m, name in _imports_of(cli)
+                if name and name.startswith("_")}
 
 
 def _reachable(functions, namespace):

@@ -11,7 +11,7 @@ from invseq.oracle import (
     count_sequence,
     list_avoiders,
 )
-from invseq.series import _conjecture_residual
+from invseq.series import CUBIC_010_102, relation_residual, TruncatedSeries
 from invseq.succession import SYSTEMS, get_system, rule_counting_sequence
 
 B_201_210 = ((2, 0, 1), (2, 1, 0))
@@ -155,7 +155,8 @@ def test_oracle_matches_generate_and_filter(basis, n):
 def test_cubic_fits_010_102_to_16_conjecture_evidence():
     """Evidence, not a proof: the conjectured cubic for {010, 102} fits
     brute-force counts through n = 16."""
-    assert _conjecture_residual(count_sequence(((0, 1, 0), (1, 0, 2)), 16)) is None
+    counts = count_sequence(((0, 1, 0), (1, 0, 2)), 16)
+    assert relation_residual(CUBIC_010_102, TruncatedSeries(counts)) is None
 
 
 def test_oracle_matches_rules_through_13():

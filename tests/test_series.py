@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from invseq import series
 from invseq.series import (
     _check_system_violation,
-    _conjecture_residual,
-    check_system_201_210,
     CUBIC_010_102,
     f_coefficients,
     ff_slice_series,
@@ -22,7 +20,6 @@ from invseq.series import (
     series_sqrt,
     tf_slice_series,
     TruncatedSeries,
-    verify_conjecture_010_102,
 )
 from invseq.oracle import count_sequence
 from invseq.succession import (
@@ -273,9 +270,9 @@ def test_phi_linearity(data):
 # -- the bivariate system ---------------------------------------------------
 
 def test_check_system_small_orders():
-    assert check_system_201_210(0)
-    assert check_system_201_210(8)
-    assert check_system_201_210(25)
+    assert _check_system_violation(0) is None
+    assert _check_system_violation(8) is None
+    assert _check_system_violation(25) is None
 
 
 def test_check_system_canary():
@@ -537,15 +534,19 @@ def test_fe_specializations_agree_conjecture_evidence():
 
 # -- the conjectured cubic --------------------------------------------------
 
+def _cubic_residual(counts):
+    return relation_residual(CUBIC_010_102, TruncatedSeries(counts))
+
+
 def test_conjecture_small_depths():
-    assert verify_conjecture_010_102(1)
-    assert verify_conjecture_010_102(10)
+    assert _cubic_residual(count_sequence(((0, 1, 0), (1, 0, 2)), 1)) is None
+    assert _cubic_residual(count_sequence(((0, 1, 0), (1, 0, 2)), 10)) is None
 
 
 def test_conjecture_canary():
     counts = count_sequence(((0, 1, 0), (1, 0, 2)), 10)
     counts[5] += 1
-    assert _conjecture_residual(counts) is not None
+    assert _cubic_residual(counts) is not None
 
 
 def test_cubic_relation_shape():

@@ -3,15 +3,14 @@ ValueError, whatever layer it lives in."""
 
 import pytest
 
+from invseq.checks import CHECKS, run_check
 from invseq.oracle import count_avoiders, count_sequence, list_avoiders
 from invseq.series import (
-    check_system_201_210,
     f_coefficients,
     ff_slice_series,
     iterate_fe,
     tf_slice_series,
     TruncatedSeries,
-    verify_conjecture_010_102,
 )
 from invseq.succession import (
     count_via_rules,
@@ -24,6 +23,15 @@ from invseq.succession import (
 )
 
 B_201_210 = ((2, 0, 1), (2, 1, 0))
+
+
+def _check(name):
+    """The named verify check as an entry point that must pass."""
+    def call(n):
+        ok, lines = run_check(name, n)
+        assert ok, lines
+    return call
+
 
 ENTRY_POINTS = {
     "count_sequence": lambda n: count_sequence(B_201_210, n),
@@ -40,9 +48,8 @@ ENTRY_POINTS = {
     "f_coefficients": f_coefficients,
     "ff_slice_series": ff_slice_series,
     "tf_slice_series": tf_slice_series,
-    "check_system_201_210": check_system_201_210,
     "iterate_fe": lambda n: iterate_fe("011-201", n),
-    "verify_conjecture_010_102": verify_conjecture_010_102,
+    **{"run_check:" + name: _check(name) for name in CHECKS},
 }
 
 
