@@ -102,22 +102,21 @@ def _cmd_list(args):
 
 def _cmd_series(args):
     counts = _counts_through(args, args.n_max)
-    for n, c in enumerate(counts):
-        if args.format == "csv":
-            print("%d,%d" % (n, c))
-        elif args.format == "bfile":
-            print("%d %d" % (n, c))
-        else:
-            print(c)
+    if args.format == "plain":
+        lines = ["%d\n" % c for c in counts]
+    else:
+        sep = "," if args.format == "csv" else " "
+        lines = ["%d%s%d\n" % (n, sep, c) for n, c in enumerate(counts)]
+    sys.stdout.write("".join(lines))
     return 0
 
 
 def _cmd_profile(args):
     _require(args.n >= 0, "n must be nonnegative")
-    system = get_system(args.system)
+    state_str = get_system(args.system).state_str
     profile = state_profile(args.system, args.n)
-    for state in sorted(profile):
-        print("%s %d" % (system.state_str(state), profile[state]))
+    sys.stdout.write("".join(["%s %d\n" % (state_str(state), profile[state])
+                              for state in sorted(profile)]))
     return 0
 
 

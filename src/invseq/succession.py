@@ -32,13 +32,16 @@ step_fast() is the dict-level wrapper around the kernel;
 state_profile() converts once, at the end.
 
 rule_counting_sequence(), count_via_rules() and state_profile() share
-a memo per system and per process: the counts at depths 0..L and the
-dense level at depth L, for the deepest L requested so far.  A shorter
-request reads the counts from it and a deeper one resumes the DP at
-depth L, so a process serving many requests steps each depth once; the
-price is that the process keeps that one deepest level.  A single
-request in a fresh process does the same work as a plain run from the
-axiom.  profile_slices_201_210() and ff_slices_201_210() do not use it.
+a memo per system and per process: the counts at depths 0..L, the dense
+level at depth L, for the deepest L requested so far, and checkpoints,
+the dense levels at every multiple of a fixed spacing (64) up to L.  A
+shorter count request reads the memo, a shorter profile resumes the DP
+from the nearest checkpoint at or below its depth, and a deeper request
+resumes it at depth L, so a process serving many requests steps each
+depth once and a profile at most 63 more times; the price is that the
+process keeps those levels.  A single request in a fresh process does
+the same work as a plain run from the axiom.  profile_slices_201_210()
+and ff_slices_201_210() do not use the memo.
 
 >>> count_via_rules("201-210", 7)
 3720
@@ -65,12 +68,15 @@ class RuleSystem:
 
     Each system memoises its deepest run: the accepted counts at depths
     0..L and the dense level at depth L, for the largest L any request in
-    this process has asked for.  A counting sequence never changes, so a
-    request for depth at most L is read from the memo and a deeper one
-    resumes the DP at depth L (see _reach).  The memo is per process and
-    per system; it keeps the depth-L level alive, which the request that
-    computed it held anyway, and nothing ever shrinks it.
+    this process has asked for, and the dense level at every multiple of
+    _SPACING up to L.  A counting sequence never changes, so a count at
+    depth at most L is read from the memo, a level below L is resumed
+    from the checkpoint at or below it, and a deeper request resumes the
+    DP at depth L (see _reach).  The memo is per process and per system,
+    and it only grows, but for the brief cut-back of an extension.
     """
+
+    _SPACING = 64     # depth between two checkpoints of the memo
 
     def __init__(self, name, basis, axiom, successors, accept, state_str,
                  kernel, accepted, to_dense, to_dict):
@@ -94,12 +100,18 @@ class RuleSystem:
         Called as levels(n) it neither reads nor writes the memo.  The
         private _start = (depth, level) resumes from a level already
         computed and yields depths depth..n instead: _reach extends the
-        memo this way, so the memo has no stepping loop of its own.  The
-        kernels never mutate a level, so a yielded level can be kept.
+        memo and state_profile resumes a checkpoint this way, so the memo
+        has no stepping loop of its own.  The kernels never mutate a
+        level, so a yielded level can be kept.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        depth, level = _start or (0, self.to_dense({self.axiom: 1}))
+        if _start is None:
+            depth, level = 0, self.to_dense({self.axiom: 1})
+        else:
+            # drop the pair, so that the start level can be freed once
+            # the caller no longer holds it
+            (depth, level), _start = _start, None
         for _ in range(n - depth):
             nxt, accepted = self.kernel(level)
             yield level, accepted
@@ -107,35 +119,51 @@ class RuleSystem:
         yield level, self.accepted(level)
 
     def _reach(self, n):
-        """The memo as (counts, level), extended to depth n if it is not
-        that deep yet: counts[d] is the accepted count at depth d for
-        every d < len(counts), and level is the dense level at depth
-        len(counts) - 1 >= n.
+        """The memo as (counts, level, checkpoints), extended to depth n
+        if it is not that deep yet: counts[d] is the accepted count at
+        depth d for every d < len(counts), level is the dense level at
+        depth len(counts) - 1 >= n, and checkpoints[i] is the dense level
+        at depth i * _SPACING, for every such depth up to len(counts) - 1.
 
-        Neither part is ever mutated once stored, and callers must not
-        mutate what they get.  Threads need no lock: the memo is one
-        attribute read once, a deeper run extends a private copy of the
-        counts, and the pair is written back only when it is longer than
-        the memo at that moment, so the memo always holds a consistent
-        pair.  Two threads may still race between that check and the
-        write, and a shorter pair may then replace a longer one; that
-        costs a later request some recomputation, never a wrong answer.
+        Nothing stored is ever mutated, and callers must not mutate what
+        they get.  Threads need no lock: the memo is one attribute read
+        once, a deeper run extends private copies of the counts and the
+        checkpoints, and the triple is written back only when it is
+        longer than the memo at that moment, so the memo always holds a
+        consistent triple.  Two threads may still race between that
+        check and the write, and a shorter triple may then replace a
+        longer one; that costs a later request some recomputation, never
+        a wrong answer.
+
+        Before it steps, an extension publishes the memo cut back to its
+        last checkpoint, so that the old deepest level is freed once the
+        DP has stepped past it and an extension holds no more levels than
+        a run from the axiom.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
         memo = self._memo
         if memo is None:
-            counts, start = [], None
+            counts, checkpoints, steps = [], [], self.levels(n)
         elif len(memo[0]) > n:
             return memo
         else:
-            counts, start = memo[0][:-1], (len(memo[0]) - 1, memo[1])
-        for level, accepted in self.levels(n, start):
+            counts, level, checkpoints = memo
+            top = (len(checkpoints) - 1) * self._SPACING
+            if top < len(counts) - 1 and self._memo is memo:
+                self._memo = (counts[:top + 1], checkpoints[-1], checkpoints)
+            steps = self.levels(n, (len(counts) - 1, level))
+            counts, checkpoints = counts[:-1], list(checkpoints)
+            memo = level = None
+        for level, accepted in steps:
+            if len(counts) == len(checkpoints) * self._SPACING:
+                checkpoints.append(level)
             counts.append(accepted)
+        reached = counts, level, tuple(checkpoints)
         memo = self._memo
         if memo is None or len(counts) > len(memo[0]):
-            self._memo = (counts, level)
-        return counts, level
+            self._memo = reached
+        return reached
 
     def __repr__(self):
         return "RuleSystem(%r)" % self.name
@@ -444,14 +472,18 @@ def state_profile(system_id, n):
     """The full depth-n level vector, as a dict from state to count.
 
     At or past the memo's depth the DP resumes from the memo and advances
-    it; below it the level is recomputed from the axiom, since the memo
-    keeps only its deepest level.  The dict is always built afresh.
+    it; below it the DP resumes from the deepest checkpoint at or below
+    n, so it steps at most _SPACING - 1 times, and not at all when n is
+    a checkpoint.  The dict is always built afresh.
     """
     system = get_system(system_id)
-    counts, level = system._reach(n)
+    counts, level, checkpoints = system._reach(n)
     if len(counts) - 1 != n:
-        for level, _ in system.levels(n):
-            pass
+        i, steps = divmod(n, system._SPACING)
+        level = checkpoints[i]
+        if steps:
+            for level, _ in system.levels(n, (n - steps, level)):
+                pass
     return system.to_dict(level)
 
 

@@ -9,6 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from invseq import checks, cli, series
 from invseq.cli import CHECKS, main, parse_basis
+from invseq.oracle import count_sequence
+from invseq.succession import (
+    SYSTEMS,
+    get_system,
+    rule_counting_sequence,
+    state_profile,
+)
 
 # Regression fixture: pinned values that must never drift, whatever else
 # changes.  test_known_counts_fixture asserts the CLI reproduces them.
@@ -166,6 +173,38 @@ def test_profile(capsys):
     assert code == 0
     assert out == ("(1,F,F) 2\n(1,T,T) 4\n(2,F,F) 2\n"
                    "(2,T,F) 1\n(2,T,T) 2\n(3,F,F) 1\n")
+
+
+def _printed(rows):
+    """The text print() writes for each row of fields, one call a row."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        for row in rows:
+            print(*row)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [0, 1, 12])
+def test_profile_and_series_write_what_a_print_per_line_would(capsys, n):
+    """profile and series build their reply and write it once; the text
+    equals one print() per line of the same fields."""
+    for system_id in sorted(SYSTEMS):
+        state_str = get_system(system_id).state_str
+        profile = state_profile(system_id, n)
+        assert run_cli(capsys, "profile", "--system", system_id,
+                       "--n", str(n)) == \
+            (0, _printed((state_str(s), profile[s]) for s in sorted(profile)),
+             "")
+    sources = [(("--system", system_id), rule_counting_sequence(system_id, n))
+               for system_id in sorted(SYSTEMS)]
+    sources.append((("--basis", "10"), count_sequence(((1, 0),), n)))
+    for source, counts in sources:
+        for fmt, rows in (("plain", [(c,) for c in counts]),
+                          ("csv", [("%d,%d" % nc,) for nc in enumerate(counts)]),
+                          ("bfile", enumerate(counts))):
+            assert run_cli(capsys, "series", *source, "--n-max", str(n),
+                           "--format", fmt) == (0, _printed(rows), ""), \
+                (source, fmt)
 
 
 def test_diagram(capsys):

@@ -11,6 +11,7 @@ from invseq.succession import (
     RuleSystem,
     count_via_rules,
     emit_diagram,
+    ff_slices_201_210,
     get_system,
     profile_slices_201_210,
     rule_counting_sequence,
@@ -178,10 +179,14 @@ ENTRY_POINTS = {
 }
 
 
+SPACING = 8
+
+
 def _fresh(system_id, calls=None):
-    """A copy of a built-in system with an empty memo.  When calls is a
-    dict, calls["kernel"] and calls["accepted"] count the calls made to
-    the system's kernel and accepted functions."""
+    """A copy of a built-in system with an empty memo and checkpoints
+    every SPACING depths, so that depths up to 60 cross several.  When
+    calls is a dict, calls["kernel"] and calls["accepted"] count the
+    calls made to the system's kernel and accepted functions."""
     s = SYSTEMS[system_id]
     kernel, accepted = s.kernel, s.accepted
     if calls is not None:
@@ -194,8 +199,10 @@ def _fresh(system_id, calls=None):
         def accepted(level):
             calls["accepted"] += 1
             return s.accepted(level)
-    return RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
-                      s.state_str, kernel, accepted, s.to_dense, s.to_dict)
+    system = RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
+                        s.state_str, kernel, accepted, s.to_dense, s.to_dict)
+    system._SPACING = SPACING
+    return system
 
 
 @cache
@@ -260,9 +267,9 @@ def test_mutating_an_answer_leaves_the_memo_intact(system_id, monkeypatch):
 
 @pytest.mark.parametrize("system_id", SYSTEM_IDS)
 def test_state_profile_around_the_memo_depth(system_id, monkeypatch):
-    """Below the memo's depth state_profile recomputes, at it the memo's
-    level is converted, above it the memo is advanced; all three equal
-    literal step() calls from the axiom."""
+    """Below the memo's depth state_profile resumes from a checkpoint, at
+    it the memo's level is converted, above it the memo is advanced; all
+    three equal literal step() calls from the axiom."""
     system = _fresh(system_id)
     monkeypatch.setitem(SYSTEMS, system_id, system)
     literal = [{system.axiom: 1}]
@@ -293,7 +300,8 @@ def test_negative_n_raises_and_leaves_the_memo(monkeypatch):
 def test_kernel_calls_per_request(system_id, first, monkeypatch):
     """A cold request for depth n steps the kernel n times and counts
     the last level once; a shorter prefix steps nothing; a request k
-    deeper than the memo steps k times."""
+    deeper than the memo steps k times; a profile below the memo's depth
+    steps n - c times from the checkpoint c = n - n % SPACING."""
     calls = {}
     monkeypatch.setitem(SYSTEMS, system_id, _fresh(system_id, calls))
     ENTRY_POINTS[first](system_id, 40)
@@ -304,7 +312,13 @@ def test_kernel_calls_per_request(system_id, first, monkeypatch):
                        ("rule_counting_sequence", 47, 7),
                        ("count_via_rules", 50, 3),
                        ("count_via_rules", 13, 0),
-                       ("state_profile", 61, 11)):
+                       ("state_profile", 61, 11),
+                       ("state_profile", 13, 5),
+                       ("state_profile", 40, 0),
+                       ("state_profile", 0, 0),
+                       ("state_profile", 7, 7),
+                       ("state_profile", 60, 4),
+                       ("state_profile", 56, 0)):
         calls.update(kernel=0, accepted=0)
         ENTRY_POINTS[name](system_id, n)
         assert calls == {"kernel": k, "accepted": 1 if k else 0}, (name, n)
@@ -337,11 +351,61 @@ def test_concurrent_requests_share_a_consistent_memo(system_id, monkeypatch):
                 assert not t.is_alive()
             assert answers == {(name, n): _expected(name, system_id, n)
                                for name, n in requests}
-            counts, level = system._memo
+            counts, level, checkpoints = system._memo
             depth = len(counts) - 1
             cold_counts, cold_profiles = _cold(system_id, 60)
             assert depth >= 30
             assert counts == cold_counts[:depth + 1]
             assert system.to_dict(level) == cold_profiles[depth]
+            assert len(checkpoints) == depth // SPACING + 1
+            for i, checkpoint in enumerate(checkpoints):
+                assert system.to_dict(checkpoint) == cold_profiles[i * SPACING]
     finally:
         sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
+                                                            monkeypatch):
+    """While a request extends the memo from a depth that is not a
+    checkpoint, the memo is a consistent triple ending at the last
+    checkpoint, so it no longer holds the old deepest level; afterwards
+    it reaches the new depth."""
+    seen = []
+    system = _fresh(system_id)
+    kernel = system.kernel
+
+    def watching_kernel(level):
+        counts, deepest, checkpoints = system._memo
+        seen.append((len(counts) - 1, deepest is checkpoints[-1]))
+        return kernel(level)
+
+    monkeypatch.setitem(SYSTEMS, system_id, system)
+    rule_counting_sequence(system_id, 21)
+    system.kernel = watching_kernel
+    rule_counting_sequence(system_id, 30)
+    assert seen == [(16, True)] * 9
+    assert len(system._memo[0]) == 31
+    assert state_profile(system_id, 21) == _expected("state_profile",
+                                                     system_id, 21)
+
+
+def test_verify_routes_stay_off_the_memo(monkeypatch):
+    """profile_slices_201_210 and ff_slices_201_210 neither read nor
+    write the memo, so verify's census is never served by the route it
+    checks: they leave a fresh memo empty and ignore a poisoned one."""
+    n = 20
+    system = _fresh("201-210")
+    monkeypatch.setitem(SYSTEMS, "201-210", system)
+    slices = list(profile_slices_201_210(n))
+    ff = list(ff_slices_201_210(n))
+    assert system._memo is None
+    assert [system.to_dict(level) for level in slices] == \
+        _cold("201-210", n)[1]
+    assert ff == [a for a, _, _ in slices]
+    junk = ([9], [9], [9])
+    poison = ([-1] * 100, junk, (junk,) * (100 // SPACING))
+    system._memo = poison
+    assert list(profile_slices_201_210(n)) == slices
+    assert list(ff_slices_201_210(n)) == ff
+    assert system._memo is poison
