@@ -39,7 +39,6 @@ from .succession import (
     rule_counting_sequence,
     state_profile,
     step,
-    step_fast,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +67,6 @@ __all__ = [
     "standardize",
     "state_profile",
     "step",
-    "step_fast",
     "structure_check_201_210",
     "structure_profile",
     "StructureProfile",

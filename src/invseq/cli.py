@@ -13,6 +13,11 @@ Six subcommands tie the package together:
 verify runs one of the named checks in ``invseq.checks`` through
 ``run_check`` and prints its lines after the check's name.
 
+list prints the text ``oracle.listing_text`` builds from the oracle's
+state DP when every pattern has length at most 3 and n <= 10, and
+otherwise renders ``list_avoiders`` with ``core.render_listing``; both
+give the same bytes.
+
 Exit status is 0 on success and 1 when a verify check fails; an
 arithmetic error inside a check, such as an inexact division, counts as
 a failure.  Status 2 means the command did not run to an answer: a usage
@@ -35,7 +40,7 @@ import sys
 
 from .checks import CHECKS, run_check
 from .core import digit_word, render_listing, validate_pattern
-from .oracle import count_sequence, list_avoiders
+from .oracle import count_sequence, list_avoiders, listing_text
 from .series import f_coefficients
 from .succession import (
     emit_diagram,
@@ -96,7 +101,11 @@ def _cmd_count(args):
 
 def _cmd_list(args):
     _require(args.n >= 0, "n must be nonnegative")
-    sys.stdout.write(render_listing(list_avoiders(_resolve_basis(args), args.n)))
+    basis = _resolve_basis(args)
+    text = listing_text(basis, args.n)
+    if text is None:  # a pattern of length 4 or more, or n > 10
+        text = render_listing(list_avoiders(basis, args.n))
+    sys.stdout.write(text)
     return 0
 
 

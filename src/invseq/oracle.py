@@ -34,6 +34,21 @@ the walk would, merging the prefixes that share a state.  Without a
 length-3 pattern nothing reads `seen`, and it is dropped from the key.
 {201, 210} at n = 12 peaks at about 12,000 states per level.
 
+Listing.  `listing_text` lists through the same states.  Two prefixes of
+one length that share a state have the same set of completions, and
+lexicographic order on words is the order of their first entries, then
+of what follows; so the sorted completions of a state are, for each
+child value v in increasing order, v put in front of every sorted
+completion of that child's state.  A forward pass records each state's
+children in value order; a backward pass builds, from the last position
+up to the root, one text block per state holding its completions, a
+child's block taking its digit with one bytes.replace of every newline.
+Python-level work then grows with the transitions of the DP, not with
+the number of words, and only the blocks of two adjacent depths are
+alive at once.  A value is one character only while it is a digit, that
+is for n <= 10; past that, and for a basis with a longer pattern,
+`listing_text` returns None, and the listing comes from `list_avoiders`.
+
 Iterative walk.  A pattern p of length k >= 4 needs the prefix itself,
 so any basis holding one is counted by `_walk`, depth first on an
 explicit stack.  Its nodes carry the same banned and seen masks.  On top
@@ -308,3 +323,70 @@ def list_avoiders(basis, n):
     found = []
     _walk(basis, n, found)
     return found
+
+
+# a newline followed by one digit, indexed by the digit's value
+_NEWLINE_DIGIT = tuple(b"\n%d" % v for v in range(10))
+
+
+def listing_text(basis, n):
+    """The text of the listing of I_n(basis), one word per line, or None
+    when a pattern has length 4 or more or n > 10 (see Listing above).
+
+    Equal to core.render_listing(list_avoiders(basis, n)) whenever it is
+    not None.
+
+    >>> print(listing_text(((0, 1, 1), (2, 0, 1)), 3), end="")
+    000
+    001
+    002
+    010
+    012
+    >>> listing_text(((0, 1, 2, 3),), 4) is None
+    True
+    """
+    basis = clean_basis(basis)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n > 10 or any(len(p) > 3 for p in basis):
+        return None
+    if n == 0:
+        return "\n"
+    start, ban = _bans(basis, n)
+    keep_seen = any(len(p) == 3 for p in basis)
+    # forward: tree[d][i] lists the (value, child index) pairs of state i
+    # at depth d, in increasing value; states are numbered per depth in
+    # the order they are first reached
+    level = [(start, 0)]
+    tree = []
+    for depth in range(n - 1):
+        # the states at depth n - 1 only pick the last entry: drop `seen`
+        keep = keep_seen and depth < n - 2
+        mask = (2 << depth) - 1
+        index = {}
+        children = []
+        for banned, seen in level:
+            out = []
+            rest = ~banned & mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                key = (banned | ban(v, seen), seen | bit if keep else 0)
+                out.append((v, index.setdefault(key, len(index))))
+            children.append(out)
+        tree.append(children)
+        level = list(index)
+    # backward: a block holds a newline before each of its lines
+    digits = _NEWLINE_DIGIT[:n]
+    blocks = [b"".join([d for v, d in enumerate(digits) if not banned >> v & 1])
+              for banned, _ in level]
+    for children in reversed(tree):
+        blocks = [b"".join([blocks[j].replace(b"\n", digits[v]) for v, j in out])
+                  for out in children]
+    block = blocks.pop()
+    if not block:
+        return ""
+    text = str(memoryview(block)[1:], "ascii")
+    del block  # so that the bytes are freed before the last copy
+    return text + "\n"

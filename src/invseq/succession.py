@@ -27,8 +27,7 @@ rows[k] holding the counts of (k, ell) for ell = len(rows) - 1 - k down
 to 0, so that the suffix sums over ell are running sums of the row.
 Each RuleSystem carries its dense kernel, which turns the ranged
 productions into partial sums so one depth costs time linear in the
-number of cells, and its conversions between dense and dict levels.
-step_fast() is the dict-level wrapper around the kernel;
+number of cells, and its conversions between dense and dict levels;
 state_profile() converts once, at the end.
 
 rule_counting_sequence(), count_via_rules() and state_profile() share
@@ -92,7 +91,7 @@ class RuleSystem:
         self.to_dict = to_dict
         self._memo = None
 
-    def levels(self, n, _start=None):
+    def levels(self, n, _start=None, _count_last=True):
         """Yield (dense level, accepted count) for depths 0..n, starting
         from the axiom: the one stepping loop every counting function
         uses.
@@ -101,8 +100,11 @@ class RuleSystem:
         private _start = (depth, level) resumes from a level already
         computed and yields depths depth..n instead: _reach extends the
         memo and state_profile resumes a checkpoint this way, so the memo
-        has no stepping loop of its own.  The kernels never mutate a
-        level, so a yielded level can be kept.
+        has no stepping loop of its own.  The kernel gives the count of
+        every level but the last, which costs one more pass over it; a
+        caller that does not read that count passes _count_last=False
+        and gets None in its place.  The kernels never mutate a level,
+        so a yielded level can be kept.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
@@ -116,7 +118,7 @@ class RuleSystem:
             nxt, accepted = self.kernel(level)
             yield level, accepted
             level = nxt
-        yield level, self.accepted(level)
+        yield level, self.accepted(level) if _count_last else None
 
     def _reach(self, n):
         """The memo as (counts, level, checkpoints), extended to depth n
@@ -417,12 +419,6 @@ def get_system(system_id):
     return SYSTEMS[system_id]
 
 
-def step_fast(system, level):
-    """Same contract as step(), via the system's dense kernel."""
-    nxt, _ = system.kernel(system.to_dense(level))
-    return system.to_dict(nxt)
-
-
 # ---------- counting ----------
 
 
@@ -449,7 +445,7 @@ def profile_slices_201_210(n_max):
     generating-function checks consume these directly as the coefficient
     rows of the bivariate series they verify.
     """
-    for level, _ in SYSTEMS["201-210"].levels(n_max):
+    for level, _ in SYSTEMS["201-210"].levels(n_max, _count_last=False):
         yield level
 
 
@@ -482,7 +478,8 @@ def state_profile(system_id, n):
         i, steps = divmod(n, system._SPACING)
         level = checkpoints[i]
         if steps:
-            for level, _ in system.levels(n, (n - steps, level)):
+            for level, _ in system.levels(n, (n - steps, level),
+                                          _count_last=False):
                 pass
     return system.to_dict(level)
 

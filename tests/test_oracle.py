@@ -1,15 +1,23 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invseq.core import avoids, contains, is_valid_pattern, structure_check_201_210
+from invseq.core import (
+    avoids,
+    contains,
+    is_valid_pattern,
+    render_listing,
+    structure_check_201_210,
+)
 from invseq.oracle import (
     _count_generic,
     clean_basis,
     count_avoiders,
     count_sequence,
     list_avoiders,
+    listing_text,
 )
 from invseq.series import CUBIC_010_102, relation_residual, TruncatedSeries
 from invseq.succession import SYSTEMS, get_system, rule_counting_sequence
@@ -23,6 +31,7 @@ PATTERNS_3 = [p for p in itertools.product(range(3), repeat=3)
 # every valid pattern of length 1 to 4: 1 + 3 + 13 + 75
 PATTERNS_1_4 = [p for k in range(1, 5) for p in itertools.product(range(k), repeat=k)
                 if is_valid_pattern(p)]
+PATTERNS_1_3 = [p for p in PATTERNS_1_4 if len(p) <= 3]
 
 
 def all_inversion_sequences(n):
@@ -164,3 +173,76 @@ def test_oracle_matches_rules_through_13():
         basis = get_system(system_id).basis
         assert count_sequence(basis, 13) == rule_counting_sequence(system_id, 13), \
             system_id
+
+
+# ---------- listing_text: the state-DAG listing ----------
+
+# the bases of the oracle benchmark's bitmask-path strata (BUSHY in
+# bench/workloads.py)
+BUSHY = ("201,210", "011,201", "010,102", "000", "021", "101",
+         "010,100,120,210")
+
+
+def _basis(text):
+    return tuple(tuple(map(int, word)) for word in text.split(","))
+
+
+def _text(words):
+    """A listing rendered one word at a time, without core.render_listing."""
+    return "".join("".join(map(str, e)) + "\n" for e in words)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(PATTERNS_1_3), max_size=3),
+       st.integers(min_value=0, max_value=7))
+def test_listing_text_matches_generate_and_filter(basis, n):
+    """listing_text against filtering every inversion sequence of length n
+    with core.avoids, rendered word by word."""
+    expected = _text(e for e in all_inversion_sequences(n) if avoids(e, basis))
+    assert listing_text(basis, n) == expected
+
+
+@pytest.mark.parametrize("basis", BUSHY)
+def test_listing_text_equals_the_walk(basis):
+    basis = _basis(basis)
+    for n in range(10):
+        assert listing_text(basis, n) == render_listing(list_avoiders(basis, n)), n
+
+
+def test_listing_text_equals_the_walk_at_n_10():
+    """The longest listing the route takes: 983,072 lines of {201, 210}."""
+    assert listing_text(B_201_210, 10) == render_listing(list_avoiders(B_201_210, 10))
+
+
+def test_listing_text_edges():
+    assert listing_text(B_201_210, 0) == "\n"
+    assert listing_text(((0,),), 0) == "\n"
+    assert listing_text(((0,),), 1) == ""
+    assert listing_text(((0,), (1, 0)), 5) == ""
+    assert listing_text((), 1) == "0\n"
+    assert listing_text((), 4) == _text(all_inversion_sequences(4))
+    assert listing_text([[1, 0], [1, 0]], 3) == "000\n001\n002\n011\n012\n"
+    # no single-digit rendering past n = 10, no state DP with a longer pattern
+    assert listing_text(((0, 0),), 11) is None
+    assert listing_text((), 11) is None
+    assert listing_text(((0, 1, 0, 2),), 3) is None
+    assert listing_text(((0, 0), (0, 1, 0, 2)), 1) is None
+    with pytest.raises(ValueError):
+        listing_text(((2, 0, 2),), 3)
+
+
+@pytest.mark.parametrize("basis", ["201,210", "011,201", "000", "021"])
+@pytest.mark.parametrize("n", [8, 9])
+def test_listing_text_peak_memory(basis, n):
+    """The listing holds the blocks of two adjacent depths, never one
+    object per word: its traced peak stays below six times the length of
+    the text (the walk and render_listing peak at 12 to 16 times)."""
+    basis = _basis(basis)
+    listing_text(basis, 2)
+    tracemalloc.start()
+    try:
+        text = listing_text(basis, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text), (peak, len(text))

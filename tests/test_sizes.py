@@ -4,7 +4,12 @@ ValueError, whatever layer it lives in."""
 import pytest
 
 from invseq.checks import CHECKS, run_check
-from invseq.oracle import count_avoiders, count_sequence, list_avoiders
+from invseq.oracle import (
+    count_avoiders,
+    count_sequence,
+    list_avoiders,
+    listing_text,
+)
 from invseq.series import (
     f_coefficients,
     ff_slice_series,
@@ -37,6 +42,7 @@ ENTRY_POINTS = {
     "count_sequence": lambda n: count_sequence(B_201_210, n),
     "count_avoiders": lambda n: count_avoiders(B_201_210, n),
     "list_avoiders": lambda n: list_avoiders(B_201_210, n),
+    "listing_text": lambda n: listing_text(B_201_210, n),
     "rule_counting_sequence": lambda n: rule_counting_sequence("011-201", n),
     "count_via_rules": lambda n: count_via_rules("201-210", n),
     "state_profile": lambda n: state_profile("010-100-120-210", n),

@@ -17,12 +17,16 @@ from invseq.succession import (
     rule_counting_sequence,
     state_profile,
     step,
-    step_fast,
 )
 
 F, T = False, True
 
 SEQ_201_210 = [1, 1, 2, 6, 24, 116, 632, 3720, 23072, 148528, 983072]
+
+
+def kernel_step(system, level):
+    """One step of the system's dense kernel, on a dict level."""
+    return system.to_dict(system.kernel(system.to_dense(level))[0])
 
 
 def test_get_system():
@@ -42,7 +46,7 @@ def test_step_axiom_and_empty():
     sys_ = get_system("201-210")
     assert step(sys_, {(0, F, F): 1}) == {(1, F, F): 1}
     assert step(sys_, {}) == {}
-    assert step_fast(sys_, {}) == {}
+    assert kernel_step(sys_, {}) == {}
 
 
 def test_step_rejects_impossible_state():
@@ -92,7 +96,7 @@ def test_step_fast_equals_step_from_axiom():
         level = {sys_.axiom: 1}
         for depth in range(50):
             slow = step(sys_, level)
-            fast = step_fast(sys_, level)
+            fast = kernel_step(sys_, level)
             assert fast == slow, (system_id, depth)
             level = fast
 
@@ -127,7 +131,7 @@ def test_step_fast_equals_step_on_random_levels(data):
     state = _state_3 if system_id == "201-210" else _state_2
     level = data.draw(st.dictionaries(state, _counts, max_size=8))
     sys_ = get_system(system_id)
-    assert step_fast(sys_, level) == step(sys_, level)
+    assert kernel_step(sys_, level) == step(sys_, level)
 
 
 def test_profile_slices_match_state_profile():
@@ -300,28 +304,43 @@ def test_negative_n_raises_and_leaves_the_memo(monkeypatch):
 def test_kernel_calls_per_request(system_id, first, monkeypatch):
     """A cold request for depth n steps the kernel n times and counts
     the last level once; a shorter prefix steps nothing; a request k
-    deeper than the memo steps k times; a profile below the memo's depth
-    steps n - c times from the checkpoint c = n - n % SPACING."""
+    deeper than the memo steps k times and counts its last level once; a
+    profile below the memo's depth steps n - c times from the checkpoint
+    c = n - n % SPACING and counts nothing."""
     calls = {}
     monkeypatch.setitem(SYSTEMS, system_id, _fresh(system_id, calls))
     ENTRY_POINTS[first](system_id, 40)
     assert calls == {"kernel": 40, "accepted": 1}
-    for name, n, k in (("rule_counting_sequence", 25, 0),
-                       ("count_via_rules", 40, 0),
-                       ("state_profile", 40, 0),
-                       ("rule_counting_sequence", 47, 7),
-                       ("count_via_rules", 50, 3),
-                       ("count_via_rules", 13, 0),
-                       ("state_profile", 61, 11),
-                       ("state_profile", 13, 5),
-                       ("state_profile", 40, 0),
-                       ("state_profile", 0, 0),
-                       ("state_profile", 7, 7),
-                       ("state_profile", 60, 4),
-                       ("state_profile", 56, 0)):
+    for name, n, k, counted in (("rule_counting_sequence", 25, 0, 0),
+                                ("count_via_rules", 40, 0, 0),
+                                ("state_profile", 40, 0, 0),
+                                ("rule_counting_sequence", 47, 7, 1),
+                                ("count_via_rules", 50, 3, 1),
+                                ("count_via_rules", 13, 0, 0),
+                                ("state_profile", 61, 11, 1),
+                                ("state_profile", 13, 5, 0),
+                                ("state_profile", 40, 0, 0),
+                                ("state_profile", 0, 0, 0),
+                                ("state_profile", 7, 7, 0),
+                                ("state_profile", 60, 4, 0),
+                                ("state_profile", 56, 0, 0)):
         calls.update(kernel=0, accepted=0)
         ENTRY_POINTS[name](system_id, n)
-        assert calls == {"kernel": k, "accepted": 1 if k else 0}, (name, n)
+        assert calls == {"kernel": k, "accepted": counted}, (name, n)
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+def test_levels_counts_the_last_level_only_when_asked(system_id):
+    calls = {}
+    system = _fresh(system_id, calls)
+    counted = list(system.levels(6))
+    assert calls == {"kernel": 6, "accepted": 1}
+    calls.update(kernel=0, accepted=0)
+    uncounted = list(system.levels(6, _count_last=False))
+    assert calls == {"kernel": 6, "accepted": 0}
+    assert [a for _, a in uncounted] == [a for _, a in counted[:-1]] + [None]
+    assert [system.to_dict(v) for v, _ in uncounted] == \
+        [system.to_dict(v) for v, _ in counted]
 
 
 @pytest.mark.parametrize("system_id", ["201-210", "011-201"])
