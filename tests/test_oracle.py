@@ -12,7 +12,13 @@ from invseq.core import (
     structure_check_201_210,
 )
 from invseq.oracle import (
+    _bans,
+    _canonical_levels,
     _count_generic,
+    _reads,
+    _rule,
+    _seen_cut,
+    _walk,
     clean_basis,
     count_avoiders,
     count_sequence,
@@ -173,6 +179,123 @@ def test_oracle_matches_rules_through_13():
         basis = get_system(system_id).basis
         assert count_sequence(basis, 13) == rule_counting_sequence(system_id, 13), \
             system_id
+
+
+# ---------- canonical states: the rule table and the projected route ----------
+
+# what the rule of each length-3 pattern reads of `seen` (see _bans)
+READS = {
+    "000": "values", "001": "values", "010": "values", "011": "min",
+    "012": "min", "021": "min", "100": "max", "101": "values",
+    "102": "values", "110": "values", "120": "values", "201": "max",
+    "210": "max",
+}
+
+# patterns whose rules read no individual seen value: every pattern of
+# length 1 or 2, and the length-3 patterns that read an extreme
+PROJECTABLE = [p for p in PATTERNS_1_3
+               if len(p) < 3 or READS["".join(map(str, p))] != "values"]
+
+
+def test_rule_table():
+    assert sorted(READS) == sorted("".join(map(str, p)) for p in PATTERNS_3)
+    for word, reads in READS.items():
+        assert _reads(_rule(_basis(word)[0])) == reads, word
+    # a rule with ra = 0 and c != rv never bans; no pattern has one,
+    # since ra = 0 means z = x and then cmp(z, y) = cmp(x, y)
+    rules = itertools.product(range(3), (-1, 0, 1), range(3))
+    assert {r for r in rules if _reads(r) is None} == {
+        (c, 0, rv) for c in range(3) for rv in range(3) if c != rv}
+    assert all(_reads(_rule(p)) is not None for p in PATTERNS_3)
+
+
+@pytest.mark.parametrize("basis, reads", [
+    ("201,210", "max"), ("100", "max"), ("012", "min"), ("021", "min"),
+    ("011,012", "min"), ("011,201", "both"), ("021,100", "both"),
+    ("01", "nothing"), ("0,10", "nothing"),
+    ("010,102", "values"), ("000", "values"), ("101", "values"),
+    ("010,100,120,210", "values"), ("011,102", "values"),
+])
+def test_seen_cut_per_basis(basis, reads):
+    """Which route a basis takes: the canonical one keeps the maximum,
+    the minimum, both or nothing of `seen`; "values" stays on raw masks."""
+    cut = _seen_cut(_basis(basis))
+    if reads == "values":
+        assert cut is None
+        return
+    kept = {"max": 0b100000, "min": 0b10, "both": 0b100010, "nothing": 0}
+    assert cut(0b101110) == kept[reads]
+    assert cut(0) == 0
+
+
+@pytest.mark.parametrize("p", PATTERNS_3)
+def test_bans_read_only_what_the_table_says(p):
+    """Every ban of a pattern that reads an extreme is unchanged when
+    `seen` is cut down to it; for a pattern that reads individual values,
+    keeping both extremes is not enough."""
+    n = 7
+    _, ban = _bans((p,), n)
+    both = _seen_cut(((0, 1, 1), (2, 0, 1)))
+    cut = _seen_cut((p,)) or both
+    same = all(ban(v, seen) == ban(v, cut(seen))
+               for v in range(n) for seen in range(1 << n))
+    assert same == (READS["".join(map(str, p))] != "values")
+
+
+@pytest.mark.parametrize("basis", ["012", "021", "011,012"])
+def test_min_only_bases_match_the_walk(basis):
+    """Bases whose key keeps only the minimum of `seen`, so that no seen
+    bit marks the top of the placed values."""
+    basis = _basis(basis)
+    for n in range(10):
+        assert count_sequence(basis, n) == _walk(basis, n), n
+
+
+def test_canonical_route_exhaustive_pairs():
+    """Every basis of one or two projectable patterns against the walk
+    through n = 9.  {011, 210} and {012, 100} are the pairs that first
+    differ, at n = 8, when banned extremes are merged across an available
+    value."""
+    bases = [b for k in (1, 2) for b in itertools.combinations(PROJECTABLE, k)]
+    assert len(bases) == 10 + 45
+    for basis in bases:
+        assert count_sequence(basis, 9) == _walk(basis, 9), basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(PROJECTABLE), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=10))
+def test_canonical_route_matches_the_walk(basis, n):
+    assert _seen_cut(basis) is not None
+    assert count_sequence(basis, n) == _walk(clean_basis(basis), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(PROJECTABLE), max_size=3),
+       st.integers(min_value=0, max_value=7))
+def test_canonical_route_matches_generate_and_filter(basis, n):
+    assert _seen_cut(basis) is not None
+    assert count_sequence(basis, n) == [
+        sum(1 for e in all_inversion_sequences(m) if avoids(e, basis))
+        for m in range(n + 1)]
+
+
+@pytest.mark.parametrize("system_id", ["201-210", "011-201"])
+def test_canonical_route_reaches_n_30_evidence(system_id):
+    """Evidence, not a proof: the oracle's canonical route agrees with
+    the rule system through n = 30 (the raw masks took seconds by n = 13
+    and the projection alone 12 s at n = 22 on {011, 201})."""
+    basis = get_system(system_id).basis
+    assert count_sequence(basis, 30) == rule_counting_sequence(system_id, 30)
+
+
+def test_canonical_levels_of_011_201_evidence():
+    """Evidence, not a proof: at every depth d <= 30 the canonical level of
+    {011, 201} has 1 + d(d-1)/2 states, as many as the hand-built (k, ell)
+    system has labels."""
+    basis = _basis("011,201")
+    sizes = [len(level) for level in _canonical_levels(basis, 31, _seen_cut(basis))]
+    assert sizes == [1 + d * (d - 1) // 2 for d in range(31)]
 
 
 # ---------- listing_text: the state-DAG listing ----------
