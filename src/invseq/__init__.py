@@ -2,10 +2,11 @@
 
 Four cooperating views of the same counting problems: a brute-force
 oracle (``invseq.oracle``), generating-tree rule systems
-(``invseq.succession``), exact series algebra (``invseq.series``), and
-the word-level machinery underneath all of them (``invseq.core``).  The
-named cross-checks between them live in ``invseq.checks``, and the
-``invseq`` command line ties them together.
+(``invseq.succession``), the closed form and exact algebraic checks on
+the generating series (``invseq.series``), and the word-level machinery
+underneath all of them (``invseq.core``).  The named cross-checks
+between them live in ``invseq.checks``, and the ``invseq`` command line
+ties them together.
 """
 
 from .core import (
@@ -17,19 +18,15 @@ from .core import (
     render_word,
     standardize,
     structure_check_201_210,
-    structure_profile,
-    StructureProfile,
     validate_pattern,
 )
 from .oracle import count_avoiders, count_sequence, list_avoiders
 from .series import (
     f_coefficients,
-    format_series,
     iterate_fe,
     phi,
     PolyRelation,
     relation_residual,
-    series_sqrt,
     TruncatedSeries,
 )
 from .succession import (
@@ -51,7 +48,6 @@ __all__ = [
     "count_via_rules",
     "emit_diagram",
     "f_coefficients",
-    "format_series",
     "get_system",
     "is_inversion_sequence",
     "is_valid_pattern",
@@ -63,13 +59,10 @@ __all__ = [
     "relation_residual",
     "render_word",
     "rule_counting_sequence",
-    "series_sqrt",
     "standardize",
     "state_profile",
     "step",
     "structure_check_201_210",
-    "structure_profile",
-    "StructureProfile",
     "TruncatedSeries",
     "validate_pattern",
 ]

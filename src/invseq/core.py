@@ -42,7 +42,6 @@ True
 True
 """
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, repeat
 
@@ -337,37 +336,3 @@ def structure_check_201_210(e):
         elif v != lo1 and (lo2 is None or v < lo2):
             lo2 = v
     return True
-
-
-# big_value: max entry, or None for the empty sequence.
-# little_value: the common value strictly under and right of the big entries,
-#   or None when no such entry exists.
-# bounce: length minus max entry (0 for the empty sequence).
-StructureProfile = namedtuple("StructureProfile", "big_value little_value bounce")
-
-
-def structure_profile(e):
-    """Big value, little value, and bounce of a {201,210}-avoider.
-
-    The big value is the maximum entry.  The little value is the single
-    value taken by entries that lie strictly below and strictly to the
-    right of an entry equal to the maximum; it is absent when no such
-    entries exist.  The bounce is length minus maximum, which counts how
-    many larger values could still become left-to-right maxima.
-
-    Raises ValueError when e contains 201 or 210, since then the little
-    value need not be well defined.
-    """
-    e = tuple(e)
-    if not is_inversion_sequence(e):
-        raise ValueError("not an inversion sequence: %s" % render_word(e))
-    if not structure_check_201_210(e):
-        raise ValueError("%s contains 201 or 210; little value is undefined"
-                         % render_word(e))
-    if not e:
-        return StructureProfile(None, None, 0)
-    big = max(e)
-    first_big = e.index(big)
-    littles = {v for v in e[first_big + 1:] if v < big}
-    little = littles.pop() if littles else None
-    return StructureProfile(big, little, len(e) - big)

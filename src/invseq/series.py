@@ -1,10 +1,13 @@
-"""Exact series arithmetic and the algebraic cross-checks built on it.
+"""The closed form and the algebraic cross-checks of the counting series.
 
-Everything here works over the rationals with hard truncation orders, so
-every identity we claim is checked coefficient-by-coefficient with no
-floating point anywhere.  The module has four layers:
+Everything here is exact, with hard truncation orders, so every identity
+we claim is checked coefficient-by-coefficient with no floating point
+anywhere.  The module has four layers:
 
-  * ``TruncatedSeries``: univariate power series known through ``x^order``.
+  * univariate series: the closed form (``f_coefficients``), the slice
+    series of the 201-210 DP, and ``TruncatedSeries``, which holds the
+    coefficients of a series known through ``x^order`` and does no
+    arithmetic.
   * polynomial relations (``PolyRelation`` / ``relation_residual``) used to
     test that a series satisfies an algebraic equation, by Horner's rule
     in y^2 with y^2 formed once by a symmetric square.
@@ -26,26 +29,19 @@ differ in length.  Only the public ``phi`` takes and returns
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import add, mul, sub
 
 from .succession import ff_slices_201_210, profile_slices_201_210
 
 
-def _normalize(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class TruncatedSeries:
-    """A power series with exact coefficients, known through ``x^order``.
+    """The coefficients of a power series in x, known through ``x^order``.
 
-    Arithmetic truncates to the shorter operand's order, mirroring what is
-    actually known about the result.  Division and square roots produce
-    ``Fraction`` coefficients when they must; integer-valued coefficients
-    are stored as plain ints.
+    A plain holder for the series that the relation checks evaluate
+    (``relation_residual``): the constructor pads with zeros or truncates
+    to ``order`` (by default, one less than the number of coefficients
+    given).  It does no arithmetic.
     """
 
     def __init__(self, coefficients, order=None):
@@ -57,7 +53,7 @@ class TruncatedSeries:
         coeffs = coeffs[:order + 1]
         coeffs.extend([0] * (order + 1 - len(coeffs)))
         self.order = order
-        self.coefficients = [_normalize(c) for c in coeffs]
+        self.coefficients = coeffs
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -69,125 +65,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return "TruncatedSeries(%r, order=%d)" % (self.coefficients, self.order)
-
-    def __str__(self):
-        return format_series(self)
-
-    def first_nonzero(self):
-        """Index of the lowest nonzero coefficient, or None for the zero
-        series (zero as far as this truncation can see, anyway)."""
-        for k, c in enumerate(self.coefficients):
-            if c:
-                return k
-        return None
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coefficients], self.order)
-
-    def __add__(self, other):
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coefficients[k] + other.coefficients[k] for k in range(n + 1)],
-            n)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            _product(self.coefficients[:n + 1], other.coefficients, n), n)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        n = min(self.order, other.order)
-        d0 = other.coefficients[0]
-        if d0 == 0:
-            raise ValueError("series division needs a nonzero constant term")
-        # iterate over the denominator's nonzero tail only; the
-        # denominators we care about are short polynomials
-        tail = [(j, c) for j, c in enumerate(other.coefficients[1:n + 1], 1) if c]
-        q = []
-        for k in range(n + 1):
-            acc = self.coefficients[k]
-            for j, dj in tail:
-                if j > k:
-                    break
-                acc -= dj * q[k - j]
-            q.append(_normalize(Fraction(acc) / d0))
-        return TruncatedSeries(q, n)
-
-
-def _coerce(value, order):
-    if isinstance(value, TruncatedSeries):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return TruncatedSeries([value], order)
-    return NotImplemented
-
-
-def _term_text(c, k):
-    if k == 0:
-        return str(c)
-    xpow = "x" if k == 1 else "x^%d" % k
-    if c == 1:
-        return xpow
-    return "%s*%s" % (c, xpow)
-
-
-def format_series(s, max_terms=10):
-    """Human-readable rendering, low-order terms first."""
-    terms = [(k, c) for k, c in enumerate(s.coefficients) if c]
-    if not terms:
-        return "O(x^%d)" % (s.order + 1)
-    shown = terms[:max_terms]
-    pieces = [_term_text(shown[0][1], shown[0][0])]
-    for k, c in shown[1:]:
-        sign = " - " if c < 0 else " + "
-        pieces.append(sign + _term_text(abs(c), k))
-    if len(terms) > max_terms:
-        pieces.append(" + ...")
-    pieces.append(" + O(x^%d)" % (s.order + 1))
-    return "".join(pieces)
-
-
-def series_sqrt(s):
-    """Square root of a series with constant term 1.
-
-    Coefficients come from 2*r_n = s_n - sum_{i=1}^{n-1} r_i * r_{n-i};
-    the halving is done over the rationals, so integer input can still
-    give fractional output and the caller decides whether that matters.
-    """
-    if s.coefficients[0] != 1:
-        raise ValueError("series_sqrt needs constant term 1")
-    r = [1]
-    for k in range(1, s.order + 1):
-        acc = s.coefficients[k]
-        for i in range(1, k):
-            acc -= r[i] * r[k - i]
-        r.append(_normalize(Fraction(acc) / 2))
-    return TruncatedSeries(r, s.order)
 
 
 def f_coefficients(n_max):

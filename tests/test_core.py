@@ -13,7 +13,6 @@ from invseq.core import (
     render_word,
     standardize,
     structure_check_201_210,
-    structure_profile,
     validate_pattern,
 )
 
@@ -229,32 +228,3 @@ def test_structure_check_matches_avoidance_small():
     for n in range(7):
         for e in all_inversion_sequences(n):
             assert structure_check_201_210(e) == avoids(e, basis)
-
-
-def test_structure_profile_worked_examples():
-    p = structure_profile(parse_word("00002204535377896966"))
-    assert (p.big_value, p.little_value, p.bounce) == (9, 6, 11)
-    p = structure_profile(parse_word("0023136638899"))
-    assert p.big_value == 9
-    assert p.little_value is None
-    p = structure_profile(parse_word("000121"))
-    assert p.bounce == 4
-
-
-def test_structure_profile_empty():
-    p = structure_profile(())
-    assert (p.big_value, p.little_value, p.bounce) == (None, None, 0)
-
-
-def test_structure_profile_rejects_non_avoiders():
-    with pytest.raises(ValueError):
-        structure_profile(parse_word("00201"))
-    with pytest.raises(ValueError):
-        structure_profile((0, 2))
-
-
-def test_structure_profile_bounce_is_length_minus_max():
-    for n in range(7):
-        for e in all_inversion_sequences(n):
-            if e and structure_check_201_210(e):
-                assert structure_profile(e).bounce == len(e) - max(e)

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +7,6 @@ from invseq.series import (
     CUBIC_010_102,
     f_coefficients,
     ff_slice_series,
-    format_series,
     iterate_fe,
     MINPOLY_A,
     MINPOLY_B,
@@ -17,7 +14,6 @@ from invseq.series import (
     phi,
     PolyRelation,
     relation_residual,
-    series_sqrt,
     tf_slice_series,
     TruncatedSeries,
 )
@@ -34,7 +30,7 @@ TF_SLICE = [0, 0, 0, 1, 10, 74, 500, 3291, 21642, 143666, 966276]
 SEQ_2INT = [1, 1, 2, 5, 15, 51, 189, 746, 3091]
 
 
-# -- TruncatedSeries arithmetic ---------------------------------------------
+# -- TruncatedSeries and truncated products ---------------------------------
 
 def test_construction_pads_and_truncates():
     s = TruncatedSeries([1, 2, 3], 5)
@@ -42,76 +38,73 @@ def test_construction_pads_and_truncates():
     assert TruncatedSeries([1, 2, 3], 1).coefficients == [1, 2]
 
 
-def test_arithmetic_truncates_to_shorter_operand():
-    a = TruncatedSeries([1, 1, 1], 8)
-    b = TruncatedSeries([1, 1], 3)
-    assert (a + b).order == 3
-    assert (a * b).order == 3
-
-
 def test_multiplication():
-    t = TruncatedSeries([1, 2, 3], 5)
-    assert (t * t).coefficients == [1, 4, 10, 12, 9, 0]
+    assert series._product([1, 2, 3], [1, 2, 3, 0, 0, 0], 5) == \
+        [1, 4, 10, 12, 9, 0]
 
 
-def test_division_round_trips():
-    num = TruncatedSeries([1, 0, 2, 5], 10)
-    den = TruncatedSeries([2, -3, 1], 10)
-    assert ((num / den) * den).coefficients == num.coefficients
+# -- a reference for the closed form ----------------------------------------
+#
+# (2 - x - x*sqrt(1-8x)) / (2 - 4x + 4x^2) in three steps that share no
+# code with the first-order recurrences of f_coefficients: sqrt(1-8x) by
+# convolution, the shift by x, then long division.  Integers only, with
+# every halving and every division checked to be exact.
+
+def _sqrt_unit(s):
+    """The square root of the integer series s (a list) with constant
+    term 1, through the length of s: 2*r_k = s_k - sum_{0<i<k} r_i*r_(k-i)."""
+    if s[0] != 1:
+        raise ValueError("the square root needs constant term 1")
+    r = [1]
+    for k in range(1, len(s)):
+        r_k, rem = divmod(s[k] - sum(r[i] * r[k - i] for i in range(1, k)), 2)
+        if rem:
+            raise ArithmeticError("x^%d of the square root is not an integer" % k)
+        r.append(r_k)
+    return r
 
 
-def test_division_produces_fractions():
-    q = TruncatedSeries([1], 3) / TruncatedSeries([2], 3)
-    assert q.coefficients == [Fraction(1, 2), 0, 0, 0]
+def _long_division(num, den):
+    """num / den through the length of num, one coefficient at a time."""
+    q = []
+    for k, c in enumerate(num):
+        acc = c - sum(den[j] * q[k - j] for j in range(1, min(k + 1, len(den))))
+        q_k, rem = divmod(acc, den[0])
+        if rem:
+            raise ArithmeticError("x^%d of the quotient is not an integer" % k)
+        q.append(q_k)
+    return q
 
 
-def test_division_needs_unit_constant():
-    with pytest.raises(ValueError):
-        TruncatedSeries([1], 3) / TruncatedSeries([0, 1], 3)
+def _closed_form(n):
+    root = _sqrt_unit([1, -8, *[0] * n][:n + 1])
+    num = [2, -1, *[0] * n][:n + 1]
+    for k in range(1, n + 1):
+        num[k] -= root[k - 1]
+    return _long_division(num, [2, -4, 4])
 
-
-def test_scalar_mixing():
-    x = TruncatedSeries([0, 1], 4)
-    s = 2 - x - x * x
-    assert s.coefficients == [2, -1, -1, 0, 0]
-
-
-def test_first_nonzero():
-    assert TruncatedSeries([0, 0, 7], 4).first_nonzero() == 2
-    assert TruncatedSeries([0, 0, 0], 2).first_nonzero() is None
-
-
-def test_format_series():
-    assert format_series(TruncatedSeries([1, 1, 2, 6], 3)) == \
-        "1 + x + 2*x^2 + 6*x^3 + O(x^4)"
-    assert format_series(TruncatedSeries([1, -4, -8], 2)) == \
-        "1 - 4*x - 8*x^2 + O(x^3)"
-    assert format_series(TruncatedSeries([0, 0], 1)) == "O(x^2)"
-
-
-# -- square roots -----------------------------------------------------------
 
 def test_sqrt_pinned():
-    r = series_sqrt(TruncatedSeries([1, -8], 5))
-    assert r.coefficients == [1, -4, -8, -32, -160, -896]
-    assert series_sqrt(TruncatedSeries([1], 4)).coefficients == [1, 0, 0, 0, 0]
-    assert series_sqrt(TruncatedSeries([1, 2, 1], 4)).coefficients == \
-        [1, 1, 0, 0, 0]
+    assert _sqrt_unit([1, -8, 0, 0, 0, 0]) == [1, -4, -8, -32, -160, -896]
+    assert _sqrt_unit([1, 0, 0, 0, 0]) == [1, 0, 0, 0, 0]
+    assert _sqrt_unit([1, 2, 1, 0, 0]) == [1, 1, 0, 0, 0]
+    with pytest.raises(ArithmeticError):
+        _sqrt_unit([1, 1])
 
 
 def test_sqrt_needs_unit_constant():
     with pytest.raises(ValueError):
-        series_sqrt(TruncatedSeries([4, 1], 3))
+        _sqrt_unit([4, 1, 0, 0])
     with pytest.raises(ValueError):
-        series_sqrt(TruncatedSeries([0, 1], 3))
+        _sqrt_unit([0, 1, 0, 0])
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=14))
+@given(st.lists(st.integers(min_value=-9, max_value=9), max_size=14))
 def test_sqrt_squares_back(tail):
-    s = TruncatedSeries([1] + tail)
-    r = series_sqrt(s)
-    assert (r * r).coefficients == s.coefficients
+    r = [1, *tail]
+    square = [sum(r[i] * r[k - i] for i in range(k + 1)) for k in range(len(r))]
+    assert _sqrt_unit(square) == r
 
 
 # -- the closed form --------------------------------------------------------
@@ -124,13 +117,10 @@ def test_f_coefficients_pinned():
 
 
 def test_f_coefficients_match_series_algebra():
-    """The integer recurrences against the closed form evaluated with
-    TruncatedSeries and series_sqrt."""
+    """The integer recurrences against the closed form evaluated by the
+    reference above."""
     for n in list(range(8)) + [300]:
-        root = series_sqrt(TruncatedSeries([1, -8], n))
-        x = TruncatedSeries([0, 1], n)
-        f = (2 - x - x * root) / TruncatedSeries([2, -4, 4], n)
-        assert f_coefficients(n) == f.coefficients, n
+        assert f_coefficients(n) == _closed_form(n), n
 
 
 def test_f_coefficients_match_rules_to_60():
