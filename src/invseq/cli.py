@@ -14,7 +14,7 @@ verify runs one of the named checks in ``invseq.checks`` through
 ``run_check`` and prints its lines after the check's name.
 
 list prints the text ``oracle.listing_text`` builds from the oracle's
-state DP when every pattern has length at most 3 and n <= 10, and
+state DP when every pattern has length at most 4 and n <= 10, and
 otherwise renders ``list_avoiders`` with ``core.render_listing``; both
 give the same bytes.
 

@@ -22,16 +22,42 @@ bans a set of values at every later position, computed from v and the set
   below its maximum (c < 0) or everything above its minimum (c > 0).
 
 Each rule is thus a few big-integer operations on bitmasks over the
-values 0..n-1, with no loop over the prefix.  A length-1 pattern bans
-every value from the start.
+values, with no loop over the prefix.  A length-1 pattern bans every
+value from the start.  The values above every entry compare alike with
+the prefix, so a ban covers all of them or none; a ban above a value is
+kept as a negative mask, unbounded above, which makes a mask a function
+of the set it bans and keeps it small on thin trees.
 
-State DP.  With only such patterns the subtree below a prefix depends on
-nothing but its length, its banned mask and its seen mask: the children
-are the unbanned values, and each child's masks follow from the parent's
-masks and the appended value.  So `_count_fast` runs level by level over
-a dict {(banned, seen): number of prefixes}, which counts exactly what
-the walk would, merging the prefixes that share a state.  The last
-position reads only `banned`, so the deepest level is keyed on it alone.
+Pair states.  A length-4 pattern (x, y, z, t) is carried by `pairs`, the
+value pairs (a, b) with a placed before b and cmp(a, b) = cmp(x, y).
+Appending v bans, for each pair with cmp(a, v) = cmp(x, z) and
+cmp(b, v) = cmp(y, z), the values w with cmp(w, a) = cmp(t, x),
+cmp(w, b) = cmp(t, y) and cmp(w, v) = cmp(t, z); it also adds (a, v) for
+each seen a with cmp(a, v) = cmp(x, y).  This is sound and complete,
+and the state (banned, seen, pairs) decides which completions of a
+prefix avoid p: an occurrence that ends after the prefix has 0 to 3 of
+its entries inside it.  With 0 it lies in the completion; with 3 the
+values that finish it were banned when its third entry was appended;
+with 2 they form a pair in `pairs`, and its third entry, appended later,
+bans them; with 1 the value is in `seen`, and its second entry adds the
+pair.  The bans of a pattern of length 2 or 3 read their earlier entries
+through `seen` and `banned` the same way.  The pairs live in the bits of
+`seen` from n up, bit (b + 1) * n + a for (a, b), and only for the
+classes cmp(a, b) that some pattern reads (`_pair_rules`).  A
+basis with no length-4 pattern has no pair bits, and a state without
+pairs does no pair work, so thin trees stay one small state per level.
+
+State DP.  With patterns of length at most 4 the subtree below a prefix
+depends on nothing but its length, its banned mask and its seen mask
+with the pairs in it: the children are the unbanned values, and each
+child's masks follow from the parent's masks and the appended value.  So
+`_count_fast` runs level by level over a dict {(banned, seen): number of
+prefixes}, which counts exactly what the walk would, merging the
+prefixes that share a state.  The last position reads only `banned`, so
+the deepest level is keyed on it alone.  At n = 8, {0123} has 83 states
+over its levels against 9,591 avoiders of length 8; at n = 10, {1012}
+has 3,846 against 1,694,858, and counts in about 70 ms against about
+800 ms for the walk.
 
 Canonical states.  What a rule (c, ra, rv) of a length-3 pattern reads
 of `seen` follows from the rule alone (`_reads`).  With c "above" and
@@ -65,9 +91,11 @@ peak, against 19,977 and 12,033 on raw masks that keep `seen`; {011,
 201} has 1 + d(d - 1)/2 at depth d, as many as the labels of its
 hand-built rule system, and both count to n = 30 in about 27 ms.  A
 basis whose rules read individual values ({010, 102}, {000}, {101},
-{010, 100, 120, 210}) stays on the raw masks: at n = 11, relabelling
-without the cut took 14 ms against 4.5 ms on {000} and 44 against 19 on
-{101}, though 0.5 against 1.4 on {010, 100, 120, 210}.
+{010, 100, 120, 210}, and every basis with a length-4 pattern, whose
+pairs are formed from individual seen values) stays on the raw masks: at
+n = 11, relabelling without the cut took 14 ms against 4.5 ms on {000}
+and 44 against 19 on {101}, though 0.5 against 1.4 on {010, 100, 120,
+210}.
 
 Listing.  `listing_text` lists through the same states.  Two prefixes of
 one length that share a state have the same set of completions, and
@@ -81,12 +109,15 @@ child's block taking its digit with one bytes.replace of every newline.
 Python-level work then grows with the transitions of the DP, not with
 the number of words, and only the blocks of two adjacent depths are
 alive at once.  A value is one character only while it is a digit, that
-is for n <= 10; past that, and for a basis with a longer pattern,
-`listing_text` returns None, and the listing comes from `list_avoiders`.
+is for n <= 10; past that, and for a basis with a pattern of length 5 or
+more, `listing_text` returns None, and the listing comes from
+`list_avoiders`.
 
-Iterative walk.  A pattern p of length k >= 4 needs the prefix itself,
+Iterative walk.  A pattern p of length k >= 5 needs the prefix itself,
 so any basis holding one is counted by `_walk`, depth first on an
-explicit stack.  Its nodes carry the same banned and seen masks.  On top
+explicit stack; the walk also lists past n = 10.  It treats a length-4
+pattern like a longer one, without pairs, which keeps it a check on the
+pair states.  Its nodes carry the same banned and seen masks.  On top
 of the closed-form bans, each node bans the values that would finish an
 occurrence of p whose first k - 1 entries end at the node's last entry;
 a matcher anchored at that entry finds them once per node, not once per
@@ -125,7 +156,8 @@ def _cmp(a, b):
 
 
 def _region(a, r, full):
-    """{w in 0..n-1 : cmp(w, a) == r} as a mask; full covers 0..n-1."""
+    """{w in 0..n-1 : cmp(w, a) == r} as a mask; full covers 0..n-1, or
+    every value when it is -1."""
     if r < 0:
         return (1 << a) - 1
     if r == 0:
@@ -160,6 +192,8 @@ def _reads(rule):
 def _seen_cut(basis):
     """A function that cuts `seen` down to the extremes the length-3
     rules of basis read, or None when a rule reads individual values."""
+    if any(len(p) > 3 for p in basis):
+        return None
     reads = {_reads(_rule(p)) for p in basis if len(p) == 3}
     if "values" in reads:
         return None
@@ -172,15 +206,16 @@ def _seen_cut(basis):
     return lambda seen: 0
 
 
-def _bans(basis, n):
+def _bans(basis):
     """(start, ban) for the patterns of length <= 3 in basis.
 
     start is the mask of values banned before any entry; ban(v, seen) is
     the mask of values that appending v to a prefix holding the values in
-    seen bans at every later position.  Masks cover the values 0..n-1.
+    seen bans at every later position.  A ban above a value has no upper
+    bound (a negative mask), so a ban mask is fixed by the values it bans
+    below the tail: the values above every entry compare alike.
     """
-    full = (1 << n) - 1
-    start = full if (0,) in basis else 0
+    start = -1 if (0,) in basis else 0
     # region[c + 1] below is {w : cmp(w, v) == c}
     pairs = sorted({_cmp(y, x) + 1 for x, y in (p for p in basis if len(p) == 2)})
     triples = sorted({_rule(p) for p in basis if len(p) == 3})
@@ -188,7 +223,7 @@ def _bans(basis, n):
     def ban(v, seen):
         at = 1 << v
         below = at - 1
-        region = (below, at, full ^ below ^ at)
+        region = (below, at, -(at << 1))
         delta = 0
         for r in pairs:
             delta |= region[r]
@@ -200,14 +235,90 @@ def _bans(basis, n):
                 elif ra < 0:
                     hit = (1 << (cls.bit_length() - 1)) - 1
                 else:
-                    hit = full & -((cls & -cls) << 1)
+                    hit = -((cls & -cls) << 1)
                 delta |= hit & region[rv]
         return delta
 
     return start, ban
 
 
-# ---------- state DP: every pattern has length <= 3 ----------
+# ---------- pair bans: patterns of length 4 ----------
+
+
+def _quad_rule(p):
+    """The rule (c, ra, rb, wa, wb, wv) of a length-4 pattern (x, y, z, t):
+    a placed pair (a, b) with cmp(a, b) = c = cmp(x, y), then v with
+    cmp(a, v) = ra = cmp(x, z) and cmp(b, v) = rb = cmp(y, z), bans the w
+    with cmp(w, a) = wa, cmp(w, b) = wb and cmp(w, v) = wv, the
+    comparisons of t with x, y and z."""
+    x, y, z, t = p
+    return (_cmp(x, y), _cmp(x, z), _cmp(y, z),
+            _cmp(t, x), _cmp(t, y), _cmp(t, z))
+
+
+def _pair_rules(basis, n):
+    """(ban, link, lone) for the length-4 patterns of basis, or
+    (None, None, False) when it has none.
+
+    The values are 0..n-1, and the bits of `seen` from n up hold the
+    prefix's pairs: bit (b + 1) * n + a for a value a placed before a
+    value b, kept for the classes cmp(a, b) that some rule reads.
+    ban(v, seen) is the mask of values that appending v bans through the
+    pairs, and link(v, seen) the mask of the pairs (a, v) it adds.  A
+    prefix whose only value is v has no pairs and adds none but (v, v);
+    lone says whether a rule reads that class, and when it does not, both
+    calls can be skipped for such a prefix.
+    """
+    rules = sorted({_quad_rule(p) for p in basis if len(p) == 4})
+    if not rules:
+        return None, None, False
+    full = (1 << n) - 1
+    classes = {rule[0] for rule in rules}
+
+    def ban(v, seen):
+        pairs = seen >> n
+        if not pairs:
+            return 0
+        delta = 0
+        for c, ra, rb, wa, wb, wv in rules:
+            # the rows b with cmp(b, v) = rb, row b at bit 0 of rows
+            if rb < 0:
+                rows, b = pairs & ((1 << v * n) - 1), 0
+            elif rb == 0:
+                rows, b = pairs >> v * n & full, v
+            else:
+                rows, b = pairs >> (v + 1) * n, v + 1
+            near = _region(v, ra, full)
+            while rows:
+                skip = ((rows & -rows).bit_length() - 1) // n
+                rows >>= skip * n
+                b += skip
+                cls = rows & near & _region(b, c, full)
+                if cls:
+                    if wa == 0:
+                        hit = cls
+                    elif wa < 0:
+                        hit = (1 << (cls.bit_length() - 1)) - 1
+                    else:
+                        hit = -((cls & -cls) << 1)
+                    delta |= hit & _region(b, wb, -1) & _region(v, wv, -1)
+                rows >>= n
+                b += 1
+        return delta
+
+    def link(v, seen):
+        at = 1 << v
+        keep = at - 1 if -1 in classes else 0
+        if 0 in classes:
+            keep |= at
+        if 1 in classes:
+            keep |= full & -(at << 1)
+        return (seen & keep) << (v + 1) * n
+
+    return ban, link, 0 in classes
+
+
+# ---------- state DP: every pattern has length <= 4 ----------
 
 
 def _count_fast(basis, n_max):
@@ -227,15 +338,19 @@ def _count_fast(basis, n_max):
 
 
 def _count_raw(basis, n_max):
-    """Level counts from a forward DP over raw (banned, seen) states."""
+    """Level counts from a forward DP over raw (banned, seen) states;
+    the bits of seen from n_max up hold the pairs."""
     counts = [0] * (n_max + 1)
     counts[0] = 1
-    start, ban = _bans(basis, n_max)
+    start, ban = _bans(basis)
+    pair_ban, link, lone = _pair_rules(basis, n_max)
+    values = (1 << n_max) - 1
     level = {(start, 0): 1}
     for depth in range(n_max - 1):
         # candidates for entry number `depth` are 0..depth, minus banned ones
         full = (2 << depth) - 1
         # the states at depth n_max - 1 only pick the last entry: drop `seen`
+        # and the pairs in it
         keep = depth < n_max - 2
         nxt = {}
         for (banned, seen), mult in level.items():
@@ -243,13 +358,17 @@ def _count_raw(basis, n_max):
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                key = (banned | ban(bit.bit_length() - 1, seen),
-                       seen | bit if keep else 0)
+                v = bit.bit_length() - 1
+                # a prefix whose only value is v has no pairs (see lone)
+                if link and (lone or seen != bit):
+                    key = (banned | ban(v, seen & values) | pair_ban(v, seen),
+                           seen | bit | link(v, seen) if keep else 0)
+                else:
+                    key = (banned | ban(v, seen), seen | bit if keep else 0)
                 nxt[key] = nxt.get(key, 0) + mult
         level = nxt
         counts[depth + 1] = sum(level.values())
-    full = (1 << n_max) - 1
-    counts[n_max] = sum(mult * (~banned & full).bit_count()
+    counts[n_max] = sum(mult * (~banned & values).bit_count()
                         for (banned, _), mult in level.items())
     return counts
 
@@ -261,7 +380,7 @@ def _canonical_levels(basis, n, cut):
 
     Keys do not hold the depth, so the children of a key are computed
     once, the first time it is reached."""
-    start, ban = _bans(basis, n + 1)
+    start, ban = _bans(basis)
     level = {(start & 1, 0, 0): 1}
     children = {}
     yield level
@@ -395,7 +514,7 @@ def _walk(basis, n, leaves=None):
             leaves.append(())
         return counts
     full = (1 << n) - 1
-    start, ban = _bans(basis, n)
+    start, ban = _bans(basis)
     longs = [_long_pattern(p) for p in basis if len(p) > 3]
     prefix = []
     # one frame per position: [candidates left, banned, seen]
@@ -447,7 +566,7 @@ def count_sequence(basis, n_max):
     basis = clean_basis(basis)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if all(len(p) <= 3 for p in basis):
+    if all(len(p) <= 4 for p in basis):
         return _count_fast(basis, n_max)
     return _count_generic(basis, n_max)
 
@@ -490,17 +609,19 @@ def listing_text(basis, n):
     002
     010
     012
-    >>> listing_text(((0, 1, 2, 3),), 4) is None
+    >>> listing_text(((0, 1, 2, 3, 4),), 5) is None
     True
     """
     basis = clean_basis(basis)
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > 10 or any(len(p) > 3 for p in basis):
+    if n > 10 or any(len(p) > 4 for p in basis):
         return None
     if n == 0:
         return "\n"
-    start, ban = _bans(basis, n)
+    start, ban = _bans(basis)
+    pair_ban, link, lone = _pair_rules(basis, n)
+    values = (1 << n) - 1
     # values stay absolute here, so only the projection of `seen` applies
     cut = _seen_cut(basis) or (lambda seen: seen)
     # forward: tree[d][i] lists the (value, child index) pairs of state i
@@ -521,7 +642,12 @@ def listing_text(basis, n):
                 bit = rest & -rest
                 rest ^= bit
                 v = bit.bit_length() - 1
-                key = (banned | ban(v, seen), cut(seen | bit) if keep else 0)
+                # a prefix whose only value is v has no pairs (see lone)
+                if link and (lone or seen != bit):
+                    key = (banned | ban(v, seen & values) | pair_ban(v, seen),
+                           seen | bit | link(v, seen) if keep else 0)
+                else:
+                    key = (banned | ban(v, seen), cut(seen | bit) if keep else 0)
                 out.append((v, index.setdefault(key, len(index))))
             children.append(out)
         tree.append(children)

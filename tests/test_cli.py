@@ -322,7 +322,7 @@ def test_verify_arithmetic_error_is_a_failure(capsys, monkeypatch):
     ("f_coefficients", ["series", "--system", "201-210", "--method", "gf",
                         "--n-max", "5"]),
     ("listing_text", ["list", "--basis", "01", "--n", "3"]),
-    ("list_avoiders", ["list", "--basis", "0123", "--n", "3"]),
+    ("list_avoiders", ["list", "--basis", "01234", "--n", "3"]),
     ("state_profile", ["profile", "--system", "201-210", "--n", "3"]),
     ("emit_diagram", ["diagram", "--system", "201-210", "--n-max", "2"]),
 ], ids=["count", "series", "list", "list-fallback", "profile", "diagram"])
@@ -344,7 +344,7 @@ def test_arithmetic_error_outside_verify_is_usage_error(capsys, monkeypatch,
 @pytest.mark.parametrize("module, name, argv", [
     (cli, "count_sequence", ["count", "--basis", "201,210", "--n", "5"]),
     (cli, "listing_text", ["list", "--basis", "01", "--n", "3"]),
-    (cli, "list_avoiders", ["list", "--basis", "0123", "--n", "3"]),
+    (cli, "list_avoiders", ["list", "--basis", "01234", "--n", "3"]),
     (checks, "rule_counting_sequence", ["verify", "--check", "gf-vs-rules",
                                         "--n-max", "5"]),
 ], ids=["count", "list", "list-fallback", "verify"])

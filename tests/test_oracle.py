@@ -38,6 +38,7 @@ PATTERNS_3 = [p for p in itertools.product(range(3), repeat=3)
 PATTERNS_1_4 = [p for k in range(1, 5) for p in itertools.product(range(k), repeat=k)
                 if is_valid_pattern(p)]
 PATTERNS_1_3 = [p for p in PATTERNS_1_4 if len(p) <= 3]
+PATTERNS_4 = [p for p in PATTERNS_1_4 if len(p) == 4]
 
 
 def all_inversion_sequences(n):
@@ -99,7 +100,7 @@ def test_catalan_for_single_descent_pattern():
 
 
 def test_generic_path_for_length_4_pattern():
-    # length-4 patterns bypass the bitmask walk; check against filtering
+    # a length-4 pattern goes through the pair states; check against filtering
     basis = ((0, 1, 0, 2),)
     counts = count_sequence(basis, 6)
     for n in range(7):
@@ -146,10 +147,10 @@ def test_pruning_soundness_exhaustive():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_fast_walk_matches_generic_walk(data):
-    """The bitmask walk and the generic suffix-anchored walk are two
-    implementations of the same count."""
+    """The state DP and the walk, with its anchored search for length-4
+    patterns, are two implementations of the same count."""
     k = data.draw(st.integers(min_value=1, max_value=3))
-    pool = PATTERNS_3 + [(0, 1), (1, 0), (0, 0)]
+    pool = PATTERNS_3 + PATTERNS_4 + [(0, 1), (1, 0), (0, 0)]
     basis = tuple(data.draw(st.permutations(pool))[:k])
     n_max = data.draw(st.integers(min_value=0, max_value=6))
     assert count_sequence(basis, n_max) == _count_generic(clean_basis(basis), n_max)
@@ -234,7 +235,7 @@ def test_bans_read_only_what_the_table_says(p):
     `seen` is cut down to it; for a pattern that reads individual values,
     keeping both extremes is not enough."""
     n = 7
-    _, ban = _bans((p,), n)
+    _, ban = _bans((p,))
     both = _seen_cut(((0, 1, 1), (2, 0, 1)))
     cut = _seen_cut((p,)) or both
     same = all(ban(v, seen) == ban(v, cut(seen))
@@ -304,6 +305,8 @@ def test_canonical_levels_of_011_201_evidence():
 # bench/workloads.py)
 BUSHY = ("201,210", "011,201", "010,102", "000", "021", "101",
          "010,100,120,210")
+# the bases with a length-4 pattern (GENERIC in bench/workloads.py)
+GENERIC = ("0123", "0012,201", "1012", "0000")
 
 
 def _basis(text):
@@ -316,7 +319,7 @@ def _text(words):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from(PATTERNS_1_3), max_size=3),
+@given(st.lists(st.sampled_from(PATTERNS_1_4), max_size=3),
        st.integers(min_value=0, max_value=7))
 def test_listing_text_matches_generate_and_filter(basis, n):
     """listing_text against filtering every inversion sequence of length n
@@ -325,16 +328,19 @@ def test_listing_text_matches_generate_and_filter(basis, n):
     assert listing_text(basis, n) == expected
 
 
-@pytest.mark.parametrize("basis", BUSHY)
-def test_listing_text_equals_the_walk(basis):
+@pytest.mark.parametrize("basis, n_max", [(b, 9) for b in BUSHY]
+                         + [(b, 8) for b in GENERIC], ids=BUSHY + GENERIC)
+def test_listing_text_equals_the_walk(basis, n_max):
     basis = _basis(basis)
-    for n in range(10):
+    for n in range(n_max + 1):
         assert listing_text(basis, n) == render_listing(list_avoiders(basis, n)), n
 
 
 def test_listing_text_equals_the_walk_at_n_10():
-    """The longest listing the route takes: 983,072 lines of {201, 210}."""
-    assert listing_text(B_201_210, 10) == render_listing(list_avoiders(B_201_210, 10))
+    """The longest listing the route takes, 983,072 lines of {201, 210},
+    and 25,365 lines of {0012, 201} read from pair states."""
+    for basis in (B_201_210, _basis("0012,201")):
+        assert listing_text(basis, 10) == render_listing(list_avoiders(basis, 10))
 
 
 def test_listing_text_edges():
@@ -345,11 +351,12 @@ def test_listing_text_edges():
     assert listing_text((), 1) == "0\n"
     assert listing_text((), 4) == _text(all_inversion_sequences(4))
     assert listing_text([[1, 0], [1, 0]], 3) == "000\n001\n002\n011\n012\n"
-    # no single-digit rendering past n = 10, no state DP with a longer pattern
+    # no single-digit rendering past n = 10, no state DP with a pattern
+    # of length 5 or more
     assert listing_text(((0, 0),), 11) is None
     assert listing_text((), 11) is None
-    assert listing_text(((0, 1, 0, 2),), 3) is None
-    assert listing_text(((0, 0), (0, 1, 0, 2)), 1) is None
+    assert listing_text(((0, 1, 0, 2, 3),), 3) is None
+    assert listing_text(((0, 0), (0, 1, 0, 2, 3)), 1) is None
     with pytest.raises(ValueError):
         listing_text(((2, 0, 2),), 3)
 
@@ -369,3 +376,46 @@ def test_listing_text_peak_memory(basis, n):
     finally:
         tracemalloc.stop()
     assert peak < 6 * len(text), (peak, len(text))
+
+
+# ---------- pair states: patterns of length 4 ----------
+
+
+def test_pair_states_single_patterns():
+    """Each of the 75 length-4 patterns alone: the state DP, whose pairs
+    carry those patterns, against the walk's anchored search."""
+    assert len(PATTERNS_4) == 75
+    for p in PATTERNS_4:
+        assert count_sequence((p,), 7) == _walk((p,), 7), p
+
+
+def test_pair_states_with_a_shorter_pattern():
+    """Each length-4 pattern together with each pattern of length 1 to 3,
+    so that pairs and the closed-form bans act on one state."""
+    for p in PATTERNS_4:
+        for q in PATTERNS_1_3:
+            assert count_sequence((p, q), 6) == _walk((p, q), 6), (p, q)
+
+
+@pytest.mark.parametrize("basis", ["01,0123", "01,1012"])
+def test_pair_states_deep_thin(basis):
+    """One state per level, 1400 levels deep, and never a pair."""
+    basis = _basis(basis)
+    assert count_sequence(basis, 1400) == _walk(basis, 1400)
+
+
+def test_length_4_bases_do_not_walk(monkeypatch):
+    """Counts through n and listings through n = 10 of a basis with a
+    length-4 pattern come from the state DP alone."""
+    import invseq.oracle as oracle
+
+    def walk(*args):
+        raise AssertionError("walked")
+    basis = _basis("0012,201")
+    counts = count_sequence(basis, 8)
+    text = listing_text(basis, 8)
+    monkeypatch.setattr(oracle, "_walk", walk)
+    assert count_sequence(basis, 8) == counts
+    assert listing_text(basis, 8) == text
+    with pytest.raises(AssertionError, match="walked"):
+        count_sequence(((0, 1, 2, 3, 4),), 5)
