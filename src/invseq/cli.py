@@ -103,7 +103,7 @@ def _cmd_list(args):
     _require(args.n >= 0, "n must be nonnegative")
     basis = _resolve_basis(args)
     text = listing_text(basis, args.n)
-    if text is None:  # a pattern of length 4 or more, or n > 10
+    if text is None:  # a pattern of length 5 or more, or n > 10
         text = render_listing(list_avoiders(basis, args.n))
     sys.stdout.write(text)
     return 0

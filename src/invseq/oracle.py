@@ -54,7 +54,9 @@ child's masks follow from the parent's masks and the appended value.  So
 `_count_fast` runs level by level over a dict {(banned, seen): number of
 prefixes}, which counts exactly what the walk would, merging the
 prefixes that share a state.  The last position reads only `banned`, so
-the deepest level is keyed on it alone.  At n = 8, {0123} has 83 states
+the deepest level is keyed on it alone (on canonical keys, below, the
+prefixes of length n - 1 are counted by their candidates, and their keys
+are never built).  At n = 8, {0123} has 83 states
 over its levels against 9,591 avoiders of length 8; at n = 10, {1012}
 has 3,846 against 1,694,858, and counts in about 70 ms against about
 800 ms for the walk.
@@ -70,9 +72,10 @@ values.  By pattern: 100, 201 and 210 read the maximum, 011, 012 and
 021 the minimum, the other seven individual values.  When no rule of
 the basis reads individual values, `seen` is cut down to the extremes
 its rules read (`_seen_cut`).  That is all `listing_text` does, since
-its values must stay absolute; `_count_fast` also relabels each state
-by the order of its values, which keeps the subtree below it (bans are
-unions of regions defined by comparisons):
+its values must stay absolute; `_count_fast` also demotes seen values
+(below) and relabels each state by the order of its values, which keeps
+the subtree below it (bans are unions of regions defined by
+comparisons):
 - a banned value not in `seen` is inert: it is never a candidate again
   and no rule reads it, so it is dropped;
 - of two values in both `seen` and `banned` with no candidate between
@@ -85,17 +88,35 @@ unions of regions defined by comparisons):
 A canonical key (banned, seen, width) holds the width placed values
 that are kept, and the tail at bit `width`; at each step the tail's
 lowest value becomes placed, with the tail's flag.  Keys carry no
-depth, so each key's children are computed once per call.  At n = 12,
-{201, 210} has 214 canonical states over depths 1 to 11, 54 at the
-peak, against 19,977 and 12,033 on raw masks that keep `seen`; {011,
-201} has 1 + d(d - 1)/2 at depth d, as many as the labels of its
-hand-built rule system, and both count to n = 30 in about 27 ms.  A
-basis whose rules read individual values ({010, 102}, {000}, {101},
-{010, 100, 120, 210}, and every basis with a length-4 pattern, whose
-pairs are formed from individual seen values) stays on the raw masks: at
-n = 11, relabelling without the cut took 14 ms against 4.5 ms on {000}
-and 44 against 19 on {101}, though 0.5 against 1.4 on {010, 100, 120,
-210}.
+depth, so each key's children are computed once per call.  Every basis
+whose patterns have length at most 3 is counted on canonical keys; a
+basis with a length-4 pattern stays on the raw masks, since its pairs
+are formed from individual seen values.  At n = 12, {201, 210} has 214
+canonical states over depths 1 to 11, 54 at the peak, against 19,977
+and 12,033 on raw masks that keep `seen`; {011, 201} and {010, 100,
+120, 210} have 1 + d(d - 1)/2 at depth d, as many as the labels of
+their hand-built rule systems, and all three count to n = 30 in about
+40 ms.
+
+Demotion.  A seen value matters only through the bans it can still
+cause.  Let F be the free values: the placed values that are not
+banned, and the tail when its flag is clear.  A rule (c, ra, rv) bans
+through a seen value a only once a later entry v has cmp(a, v) = c - 1,
+and only values w with cmp(w, a) = ra; both v and w must then be free.
+So a stays live for the rule only when F meets both regions, and each
+test is one bit operation over all of `seen` (`_demotion`): F meets
+the values below a when a > min F, those above a when a < max F, and a
+itself when a is in F.  A value live for no rule is cleared from
+`seen`.  This keeps the subtree: a demoted value's bans fall outside F,
+on values banned already, and F only shrinks, since a new value enters
+as the tail, above every placed value, and a banned tail stays banned;
+so a test that fails now fails at every later step.  Each step bans,
+then demotes, then cuts (for a basis `_seen_cut` applies to), then
+compacts; a demoted banned value is then dropped as inert.  {000} has
+Fib(d + 1) states at depth d, and {010, 102} has 16,685 at depth 18,
+the deepest level that counting to n = 20 builds, and 43,385 over
+depths 0 to 18 (relabelling alone had 142,436 over the levels at
+n = 20); it counts to n = 20 in about 0.7 s.
 
 Listing.  `listing_text` lists through the same states.  Two prefixes of
 one length that share a state have the same set of completions, and
@@ -323,23 +344,38 @@ def _pair_rules(basis, n):
 
 def _count_fast(basis, n_max):
     """Level counts [|I_0|, .., |I_n_max|] from the state DP: on canonical
-    keys when no rule reads individual seen values, else on raw masks."""
+    keys with demoted seen values when every pattern has length <= 3, on
+    raw masks with pairs when a pattern has length 4."""
     if n_max == 0:
         return [1]
-    cut = _seen_cut(basis)
-    if cut is None:
+    if any(len(p) > 3 for p in basis):
         return _count_raw(basis, n_max)
+    bans = start, ban = _bans(basis)
+    if n_max == 1:
+        return [1, ~start & 1]
     counts = []
-    for level in _canonical_levels(basis, n_max, cut):
+    for level in _canonical_levels(basis, n_max - 1, _seen_cut(basis), bans):
         counts.append(sum(level.values()))
-    counts.append(sum(mult * (~banned & (2 << width) - 1).bit_count()
-                      for (banned, _, width), mult in level.items()))
-    return counts
+    # the prefixes of length n_max - 1 only pick the last entry, so they
+    # are counted by their candidates, without building their keys
+    below = last = 0
+    for (banned, seen, width), mult in level.items():
+        tail = 2 << width
+        grown = banned | tail if banned >> width & 1 else banned
+        mask = 2 * tail - 1
+        rest = ~banned & (tail - 1)
+        below += mult * rest.bit_count()
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            last += mult * (~(grown | ban(bit.bit_length() - 1, seen)) & mask).bit_count()
+    return counts + [below, last]
 
 
 def _count_raw(basis, n_max):
-    """Level counts from a forward DP over raw (banned, seen) states;
-    the bits of seen from n_max up hold the pairs."""
+    """Level counts from a forward DP over raw (banned, seen) states, for
+    a basis with a length-4 pattern; the bits of seen from n_max up hold
+    the pairs."""
     counts = [0] * (n_max + 1)
     counts[0] = 1
     start, ban = _bans(basis)
@@ -373,14 +409,17 @@ def _count_raw(basis, n_max):
     return counts
 
 
-def _canonical_levels(basis, n, cut):
+def _canonical_levels(basis, n, cut, bans=None):
     """The levels at depths 0..n-1 of the DP over canonical keys, each a
     dict {(banned, seen, width): number of prefixes}, where cut is
-    _seen_cut(basis) (see Canonical states above).
+    _seen_cut(basis), or None when a rule reads individual values (see
+    Canonical states above), and bans is _bans(basis), computed here when
+    the caller has not.
 
     Keys do not hold the depth, so the children of a key are computed
     once, the first time it is reached."""
-    start, ban = _bans(basis)
+    start, ban = bans or _bans(basis)
+    tests = _demotion(basis)
     level = {(start & 1, 0, 0): 1}
     children = {}
     yield level
@@ -389,16 +428,32 @@ def _canonical_levels(basis, n, cut):
         for key, mult in level.items():
             kids = children.get(key)
             if kids is None:
-                kids = children[key] = _children(key, ban, cut)
+                kids = children[key] = _children(key, ban, tests, cut)
             for kid in kids:
                 nxt[kid] = nxt.get(kid, 0) + mult
         level = nxt
         yield level
 
 
-def _children(key, ban, cut):
+def _demotion(basis):
+    """The pairs (i, j) of tests that keep a seen value a live (see
+    Demotion above), one pair per rule, where test 0 is "a is below the
+    largest free value", 1 "a is free" and 2 "a is above the smallest
+    free value".  A rule (c, ra, rv) bans through a only for a later
+    free v with cmp(a, v) = c - 1 (test c) and onto a free w with
+    cmp(w, a) = ra (test 1 - ra).  A rule that never bans has no pair."""
+    tests = set()
+    for p in basis:
+        if len(p) == 3:
+            rule = c, ra, _ = _rule(p)
+            if _reads(rule) is not None:
+                tests.add((min(c, 1 - ra), max(c, 1 - ra)))
+    return tuple(tests)
+
+
+def _children(key, ban, tests, cut):
     """The canonical keys of the children of a canonical key, one per
-    candidate value."""
+    candidate value: ban, then demote, then cut, then compact."""
     banned, seen, width = key
     # the tail value `width` becomes placed; the new tail is width + 1
     tail = 2 << width
@@ -409,8 +464,16 @@ def _children(key, ban, cut):
     while rest:
         bit = rest & -rest
         rest ^= bit
-        kids.append(_compact((grown | ban(bit.bit_length() - 1, seen)) & mask,
-                             cut(seen | bit), width + 1))
+        new = (grown | ban(bit.bit_length() - 1, seen)) & mask
+        free = ~new & mask
+        live = 0
+        if free:
+            # below the largest free value, free, above the smallest
+            region = ((1 << free.bit_length() - 1) - 1, free, -((free & -free) << 1))
+            for i, j in tests:
+                live |= region[i] & region[j]
+        live &= seen | bit
+        kids.append(_compact(new, cut(live) if cut else live, width + 1))
     return kids
 
 
@@ -419,21 +482,26 @@ def _compact(banned, seen, width):
     and the tail value `width`: banned values not in seen are dropped, and
     of a run of values in both with no candidate between them only the
     first is kept."""
-    out_banned = out_seen = 0
-    j = 0
-    merge = False
-    for i in range(width):
-        bit = 1 << i
-        if banned & bit:
-            if merge or not seen & bit:
-                continue
-            out_banned |= 1 << j
-            merge = True
-        else:
-            merge = False
-        if seen & bit:
-            out_seen |= 1 << j
-        j += 1
+    placed = (1 << width) - 1
+    held = banned & placed
+    both = seen & held
+    # a value in both is dropped when the values below it, down to the
+    # next value in both, are all banned: the carry of held + seeds runs
+    # up from each seed through the banned values above it
+    seeds = both << 1 & held
+    kept = placed & ~held | both & ~(held & ~(held + seeds) | seeds)
+    if kept == placed:
+        return banned, seen, width
+    # pack the kept values one run at a time
+    out_banned = out_seen = j = 0
+    while kept:
+        low = kept & -kept
+        run = kept & ~(kept + low)
+        shift = low.bit_length() - 1 - j
+        out_banned |= (banned & run) >> shift
+        out_seen |= (seen & run) >> shift
+        j += run.bit_count()
+        kept ^= run
     return out_banned | (banned >> width & 1) << j, out_seen, j
 
 
@@ -598,7 +666,7 @@ _NEWLINE_DIGIT = tuple(b"\n%d" % v for v in range(10))
 
 def listing_text(basis, n):
     """The text of the listing of I_n(basis), one word per line, or None
-    when a pattern has length 4 or more or n > 10 (see Listing above).
+    when a pattern has length 5 or more or n > 10 (see Listing above).
 
     Equal to core.render_listing(list_avoiders(basis, n)) whenever it is
     not None.

@@ -175,6 +175,13 @@ def test_cubic_fits_010_102_to_16_conjecture_evidence():
     assert relation_residual(CUBIC_010_102, TruncatedSeries(counts)) is None
 
 
+def test_cubic_fits_010_102_to_20_conjecture_evidence():
+    """Evidence, not a proof: the conjectured cubic for {010, 102} fits
+    the counts of the canonical route through n = 20."""
+    counts = count_sequence(((0, 1, 0), (1, 0, 2)), 20)
+    assert relation_residual(CUBIC_010_102, TruncatedSeries(counts)) is None
+
+
 def test_oracle_matches_rules_through_13():
     for system_id in SYSTEMS:
         basis = get_system(system_id).basis
@@ -218,8 +225,8 @@ def test_rule_table():
     ("010,100,120,210", "values"), ("011,102", "values"),
 ])
 def test_seen_cut_per_basis(basis, reads):
-    """Which route a basis takes: the canonical one keeps the maximum,
-    the minimum, both or nothing of `seen`; "values" stays on raw masks."""
+    """What the cut keeps of `seen`: the maximum, the minimum, both or
+    nothing; a "values" basis has no cut and keeps what demotion leaves."""
     cut = _seen_cut(_basis(basis))
     if reads == "values":
         assert cut is None
@@ -281,7 +288,7 @@ def test_canonical_route_matches_generate_and_filter(basis, n):
         for m in range(n + 1)]
 
 
-@pytest.mark.parametrize("system_id", ["201-210", "011-201"])
+@pytest.mark.parametrize("system_id", ["201-210", "011-201", "010-100-120-210"])
 def test_canonical_route_reaches_n_30_evidence(system_id):
     """Evidence, not a proof: the oracle's canonical route agrees with
     the rule system through n = 30 (the raw masks took seconds by n = 13
@@ -297,6 +304,71 @@ def test_canonical_levels_of_011_201_evidence():
     basis = _basis("011,201")
     sizes = [len(level) for level in _canonical_levels(basis, 31, _seen_cut(basis))]
     assert sizes == [1 + d * (d - 1) // 2 for d in range(31)]
+
+
+# ---------- demotion: every basis of patterns of length <= 3 ----------
+
+
+def test_demotion_exhaustive_pairs():
+    """Every basis of one or two patterns of length <= 3 (the 13 of
+    length 3 and 0, 00, 01, 10), counted on canonical keys with demoted
+    seen values, against the walk through n = 9."""
+    bases = [b for k in (1, 2) for b in itertools.combinations(PATTERNS_1_3, k)]
+    assert len(bases) == 17 + 136
+    for basis in bases:
+        assert count_sequence(basis, 9) == _walk(basis, 9), basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(PATTERNS_1_3), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=10))
+def test_demotion_matches_the_walk(basis, n):
+    assert count_sequence(basis, n) == _walk(clean_basis(basis), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(PATTERNS_1_3), max_size=3),
+       st.integers(min_value=0, max_value=7))
+def test_demotion_matches_generate_and_filter(basis, n):
+    assert count_sequence(basis, n) == [
+        sum(1 for e in all_inversion_sequences(m) if avoids(e, basis))
+        for m in range(n + 1)]
+
+
+def test_short_bases_do_not_use_raw_masks(monkeypatch):
+    """The bases whose rules read individual seen values count on
+    canonical keys; only a basis with a length-4 pattern reaches the raw
+    masks."""
+    import invseq.oracle as oracle
+
+    def raw(*args):
+        raise AssertionError("raw masks")
+    monkeypatch.setattr(oracle, "_count_raw", raw)
+    for basis in ("000", "101", "010,102", "010,100,120,210"):
+        basis = _basis(basis)
+        assert count_sequence(basis, 9) == _walk(basis, 9)
+    with pytest.raises(AssertionError, match="raw masks"):
+        count_sequence(_basis("0012,201"), 5)
+
+
+def test_canonical_levels_of_010_100_120_210_evidence():
+    """Evidence, not a proof: at every depth d <= 30 the canonical level of
+    {010, 100, 120, 210} has 1 + d(d-1)/2 states, as many as its
+    hand-built system has labels."""
+    basis = _basis("010,100,120,210")
+    sizes = [len(level) for level in _canonical_levels(basis, 31, _seen_cut(basis))]
+    assert sizes == [1 + d * (d - 1) // 2 for d in range(31)]
+
+
+def test_canonical_levels_of_000_evidence():
+    """Evidence, not a proof: at every depth d <= 20 the canonical level of
+    {000} has Fib(d + 1) states."""
+    fib = [1, 1]
+    while len(fib) < 21:
+        fib.append(fib[-2] + fib[-1])
+    basis = _basis("000")
+    sizes = [len(level) for level in _canonical_levels(basis, 21, _seen_cut(basis))]
+    assert sizes == fib
 
 
 # ---------- listing_text: the state-DAG listing ----------
