@@ -6,6 +6,14 @@ through a depth n_max and returns (ok, lines).  The lines always include
 the first counterexample on failure; checks that only gather evidence for
 open conjectures say so explicitly on success.
 
+gf-vs-rules, minpoly-F, minpoly-B, fe-vs-rules, wilf-011-201 and
+oracle-vs-rules take their rule counts from ``rule_counting_sequence``,
+which reads the per-process rules memo, so a process serving many
+checks steps each depth once.  minpoly-A and system-201-210 step their
+own slices of the 201-210 DP from the axiom (``ff_slices_201_210``,
+``profile_slices_201_210``), which never touch the memo; minpoly-B
+steps the (k,F,F) slice the same way and subtracts it from the counts.
+
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:
 
@@ -27,7 +35,6 @@ from .series import (
     MINPOLY_B,
     MINPOLY_F,
     relation_residual,
-    tf_slice_series,
     TruncatedSeries,
 )
 from .succession import get_system, rule_counting_sequence, SYSTEMS
@@ -71,7 +78,13 @@ def _verify_minpoly_a(n_max):
 
 
 def _verify_minpoly_b(n_max):
-    return _verify_minpoly(MINPOLY_B, tf_slice_series(n_max), n_max)
+    # B(x,1) = F(x) - A(x,1): the 201-210 rules accept (k,F,F) and (k,T,F)
+    # and never reach (k,F,T), so a depth's count minus its (k,F,F) sum is
+    # its (k,T,F) sum, the coefficient tf_slice_series gives.
+    counts = rule_counting_sequence("201-210", n_max)
+    ff = ff_slice_series(n_max).coefficients
+    series = TruncatedSeries([f - a for f, a in zip(counts, ff)])
+    return _verify_minpoly(MINPOLY_B, series, n_max)
 
 
 def _verify_minpoly_f(n_max):

@@ -115,7 +115,11 @@ def ff_slice_series(n_max):
 
 
 def tf_slice_series(n_max):
-    """Series counting the depth-n states (k,T,F), summed over k."""
+    """Series counting the depth-n states (k,T,F), summed over k.
+
+    The reference for the minpoly-B check, which builds the same series
+    as the 201-210 counts minus ``ff_slice_series``; this one sums the b
+    slices of a full run of the DP from the axiom."""
     return TruncatedSeries(
         [sum(b) for _, b, _ in profile_slices_201_210(n_max)], n_max)
 

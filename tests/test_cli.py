@@ -406,7 +406,7 @@ CHECK_CASES = {
         "OK: relation holds through n=8",
         "FAIL: residual first nonzero at order 4"),
     "minpoly-B": (
-        checks, "tf_slice_series", _bump_at(4), 8,
+        checks, "ff_slice_series", _bump_at(4), 8,
         "OK: relation holds through n=8",
         "FAIL: residual first nonzero at order 5"),
     "minpoly-F": (

@@ -1,7 +1,10 @@
+from operator import sub
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invseq import series
+from invseq import checks, series
+from invseq.checks import run_check
 from invseq.series import (
     _check_system_violation,
     CUBIC_010_102,
@@ -140,6 +143,35 @@ def test_ff_slice_series_equals_the_full_dp_slice():
     levels = list(profile_slices_201_210(120))
     assert list(ff_slices_201_210(120)) == [a for a, _, _ in levels]
     assert ff_slice_series(120).coefficients == [sum(a) for a, _, _ in levels]
+
+
+def test_counts_minus_the_ff_slice_are_the_tf_slice():
+    """B(x,1) = F(x) - A(x,1): at every depth the count minus the (k,F,F)
+    sum is the (k,T,F) sum, as tf_slice_series and the b slices of the
+    whole 201-210 DP give it."""
+    for n in [*range(61), 400]:
+        ff = ff_slice_series(n).coefficients
+        difference = list(map(sub, rule_counting_sequence("201-210", n), ff))
+        assert difference == tf_slice_series(n).coefficients, n
+        assert difference == [sum(b) for _, b, _ in
+                              profile_slices_201_210(n)], n
+
+
+def test_minpoly_b_checks_the_tf_slice_series(monkeypatch):
+    """minpoly-B answers as the route through tf_slice_series does, and
+    evaluates its relation on that very series."""
+    seen = []
+
+    def recording(relation, s):
+        seen.append(s)
+        return relation_residual(relation, s)
+
+    monkeypatch.setattr(checks, "relation_residual", recording)
+    for n in (0, 1, 8, 200):
+        answer = run_check("minpoly-B", n)
+        assert seen[-1] == tf_slice_series(n), n
+        assert answer == checks._verify_minpoly(MINPOLY_B,
+                                                tf_slice_series(n), n), n
 
 
 def test_ff_slice_counts_avoiders_of_10():

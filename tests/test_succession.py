@@ -6,6 +6,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invseq.checks import run_check
 from invseq.oracle import count_sequence, list_avoiders
 from invseq.succession import (
     SYSTEMS,
@@ -350,6 +351,24 @@ def test_kernel_calls_per_request(system_id, first, monkeypatch):
         calls.update(kernel=0, accepted=0)
         ENTRY_POINTS[name](system_id, n)
         assert calls == {"kernel": k, "accepted": counted}, (name, n)
+
+
+def test_minpoly_b_reads_the_201_210_memo():
+    """minpoly-B takes its counts from the memo: once the memo holds
+    depth n it steps no 201-210 level, and on an empty memo it steps each
+    depth once."""
+    for warm, requests in ((50, ((50, 0, 0), (40, 0, 0), (0, 0, 0))),
+                           (None, ((40, 40, 1), (25, 0, 0)))):
+        calls = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(SYSTEMS, "201-210", _fresh("201-210", calls))
+            if warm is not None:
+                rule_counting_sequence("201-210", warm)
+            for n, kernel, accepted in requests:
+                calls.update(kernel=0, accepted=0)
+                assert run_check("minpoly-B", n)[0], (warm, n)
+                assert calls == {"kernel": kernel, "accepted": accepted}, \
+                    (warm, n)
 
 
 @pytest.mark.parametrize("system_id", SYSTEM_IDS)
