@@ -6,13 +6,23 @@ through a depth n_max and returns (ok, lines).  The lines always include
 the first counterexample on failure; checks that only gather evidence for
 open conjectures say so explicitly on success.
 
-gf-vs-rules, minpoly-F, minpoly-B, fe-vs-rules, wilf-011-201 and
-oracle-vs-rules take their rule counts from ``rule_counting_sequence``,
-which reads the per-process rules memo, so a process serving many
-checks steps each depth once.  minpoly-A and system-201-210 step their
-own slices of the 201-210 DP from the axiom (``ff_slices_201_210``,
-``profile_slices_201_210``), which never touch the memo; minpoly-B
-steps the (k,F,F) slice the same way and subtracts it from the counts.
+Where the numbers come from:
+
+  * the rules memo: gf-vs-rules, minpoly-F, minpoly-B, fe-vs-rules,
+    wilf-011-201 and oracle-vs-rules take their rule counts from
+    ``rule_counting_sequence``, which reads the per-process memo of
+    ``invseq.succession``;
+  * a series prefix: minpoly-A reads the (k,F,F) slice sums from
+    ``ff_slice_series``, and minpoly-B subtracts the same sums from the
+    memo's counts; fe-vs-rules reads ``iterate_fe``.  Both keep a
+    per-process prefix in ``invseq.series`` that never touches the
+    memo;
+  * the axiom: system-201-210 steps all three census slices of the
+    201-210 DP from the axiom on every request
+    (``profile_slices_201_210``).
+
+So a process serving many checks steps each depth of the memo and of
+each prefix once.
 
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:

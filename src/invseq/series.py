@@ -26,9 +26,24 @@ x-degree) is a list over u-power of rows indexed by the v-power, so
 ``s[u_power][v_power]`` is a coefficient.  Rows may carry zeros and may
 differ in length.  Only the public ``phi`` takes and returns
 ``{u_power: coeff}`` dicts, for readability at the API.
+
+Two routes keep a per-process prefix (``_prefix_counts``): the (k,F,F)
+slice of the 201-210 DP behind ``ff_slice_series`` (the route
+``ff_slices_201_210``, counted by its sum) and the functional-equation
+iteration behind ``iterate_fe`` (``_fe_slices``, one prefix per system,
+counted by the sum of each slice).  A prefix holds the counts at depths
+0..L and the level at depth L for the deepest L asked for so far, so a
+process serving many verify requests steps each depth once, and a
+deeper request resumes from depth L.  The prefixes live here rather
+than on the rules memo of ``invseq.succession`` so that verify's routes
+stay apart from the route they check: the slice never touches the memo,
+the functional equations reach no succession code, and the helper
+itself names no route, since each caller passes its stepping function
+in.
 """
 
 from collections import namedtuple
+from functools import partial
 from itertools import accumulate, zip_longest
 from operator import add, mul, sub
 
@@ -108,10 +123,60 @@ def f_coefficients(n_max):
     return out
 
 
+# -- per-process prefixes ---------------------------------------------------
+#
+# _PREFIXES maps a route key to (counts, level): the counts at depths 0..L
+# and the level at depth L, for the deepest L any request in this process
+# has asked for.  Nothing stored is ever mutated.
+
+_PREFIXES = {}
+
+
+def _prefix_counts(key, route, count, n):
+    """[count(level) for the levels at depths 0..n of a route], a fresh
+    list, served from the route's prefix in _PREFIXES.
+
+    route(n) yields the levels at depths 0..n from the axiom and
+    route(n, (d, level)) the levels at depths d..n from a level already
+    computed; it never mutates a level.  When the prefix is at least n
+    deep the counts are copied from it and nothing steps.  Otherwise the
+    route resumes from the prefix's level, or from the axiom when there
+    is none, and the new (counts, level) replaces the prefix only if it
+    is longer than the prefix at that moment, as in RuleSystem._reach:
+    no lock is needed, and concurrent requests at worst recompute.  A
+    negative n raises ValueError before the prefix is read.
+    """
+    if n < 0:
+        raise ValueError("n_max must be non-negative")
+    stored = _PREFIXES.get(key)
+    if stored is None:
+        counts, levels = [], route(n)
+    elif len(stored[0]) > n:
+        return stored[0][:n + 1]
+    else:
+        counts, level = stored
+        levels = route(n, (len(counts) - 1, level))
+        counts = counts[:-1]
+    for level in levels:
+        counts.append(count(level))
+    stored = _PREFIXES.get(key)
+    if stored is None or len(counts) > len(stored[0]):
+        _PREFIXES[key] = counts, level
+    return counts[:]
+
+
 def ff_slice_series(n_max):
     """Series counting the depth-n states (k,F,F) of the 201-210 system,
-    summed over k.  Its coefficients are the Catalan numbers."""
-    return TruncatedSeries(list(map(sum, ff_slices_201_210(n_max))), n_max)
+    summed over k.  Its coefficients are the Catalan numbers.
+
+    The sums come from this process's prefix of ff_slices_201_210 (see
+    _prefix_counts): a request no deeper than an earlier one steps
+    nothing, a deeper one steps only the depths past it.  The route never
+    touches the rules memo, so minpoly-B, which subtracts these sums from
+    the memo's counts, takes its two terms from separate routes."""
+    return TruncatedSeries(
+        _prefix_counts("ff_slices_201_210", ff_slices_201_210, sum, n_max),
+        n_max)
 
 
 def tf_slice_series(n_max):
@@ -450,7 +515,16 @@ _FE_STEP = {
 }
 
 
-def _fe_slices(system_id, n_max):
+def _fe_step(system_id):
+    """The per-slice step of a system's functional equation; ValueError
+    for a system that has none."""
+    try:
+        return _FE_STEP[system_id]
+    except KeyError:
+        raise ValueError("no functional equation for system %r" % system_id) from None
+
+
+def _fe_slices(system_id, n_max, _start=None):
     """Yield the slices x^0 .. x^n_max of the solution S(x,u,v) of a
     2-parameter system's functional equation, each as rows
     ``s[u_power][v_power]`` of coefficients (see the trivariate layer).
@@ -460,17 +534,17 @@ def _fe_slices(system_id, n_max):
     every slice to have no nonzero coefficient at a u- or v-degree above
     its x-degree; either failure raises ArithmeticError.  The division
     remainders vanish for any input (see _dd_uv_slice and _dd_v_slice),
-    so they guard the arithmetic, not the equations.
+    so they guard the arithmetic, not the equations.  The private
+    _start = (depth, slice) resumes from a slice already computed and
+    yields x^depth .. x^n_max instead, as iterate_fe's prefix does.  The
+    steps never mutate a slice.
     """
-    try:
-        step = _FE_STEP[system_id]
-    except KeyError:
-        raise ValueError("no functional equation for system %r" % system_id) from None
+    step = _fe_step(system_id)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    slice_ = [[1]]
+    depth, slice_ = (0, [[1]]) if _start is None else _start
     yield slice_
-    for deg in range(1, n_max + 1):
+    for deg in range(depth + 1, n_max + 1):
         slice_ = step(slice_)
         for ju, row in enumerate(slice_):
             top = 0 if ju > deg else deg + 1
@@ -493,6 +567,14 @@ def iterate_fe(system_id, n_max):
     verify check) and the term-by-term fixed-point test in the suite
     (test_fe_solution_is_a_fixed_point).  It shares nothing with the
     succession-rule DP, which makes it a cross-check of the rules.
+
+    The counts come from this process's prefix of the system's slices
+    (see _prefix_counts), so a request steps only the x-degrees past the
+    deepest one an earlier request reached.  An unknown system raises
+    ValueError before the prefix is read.
     """
-    return [sum(map(sum, slice_)) for slice_ in _fe_slices(system_id, n_max)]
+    _fe_step(system_id)
+    return _prefix_counts(("_fe_slices", system_id),
+                          partial(_fe_slices, system_id),
+                          lambda slice_: sum(map(sum, slice_)), n_max)
 

@@ -449,16 +449,20 @@ def profile_slices_201_210(n_max):
         yield level
 
 
-def ff_slices_201_210(n_max):
+def ff_slices_201_210(n_max, _start=None):
     """Yield the (k,F,F) slice a of the 201-210 DP for depths 0..n_max.
 
     Equal to the first slice profile_slices_201_210 yields, but the slice
-    is closed under the rules (see _step_ff), so it is stepped alone.
+    is closed under the rules (see _step_ff), so it is stepped alone.  It
+    never touches the memo.  The private _start = (depth, a) resumes from
+    a slice already computed and yields depths depth..n_max instead, as
+    RuleSystem.levels does: ff_slice_series keeps its own prefix of this
+    route that way.  A yielded slice is never mutated.
     """
     if n_max < 0:
         raise ValueError("n must be non-negative")
-    a = [1]
-    for _ in range(n_max):
+    depth, a = (0, [1]) if _start is None else _start
+    for _ in range(n_max - depth):
         yield a
         a = _step_ff(a)
     yield a

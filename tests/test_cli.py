@@ -300,7 +300,10 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 def test_verify_arithmetic_error_is_a_failure(capsys, monkeypatch):
     """A v = 1 specialization step that drops a term makes the next
     division by v - 1 leave a remainder; verify reports that as its FAIL
-    line and exit status 1, not as a traceback."""
+    line and exit status 1, not as a traceback.  It starts from empty
+    series prefixes, so that the iteration steps from x^0 and reaches the
+    planted fault however warm this process is."""
+    monkeypatch.setattr(series, "_PREFIXES", {})
     real = series._collapse_v
 
     def drops_a_term(slice_):

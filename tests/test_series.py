@@ -1,9 +1,12 @@
+import sys
+import threading
+from functools import cache, partial
 from operator import sub
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from invseq import checks, series
+from invseq import checks, series, succession
 from invseq.checks import run_check
 from invseq.series import (
     _check_system_violation,
@@ -552,6 +555,190 @@ def test_fe_specializations_agree_conjecture_evidence():
     (checked, not proven); the full trivariate solutions differ, so
     nothing here compares them."""
     assert iterate_fe("011-201", 120) == iterate_fe("010-100-120-210", 120)
+
+
+# -- per-process prefixes of the slice and FE routes ------------------------
+
+FE_IDS = ("011-201", "010-100-120-210")
+
+# route name -> the request, and (namespace, name) of the step it repeats
+PREFIX_ROUTES = {
+    "ff_slice_series": (lambda n: ff_slice_series(n).coefficients,
+                        (vars(succession), "_step_ff")),
+    **{"iterate_fe:" + system_id: (partial(iterate_fe, system_id),
+                                   (series._FE_STEP, system_id))
+       for system_id in FE_IDS},
+}
+
+
+def _levels_from_axiom(name, n):
+    if name == "ff_slice_series":
+        return list(ff_slices_201_210(n))
+    return list(series._fe_slices(name.split(":")[1], n))
+
+
+@cache
+def _counts_from_axiom(name):
+    """The route's counts at depths 0..60, stepped from the axiom with no
+    prefix."""
+    count = sum if name == "ff_slice_series" else (lambda s: sum(map(sum, s)))
+    return tuple(map(count, _levels_from_axiom(name, 60)))
+
+
+def _count_steps(monkeypatch, name, during_first=None):
+    """Wrap the step of the named route so that the returned dict counts
+    its calls in "steps"; during_first, if given, is called once, inside
+    the first step."""
+    namespace, key = PREFIX_ROUTES[name][1]
+    real = namespace[key]
+    calls = {"steps": 0}
+
+    def counted(level):
+        calls["steps"] += 1
+        if calls["steps"] == 1 and during_first is not None:
+            during_first()
+        return real(level)
+    monkeypatch.setitem(namespace, key, counted)
+    return calls
+
+
+_requests = st.lists(st.tuples(st.sampled_from(sorted(PREFIX_ROUTES)),
+                               st.integers(0, 60)),
+                     min_size=1, max_size=8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_requests)
+@example([("ff_slice_series", 30), ("ff_slice_series", 30),
+          ("ff_slice_series", 20), ("ff_slice_series", 0),
+          ("ff_slice_series", 45)])
+@example([("iterate_fe:011-201", 25), ("iterate_fe:011-201", 12),
+          ("iterate_fe:011-201", 3), ("iterate_fe:011-201", 25),
+          ("iterate_fe:010-100-120-210", 60), ("iterate_fe:011-201", 40)])
+def test_prefix_answers_equal_a_run_from_the_axiom(requests):
+    """Any order of requests, repeats and decreasing runs included, served
+    from empty prefixes, gets the answers of a run from the axiom, even
+    when the caller mutates every answer it gets."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_PREFIXES", {})
+        for name, n in requests:
+            answer = PREFIX_ROUTES[name][0](n)
+            assert answer == list(_counts_from_axiom(name)[:n + 1]), (name, n)
+            answer[0] = -1
+            answer.append(-1)
+
+
+def test_mutating_an_answer_leaves_the_prefixes_intact(monkeypatch):
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    for n in (20, 12, 20, 25):
+        for system_id in FE_IDS:
+            iterate_fe(system_id, n).append(-1)
+            iterate_fe(system_id, n)[-1] = -1
+        s = ff_slice_series(n)
+        s.coefficients[-1] = -1
+        s.coefficients.append(-1)
+    for n in (0, 12, 25, 30):
+        for name, (request, _) in PREFIX_ROUTES.items():
+            assert request(n) == list(_counts_from_axiom(name)[:n + 1]), \
+                (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
+def test_steps_per_prefix_request(name, monkeypatch):
+    """A cold request at depth n steps n times, a request no deeper than
+    the prefix steps nothing, and a deeper one steps once per extra
+    depth."""
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    request = PREFIX_ROUTES[name][0]
+    calls = _count_steps(monkeypatch, name)
+    for n, steps in ((30, 30), (30, 0), (12, 0), (0, 0), (37, 7), (38, 1),
+                     (36, 0), (60, 22)):
+        calls["steps"] = 0
+        assert request(n) == list(_counts_from_axiom(name)[:n + 1]), n
+        assert calls["steps"] == steps, n
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
+def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch):
+    """A request that finishes after a deeper one, here served inside its
+    first step, leaves the deeper prefix in place."""
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    request = PREFIX_ROUTES[name][0]
+    calls = _count_steps(monkeypatch, name,
+                         during_first=lambda: request(40))
+    assert request(20) == list(_counts_from_axiom(name)[:21])
+    assert calls["steps"] == 60
+    calls["steps"] = 0
+    assert request(35) == list(_counts_from_axiom(name)[:36])
+    assert calls["steps"] == 0
+
+
+def test_concurrent_requests_share_consistent_prefixes(monkeypatch):
+    """Six threads request different depths of the three prefixed routes
+    at once; a tiny switch interval makes them interleave inside the
+    steps.  Every answer, and every prefix left behind, is that of a run
+    from the axiom."""
+    requests = [(name, n) for name in sorted(PREFIX_ROUTES) for n in (25, 50)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            prefixes = {}
+            monkeypatch.setattr(series, "_PREFIXES", prefixes)
+            barrier = threading.Barrier(len(requests))
+            answers = {}
+
+            def serve(name, n):
+                barrier.wait(timeout=30)
+                answers[name, n] = PREFIX_ROUTES[name][0](n)
+
+            threads = [threading.Thread(target=serve, args=r) for r in requests]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert answers == {(name, n): list(_counts_from_axiom(name)[:n + 1])
+                               for name, n in requests}
+            assert len(prefixes) == len(PREFIX_ROUTES)
+            for name in PREFIX_ROUTES:
+                key = ("ff_slices_201_210" if name == "ff_slice_series"
+                       else ("_fe_slices", name.split(":")[1]))
+                counts, level = prefixes[key]
+                assert counts == list(_counts_from_axiom(name)[:51])
+                assert level == _levels_from_axiom(name, 50)[50]
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
+def test_resuming_a_route_equals_the_run_from_the_axiom(name):
+    levels = _levels_from_axiom(name, 30)
+    route = (ff_slices_201_210 if name == "ff_slice_series"
+             else partial(series._fe_slices, name.split(":")[1]))
+    for depth in range(31):
+        assert list(route(30, (depth, levels[depth]))) == levels[depth:], depth
+        assert list(route(depth, (depth, levels[depth]))) == [levels[depth]]
+
+
+@pytest.mark.parametrize("system_id", FE_IDS)
+def test_degree_bound_fires_after_a_resume(monkeypatch, system_id):
+    """A step that breaks the degree bound past the prefix's depth raises
+    from the resumed iteration, and the prefix keeps its depth."""
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    expected = iterate_fe(system_id, 5)
+    real = series._FE_STEP[system_id]
+
+    def one_v_too_many(slice_):
+        out = real(slice_)
+        out[1] = [*out[1], *[0] * len(out), 1]
+        return out
+    monkeypatch.setitem(series._FE_STEP, system_id, one_v_too_many)
+    with pytest.raises(ArithmeticError, match="at x\\^6 breaks the degree"):
+        iterate_fe(system_id, 8)
+    assert iterate_fe(system_id, 5) == expected
+    with pytest.raises(ArithmeticError, match="at x\\^6 breaks the degree"):
+        iterate_fe(system_id, 6)
 
 
 # -- the conjectured cubic --------------------------------------------------

@@ -2,10 +2,12 @@ import sys
 import threading
 from collections import Counter
 from functools import cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invseq import series
 from invseq.checks import run_check
 from invseq.oracle import count_sequence, list_avoiders
 from invseq.succession import (
@@ -470,3 +472,30 @@ def test_verify_routes_stay_off_the_memo(monkeypatch):
     assert list(profile_slices_201_210(n)) == slices
     assert list(ff_slices_201_210(n)) == ff
     assert system._memo is poison
+
+
+def test_series_prefixes_stay_off_the_memo(monkeypatch):
+    """ff_slice_series and iterate_fe, served from empty series prefixes,
+    leave fresh rules memos empty and ignore poisoned ones."""
+    fresh = {system_id: _fresh(system_id) for system_id in SYSTEM_IDS}
+    for system_id, system in fresh.items():
+        monkeypatch.setitem(SYSTEMS, system_id, system)
+    fe_ids = ("011-201", "010-100-120-210")
+
+    def answers():
+        monkeypatch.setattr(series, "_PREFIXES", {})
+        return (series.ff_slice_series(400),
+                [series.iterate_fe(system_id, 30) for system_id in fe_ids])
+
+    ff, fe = answers()
+    assert all(system._memo is None for system in fresh.values())
+    assert ff.coefficients[400] == comb(800, 400) // 401
+    assert fe == [_cold(system_id, 30)[0] for system_id in fe_ids]
+    poison = {}
+    for system_id, system in fresh.items():
+        junk = ([9], [9], [9]) if system_id == "201-210" else [[9]]
+        poison[system_id] = system._memo = (
+            [-1] * 500, junk, (junk,) * (500 // SPACING + 1))
+    assert answers() == (ff, fe)
+    assert {system_id: system._memo for system_id, system in fresh.items()} \
+        == poison
