@@ -21,8 +21,8 @@ Where the numbers come from:
     201-210 DP from the axiom on every request
     (``profile_slices_201_210``).
 
-So a process serving many checks steps each depth of the memo and of
-each prefix once.
+The memo and the series prefixes follow one policy (``invseq.prefix``),
+so a process serving many checks steps each depth of each of them once.
 
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:

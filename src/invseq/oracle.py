@@ -621,11 +621,6 @@ def _walk(basis, n, leaves=None):
     return counts
 
 
-def _count_generic(basis, n_max):
-    """Level counts [|I_0|, .., |I_n_max|] from the walk; any basis."""
-    return _walk(basis, n_max)
-
-
 # ---------- public operations ----------
 
 
@@ -636,7 +631,7 @@ def count_sequence(basis, n_max):
         raise ValueError("n_max must be non-negative")
     if all(len(p) <= 4 for p in basis):
         return _count_fast(basis, n_max)
-    return _count_generic(basis, n_max)
+    return _walk(basis, n_max)
 
 
 def count_avoiders(basis, n):

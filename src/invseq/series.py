@@ -27,19 +27,13 @@ x-degree) is a list over u-power of rows indexed by the v-power, so
 differ in length.  Only the public ``phi`` takes and returns
 ``{u_power: coeff}`` dicts, for readability at the API.
 
-Two routes keep a per-process prefix (``_prefix_counts``): the (k,F,F)
-slice of the 201-210 DP behind ``ff_slice_series`` (the route
-``ff_slices_201_210``, counted by its sum) and the functional-equation
-iteration behind ``iterate_fe`` (``_fe_slices``, one prefix per system,
-counted by the sum of each slice).  A prefix holds the counts at depths
-0..L and the level at depth L for the deepest L asked for so far, so a
-process serving many verify requests steps each depth once, and a
-deeper request resumes from depth L.  The prefixes live here rather
-than on the rules memo of ``invseq.succession`` so that verify's routes
-stay apart from the route they check: the slice never touches the memo,
-the functional equations reach no succession code, and the helper
-itself names no route, since each caller passes its stepping function
-in.
+Two routes keep a per-process prefix (see ``invseq.prefix``): the
+(k,F,F) slice of the 201-210 DP behind ``ff_slice_series`` and the
+functional-equation iteration behind ``iterate_fe``, one per system.
+They live here rather than on the rules memo of ``invseq.succession`` so
+that verify's routes stay apart from the route they check: the slice
+never touches the memo, and the functional equations reach no
+succession code.
 """
 
 from collections import namedtuple
@@ -47,6 +41,7 @@ from functools import partial
 from itertools import accumulate, zip_longest
 from operator import add, mul, sub
 
+from .prefix import Prefix
 from .succession import ff_slices_201_210, profile_slices_201_210
 
 
@@ -124,45 +119,21 @@ def f_coefficients(n_max):
 
 
 # -- per-process prefixes ---------------------------------------------------
-#
-# _PREFIXES maps a route key to (counts, level): the counts at depths 0..L
-# and the level at depth L, for the deepest L any request in this process
-# has asked for.  Nothing stored is ever mutated.
 
-_PREFIXES = {}
+_PREFIXES = {}      # route key -> its Prefix, made on first use
 
 
-def _prefix_counts(key, route, count, n):
-    """[count(level) for the levels at depths 0..n of a route], a fresh
-    list, served from the route's prefix in _PREFIXES.
-
-    route(n) yields the levels at depths 0..n from the axiom and
-    route(n, (d, level)) the levels at depths d..n from a level already
-    computed; it never mutates a level.  When the prefix is at least n
-    deep the counts are copied from it and nothing steps.  Otherwise the
-    route resumes from the prefix's level, or from the axiom when there
-    is none, and the new (counts, level) replaces the prefix only if it
-    is longer than the prefix at that moment, as in RuleSystem._reach:
-    no lock is needed, and concurrent requests at worst recompute.  A
-    negative n raises ValueError before the prefix is read.
-    """
-    if n < 0:
-        raise ValueError("n_max must be non-negative")
-    stored = _PREFIXES.get(key)
-    if stored is None:
-        counts, levels = [], route(n)
-    elif len(stored[0]) > n:
-        return stored[0][:n + 1]
-    else:
-        counts, level = stored
-        levels = route(n, (len(counts) - 1, level))
-        counts = counts[:-1]
-    for level in levels:
-        counts.append(count(level))
-    stored = _PREFIXES.get(key)
-    if stored is None or len(counts) > len(stored[0]):
-        _PREFIXES[key] = counts, level
-    return counts[:]
+def _prefix(key, route, count):
+    """The Prefix in _PREFIXES under key, made on first use over route,
+    which yields levels and takes (n, (depth, level)) to resume, each
+    level counted by count."""
+    prefix = _PREFIXES.get(key)
+    if prefix is None:
+        def counted(n, start=None):
+            for level in route(n, start):
+                yield level, count(level)
+        prefix = _PREFIXES.setdefault(key, Prefix(counted))
+    return prefix
 
 
 def ff_slice_series(n_max):
@@ -170,13 +141,11 @@ def ff_slice_series(n_max):
     summed over k.  Its coefficients are the Catalan numbers.
 
     The sums come from this process's prefix of ff_slices_201_210 (see
-    _prefix_counts): a request no deeper than an earlier one steps
-    nothing, a deeper one steps only the depths past it.  The route never
-    touches the rules memo, so minpoly-B, which subtracts these sums from
-    the memo's counts, takes its two terms from separate routes."""
-    return TruncatedSeries(
-        _prefix_counts("ff_slices_201_210", ff_slices_201_210, sum, n_max),
-        n_max)
+    ``invseq.prefix``).  The route never touches the rules memo, so
+    minpoly-B, which subtracts these sums from the memo's counts, takes
+    its two terms from separate routes."""
+    prefix = _prefix("ff_slices_201_210", ff_slices_201_210, sum)
+    return TruncatedSeries(prefix.counts(n_max), n_max)
 
 
 def tf_slice_series(n_max):
@@ -541,7 +510,7 @@ def _fe_slices(system_id, n_max, _start=None):
     """
     step = _fe_step(system_id)
     if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+        raise ValueError("n must be non-negative")
     depth, slice_ = (0, [[1]]) if _start is None else _start
     yield slice_
     for deg in range(depth + 1, n_max + 1):
@@ -569,12 +538,10 @@ def iterate_fe(system_id, n_max):
     succession-rule DP, which makes it a cross-check of the rules.
 
     The counts come from this process's prefix of the system's slices
-    (see _prefix_counts), so a request steps only the x-degrees past the
-    deepest one an earlier request reached.  An unknown system raises
-    ValueError before the prefix is read.
+    (see ``invseq.prefix``).  An unknown system raises ValueError before
+    the prefix is read.
     """
     _fe_step(system_id)
-    return _prefix_counts(("_fe_slices", system_id),
-                          partial(_fe_slices, system_id),
-                          lambda slice_: sum(map(sum, slice_)), n_max)
-
+    prefix = _prefix(("_fe_slices", system_id), partial(_fe_slices, system_id),
+                     lambda slice_: sum(map(sum, slice_)))
+    return prefix.counts(n_max)

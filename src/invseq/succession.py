@@ -30,17 +30,10 @@ productions into partial sums so one depth costs time linear in the
 number of cells, and its conversions between dense and dict levels;
 state_profile() converts once, at the end.
 
-rule_counting_sequence(), count_via_rules() and state_profile() share
-a memo per system and per process: the counts at depths 0..L, the dense
-level at depth L, for the deepest L requested so far, and checkpoints,
-the dense levels at every multiple of a fixed spacing (64) up to L.  A
-shorter count request reads the memo, a shorter profile resumes the DP
-from the nearest checkpoint at or below its depth, and a deeper request
-resumes it at depth L, so a process serving many requests steps each
-depth once and a profile at most 63 more times; the price is that the
-process keeps those levels.  A single request in a fresh process does
-the same work as a plain run from the axiom.  profile_slices_201_210()
-and ff_slices_201_210() do not use the memo.
+Each RuleSystem is a per-process prefix of its own DP (see
+``invseq.prefix``): rule_counting_sequence(), count_via_rules() and
+state_profile() read it, and extend it when a request is deeper.
+profile_slices_201_210() and ff_slices_201_210() do not use it.
 
 >>> count_via_rules("201-210", 7)
 3720
@@ -51,10 +44,12 @@ and ff_slices_201_210() do not use the memo.
 from itertools import accumulate, islice
 from operator import add
 
+from .prefix import Prefix
+
 # ---------- the three rule systems ----------
 
 
-class RuleSystem:
+class RuleSystem(Prefix):
     """A named succession system: axiom, productions, acceptance, and the
     dense form the counting functions step.
 
@@ -65,17 +60,9 @@ class RuleSystem:
     the accepted count of the level it was given, which falls out of its
     partial sums; accepted(level) computes that count directly.
 
-    Each system memoises its deepest run: the accepted counts at depths
-    0..L and the dense level at depth L, for the largest L any request in
-    this process has asked for, and the dense level at every multiple of
-    _SPACING up to L.  A counting sequence never changes, so a count at
-    depth at most L is read from the memo, a level below L is resumed
-    from the checkpoint at or below it, and a deeper request resumes the
-    DP at depth L (see _reach).  The memo is per process and per system,
-    and it only grows, but for the brief cut-back of an extension.
+    The system is the per-process prefix of its own levels, its memo
+    (see ``invseq.prefix``).
     """
-
-    _SPACING = 64     # depth between two checkpoints of the memo
 
     def __init__(self, name, basis, axiom, successors, accept, state_str,
                  kernel, accepted, to_dense, to_dict):
@@ -89,22 +76,19 @@ class RuleSystem:
         self.accepted = accepted
         self.to_dense = to_dense
         self.to_dict = to_dict
-        self._memo = None
+        super().__init__(self.levels)
 
     def levels(self, n, _start=None, _count_last=True):
-        """Yield (dense level, accepted count) for depths 0..n, starting
-        from the axiom: the one stepping loop every counting function
-        uses.
+        """Yield (dense level, accepted count) for depths 0..n from the
+        axiom: the route of the system's memo, and the one stepping loop
+        every counting function uses.
 
-        Called as levels(n) it neither reads nor writes the memo.  The
-        private _start = (depth, level) resumes from a level already
-        computed and yields depths depth..n instead: _reach extends the
-        memo and state_profile resumes a checkpoint this way, so the memo
-        has no stepping loop of its own.  The kernel gives the count of
-        every level but the last, which costs one more pass over it; a
-        caller that does not read that count passes _count_last=False
-        and gets None in its place.  The kernels never mutate a level,
-        so a yielded level can be kept.
+        levels(n) neither reads nor writes the memo; the private
+        _start = (depth, level) resumes from a level already computed and
+        yields depths depth..n.  The kernel gives the count of every level
+        but the last, which costs one more pass; a caller that does not
+        read it passes _count_last=False and gets None.  The kernels never
+        mutate a level, so a yielded level can be kept.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
@@ -119,53 +103,6 @@ class RuleSystem:
             yield level, accepted
             level = nxt
         yield level, self.accepted(level) if _count_last else None
-
-    def _reach(self, n):
-        """The memo as (counts, level, checkpoints), extended to depth n
-        if it is not that deep yet: counts[d] is the accepted count at
-        depth d for every d < len(counts), level is the dense level at
-        depth len(counts) - 1 >= n, and checkpoints[i] is the dense level
-        at depth i * _SPACING, for every such depth up to len(counts) - 1.
-
-        Nothing stored is ever mutated, and callers must not mutate what
-        they get.  Threads need no lock: the memo is one attribute read
-        once, a deeper run extends private copies of the counts and the
-        checkpoints, and the triple is written back only when it is
-        longer than the memo at that moment, so the memo always holds a
-        consistent triple.  Two threads may still race between that
-        check and the write, and a shorter triple may then replace a
-        longer one; that costs a later request some recomputation, never
-        a wrong answer.
-
-        Before it steps, an extension publishes the memo cut back to its
-        last checkpoint, so that the old deepest level is freed once the
-        DP has stepped past it and an extension holds no more levels than
-        a run from the axiom.
-        """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        memo = self._memo
-        if memo is None:
-            counts, checkpoints, steps = [], [], self.levels(n)
-        elif len(memo[0]) > n:
-            return memo
-        else:
-            counts, level, checkpoints = memo
-            top = (len(checkpoints) - 1) * self._SPACING
-            if top < len(counts) - 1 and self._memo is memo:
-                self._memo = (counts[:top + 1], checkpoints[-1], checkpoints)
-            steps = self.levels(n, (len(counts) - 1, level))
-            counts, checkpoints = counts[:-1], list(checkpoints)
-            memo = level = None
-        for level, accepted in steps:
-            if len(counts) == len(checkpoints) * self._SPACING:
-                checkpoints.append(level)
-            counts.append(accepted)
-        reached = counts, level, tuple(checkpoints)
-        memo = self._memo
-        if memo is None or len(counts) > len(memo[0]):
-            self._memo = reached
-        return reached
 
     def __repr__(self):
         return "RuleSystem(%r)" % self.name
@@ -429,7 +366,7 @@ def rule_counting_sequence(system_id, n_max):
     The list is a fresh copy of the system's memo, extended first if it
     is shorter (see RuleSystem).
     """
-    return get_system(system_id)._reach(n_max)[0][:n_max + 1]
+    return get_system(system_id).counts(n_max)
 
 
 def count_via_rules(system_id, n):
@@ -471,20 +408,13 @@ def ff_slices_201_210(n_max, _start=None):
 def state_profile(system_id, n):
     """The full depth-n level vector, as a dict from state to count.
 
-    At or past the memo's depth the DP resumes from the memo and advances
-    it; below it the DP resumes from the deepest checkpoint at or below
-    n, so it steps at most _SPACING - 1 times, and not at all when n is
-    a checkpoint.  The dict is always built afresh.
+    The DP resumes from the memo's level nearest at or below n (see
+    ``invseq.prefix``), so it steps nothing when that level is at n.
+    The dict is always built afresh.
     """
     system = get_system(system_id)
-    counts, level, checkpoints = system._reach(n)
-    if len(counts) - 1 != n:
-        i, steps = divmod(n, system._SPACING)
-        level = checkpoints[i]
-        if steps:
-            for level, _ in system.levels(n, (n - steps, level),
-                                          _count_last=False):
-                pass
+    for level, _ in system.levels(n, system.nearest(n), _count_last=False):
+        pass
     return system.to_dict(level)
 
 

@@ -1,0 +1,218 @@
+"""The per-process prefix of ``invseq.prefix`` on each of the six routes
+that keep one: the three rule systems (the rules memo), the (k,F,F)
+slice behind ``ff_slice_series`` and the functional-equation iteration
+of each 2-parameter system behind ``iterate_fe``.  Each test starts from
+empty prefixes, compares with a run of the route from the axiom, and
+plants failures or watchers in the route's step function."""
+
+import ast
+import inspect
+
+import pytest
+
+from invseq import prefix as prefix_module, series, succession
+from invseq.prefix import Prefix
+from invseq.succession import SYSTEMS, RuleSystem, state_profile
+
+FE_IDS = ("011-201", "010-100-120-210")
+SERIES_REQUESTS = {
+    "ff_slice_series": lambda n: series.ff_slice_series(n).coefficients,
+    **{"iterate_fe:" + system_id: (lambda n, s=system_id: series.iterate_fe(s, n))
+       for system_id in FE_IDS},
+}
+NAMES = (*SYSTEMS, *SERIES_REQUESTS)
+
+
+class Planted(Exception):
+    """The failure a test plants in a step."""
+
+
+def _fresh_system(system_id):
+    s = SYSTEMS[system_id]
+    return RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
+                      s.state_str, s.kernel, s.accepted, s.to_dense, s.to_dict)
+
+
+def _route(name, monkeypatch):
+    """(prefix, (namespace, key)) for the named route: its Prefix, empty,
+    in place of the one the package uses, and where its step function
+    is looked up when the route runs."""
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    if name in SYSTEMS:
+        system = _fresh_system(name)
+        monkeypatch.setitem(SYSTEMS, name, system)
+        return system, (vars(system), "kernel")
+    SERIES_REQUESTS[name](0)
+    (prefix,) = series._PREFIXES.values()
+    prefix._memo = None
+    if name == "ff_slice_series":
+        return prefix, (vars(succession), "_step_ff")
+    return prefix, (series._FE_STEP, name.split(":")[1])
+
+
+def _fail_after(monkeypatch, slot, calls):
+    """Make the step in slot raise Planted once it has run calls times."""
+    namespace, key = slot
+    real = namespace[key]
+    done = [0]
+
+    def failing(level):
+        if done[0] == calls:
+            raise Planted
+        done[0] += 1
+        return real(level)
+    monkeypatch.setitem(namespace, key, failing)
+
+
+def _assert_answers_equal(prefix, cold):
+    """The prefix's counts and nearest levels equal the run from the
+    axiom, cold = [(level, count) for depths 0..len(cold) - 1]."""
+    top = len(cold) - 1
+    for n in (0, 3, 20, 63, 64, 65, 100, top - 7, top):
+        if n > top:
+            continue
+        assert prefix.counts(n) == [c for _, c in cold[:n + 1]], n
+        depth, level = prefix.nearest(n)
+        assert n - prefix._SPACING < depth <= n, n
+        assert level == cold[depth][0], n
+    counts, level, checkpoints = prefix._memo
+    assert counts == [c for _, c in cold[:len(counts)]]
+    assert level == cold[len(counts) - 1][0]
+    assert list(checkpoints) == \
+        [level for level, _ in cold[:len(counts):prefix._SPACING]]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_failing_step_never_leaves_a_prefix_shallower(name, monkeypatch):
+    """A step that raises during an extension, a few steps in or at the
+    first one, leaves the prefix at least as deep as it was, although
+    the extension cut it back to its last checkpoint before stepping;
+    afterwards every answer equals a run from the axiom."""
+    prefix, slot = _route(name, monkeypatch)
+    cold = list(prefix.route(130))
+    prefix.counts(100)
+    for calls in (4, 0):
+        before = len(prefix._memo[0])
+        with pytest.MonkeyPatch.context() as mp:
+            _fail_after(mp, slot, calls)
+            with pytest.raises(Planted):
+                prefix.counts(120)
+        after = len(prefix._memo[0])
+        assert after > before if calls else after == before, calls
+    _assert_answers_equal(prefix, cold)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_failing_first_request_keeps_only_levels_it_reached(name,
+                                                             monkeypatch):
+    """When the first step of a request on an empty prefix raises, the
+    prefix holds no level it did not reach: the rules route reaches none
+    (its first count comes from the kernel), the series routes reach the
+    axiom."""
+    prefix, slot = _route(name, monkeypatch)
+    cold = list(prefix.route(70))
+    with pytest.MonkeyPatch.context() as mp:
+        _fail_after(mp, slot, 0)
+        with pytest.raises(Planted):
+            prefix.counts(10)
+    if name in SYSTEMS:
+        assert prefix._memo is None
+    else:
+        assert prefix._memo == ([cold[0][1]], cold[0][0], (cold[0][0],))
+    _assert_answers_equal(prefix, cold)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch):
+    """A request for depth 20 that finishes after one for depth 40, here
+    served inside its first step, leaves the deeper prefix in place; and
+    mutating an answer leaves the prefix intact."""
+    prefix, (namespace, key) = _route(name, monkeypatch)
+    cold = list(prefix.route(70))
+    real = namespace[key]
+    nested = []
+
+    def serving_a_deeper_request_first(level):
+        if not nested:
+            nested.append(None)
+            nested.append(prefix.counts(40))
+        return real(level)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(namespace, key, serving_a_deeper_request_first)
+        assert prefix.counts(20) == [c for _, c in cold[:21]]
+    assert nested == [None, [c for _, c in cold[:41]]]
+    assert len(prefix._memo[0]) == 41
+    for n in (40, 20, 0):
+        answer = prefix.counts(n)
+        answer[n] = -1
+        answer.append(-1)
+    _assert_answers_equal(prefix, cold)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_REQUESTS))
+def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch):
+    """With checkpoints every 8 depths, a series prefix keeps the levels
+    at 0, 8, 16, ..., and while a request extends it from depth 21 it is
+    the consistent triple ending at the checkpoint 16."""
+    prefix, (namespace, key) = _route(name, monkeypatch)
+    prefix._SPACING = 8
+    cold = list(prefix.route(30))
+    prefix.counts(21)
+    assert list(prefix._memo[2]) == [cold[d][0] for d in (0, 8, 16)]
+    real = namespace[key]
+    seen = []
+
+    def watching(level):
+        counts, deepest, checkpoints = prefix._memo
+        seen.append((len(counts) - 1, deepest is checkpoints[-1]))
+        return real(level)
+    monkeypatch.setitem(namespace, key, watching)
+    assert SERIES_REQUESTS[name](30) == [c for _, c in cold]
+    assert seen == [(16, True)] * 9
+    counts, level, checkpoints = prefix._memo
+    assert len(counts) == 31
+    assert level == cold[30][0]
+    assert list(checkpoints) == [cold[d][0] for d in (0, 8, 16, 24)]
+    assert prefix.nearest(23) == (16, cold[16][0])
+
+
+def test_state_profile_resumes_from_the_nearest_stored_level(monkeypatch):
+    system, _ = _route("201-210", monkeypatch)
+    system.counts(150)
+    for n, depth in ((150, 150), (149, 128), (128, 128), (127, 64), (5, 0)):
+        assert system.nearest(n)[0] == depth, n
+        assert state_profile("201-210", n) == \
+            system.to_dict(list(system.levels(n))[-1][0]), n
+
+
+def test_prefix_imports_no_invseq_module():
+    for node in ast.walk(ast.parse(inspect.getsource(prefix_module))):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0
+            assert not (node.module or "").startswith("invseq")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "invseq" for a in node.names)
+
+
+def test_six_distinct_prefixes_each_served_by_its_own_route(monkeypatch):
+    """The six prefixes are distinct Prefix objects, and a request on one
+    route extends its own prefix and leaves the other five as they
+    were."""
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    for system_id in SYSTEMS:
+        monkeypatch.setitem(SYSTEMS, system_id, _fresh_system(system_id))
+    requests = {
+        **{system_id: (lambda n, s=system_id: succession.rule_counting_sequence(s, n))
+           for system_id in SYSTEMS},
+        **SERIES_REQUESTS,
+    }
+    for request in requests.values():
+        request(2)
+    prefixes = [*SYSTEMS.values(), *series._PREFIXES.values()]
+    assert len({id(p) for p in prefixes}) == 6
+    assert all(isinstance(p, Prefix) for p in prefixes)
+    for name, request in requests.items():
+        memos = [p._memo for p in prefixes]
+        request(5)
+        moved = [p._memo is not m for p, m in zip(prefixes, memos)]
+        assert sum(moved) == 1, name

@@ -704,9 +704,12 @@ def test_concurrent_requests_share_consistent_prefixes(monkeypatch):
             for name in PREFIX_ROUTES:
                 key = ("ff_slices_201_210" if name == "ff_slice_series"
                        else ("_fe_slices", name.split(":")[1]))
-                counts, level = prefixes[key]
+                counts, level, checkpoints = prefixes[key]._memo
+                levels = _levels_from_axiom(name, 50)
+                spacing = prefixes[key]._SPACING
                 assert counts == list(_counts_from_axiom(name)[:51])
-                assert level == _levels_from_axiom(name, 50)[50]
+                assert level == levels[50]
+                assert list(checkpoints) == levels[::spacing]
     finally:
         sys.setswitchinterval(switch)
 
