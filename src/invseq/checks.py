@@ -19,10 +19,19 @@ Where the numbers come from:
     memo;
   * the axiom: system-201-210 steps all three census slices of the
     201-210 DP from the axiom on every request
-    (``profile_slices_201_210``).
+    (``profile_slices_201_210``);
+  * a residual state: minpoly-A, minpoly-B, minpoly-F and
+    conjecture-010-102 evaluate their relation with
+    ``relation_residual``, and system-201-210 forms its residual rows
+    with ``_check_system_violation``.  Both resume from a per-process
+    state in ``invseq.series`` at the first coefficient where the input
+    differs from the stored one, so the residual of a series that agrees
+    with an earlier request is not formed again.
 
 The memo and the series prefixes follow one policy (``invseq.prefix``),
-so a process serving many checks steps each depth of each of them once.
+and the residual states the same publish rule, so a process serving
+many checks steps each depth of each route, and evaluates each
+coefficient of each residual, once.
 
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:

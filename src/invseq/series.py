@@ -10,10 +10,12 @@ anywhere.  The module has four layers:
     arithmetic.
   * polynomial relations (``PolyRelation`` / ``relation_residual``) used to
     test that a series satisfies an algebraic equation, by Horner's rule
-    in y^2 with y^2 formed once by a symmetric square.
+    in y^2 with y^2 formed once by a symmetric square, resumed from a
+    per-process residual state.
   * bivariate series in x and u, the ``phi`` operator, and
     ``_check_system_violation`` which replays the defining equations of
-    the 201-210 rule system against its own census data.
+    the 201-210 rule system against its own census data, its residual
+    rows resumed from a per-process state.
   * the trivariate functional equations of the two 2-parameter systems,
     solved one x-degree at a time (``iterate_fe``), with divided
     differences done by checked exact synthetic division.  This layer
@@ -34,6 +36,15 @@ They live here rather than on the rules memo of ``invseq.succession`` so
 that verify's routes stay apart from the route they check: the slice
 never touches the memo, and the functional equations reach no
 succession code.
+
+The two residual checks keep a per-process state of their own
+(``_RESIDUALS``): one per relation name and one for the 201-210 system,
+each holding its longest evaluation so far.  It is not a ``Prefix``,
+whose levels are single states: a residual resumes from the whole
+history of its series.  A call resumes at the first coefficient where
+its input differs from the stored one, or past the stored order, so a
+corrupted or injected input is evaluated from its first bad coefficient
+on, and every answer is that of a cold evaluation.
 """
 
 from collections import namedtuple
@@ -167,10 +178,36 @@ def tf_slice_series(n_max):
 PolyRelation = namedtuple("PolyRelation", ["name", "coefficients"])
 
 
+# -- per-process residual states --------------------------------------------
+#
+# Coefficient k of every series a residual is built from (y, y^2, each
+# Horner accumulator, each residual row at x^k) depends on the input only
+# through its index k, so a call may reuse the stored coefficients below
+# the first index where its input differs from the stored input.  As in
+# ``invseq.prefix``, a call works on private copies, never mutates a
+# stored state, and publishes its own only when it is longer.  No lock is
+# needed: two threads may race so that a shorter state replaces a longer
+# one, which costs recomputation, never a wrong answer.
+
+_RESIDUALS = {}     # ("relation_residual", name) or "_check_system_violation"
+
+# polys: the relation's coefficients; y: the series evaluated, through
+# x^L; y2: y^2 through x^L (empty for y-degree 1 or less); accs: the
+# Horner accumulators, the last one the residual; first: the order of
+# the residual's first nonzero coefficient, or None.
+_RelationState = namedtuple("_RelationState", "polys y y2 accs first")
+
+
+def _shared_length(xs, ys):
+    """The length of the longest common prefix of two sequences."""
+    return next((k for k, (x, y) in enumerate(zip(xs, ys)) if x != y),
+                min(len(xs), len(ys)))
+
+
 def relation_residual(relation, s):
     """Evaluate the relation at y = s; return the order of the first
     nonzero coefficient of the residual, or None if the relation holds
-    through s.order.
+    through s.order.  A relation with no coefficients raises ValueError.
 
     Runs Horner's rule in y^2 on P(y) = sum_i (p_2i + p_2i+1*y)*(y^2)^i.
     The p_j are short polynomials, so a p_j times a series is cheap.  The
@@ -178,35 +215,64 @@ def relation_residual(relation, s):
     multiplications of a product) and each Horner step whose accumulator
     is already a series: half a product in all for y-degree 2, one and a
     half for y-degree 3 or 4.
+
+    The evaluation resumes from this process's state of the relation's
+    name (see _RESIDUALS): a cold call computes coefficients 0..s.order
+    of each series, a call whose series agrees with the stored one
+    through x^k only k + 1..s.order, and a call no deeper than the
+    stored order with a matching series multiplies nothing.  A name
+    whose coefficients differ from the stored ones starts cold and
+    replaces them.
     """
+    polys = tuple(map(tuple, relation.coefficients))
+    if not polys:
+        raise ValueError("relation %r has no coefficients" % (relation.name,))
     n = s.order
-    y = s.coefficients
-    polys = relation.coefficients
-    y2 = _square(y) if len(polys) > 2 else None
+    y = s.coefficients[:n + 1]
+    key = ("relation_residual", relation.name)
+    old = _RESIDUALS.get(key)
+    if old is None or old.polys != polys:
+        old = _RelationState(polys, [], [], [[]] * ((len(polys) + 1) // 2),
+                             None)
+    start = _shared_length(y, old.y)
+    first = old.first if old.first is not None and old.first < start else None
+    if start > n:
+        return first
+    y2 = old.y2[:start] + _square(y, start) if len(polys) > 2 else []
+    accs = []
     acc = None
-    for i in reversed(range(0, len(polys), 2)):
+    for old_acc, i in zip(old.accs, reversed(range(0, len(polys), 2))):
         if i + 1 < len(polys):
-            term = _plus_poly(_product(polys[i + 1], y, n), polys[i])
+            new = _plus_poly(_product(polys[i + 1], y, n, start), polys[i],
+                             start)
         else:
-            term = list(polys[i][:n + 1])
-        acc = term if acc is None else _plus_poly(_product(acc, y2, n), term)
-    return next((k for k, c in enumerate(acc) if c), None)
+            new = list(polys[i][start:n + 1])
+        if acc is not None:
+            new = [*map(add, _product(acc, y2, n, start), new)]
+        acc = old_acc[:start] + new
+        accs.append(acc)
+    if first is None:
+        first = next((k for k, c in enumerate(acc[start:], start) if c), None)
+    stored = _RESIDUALS.get(key)
+    if stored is None or stored.polys != polys or len(stored.y) <= n:
+        _RESIDUALS[key] = _RelationState(polys, y, y2, accs, first)
+    return first
 
 
-def _product(a, b, n):
-    """Coefficients 0..n of a*b.  b has at least n + 1 coefficients; a may
-    have fewer (a polynomial), and then costs len(a) multiplications per
-    coefficient."""
+def _product(a, b, n, start=0):
+    """Coefficients start..n of a*b.  b has at least n + 1 coefficients; a
+    may have fewer (a polynomial), and then costs len(a) multiplications
+    per coefficient."""
     rb = b[n::-1]
     m = len(a)
-    return [sum(map(mul, a, rb[n - k:n - k + m])) for k in range(n + 1)]
+    return [sum(map(mul, a, rb[n - k:n - k + m])) for k in range(start, n + 1)]
 
 
-def _square(a):
-    """Coefficients of a*a through the order of a, each cross term a_i*a_j
-    (i < j) formed once and doubled."""
+def _square(a, start):
+    """Coefficients start.. of a*a through the order of a, each cross term
+    a_i*a_j (i < j) formed once and doubled."""
     out = []
-    for k in range(len(a)):
+    for k in range(start, len(a)):
         h = (k + 1) // 2
         c = 2 * sum(map(mul, a[:h], a[k:k - h:-1]))
         if not k % 2:
@@ -215,11 +281,11 @@ def _square(a):
     return out
 
 
-def _plus_poly(coeffs, poly):
-    """``coeffs + poly`` as a new list, truncated to the length of
-    ``coeffs``."""
+def _plus_poly(coeffs, poly, start):
+    """``coeffs + poly`` as a new list, where coeffs holds the coefficients
+    from x^start on, truncated to the length of ``coeffs``."""
     out = list(coeffs)
-    for k, c in enumerate(poly[:len(out)]):
+    for k, c in enumerate(poly[start:start + len(out)]):
         out[k] += c
     return out
 
@@ -319,19 +385,29 @@ def _combine(length, *terms):
 _SYSTEM_LABELS = ("A", "B", "C", "P1", "P2", "P3", "P4")
 
 
-def _system_residuals(a, b, c):
-    """Yield, per x-degree m, the residual rows of the seven identities of
-    _check_system_violation in label order, each of length m + 2.
+def _degree_rows(am, bm, cm):
+    """The rows of one x-degree that the identities read: A, B, C, D =
+    phi(A + B), then the suffix sums of A, B, C and D."""
+    sa, sb, sc = _suffix_sums(am), _suffix_sums(bm), _suffix_sums(cm)
+    dm = [*map(add, sa[1:], sb[1:])]
+    return am, bm, cm, dm, sa, sb, sc, _suffix_sums(dm)
+
+
+def _system_residuals(census, start):
+    """Yield, per x-degree m from start on, the residual rows of the seven
+    identities of _check_system_violation in label order, each of length
+    m + 2.  census holds the rows (A, B, C) per x-degree.
 
     Rows of x-degree m - 1 enter through the factor x; at m = 0 they are
-    empty.  Terms use row + phi(row) = suffix sums of row, phi(u*row) =
-    suffix sums of row, and g(x,1) = the first suffix sum (a one-entry
-    row, empty when g is)."""
-    prev = [], [], [], [], [], [], [], []
-    for m, (am, bm, cm) in enumerate(zip(a, b, c)):
-        sa, sb, sc = _suffix_sums(am), _suffix_sums(bm), _suffix_sums(cm)
-        dm = [*map(add, sa[1:], sb[1:])]                    # D = phi(A + B)
-        sd = _suffix_sums(dm)
+    empty, and at m = start > 0 they are made from census[start - 1], so
+    a run resumed at start yields what a run from degree 0 yields there.
+    Terms use row + phi(row) = suffix sums of row, phi(u*row) = suffix
+    sums of row, and g(x,1) = the first suffix sum (a one-entry row,
+    empty when g is)."""
+    prev = _degree_rows(*census[start - 1]) if start else ([],) * 8
+    for m in range(start, len(census)):
+        rows = _degree_rows(*census[m])
+        am, bm, cm, dm, sa, sb, _, _ = rows
         ap, bp, cp, dp, sap, sbp, scp, sdp = prev
         one = [1] if m == 0 else []
         w = m + 2
@@ -348,7 +424,14 @@ def _system_residuals(a, b, c):
             _combine(w, (1, 0, dm), (-1, 1, dm), (1, 0, am), (1, 0, bm),
                      (-1, 0, sa[:1]), (-1, 0, sb[:1])),
         )
-        prev = am, bm, cm, dm, sa, sb, sc, sd
+        prev = rows
+
+
+# census: the rows (A, B, C) per x-degree, through x^L; first: label ->
+# (label, x_degree, u_degree) of each label's first failure through x^L.
+_SystemState = namedtuple("_SystemState", "census first")
+
+_NO_SYSTEM = _SystemState((), {})
 
 
 def _check_system_violation(n_max, profiles=None):
@@ -378,6 +461,12 @@ def _check_system_violation(n_max, profiles=None):
     residual is zero, else (label, x_degree, u_degree) of the first
     failure: labels in the order above, then the lowest x-degree, then
     the lowest u-degree.
+
+    The census is read whole on every call, but the residual rows resume
+    from this process's state (see _RESIDUALS) at the first x-degree
+    where the census differs from the stored one, or past the stored
+    degree: a call no deeper than the stored degree with a matching
+    census forms no residual row.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -385,11 +474,18 @@ def _check_system_violation(n_max, profiles=None):
         profiles = list(profile_slices_201_210(n_max))
     a, b, c = ([_census_row(profiles[m][i], m) for m in range(n_max + 1)]
                for i in range(3))
-    first = {}
-    for m, rows in enumerate(_system_residuals(a, b, c)):
+    census = list(zip(a, b, c))
+    key = "_check_system_violation"
+    old = _RESIDUALS.get(key, _NO_SYSTEM)
+    start = _shared_length(census, old.census)
+    first = {label: f for label, f in old.first.items() if f[1] < start}
+    for m, rows in enumerate(_system_residuals(census, start), start):
         for label, row in zip(_SYSTEM_LABELS, rows):
             if label not in first and any(row):
                 first[label] = (label, m, next(j for j, v in enumerate(row) if v))
+    stored = _RESIDUALS.get(key, _NO_SYSTEM)
+    if len(stored.census) <= n_max:
+        _RESIDUALS[key] = _SystemState(census, first)
     return next((first[label] for label in _SYSTEM_LABELS if label in first),
                 None)
 

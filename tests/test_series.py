@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 from functools import cache, partial
@@ -441,12 +442,215 @@ _cell = st.tuples(st.integers(0, 14), st.integers(0, 2), st.integers(0, 14),
 def test_check_system_reports_the_reference_first_failure(n_max, cells):
     """One or two census cells corrupted, anywhere through x^n_max: the
     dense check names the same (label, x, u) as the dict reference."""
+    profiles = _corrupted_census(n_max, cells)
+    expected = _reference_violation(n_max, profiles)
+    assert _check_system_violation(n_max, profiles=profiles) == expected
+
+
+def _corrupted_census(n_max, cells):
+    """The census through x^n_max with each (m, i, k, delta) cell added:
+    delta at u^k of slice i at x^m, m and k folded into range."""
     profiles = [tuple(list(row) for row in p) for p in _CENSUS[:n_max + 1]]
     for m, i, k, delta in cells:
         m %= n_max + 1
         profiles[m][i][k % (m + 1)] += delta
-    expected = _reference_violation(n_max, profiles)
-    assert _check_system_violation(n_max, profiles=profiles) == expected
+    return profiles
+
+
+# -- per-process residual states --------------------------------------------
+
+def test_a_relation_without_coefficients_raises():
+    with pytest.raises(ValueError, match="relation 'e' has no coefficients"):
+        relation_residual(PolyRelation("e", ()), TruncatedSeries([1, 2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_residual_state_under_interleaved_requests(data):
+    """One relation's state, driven by a random sequence of orders, each
+    request clean or with one coefficient corrupted, answers every
+    request as the plain Horner reference does.  Half the draws make the
+    series a root of the relation through its order, so that clean
+    requests answer None and a corrupted one leaves a stored first
+    failure for later requests to get past."""
+    coeff = st.integers(-20, 20)
+    if data.draw(st.booleans()):
+        coeff = st.one_of(coeff, _small_fraction)
+    y = data.draw(st.lists(coeff, min_size=1, max_size=16))
+    polys = data.draw(st.lists(
+        st.lists(st.integers(-9, 9), max_size=6), min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        polys[0] = [-c for c in _plain_horner([()] + polys[1:], y)]
+    relation = PolyRelation("interleaved", tuple(tuple(p) for p in polys))
+    index = st.integers(0, len(y) - 1)
+    requests = data.draw(st.lists(
+        st.tuples(index, st.none() | st.tuples(index, coeff.filter(bool))),
+        min_size=1, max_size=10))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_RESIDUALS", {})
+        for order, corruption in requests:
+            coeffs = y[:order + 1]
+            if corruption is not None and corruption[0] <= order:
+                coeffs[corruption[0]] += corruption[1]
+            assert relation_residual(relation, TruncatedSeries(coeffs)) == \
+                _first_nonzero(_plain_horner(polys, coeffs)), (order, corruption)
+
+
+def test_the_state_keeps_its_own_copy_of_the_series(monkeypatch):
+    """Mutating a series after it was evaluated does not reach the stored
+    state: the next evaluation sees the mutation."""
+    monkeypatch.setattr(series, "_RESIDUALS", {})
+    s = TruncatedSeries(CATALAN)
+    assert relation_residual(MINPOLY_A, s) is None
+    s.coefficients[7] -= 1
+    assert relation_residual(MINPOLY_A, s) == \
+        _first_nonzero(_plain_horner(MINPOLY_A.coefficients, s.coefficients))
+    s.coefficients[7] += 1
+    assert relation_residual(MINPOLY_A, s) is None
+
+
+def _count_coefficients(monkeypatch):
+    """Wrap _product and _square; the returned list gets, per call, the
+    number of coefficients it computed."""
+    computed = []
+    for name in ("_product", "_square"):
+        def counted(*args, _real=getattr(series, name)):
+            out = _real(*args)
+            computed.append(len(out))
+            return out
+        monkeypatch.setattr(series, name, counted)
+    return computed
+
+
+def _f_series(n):
+    return TruncatedSeries(f_coefficients(n))
+
+
+# relation, its series through n, and the full-length products and squares
+# of one evaluation
+RESIDUAL_WORK = {
+    "minpoly-A": (MINPOLY_A, ff_slice_series, 3),
+    "minpoly-B": (MINPOLY_B, tf_slice_series, 5),
+    "minpoly-F": (MINPOLY_F, _f_series, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_WORK))
+def test_coefficients_per_residual_request(name, monkeypatch):
+    """A cold request at order n computes the n + 1 coefficients of each
+    series, as a run without the state does; a request no deeper than
+    the state computes nothing; a deeper one computes the n - m past the
+    stored order m; and one whose series differs first at x^k computes
+    n + 1 - k."""
+    relation, series_at, products = RESIDUAL_WORK[name]
+    monkeypatch.setattr(series, "_RESIDUALS", {})
+    computed = _count_coefficients(monkeypatch)
+    for n, per_series in ((40, 41), (40, 0), (25, 0), (0, 0), (47, 7),
+                          (60, 13), (59, 0), (120, 60)):
+        computed.clear()
+        assert relation_residual(relation, series_at(n)) is None, n
+        assert computed == [per_series] * (products if per_series else 0), n
+    corrupted = series_at(100)
+    corrupted.coefficients[30] += 1
+    computed.clear()
+    assert relation_residual(relation, corrupted) is not None
+    assert computed == [71] * products
+
+
+def test_one_state_entry_per_relation_name(monkeypatch):
+    """Fifty random relations evaluated under one name leave one entry,
+    that of the last; each answers as the plain Horner reference does."""
+    monkeypatch.setattr(series, "_RESIDUALS", {})
+    rng = random.Random(19)
+    for _ in range(50):
+        polys = tuple(tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4)))
+                      for _ in range(rng.randint(1, 5)))
+        y = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12))]
+        answer = relation_residual(PolyRelation("shared", polys),
+                                   TruncatedSeries(y))
+        assert answer == _first_nonzero(_plain_horner(polys, y))
+    assert list(series._RESIDUALS) == [("relation_residual", "shared")]
+    assert series._RESIDUALS["relation_residual", "shared"].polys == polys
+
+
+def _count_residual_degrees(monkeypatch):
+    """Wrap _system_residuals; the returned list gets one entry per
+    x-degree whose residual rows are formed."""
+    formed = []
+    real = series._system_residuals
+
+    def counted(census, start):
+        for rows in real(census, start):
+            formed.append(1)
+            yield rows
+    monkeypatch.setattr(series, "_system_residuals", counted)
+    return formed
+
+
+def test_residual_rows_per_system_request(monkeypatch):
+    """The system's residual rows: n + 1 degrees cold, none at or below
+    the stored degree, n - m past a stored degree m, and from the first
+    differing x-degree on for an injected census."""
+    monkeypatch.setattr(series, "_RESIDUALS", {})
+    formed = _count_residual_degrees(monkeypatch)
+    for n, degrees in ((20, 21), (20, 0), (8, 0), (0, 0), (27, 7), (30, 3),
+                       (29, 0)):
+        formed.clear()
+        assert _check_system_violation(n) is None, n
+        assert len(formed) == degrees, n
+    profiles = _corrupted_census(25, [(9, 1, 3, 1)])
+    formed.clear()
+    assert _check_system_violation(25, profiles=profiles) == ("B", 9, 3)
+    assert _reference_violation(25, profiles) == ("B", 9, 3)
+    assert len(formed) == 17
+
+
+@cache
+def _warm_system_states(depth):
+    """_RESIDUALS after one clean system check at depth from an empty
+    state; callers copy the dict and never mutate what it holds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_RESIDUALS", {})
+        assert _check_system_violation(depth) is None
+        return dict(series._RESIDUALS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([60, 5]), st.integers(0, 14),
+       st.lists(_cell, min_size=1, max_size=2))
+def test_a_warm_system_check_reports_the_reference_first_failure(
+        warm, n_max, cells):
+    """The cases of test_check_system_reports_the_reference_first_failure,
+    run after a clean check at depth warm.  An injected census that is
+    shallower than the stored one leaves it in place; a deeper one
+    replaces it.  Either way a clean check after it answers None."""
+    states = _warm_system_states(warm)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_RESIDUALS", dict(states))
+        profiles = _corrupted_census(n_max, cells)
+        assert _check_system_violation(n_max, profiles=profiles) == \
+            _reference_violation(n_max, profiles)
+        assert _check_system_violation(n_max, profiles=_CENSUS) is None
+        assert _check_system_violation(max(warm, n_max)) is None
+    assert states == _warm_system_states(warm)
+    assert len(states["_check_system_violation"].census) == warm + 1
+
+
+def test_verify_output_does_not_depend_on_request_order(monkeypatch):
+    """The residual checks at several depths, run cold one by one, then
+    in ascending and in descending order in one process, print the same
+    lines."""
+    requests = [(name, n) for name in ("minpoly-A", "minpoly-B", "minpoly-F",
+                                       "system-201-210")
+                for n in (0, 1, 13, 40, 64, 90)]
+    cold = {}
+    for request in requests:
+        monkeypatch.setattr(series, "_RESIDUALS", {})
+        cold[request] = run_check(*request)
+    monkeypatch.setattr(series, "_RESIDUALS", {})
+    for order in (sorted(requests, key=lambda r: r[1]),
+                  sorted(requests, key=lambda r: -r[1])):
+        assert {request: run_check(*request) for request in order} == cold
 
 
 # -- functional equations ---------------------------------------------------
