@@ -17,21 +17,34 @@ Where the numbers come from:
     memo's counts; fe-vs-rules reads ``iterate_fe``.  Both keep a
     per-process prefix in ``invseq.series`` that never touches the
     memo;
-  * the axiom: system-201-210 steps all three census slices of the
-    201-210 DP from the axiom on every request
-    (``profile_slices_201_210``);
+  * a census prefix: system-201-210 reads the census rows of the
+    201-210 DP from a per-process prefix of ``profile_slices_201_210``
+    in ``invseq.series``, which never touches the memo either;
   * a residual state: minpoly-A, minpoly-B, minpoly-F and
     conjecture-010-102 evaluate their relation with
     ``relation_residual``, and system-201-210 forms its residual rows
     with ``_check_system_violation``.  Both resume from a per-process
     state in ``invseq.series`` at the first coefficient where the input
     differs from the stored one, so the residual of a series that agrees
-    with an earlier request is not formed again.
+    with an earlier request is not formed again;
+  * the structure state: structure-theorem keeps, per length, the first
+    inversion sequence on which ``structure_check_201_210`` and
+    ``avoids`` disagree, or None (``_STATES`` here), for the two
+    functions and the basis it read, so each sequence goes to each
+    function once per process;
+  * no state: the oracle is the ground truth and keeps none, so
+    oracle-vs-rules and conjecture-010-102 count with ``count_sequence``
+    from scratch on every request.
 
 The memo and the series prefixes follow one policy (``invseq.prefix``),
-and the residual states the same publish rule, so a process serving
-many checks steps each depth of each route, and evaluates each
-coefficient of each residual, once.
+and the residual and structure states the same publish rule, so a
+process serving many checks steps each depth of each route, evaluates
+each coefficient of each residual and checks each sequence once.  A
+series prefix is kept for the route function ``invseq.series`` calls,
+and the structure state for the two functions and the basis, as each
+module sees them at call time: a check handed another one (a planted
+fault, say) runs it cold, with the answer of a fresh process, and
+replaces the stored prefix or state.
 
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:
@@ -41,6 +54,7 @@ runs one by name, the way the command line and the acceptance suite do:
 """
 
 import itertools
+from collections import namedtuple
 
 from .core import avoids, render_word, structure_check_201_210
 from .oracle import count_sequence
@@ -118,14 +132,46 @@ def _verify_system(n_max):
     return True, ["OK: all seven bivariate identities hold through n=%d" % n_max]
 
 
+# the per-process state of structure-theorem: the routes it was checked on
+# (checker, avoids, basis) and, per length 0..L, the first word of that
+# length on which the two disagree, with both answers, or None.
+_StructureState = namedtuple("_StructureState", "reads first")
+
+_STATES = {}        # check name -> its per-process state
+
+
 def _verify_structure(n_max):
-    basis = get_system("201-210").basis
-    for n in range(n_max + 1):
-        for e in itertools.product(*[range(i + 1) for i in range(n)]):
-            if structure_check_201_210(e) != avoids(e, basis):
-                return False, ["FAIL at e=%s: checker %s, avoidance %s"
-                               % (render_word(e), structure_check_201_210(e),
-                                  avoids(e, basis))]
+    """Compare the structure checker with pattern avoidance on every
+    inversion sequence of length at most n_max, length by length.
+
+    Each length is checked once per process: the per-length answers are
+    kept in _STATES, and a request checks only the lengths past the
+    stored ones, up to n_max or its first disagreement, as a cold run
+    would.  The state is kept for the routes as this module sees them at
+    call time; other routes are checked cold and replace it.  A request
+    works on a private copy and publishes it only when it is longer, so
+    threads need no lock."""
+    reads = checker, avoids_basis, basis = (
+        structure_check_201_210, avoids, get_system("201-210").basis)
+    old = _STATES.get("structure-theorem")
+    first = list(old.first) if old is not None and old.reads == reads else []
+    while len(first) <= n_max and not any(first):
+        found = None
+        for e in itertools.product(*map(range, range(1, len(first) + 1))):
+            checked = checker(e)
+            avoided = avoids_basis(e, basis)
+            if checked != avoided:
+                found = e, checked, avoided
+                break
+        first.append(found)
+    stored = _STATES.get("structure-theorem")
+    if stored is None or stored.reads != reads or len(stored.first) < len(first):
+        _STATES["structure-theorem"] = _StructureState(reads, tuple(first))
+    found = next(filter(None, first[:n_max + 1]), None)
+    if found is not None:
+        e, checked, avoided = found
+        return False, ["FAIL at e=%s: checker %s, avoidance %s"
+                       % (render_word(e), checked, avoided)]
     return True, ["OK: checker agrees with pattern avoidance for all "
                   "inversion sequences through n=%d" % n_max]
 

@@ -29,13 +29,18 @@ x-degree) is a list over u-power of rows indexed by the v-power, so
 differ in length.  Only the public ``phi`` takes and returns
 ``{u_power: coeff}`` dicts, for readability at the API.
 
-Two routes keep a per-process prefix (see ``invseq.prefix``): the
-(k,F,F) slice of the 201-210 DP behind ``ff_slice_series`` and the
-functional-equation iteration behind ``iterate_fe``, one per system.
-They live here rather than on the rules memo of ``invseq.succession`` so
-that verify's routes stay apart from the route they check: the slice
-never touches the memo, and the functional equations reach no
-succession code.
+Three routes keep a per-process prefix (see ``invseq.prefix``): the
+(k,F,F) slice of the 201-210 DP behind ``ff_slice_series``, the census
+slices of the 201-210 DP behind ``_check_system_violation`` (counted as
+its census rows) and the functional-equation iteration behind
+``iterate_fe``, one per system.  They live here rather than on the rules
+memo of ``invseq.succession`` so that verify's routes stay apart from
+the route they check: the slices never touch the memo, and the
+functional equations reach no succession code.  Each prefix is kept for
+the route function this module calls at that moment; another one (a
+planted fault, say) gets a new prefix, stepped from the axiom, in place
+of the stored one.  ``tf_slice_series`` keeps no prefix: it is
+minpoly-B's reference, a full run from the axiom.
 
 The two residual checks keep a per-process state of their own
 (``_RESIDUALS``): one per relation name and one for the 201-210 system,
@@ -134,16 +139,30 @@ def f_coefficients(n_max):
 _PREFIXES = {}      # route key -> its Prefix, made on first use
 
 
-def _prefix(key, route, count):
-    """The Prefix in _PREFIXES under key, made on first use over route,
-    which yields levels and takes (n, (depth, level)) to resume, each
-    level counted by count."""
+def _counted(count, route, args, n, start=None):
+    """route(*args, n), or route(*args, n, start) to resume, as a Prefix
+    route: yield (level, count(depth, level)).  A resumed route yields its
+    start level again first, which the Prefix skips, so it is not counted
+    again."""
+    if start is None:
+        levels = enumerate(route(*args, n))
+    else:
+        levels = enumerate(route(*args, n, start), start[0])
+        yield next(levels)[1], None
+    for depth, level in levels:
+        yield level, count(depth, level)
+
+
+def _prefix(key, count, route, *args):
+    """The Prefix in _PREFIXES under key over route(*args, n, start),
+    which yields levels and resumes from start = (depth, level), each
+    level counted by count(depth, level).  It is made on first use, and
+    made afresh, replacing the stored one, when the stored one reads
+    another route: the key holds one prefix, of the route as this module
+    sees it at call time."""
     prefix = _PREFIXES.get(key)
-    if prefix is None:
-        def counted(n, start=None):
-            for level in route(n, start):
-                yield level, count(level)
-        prefix = _PREFIXES.setdefault(key, Prefix(counted))
+    if prefix is None or prefix.route.args[1:] != (route, args):
+        prefix = _PREFIXES[key] = Prefix(partial(_counted, count, route, args))
     return prefix
 
 
@@ -155,7 +174,8 @@ def ff_slice_series(n_max):
     ``invseq.prefix``).  The route never touches the rules memo, so
     minpoly-B, which subtracts these sums from the memo's counts, takes
     its two terms from separate routes."""
-    prefix = _prefix("ff_slices_201_210", ff_slices_201_210, sum)
+    prefix = _prefix("ff_slices_201_210", lambda _, a: sum(a),
+                     ff_slices_201_210)
     return TruncatedSeries(prefix.counts(n_max), n_max)
 
 
@@ -372,6 +392,12 @@ def _census_row(row, deg):
     return [*row[:deg + 1], *[0] * (deg + 1 - len(row))]
 
 
+def _census_rows(deg, level):
+    """The census rows (A, B, C) at x^deg of a level (a, b, c) of the
+    201-210 DP (see _census_row)."""
+    return tuple(_census_row(row, deg) for row in level)
+
+
 def _combine(length, *terms):
     """The row of the given length summing sign * u^shift * row over the
     (sign, shift, row) terms, with sign 1 or -1."""
@@ -462,19 +488,25 @@ def _check_system_violation(n_max, profiles=None):
     failure: labels in the order above, then the lowest x-degree, then
     the lowest u-degree.
 
-    The census is read whole on every call, but the residual rows resume
-    from this process's state (see _RESIDUALS) at the first x-degree
-    where the census differs from the stored one, or past the stored
-    degree: a call no deeper than the stored degree with a matching
-    census forms no residual row.
+    The census rows of the DP come from this process's prefix of
+    profile_slices_201_210 (see ``invseq.prefix``), whose count per depth
+    is the row triple, so each depth is stepped and converted once per
+    process.  The residual rows resume from this process's state (see
+    _RESIDUALS) at the first x-degree where the census differs from the
+    stored one, or past the stored degree: a call no deeper than the
+    stored degree with a matching census forms no residual row.  The
+    state holds the prefix's row objects, not copies, so the comparison
+    of a matching census is one identity test per degree.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if profiles is None:
-        profiles = list(profile_slices_201_210(n_max))
-    a, b, c = ([_census_row(profiles[m][i], m) for m in range(n_max + 1)]
-               for i in range(3))
-    census = list(zip(a, b, c))
+        census = _prefix("profile_slices_201_210", _census_rows,
+                         profile_slices_201_210).counts(n_max)
+    else:
+        a, b, c = ([_census_row(profiles[m][i], m) for m in range(n_max + 1)]
+                   for i in range(3))
+        census = list(zip(a, b, c))
     key = "_check_system_violation"
     old = _RESIDUALS.get(key, _NO_SYSTEM)
     start = _shared_length(census, old.census)
@@ -638,6 +670,7 @@ def iterate_fe(system_id, n_max):
     the prefix is read.
     """
     _fe_step(system_id)
-    prefix = _prefix(("_fe_slices", system_id), partial(_fe_slices, system_id),
-                     lambda slice_: sum(map(sum, slice_)))
+    prefix = _prefix(("_fe_slices", system_id),
+                     lambda _, slice_: sum(map(sum, slice_)),
+                     _fe_slices, system_id)
     return prefix.counts(n_max)

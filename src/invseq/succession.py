@@ -375,14 +375,18 @@ def count_via_rules(system_id, n):
     return get_system(system_id)._reach(n)[0][n]
 
 
-def profile_slices_201_210(n_max):
+def profile_slices_201_210(n_max, _start=None):
     """Yield the (a, b, c) slices of the 201-210 DP for depths 0..n_max.
 
     a[k], b[k], c[k] are the counts of (k,F,F), (k,T,F), (k,T,T); the
     generating-function checks consume these directly as the coefficient
-    rows of the bivariate series they verify.
+    rows of the bivariate series they verify.  It never touches the memo.
+    The private _start = (depth, level) resumes from a level already
+    computed and yields depths depth..n_max instead, as RuleSystem.levels
+    does: the system check keeps its own prefix of this route that way.
+    A yielded level is never mutated.
     """
-    for level, _ in SYSTEMS["201-210"].levels(n_max, _count_last=False):
+    for level, _ in SYSTEMS["201-210"].levels(n_max, _start, _count_last=False):
         yield level
 
 

@@ -1,0 +1,135 @@
+"""The per-process state of the structure-theorem check: each inversion
+sequence goes to the structure checker and to pattern avoidance once per
+process, whatever the order of the requests, and the printed lines are
+those of a cold run.  The last test also runs the system check, whose
+census prefix and residual state threads share in the same way."""
+
+import sys
+import threading
+from collections import Counter
+from math import factorial
+
+import pytest
+
+from invseq import checks, series
+from invseq.checks import run_check
+
+# a word of length n has n! choices: 1 * 2 * ... * n
+WORDS_THROUGH_8 = sum(map(factorial, range(9)))
+
+
+def _count_calls(monkeypatch):
+    """Wrap checks.avoids and checks.structure_check_201_210; the returned
+    Counters get, per function, the words it was called on."""
+    seen = {}
+    for name in ("avoids", "structure_check_201_210"):
+        calls = seen[name] = Counter()
+
+        def counted(e, *args, _real=getattr(checks, name), _calls=calls):
+            _calls[e] += 1
+            return _real(e, *args)
+        monkeypatch.setattr(checks, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("order", [(5, 7, 6, 8), (8, 5)])
+def test_each_word_goes_to_each_route_once(order, monkeypatch):
+    monkeypatch.setattr(checks, "_STATES", {})
+    seen = _count_calls(monkeypatch)
+    for n in order:
+        assert run_check("structure-theorem", n)[0], n
+    assert WORDS_THROUGH_8 == 46234
+    for name, calls in seen.items():
+        assert sum(calls.values()) == WORDS_THROUGH_8, name
+        assert set(calls.values()) == {1}, name
+        assert max(map(len, calls)) == 8, name
+
+
+def _planted_checker(monkeypatch):
+    """Make the checker wrong on the word 010 only."""
+    real = checks.structure_check_201_210
+    monkeypatch.setattr(checks, "structure_check_201_210",
+                        lambda e: real(e) != (e == (0, 1, 0)))
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_output_does_not_depend_on_request_order(planted, monkeypatch):
+    """Requests at several depths, run cold one by one, then in ascending
+    and in descending order in one process, get the same lines, with and
+    without a planted fault."""
+    if planted:
+        _planted_checker(monkeypatch)
+    depths = (0, 2, 3, 7, 5, 6)
+    cold = {}
+    for n in depths:
+        monkeypatch.setattr(checks, "_STATES", {})
+        cold[n] = run_check("structure-theorem", n)
+    assert cold[7][0] is not planted
+    for order in (sorted(depths), sorted(depths, reverse=True), depths):
+        monkeypatch.setattr(checks, "_STATES", {})
+        assert {n: run_check("structure-theorem", n) for n in order} == cold
+
+
+def test_a_fault_planted_after_a_warm_run_prints_the_cold_line(monkeypatch):
+    monkeypatch.setattr(checks, "_STATES", {})
+    assert run_check("structure-theorem", 8) == (True, [
+        "OK: checker agrees with pattern avoidance for all inversion "
+        "sequences through n=8"])
+    real = checks.structure_check_201_210
+    _planted_checker(monkeypatch)
+    fail = (False, ["FAIL at e=010: checker False, avoidance True"])
+    for n in (8, 4, 3):
+        assert run_check("structure-theorem", n) == fail, n
+    assert run_check("structure-theorem", 2)[0]
+    monkeypatch.setattr(checks, "structure_check_201_210", real)
+    assert run_check("structure-theorem", 5)[0]
+    assert list(checks._STATES) == ["structure-theorem"]
+
+
+def test_concurrent_requests_share_consistent_states(monkeypatch):
+    """Eight threads request structure-theorem and system-201-210 at
+    different depths at once; a tiny switch interval makes them
+    interleave inside the checks.  Every answer is that of a cold run,
+    and the states left behind are those of cold runs to their depths."""
+    requests = [(name, n) for name, depths in (("structure-theorem", (3, 6)),
+                                               ("system-201-210", (20, 45)))
+                for n in depths for _ in range(2)]
+    cold = {}
+    for request in set(requests):
+        monkeypatch.setattr(checks, "_STATES", {})
+        monkeypatch.setattr(series, "_PREFIXES", {})
+        monkeypatch.setattr(series, "_RESIDUALS", {})
+        cold[request] = run_check(*request)
+    census = [series._census_rows(m, level) for m, level
+              in enumerate(series.profile_slices_201_210(45))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(checks, "_STATES", {})
+            monkeypatch.setattr(series, "_PREFIXES", {})
+            monkeypatch.setattr(series, "_RESIDUALS", {})
+            barrier = threading.Barrier(len(requests))
+            answers = []
+
+            def serve(request):
+                barrier.wait(timeout=30)
+                answers.append((request, run_check(*request)))
+
+            threads = [threading.Thread(target=serve, args=(r,))
+                       for r in requests]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert sorted(answers) == sorted((r, cold[r]) for r in requests)
+            first = checks._STATES["structure-theorem"].first
+            assert len(first) in (4, 7) and not any(first)
+            rows = series._PREFIXES["profile_slices_201_210"]._memo[0]
+            assert rows == census[:len(rows)] and len(rows) in (21, 46)
+            system = series._RESIDUALS["_check_system_violation"]
+            assert system.census == census[:len(system.census)]
+            assert not system.first
+    finally:
+        sys.setswitchinterval(switch)

@@ -653,6 +653,98 @@ def test_verify_output_does_not_depend_on_request_order(monkeypatch):
         assert {request: run_check(*request) for request in order} == cold
 
 
+def test_resuming_the_census_route_yields_the_tail_of_a_cold_run():
+    levels = list(profile_slices_201_210(30))
+    for depth in range(31):
+        assert list(profile_slices_201_210(30, (depth, levels[depth]))) == \
+            levels[depth:], depth
+        assert list(profile_slices_201_210(depth, (depth, levels[depth]))) == \
+            [levels[depth]]
+    with pytest.raises(ValueError):
+        list(profile_slices_201_210(-1, (0, levels[0])))
+
+
+def test_census_depths_per_system_request(monkeypatch):
+    """The census rows come from one prefix per process: the requests 20,
+    80, 50 and 80 form the rows of the 81 depths 0..80 once each and step
+    the 201-210 kernel 80 times, and the answers are those of cold
+    calls."""
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    monkeypatch.setattr(series, "_RESIDUALS", {})
+    rows, steps = [], []
+    real_rows = series._census_rows
+
+    def counted_rows(deg, level):
+        rows.append(deg)
+        return real_rows(deg, level)
+    monkeypatch.setattr(series, "_census_rows", counted_rows)
+    system = succession.SYSTEMS["201-210"]
+
+    def counted_kernel(level, _real=system.kernel):
+        steps.append(1)
+        return _real(level)
+    monkeypatch.setattr(system, "kernel", counted_kernel)
+    for n in (20, 80, 50, 80):
+        assert _check_system_violation(n) is None, n
+    assert sorted(rows) == list(range(81))
+    assert len(steps) == 80
+
+
+def test_the_residual_state_holds_the_census_rows_of_the_prefix(monkeypatch):
+    """The system's residual state and the census prefix share their row
+    objects, so the rows are stored once."""
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    monkeypatch.setattr(series, "_RESIDUALS", {})
+    for n in (30, 12, 45):
+        assert _check_system_violation(n) is None
+    stored = series._RESIDUALS["_check_system_violation"].census
+    (prefix,) = series._PREFIXES.values()
+    rows = prefix._memo[0]
+    assert len(stored) == len(rows) == 46
+    assert all(s is r for s, r in zip(stored, rows))
+
+
+def _planted_census(real):
+    """The census route with one more (k,F,F) state at x^5 u^2; it resumes
+    as the real one does."""
+    def planted(n_max, _start=None):
+        for m, (a, b, c) in enumerate(real(n_max, _start),
+                                      0 if _start is None else _start[0]):
+            if m == 5:
+                a = [*a[:2], a[2] + 1, *a[3:]]
+            yield a, b, c
+    return planted
+
+
+def test_a_planted_census_route_is_checked_cold(monkeypatch):
+    """A census route planted after a warm call to depth 25 gives, at any
+    depth and in any order, the answers of a cold call on it; restoring
+    the real route restores the real answers."""
+    real = series.profile_slices_201_210
+    planted = _planted_census(real)
+
+    def cold(n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_PREFIXES", {})
+            mp.setattr(series, "_RESIDUALS", {})
+            mp.setattr(series, "profile_slices_201_210", planted)
+            return _check_system_violation(n)
+
+    expected = {n: cold(n) for n in (3, 5, 25, 40)}
+    assert expected == {3: None, 5: ("A", 5, 2), 25: ("A", 5, 2),
+                        40: ("A", 5, 2)}
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    monkeypatch.setattr(series, "_RESIDUALS", {})
+    assert _check_system_violation(25) is None
+    monkeypatch.setattr(series, "profile_slices_201_210", planted)
+    for n in (25, 3, 40, 5, 25):
+        assert _check_system_violation(n) == expected[n], n
+    assert len(series._PREFIXES) == 1
+    monkeypatch.setattr(series, "profile_slices_201_210", real)
+    for n in (40, 5):
+        assert _check_system_violation(n) is None, n
+
+
 # -- functional equations ---------------------------------------------------
 
 def test_iterate_fe_pinned():
