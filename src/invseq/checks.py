@@ -12,9 +12,10 @@ Where the numbers come from:
     wilf-011-201 and oracle-vs-rules take their rule counts from
     ``rule_counting_sequence``, which reads the per-process memo of
     ``invseq.succession``;
-  * a series prefix: minpoly-A reads the (k,F,F) slice sums from
+  * a series prefix: gf-vs-rules reads the closed form from
+    ``f_coefficients``; minpoly-A reads the (k,F,F) slice sums from
     ``ff_slice_series``, and minpoly-B subtracts the same sums from the
-    memo's counts; fe-vs-rules reads ``iterate_fe``.  Both keep a
+    memo's counts; fe-vs-rules reads ``iterate_fe``.  Each keeps a
     per-process prefix in ``invseq.series`` that never touches the
     memo;
   * a census prefix: system-201-210 reads the census rows of the

@@ -30,6 +30,13 @@ traceback.
 Output is deterministic: the same invocation always produces
 byte-identical text, so the commands are safe to diff in CI.
 
+series prints each count of the rules memo or the closed form with the
+decimal text a per-process memo keeps for that value (``_DECIMAL``), so
+a process converts each such count to text once; the oracle's counts,
+which no prefix keeps, are converted on every request.  profile prints
+``profile_text``, which renders the dense level without building a
+dict.
+
 main() builds the argument parser once per process, on its first call,
 and reuses it; build_parser() still returns a fresh one.
 """
@@ -45,8 +52,8 @@ from .series import f_coefficients
 from .succession import (
     emit_diagram,
     get_system,
+    profile_text,
     rule_counting_sequence,
-    state_profile,
     SYSTEMS,
 )
 
@@ -77,25 +84,47 @@ def _resolve_basis(args):
 
 
 def _counts_through(args, n_max):
-    """Counting sequence 0..n_max for the source the flags select."""
+    """(counting sequence 0..n_max, whether a per-process prefix holds
+    its counts) for the source the flags select: the rules memo and the
+    closed form keep one, the oracle none."""
     _require(n_max >= 0, "n must be nonnegative")
     if args.system is not None:
         method = args.method or "rules"
         if method == "rules":
-            return rule_counting_sequence(args.system, n_max)
+            return rule_counting_sequence(args.system, n_max), True
         if method == "gf":
             _require(args.system == "201-210",
                      "method gf only applies to system 201-210")
-            return f_coefficients(n_max)
-        return count_sequence(get_system(args.system).basis, n_max)
+            return f_coefficients(n_max), True
+        return count_sequence(get_system(args.system).basis, n_max), False
     method = args.method or "oracle"
     _require(method == "oracle",
              "--basis only supports method oracle; use --system for %s" % method)
-    return count_sequence(parse_basis(args.basis), n_max)
+    return count_sequence(parse_basis(args.basis), n_max), False
+
+
+_DECIMAL = {}       # count -> its decimal text, for counts a prefix holds
+
+
+def _decimal(counts):
+    """The decimal text of each count, read from _DECIMAL or added to it.
+
+    str() of an integer depends on its value alone, so no entry can go
+    stale, and the memo keeps at most the counts the prefixes keep.  No
+    lock is needed: two threads may both convert a count and store the
+    same text."""
+    memo = _DECIMAL
+    out = []
+    for c in counts:
+        text = memo.get(c)
+        if text is None:
+            text = memo[c] = str(c)
+        out.append(text)
+    return out
 
 
 def _cmd_count(args):
-    print(_counts_through(args, args.n)[args.n])
+    print(_counts_through(args, args.n)[0][args.n])
     return 0
 
 
@@ -110,22 +139,20 @@ def _cmd_list(args):
 
 
 def _cmd_series(args):
-    counts = _counts_through(args, args.n_max)
+    counts, kept = _counts_through(args, args.n_max)
+    texts = _decimal(counts) if kept else map(str, counts)
     if args.format == "plain":
-        lines = ["%d\n" % c for c in counts]
+        lines = [text + "\n" for text in texts]
     else:
         sep = "," if args.format == "csv" else " "
-        lines = ["%d%s%d\n" % (n, sep, c) for n, c in enumerate(counts)]
+        lines = ["%d%s%s\n" % (n, sep, text) for n, text in enumerate(texts)]
     sys.stdout.write("".join(lines))
     return 0
 
 
 def _cmd_profile(args):
     _require(args.n >= 0, "n must be nonnegative")
-    state_str = get_system(args.system).state_str
-    profile = state_profile(args.system, args.n)
-    sys.stdout.write("".join(["%s %d\n" % (state_str(state), profile[state])
-                              for state in sorted(profile)]))
+    sys.stdout.write(profile_text(args.system, args.n))
     return 0
 
 

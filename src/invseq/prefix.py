@@ -6,8 +6,9 @@ level it yielded before; it never mutates a level it has yielded.  A
 "count" is whatever the route makes of a level: a number, or for the
 census of the 201-210 DP its rows.  Each rule system of
 ``invseq.succession`` is a Prefix over its own levels (the rules memo),
-and ``invseq.series`` keeps one over the (k,F,F) slice of the 201-210
-DP, one over its census slices and one per functional-equation system.
+and ``invseq.series`` keeps one over the closed form's recurrences, one
+over the (k,F,F) slice of the 201-210 DP, one over its census slices and
+one per functional-equation system.
 
 A Prefix keeps the counts at depths 0..L and the level at depth L, for
 the deepest L any request in this process has asked for, and a

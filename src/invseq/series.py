@@ -29,18 +29,19 @@ x-degree) is a list over u-power of rows indexed by the v-power, so
 differ in length.  Only the public ``phi`` takes and returns
 ``{u_power: coeff}`` dicts, for readability at the API.
 
-Three routes keep a per-process prefix (see ``invseq.prefix``): the
-(k,F,F) slice of the 201-210 DP behind ``ff_slice_series``, the census
-slices of the 201-210 DP behind ``_check_system_violation`` (counted as
-its census rows) and the functional-equation iteration behind
-``iterate_fe``, one per system.  They live here rather than on the rules
-memo of ``invseq.succession`` so that verify's routes stay apart from
-the route they check: the slices never touch the memo, and the
-functional equations reach no succession code.  Each prefix is kept for
-the route function this module calls at that moment; another one (a
-planted fault, say) gets a new prefix, stepped from the axiom, in place
-of the stored one.  ``tf_slice_series`` keeps no prefix: it is
-minpoly-B's reference, a full run from the axiom.
+Four routes keep a per-process prefix (see ``invseq.prefix``): the
+closed form's recurrences behind ``f_coefficients`` (counted as f_k),
+the (k,F,F) slice of the 201-210 DP behind ``ff_slice_series``, the
+census slices of the 201-210 DP behind ``_check_system_violation``
+(counted as its census rows) and the functional-equation iteration
+behind ``iterate_fe``, one per system.  They live here rather than on
+the rules memo of ``invseq.succession`` so that the routes stay apart
+from the route they check: the slices never touch the memo, and the
+closed form and the functional equations reach no succession code.
+Each prefix is kept for the route function this module calls at that
+moment; another one (a planted fault, say) gets a new prefix, stepped
+from the axiom, in place of the stored one.  ``tf_slice_series`` keeps
+no prefix: it is minpoly-B's reference, a full run from the axiom.
 
 The two residual checks keep a per-process state of their own
 (``_RESIDUALS``): one per relation name and one for the 201-210 system,
@@ -108,30 +109,46 @@ def f_coefficients(n_max):
     Every division is checked to be exact, and every f_k to be
     nonnegative; a failure raises ArithmeticError, since it would mean
     the closed form is wrong.
+
+    The coefficients come from this process's prefix of _f_levels (see
+    ``invseq.prefix``), so a request no deeper than an earlier one
+    steps nothing.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    r = [1]                 # only r_0 .. r_(n_max-1) reach x^n_max
-    for k in range(1, n_max):
-        r_k, rem = divmod(4 * (2 * k - 3) * r[-1], k)
-        if rem:
-            raise ArithmeticError(
-                "sqrt(1-8x) coefficient of x^%d is not an integer" % k)
-        r.append(r_k)
-    num = [2, -1] + [0] * n_max
-    for k, c in enumerate(r, 1):
-        num[k] -= c
-    out = []
-    f1 = f2 = 0             # f_(k-1), f_(k-2)
-    for k in range(n_max + 1):
-        f, rem = divmod(num[k] + 4 * f1 - 4 * f2, 2)
-        if rem:
-            raise ArithmeticError("coefficient of x^%d is not an integer" % k)
-        if f < 0:
-            raise ArithmeticError("coefficient of x^%d is negative: %r" % (k, f))
-        out.append(f)
-        f1, f2 = f, f1
-    return out
+    return _prefix("_f_levels", lambda _, level: level[2], _f_levels).counts(n_max)
+
+
+def _f_step(level):
+    """One step of the recurrences of f_coefficients: the state (k,
+    r_(k-1), f_(k-1), f_(k-2)) before x^k to the state before x^(k+1),
+    for k >= 1.  The division of each recurrence is checked to be exact,
+    and f_k to be nonnegative."""
+    k, r, f1, f2 = level
+    f, rem = divmod((-1 if k == 1 else 0) - r + 4 * f1 - 4 * f2, 2)
+    if rem:
+        raise ArithmeticError("coefficient of x^%d is not an integer" % k)
+    if f < 0:
+        raise ArithmeticError("coefficient of x^%d is negative: %r" % (k, f))
+    r, rem = divmod(4 * (2 * k - 3) * r, k)
+    if rem:
+        raise ArithmeticError(
+            "sqrt(1-8x) coefficient of x^%d is not an integer" % k)
+    return k + 1, r, f, f1
+
+
+def _f_levels(n_max, _start=None):
+    """Yield the states of the closed form's recurrences after x^0 ..
+    x^n_max: at depth d the state (d + 1, r_d, f_d, f_(d-1)) before
+    x^(d+1), from (1, r_0, f_0, f_(-1)) = (1, 1, 1, 0), where N_0 / 2 = 1.
+    The private _start = (depth, state) resumes from a state already
+    computed and yields depths depth..n_max instead, as f_coefficients'
+    prefix does."""
+    depth, level = (0, (1, 1, 1, 0)) if _start is None else _start
+    for _ in range(n_max - depth):
+        yield level
+        level = _f_step(level)
+    yield level
 
 
 # -- per-process prefixes ---------------------------------------------------

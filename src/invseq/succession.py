@@ -27,12 +27,14 @@ rows[k] holding the counts of (k, ell) for ell = len(rows) - 1 - k down
 to 0, so that the suffix sums over ell are running sums of the row.
 Each RuleSystem carries its dense kernel, which turns the ranged
 productions into partial sums so one depth costs time linear in the
-number of cells, and its conversions between dense and dict levels;
-state_profile() converts once, at the end.
+number of cells, its conversions between dense and dict levels and its
+renderer of a dense level as text: state_profile() converts once, at
+the end, and profile_text() renders the level without a dict.
 
 Each RuleSystem is a per-process prefix of its own DP (see
-``invseq.prefix``): rule_counting_sequence(), count_via_rules() and
-state_profile() read it, and extend it when a request is deeper.
+``invseq.prefix``): rule_counting_sequence(), count_via_rules(),
+state_profile() and profile_text() read it, and extend it when a request
+is deeper.
 profile_slices_201_210() and ff_slices_201_210() do not use it.
 
 >>> count_via_rules("201-210", 7)
@@ -59,13 +61,16 @@ class RuleSystem(Prefix):
     kernel(level) takes a dense level to the next depth and also returns
     the accepted count of the level it was given, which falls out of its
     partial sums; accepted(level) computes that count directly.
+    render(level) is the text of a dense level: one "state count" line
+    per state with a nonzero count, in sorted state order, each state as
+    state_str writes it.
 
     The system is the per-process prefix of its own levels, its memo
     (see ``invseq.prefix``).
     """
 
     def __init__(self, name, basis, axiom, successors, accept, state_str,
-                 kernel, accepted, to_dense, to_dict):
+                 kernel, accepted, to_dense, to_dict, render):
         self.name = name
         self.basis = basis
         self.axiom = axiom
@@ -76,6 +81,7 @@ class RuleSystem(Prefix):
         self.accepted = accepted
         self.to_dense = to_dense
         self.to_dict = to_dict
+        self.render = render
         super().__init__(self.levels)
 
     def levels(self, n, _start=None, _count_last=True):
@@ -313,6 +319,21 @@ def _triangle_to_dict(rows):
             for k, row in enumerate(rows) for i, m in enumerate(row) if m}
 
 
+def _render_201_210(level):
+    """Per k, the states (k,F,F), (k,T,F), (k,T,T), the sorted order of
+    the reachable states."""
+    return "".join(["(%d,%s) %d\n" % (k, flags, m)
+                    for k, cells in enumerate(zip(*level))
+                    for flags, m in zip(("F,F", "T,F", "T,T"), cells) if m])
+
+
+def _render_triangle(rows):
+    """Per k, the states (k, ell) with ell ascending: row k reversed."""
+    return "".join(["(%d,%d) %d\n" % (k, ell, m)
+                    for k, row in enumerate(rows)
+                    for ell, m in enumerate(reversed(row)) if m])
+
+
 def _accepted_201_210(level):
     a, b, _ = level
     return sum(a) + sum(b)
@@ -335,17 +356,17 @@ SYSTEMS = {
         "201-210", ((2, 0, 1), (2, 1, 0)),
         (0, False, False), _successors_201_210,
         _accept_uncommitted, _str_3, _fast_step_201_210, _accepted_201_210,
-        _slices_from_dict, _slices_to_dict),
+        _slices_from_dict, _slices_to_dict, _render_201_210),
     "011-201": RuleSystem(
         "011-201", ((0, 1, 1), (2, 0, 1)),
         (0, 0), _successors_011_201, _accept_all, _str_2,
         _fast_step_011_201, _accepted_triangle,
-        _triangle_from_dict, _triangle_to_dict),
+        _triangle_from_dict, _triangle_to_dict, _render_triangle),
     "010-100-120-210": RuleSystem(
         "010-100-120-210", ((0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0)),
         (0, 0), _successors_010_100_120_210,
         _accept_all, _str_2, _fast_step_010_100_120_210, _accepted_triangle,
-        _triangle_from_dict, _triangle_to_dict),
+        _triangle_from_dict, _triangle_to_dict, _render_triangle),
 }
 
 
@@ -409,17 +430,28 @@ def ff_slices_201_210(n_max, _start=None):
     yield a
 
 
-def state_profile(system_id, n):
-    """The full depth-n level vector, as a dict from state to count.
-
-    The DP resumes from the memo's level nearest at or below n (see
-    ``invseq.prefix``), so it steps nothing when that level is at n.
-    The dict is always built afresh.
-    """
-    system = get_system(system_id)
+def _dense_level(system, n):
+    """The system's dense level at depth n, resumed from the memo's level
+    nearest at or below n (see ``invseq.prefix``), so it steps nothing
+    when that level is at n."""
     for level, _ in system.levels(n, system.nearest(n), _count_last=False):
         pass
-    return system.to_dict(level)
+    return level
+
+
+def state_profile(system_id, n):
+    """The full depth-n level vector, as a dict from state to count,
+    always built afresh."""
+    system = get_system(system_id)
+    return system.to_dict(_dense_level(system, n))
+
+
+def profile_text(system_id, n):
+    """The depth-n census as text: one "state count" line per state of
+    state_profile(system_id, n), in sorted state order, rendered straight
+    from the dense level."""
+    system = get_system(system_id)
+    return system.render(_dense_level(system, n))
 
 
 # ---------- diagram output ----------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import random
 import subprocess
 import sys
 
@@ -207,6 +208,76 @@ def test_profile_and_series_write_what_a_print_per_line_would(capsys, n):
                 (source, fmt)
 
 
+# -- the decimal text of counts ---------------------------------------------
+
+# series, count and profile on the three systems, with the rules and the
+# closed form in every format, at depths on both sides of a checkpoint
+WARM_REQUESTS = [
+    *[["series", "--system", system_id, *method, "--n-max", str(n),
+       "--format", fmt]
+      for system_id, method, sizes in (
+          ("201-210", [], (5, 70, 130)),
+          ("201-210", ["--method", "gf"], (6, 64, 130)),
+          ("011-201", [], (4, 40)),
+          ("010-100-120-210", ["--method", "rules"], (3, 40)))
+      for n in sizes for fmt in ("plain", "csv", "bfile")],
+    *[["count", "--system", system_id, *method, "--n", str(n)]
+      for system_id, method, n in (("201-210", [], 129),
+                                   ("201-210", ["--method", "gf"], 65),
+                                   ("011-201", [], 41),
+                                   ("010-100-120-210", [], 39))],
+    *[["profile", "--system", system_id, "--n", str(n)]
+      for system_id in sorted(SYSTEMS) for n in (2, 66)],
+]
+
+
+@contextlib.contextmanager
+def _cleared_state():
+    """The state of a fresh process: empty rules memos, series prefixes
+    and text memo, restored afterwards."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_DECIMAL", {})
+        mp.setattr(series, "_PREFIXES", {})
+        for system in SYSTEMS.values():
+            mp.setattr(system, "_memo", None)
+        yield
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_warm_replies_equal_cold_ones_in_any_order(capsys, seed):
+    """A seeded shuffle of the requests, served in one process, prints
+    what each request prints on the state of a fresh process."""
+    requests = list(WARM_REQUESTS)
+    random.Random(seed).shuffle(requests)
+    cold = []
+    for argv in requests:
+        with _cleared_state():
+            cold.append(run_cli(capsys, *argv))
+    with _cleared_state():
+        assert [run_cli(capsys, *argv) for argv in requests] == cold
+        assert cli._DECIMAL
+    assert all(code == 0 and out and not err for code, out, err in cold)
+
+
+def test_only_prefix_sources_read_and_fill_the_text_memo(capsys, monkeypatch):
+    """series reads the text of a rules or closed-form count from the
+    memo; an oracle source, through --basis or --method oracle, neither
+    reads nor adds to it."""
+    monkeypatch.setattr(cli, "_DECIMAL", {116: "planted"})
+    for argv in (["--system", "201-210"],
+                 ["--system", "201-210", "--method", "gf"]):
+        assert run_cli(capsys, "series", *argv, "--n-max", "5")[1] \
+            .split("\n")[5] == "planted"
+    monkeypatch.setattr(cli, "_DECIMAL", {116: "planted"})
+    for argv in (["--basis", "201,210"],
+                 ["--system", "201-210", "--method", "oracle"]):
+        for fmt in ("plain", "csv", "bfile"):
+            code, out, _ = run_cli(capsys, "series", *argv, "--n-max", "5",
+                                   "--format", fmt)
+            assert code == 0 and out.split("\n")[5].endswith("116")
+    assert cli._DECIMAL == {116: "planted"}
+
+
 def test_diagram(capsys):
     code, out, _ = run_cli(capsys, "diagram", "--system", "201-210",
                            "--n-max", "3")
@@ -326,7 +397,7 @@ def test_verify_arithmetic_error_is_a_failure(capsys, monkeypatch):
                         "--n-max", "5"]),
     ("listing_text", ["list", "--basis", "01", "--n", "3"]),
     ("list_avoiders", ["list", "--basis", "01234", "--n", "3"]),
-    ("state_profile", ["profile", "--system", "201-210", "--n", "3"]),
+    ("profile_text", ["profile", "--system", "201-210", "--n", "3"]),
     ("emit_diagram", ["diagram", "--system", "201-210", "--n-max", "2"]),
 ], ids=["count", "series", "list", "list-fallback", "profile", "diagram"])
 def test_arithmetic_error_outside_verify_is_usage_error(capsys, monkeypatch,

@@ -11,12 +11,14 @@ tests read the imports from the source (``ast``) and the names the
 functions load (``co_names``)."""
 
 import ast
+import functools
 import inspect
 import types
 
 import pytest
 
 from invseq import cli, core, oracle, series, succession
+from invseq.prefix import Prefix
 
 
 def _invseq_imports(source):
@@ -75,10 +77,23 @@ def test_cli_imports_no_private_name():
                 if name and name.startswith("_")}
 
 
+def _held(obj):
+    """The objects a name bound to obj leads to: the values of a dict,
+    the route of a Prefix, the function and arguments of a partial, or
+    obj itself."""
+    if isinstance(obj, dict):
+        return list(obj.values())
+    if isinstance(obj, Prefix):
+        return _held(obj.route)
+    if isinstance(obj, functools.partial):
+        return [t for part in (obj.func, *obj.args) for t in _held(part)]
+    return [obj]
+
+
 def _reachable(functions, namespace):
     """Every object that the given functions load by global name from the
-    namespace, followed through the functions and dict values they reach
-    in the same module."""
+    namespace, followed through the functions they reach in the same
+    module, directly or held in a dict, a Prefix or a partial."""
     seen = {}
     todo = list(functions)
     while todo:
@@ -90,8 +105,7 @@ def _reachable(functions, namespace):
             for name in code.co_names:
                 if name in namespace and name not in seen:
                     obj = seen[name] = namespace[name]
-                    targets = obj.values() if isinstance(obj, dict) else [obj]
-                    todo.extend(t for t in targets
+                    todo.extend(t for t in _held(obj)
                                 if isinstance(t, types.FunctionType)
                                 and t.__module__ == series.__name__)
     return seen
@@ -100,6 +114,21 @@ def _reachable(functions, namespace):
 def test_the_walk_follows_calls_and_dispatch_tables():
     reached = _reachable([series.iterate_fe], vars(series))
     assert {"_fe_slices", "_FE_STEP", "_dd_uv_slice", "_suffix_sums"} <= set(reached)
+
+
+def test_the_walk_reaches_the_closed_form_route():
+    """The closed form's coefficients come from a Prefix over its route;
+    the walk reaches the route and its step, also through a Prefix bound
+    to a name, whose route it reaches as an object (it loads the step)."""
+    reached = _reachable([series.f_coefficients], vars(series))
+    assert reached["_f_levels"] is series._f_levels
+    assert reached["_f_step"] is series._f_step
+
+    def held(n):
+        return HELD.counts(n)   # HELD is bound only in the walked namespace
+    namespace = {"HELD": Prefix(functools.partial(
+        series._counted, None, series._f_levels, ())), **vars(series)}
+    assert _reachable([held], namespace)["_f_step"] is series._f_step
 
 
 @pytest.mark.parametrize("name", ["f_coefficients", "iterate_fe", "_fe_slices"])

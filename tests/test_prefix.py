@@ -1,9 +1,12 @@
-"""The per-process prefix of ``invseq.prefix`` on each of the six routes
-that keep one: the three rule systems (the rules memo), the (k,F,F)
-slice behind ``ff_slice_series`` and the functional-equation iteration
-of each 2-parameter system behind ``iterate_fe``.  Each test starts from
-empty prefixes, compares with a run of the route from the axiom, and
-plants failures or watchers in the route's step function."""
+"""The per-process prefix of ``invseq.prefix`` on each of the eight
+routes that keep one: the three rule systems (the rules memo), the
+(k,F,F) slice behind ``ff_slice_series``, the census slices of the
+201-210 DP behind ``_check_system_violation``, the closed form behind
+``f_coefficients`` and the functional-equation iteration of each
+2-parameter system behind ``iterate_fe``.  Each test starts from empty
+prefixes, compares with a run of the route from the axiom, and plants
+failures or watchers in the route's step function, or plants another
+route."""
 
 import ast
 import inspect
@@ -15,12 +18,33 @@ from invseq.prefix import Prefix
 from invseq.succession import SYSTEMS, RuleSystem, state_profile
 
 FE_IDS = ("011-201", "010-100-120-210")
+
+
+def _census(n):
+    """The census rows the system check reads through x^n."""
+    assert series._check_system_violation(n) is None
+    return series._PREFIXES["profile_slices_201_210"].counts(n)
+
+
 SERIES_REQUESTS = {
     "ff_slice_series": lambda n: series.ff_slice_series(n).coefficients,
+    "census": _census,
+    "f_coefficients": series.f_coefficients,
     **{"iterate_fe:" + system_id: (lambda n, s=system_id: series.iterate_fe(s, n))
        for system_id in FE_IDS},
 }
+# series request -> the name of the route function series calls
+SERIES_ROUTES = {
+    "ff_slice_series": "ff_slices_201_210",
+    "census": "profile_slices_201_210",
+    "f_coefficients": "_f_levels",
+    **{"iterate_fe:" + system_id: "_fe_slices" for system_id in FE_IDS},
+}
 NAMES = (*SYSTEMS, *SERIES_REQUESTS)
+# routes whose count at depth 0 comes from the first step: a rules kernel
+# also returns the accepted count of the level it is given, and the
+# census route steps the 201-210 kernel before it yields a level
+STEP_FIRST = (*SYSTEMS, "census")
 
 
 class Planted(Exception):
@@ -30,7 +54,8 @@ class Planted(Exception):
 def _fresh_system(system_id):
     s = SYSTEMS[system_id]
     return RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
-                      s.state_str, s.kernel, s.accepted, s.to_dense, s.to_dict)
+                      s.state_str, s.kernel, s.accepted, s.to_dense, s.to_dict,
+                      s.render)
 
 
 def _route(name, monkeypatch):
@@ -38,6 +63,7 @@ def _route(name, monkeypatch):
     in place of the one the package uses, and where its step function
     is looked up when the route runs."""
     monkeypatch.setattr(series, "_PREFIXES", {})
+    monkeypatch.setattr(series, "_RESIDUALS", {})
     if name in SYSTEMS:
         system = _fresh_system(name)
         monkeypatch.setitem(SYSTEMS, name, system)
@@ -47,6 +73,10 @@ def _route(name, monkeypatch):
     prefix._memo = None
     if name == "ff_slice_series":
         return prefix, (vars(succession), "_step_ff")
+    if name == "census":
+        return prefix, (vars(SYSTEMS["201-210"]), "kernel")
+    if name == "f_coefficients":
+        return prefix, (vars(series), "_f_step")
     return prefix, (series._FE_STEP, name.split(":")[1])
 
 
@@ -106,16 +136,16 @@ def test_a_failing_step_never_leaves_a_prefix_shallower(name, monkeypatch):
 def test_a_failing_first_request_keeps_only_levels_it_reached(name,
                                                              monkeypatch):
     """When the first step of a request on an empty prefix raises, the
-    prefix holds no level it did not reach: the rules route reaches none
-    (its first count comes from the kernel), the series routes reach the
-    axiom."""
+    prefix holds no level it did not reach: the rules and census routes
+    reach none (they step the kernel before they yield a level), the
+    other series routes reach the axiom."""
     prefix, slot = _route(name, monkeypatch)
     cold = list(prefix.route(70))
     with pytest.MonkeyPatch.context() as mp:
         _fail_after(mp, slot, 0)
         with pytest.raises(Planted):
             prefix.counts(10)
-    if name in SYSTEMS:
+    if name in STEP_FIRST:
         assert prefix._memo is None
     else:
         assert prefix._memo == ([cold[0][1]], cold[0][0], (cold[0][0],))
@@ -176,6 +206,39 @@ def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch):
     assert prefix.nearest(23) == (16, cold[16][0])
 
 
+@pytest.mark.parametrize("name", sorted(SERIES_REQUESTS))
+def test_a_planted_route_replaces_the_prefix(name, monkeypatch):
+    """A route planted in ``invseq.series`` after a warm request to depth
+    40 is stepped from its axiom in a prefix of its own, which replaces
+    the stored one, and gives the answers of the route it wraps;
+    restoring the real route replaces that prefix in turn."""
+    prefix, (namespace, key) = _route(name, monkeypatch)
+    cold = [c for _, c in prefix.route(40)]
+    request = SERIES_REQUESTS[name]
+    assert request(40) == cold
+    route_name = SERIES_ROUTES[name]
+    real = getattr(series, route_name)
+    real_step = namespace[key]
+    steps = [0]
+
+    def counted(level):
+        steps[0] += 1
+        return real_step(level)
+    monkeypatch.setitem(namespace, key, counted)
+
+    def planted(*args):
+        return real(*args)
+    stored = prefix
+    for route in (planted, real):
+        monkeypatch.setattr(series, route_name, route)
+        steps[0] = 0
+        assert request(30) == cold[:31]
+        assert steps[0] == 30
+        (new,) = series._PREFIXES.values()
+        assert new is not stored and new.route.args[1] is route
+        stored = new
+
+
 def test_state_profile_resumes_from_the_nearest_stored_level(monkeypatch):
     system, _ = _route("201-210", monkeypatch)
     system.counts(150)
@@ -194,11 +257,12 @@ def test_prefix_imports_no_invseq_module():
             assert not any(a.name.split(".")[0] == "invseq" for a in node.names)
 
 
-def test_six_distinct_prefixes_each_served_by_its_own_route(monkeypatch):
-    """The six prefixes are distinct Prefix objects, and a request on one
-    route extends its own prefix and leaves the other five as they
+def test_each_prefix_is_distinct_and_served_by_its_own_route(monkeypatch):
+    """The eight prefixes are distinct Prefix objects, and a request on
+    one route extends its own prefix and leaves the other seven as they
     were."""
     monkeypatch.setattr(series, "_PREFIXES", {})
+    monkeypatch.setattr(series, "_RESIDUALS", {})
     for system_id in SYSTEMS:
         monkeypatch.setitem(SYSTEMS, system_id, _fresh_system(system_id))
     requests = {
@@ -209,7 +273,7 @@ def test_six_distinct_prefixes_each_served_by_its_own_route(monkeypatch):
     for request in requests.values():
         request(2)
     prefixes = [*SYSTEMS.values(), *series._PREFIXES.values()]
-    assert len({id(p) for p in prefixes}) == 6
+    assert len({id(p) for p in prefixes}) == 8
     assert all(isinstance(p, Prefix) for p in prefixes)
     for name, request in requests.items():
         memos = [p._memo for p in prefixes]

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 from functools import cache, partial
@@ -132,6 +133,19 @@ def test_f_coefficients_match_series_algebra():
 
 def test_f_coefficients_match_rules_to_60():
     assert f_coefficients(60) == rule_counting_sequence("201-210", 60)
+
+
+def test_closed_form_step_checks_each_division_and_sign():
+    """The step from the state (k, r_(k-1), f_(k-1), f_(k-2)) checks the
+    halving of f_k, its sign and the division of r_k by k, with the
+    messages f_coefficients has always raised."""
+    for state, message in (
+            ((3, -3, 1, 1), "coefficient of x^3 is not an integer"),
+            ((3, -4, -9, 1), "coefficient of x^3 is negative: -18"),
+            ((5, 2, 1, 0), "sqrt(1-8x) coefficient of x^5 is not an integer")):
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            list(series._f_levels(6, (state[0] - 1, state)))
+    assert series._f_step((2, -4, 1, 1)) == (3, -8, 2, 1)
 
 
 # -- slice series and minimal polynomials -----------------------------------
@@ -853,7 +867,7 @@ def test_fe_specializations_agree_conjecture_evidence():
     assert iterate_fe("011-201", 120) == iterate_fe("010-100-120-210", 120)
 
 
-# -- per-process prefixes of the slice and FE routes ------------------------
+# -- per-process prefixes of the slice, closed-form and FE routes -----------
 
 FE_IDS = ("011-201", "010-100-120-210")
 
@@ -861,24 +875,39 @@ FE_IDS = ("011-201", "010-100-120-210")
 PREFIX_ROUTES = {
     "ff_slice_series": (lambda n: ff_slice_series(n).coefficients,
                         (vars(succession), "_step_ff")),
+    "f_coefficients": (f_coefficients, (vars(series), "_f_step")),
     **{"iterate_fe:" + system_id: (partial(iterate_fe, system_id),
                                    (series._FE_STEP, system_id))
        for system_id in FE_IDS},
 }
 
 
-def _levels_from_axiom(name, n):
+def _route_of(name):
+    """The route function behind the named request, as route(n, start)."""
     if name == "ff_slice_series":
-        return list(ff_slices_201_210(n))
-    return list(series._fe_slices(name.split(":")[1], n))
+        return ff_slices_201_210
+    if name == "f_coefficients":
+        return series._f_levels
+    return partial(series._fe_slices, name.split(":")[1])
+
+
+def _levels_from_axiom(name, n):
+    return list(_route_of(name)(n))
+
+
+def _count_of(name, level):
+    if name == "ff_slice_series":
+        return sum(level)
+    if name == "f_coefficients":
+        return level[2]
+    return sum(map(sum, level))
 
 
 @cache
 def _counts_from_axiom(name):
     """The route's counts at depths 0..60, stepped from the axiom with no
     prefix."""
-    count = sum if name == "ff_slice_series" else (lambda s: sum(map(sum, s)))
-    return tuple(map(count, _levels_from_axiom(name, 60)))
+    return tuple(_count_of(name, level) for level in _levels_from_axiom(name, 60))
 
 
 def _count_steps(monkeypatch, name, during_first=None):
@@ -933,6 +962,8 @@ def test_mutating_an_answer_leaves_the_prefixes_intact(monkeypatch):
         s = ff_slice_series(n)
         s.coefficients[-1] = -1
         s.coefficients.append(-1)
+        f_coefficients(n).append(-1)
+        f_coefficients(n)[-1] = -1
     for n in (0, 12, 25, 30):
         for name, (request, _) in PREFIX_ROUTES.items():
             assert request(n) == list(_counts_from_axiom(name)[:n + 1]), \
@@ -970,7 +1001,7 @@ def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch):
 
 
 def test_concurrent_requests_share_consistent_prefixes(monkeypatch):
-    """Six threads request different depths of the three prefixed routes
+    """Eight threads request different depths of the four prefixed routes
     at once; a tiny switch interval makes them interleave inside the
     steps.  Every answer, and every prefix left behind, is that of a run
     from the axiom."""
@@ -998,8 +1029,9 @@ def test_concurrent_requests_share_consistent_prefixes(monkeypatch):
                                for name, n in requests}
             assert len(prefixes) == len(PREFIX_ROUTES)
             for name in PREFIX_ROUTES:
-                key = ("ff_slices_201_210" if name == "ff_slice_series"
-                       else ("_fe_slices", name.split(":")[1]))
+                key = {"ff_slice_series": "ff_slices_201_210",
+                       "f_coefficients": "_f_levels"}.get(
+                           name, ("_fe_slices", name.split(":")[-1]))
                 counts, level, checkpoints = prefixes[key]._memo
                 levels = _levels_from_axiom(name, 50)
                 spacing = prefixes[key]._SPACING
@@ -1013,8 +1045,7 @@ def test_concurrent_requests_share_consistent_prefixes(monkeypatch):
 @pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
 def test_resuming_a_route_equals_the_run_from_the_axiom(name):
     levels = _levels_from_axiom(name, 30)
-    route = (ff_slices_201_210 if name == "ff_slice_series"
-             else partial(series._fe_slices, name.split(":")[1]))
+    route = _route_of(name)
     for depth in range(31):
         assert list(route(30, (depth, levels[depth]))) == levels[depth:], depth
         assert list(route(depth, (depth, levels[depth]))) == [levels[depth]]

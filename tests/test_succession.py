@@ -230,7 +230,8 @@ def _fresh(system_id, calls=None):
             calls["accepted"] += 1
             return s.accepted(level)
     system = RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
-                        s.state_str, kernel, accepted, s.to_dense, s.to_dict)
+                        s.state_str, kernel, accepted, s.to_dense, s.to_dict,
+                        s.render)
     system._SPACING = SPACING
     return system
 
