@@ -5,8 +5,9 @@ oracle (``invseq.oracle``), generating-tree rule systems
 (``invseq.succession``), the closed form and exact algebraic checks on
 the generating series (``invseq.series``), and the word-level machinery
 underneath all of them (``invseq.core``).  The named cross-checks
-between them live in ``invseq.checks``, and the ``invseq`` command line
-ties them together.
+between them live in ``invseq.checks``, every state a route keeps
+across the requests of one process in the registry of ``invseq.prefix``,
+and the ``invseq`` command line ties them together.
 """
 
 from .core import (

@@ -6,46 +6,33 @@ through a depth n_max and returns (ok, lines).  The lines always include
 the first counterexample on failure; checks that only gather evidence for
 open conjectures say so explicitly on success.
 
-Where the numbers come from:
+Where the numbers come from, each state kept in the registry of
+``invseq.prefix``:
 
   * the rules memo: gf-vs-rules, minpoly-F, minpoly-B, fe-vs-rules,
-    wilf-011-201 and oracle-vs-rules take their rule counts from
-    ``rule_counting_sequence``, which reads the per-process memo of
-    ``invseq.succession``;
-  * a series prefix: gf-vs-rules reads the closed form from
-    ``f_coefficients``; minpoly-A reads the (k,F,F) slice sums from
-    ``ff_slice_series``, and minpoly-B subtracts the same sums from the
-    memo's counts; fe-vs-rules reads ``iterate_fe``.  Each keeps a
-    per-process prefix in ``invseq.series`` that never touches the
-    memo;
-  * a census prefix: system-201-210 reads the census rows of the
-    201-210 DP from a per-process prefix of ``profile_slices_201_210``
-    in ``invseq.series``, which never touches the memo either;
-  * a residual state: minpoly-A, minpoly-B, minpoly-F and
+    wilf-011-201 and oracle-vs-rules read their rule counts from
+    ``rule_counting_sequence``;
+  * series prefixes, which never touch the memo: the closed form
+    (gf-vs-rules), the (k,F,F) slice sums (minpoly-A, and minpoly-B
+    subtracts them from the memo's counts), ``iterate_fe``
+    (fe-vs-rules) and the census rows of the 201-210 DP
+    (system-201-210);
+  * residual states: minpoly-A, minpoly-B, minpoly-F and
     conjecture-010-102 evaluate their relation with
     ``relation_residual``, and system-201-210 forms its residual rows
-    with ``_check_system_violation``.  Both resume from a per-process
-    state in ``invseq.series`` at the first coefficient where the input
-    differs from the stored one, so the residual of a series that agrees
-    with an earlier request is not formed again;
-  * the structure state: structure-theorem keeps, per length, the first
+    with ``_check_system_violation``, each resumed at the first
+    coefficient where its input differs from the stored one;
+  * the structure prefix: structure-theorem reads, per length, the first
     inversion sequence on which ``structure_check_201_210`` and
-    ``avoids`` disagree, or None (``_STATES`` here), for the two
-    functions and the basis it read, so each sequence goes to each
-    function once per process;
-  * no state: the oracle is the ground truth and keeps none, so
-    oracle-vs-rules and conjecture-010-102 count with ``count_sequence``
-    from scratch on every request.
+    ``avoids`` disagree, or None (``_structure_levels``);
+  * no state: the oracle is the ground truth, so oracle-vs-rules and
+    conjecture-010-102 count with ``count_sequence`` from scratch on
+    every request.
 
-The memo and the series prefixes follow one policy (``invseq.prefix``),
-and the residual and structure states the same publish rule, so a
-process serving many checks steps each depth of each route, evaluates
-each coefficient of each residual and checks each sequence once.  A
-series prefix is kept for the route function ``invseq.series`` calls,
-and the structure state for the two functions and the basis, as each
-module sees them at call time: a check handed another one (a planted
-fault, say) runs it cold, with the answer of a fresh process, and
-replaces the stored prefix or state.
+So a process serving many checks steps each depth of each route,
+evaluates each coefficient of each residual and checks each sequence
+once, and a check handed another route (a planted fault, say) runs it
+cold.
 
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:
@@ -55,10 +42,10 @@ runs one by name, the way the command line and the acceptance suite do:
 """
 
 import itertools
-from collections import namedtuple
 
 from .core import avoids, render_word, structure_check_201_210
 from .oracle import count_sequence
+from .prefix import shared
 from .series import (
     _check_system_violation,
     CUBIC_010_102,
@@ -133,42 +120,43 @@ def _verify_system(n_max):
     return True, ["OK: all seven bivariate identities hold through n=%d" % n_max]
 
 
-# the per-process state of structure-theorem: the routes it was checked on
-# (checker, avoids, basis) and, per length 0..L, the first word of that
-# length on which the two disagree, with both answers, or None.
-_StructureState = namedtuple("_StructureState", "reads first")
+def _structure_step(found, length, checker, avoids_basis, basis):
+    """The level of _structure_levels at length from the one below it:
+    found when it is not None, else the first inversion sequence of the
+    length on which checker(e) and avoids_basis(e, basis) disagree, with
+    both answers, or None."""
+    if found is not None:
+        return found
+    for e in itertools.product(*map(range, range(1, length + 1))):
+        checked = checker(e)
+        avoided = avoids_basis(e, basis)
+        if checked != avoided:
+            return e, checked, avoided
+    return None
 
-_STATES = {}        # check name -> its per-process state
+
+def _structure_levels(checker, avoids_basis, basis, n, _start=(-1, None)):
+    """Yield (level, level) for the lengths 0..n, the level at length d
+    being the first disagreement (see _structure_step) at any length up
+    to d, or None, so that no word is checked past one.  The private
+    _start = (length, level) resumes from a level yielded before and
+    yields the lengths length..n, as a route of ``invseq.prefix`` does."""
+    length, found = _start
+    if length >= 0:
+        yield found, found
+    for length in range(length + 1, n + 1):
+        found = _structure_step(found, length, checker, avoids_basis, basis)
+        yield found, found
 
 
 def _verify_structure(n_max):
     """Compare the structure checker with pattern avoidance on every
-    inversion sequence of length at most n_max, length by length.
-
-    Each length is checked once per process: the per-length answers are
-    kept in _STATES, and a request checks only the lengths past the
-    stored ones, up to n_max or its first disagreement, as a cold run
-    would.  The state is kept for the routes as this module sees them at
-    call time; other routes are checked cold and replace it.  A request
-    works on a private copy and publishes it only when it is longer, so
-    threads need no lock."""
-    reads = checker, avoids_basis, basis = (
-        structure_check_201_210, avoids, get_system("201-210").basis)
-    old = _STATES.get("structure-theorem")
-    first = list(old.first) if old is not None and old.reads == reads else []
-    while len(first) <= n_max and not any(first):
-        found = None
-        for e in itertools.product(*map(range, range(1, len(first) + 1))):
-            checked = checker(e)
-            avoided = avoids_basis(e, basis)
-            if checked != avoided:
-                found = e, checked, avoided
-                break
-        first.append(found)
-    stored = _STATES.get("structure-theorem")
-    if stored is None or stored.reads != reads or len(stored.first) < len(first):
-        _STATES["structure-theorem"] = _StructureState(reads, tuple(first))
-    found = next(filter(None, first[:n_max + 1]), None)
+    inversion sequence of length at most n_max, from this process's
+    prefix of _structure_levels (see ``invseq.prefix``), kept for the two
+    functions and the basis as this module sees them at call time."""
+    found = shared("structure-theorem", _structure_levels,
+                   structure_check_201_210, avoids,
+                   get_system("201-210").basis).counts(n_max)[n_max]
     if found is not None:
         e, checked, avoided = found
         return False, ["FAIL at e=%s: checker %s, avoidance %s"

@@ -111,16 +111,10 @@ def _decimal(counts):
 
     str() of an integer depends on its value alone, so no entry can go
     stale, and the memo keeps at most the counts the prefixes keep.  No
-    lock is needed: two threads may both convert a count and store the
-    same text."""
+    lock is needed: two threads may both convert a count, and the first
+    text stored is kept."""
     memo = _DECIMAL
-    out = []
-    for c in counts:
-        text = memo.get(c)
-        if text is None:
-            text = memo[c] = str(c)
-        out.append(text)
-    return out
+    return [memo.get(c) or memo.setdefault(c, str(c)) for c in counts]
 
 
 def _cmd_count(args):

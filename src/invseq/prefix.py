@@ -1,14 +1,32 @@
-"""Per-process prefixes of a stepping route.
+"""The per-process state of every route, and the prefix of a stepping
+route.
+
+``_STATES`` is the one registry of per-process state: every route that
+keeps state across requests keeps it there, under its own key, and
+emptying the dict makes the process cold.  A route that steps levels
+keeps a Prefix, which ``shared(key, route, *args)`` returns: the one
+over partial(route, *args) stored under key, made on first use and made
+afresh, replacing the stored one, when the stored one reads another
+route or other arguments.  A caller passes the route and its arguments
+as it sees them at call time, so a planted route (a fault, say) is
+stepped cold.  A helper that a route looks up while it steps is not part
+of the key: a fault planted in one after a warm request is not seen
+until the registry is emptied.  Every state, prefix or not, is replaced
+only by a longer one, so threads need no lock.  The keys are:
+
+  * a system name (``invseq.succession``): the system's rules memo;
+  * ``invseq.series``: "_f_levels", "ff_slices_201_210",
+    "profile_slices_201_210" and ("_fe_slices", system), and the two
+    residual states, ("relation_residual", name) and
+    "_check_system_violation", which are not prefixes: they resume from
+    the whole history of their input;
+  * "structure-theorem" (``invseq.checks``).
 
 A route yields (level, count) for the depths 0..n as route(n), from its
 axiom, and for the depths d..n as route(n, (d, level)), resuming from a
 level it yielded before; it never mutates a level it has yielded.  A
-"count" is whatever the route makes of a level: a number, or for the
-census of the 201-210 DP its rows.  Each rule system of
-``invseq.succession`` is a Prefix over its own levels (the rules memo),
-and ``invseq.series`` keeps one over the closed form's recurrences, one
-over the (k,F,F) slice of the 201-210 DP, one over its census slices and
-one per functional-equation system.
+"count" is whatever the route makes of a level: a number, the census
+rows of the 201-210 DP, or the first disagreement so far.
 
 A Prefix keeps the counts at depths 0..L and the level at depth L, for
 the deepest L any request in this process has asked for, and a
@@ -43,7 +61,20 @@ checkpoint, the level at every multiple of _SPACING (64) up to L:
 ([1, 2, 4, 8, 16, 32], (0, 1), (5, 32))
 """
 
+from functools import partial
 from itertools import islice
+
+_STATES = {}        # key -> the per-process state kept under it
+
+
+def shared(key, route, *args):
+    """The Prefix in _STATES under key over partial(route, *args), made
+    on first use, and made afresh, replacing the stored one, when the
+    stored one reads another route or other arguments."""
+    prefix = _STATES.get(key)
+    if prefix is None or (prefix.route.func, prefix.route.args) != (route, args):
+        prefix = _STATES[key] = Prefix(partial(route, *args))
+    return prefix
 
 
 class Prefix:
@@ -100,7 +131,6 @@ class Prefix:
         finally:
             reached = counts, level, tuple(checkpoints)
             memo = self._memo
-            if level is not None and (memo is None
-                                      or len(counts) > len(memo[0])):
+            if counts and (memo is None or len(counts) > len(memo[0])):
                 self._memo = reached
         return reached

@@ -29,36 +29,25 @@ x-degree) is a list over u-power of rows indexed by the v-power, so
 differ in length.  Only the public ``phi`` takes and returns
 ``{u_power: coeff}`` dicts, for readability at the API.
 
-Four routes keep a per-process prefix (see ``invseq.prefix``): the
-closed form's recurrences behind ``f_coefficients`` (counted as f_k),
-the (k,F,F) slice of the 201-210 DP behind ``ff_slice_series``, the
-census slices of the 201-210 DP behind ``_check_system_violation``
-(counted as its census rows) and the functional-equation iteration
-behind ``iterate_fe``, one per system.  They live here rather than on
-the rules memo of ``invseq.succession`` so that the routes stay apart
-from the route they check: the slices never touch the memo, and the
-closed form and the functional equations reach no succession code.
-Each prefix is kept for the route function this module calls at that
-moment; another one (a planted fault, say) gets a new prefix, stepped
-from the axiom, in place of the stored one.  ``tf_slice_series`` keeps
-no prefix: it is minpoly-B's reference, a full run from the axiom.
-
-The two residual checks keep a per-process state of their own
-(``_RESIDUALS``): one per relation name and one for the 201-210 system,
-each holding its longest evaluation so far.  It is not a ``Prefix``,
-whose levels are single states: a residual resumes from the whole
-history of its series.  A call resumes at the first coefficient where
-its input differs from the stored one, or past the stored order, so a
-corrupted or injected input is evaluated from its first bad coefficient
-on, and every answer is that of a cold evaluation.
+The closed form, the (k,F,F) slice and the census slices of the 201-210
+DP and the functional-equation iteration of each system keep a
+per-process prefix, and the two residual checks a per-process state, all
+in the registry of ``invseq.prefix``.  None of them is the rules memo of
+``invseq.succession``, so that the routes stay apart from the route they
+check: the slices never touch the memo, and the closed form and the
+functional equations reach no succession code.  ``tf_slice_series``
+keeps no prefix: it is minpoly-B's reference, a full run from the axiom.
+A residual resumes at the first coefficient where its input differs from
+the stored one, or past the stored order, so a corrupted or injected
+input is evaluated from its first bad coefficient on, and every answer
+is that of a cold evaluation.
 """
 
 from collections import namedtuple
-from functools import partial
 from itertools import accumulate, zip_longest
 from operator import add, mul, sub
 
-from .prefix import Prefix
+from .prefix import _STATES, shared
 from .succession import ff_slices_201_210, profile_slices_201_210
 
 
@@ -116,7 +105,11 @@ def f_coefficients(n_max):
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    return _prefix("_f_levels", lambda _, level: level[2], _f_levels).counts(n_max)
+    return shared("_f_levels", _counted, _f_count, _f_levels, ()).counts(n_max)
+
+
+def _f_count(_, level):
+    return level[2]
 
 
 def _f_step(level):
@@ -153,14 +146,12 @@ def _f_levels(n_max, _start=None):
 
 # -- per-process prefixes ---------------------------------------------------
 
-_PREFIXES = {}      # route key -> its Prefix, made on first use
-
-
 def _counted(count, route, args, n, start=None):
     """route(*args, n), or route(*args, n, start) to resume, as a Prefix
     route: yield (level, count(depth, level)).  A resumed route yields its
     start level again first, which the Prefix skips, so it is not counted
-    again."""
+    again.  Each count is a function defined once, so that the key of
+    ``invseq.prefix.shared`` holds it by identity."""
     if start is None:
         levels = enumerate(route(*args, n))
     else:
@@ -168,19 +159,6 @@ def _counted(count, route, args, n, start=None):
         yield next(levels)[1], None
     for depth, level in levels:
         yield level, count(depth, level)
-
-
-def _prefix(key, count, route, *args):
-    """The Prefix in _PREFIXES under key over route(*args, n, start),
-    which yields levels and resumes from start = (depth, level), each
-    level counted by count(depth, level).  It is made on first use, and
-    made afresh, replacing the stored one, when the stored one reads
-    another route: the key holds one prefix, of the route as this module
-    sees it at call time."""
-    prefix = _PREFIXES.get(key)
-    if prefix is None or prefix.route.args[1:] != (route, args):
-        prefix = _PREFIXES[key] = Prefix(partial(_counted, count, route, args))
-    return prefix
 
 
 def ff_slice_series(n_max):
@@ -191,9 +169,13 @@ def ff_slice_series(n_max):
     ``invseq.prefix``).  The route never touches the rules memo, so
     minpoly-B, which subtracts these sums from the memo's counts, takes
     its two terms from separate routes."""
-    prefix = _prefix("ff_slices_201_210", lambda _, a: sum(a),
-                     ff_slices_201_210)
+    prefix = shared("ff_slices_201_210", _counted, _sum_count,
+                    ff_slices_201_210, ())
     return TruncatedSeries(prefix.counts(n_max), n_max)
+
+
+def _sum_count(_, level):
+    return sum(level)
 
 
 def tf_slice_series(n_max):
@@ -220,13 +202,11 @@ PolyRelation = namedtuple("PolyRelation", ["name", "coefficients"])
 # Coefficient k of every series a residual is built from (y, y^2, each
 # Horner accumulator, each residual row at x^k) depends on the input only
 # through its index k, so a call may reuse the stored coefficients below
-# the first index where its input differs from the stored input.  As in
-# ``invseq.prefix``, a call works on private copies, never mutates a
-# stored state, and publishes its own only when it is longer.  No lock is
-# needed: two threads may race so that a shorter state replaces a longer
-# one, which costs recomputation, never a wrong answer.
-
-_RESIDUALS = {}     # ("relation_residual", name) or "_check_system_violation"
+# the first index where its input differs from the stored input.  The
+# states live in ``invseq.prefix._STATES`` under ("relation_residual",
+# name) and "_check_system_violation"; a call works on private copies,
+# never mutates a stored state, and publishes its own only when it is
+# longer.
 
 # polys: the relation's coefficients; y: the series evaluated, through
 # x^L; y2: y^2 through x^L (empty for y-degree 1 or less); accs: the
@@ -254,7 +234,7 @@ def relation_residual(relation, s):
     half for y-degree 3 or 4.
 
     The evaluation resumes from this process's state of the relation's
-    name (see _RESIDUALS): a cold call computes coefficients 0..s.order
+    name (see the residual states above): a cold call computes coefficients 0..s.order
     of each series, a call whose series agrees with the stored one
     through x^k only k + 1..s.order, and a call no deeper than the
     stored order with a matching series multiplies nothing.  A name
@@ -267,7 +247,7 @@ def relation_residual(relation, s):
     n = s.order
     y = s.coefficients[:n + 1]
     key = ("relation_residual", relation.name)
-    old = _RESIDUALS.get(key)
+    old = _STATES.get(key)
     if old is None or old.polys != polys:
         old = _RelationState(polys, [], [], [[]] * ((len(polys) + 1) // 2),
                              None)
@@ -290,9 +270,9 @@ def relation_residual(relation, s):
         accs.append(acc)
     if first is None:
         first = next((k for k, c in enumerate(acc[start:], start) if c), None)
-    stored = _RESIDUALS.get(key)
+    stored = _STATES.get(key)
     if stored is None or stored.polys != polys or len(stored.y) <= n:
-        _RESIDUALS[key] = _RelationState(polys, y, y2, accs, first)
+        _STATES[key] = _RelationState(polys, y, y2, accs, first)
     return first
 
 
@@ -509,7 +489,7 @@ def _check_system_violation(n_max, profiles=None):
     profile_slices_201_210 (see ``invseq.prefix``), whose count per depth
     is the row triple, so each depth is stepped and converted once per
     process.  The residual rows resume from this process's state (see
-    _RESIDUALS) at the first x-degree where the census differs from the
+    the residual states above) at the first x-degree where the census differs from the
     stored one, or past the stored degree: a call no deeper than the
     stored degree with a matching census forms no residual row.  The
     state holds the prefix's row objects, not copies, so the comparison
@@ -518,23 +498,23 @@ def _check_system_violation(n_max, profiles=None):
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if profiles is None:
-        census = _prefix("profile_slices_201_210", _census_rows,
-                         profile_slices_201_210).counts(n_max)
+        census = shared("profile_slices_201_210", _counted, _census_rows,
+                        profile_slices_201_210, ()).counts(n_max)
     else:
         a, b, c = ([_census_row(profiles[m][i], m) for m in range(n_max + 1)]
                    for i in range(3))
         census = list(zip(a, b, c))
     key = "_check_system_violation"
-    old = _RESIDUALS.get(key, _NO_SYSTEM)
+    old = _STATES.get(key, _NO_SYSTEM)
     start = _shared_length(census, old.census)
     first = {label: f for label, f in old.first.items() if f[1] < start}
     for m, rows in enumerate(_system_residuals(census, start), start):
         for label, row in zip(_SYSTEM_LABELS, rows):
             if label not in first and any(row):
                 first[label] = (label, m, next(j for j, v in enumerate(row) if v))
-    stored = _RESIDUALS.get(key, _NO_SYSTEM)
+    stored = _STATES.get(key, _NO_SYSTEM)
     if len(stored.census) <= n_max:
-        _RESIDUALS[key] = _SystemState(census, first)
+        _STATES[key] = _SystemState(census, first)
     return next((first[label] for label in _SYSTEM_LABELS if label in first),
                 None)
 
@@ -687,7 +667,10 @@ def iterate_fe(system_id, n_max):
     the prefix is read.
     """
     _fe_step(system_id)
-    prefix = _prefix(("_fe_slices", system_id),
-                     lambda _, slice_: sum(map(sum, slice_)),
-                     _fe_slices, system_id)
+    prefix = shared(("_fe_slices", system_id), _counted, _fe_count,
+                    _fe_slices, (system_id,))
     return prefix.counts(n_max)
+
+
+def _fe_count(_, slice_):
+    return sum(map(sum, slice_))

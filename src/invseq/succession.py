@@ -31,11 +31,11 @@ number of cells, its conversions between dense and dict levels and its
 renderer of a dense level as text: state_profile() converts once, at
 the end, and profile_text() renders the level without a dict.
 
-Each RuleSystem is a per-process prefix of its own DP (see
-``invseq.prefix``): rule_counting_sequence(), count_via_rules(),
+Each RuleSystem keeps a memo, the per-process prefix of its own DP
+(see ``invseq.prefix``): rule_counting_sequence(), count_via_rules(),
 state_profile() and profile_text() read it, and extend it when a request
-is deeper.
-profile_slices_201_210() and ff_slices_201_210() do not use it.
+is deeper.  profile_slices_201_210() and ff_slices_201_210() do not use
+it.
 
 >>> count_via_rules("201-210", 7)
 3720
@@ -46,12 +46,12 @@ profile_slices_201_210() and ff_slices_201_210() do not use it.
 from itertools import accumulate, islice
 from operator import add
 
-from .prefix import Prefix
+from .prefix import shared
 
 # ---------- the three rule systems ----------
 
 
-class RuleSystem(Prefix):
+class RuleSystem:
     """A named succession system: axiom, productions, acceptance, and the
     dense form the counting functions step.
 
@@ -65,8 +65,8 @@ class RuleSystem(Prefix):
     per state with a nonzero count, in sorted state order, each state as
     state_str writes it.
 
-    The system is the per-process prefix of its own levels, its memo
-    (see ``invseq.prefix``).
+    memo is the per-process prefix of the system's levels, kept under
+    its name (see ``invseq.prefix``).
     """
 
     def __init__(self, name, basis, axiom, successors, accept, state_str,
@@ -82,7 +82,10 @@ class RuleSystem(Prefix):
         self.to_dense = to_dense
         self.to_dict = to_dict
         self.render = render
-        super().__init__(self.levels)
+
+    @property
+    def memo(self):
+        return shared(self.name, self.levels)
 
     def levels(self, n, _start=None, _count_last=True):
         """Yield (dense level, accepted count) for depths 0..n from the
@@ -387,13 +390,13 @@ def rule_counting_sequence(system_id, n_max):
     The list is a fresh copy of the system's memo, extended first if it
     is shorter (see RuleSystem).
     """
-    return get_system(system_id).counts(n_max)
+    return get_system(system_id).memo.counts(n_max)
 
 
 def count_via_rules(system_id, n):
     """Number of accepted depth-n states, counted with multiplicity: the
     size of the class the system enumerates."""
-    return get_system(system_id)._reach(n)[0][n]
+    return get_system(system_id).memo._reach(n)[0][n]
 
 
 def profile_slices_201_210(n_max, _start=None):
@@ -434,7 +437,7 @@ def _dense_level(system, n):
     """The system's dense level at depth n, resumed from the memo's level
     nearest at or below n (see ``invseq.prefix``), so it steps nothing
     when that level is at n."""
-    for level, _ in system.levels(n, system.nearest(n), _count_last=False):
+    for level, _ in system.levels(n, system.memo.nearest(n), _count_last=False):
         pass
     return level
 

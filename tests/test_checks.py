@@ -1,8 +1,9 @@
 """The per-process state of the structure-theorem check: each inversion
 sequence goes to the structure checker and to pattern avoidance once per
 process, whatever the order of the requests, and the printed lines are
-those of a cold run.  The last test also runs the system check, whose
-census prefix and residual state threads share in the same way."""
+those of a cold run.  The concurrency test also runs the system check,
+whose census prefix and residual state threads share in the same way,
+and the last test empties the whole registry after every check."""
 
 import sys
 import threading
@@ -11,8 +12,9 @@ from math import factorial
 
 import pytest
 
-from invseq import checks, series
-from invseq.checks import run_check
+from invseq import checks, series, succession
+from invseq.checks import CHECKS, run_check
+from invseq.prefix import _STATES
 
 # a word of length n has n! choices: 1 * 2 * ... * n
 WORDS_THROUGH_8 = sum(map(factorial, range(9)))
@@ -33,8 +35,8 @@ def _count_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [(5, 7, 6, 8), (8, 5)])
-def test_each_word_goes_to_each_route_once(order, monkeypatch):
-    monkeypatch.setattr(checks, "_STATES", {})
+def test_each_word_goes_to_each_route_once(order, monkeypatch,
+                                           fresh_states):
     seen = _count_calls(monkeypatch)
     for n in order:
         assert run_check("structure-theorem", n)[0], n
@@ -53,7 +55,8 @@ def _planted_checker(monkeypatch):
 
 
 @pytest.mark.parametrize("planted", [False, True])
-def test_output_does_not_depend_on_request_order(planted, monkeypatch):
+def test_output_does_not_depend_on_request_order(planted, monkeypatch,
+                                                 fresh_states):
     """Requests at several depths, run cold one by one, then in ascending
     and in descending order in one process, get the same lines, with and
     without a planted fault."""
@@ -62,16 +65,16 @@ def test_output_does_not_depend_on_request_order(planted, monkeypatch):
     depths = (0, 2, 3, 7, 5, 6)
     cold = {}
     for n in depths:
-        monkeypatch.setattr(checks, "_STATES", {})
+        fresh_states()
         cold[n] = run_check("structure-theorem", n)
     assert cold[7][0] is not planted
     for order in (sorted(depths), sorted(depths, reverse=True), depths):
-        monkeypatch.setattr(checks, "_STATES", {})
+        fresh_states()
         assert {n: run_check("structure-theorem", n) for n in order} == cold
 
 
-def test_a_fault_planted_after_a_warm_run_prints_the_cold_line(monkeypatch):
-    monkeypatch.setattr(checks, "_STATES", {})
+def test_a_fault_planted_after_a_warm_run_prints_the_cold_line(
+        monkeypatch, fresh_states):
     assert run_check("structure-theorem", 8) == (True, [
         "OK: checker agrees with pattern avoidance for all inversion "
         "sequences through n=8"])
@@ -83,10 +86,10 @@ def test_a_fault_planted_after_a_warm_run_prints_the_cold_line(monkeypatch):
     assert run_check("structure-theorem", 2)[0]
     monkeypatch.setattr(checks, "structure_check_201_210", real)
     assert run_check("structure-theorem", 5)[0]
-    assert list(checks._STATES) == ["structure-theorem"]
+    assert list(_STATES) == ["structure-theorem"]
 
 
-def test_concurrent_requests_share_consistent_states(monkeypatch):
+def test_concurrent_requests_share_consistent_states(fresh_states):
     """Eight threads request structure-theorem and system-201-210 at
     different depths at once; a tiny switch interval makes them
     interleave inside the checks.  Every answer is that of a cold run,
@@ -96,9 +99,7 @@ def test_concurrent_requests_share_consistent_states(monkeypatch):
                 for n in depths for _ in range(2)]
     cold = {}
     for request in set(requests):
-        monkeypatch.setattr(checks, "_STATES", {})
-        monkeypatch.setattr(series, "_PREFIXES", {})
-        monkeypatch.setattr(series, "_RESIDUALS", {})
+        fresh_states()
         cold[request] = run_check(*request)
     census = [series._census_rows(m, level) for m, level
               in enumerate(series.profile_slices_201_210(45))]
@@ -106,9 +107,7 @@ def test_concurrent_requests_share_consistent_states(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            monkeypatch.setattr(checks, "_STATES", {})
-            monkeypatch.setattr(series, "_PREFIXES", {})
-            monkeypatch.setattr(series, "_RESIDUALS", {})
+            fresh_states()
             barrier = threading.Barrier(len(requests))
             answers = []
 
@@ -124,12 +123,40 @@ def test_concurrent_requests_share_consistent_states(monkeypatch):
                 t.join(timeout=60)
                 assert not t.is_alive()
             assert sorted(answers) == sorted((r, cold[r]) for r in requests)
-            first = checks._STATES["structure-theorem"].first
+            first = _STATES["structure-theorem"]._memo[0]
             assert len(first) in (4, 7) and not any(first)
-            rows = series._PREFIXES["profile_slices_201_210"]._memo[0]
+            rows = _STATES["profile_slices_201_210"]._memo[0]
             assert rows == census[:len(rows)] and len(rows) in (21, 46)
-            system = series._RESIDUALS["_check_system_violation"]
+            system = _STATES["_check_system_violation"]
             assert system.census == census[:len(system.census)]
             assert not system.first
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_one_reset_makes_a_warm_process_cold(monkeypatch, fresh_states):
+    """After every check has run at its default depth, emptying the
+    registry and planting a fault in ``succession._suffix_sums``, which
+    the 201-210 kernels read at call time, prints the FAIL lines of a
+    cold run with the same fault."""
+    real = succession._suffix_sums
+
+    def planted(xs):
+        out = real(xs)
+        if len(out) > 3:
+            out[3] += 1
+        return out
+    names = ("gf-vs-rules", "system-201-210")
+    monkeypatch.setattr(succession, "_suffix_sums", planted)
+    cold = {}
+    for name in names:
+        fresh_states()
+        cold[name] = run_check(name)
+    assert not any(ok for ok, _ in cold.values())
+    monkeypatch.setattr(succession, "_suffix_sums", real)
+    fresh_states()
+    for name in CHECKS:
+        assert run_check(name)[0], name
+    fresh_states()
+    monkeypatch.setattr(succession, "_suffix_sums", planted)
+    assert {name: run_check(name) for name in names} == cold

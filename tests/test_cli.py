@@ -231,31 +231,19 @@ WARM_REQUESTS = [
 ]
 
 
-@contextlib.contextmanager
-def _cleared_state():
-    """The state of a fresh process: empty rules memos, series prefixes
-    and text memo, restored afterwards."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_DECIMAL", {})
-        mp.setattr(series, "_PREFIXES", {})
-        for system in SYSTEMS.values():
-            mp.setattr(system, "_memo", None)
-        yield
-
-
 @pytest.mark.parametrize("seed", [0, 1])
-def test_warm_replies_equal_cold_ones_in_any_order(capsys, seed):
+def test_warm_replies_equal_cold_ones_in_any_order(capsys, seed, fresh_states):
     """A seeded shuffle of the requests, served in one process, prints
     what each request prints on the state of a fresh process."""
     requests = list(WARM_REQUESTS)
     random.Random(seed).shuffle(requests)
     cold = []
     for argv in requests:
-        with _cleared_state():
-            cold.append(run_cli(capsys, *argv))
-    with _cleared_state():
-        assert [run_cli(capsys, *argv) for argv in requests] == cold
-        assert cli._DECIMAL
+        fresh_states()
+        cold.append(run_cli(capsys, *argv))
+    fresh_states()
+    assert [run_cli(capsys, *argv) for argv in requests] == cold
+    assert cli._DECIMAL
     assert all(code == 0 and out and not err for code, out, err in cold)
 
 
@@ -368,13 +356,13 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "FAIL at n=3" in out
 
 
-def test_verify_arithmetic_error_is_a_failure(capsys, monkeypatch):
+def test_verify_arithmetic_error_is_a_failure(capsys, monkeypatch,
+                                              fresh_states):
     """A v = 1 specialization step that drops a term makes the next
     division by v - 1 leave a remainder; verify reports that as its FAIL
     line and exit status 1, not as a traceback.  It starts from empty
     series prefixes, so that the iteration steps from x^0 and reaches the
     planted fault however warm this process is."""
-    monkeypatch.setattr(series, "_PREFIXES", {})
     real = series._collapse_v
 
     def drops_a_term(slice_):

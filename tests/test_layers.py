@@ -6,19 +6,23 @@ oracle needs nothing but pattern validation, the series layer reads
 only the census slices of the succession DP and nothing of the oracle,
 and the closed form and the functional-equation iteration reach no
 succession code at all.  The command line reaches the checks through
-the public registry in ``invseq.checks``, not through private names.  These
-tests read the imports from the source (``ast``) and the names the
+the public registry in ``invseq.checks``, not through private names, and
+every per-process state but the command line's text memo lives in the
+registry of ``invseq.prefix``.  These tests read the imports from the source (``ast``) and the names the
 functions load (``co_names``)."""
 
 import ast
 import functools
 import inspect
+import pathlib
 import types
 
 import pytest
 
+import invseq
 from invseq import cli, core, oracle, series, succession
 from invseq.prefix import Prefix
+from invseq.succession import RuleSystem
 
 
 def _invseq_imports(source):
@@ -136,3 +140,32 @@ def test_closed_form_and_fe_reach_no_succession_code(name):
     for ref, obj in _reachable([getattr(series, name)], vars(series)).items():
         assert obj is not succession, ref
         assert getattr(obj, "__module__", None) != succession.__name__, ref
+
+
+def _empty_container(node):
+    """Whether the expression is an empty dict, list or set: a display or
+    a call of dict, list or set with no arguments."""
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set")
+            and not node.args and not node.keywords)
+
+
+def test_the_registry_and_the_text_memo_are_the_only_module_states():
+    """The only module-level names bound to an empty container are the
+    registry and the command line's text memo, and a rule system is not
+    a Prefix."""
+    bound = set()
+    for path in pathlib.Path(invseq.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if _empty_container(node.value):
+                bound.update((path.stem, ast.unparse(t)) for t in targets)
+    assert bound == {("prefix", "_STATES"), ("cli", "_DECIMAL")}
+    assert not issubclass(RuleSystem, Prefix)

@@ -6,10 +6,11 @@ from functools import cache, partial
 from operator import sub
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, HealthCheck, settings, strategies as st
 
 from invseq import checks, series, succession
 from invseq.checks import run_check
+from invseq.prefix import _STATES, Prefix
 from invseq.series import (
     _check_system_violation,
     CUBIC_010_102,
@@ -478,9 +479,10 @@ def test_a_relation_without_coefficients_raises():
         relation_residual(PolyRelation("e", ()), TruncatedSeries([1, 2]))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_residual_state_under_interleaved_requests(data):
+def test_residual_state_under_interleaved_requests(fresh_states, data):
     """One relation's state, driven by a random sequence of orders, each
     request clean or with one coefficient corrupted, answers every
     request as the plain Horner reference does.  Half the draws make the
@@ -500,20 +502,18 @@ def test_residual_state_under_interleaved_requests(data):
     requests = data.draw(st.lists(
         st.tuples(index, st.none() | st.tuples(index, coeff.filter(bool))),
         min_size=1, max_size=10))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_RESIDUALS", {})
-        for order, corruption in requests:
-            coeffs = y[:order + 1]
-            if corruption is not None and corruption[0] <= order:
-                coeffs[corruption[0]] += corruption[1]
-            assert relation_residual(relation, TruncatedSeries(coeffs)) == \
-                _first_nonzero(_plain_horner(polys, coeffs)), (order, corruption)
+    fresh_states()
+    for order, corruption in requests:
+        coeffs = y[:order + 1]
+        if corruption is not None and corruption[0] <= order:
+            coeffs[corruption[0]] += corruption[1]
+        assert relation_residual(relation, TruncatedSeries(coeffs)) == \
+            _first_nonzero(_plain_horner(polys, coeffs)), (order, corruption)
 
 
-def test_the_state_keeps_its_own_copy_of_the_series(monkeypatch):
+def test_the_state_keeps_its_own_copy_of_the_series(fresh_states):
     """Mutating a series after it was evaluated does not reach the stored
     state: the next evaluation sees the mutation."""
-    monkeypatch.setattr(series, "_RESIDUALS", {})
     s = TruncatedSeries(CATALAN)
     assert relation_residual(MINPOLY_A, s) is None
     s.coefficients[7] -= 1
@@ -550,14 +550,13 @@ RESIDUAL_WORK = {
 
 
 @pytest.mark.parametrize("name", sorted(RESIDUAL_WORK))
-def test_coefficients_per_residual_request(name, monkeypatch):
+def test_coefficients_per_residual_request(name, monkeypatch, fresh_states):
     """A cold request at order n computes the n + 1 coefficients of each
     series, as a run without the state does; a request no deeper than
     the state computes nothing; a deeper one computes the n - m past the
     stored order m; and one whose series differs first at x^k computes
     n + 1 - k."""
     relation, series_at, products = RESIDUAL_WORK[name]
-    monkeypatch.setattr(series, "_RESIDUALS", {})
     computed = _count_coefficients(monkeypatch)
     for n, per_series in ((40, 41), (40, 0), (25, 0), (0, 0), (47, 7),
                           (60, 13), (59, 0), (120, 60)):
@@ -571,10 +570,9 @@ def test_coefficients_per_residual_request(name, monkeypatch):
     assert computed == [71] * products
 
 
-def test_one_state_entry_per_relation_name(monkeypatch):
+def test_one_state_entry_per_relation_name(fresh_states):
     """Fifty random relations evaluated under one name leave one entry,
     that of the last; each answers as the plain Horner reference does."""
-    monkeypatch.setattr(series, "_RESIDUALS", {})
     rng = random.Random(19)
     for _ in range(50):
         polys = tuple(tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4)))
@@ -583,8 +581,8 @@ def test_one_state_entry_per_relation_name(monkeypatch):
         answer = relation_residual(PolyRelation("shared", polys),
                                    TruncatedSeries(y))
         assert answer == _first_nonzero(_plain_horner(polys, y))
-    assert list(series._RESIDUALS) == [("relation_residual", "shared")]
-    assert series._RESIDUALS["relation_residual", "shared"].polys == polys
+    assert list(_STATES) == [("relation_residual", "shared")]
+    assert _STATES["relation_residual", "shared"].polys == polys
 
 
 def _count_residual_degrees(monkeypatch):
@@ -601,11 +599,10 @@ def _count_residual_degrees(monkeypatch):
     return formed
 
 
-def test_residual_rows_per_system_request(monkeypatch):
+def test_residual_rows_per_system_request(monkeypatch, fresh_states):
     """The system's residual rows: n + 1 degrees cold, none at or below
     the stored degree, n - m past a stored degree m, and from the first
     differing x-degree on for an injected census."""
-    monkeypatch.setattr(series, "_RESIDUALS", {})
     formed = _count_residual_degrees(monkeypatch)
     for n, degrees in ((20, 21), (20, 0), (8, 0), (0, 0), (27, 7), (30, 3),
                        (29, 0)):
@@ -621,36 +618,37 @@ def test_residual_rows_per_system_request(monkeypatch):
 
 @cache
 def _warm_system_states(depth):
-    """_RESIDUALS after one clean system check at depth from an empty
-    state; callers copy the dict and never mutate what it holds."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_RESIDUALS", {})
-        assert _check_system_violation(depth) is None
-        return dict(series._RESIDUALS)
+    """The system's residual state after one clean system check at depth
+    from an empty one, by its key; callers copy the dict and never mutate
+    what it holds."""
+    _STATES.pop("_check_system_violation", None)
+    assert _check_system_violation(depth) is None
+    return {"_check_system_violation": _STATES["_check_system_violation"]}
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from([60, 5]), st.integers(0, 14),
        st.lists(_cell, min_size=1, max_size=2))
 def test_a_warm_system_check_reports_the_reference_first_failure(
-        warm, n_max, cells):
+        fresh_states, warm, n_max, cells):
     """The cases of test_check_system_reports_the_reference_first_failure,
     run after a clean check at depth warm.  An injected census that is
     shallower than the stored one leaves it in place; a deeper one
     replaces it.  Either way a clean check after it answers None."""
     states = _warm_system_states(warm)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_RESIDUALS", dict(states))
-        profiles = _corrupted_census(n_max, cells)
-        assert _check_system_violation(n_max, profiles=profiles) == \
-            _reference_violation(n_max, profiles)
-        assert _check_system_violation(n_max, profiles=_CENSUS) is None
-        assert _check_system_violation(max(warm, n_max)) is None
+    fresh_states()
+    _STATES.update(states)
+    profiles = _corrupted_census(n_max, cells)
+    assert _check_system_violation(n_max, profiles=profiles) == \
+        _reference_violation(n_max, profiles)
+    assert _check_system_violation(n_max, profiles=_CENSUS) is None
+    assert _check_system_violation(max(warm, n_max)) is None
     assert states == _warm_system_states(warm)
     assert len(states["_check_system_violation"].census) == warm + 1
 
 
-def test_verify_output_does_not_depend_on_request_order(monkeypatch):
+def test_verify_output_does_not_depend_on_request_order(fresh_states):
     """The residual checks at several depths, run cold one by one, then
     in ascending and in descending order in one process, print the same
     lines."""
@@ -659,9 +657,9 @@ def test_verify_output_does_not_depend_on_request_order(monkeypatch):
                 for n in (0, 1, 13, 40, 64, 90)]
     cold = {}
     for request in requests:
-        monkeypatch.setattr(series, "_RESIDUALS", {})
+        fresh_states()
         cold[request] = run_check(*request)
-    monkeypatch.setattr(series, "_RESIDUALS", {})
+    fresh_states()
     for order in (sorted(requests, key=lambda r: r[1]),
                   sorted(requests, key=lambda r: -r[1])):
         assert {request: run_check(*request) for request in order} == cold
@@ -678,13 +676,11 @@ def test_resuming_the_census_route_yields_the_tail_of_a_cold_run():
         list(profile_slices_201_210(-1, (0, levels[0])))
 
 
-def test_census_depths_per_system_request(monkeypatch):
+def test_census_depths_per_system_request(monkeypatch, fresh_states):
     """The census rows come from one prefix per process: the requests 20,
     80, 50 and 80 form the rows of the 81 depths 0..80 once each and step
     the 201-210 kernel 80 times, and the answers are those of cold
     calls."""
-    monkeypatch.setattr(series, "_PREFIXES", {})
-    monkeypatch.setattr(series, "_RESIDUALS", {})
     rows, steps = [], []
     real_rows = series._census_rows
 
@@ -704,15 +700,14 @@ def test_census_depths_per_system_request(monkeypatch):
     assert len(steps) == 80
 
 
-def test_the_residual_state_holds_the_census_rows_of_the_prefix(monkeypatch):
+def test_the_residual_state_holds_the_census_rows_of_the_prefix(
+        fresh_states):
     """The system's residual state and the census prefix share their row
     objects, so the rows are stored once."""
-    monkeypatch.setattr(series, "_PREFIXES", {})
-    monkeypatch.setattr(series, "_RESIDUALS", {})
     for n in (30, 12, 45):
         assert _check_system_violation(n) is None
-    stored = series._RESIDUALS["_check_system_violation"].census
-    (prefix,) = series._PREFIXES.values()
+    stored = _STATES["_check_system_violation"].census
+    (prefix,) = [s for s in _STATES.values() if isinstance(s, Prefix)]
     rows = prefix._memo[0]
     assert len(stored) == len(rows) == 46
     assert all(s is r for s, r in zip(stored, rows))
@@ -730,7 +725,7 @@ def _planted_census(real):
     return planted
 
 
-def test_a_planted_census_route_is_checked_cold(monkeypatch):
+def test_a_planted_census_route_is_checked_cold(monkeypatch, fresh_states):
     """A census route planted after a warm call to depth 25 gives, at any
     depth and in any order, the answers of a cold call on it; restoring
     the real route restores the real answers."""
@@ -738,22 +733,20 @@ def test_a_planted_census_route_is_checked_cold(monkeypatch):
     planted = _planted_census(real)
 
     def cold(n):
+        fresh_states()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(series, "_PREFIXES", {})
-            mp.setattr(series, "_RESIDUALS", {})
             mp.setattr(series, "profile_slices_201_210", planted)
             return _check_system_violation(n)
 
     expected = {n: cold(n) for n in (3, 5, 25, 40)}
     assert expected == {3: None, 5: ("A", 5, 2), 25: ("A", 5, 2),
                         40: ("A", 5, 2)}
-    monkeypatch.setattr(series, "_PREFIXES", {})
-    monkeypatch.setattr(series, "_RESIDUALS", {})
+    fresh_states()
     assert _check_system_violation(25) is None
     monkeypatch.setattr(series, "profile_slices_201_210", planted)
     for n in (25, 3, 40, 5, 25):
         assert _check_system_violation(n) == expected[n], n
-    assert len(series._PREFIXES) == 1
+    assert len([s for s in _STATES.values() if isinstance(s, Prefix)]) == 1
     monkeypatch.setattr(series, "profile_slices_201_210", real)
     for n in (40, 5):
         assert _check_system_violation(n) is None, n
@@ -932,7 +925,8 @@ _requests = st.lists(st.tuples(st.sampled_from(sorted(PREFIX_ROUTES)),
                      min_size=1, max_size=8)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_requests)
 @example([("ff_slice_series", 30), ("ff_slice_series", 30),
           ("ff_slice_series", 20), ("ff_slice_series", 0),
@@ -940,21 +934,19 @@ _requests = st.lists(st.tuples(st.sampled_from(sorted(PREFIX_ROUTES)),
 @example([("iterate_fe:011-201", 25), ("iterate_fe:011-201", 12),
           ("iterate_fe:011-201", 3), ("iterate_fe:011-201", 25),
           ("iterate_fe:010-100-120-210", 60), ("iterate_fe:011-201", 40)])
-def test_prefix_answers_equal_a_run_from_the_axiom(requests):
+def test_prefix_answers_equal_a_run_from_the_axiom(fresh_states, requests):
     """Any order of requests, repeats and decreasing runs included, served
     from empty prefixes, gets the answers of a run from the axiom, even
     when the caller mutates every answer it gets."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_PREFIXES", {})
-        for name, n in requests:
-            answer = PREFIX_ROUTES[name][0](n)
-            assert answer == list(_counts_from_axiom(name)[:n + 1]), (name, n)
-            answer[0] = -1
-            answer.append(-1)
+    fresh_states()
+    for name, n in requests:
+        answer = PREFIX_ROUTES[name][0](n)
+        assert answer == list(_counts_from_axiom(name)[:n + 1]), (name, n)
+        answer[0] = -1
+        answer.append(-1)
 
 
-def test_mutating_an_answer_leaves_the_prefixes_intact(monkeypatch):
-    monkeypatch.setattr(series, "_PREFIXES", {})
+def test_mutating_an_answer_leaves_the_prefixes_intact(fresh_states):
     for n in (20, 12, 20, 25):
         for system_id in FE_IDS:
             iterate_fe(system_id, n).append(-1)
@@ -971,11 +963,10 @@ def test_mutating_an_answer_leaves_the_prefixes_intact(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
-def test_steps_per_prefix_request(name, monkeypatch):
+def test_steps_per_prefix_request(name, monkeypatch, fresh_states):
     """A cold request at depth n steps n times, a request no deeper than
     the prefix steps nothing, and a deeper one steps once per extra
     depth."""
-    monkeypatch.setattr(series, "_PREFIXES", {})
     request = PREFIX_ROUTES[name][0]
     calls = _count_steps(monkeypatch, name)
     for n, steps in ((30, 30), (30, 0), (12, 0), (0, 0), (37, 7), (38, 1),
@@ -986,10 +977,10 @@ def test_steps_per_prefix_request(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
-def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch):
+def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
+                                                  fresh_states):
     """A request that finishes after a deeper one, here served inside its
     first step, leaves the deeper prefix in place."""
-    monkeypatch.setattr(series, "_PREFIXES", {})
     request = PREFIX_ROUTES[name][0]
     calls = _count_steps(monkeypatch, name,
                          during_first=lambda: request(40))
@@ -1000,7 +991,7 @@ def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch):
     assert calls["steps"] == 0
 
 
-def test_concurrent_requests_share_consistent_prefixes(monkeypatch):
+def test_concurrent_requests_share_consistent_prefixes(fresh_states):
     """Eight threads request different depths of the four prefixed routes
     at once; a tiny switch interval makes them interleave inside the
     steps.  Every answer, and every prefix left behind, is that of a run
@@ -1010,8 +1001,8 @@ def test_concurrent_requests_share_consistent_prefixes(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            prefixes = {}
-            monkeypatch.setattr(series, "_PREFIXES", prefixes)
+            fresh_states()
+            prefixes = _STATES
             barrier = threading.Barrier(len(requests))
             answers = {}
 
@@ -1052,10 +1043,10 @@ def test_resuming_a_route_equals_the_run_from_the_axiom(name):
 
 
 @pytest.mark.parametrize("system_id", FE_IDS)
-def test_degree_bound_fires_after_a_resume(monkeypatch, system_id):
+def test_degree_bound_fires_after_a_resume(monkeypatch, system_id,
+                                          fresh_states):
     """A step that breaks the degree bound past the prefix's depth raises
     from the resumed iteration, and the prefix keeps its depth."""
-    monkeypatch.setattr(series, "_PREFIXES", {})
     expected = iterate_fe(system_id, 5)
     real = series._FE_STEP[system_id]
 

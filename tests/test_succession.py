@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from invseq import series
 from invseq.checks import run_check
 from invseq.oracle import count_sequence, list_avoiders
+from invseq.prefix import _STATES
 from invseq.succession import (
     SYSTEMS,
     RuleSystem,
@@ -213,10 +214,18 @@ SPACING = 8
 
 
 def _fresh(system_id, calls=None):
-    """A copy of a built-in system with an empty memo and checkpoints
-    every SPACING depths, so that depths up to 60 cross several.  When
-    calls is a dict, calls["kernel"] and calls["accepted"] count the
-    calls made to the system's kernel and accepted functions."""
+    """A copy of a built-in system (see _copy) with an empty memo and
+    checkpoints every SPACING depths, so that depths up to 60 cross
+    several.  Its memo replaces the built-in system's in the registry."""
+    system = _copy(system_id, calls)
+    system.memo._SPACING = SPACING
+    return system
+
+
+def _copy(system_id, calls=None):
+    """A copy of a built-in system.  When calls is a dict, calls["kernel"]
+    and calls["accepted"] count the calls made to the system's kernel and
+    accepted functions."""
     s = SYSTEMS[system_id]
     kernel, accepted = s.kernel, s.accepted
     if calls is not None:
@@ -229,18 +238,16 @@ def _fresh(system_id, calls=None):
         def accepted(level):
             calls["accepted"] += 1
             return s.accepted(level)
-    system = RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
-                        s.state_str, kernel, accepted, s.to_dense, s.to_dict,
-                        s.render)
-    system._SPACING = SPACING
-    return system
+    return RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
+                      s.state_str, kernel, accepted, s.to_dense, s.to_dict,
+                      s.render)
 
 
 @cache
 def _cold(system_id, n_max):
     """(counts, dict levels) for depths 0..n_max: one run of levels from
     the axiom on a system whose memo is never used."""
-    system = _fresh(system_id)
+    system = _copy(system_id)
     runs = [(accepted, system.to_dict(level))
             for level, accepted in system.levels(n_max)]
     return [c for c, _ in runs], [d for _, d in runs]
@@ -310,7 +317,7 @@ def test_state_profile_around_the_memo_depth(system_id, monkeypatch):
     for n, memo_depth in ((20, 20), (7, 20), (0, 20), (25, 25), (20, 25),
                           (30, 30), (29, 30), (30, 30)):
         assert state_profile(system_id, n) == literal[n], n
-        assert len(system._memo[0]) - 1 == memo_depth, n
+        assert len(system.memo._memo[0]) - 1 == memo_depth, n
 
 
 def test_negative_n_raises_and_leaves_the_memo(monkeypatch):
@@ -319,11 +326,11 @@ def test_negative_n_raises_and_leaves_the_memo(monkeypatch):
     for warm in (False, True):
         if warm:
             rule_counting_sequence("201-210", 10)
-        memo = system._memo
+        memo = system.memo._memo
         for fn in ENTRY_POINTS.values():
             with pytest.raises(ValueError):
                 fn("201-210", -1)
-            assert system._memo is memo
+            assert system.memo._memo is memo
 
 
 @pytest.mark.parametrize("system_id", SYSTEM_IDS)
@@ -415,7 +422,7 @@ def test_concurrent_requests_share_a_consistent_memo(system_id, monkeypatch):
                 assert not t.is_alive()
             assert answers == {(name, n): _expected(name, system_id, n)
                                for name, n in requests}
-            counts, level, checkpoints = system._memo
+            counts, level, checkpoints = system.memo._memo
             depth = len(counts) - 1
             cold_counts, cold_profiles = _cold(system_id, 60)
             assert depth >= 30
@@ -440,7 +447,7 @@ def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
     kernel = system.kernel
 
     def watching_kernel(level):
-        counts, deepest, checkpoints = system._memo
+        counts, deepest, checkpoints = system.memo._memo
         seen.append((len(counts) - 1, deepest is checkpoints[-1]))
         return kernel(level)
 
@@ -449,7 +456,7 @@ def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
     system.kernel = watching_kernel
     rule_counting_sequence(system_id, 30)
     assert seen == [(16, True)] * 9
-    assert len(system._memo[0]) == 31
+    assert len(system.memo._memo[0]) == 31
     assert state_profile(system_id, 21) == _expected("state_profile",
                                                      system_id, 21)
 
@@ -463,19 +470,19 @@ def test_verify_routes_stay_off_the_memo(monkeypatch):
     monkeypatch.setitem(SYSTEMS, "201-210", system)
     slices = list(profile_slices_201_210(n))
     ff = list(ff_slices_201_210(n))
-    assert system._memo is None
+    assert system.memo._memo is None
     assert [system.to_dict(level) for level in slices] == \
         _cold("201-210", n)[1]
     assert ff == [a for a, _, _ in slices]
     junk = ([9], [9], [9])
     poison = ([-1] * 100, junk, (junk,) * (100 // SPACING))
-    system._memo = poison
+    system.memo._memo = poison
     assert list(profile_slices_201_210(n)) == slices
     assert list(ff_slices_201_210(n)) == ff
-    assert system._memo is poison
+    assert system.memo._memo is poison
 
 
-def test_series_prefixes_stay_off_the_memo(monkeypatch):
+def test_series_prefixes_stay_off_the_memo(monkeypatch, fresh_states):
     """ff_slice_series and iterate_fe, served from empty series prefixes,
     leave fresh rules memos empty and ignore poisoned ones."""
     fresh = {system_id: _fresh(system_id) for system_id in SYSTEM_IDS}
@@ -484,19 +491,20 @@ def test_series_prefixes_stay_off_the_memo(monkeypatch):
     fe_ids = ("011-201", "010-100-120-210")
 
     def answers():
-        monkeypatch.setattr(series, "_PREFIXES", {})
+        for key in [key for key in _STATES if key not in fresh]:
+            del _STATES[key]
         return (series.ff_slice_series(400),
                 [series.iterate_fe(system_id, 30) for system_id in fe_ids])
 
     ff, fe = answers()
-    assert all(system._memo is None for system in fresh.values())
+    assert all(system.memo._memo is None for system in fresh.values())
     assert ff.coefficients[400] == comb(800, 400) // 401
     assert fe == [_cold(system_id, 30)[0] for system_id in fe_ids]
     poison = {}
     for system_id, system in fresh.items():
         junk = ([9], [9], [9]) if system_id == "201-210" else [[9]]
-        poison[system_id] = system._memo = (
+        poison[system_id] = system.memo._memo = (
             [-1] * 500, junk, (junk,) * (500 // SPACING + 1))
     assert answers() == (ff, fe)
-    assert {system_id: system._memo for system_id, system in fresh.items()} \
+    assert {system_id: system.memo._memo for system_id, system in fresh.items()} \
         == poison
