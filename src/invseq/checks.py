@@ -24,7 +24,7 @@ Where the numbers come from, each state kept in the registry of
     coefficient where its input differs from the stored one;
   * the structure prefix: structure-theorem reads, per length, the first
     inversion sequence on which ``structure_check_201_210`` and
-    ``avoids`` disagree, or None (``_structure_levels``);
+    ``avoids`` disagree, or None (``_structure_step``);
   * no state: the oracle is the ground truth, so oracle-vs-rules and
     conjecture-010-102 count with ``count_sequence`` from scratch on
     every request.
@@ -120,43 +120,38 @@ def _verify_system(n_max):
     return True, ["OK: all seven bivariate identities hold through n=%d" % n_max]
 
 
-def _structure_step(found, length, checker, avoids_basis, basis):
-    """The level of _structure_levels at length from the one below it:
-    found when it is not None, else the first inversion sequence of the
-    length on which checker(e) and avoids_basis(e, basis) disagree, with
-    both answers, or None."""
-    if found is not None:
-        return found
-    for e in itertools.product(*map(range, range(1, length + 1))):
-        checked = checker(e)
-        avoided = avoids_basis(e, basis)
-        if checked != avoided:
-            return e, checked, avoided
-    return None
+def _structure_step(level, checker, avoids_basis, basis):
+    """The step of the structure prefix, whose level at depth d is (d,
+    the first disagreement at a length below d, or None): the level at
+    d + 1, and the disagreement of the level given.  The search at
+    length d runs only while there is none: it returns the first
+    inversion sequence of that length on which checker(e) and
+    avoids_basis(e, basis) disagree, with both answers, or None, so that
+    no word is checked past one."""
+    length, found = level
+    if found is None:
+        for e in itertools.product(*map(range, range(1, length + 1))):
+            checked = checker(e)
+            avoided = avoids_basis(e, basis)
+            if checked != avoided:
+                found = e, checked, avoided
+                break
+    return (length + 1, found), level[1]
 
 
-def _structure_levels(checker, avoids_basis, basis, n, _start=(-1, None)):
-    """Yield (level, level) for the lengths 0..n, the level at length d
-    being the first disagreement (see _structure_step) at any length up
-    to d, or None, so that no word is checked past one.  The private
-    _start = (length, level) resumes from a level yielded before and
-    yields the lengths length..n, as a route of ``invseq.prefix`` does."""
-    length, found = _start
-    if length >= 0:
-        yield found, found
-    for length in range(length + 1, n + 1):
-        found = _structure_step(found, length, checker, avoids_basis, basis)
-        yield found, found
+def _structure_found(level):
+    return level[1]
 
 
 def _verify_structure(n_max):
     """Compare the structure checker with pattern avoidance on every
-    inversion sequence of length at most n_max, from this process's
-    prefix of _structure_levels (see ``invseq.prefix``), kept for the two
-    functions and the basis as this module sees them at call time."""
-    found = shared("structure-theorem", _structure_levels,
-                   structure_check_201_210, avoids,
-                   get_system("201-210").basis).counts(n_max)[n_max]
+    inversion sequence of length at most n_max: the count at depth
+    n_max + 1 of this process's structure prefix (see ``invseq.prefix``
+    and _structure_step), kept for the two functions and the basis as
+    this module sees them at call time."""
+    found = shared("structure-theorem", (0, None), _structure_step,
+                   _structure_found, structure_check_201_210, avoids,
+                   get_system("201-210").basis).counts(n_max + 1)[-1]
     if found is not None:
         e, checked, avoided = found
         return False, ["FAIL at e=%s: checker %s, avoidance %s"

@@ -32,11 +32,14 @@ differ in length.  Only the public ``phi`` takes and returns
 The closed form, the (k,F,F) slice and the census slices of the 201-210
 DP and the functional-equation iteration of each system keep a
 per-process prefix, and the two residual checks a per-process state, all
-in the registry of ``invseq.prefix``.  None of them is the rules memo of
-``invseq.succession``, so that the routes stay apart from the route they
-check: the slices never touch the memo, and the closed form and the
-functional equations reach no succession code.  ``tf_slice_series``
-keeps no prefix: it is minpoly-B's reference, a full run from the axiom.
+in the registry of ``invseq.prefix``.  Each prefix is a start level, a
+step and a count: ``_f_step``, ``_step_ff``, ``_census_step`` over the
+201-210 kernel, and ``_fe_slice_step`` over an entry of ``_FE_STEP``.
+None of them is the rules memo of ``invseq.succession``, so that the
+routes stay apart from the route they check: the slices never touch the
+memo, and the closed form and the functional equations reach no
+succession code.  ``tf_slice_series`` keeps no prefix: it is minpoly-B's
+reference, a full run from the axiom.
 A residual resumes at the first coefficient where its input differs from
 the stored one, or past the stored order, so a corrupted or injected
 input is evaluated from its first bad coefficient on, and every answer
@@ -48,7 +51,7 @@ from itertools import accumulate, zip_longest
 from operator import add, mul, sub
 
 from .prefix import _STATES, shared
-from .succession import ff_slices_201_210, profile_slices_201_210
+from .succession import _fast_step_201_210, _step_ff, profile_slices_201_210
 
 
 class TruncatedSeries:
@@ -99,24 +102,27 @@ def f_coefficients(n_max):
     nonnegative; a failure raises ArithmeticError, since it would mean
     the closed form is wrong.
 
-    The coefficients come from this process's prefix of _f_levels (see
-    ``invseq.prefix``), so a request no deeper than an earlier one
-    steps nothing.
+    The coefficients come from this process's prefix of the recurrences
+    (see ``invseq.prefix``), so a request no deeper than an earlier one
+    steps nothing.  Its level at depth d is the state (d + 1, r_d, f_d,
+    f_(d-1)) before x^(d+1), from (1, r_0, f_0, f_(-1)) = (1, 1, 1, 0),
+    where N_0 / 2 = 1, and its count is f_d.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    return shared("_f_levels", _counted, _f_count, _f_levels, ()).counts(n_max)
+    return shared("f_coefficients", (1, 1, 1, 0), _f_step,
+                  _f_count).counts(n_max)
 
 
-def _f_count(_, level):
+def _f_count(level):
     return level[2]
 
 
 def _f_step(level):
     """One step of the recurrences of f_coefficients: the state (k,
     r_(k-1), f_(k-1), f_(k-2)) before x^k to the state before x^(k+1),
-    for k >= 1.  The division of each recurrence is checked to be exact,
-    and f_k to be nonnegative."""
+    for k >= 1, and f_(k-1).  The division of each recurrence is checked
+    to be exact, and f_k to be nonnegative."""
     k, r, f1, f2 = level
     f, rem = divmod((-1 if k == 1 else 0) - r + 4 * f1 - 4 * f2, 2)
     if rem:
@@ -127,55 +133,20 @@ def _f_step(level):
     if rem:
         raise ArithmeticError(
             "sqrt(1-8x) coefficient of x^%d is not an integer" % k)
-    return k + 1, r, f, f1
-
-
-def _f_levels(n_max, _start=None):
-    """Yield the states of the closed form's recurrences after x^0 ..
-    x^n_max: at depth d the state (d + 1, r_d, f_d, f_(d-1)) before
-    x^(d+1), from (1, r_0, f_0, f_(-1)) = (1, 1, 1, 0), where N_0 / 2 = 1.
-    The private _start = (depth, state) resumes from a state already
-    computed and yields depths depth..n_max instead, as f_coefficients'
-    prefix does."""
-    depth, level = (0, (1, 1, 1, 0)) if _start is None else _start
-    for _ in range(n_max - depth):
-        yield level
-        level = _f_step(level)
-    yield level
-
-
-# -- per-process prefixes ---------------------------------------------------
-
-def _counted(count, route, args, n, start=None):
-    """route(*args, n), or route(*args, n, start) to resume, as a Prefix
-    route: yield (level, count(depth, level)).  A resumed route yields its
-    start level again first, which the Prefix skips, so it is not counted
-    again.  Each count is a function defined once, so that the key of
-    ``invseq.prefix.shared`` holds it by identity."""
-    if start is None:
-        levels = enumerate(route(*args, n))
-    else:
-        levels = enumerate(route(*args, n, start), start[0])
-        yield next(levels)[1], None
-    for depth, level in levels:
-        yield level, count(depth, level)
+    return (k + 1, r, f, f1), f1
 
 
 def ff_slice_series(n_max):
     """Series counting the depth-n states (k,F,F) of the 201-210 system,
     summed over k.  Its coefficients are the Catalan numbers.
 
-    The sums come from this process's prefix of ff_slices_201_210 (see
-    ``invseq.prefix``).  The route never touches the rules memo, so
-    minpoly-B, which subtracts these sums from the memo's counts, takes
-    its two terms from separate routes."""
-    prefix = shared("ff_slices_201_210", _counted, _sum_count,
-                    ff_slices_201_210, ())
-    return TruncatedSeries(prefix.counts(n_max), n_max)
-
-
-def _sum_count(_, level):
-    return sum(level)
+    The sums come from this process's prefix of the slice, stepped alone
+    by ``_step_ff`` from the axiom's slice [1] (see ``invseq.prefix``).
+    The route never touches the rules memo, so minpoly-B, which
+    subtracts these sums from the memo's counts, takes its two terms from
+    separate routes."""
+    return TruncatedSeries(
+        shared("ff_slice_series", [1], _step_ff, sum).counts(n_max), n_max)
 
 
 def tf_slice_series(n_max):
@@ -395,6 +366,19 @@ def _census_rows(deg, level):
     return tuple(_census_row(row, deg) for row in level)
 
 
+def _census_step(rows, kernel):
+    """The step of the census prefix, whose level at x^m is its own
+    count, the census rows (A, B, C) at x^m: the rows at x^(m+1), formed
+    by _census_rows from the level the 201-210 kernel steps the rows to,
+    and the rows given.  The rows at x^m have m + 1 entries, so m is
+    read from them."""
+    return _census_rows(len(rows[0]), kernel(rows)[0]), rows
+
+
+def _census_count(rows):
+    return rows
+
+
 def _combine(length, *terms):
     """The row of the given length summing sign * u^shift * row over the
     (sign, shift, row) terms, with sign 1 or -1."""
@@ -485,21 +469,22 @@ def _check_system_violation(n_max, profiles=None):
     failure: labels in the order above, then the lowest x-degree, then
     the lowest u-degree.
 
-    The census rows of the DP come from this process's prefix of
-    profile_slices_201_210 (see ``invseq.prefix``), whose count per depth
-    is the row triple, so each depth is stepped and converted once per
-    process.  The residual rows resume from this process's state (see
-    the residual states above) at the first x-degree where the census differs from the
-    stored one, or past the stored degree: a call no deeper than the
-    stored degree with a matching census forms no residual row.  The
+    The census rows of the DP come from this process's prefix of the
+    201-210 kernel (see ``invseq.prefix`` and _census_step), whose level
+    and count per depth is the row triple, so each depth is stepped and
+    converted once per process.  The residual rows resume from this
+    process's state (see the residual states above) at the first
+    x-degree where the census differs from the stored one, or past the
+    stored degree: a call no deeper than the stored degree with a
+    matching census forms no residual row.  The
     state holds the prefix's row objects, not copies, so the comparison
     of a matching census is one identity test per degree.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if profiles is None:
-        census = shared("profile_slices_201_210", _counted, _census_rows,
-                        profile_slices_201_210, ()).counts(n_max)
+        census = shared("census-201-210", ([1], [0], [0]), _census_step,
+                        _census_count, _fast_step_201_210).counts(n_max)
     else:
         a, b, c = ([_census_row(profiles[m][i], m) for m in range(n_max + 1)]
                    for i in range(3))
@@ -618,35 +603,28 @@ def _fe_step(system_id):
         raise ValueError("no functional equation for system %r" % system_id) from None
 
 
-def _fe_slices(system_id, n_max, _start=None):
-    """Yield the slices x^0 .. x^n_max of the solution S(x,u,v) of a
-    2-parameter system's functional equation, each as rows
-    ``s[u_power][v_power]`` of coefficients (see the trivariate layer).
+def _fe_slice_step(level, step):
+    """The step of a functional-equation prefix, whose level at x^deg is
+    (deg, slice): the level at x^(deg+1), with step applied to the slice,
+    and the count of the slice given, its coefficient sum.
 
-    Slice d+1 is one step applied to slice d, so only the current slice
-    is kept.  Every divided difference is checked to divide exactly, and
-    every slice to have no nonzero coefficient at a u- or v-degree above
-    its x-degree; either failure raises ArithmeticError.  The division
-    remainders vanish for any input (see _dd_uv_slice and _dd_v_slice),
-    so they guard the arithmetic, not the equations.  The private
-    _start = (depth, slice) resumes from a slice already computed and
-    yields x^depth .. x^n_max instead, as iterate_fe's prefix does.  The
-    steps never mutate a slice.
+    The new slice is checked to have no nonzero coefficient at a u- or
+    v-degree above its x-degree, else ArithmeticError.  step never
+    mutates a slice.
     """
-    step = _fe_step(system_id)
-    if n_max < 0:
-        raise ValueError("n must be non-negative")
-    depth, slice_ = (0, [[1]]) if _start is None else _start
-    yield slice_
-    for deg in range(depth + 1, n_max + 1):
-        slice_ = step(slice_)
-        for ju, row in enumerate(slice_):
-            top = 0 if ju > deg else deg + 1
-            if any(row[top:]):
-                jv = next(j for j, c in enumerate(row) if c and j >= top)
-                raise ArithmeticError(
-                    "u^%d v^%d at x^%d breaks the degree bound" % (ju, jv, deg))
-        yield slice_
+    deg, slice_ = level
+    slice_, deg = step(slice_), deg + 1
+    for ju, row in enumerate(slice_):
+        top = 0 if ju > deg else deg + 1
+        if any(row[top:]):
+            jv = next(j for j, c in enumerate(row) if c and j >= top)
+            raise ArithmeticError(
+                "u^%d v^%d at x^%d breaks the degree bound" % (ju, jv, deg))
+    return (deg, slice_), _fe_count(level)
+
+
+def _fe_count(level):
+    return sum(map(sum, level[1]))
 
 
 def iterate_fe(system_id, n_max):
@@ -654,23 +632,22 @@ def iterate_fe(system_id, n_max):
     through x^n_max and return the counting sequence at u = v = 1.
 
     The equation S = 1 + xu*L(S) keeps x-degrees apart, so the solution
-    is built degree by degree (see _fe_slices) in O(n_max) steps.  The
-    divisions are checked to be exact, but those checks pass for any
-    equation of this shape and only guard the arithmetic.  What validates
+    is built degree by degree, slice d+1 being the system's step applied
+    to slice d, in O(n_max) steps from the slice [[1]] at x^0; each slice
+    ``s[u_power][v_power]`` is checked against the degree bound (see
+    _fe_slice_step).  The divisions are checked to be exact, but those
+    checks pass for any equation of this shape and only guard the
+    arithmetic (see _dd_uv_slice and _dd_v_slice).  What validates
     the equations is the comparison with the rules (the fe-vs-rules
     verify check) and the term-by-term fixed-point test in the suite
     (test_fe_solution_is_a_fixed_point).  It shares nothing with the
     succession-rule DP, which makes it a cross-check of the rules.
 
     The counts come from this process's prefix of the system's slices
-    (see ``invseq.prefix``).  An unknown system raises ValueError before
-    the prefix is read.
+    (see ``invseq.prefix``), keyed on the step of ``_FE_STEP`` as it is
+    at call time.  An unknown system raises ValueError before the prefix
+    is read.
     """
-    _fe_step(system_id)
-    prefix = shared(("_fe_slices", system_id), _counted, _fe_count,
-                    _fe_slices, (system_id,))
-    return prefix.counts(n_max)
-
-
-def _fe_count(_, slice_):
-    return sum(map(sum, slice_))
+    step = _fe_step(system_id)
+    return shared(("iterate_fe", system_id), (0, [[1]]), _fe_slice_step,
+                  _fe_count, step).counts(n_max)

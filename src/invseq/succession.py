@@ -32,10 +32,11 @@ renderer of a dense level as text: state_profile() converts once, at
 the end, and profile_text() renders the level without a dict.
 
 Each RuleSystem keeps a memo, the per-process prefix of its own DP
-(see ``invseq.prefix``): rule_counting_sequence(), count_via_rules(),
-state_profile() and profile_text() read it, and extend it when a request
-is deeper.  profile_slices_201_210() and ff_slices_201_210() do not use
-it.
+(see ``invseq.prefix``), whose route is the dense axiom level, the
+kernel and the accepted count: rule_counting_sequence(),
+count_via_rules(), state_profile() and profile_text() read it, and
+extend it when a request is deeper.  profile_slices_201_210() does not
+use it.
 
 >>> count_via_rules("201-210", 7)
 3720
@@ -65,8 +66,11 @@ class RuleSystem:
     per state with a nonzero count, in sorted state order, each state as
     state_str writes it.
 
-    memo is the per-process prefix of the system's levels, kept under
-    its name (see ``invseq.prefix``).
+    start is the dense axiom level.  memo is the per-process prefix of
+    the system's levels, kept under its name (see ``invseq.prefix``): its
+    route starts at start, steps with kernel and counts the deepest level
+    with accepted, as the system holds them at call time.  The kernels
+    never mutate a level.
     """
 
     def __init__(self, name, basis, axiom, successors, accept, state_str,
@@ -82,36 +86,11 @@ class RuleSystem:
         self.to_dense = to_dense
         self.to_dict = to_dict
         self.render = render
+        self.start = to_dense({axiom: 1})
 
     @property
     def memo(self):
-        return shared(self.name, self.levels)
-
-    def levels(self, n, _start=None, _count_last=True):
-        """Yield (dense level, accepted count) for depths 0..n from the
-        axiom: the route of the system's memo, and the one stepping loop
-        every counting function uses.
-
-        levels(n) neither reads nor writes the memo; the private
-        _start = (depth, level) resumes from a level already computed and
-        yields depths depth..n.  The kernel gives the count of every level
-        but the last, which costs one more pass; a caller that does not
-        read it passes _count_last=False and gets None.  The kernels never
-        mutate a level, so a yielded level can be kept.
-        """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if _start is None:
-            depth, level = 0, self.to_dense({self.axiom: 1})
-        else:
-            # drop the pair, so that the start level can be freed once
-            # the caller no longer holds it
-            (depth, level), _start = _start, None
-        for _ in range(n - depth):
-            nxt, accepted = self.kernel(level)
-            yield level, accepted
-            level = nxt
-        yield level, self.accepted(level) if _count_last else None
+        return shared(self.name, self.start, self.kernel, self.accepted)
 
     def __repr__(self):
         return "RuleSystem(%r)" % self.name
@@ -198,13 +177,16 @@ def _suffix_sums(xs):
 
 
 def _step_ff(a):
-    """Advance the 201-210 slice a[k] of states (k,F,F) one depth.
+    """Advance the 201-210 slice a[k] of states (k,F,F) one depth, and
+    return the slice's sum too.
 
     The slice is closed: (k,F,F) produces (k+1,F,F) and (i,F,F) for
     1 <= i <= k, and no other state produces (k,F,F), so new_a[j] is the
-    suffix sum of a from j - 1 and new_a[0] is 0.
+    suffix sum of a from j - 1, new_a[0] is 0 and the sum of a is
+    new_a[1].
     """
-    return [0, *_suffix_sums(a)]
+    sums = _suffix_sums(a)
+    return [0, *sums], sums[0]
 
 
 def _fast_step_201_210(level):
@@ -221,17 +203,18 @@ def _fast_step_201_210(level):
         new_c[j] = sc[j-1] + t[j]
 
     and new_c is itself one suffix sum, of w[i] = c[i] + sa[i+1] + sb[i+1],
-    so a depth costs seven integer additions per k.  new_a is _step_ff(a),
-    which is [0, *sa].  Also returns the accepted count of the input
-    level, sa[0] + sb[0].
+    so a depth costs seven integer additions per k.  new_a is [0, *sa],
+    the (k,F,F) slice stepped alone (see _step_ff).  Also returns the
+    accepted count of the input level, sa[0] + sb[0].
     """
     a, b, c = level
-    new_a, sb = _step_ff(a), _suffix_sums(b)
+    sa, sb = _suffix_sums(a), _suffix_sums(b)
+    new_a = [0, *sa]
     w = [*map(add, c, map(add, islice(new_a, 2, None), islice(sb, 1, None))),
          c[-1]]
     new_b = [0, *map(add, map(add, b, sb), c)]
     new_c = [0, *_suffix_sums(w)]
-    return (new_a, new_b, new_c), new_a[1] + sb[0]
+    return (new_a, new_b, new_c), sa[0] + sb[0]
 
 
 def _fast_step_011_201(rows):
@@ -399,62 +382,38 @@ def count_via_rules(system_id, n):
     return get_system(system_id).memo._reach(n)[0][n]
 
 
-def profile_slices_201_210(n_max, _start=None):
-    """Yield the (a, b, c) slices of the 201-210 DP for depths 0..n_max.
+def profile_slices_201_210(n_max):
+    """Yield the (a, b, c) slices of the 201-210 DP for depths 0..n_max,
+    a full run from the axiom.
 
     a[k], b[k], c[k] are the counts of (k,F,F), (k,T,F), (k,T,T); the
     generating-function checks consume these directly as the coefficient
-    rows of the bivariate series they verify.  It never touches the memo.
-    The private _start = (depth, level) resumes from a level already
-    computed and yields depths depth..n_max instead, as RuleSystem.levels
-    does: the system check keeps its own prefix of this route that way.
-    A yielded level is never mutated.
-    """
-    for level, _ in SYSTEMS["201-210"].levels(n_max, _start, _count_last=False):
-        yield level
-
-
-def ff_slices_201_210(n_max, _start=None):
-    """Yield the (k,F,F) slice a of the 201-210 DP for depths 0..n_max.
-
-    Equal to the first slice profile_slices_201_210 yields, but the slice
-    is closed under the rules (see _step_ff), so it is stepped alone.  It
-    never touches the memo.  The private _start = (depth, a) resumes from
-    a slice already computed and yields depths depth..n_max instead, as
-    RuleSystem.levels does: ff_slice_series keeps its own prefix of this
-    route that way.  A yielded slice is never mutated.
+    rows of the bivariate series they verify.  It never touches the memo,
+    and a yielded level is never mutated.
     """
     if n_max < 0:
         raise ValueError("n must be non-negative")
-    depth, a = (0, [1]) if _start is None else _start
-    for _ in range(n_max - depth):
-        yield a
-        a = _step_ff(a)
-    yield a
-
-
-def _dense_level(system, n):
-    """The system's dense level at depth n, resumed from the memo's level
-    nearest at or below n (see ``invseq.prefix``), so it steps nothing
-    when that level is at n."""
-    for level, _ in system.levels(n, system.memo.nearest(n), _count_last=False):
-        pass
-    return level
+    system = SYSTEMS["201-210"]
+    level = system.start
+    for _ in range(n_max):
+        yield level
+        level = system.kernel(level)[0]
+    yield level
 
 
 def state_profile(system_id, n):
     """The full depth-n level vector, as a dict from state to count,
-    always built afresh."""
+    always built afresh from the memo's level (see ``invseq.prefix``)."""
     system = get_system(system_id)
-    return system.to_dict(_dense_level(system, n))
+    return system.to_dict(system.memo.level(n))
 
 
 def profile_text(system_id, n):
     """The depth-n census as text: one "state count" line per state of
     state_profile(system_id, n), in sorted state order, rendered straight
-    from the dense level."""
+    from the memo's dense level."""
     system = get_system(system_id)
-    return system.render(_dense_level(system, n))
+    return system.render(system.memo.level(n))
 
 
 # ---------- diagram output ----------

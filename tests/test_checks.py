@@ -3,7 +3,8 @@ sequence goes to the structure checker and to pattern avoidance once per
 process, whatever the order of the requests, and the printed lines are
 those of a cold run.  The concurrency test also runs the system check,
 whose census prefix and residual state threads share in the same way,
-and the last test empties the whole registry after every check."""
+the last but one empties the whole registry after every check, and the
+last plants a fault in a step after a warm run, with no reset."""
 
 import sys
 import threading
@@ -124,8 +125,8 @@ def test_concurrent_requests_share_consistent_states(fresh_states):
                 assert not t.is_alive()
             assert sorted(answers) == sorted((r, cold[r]) for r in requests)
             first = _STATES["structure-theorem"]._memo[0]
-            assert len(first) in (4, 7) and not any(first)
-            rows = _STATES["profile_slices_201_210"]._memo[0]
+            assert len(first) in (5, 8) and not any(first)
+            rows = _STATES["census-201-210"]._memo[0]
             assert rows == census[:len(rows)] and len(rows) in (21, 46)
             system = _STATES["_check_system_violation"]
             assert system.census == census[:len(system.census)]
@@ -160,3 +161,80 @@ def test_one_reset_makes_a_warm_process_cold(monkeypatch, fresh_states):
     fresh_states()
     monkeypatch.setattr(succession, "_suffix_sums", planted)
     assert {name: run_check(name) for name in names} == cold
+
+
+def _raise_at(k):
+    """A closed-form step raising at the state before x^k."""
+    def plant(real):
+        def planted(level):
+            if level[0] == k:
+                raise ArithmeticError("planted at x^%d" % k)
+            return real(level)
+        return planted
+    return plant
+
+
+def _bump_slice(length, at):
+    """A step whose new slices, one entry longer than their input, get
+    one more at entry ``at`` when they have the given length."""
+    def plant(real):
+        def planted(level):
+            new, count = real(level)
+            if len(new) == length:
+                new = [*new[:at], new[at] + 1, *new[at + 1:]]
+            return new, count
+        return planted
+    return plant
+
+
+def _bump_fe(real):
+    """The 011-201 slice step with one more uv^0 term at x^6."""
+    def planted(slice_):
+        out = real(slice_)
+        if len(out) == 7:
+            out = [out[0], [out[1][0] + 1, *out[1][1:]], *out[2:]]
+        return out
+    return planted
+
+
+def _bump_kernel(real):
+    """The 201-210 kernel with one more (k,F,F) state at x^5 u^2."""
+    def planted(level):
+        (a, b, c), accepted = real(level)
+        if len(a) == 6:
+            a = [*a[:2], a[2] + 1, *a[3:]]
+        return (a, b, c), accepted
+    return planted
+
+
+# check: (namespace, key, plant, warm depth, depth, FAIL lines)
+STEP_FAULTS = {
+    "gf-vs-rules": (vars(series), "_f_step", _raise_at(7), 30,
+                    20, ["FAIL: planted at x^7"]),
+    "fe-vs-rules": (series._FE_STEP, "011-201", _bump_fe, 20, 10,
+                    ["FAIL for 011-201 at n=6: iteration 190 != rules 189"]),
+    "minpoly-A": (vars(series), "_step_ff", _bump_slice(5, 2), 40, 20,
+                  ["FAIL: residual first nonzero at order 4"]),
+    "system-201-210": (vars(series), "_fast_step_201_210", _bump_kernel, 40,
+                       20, ["FAIL: equation A first differs at x^5 u^2"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_FAULTS))
+def test_a_fault_planted_in_a_step_after_a_warm_run_prints_the_cold_line(
+        name, monkeypatch, fresh_states):
+    """A fault planted in the step a prefix is keyed on, after a warm
+    run deeper than the fault, is stepped cold at once: the check prints
+    the FAIL line of a cold run, with no reset of the registry, and
+    restoring the step restores the OK line."""
+    namespace, key, plant, warm, depth, lines = STEP_FAULTS[name]
+    real = namespace[key]
+    monkeypatch.setitem(namespace, key, plant(real))
+    assert run_check(name, depth) == (False, lines)
+    fresh_states()
+    monkeypatch.setitem(namespace, key, real)
+    assert run_check(name, warm)[0]
+    monkeypatch.setitem(namespace, key, plant(real))
+    assert run_check(name, depth) == (False, lines)
+    monkeypatch.setitem(namespace, key, real)
+    assert run_check(name, depth)[0]

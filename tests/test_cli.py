@@ -441,13 +441,13 @@ def _bump_at(k, key=None):
 
 
 def _bump_census(real):
-    """Census slices with one more (k,F,F) state at x^5 u^2."""
-    def planted(n_max):
-        for m, (a, b, c) in enumerate(real(n_max)):
-            if m == 5:
-                a = list(a)
-                a[2] += 1
-            yield a, b, c
+    """The 201-210 kernel with one more (k,F,F) state at x^5 u^2 in the
+    level it steps to."""
+    def planted(level):
+        (a, b, c), accepted = real(level)
+        if len(a) == 6:
+            a = [*a[:2], a[2] + 1, *a[3:]]
+        return (a, b, c), accepted
     return planted
 
 
@@ -476,7 +476,7 @@ CHECK_CASES = {
         "OK: relation holds through n=8",
         "FAIL: residual first nonzero at order 5"),
     "system-201-210": (
-        series, "profile_slices_201_210", _bump_census, 8,
+        series, "_fast_step_201_210", _bump_census, 8,
         "OK: all seven bivariate identities hold through n=8",
         "FAIL: equation A first differs at x^5 u^2"),
     "structure-theorem": (

@@ -3,16 +3,16 @@
 The routes to the counting numbers stay independent only while the code
 keeps them apart: the core matcher depends on no counting route, the
 oracle needs nothing but pattern validation, the series layer reads
-only the census slices of the succession DP and nothing of the oracle,
-and the closed form and the functional-equation iteration reach no
-succession code at all.  The command line reaches the checks through
-the public registry in ``invseq.checks``, not through private names, and
-every per-process state but the command line's text memo lives in the
-registry of ``invseq.prefix``.  These tests read the imports from the source (``ast``) and the names the
-functions load (``co_names``)."""
+only the census slices of the succession DP and the steps of its two
+census routes, and nothing of the oracle, and the closed form and the
+functional-equation iteration reach no succession code at all.  The
+command line reaches the checks through the public registry in
+``invseq.checks``, not through private names, and every per-process
+state but the command line's text memo lives in the registry of
+``invseq.prefix``.  These tests read the imports from the source
+(``ast``) and the names the functions load (``co_names``)."""
 
 import ast
-import functools
 import inspect
 import pathlib
 import types
@@ -67,9 +67,12 @@ def test_oracle_imports_only_pattern_validation():
 
 
 def test_series_reads_only_the_census_slices_of_succession():
+    """The full census run that tf_slice_series reads, and the steps of
+    the (k,F,F) slice and census prefixes: no rule system, so no memo."""
     from_succession = {name for m, name in _imports_of(series)
                        if m == "succession"}
-    assert from_succession == {"ff_slices_201_210", "profile_slices_201_210"}
+    assert from_succession == {"profile_slices_201_210", "_step_ff",
+                               "_fast_step_201_210"}
 
 
 def test_series_imports_nothing_from_the_oracle():
@@ -83,25 +86,27 @@ def test_cli_imports_no_private_name():
 
 def _held(obj):
     """The objects a name bound to obj leads to: the values of a dict,
-    the route of a Prefix, the function and arguments of a partial, or
-    obj itself."""
+    the start, step, count and arguments of a Prefix's route, the items
+    of a tuple, or obj itself."""
     if isinstance(obj, dict):
         return list(obj.values())
     if isinstance(obj, Prefix):
         return _held(obj.route)
-    if isinstance(obj, functools.partial):
-        return [t for part in (obj.func, *obj.args) for t in _held(part)]
+    if isinstance(obj, tuple):
+        return [t for part in obj for t in _held(part)]
     return [obj]
 
 
 def _reachable(functions, namespace):
     """Every object that the given functions load by global name from the
     namespace, followed through the functions they reach in the same
-    module, directly or held in a dict, a Prefix or a partial."""
+    module, directly or held in a dict, a Prefix or a tuple; a function
+    reached is also listed under its own name."""
     seen = {}
     todo = list(functions)
     while todo:
         fn = todo.pop()
+        seen.setdefault(fn.__name__, fn)
         codes = [fn.__code__]
         while codes:
             code = codes.pop()
@@ -117,25 +122,31 @@ def _reachable(functions, namespace):
 
 def test_the_walk_follows_calls_and_dispatch_tables():
     reached = _reachable([series.iterate_fe], vars(series))
-    assert {"_fe_slices", "_FE_STEP", "_dd_uv_slice", "_suffix_sums"} <= set(reached)
+    assert {"_fe_slice_step", "_FE_STEP", "_fe_step_011_201",
+            "_dd_uv_slice", "_suffix_sums"} <= set(reached)
 
 
 def test_the_walk_reaches_the_closed_form_route():
-    """The closed form's coefficients come from a Prefix over its route;
-    the walk reaches the route and its step, also through a Prefix bound
-    to a name, whose route it reaches as an object (it loads the step)."""
+    """The closed form's coefficients come from a Prefix over its step;
+    the walk reaches the step, also through a Prefix bound to a name,
+    whose route it follows to the step and, for a functional equation,
+    to the system's entry of _FE_STEP."""
     reached = _reachable([series.f_coefficients], vars(series))
-    assert reached["_f_levels"] is series._f_levels
     assert reached["_f_step"] is series._f_step
 
     def held(n):
         return HELD.counts(n)   # HELD is bound only in the walked namespace
-    namespace = {"HELD": Prefix(functools.partial(
-        series._counted, None, series._f_levels, ())), **vars(series)}
-    assert _reachable([held], namespace)["_f_step"] is series._f_step
+    for prefix, step in (
+            (Prefix((1, 1, 1, 0), series._f_step, series._f_count),
+             series._f_step),
+            (Prefix((0, [[1]]), series._fe_slice_step, series._fe_count,
+                    series._FE_STEP["011-201"]), series._fe_step_011_201)):
+        namespace = {"HELD": prefix, **vars(series)}
+        assert _reachable([held], namespace)[step.__name__] is step
 
 
-@pytest.mark.parametrize("name", ["f_coefficients", "iterate_fe", "_fe_slices"])
+@pytest.mark.parametrize("name", ["f_coefficients", "iterate_fe",
+                                  "_fe_slice_step"])
 def test_closed_form_and_fe_reach_no_succession_code(name):
     for ref, obj in _reachable([getattr(series, name)], vars(series)).items():
         assert obj is not succession, ref

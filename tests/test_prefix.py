@@ -1,16 +1,17 @@
 """The per-process prefix of ``invseq.prefix`` on each of the nine
 routes that keep one: the three rule systems (the rules memo), the
-(k,F,F) slice behind ``ff_slice_series``, the census slices of the
-201-210 DP behind ``_check_system_violation``, the closed form behind
+(k,F,F) slice behind ``ff_slice_series``, the census rows of the 201-210
+DP behind ``_check_system_violation``, the closed form behind
 ``f_coefficients``, the functional-equation iteration of each
 2-parameter system behind ``iterate_fe`` and the first disagreements
 per length behind structure-theorem.  Each test starts from empty
-prefixes, compares with a run of the route from the axiom, and plants
-failures or watchers in the route's step function, or plants another
-route."""
+prefixes, compares with a run of the route (start, step, count, args)
+from its start, and plants failures or watchers in what the route's
+step runs, or plants another step."""
 
 import ast
 import inspect
+from contextlib import contextmanager
 
 import pytest
 
@@ -25,7 +26,7 @@ FE_IDS = ("011-201", "010-100-120-210")
 def _census(n):
     """The census rows the system check reads through x^n."""
     assert series._check_system_violation(n) is None
-    return _STATES["profile_slices_201_210"].counts(n)
+    return _STATES["census-201-210"].counts(n)
 
 
 SERIES_REQUESTS = {
@@ -35,20 +36,8 @@ SERIES_REQUESTS = {
     **{"iterate_fe:" + system_id: (lambda n, s=system_id: series.iterate_fe(s, n))
        for system_id in FE_IDS},
 }
-# series request -> the name of the route function series calls
-SERIES_ROUTES = {
-    "ff_slice_series": "ff_slices_201_210",
-    "census": "profile_slices_201_210",
-    "f_coefficients": "_f_levels",
-    **{"iterate_fe:" + system_id: "_fe_slices" for system_id in FE_IDS},
-}
 STRUCTURE = "structure-theorem"
 NAMES = (*SYSTEMS, *SERIES_REQUESTS, STRUCTURE)
-# routes whose count at depth 0 comes from the first step: a rules kernel
-# also returns the accepted count of the level it is given, the census
-# route steps the 201-210 kernel before it yields a level, and the
-# structure route checks the empty word
-STEP_FIRST = (*SYSTEMS, "census", STRUCTURE)
 
 
 class Planted(Exception):
@@ -70,59 +59,94 @@ def _planted_checker(monkeypatch):
                         lambda e: real(e) != (e == (0, 1, 0)))
 
 
-def _route(name, monkeypatch):
-    """(prefix, (namespace, key)) for the named route: its Prefix, empty,
-    in place of the one the package uses, and where its step function
-    is looked up when the route runs.  The structure route runs on a
-    planted checker (see _planted_checker), so that it reaches any
-    depth."""
+def _slot(name, monkeypatch):
+    """(namespace, key) where the named route's step, or for the census
+    the kernel its step is given, is looked up when a request runs."""
     if name in SYSTEMS:
         system = _fresh_system(name)
         monkeypatch.setitem(SYSTEMS, name, system)
-        return system.memo, (vars(system), "kernel")
+        return vars(system), "kernel"
+    if name == "ff_slice_series":
+        return vars(series), "_step_ff"
+    if name == "census":
+        return vars(series), "_fast_step_201_210"
+    if name == "f_coefficients":
+        return vars(series), "_f_step"
+    if name == STRUCTURE:
+        return vars(checks), "_structure_step"
+    return series._FE_STEP, name.split(":")[1]
+
+
+def _request(name):
+    if name in SYSTEMS:
+        return lambda n: succession.rule_counting_sequence(name, n)
+    if name == STRUCTURE:
+        return lambda n: run_check(STRUCTURE, n)
+    return SERIES_REQUESTS[name]
+
+
+def _route(name, monkeypatch):
+    """(prefix, current, slot) for the named route: its Prefix in the
+    registry, emptied, made with a forwarding step installed in slot (see
+    _slot) that runs current[0], the real step at first, so that a test
+    swaps what the step runs without changing the prefix's key.  The
+    structure route runs on a planted checker (see _planted_checker),
+    so that it reaches any depth."""
+    namespace, key = slot = _slot(name, monkeypatch)
+    current = [namespace[key]]
+    monkeypatch.setitem(namespace, key, lambda *args: current[0](*args))
     if name == STRUCTURE:
         _planted_checker(monkeypatch)
-        run_check(STRUCTURE, 0)
-    else:
-        SERIES_REQUESTS[name](0)
+    _request(name)(0)
     (prefix,) = [s for s in _STATES.values() if isinstance(s, Prefix)]
     prefix._memo = None
-    if name == "ff_slice_series":
-        return prefix, (vars(succession), "_step_ff")
-    if name == "census":
-        return prefix, (vars(SYSTEMS["201-210"]), "kernel")
-    if name == "f_coefficients":
-        return prefix, (vars(series), "_f_step")
-    if name == STRUCTURE:
-        return prefix, (vars(checks), "_structure_step")
-    return prefix, (series._FE_STEP, name.split(":")[1])
+    return prefix, current, slot
 
 
-def _fail_after(monkeypatch, slot, calls):
-    """Make the step in slot raise Planted once it has run calls times."""
-    namespace, key = slot
-    real = namespace[key]
+@contextmanager
+def _running(current, step):
+    """Make the forwarding step run step inside the block."""
+    real = current[0]
+    current[0] = step
+    try:
+        yield
+    finally:
+        current[0] = real
+
+
+def _failing_after(real, calls):
+    """real, made to raise Planted once it has run calls times."""
     done = [0]
 
-    def failing(level, *args):
+    def failing(*args):
         if done[0] == calls:
             raise Planted
         done[0] += 1
-        return real(level, *args)
-    monkeypatch.setitem(namespace, key, failing)
+        return real(*args)
+    return failing
+
+
+def _cold(prefix, n):
+    """[(level, count) for depths 0..n] of the prefix's route, stepped
+    from its start with no prefix."""
+    start, step, count, args = prefix.route
+    run, level = [], start
+    for _ in range(n):
+        nxt, c = step(level, *args)
+        run.append((level, c))
+        level = nxt
+    return [*run, (level, count(level))]
 
 
 def _assert_answers_equal(prefix, cold):
-    """The prefix's counts and nearest levels equal the run from the
-    axiom, cold = [(level, count) for depths 0..len(cold) - 1]."""
+    """The prefix's counts and levels equal the run from the start, cold
+    = [(level, count) for depths 0..len(cold) - 1]."""
     top = len(cold) - 1
     for n in (0, 3, 20, 63, 64, 65, 100, top - 7, top):
         if n > top:
             continue
         assert prefix.counts(n) == [c for _, c in cold[:n + 1]], n
-        depth, level = prefix.nearest(n)
-        assert n - prefix._SPACING < depth <= n, n
-        assert level == cold[depth][0], n
+        assert prefix.level(n) == cold[n][0], n
     counts, level, checkpoints = prefix._memo
     assert counts == [c for _, c in cold[:len(counts)]]
     assert level == cold[len(counts) - 1][0]
@@ -135,19 +159,20 @@ def test_a_failing_step_never_leaves_a_prefix_shallower(name, monkeypatch,
                                                         fresh_states):
     """A step that raises during an extension, a few steps in or at the
     first one, leaves the prefix at least as deep as it was, although
-    the extension cut it back to its last checkpoint before stepping;
-    afterwards every answer equals a run from the axiom."""
-    prefix, slot = _route(name, monkeypatch)
-    cold = list(prefix.route(130))
+    the extension cut it back to its last checkpoint before stepping: it
+    holds the counts of the depths stepped and the level of the last of
+    them.  Afterwards every answer equals a run from the start."""
+    prefix, current, _ = _route(name, monkeypatch)
+    cold = _cold(prefix, 130)
     prefix.counts(100)
     for calls in (4, 0):
         before = len(prefix._memo[0])
-        with pytest.MonkeyPatch.context() as mp:
-            _fail_after(mp, slot, calls)
+        with _running(current, _failing_after(current[0], calls)):
             with pytest.raises(Planted):
                 prefix.counts(120)
         after = len(prefix._memo[0])
-        assert after > before if calls else after == before, calls
+        assert after == before + (calls - 1 if calls else 0), calls
+        assert prefix._memo[1] == cold[after - 1][0], calls
     _assert_answers_equal(prefix, cold)
 
 
@@ -155,20 +180,15 @@ def test_a_failing_step_never_leaves_a_prefix_shallower(name, monkeypatch,
 def test_a_failing_first_request_keeps_only_levels_it_reached(
         name, monkeypatch, fresh_states):
     """When the first step of a request on an empty prefix raises, the
-    prefix holds no level it did not reach: the rules and census routes
-    reach none (they step the kernel before they yield a level), nor does
-    the structure route (it checks the empty word first); the other
-    series routes reach the axiom."""
-    prefix, slot = _route(name, monkeypatch)
-    cold = list(prefix.route(70))
-    with pytest.MonkeyPatch.context() as mp:
-        _fail_after(mp, slot, 0)
+    prefix holds no level: a level's count comes from the step that
+    leaves it, so no route reaches a depth before its first step
+    returns."""
+    prefix, current, _ = _route(name, monkeypatch)
+    cold = _cold(prefix, 70)
+    with _running(current, _failing_after(current[0], 0)):
         with pytest.raises(Planted):
             prefix.counts(10)
-    if name in STEP_FIRST:
-        assert prefix._memo is None
-    else:
-        assert prefix._memo == ([cold[0][1]], cold[0][0], (cold[0][0],))
+    assert prefix._memo is None
     _assert_answers_equal(prefix, cold)
 
 
@@ -178,18 +198,17 @@ def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
     """A request for depth 20 that finishes after one for depth 40, here
     served inside its first step, leaves the deeper prefix in place; and
     mutating an answer leaves the prefix intact."""
-    prefix, (namespace, key) = _route(name, monkeypatch)
-    cold = list(prefix.route(70))
-    real = namespace[key]
+    prefix, current, _ = _route(name, monkeypatch)
+    cold = _cold(prefix, 70)
+    real = current[0]
     nested = []
 
-    def serving_a_deeper_request_first(level, *args):
+    def serving_a_deeper_request_first(*args):
         if not nested:
             nested.append(None)
             nested.append(prefix.counts(40))
-        return real(level, *args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(namespace, key, serving_a_deeper_request_first)
+        return real(*args)
+    with _running(current, serving_a_deeper_request_first):
         assert prefix.counts(20) == [c for _, c in cold[:21]]
     assert nested == [None, [c for _, c in cold[:41]]]
     assert len(prefix._memo[0]) == 41
@@ -200,65 +219,75 @@ def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
     _assert_answers_equal(prefix, cold)
 
 
+def _counting(current):
+    """Make the forwarding step count its calls in the returned list."""
+    real = current[0]
+    steps = [0]
+
+    def counted(*args):
+        steps[0] += 1
+        return real(*args)
+    current[0] = counted
+    return steps
+
+
 @pytest.mark.parametrize("name", sorted(SERIES_REQUESTS))
 def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch,
                                                       fresh_states):
     """With checkpoints every 8 depths, a series prefix keeps the levels
     at 0, 8, 16, ..., and while a request extends it from depth 21 it is
-    the consistent triple ending at the checkpoint 16."""
-    prefix, (namespace, key) = _route(name, monkeypatch)
+    the consistent triple ending at the checkpoint 16; a level between
+    two checkpoints is stepped from the one below it."""
+    prefix, current, _ = _route(name, monkeypatch)
     prefix._SPACING = 8
-    cold = list(prefix.route(30))
+    cold = _cold(prefix, 30)
     prefix.counts(21)
     assert list(prefix._memo[2]) == [cold[d][0] for d in (0, 8, 16)]
-    real = namespace[key]
+    real = current[0]
     seen = []
 
-    def watching(level):
+    def watching(*args):
         counts, deepest, checkpoints = prefix._memo
         seen.append((len(counts) - 1, deepest is checkpoints[-1]))
-        return real(level)
-    monkeypatch.setitem(namespace, key, watching)
-    assert SERIES_REQUESTS[name](30) == [c for _, c in cold]
+        return real(*args)
+    with _running(current, watching):
+        assert SERIES_REQUESTS[name](30) == [c for _, c in cold]
     assert seen == [(16, True)] * 9
     counts, level, checkpoints = prefix._memo
     assert len(counts) == 31
     assert level == cold[30][0]
     assert list(checkpoints) == [cold[d][0] for d in (0, 8, 16, 24)]
-    assert prefix.nearest(23) == (16, cold[16][0])
+    steps = _counting(current)
+    assert prefix.level(23) == cold[23][0]
+    assert steps == [7]
 
 
 @pytest.mark.parametrize("name", sorted(SERIES_REQUESTS))
 def test_a_planted_route_replaces_the_prefix(name, monkeypatch,
                                              fresh_states):
-    """A route planted in ``invseq.series`` after a warm request to depth
-    40 is stepped from its axiom in a prefix of its own, which replaces
-    the stored one, and gives the answers of the route it wraps;
-    restoring the real route replaces that prefix in turn."""
-    prefix, (namespace, key) = _route(name, monkeypatch)
-    cold = [c for _, c in prefix.route(40)]
+    """A step planted in ``invseq.series`` (for the census, the kernel
+    its step is given) after a warm request to depth 40 is stepped from
+    the start in a prefix of its own, which replaces the stored one, and
+    gives the answers of the step it wraps; restoring the real step
+    replaces that prefix in turn."""
+    prefix, current, (namespace, key) = _route(name, monkeypatch)
+    cold = [c for _, c in _cold(prefix, 40)]
     request = SERIES_REQUESTS[name]
     assert request(40) == cold
-    route_name = SERIES_ROUTES[name]
-    real = getattr(series, route_name)
-    real_step = namespace[key]
-    steps = [0]
-
-    def counted(level):
-        steps[0] += 1
-        return real_step(level)
-    monkeypatch.setitem(namespace, key, counted)
+    installed = namespace[key]
+    steps = _counting(current)
 
     def planted(*args):
-        return real(*args)
+        return installed(*args)
     stored = prefix
-    for route in (planted, real):
-        monkeypatch.setattr(series, route_name, route)
+    for step in (planted, installed):
+        monkeypatch.setitem(namespace, key, step)
         steps[0] = 0
         assert request(30) == cold[:31]
         assert steps[0] == 30
         (new,) = [s for s in _STATES.values() if isinstance(s, Prefix)]
-        assert new is not stored and new.route.args[1] is route
+        _, new_step, _, args = new.route
+        assert new is not stored and step in (new_step, *args)
         stored = new
 
 
@@ -289,19 +318,26 @@ def test_a_planted_checker_replaces_the_structure_prefix(monkeypatch,
         assert run_check(STRUCTURE, 5) == line
         assert steps[0] == 6
         new = _STATES[STRUCTURE]
-        assert new is not stored and new.route.args[0] is checker
+        assert new is not stored and new.route[3][0] is checker
         stored = new
 
 
 def test_state_profile_resumes_from_the_nearest_stored_level(monkeypatch,
                                                             fresh_states):
-    memo, _ = _route("201-210", monkeypatch)
+    """A profile at depth n, once the memo is 150 deep, steps the kernel
+    from the stored level nearest at or below n, and equals the level of
+    a fresh prefix stepped from the axiom."""
+    memo, current, _ = _route("201-210", monkeypatch)
     system = SYSTEMS["201-210"]
     memo.counts(150)
+    start, _, accepted, _ = memo.route
+    steps = _counting(current)
     for n, depth in ((150, 150), (149, 128), (128, 128), (127, 64), (5, 0)):
-        assert memo.nearest(n)[0] == depth, n
-        assert state_profile("201-210", n) == \
-            system.to_dict(list(system.levels(n))[-1][0]), n
+        steps[0] = 0
+        profile = state_profile("201-210", n)
+        assert steps[0] == n - depth, n
+        assert profile == system.to_dict(
+            Prefix(start, succession._fast_step_201_210, accepted).level(n)), n
 
 
 def test_prefix_imports_no_invseq_module():

@@ -27,11 +27,7 @@ from invseq.series import (
     TruncatedSeries,
 )
 from invseq.oracle import count_sequence
-from invseq.succession import (
-    ff_slices_201_210,
-    profile_slices_201_210,
-    rule_counting_sequence,
-)
+from invseq.succession import profile_slices_201_210, rule_counting_sequence
 
 SEQ_201_210 = [1, 1, 2, 6, 24, 116, 632, 3720, 23072, 148528, 983072]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -139,14 +135,15 @@ def test_f_coefficients_match_rules_to_60():
 def test_closed_form_step_checks_each_division_and_sign():
     """The step from the state (k, r_(k-1), f_(k-1), f_(k-2)) checks the
     halving of f_k, its sign and the division of r_k by k, with the
-    messages f_coefficients has always raised."""
+    messages f_coefficients has always raised, and gives the next state
+    and f_(k-1)."""
     for state, message in (
             ((3, -3, 1, 1), "coefficient of x^3 is not an integer"),
             ((3, -4, -9, 1), "coefficient of x^3 is negative: -18"),
             ((5, 2, 1, 0), "sqrt(1-8x) coefficient of x^5 is not an integer")):
         with pytest.raises(ArithmeticError, match=re.escape(message)):
-            list(series._f_levels(6, (state[0] - 1, state)))
-    assert series._f_step((2, -4, 1, 1)) == (3, -8, 2, 1)
+            series._f_step(state)
+    assert series._f_step((2, -4, 1, 1)) == ((3, -8, 2, 1), 1)
 
 
 # -- slice series and minimal polynomials -----------------------------------
@@ -160,7 +157,9 @@ def test_ff_slice_series_equals_the_full_dp_slice():
     """Stepping the closed (k,F,F) slice alone gives the slice that the
     whole 201-210 DP computes, k by k and summed."""
     levels = list(profile_slices_201_210(120))
-    assert list(ff_slices_201_210(120)) == [a for a, _, _ in levels]
+    ff = Prefix([1], succession._step_ff, sum)
+    assert ff.counts(120) == [sum(a) for a, _, _ in levels]
+    assert [ff.level(n) for n in range(121)] == [a for a, _, _ in levels]
     assert ff_slice_series(120).coefficients == [sum(a) for a, _, _ in levels]
 
 
@@ -665,22 +664,32 @@ def test_verify_output_does_not_depend_on_request_order(fresh_states):
         assert {request: run_check(*request) for request in order} == cold
 
 
+def _census_prefix():
+    """A fresh Prefix over the route the census prefix is keyed on."""
+    return Prefix(([1], [0], [0]), series._census_step, series._census_count,
+                  series._fast_step_201_210)
+
+
 def test_resuming_the_census_route_yields_the_tail_of_a_cold_run():
-    levels = list(profile_slices_201_210(30))
+    """A census prefix taken to any depth and then to 30 holds the rows
+    that a full run of the DP from the axiom converts, and its levels are
+    its rows."""
+    rows = [series._census_rows(m, level)
+            for m, level in enumerate(profile_slices_201_210(30))]
     for depth in range(31):
-        assert list(profile_slices_201_210(30, (depth, levels[depth]))) == \
-            levels[depth:], depth
-        assert list(profile_slices_201_210(depth, (depth, levels[depth]))) == \
-            [levels[depth]]
+        prefix = _census_prefix()
+        assert prefix.counts(depth) == rows[:depth + 1], depth
+        assert prefix.counts(30) == rows, depth
+        assert prefix.level(depth) == rows[depth], depth
     with pytest.raises(ValueError):
-        list(profile_slices_201_210(-1, (0, levels[0])))
+        prefix.counts(-1)
 
 
 def test_census_depths_per_system_request(monkeypatch, fresh_states):
     """The census rows come from one prefix per process: the requests 20,
-    80, 50 and 80 form the rows of the 81 depths 0..80 once each and step
-    the 201-210 kernel 80 times, and the answers are those of cold
-    calls."""
+    80, 50 and 80 hold the rows of the 81 depths 0..80, those at x^0
+    being the start and each of the others formed once, and step the
+    201-210 kernel 80 times, and the answers are those of cold calls."""
     rows, steps = [], []
     real_rows = series._census_rows
 
@@ -688,16 +697,18 @@ def test_census_depths_per_system_request(monkeypatch, fresh_states):
         rows.append(deg)
         return real_rows(deg, level)
     monkeypatch.setattr(series, "_census_rows", counted_rows)
-    system = succession.SYSTEMS["201-210"]
 
-    def counted_kernel(level, _real=system.kernel):
+    def counted_kernel(level, _real=series._fast_step_201_210):
         steps.append(1)
         return _real(level)
-    monkeypatch.setattr(system, "kernel", counted_kernel)
+    monkeypatch.setattr(series, "_fast_step_201_210", counted_kernel)
     for n in (20, 80, 50, 80):
         assert _check_system_violation(n) is None, n
-    assert sorted(rows) == list(range(81))
+    assert sorted(rows) == list(range(1, 81))
     assert len(steps) == 80
+    assert _STATES["census-201-210"].counts(80) == \
+        [real_rows(m, level)
+         for m, level in enumerate(profile_slices_201_210(80))]
 
 
 def test_the_residual_state_holds_the_census_rows_of_the_prefix(
@@ -714,28 +725,27 @@ def test_the_residual_state_holds_the_census_rows_of_the_prefix(
 
 
 def _planted_census(real):
-    """The census route with one more (k,F,F) state at x^5 u^2; it resumes
-    as the real one does."""
-    def planted(n_max, _start=None):
-        for m, (a, b, c) in enumerate(real(n_max, _start),
-                                      0 if _start is None else _start[0]):
-            if m == 5:
-                a = [*a[:2], a[2] + 1, *a[3:]]
-            yield a, b, c
+    """The 201-210 kernel with one more (k,F,F) state at x^5 u^2 in the
+    level it steps to."""
+    def planted(level):
+        (a, b, c), accepted = real(level)
+        if len(a) == 6:
+            a = [*a[:2], a[2] + 1, *a[3:]]
+        return (a, b, c), accepted
     return planted
 
 
 def test_a_planted_census_route_is_checked_cold(monkeypatch, fresh_states):
-    """A census route planted after a warm call to depth 25 gives, at any
-    depth and in any order, the answers of a cold call on it; restoring
-    the real route restores the real answers."""
-    real = series.profile_slices_201_210
+    """A census kernel planted after a warm call to depth 25 gives, at
+    any depth and in any order, the answers of a cold call on it;
+    restoring the real kernel restores the real answers."""
+    real = series._fast_step_201_210
     planted = _planted_census(real)
 
     def cold(n):
         fresh_states()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(series, "profile_slices_201_210", planted)
+            mp.setattr(series, "_fast_step_201_210", planted)
             return _check_system_violation(n)
 
     expected = {n: cold(n) for n in (3, 5, 25, 40)}
@@ -743,11 +753,11 @@ def test_a_planted_census_route_is_checked_cold(monkeypatch, fresh_states):
                         40: ("A", 5, 2)}
     fresh_states()
     assert _check_system_violation(25) is None
-    monkeypatch.setattr(series, "profile_slices_201_210", planted)
+    monkeypatch.setattr(series, "_fast_step_201_210", planted)
     for n in (25, 3, 40, 5, 25):
         assert _check_system_violation(n) == expected[n], n
     assert len([s for s in _STATES.values() if isinstance(s, Prefix)]) == 1
-    monkeypatch.setattr(series, "profile_slices_201_210", real)
+    monkeypatch.setattr(series, "_fast_step_201_210", real)
     for n in (40, 5):
         assert _check_system_violation(n) is None, n
 
@@ -809,7 +819,7 @@ def test_fe_slices_check_the_degree_bound(monkeypatch, system_id):
         return out
     monkeypatch.setitem(series._FE_STEP, system_id, one_v_too_many)
     with pytest.raises(ArithmeticError, match="u\\^1 v\\^3 at x\\^1 breaks"):
-        list(series._fe_slices(system_id, 3))
+        iterate_fe(system_id, 3)
 
 
 def _add_term(out, key, c):
@@ -845,9 +855,10 @@ def _fe_rhs_by_expansion(system_id, s):
 def test_fe_solution_is_a_fixed_point(system_id):
     """The degree-by-degree solution, fed whole to the equation's
     right-hand side, comes back unchanged through x^25."""
-    s = [{(ju, jv): c for ju, row in enumerate(slice_)
+    prefix = _fresh_prefix("iterate_fe:" + system_id)
+    s = [{(ju, jv): c for ju, row in enumerate(prefix.level(deg)[1])
           for jv, c in enumerate(row) if c}
-         for slice_ in series._fe_slices(system_id, 25)]
+         for deg in range(26)]
     assert len(s) == 26
     assert _fe_rhs_by_expansion(system_id, s) == s
     assert [sum(slice_.values()) for slice_ in s] == iterate_fe(system_id, 25)
@@ -864,43 +875,33 @@ def test_fe_specializations_agree_conjecture_evidence():
 
 FE_IDS = ("011-201", "010-100-120-210")
 
-# route name -> the request, and (namespace, name) of the step it repeats
+# route name -> the request, (namespace, name) of the step it repeats,
+# and the route (start, step, count, args) its prefix is keyed on
 PREFIX_ROUTES = {
     "ff_slice_series": (lambda n: ff_slice_series(n).coefficients,
-                        (vars(succession), "_step_ff")),
-    "f_coefficients": (f_coefficients, (vars(series), "_f_step")),
-    **{"iterate_fe:" + system_id: (partial(iterate_fe, system_id),
-                                   (series._FE_STEP, system_id))
+                        (vars(series), "_step_ff"),
+                        ([1], series._step_ff, sum, ())),
+    "f_coefficients": (f_coefficients, (vars(series), "_f_step"),
+                       ((1, 1, 1, 0), series._f_step, series._f_count, ())),
+    **{"iterate_fe:" + system_id: (
+        partial(iterate_fe, system_id), (series._FE_STEP, system_id),
+        ((0, [[1]]), series._fe_slice_step, series._fe_count,
+         (series._FE_STEP[system_id],)))
        for system_id in FE_IDS},
 }
 
 
-def _route_of(name):
-    """The route function behind the named request, as route(n, start)."""
-    if name == "ff_slice_series":
-        return ff_slices_201_210
-    if name == "f_coefficients":
-        return series._f_levels
-    return partial(series._fe_slices, name.split(":")[1])
-
-
-def _levels_from_axiom(name, n):
-    return list(_route_of(name)(n))
-
-
-def _count_of(name, level):
-    if name == "ff_slice_series":
-        return sum(level)
-    if name == "f_coefficients":
-        return level[2]
-    return sum(map(sum, level))
+def _fresh_prefix(name):
+    """A fresh Prefix over the named route, with the real step."""
+    start, step, count, args = PREFIX_ROUTES[name][2]
+    return Prefix(start, step, count, *args)
 
 
 @cache
 def _counts_from_axiom(name):
-    """The route's counts at depths 0..60, stepped from the axiom with no
-    prefix."""
-    return tuple(_count_of(name, level) for level in _levels_from_axiom(name, 60))
+    """The route's counts at depths 0..60, stepped from the start by a
+    fresh prefix."""
+    return tuple(_fresh_prefix(name).counts(60))
 
 
 def _count_steps(monkeypatch, name, during_first=None):
@@ -957,7 +958,7 @@ def test_mutating_an_answer_leaves_the_prefixes_intact(fresh_states):
         f_coefficients(n).append(-1)
         f_coefficients(n)[-1] = -1
     for n in (0, 12, 25, 30):
-        for name, (request, _) in PREFIX_ROUTES.items():
+        for name, (request, *_) in PREFIX_ROUTES.items():
             assert request(n) == list(_counts_from_axiom(name)[:n + 1]), \
                 (name, n)
 
@@ -1020,44 +1021,50 @@ def test_concurrent_requests_share_consistent_prefixes(fresh_states):
                                for name, n in requests}
             assert len(prefixes) == len(PREFIX_ROUTES)
             for name in PREFIX_ROUTES:
-                key = {"ff_slice_series": "ff_slices_201_210",
-                       "f_coefficients": "_f_levels"}.get(
-                           name, ("_fe_slices", name.split(":")[-1]))
+                key = (name if name in prefixes
+                       else ("iterate_fe", name.split(":")[1]))
                 counts, level, checkpoints = prefixes[key]._memo
-                levels = _levels_from_axiom(name, 50)
+                cold = _fresh_prefix(name)
                 spacing = prefixes[key]._SPACING
                 assert counts == list(_counts_from_axiom(name)[:51])
-                assert level == levels[50]
-                assert list(checkpoints) == levels[::spacing]
+                assert level == cold.level(50)
+                assert list(checkpoints) == \
+                    [cold.level(d) for d in range(0, 51, spacing)]
     finally:
         sys.setswitchinterval(switch)
 
 
 @pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
 def test_resuming_a_route_equals_the_run_from_the_axiom(name):
-    levels = _levels_from_axiom(name, 30)
-    route = _route_of(name)
+    """A prefix taken to any depth and then to 30 ends where a fresh one
+    taken to 30 at once does, and has the same levels on the way."""
+    cold = _fresh_prefix(name)
+    cold.counts(30)
     for depth in range(31):
-        assert list(route(30, (depth, levels[depth]))) == levels[depth:], depth
-        assert list(route(depth, (depth, levels[depth]))) == [levels[depth]]
+        prefix = _fresh_prefix(name)
+        prefix.counts(depth)
+        assert prefix.counts(30) == cold.counts(30), depth
+        assert prefix._memo[1] == cold.level(30), depth
+        assert prefix.level(depth) == cold.level(depth), depth
 
 
 @pytest.mark.parametrize("system_id", FE_IDS)
 def test_degree_bound_fires_after_a_resume(monkeypatch, system_id,
                                           fresh_states):
-    """A step that breaks the degree bound past the prefix's depth raises
-    from the resumed iteration, and the prefix keeps its depth."""
-    expected = iterate_fe(system_id, 5)
+    """A step that breaks the degree bound only past the prefix's depth
+    raises from the resumed iteration, and the prefix keeps its depth."""
     real = series._FE_STEP[system_id]
 
-    def one_v_too_many(slice_):
+    def one_v_too_many_at_6(slice_):
         out = real(slice_)
-        out[1] = [*out[1], *[0] * len(out), 1]
+        if len(out) == 7:
+            out[1] = [*out[1], *[0] * len(out), 1]
         return out
-    monkeypatch.setitem(series._FE_STEP, system_id, one_v_too_many)
+    monkeypatch.setitem(series._FE_STEP, system_id, one_v_too_many_at_6)
+    assert iterate_fe(system_id, 5) == SEQ_2INT[:6]
     with pytest.raises(ArithmeticError, match="at x\\^6 breaks the degree"):
         iterate_fe(system_id, 8)
-    assert iterate_fe(system_id, 5) == expected
+    assert iterate_fe(system_id, 5) == SEQ_2INT[:6]
     with pytest.raises(ArithmeticError, match="at x\\^6 breaks the degree"):
         iterate_fe(system_id, 6)
 

@@ -20,9 +20,9 @@ from invseq.series import (
 from invseq.succession import (
     count_via_rules,
     emit_diagram,
-    ff_slices_201_210,
     get_system,
     profile_slices_201_210,
+    profile_text,
     rule_counting_sequence,
     state_profile,
 )
@@ -46,9 +46,9 @@ ENTRY_POINTS = {
     "rule_counting_sequence": lambda n: rule_counting_sequence("011-201", n),
     "count_via_rules": lambda n: count_via_rules("201-210", n),
     "state_profile": lambda n: state_profile("010-100-120-210", n),
+    "profile_text": lambda n: profile_text("011-201", n),
     "profile_slices_201_210": lambda n: list(profile_slices_201_210(n)),
-    "ff_slices_201_210": lambda n: list(ff_slices_201_210(n)),
-    "RuleSystem.levels": lambda n: list(get_system("201-210").levels(n)),
+    "Prefix.level": lambda n: get_system("201-210").memo.level(n),
     "emit_diagram": lambda n: emit_diagram("201-210", n),
     "TruncatedSeries": lambda n: TruncatedSeries([1], n),
     "f_coefficients": f_coefficients,

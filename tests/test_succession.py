@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 from invseq import series
 from invseq.checks import run_check
 from invseq.oracle import count_sequence, list_avoiders
-from invseq.prefix import _STATES
+from invseq.prefix import _STATES, Prefix
 from invseq.succession import (
     SYSTEMS,
     RuleSystem,
     count_via_rules,
     emit_diagram,
-    ff_slices_201_210,
     get_system,
     profile_slices_201_210,
     rule_counting_sequence,
@@ -216,8 +215,11 @@ SPACING = 8
 def _fresh(system_id, calls=None):
     """A copy of a built-in system (see _copy) with an empty memo and
     checkpoints every SPACING depths, so that depths up to 60 cross
-    several.  Its memo replaces the built-in system's in the registry."""
+    several.  Its memo replaces the built-in system's in the registry,
+    also when the copy keeps the built-in kernel and accepted count, on
+    which that memo is keyed too."""
     system = _copy(system_id, calls)
+    _STATES.pop(system_id, None)
     system.memo._SPACING = SPACING
     return system
 
@@ -245,12 +247,14 @@ def _copy(system_id, calls=None):
 
 @cache
 def _cold(system_id, n_max):
-    """(counts, dict levels) for depths 0..n_max: one run of levels from
-    the axiom on a system whose memo is never used."""
+    """(counts, dict levels) for depths 0..n_max: one run from the axiom
+    by a fresh prefix over the system's route, not its memo, that keeps
+    every level as a checkpoint."""
     system = _copy(system_id)
-    runs = [(accepted, system.to_dict(level))
-            for level, accepted in system.levels(n_max)]
-    return [c for c, _ in runs], [d for _, d in runs]
+    prefix = Prefix(system.start, system.kernel, system.accepted)
+    prefix._SPACING = 1
+    return (prefix.counts(n_max),
+            [system.to_dict(prefix.level(n)) for n in range(n_max + 1)])
 
 
 def _expected(name, system_id, n):
@@ -381,20 +385,6 @@ def test_minpoly_b_reads_the_201_210_memo():
                     (warm, n)
 
 
-@pytest.mark.parametrize("system_id", SYSTEM_IDS)
-def test_levels_counts_the_last_level_only_when_asked(system_id):
-    calls = {}
-    system = _fresh(system_id, calls)
-    counted = list(system.levels(6))
-    assert calls == {"kernel": 6, "accepted": 1}
-    calls.update(kernel=0, accepted=0)
-    uncounted = list(system.levels(6, _count_last=False))
-    assert calls == {"kernel": 6, "accepted": 0}
-    assert [a for _, a in uncounted] == [a for _, a in counted[:-1]] + [None]
-    assert [system.to_dict(v) for v, _ in uncounted] == \
-        [system.to_dict(v) for v, _ in counted]
-
-
 @pytest.mark.parametrize("system_id", ["201-210", "011-201"])
 def test_concurrent_requests_share_a_consistent_memo(system_id, monkeypatch):
     """Four threads request different depths of one system at once; a
@@ -442,18 +432,21 @@ def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
     checkpoint, the memo is a consistent triple ending at the last
     checkpoint, so it no longer holds the old deepest level; afterwards
     it reaches the new depth."""
-    seen = []
+    seen, watching = [], []
     system = _fresh(system_id)
     kernel = system.kernel
 
     def watching_kernel(level):
-        counts, deepest, checkpoints = system.memo._memo
-        seen.append((len(counts) - 1, deepest is checkpoints[-1]))
+        if watching:
+            counts, deepest, checkpoints = system.memo._memo
+            seen.append((len(counts) - 1, deepest is checkpoints[-1]))
         return kernel(level)
 
+    system.kernel = watching_kernel
+    system.memo._SPACING = SPACING
     monkeypatch.setitem(SYSTEMS, system_id, system)
     rule_counting_sequence(system_id, 21)
-    system.kernel = watching_kernel
+    watching.append(True)
     rule_counting_sequence(system_id, 30)
     assert seen == [(16, True)] * 9
     assert len(system.memo._memo[0]) == 31
@@ -461,24 +454,26 @@ def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
                                                      system_id, 21)
 
 
-def test_verify_routes_stay_off_the_memo(monkeypatch):
-    """profile_slices_201_210 and ff_slices_201_210 neither read nor
-    write the memo, so verify's census is never served by the route it
-    checks: they leave a fresh memo empty and ignore a poisoned one."""
+def test_verify_routes_stay_off_the_memo(monkeypatch, fresh_states):
+    """profile_slices_201_210 and the (k,F,F) slice behind
+    ff_slice_series neither read nor write the memo, so verify's census
+    is never served by the route it checks: they leave a fresh memo
+    empty and ignore a poisoned one."""
     n = 20
     system = _fresh("201-210")
     monkeypatch.setitem(SYSTEMS, "201-210", system)
     slices = list(profile_slices_201_210(n))
-    ff = list(ff_slices_201_210(n))
+    ff = series.ff_slice_series(n)
     assert system.memo._memo is None
     assert [system.to_dict(level) for level in slices] == \
         _cold("201-210", n)[1]
-    assert ff == [a for a, _, _ in slices]
+    assert ff.coefficients == [sum(a) for a, _, _ in slices]
     junk = ([9], [9], [9])
     poison = ([-1] * 100, junk, (junk,) * (100 // SPACING))
     system.memo._memo = poison
+    del _STATES["ff_slice_series"]
     assert list(profile_slices_201_210(n)) == slices
-    assert list(ff_slices_201_210(n)) == ff
+    assert series.ff_slice_series(n) == ff
     assert system.memo._memo is poison
 
 
