@@ -15,13 +15,13 @@ Where the numbers come from, each state kept in the registry of
   * series prefixes, which never touch the memo: the closed form
     (gf-vs-rules), the (k,F,F) slice sums (minpoly-A, and minpoly-B
     subtracts them from the memo's counts), ``iterate_fe``
-    (fe-vs-rules) and the census rows of the 201-210 DP
-    (system-201-210);
+    (fe-vs-rules) and the census and residual rows of the 201-210
+    system, one x-degree per step (system-201-210, through
+    ``_check_system_violation``);
   * residual states: minpoly-A, minpoly-B, minpoly-F and
     conjecture-010-102 evaluate their relation with
-    ``relation_residual``, and system-201-210 forms its residual rows
-    with ``_check_system_violation``, each resumed at the first
-    coefficient where its input differs from the stored one;
+    ``relation_residual``, resumed at the first coefficient where its
+    input differs from the stored one;
   * the structure prefix: structure-theorem reads, per length, the first
     inversion sequence on which ``structure_check_201_210`` and
     ``avoids`` disagree, or None (``_structure_step``);

@@ -15,18 +15,18 @@ replaced only by a longer one, so threads need no lock.  The keys are:
 
   * a system name (``invseq.succession``): the system's rules memo;
   * ``invseq.series``: "f_coefficients", "ff_slice_series",
-    "census-201-210" and ("iterate_fe", system), and the two residual
-    states, ("relation_residual", name) and "_check_system_violation",
-    which are not prefixes: they resume from the whole history of their
-    input;
+    "system-201-210" and ("iterate_fe", system), and the relation
+    residual states ("relation_residual", name), which are not prefixes:
+    they resume from the whole history of their input;
   * "structure-theorem" (``invseq.checks``).
 
 start is the level at depth 0.  step(level, *args) returns the level one
 depth deeper and the count of the level it was given, which most steps
 get from the work they do anyway; count(level) is that count alone, and
 counts only the deepest level of a request.  A "count" is whatever the
-route makes of a level: a number, the census rows of the 201-210 DP, or
-the first disagreement so far.  No step or count mutates a level.
+route makes of a level: a number, the first nonzero u-degree of each
+residual row of the 201-210 system, or the first disagreement so far.
+No step or count mutates a level.
 
 A Prefix keeps the counts at depths 0..L and the level at depth L, for
 the deepest L any request in this process has asked for, and a

@@ -14,8 +14,8 @@ anywhere.  The module has four layers:
     per-process residual state.
   * bivariate series in x and u, the ``phi`` operator, and
     ``_check_system_violation`` which replays the defining equations of
-    the 201-210 rule system against its own census data, its residual
-    rows resumed from a per-process state.
+    the 201-210 rule system against its own census data, one x-degree
+    per step of a per-process prefix.
   * the trivariate functional equations of the two 2-parameter systems,
     solved one x-degree at a time (``iterate_fe``), with divided
     differences done by checked exact synthetic division.  This layer
@@ -29,28 +29,29 @@ x-degree) is a list over u-power of rows indexed by the v-power, so
 differ in length.  Only the public ``phi`` takes and returns
 ``{u_power: coeff}`` dicts, for readability at the API.
 
-The closed form, the (k,F,F) slice and the census slices of the 201-210
-DP and the functional-equation iteration of each system keep a
-per-process prefix, and the two residual checks a per-process state, all
-in the registry of ``invseq.prefix``.  Each prefix is a start level, a
-step and a count: ``_f_step``, ``_step_ff``, ``_census_step`` over the
-201-210 kernel, and ``_fe_slice_step`` over an entry of ``_FE_STEP``.
-None of them is the rules memo of ``invseq.succession``, so that the
-routes stay apart from the route they check: the slices never touch the
-memo, and the closed form and the functional equations reach no
-succession code.  ``tf_slice_series`` keeps no prefix: it is minpoly-B's
-reference, a full run from the axiom.
-A residual resumes at the first coefficient where its input differs from
-the stored one, or past the stored order, so a corrupted or injected
-input is evaluated from its first bad coefficient on, and every answer
-is that of a cold evaluation.
+The closed form, the (k,F,F) slice, the bivariate system and the
+functional-equation iteration of each system keep a per-process prefix,
+and the relation residuals a per-process state, all in the registry of
+``invseq.prefix``.  Each prefix is a start level, a step and a count:
+``_f_step``, ``_step_ff``, ``_system_step`` over the 201-210 kernel, and
+``_fe_slice_step`` over an entry of ``_FE_STEP``.  None of them is the
+rules memo of ``invseq.succession``, so that the routes stay apart from
+the route they check: the slices never touch the memo, and the closed
+form and the functional equations reach no succession code.
+``tf_slice_series`` keeps no prefix: it is minpoly-B's reference, a full
+run from the axiom.  Injected census profiles replay cold through the
+system's step, in a prefix the registry never holds.  A relation
+residual resumes at the first coefficient where its input differs from
+the stored one, or past the stored order, so a corrupted input is
+evaluated from its first bad coefficient on, and every answer is that of
+a cold evaluation.
 """
 
 from collections import namedtuple
 from itertools import accumulate, zip_longest
 from operator import add, mul, sub
 
-from .prefix import _STATES, shared
+from .prefix import _STATES, Prefix, shared
 from .succession import _fast_step_201_210, _step_ff, profile_slices_201_210
 
 
@@ -171,13 +172,12 @@ PolyRelation = namedtuple("PolyRelation", ["name", "coefficients"])
 # -- per-process residual states --------------------------------------------
 #
 # Coefficient k of every series a residual is built from (y, y^2, each
-# Horner accumulator, each residual row at x^k) depends on the input only
-# through its index k, so a call may reuse the stored coefficients below
-# the first index where its input differs from the stored input.  The
-# states live in ``invseq.prefix._STATES`` under ("relation_residual",
-# name) and "_check_system_violation"; a call works on private copies,
-# never mutates a stored state, and publishes its own only when it is
-# longer.
+# Horner accumulator) depends on the input only through its index k, so
+# a call may reuse the stored coefficients below the first index where
+# its input differs from the stored input.  The states live in
+# ``invseq.prefix._STATES`` under ("relation_residual", name); a call
+# works on private copies, never mutates a stored state, and publishes
+# its own only when it is longer.
 
 # polys: the relation's coefficients; y: the series evaluated, through
 # x^L; y2: y^2 through x^L (empty for y-degree 1 or less); accs: the
@@ -352,31 +352,14 @@ def phi(f):
     return out
 
 
-def _census_row(row, deg):
-    """The census row at x^deg as a list of length deg + 1; a nonzero
-    coefficient past u^deg raises ArithmeticError."""
-    if any(row[deg + 1:]):
-        raise ArithmeticError("u-degree exceeds x-degree at x^%d" % deg)
-    return [*row[:deg + 1], *[0] * (deg + 1 - len(row))]
-
-
 def _census_rows(deg, level):
     """The census rows (A, B, C) at x^deg of a level (a, b, c) of the
-    201-210 DP (see _census_row)."""
-    return tuple(_census_row(row, deg) for row in level)
-
-
-def _census_step(rows, kernel):
-    """The step of the census prefix, whose level at x^m is its own
-    count, the census rows (A, B, C) at x^m: the rows at x^(m+1), formed
-    by _census_rows from the level the 201-210 kernel steps the rows to,
-    and the rows given.  The rows at x^m have m + 1 entries, so m is
-    read from them."""
-    return _census_rows(len(rows[0]), kernel(rows)[0]), rows
-
-
-def _census_count(rows):
-    return rows
+    201-210 DP, each a list of length deg + 1; a nonzero coefficient past
+    u^deg raises ArithmeticError."""
+    if any(any(row[deg + 1:]) for row in level):
+        raise ArithmeticError("u-degree exceeds x-degree at x^%d" % deg)
+    return tuple([*row[:deg + 1], *[0] * (deg + 1 - len(row))]
+                 for row in level)
 
 
 def _combine(length, *terms):
@@ -400,45 +383,62 @@ def _degree_rows(am, bm, cm):
     return am, bm, cm, dm, sa, sb, sc, _suffix_sums(dm)
 
 
-def _system_residuals(census, start):
-    """Yield, per x-degree m from start on, the residual rows of the seven
-    identities of _check_system_violation in label order, each of length
-    m + 2.  census holds the rows (A, B, C) per x-degree.
+def _system_residuals(rows, prev):
+    """The residual rows of the seven identities of _check_system_violation
+    at one x-degree m, in label order, each of length m + 2, from the
+    _degree_rows of x^m and of x^(m-1); m is read from the length of A.
 
     Rows of x-degree m - 1 enter through the factor x; at m = 0 they are
-    empty, and at m = start > 0 they are made from census[start - 1], so
-    a run resumed at start yields what a run from degree 0 yields there.
-    Terms use row + phi(row) = suffix sums of row, phi(u*row) = suffix
-    sums of row, and g(x,1) = the first suffix sum (a one-entry row,
-    empty when g is)."""
-    prev = _degree_rows(*census[start - 1]) if start else ([],) * 8
-    for m in range(start, len(census)):
-        rows = _degree_rows(*census[m])
-        am, bm, cm, dm, sa, sb, _, _ = rows
-        ap, bp, cp, dp, sap, sbp, scp, sdp = prev
-        one = [1] if m == 0 else []
-        w = m + 2
-        yield (
-            _combine(w, (1, 0, am), (-1, 0, one), (-1, 1, sap)),
-            _combine(w, (1, 0, bm), (-1, 1, bp), (-1, 1, sbp), (-1, 1, cp)),
-            _combine(w, (1, 0, cm), (-1, 1, sdp), (-1, 1, scp)),
-            _combine(w, (1, 0, am), (-1, 1, am), (1, 2, ap), (-1, 1, sap[:1]),
-                     (1, 1, one), (-1, 0, one)),
-            _combine(w, (1, 0, bm), (-1, 1, bm), (-1, 1, bp), (1, 2, bp),
-                     (1, 2, bp), (-1, 1, sbp[:1]), (1, 2, cp), (-1, 1, cp)),
-            _combine(w, (1, 0, cm), (-1, 1, cm), (1, 2, cp), (-1, 1, scp[:1]),
-                     (1, 2, dp), (-1, 1, sdp[:1])),
-            _combine(w, (1, 0, dm), (-1, 1, dm), (1, 0, am), (1, 0, bm),
-                     (-1, 0, sa[:1]), (-1, 0, sb[:1])),
-        )
-        prev = rows
+    empty.  Terms use row + phi(row) = suffix sums of row, phi(u*row) =
+    suffix sums of row, and g(x,1) = the first suffix sum (a one-entry
+    row, empty when g is)."""
+    am, bm, cm, dm, sa, sb, _, _ = rows
+    ap, bp, cp, dp, sap, sbp, scp, sdp = prev
+    m = len(am) - 1
+    one = [1] if m == 0 else []
+    w = m + 2
+    return (
+        _combine(w, (1, 0, am), (-1, 0, one), (-1, 1, sap)),
+        _combine(w, (1, 0, bm), (-1, 1, bp), (-1, 1, sbp), (-1, 1, cp)),
+        _combine(w, (1, 0, cm), (-1, 1, sdp), (-1, 1, scp)),
+        _combine(w, (1, 0, am), (-1, 1, am), (1, 2, ap), (-1, 1, sap[:1]),
+                 (1, 1, one), (-1, 0, one)),
+        _combine(w, (1, 0, bm), (-1, 1, bm), (-1, 1, bp), (1, 2, bp),
+                 (1, 2, bp), (-1, 1, sbp[:1]), (1, 2, cp), (-1, 1, cp)),
+        _combine(w, (1, 0, cm), (-1, 1, cm), (1, 2, cp), (-1, 1, scp[:1]),
+                 (1, 2, dp), (-1, 1, sdp[:1])),
+        _combine(w, (1, 0, dm), (-1, 1, dm), (1, 0, am), (1, 0, bm),
+                 (-1, 0, sa[:1]), (-1, 0, sb[:1])),
+    )
 
 
-# census: the rows (A, B, C) per x-degree, through x^L; first: label ->
-# (label, x_degree, u_degree) of each label's first failure through x^L.
-_SystemState = namedtuple("_SystemState", "census first")
+def _residual_firsts(rows, prev):
+    """None when the seven residual rows at the x-degree of rows vanish,
+    else the u-degree of each row's first nonzero coefficient, None for
+    a row that vanishes (see _system_residuals)."""
+    residuals = _system_residuals(rows, prev)
+    if not any(map(any, residuals)):
+        return None
+    return tuple(next((j for j, c in enumerate(row) if c), None)
+                 for row in residuals)
 
-_NO_SYSTEM = _SystemState((), {})
+
+def _system_step(level, kernel):
+    """The step of the system prefix, whose level at x^m is the census
+    rows (A, B, C) at x^m and the _degree_rows of x^(m-1): the level at
+    x^(m+1), with the rows at x^(m+1) formed by _census_rows from what
+    kernel steps the rows at x^m to, and the count of the level given.
+    The rows at x^m have m + 1 entries, so m is read from them."""
+    census, prev = level
+    rows = _degree_rows(*census)
+    return ((_census_rows(len(census[0]), kernel(census)[0]), rows),
+            _residual_firsts(rows, prev))
+
+
+def _system_count(level):
+    """The count of a system level: _residual_firsts at its x-degree."""
+    census, prev = level
+    return _residual_firsts(_degree_rows(*census), prev)
 
 
 def _check_system_violation(n_max, profiles=None):
@@ -469,39 +469,31 @@ def _check_system_violation(n_max, profiles=None):
     failure: labels in the order above, then the lowest x-degree, then
     the lowest u-degree.
 
-    The census rows of the DP come from this process's prefix of the
-    201-210 kernel (see ``invseq.prefix`` and _census_step), whose level
-    and count per depth is the row triple, so each depth is stepped and
-    converted once per process.  The residual rows resume from this
-    process's state (see the residual states above) at the first
-    x-degree where the census differs from the stored one, or past the
-    stored degree: a call no deeper than the stored degree with a
-    matching census forms no residual row.  The
-    state holds the prefix's row objects, not copies, so the comparison
-    of a matching census is one identity test per degree.
+    The residuals come from this process's prefix of the system (see
+    ``invseq.prefix`` and _system_step), stepped by the 201-210 kernel,
+    whose count per x-degree is the first nonzero u-degree of each
+    residual row there.  So a process steps and converts each degree
+    once, and forms its residual rows once, or twice when it was the
+    deepest degree of one request and a later one steps past it.
+    Injected profiles replay cold through the same step and count, in a
+    Prefix of their own that the registry never holds, whose kernel
+    returns the next injected rows.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if profiles is None:
-        census = shared("census-201-210", ([1], [0], [0]), _census_step,
-                        _census_count, _fast_step_201_210).counts(n_max)
+        prefix = shared("system-201-210", (([1], [0], [0]), ([],) * 8),
+                        _system_step, _system_count, _fast_step_201_210)
     else:
-        a, b, c = ([_census_row(profiles[m][i], m) for m in range(n_max + 1)]
-                   for i in range(3))
-        census = list(zip(a, b, c))
-    key = "_check_system_violation"
-    old = _STATES.get(key, _NO_SYSTEM)
-    start = _shared_length(census, old.census)
-    first = {label: f for label, f in old.first.items() if f[1] < start}
-    for m, rows in enumerate(_system_residuals(census, start), start):
-        for label, row in zip(_SYSTEM_LABELS, rows):
-            if label not in first and any(row):
-                first[label] = (label, m, next(j for j, v in enumerate(row) if v))
-    stored = _STATES.get(key, _NO_SYSTEM)
-    if len(stored.census) <= n_max:
-        _STATES[key] = _SystemState(census, first)
-    return next((first[label] for label in _SYSTEM_LABELS if label in first),
-                None)
+        prefix = Prefix((_census_rows(0, profiles[0]), ([],) * 8),
+                        _system_step, _system_count,
+                        lambda census: (profiles[len(census[0])],))
+    failures = [(i, m, u) for m, firsts in enumerate(prefix.counts(n_max))
+                if firsts for i, u in enumerate(firsts) if u is not None]
+    if not failures:
+        return None
+    i, m, u = min(failures)
+    return _SYSTEM_LABELS[i], m, u
 
 
 # -- trivariate layer -------------------------------------------------------

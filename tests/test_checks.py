@@ -2,9 +2,9 @@
 sequence goes to the structure checker and to pattern avoidance once per
 process, whatever the order of the requests, and the printed lines are
 those of a cold run.  The concurrency test also runs the system check,
-whose census prefix and residual state threads share in the same way,
-the last but one empties the whole registry after every check, and the
-last plants a fault in a step after a warm run, with no reset."""
+whose prefix threads share in the same way, the last but one empties
+the whole registry after every check, and the last plants a fault in a
+step after a warm run, with no reset."""
 
 import sys
 import threading
@@ -126,11 +126,10 @@ def test_concurrent_requests_share_consistent_states(fresh_states):
             assert sorted(answers) == sorted((r, cold[r]) for r in requests)
             first = _STATES["structure-theorem"]._memo[0]
             assert len(first) in (5, 8) and not any(first)
-            rows = _STATES["census-201-210"]._memo[0]
-            assert rows == census[:len(rows)] and len(rows) in (21, 46)
-            system = _STATES["_check_system_violation"]
-            assert system.census == census[:len(system.census)]
-            assert not system.first
+            found, (rows, _), checkpoints = _STATES["system-201-210"]._memo
+            assert len(found) in (21, 46) and not any(found)
+            assert rows == census[len(found) - 1]
+            assert [level[0] for level in checkpoints] == census[:1]
     finally:
         sys.setswitchinterval(switch)
 
@@ -207,7 +206,15 @@ def _bump_kernel(real):
     return planted
 
 
-# check: (namespace, key, plant, warm depth, depth, FAIL lines)
+def _bump_system_step(real):
+    """The step of the system prefix, handed the 201-210 kernel with one
+    more (k,F,F) state at x^5 u^2 (see _bump_kernel)."""
+    def planted(level, kernel):
+        return real(level, _bump_kernel(kernel))
+    return planted
+
+
+# check[:step]: (namespace, key, plant, warm depth, depth, FAIL lines)
 STEP_FAULTS = {
     "gf-vs-rules": (vars(series), "_f_step", _raise_at(7), 30,
                     20, ["FAIL: planted at x^7"]),
@@ -217,6 +224,9 @@ STEP_FAULTS = {
                   ["FAIL: residual first nonzero at order 4"]),
     "system-201-210": (vars(series), "_fast_step_201_210", _bump_kernel, 40,
                        20, ["FAIL: equation A first differs at x^5 u^2"]),
+    "system-201-210:_system_step": (
+        vars(series), "_system_step", _bump_system_step, 40, 20,
+        ["FAIL: equation A first differs at x^5 u^2"]),
 }
 
 
@@ -228,6 +238,7 @@ def test_a_fault_planted_in_a_step_after_a_warm_run_prints_the_cold_line(
     the FAIL line of a cold run, with no reset of the registry, and
     restoring the step restores the OK line."""
     namespace, key, plant, warm, depth, lines = STEP_FAULTS[name]
+    name = name.split(":")[0]
     real = namespace[key]
     monkeypatch.setitem(namespace, key, plant(real))
     assert run_check(name, depth) == (False, lines)

@@ -1,13 +1,14 @@
 """The per-process prefix of ``invseq.prefix`` on each of the nine
 routes that keep one: the three rule systems (the rules memo), the
-(k,F,F) slice behind ``ff_slice_series``, the census rows of the 201-210
-DP behind ``_check_system_violation``, the closed form behind
-``f_coefficients``, the functional-equation iteration of each
-2-parameter system behind ``iterate_fe`` and the first disagreements
-per length behind structure-theorem.  Each test starts from empty
-prefixes, compares with a run of the route (start, step, count, args)
-from its start, and plants failures or watchers in what the route's
-step runs, or plants another step."""
+(k,F,F) slice behind ``ff_slice_series``, the census and residual rows
+of the 201-210 system behind ``_check_system_violation`` (the route
+"census"), the closed form behind ``f_coefficients``, the
+functional-equation iteration of each 2-parameter system behind
+``iterate_fe`` and the first disagreements per length behind
+structure-theorem.  Each test starts from empty prefixes, compares with
+a run of the route (start, step, count, args) from its start, and
+plants failures or watchers in what the route's step runs, or plants
+another step."""
 
 import ast
 import inspect
@@ -24,9 +25,9 @@ FE_IDS = ("011-201", "010-100-120-210")
 
 
 def _census(n):
-    """The census rows the system check reads through x^n."""
+    """The residual counts the system check reads through x^n."""
     assert series._check_system_violation(n) is None
-    return _STATES["census-201-210"].counts(n)
+    return _STATES["system-201-210"].counts(n)
 
 
 SERIES_REQUESTS = {
@@ -363,8 +364,7 @@ def test_each_prefix_is_distinct_and_served_by_its_own_route(monkeypatch,
     }
     for request in requests.values():
         request(2)
-    prefixes = [state for key, state in _STATES.items()
-                if key != "_check_system_violation"]
+    prefixes = list(_STATES.values())
     assert len({id(p) for p in prefixes}) == 8
     assert all(isinstance(p, Prefix) for p in prefixes)
     for name, request in requests.items():

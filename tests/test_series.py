@@ -590,20 +590,20 @@ def _count_residual_degrees(monkeypatch):
     formed = []
     real = series._system_residuals
 
-    def counted(census, start):
-        for rows in real(census, start):
-            formed.append(1)
-            yield rows
+    def counted(rows, prev):
+        formed.append(1)
+        return real(rows, prev)
     monkeypatch.setattr(series, "_system_residuals", counted)
     return formed
 
 
 def test_residual_rows_per_system_request(monkeypatch, fresh_states):
     """The system's residual rows: n + 1 degrees cold, none at or below
-    the stored degree, n - m past a stored degree m, and from the first
-    differing x-degree on for an injected census."""
+    the stored degree, and n - m + 1 past a stored degree m, whose rows
+    the step that extends the prefix forms again (its count is stored);
+    an injected census is replayed cold, n + 1 degrees."""
     formed = _count_residual_degrees(monkeypatch)
-    for n, degrees in ((20, 21), (20, 0), (8, 0), (0, 0), (27, 7), (30, 3),
+    for n, degrees in ((20, 21), (20, 0), (8, 0), (0, 0), (27, 8), (30, 4),
                        (29, 0)):
         formed.clear()
         assert _check_system_violation(n) is None, n
@@ -612,17 +612,34 @@ def test_residual_rows_per_system_request(monkeypatch, fresh_states):
     formed.clear()
     assert _check_system_violation(25, profiles=profiles) == ("B", 9, 3)
     assert _reference_violation(25, profiles) == ("B", 9, 3)
-    assert len(formed) == 17
+    assert len(formed) == 26
+
+
+@pytest.mark.parametrize("warm", [None, 40, 5])
+def test_an_injected_census_leaves_the_registry_as_it_was(warm,
+                                                          fresh_states):
+    """An injected census at depth 20, with no stored prefix, after a
+    deeper check or after a shallower one, is replayed cold and leaves
+    every registry entry and the stored prefix's memo as they were."""
+    if warm is not None:
+        assert _check_system_violation(warm) is None
+    before = dict(_STATES)
+    memos = [state._memo for state in before.values()]
+    profiles = _corrupted_census(20, [(9, 1, 3, 1)])
+    assert _check_system_violation(20, profiles=profiles) == ("B", 9, 3)
+    assert _check_system_violation(20, profiles=_CENSUS) is None
+    assert _STATES == before
+    assert all(state._memo is memo
+               for state, memo in zip(_STATES.values(), memos))
 
 
 @cache
-def _warm_system_states(depth):
-    """The system's residual state after one clean system check at depth
-    from an empty one, by its key; callers copy the dict and never mutate
-    what it holds."""
-    _STATES.pop("_check_system_violation", None)
+def _warm_system_memo(depth):
+    """The memo of the system prefix after one clean system check at
+    depth from an empty registry; callers never mutate it."""
+    _STATES.pop("system-201-210", None)
     assert _check_system_violation(depth) is None
-    return {"_check_system_violation": _STATES["_check_system_violation"]}
+    return _STATES["system-201-210"]._memo
 
 
 @settings(max_examples=150, deadline=None,
@@ -632,19 +649,22 @@ def _warm_system_states(depth):
 def test_a_warm_system_check_reports_the_reference_first_failure(
         fresh_states, warm, n_max, cells):
     """The cases of test_check_system_reports_the_reference_first_failure,
-    run after a clean check at depth warm.  An injected census that is
-    shallower than the stored one leaves it in place; a deeper one
-    replaces it.  Either way a clean check after it answers None."""
-    states = _warm_system_states(warm)
+    run after a clean check at depth warm.  An injected census, shallower
+    or deeper than the stored prefix, leaves it in place, and a clean
+    check after it answers None."""
+    memo = _warm_system_memo(warm)
     fresh_states()
-    _STATES.update(states)
+    assert _check_system_violation(0) is None
+    prefix = _STATES["system-201-210"]
+    prefix._memo = memo
     profiles = _corrupted_census(n_max, cells)
     assert _check_system_violation(n_max, profiles=profiles) == \
         _reference_violation(n_max, profiles)
     assert _check_system_violation(n_max, profiles=_CENSUS) is None
+    assert list(_STATES) == ["system-201-210"]
+    assert _STATES["system-201-210"] is prefix and prefix._memo is memo
+    assert len(memo[0]) == warm + 1
     assert _check_system_violation(max(warm, n_max)) is None
-    assert states == _warm_system_states(warm)
-    assert len(states["_check_system_violation"].census) == warm + 1
 
 
 def test_verify_output_does_not_depend_on_request_order(fresh_states):
@@ -664,32 +684,33 @@ def test_verify_output_does_not_depend_on_request_order(fresh_states):
         assert {request: run_check(*request) for request in order} == cold
 
 
-def _census_prefix():
-    """A fresh Prefix over the route the census prefix is keyed on."""
-    return Prefix(([1], [0], [0]), series._census_step, series._census_count,
-                  series._fast_step_201_210)
+def _system_prefix():
+    """A fresh Prefix over the route the system prefix is keyed on."""
+    return Prefix((([1], [0], [0]), ([],) * 8), series._system_step,
+                  series._system_count, series._fast_step_201_210)
 
 
 def test_resuming_the_census_route_yields_the_tail_of_a_cold_run():
-    """A census prefix taken to any depth and then to 30 holds the rows
-    that a full run of the DP from the axiom converts, and its levels are
-    its rows."""
+    """A system prefix taken to any depth and then to 30 counts no
+    failure, and its level at x^m holds the rows that a full run of the
+    DP from the axiom converts at x^m and the degree rows of x^(m-1)."""
     rows = [series._census_rows(m, level)
             for m, level in enumerate(profile_slices_201_210(30))]
+    below = [([],) * 8, *(series._degree_rows(*r) for r in rows)]
     for depth in range(31):
-        prefix = _census_prefix()
-        assert prefix.counts(depth) == rows[:depth + 1], depth
-        assert prefix.counts(30) == rows, depth
-        assert prefix.level(depth) == rows[depth], depth
+        prefix = _system_prefix()
+        assert prefix.counts(depth) == [None] * (depth + 1), depth
+        assert prefix.counts(30) == [None] * 31, depth
+        assert prefix.level(depth) == (rows[depth], below[depth]), depth
     with pytest.raises(ValueError):
         prefix.counts(-1)
 
 
 def test_census_depths_per_system_request(monkeypatch, fresh_states):
     """The census rows come from one prefix per process: the requests 20,
-    80, 50 and 80 hold the rows of the 81 depths 0..80, those at x^0
-    being the start and each of the others formed once, and step the
-    201-210 kernel 80 times, and the answers are those of cold calls."""
+    80, 50 and 80 hold the 81 depths 0..80, whose rows are those at x^0,
+    the start, and the others, each formed once, and step the 201-210
+    kernel 80 times, and the answers are those of cold calls."""
     rows, steps = [], []
     real_rows = series._census_rows
 
@@ -706,22 +727,27 @@ def test_census_depths_per_system_request(monkeypatch, fresh_states):
         assert _check_system_violation(n) is None, n
     assert sorted(rows) == list(range(1, 81))
     assert len(steps) == 80
-    assert _STATES["census-201-210"].counts(80) == \
+    prefix = _STATES["system-201-210"]
+    assert prefix.counts(80) == [None] * 81
+    assert [prefix.level(m)[0] for m in range(81)] == \
         [real_rows(m, level)
          for m, level in enumerate(profile_slices_201_210(80))]
 
 
-def test_the_residual_state_holds_the_census_rows_of_the_prefix(
-        fresh_states):
-    """The system's residual state and the census prefix share their row
-    objects, so the rows are stored once."""
+def test_one_system_check_keeps_one_registry_key(fresh_states):
+    """Each system check leaves the one key of the system prefix, whose
+    deepest level holds the census rows at x^45 and the degree rows of
+    x^44, which begin with the census rows at x^44."""
+    census = [series._census_rows(m, level)
+              for m, level in enumerate(profile_slices_201_210(45))]
     for n in (30, 12, 45):
-        assert _check_system_violation(n) is None
-    stored = _STATES["_check_system_violation"].census
-    (prefix,) = [s for s in _STATES.values() if isinstance(s, Prefix)]
-    rows = prefix._memo[0]
-    assert len(stored) == len(rows) == 46
-    assert all(s is r for s, r in zip(stored, rows))
+        assert run_check("system-201-210", n)[0], n
+        assert list(_STATES) == ["system-201-210"], n
+    counts, (rows, below), _ = _STATES["system-201-210"]._memo
+    assert len(counts) == 46
+    assert rows == census[45]
+    assert below == series._degree_rows(*census[44])
+    assert below[:3] == census[44]
 
 
 def _planted_census(real):
