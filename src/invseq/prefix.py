@@ -26,7 +26,10 @@ get from the work they do anyway; count(level) is that count alone, and
 counts only the deepest level of a request.  A "count" is whatever the
 route makes of a level: a number, the first nonzero u-degree of each
 residual row of the 201-210 system, or the first disagreement so far.
-No step or count mutates a level.
+No step or count mutates a level.  An extension steps the stored
+deepest level again and drops the count that step returns, so a route
+whose count is real work lets each level carry its own count, formed
+by the step that forms the level, as the closed form and the system do.
 
 A Prefix keeps the counts at depths 0..L and the level at depth L, for
 the deepest L any request in this process has asked for, and a

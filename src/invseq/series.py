@@ -412,33 +412,34 @@ def _system_residuals(rows, prev):
     )
 
 
-def _residual_firsts(rows, prev):
-    """None when the seven residual rows at the x-degree of rows vanish,
-    else the u-degree of each row's first nonzero coefficient, None for
-    a row that vanishes (see _system_residuals)."""
+def _system_level(census, prev):
+    """The level of the system prefix at the x-degree m of census, the
+    rows (A, B, C) at x^m, given prev, the _degree_rows of x^(m-1): the
+    _degree_rows of x^m and the level's count, None when the seven
+    residual rows at x^m vanish (see _system_residuals), else the
+    u-degree of each row's first nonzero coefficient, None for a row
+    that vanishes."""
+    rows = _degree_rows(*census)
     residuals = _system_residuals(rows, prev)
     if not any(map(any, residuals)):
-        return None
-    return tuple(next((j for j, c in enumerate(row) if c), None)
-                 for row in residuals)
+        return rows, None
+    return rows, tuple(next((j for j, c in enumerate(row) if c), None)
+                       for row in residuals)
 
 
 def _system_step(level, kernel):
-    """The step of the system prefix, whose level at x^m is the census
-    rows (A, B, C) at x^m and the _degree_rows of x^(m-1): the level at
-    x^(m+1), with the rows at x^(m+1) formed by _census_rows from what
-    kernel steps the rows at x^m to, and the count of the level given.
-    The rows at x^m have m + 1 entries, so m is read from them."""
-    census, prev = level
-    rows = _degree_rows(*census)
-    return ((_census_rows(len(census[0]), kernel(census)[0]), rows),
-            _residual_firsts(rows, prev))
+    """The step of the system prefix, whose level at x^m is the
+    _system_level there: the level at x^(m+1), of the census rows that
+    _census_rows forms from what kernel steps the rows (A, B, C) at x^m
+    to, and the count of the level given.  The rows at x^m have m + 1
+    entries, so m is read from them."""
+    rows, firsts = level
+    census = _census_rows(len(rows[0]), kernel(rows[:3])[0])
+    return _system_level(census, rows), firsts
 
 
 def _system_count(level):
-    """The count of a system level: _residual_firsts at its x-degree."""
-    census, prev = level
-    return _residual_firsts(_degree_rows(*census), prev)
+    return level[1]
 
 
 def _check_system_violation(n_max, profiles=None):
@@ -472,22 +473,27 @@ def _check_system_violation(n_max, profiles=None):
     The residuals come from this process's prefix of the system (see
     ``invseq.prefix`` and _system_step), stepped by the 201-210 kernel,
     whose count per x-degree is the first nonzero u-degree of each
-    residual row there.  So a process steps and converts each degree
-    once, and forms its residual rows once, or twice when it was the
-    deepest degree of one request and a later one steps past it.
-    Injected profiles replay cold through the same step and count, in a
-    Prefix of their own that the registry never holds, whose kernel
-    returns the next injected rows.
+    residual row there.  Each level carries its count, formed by the
+    step that forms the level, and the start, the level at x^0, is the
+    stored prefix's when there is one.  So a process steps, converts
+    and forms the residual rows of each degree once.  Injected profiles
+    replay cold through the same step and count, in a Prefix of their
+    own that the registry never holds, whose kernel returns the next
+    injected rows.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if profiles is None:
-        prefix = shared("system-201-210", (([1], [0], [0]), ([],) * 8),
-                        _system_step, _system_count, _fast_step_201_210)
+        stored = _STATES.get("system-201-210")
+        start = (stored.route[0] if stored else
+                 _system_level(([1], [0], [0]), ([],) * 8))
+        prefix = shared("system-201-210", start, _system_step, _system_count,
+                        _fast_step_201_210)
     else:
-        prefix = Prefix((_census_rows(0, profiles[0]), ([],) * 8),
-                        _system_step, _system_count,
-                        lambda census: (profiles[len(census[0])],))
+        prefix = Prefix(
+            _system_level(_census_rows(0, profiles[0]), ([],) * 8),
+            _system_step, _system_count,
+            lambda rows: (profiles[len(rows[0])],))
     failures = [(i, m, u) for m, firsts in enumerate(prefix.counts(n_max))
                 if firsts for i, u in enumerate(firsts) if u is not None]
     if not failures:

@@ -599,11 +599,10 @@ def _count_residual_degrees(monkeypatch):
 
 def test_residual_rows_per_system_request(monkeypatch, fresh_states):
     """The system's residual rows: n + 1 degrees cold, none at or below
-    the stored degree, and n - m + 1 past a stored degree m, whose rows
-    the step that extends the prefix forms again (its count is stored);
-    an injected census is replayed cold, n + 1 degrees."""
+    the stored degree, n - m past a stored degree m, and n + 1 for an
+    injected census, which is replayed cold."""
     formed = _count_residual_degrees(monkeypatch)
-    for n, degrees in ((20, 21), (20, 0), (8, 0), (0, 0), (27, 8), (30, 4),
+    for n, degrees in ((20, 21), (20, 0), (8, 0), (0, 0), (27, 7), (30, 3),
                        (29, 0)):
         formed.clear()
         assert _check_system_violation(n) is None, n
@@ -661,10 +660,11 @@ def test_a_warm_system_check_reports_the_reference_first_failure(
     assert _check_system_violation(n_max, profiles=profiles) == \
         _reference_violation(n_max, profiles)
     assert _check_system_violation(n_max, profiles=_CENSUS) is None
-    assert list(_STATES) == ["system-201-210"]
-    assert _STATES["system-201-210"] is prefix and prefix._memo is memo
-    assert len(memo[0]) == warm + 1
+    assert prefix._memo is memo
     assert _check_system_violation(max(warm, n_max)) is None
+    assert list(_STATES) == ["system-201-210"]
+    assert _STATES["system-201-210"] is prefix
+    assert len(memo[0]) == warm + 1 and not any(memo[0])
 
 
 def test_verify_output_does_not_depend_on_request_order(fresh_states):
@@ -686,22 +686,22 @@ def test_verify_output_does_not_depend_on_request_order(fresh_states):
 
 def _system_prefix():
     """A fresh Prefix over the route the system prefix is keyed on."""
-    return Prefix((([1], [0], [0]), ([],) * 8), series._system_step,
-                  series._system_count, series._fast_step_201_210)
+    return Prefix(series._system_level(([1], [0], [0]), ([],) * 8),
+                  series._system_step, series._system_count,
+                  series._fast_step_201_210)
 
 
 def test_resuming_the_census_route_yields_the_tail_of_a_cold_run():
     """A system prefix taken to any depth and then to 30 counts no
-    failure, and its level at x^m holds the rows that a full run of the
-    DP from the axiom converts at x^m and the degree rows of x^(m-1)."""
-    rows = [series._census_rows(m, level)
+    failure, and its level at x^m holds the degree rows of the rows that
+    a full run of the DP from the axiom converts at x^m, and its count."""
+    rows = [series._degree_rows(*series._census_rows(m, level))
             for m, level in enumerate(profile_slices_201_210(30))]
-    below = [([],) * 8, *(series._degree_rows(*r) for r in rows)]
     for depth in range(31):
         prefix = _system_prefix()
         assert prefix.counts(depth) == [None] * (depth + 1), depth
         assert prefix.counts(30) == [None] * 31, depth
-        assert prefix.level(depth) == (rows[depth], below[depth]), depth
+        assert prefix.level(depth) == (rows[depth], None), depth
     with pytest.raises(ValueError):
         prefix.counts(-1)
 
@@ -729,25 +729,24 @@ def test_census_depths_per_system_request(monkeypatch, fresh_states):
     assert len(steps) == 80
     prefix = _STATES["system-201-210"]
     assert prefix.counts(80) == [None] * 81
-    assert [prefix.level(m)[0] for m in range(81)] == \
+    assert [prefix.level(m)[0][:3] for m in range(81)] == \
         [real_rows(m, level)
          for m, level in enumerate(profile_slices_201_210(80))]
 
 
 def test_one_system_check_keeps_one_registry_key(fresh_states):
     """Each system check leaves the one key of the system prefix, whose
-    deepest level holds the census rows at x^45 and the degree rows of
-    x^44, which begin with the census rows at x^44."""
+    deepest level holds the degree rows at x^45, which begin with the
+    census rows there, and its count."""
     census = [series._census_rows(m, level)
               for m, level in enumerate(profile_slices_201_210(45))]
     for n in (30, 12, 45):
         assert run_check("system-201-210", n)[0], n
         assert list(_STATES) == ["system-201-210"], n
-    counts, (rows, below), _ = _STATES["system-201-210"]._memo
-    assert len(counts) == 46
-    assert rows == census[45]
-    assert below == series._degree_rows(*census[44])
-    assert below[:3] == census[44]
+    counts, (rows, firsts), _ = _STATES["system-201-210"]._memo
+    assert len(counts) == 46 and firsts is None
+    assert rows == series._degree_rows(*census[45])
+    assert rows[:3] == census[45]
 
 
 def _planted_census(real):
