@@ -494,12 +494,11 @@ def _check_system_violation(n_max, profiles=None):
             _system_level(_census_rows(0, profiles[0]), ([],) * 8),
             _system_step, _system_count,
             lambda rows: (profiles[len(rows[0])],))
-    failures = [(i, m, u) for m, firsts in enumerate(prefix.counts(n_max))
-                if firsts for i, u in enumerate(firsts) if u is not None]
-    if not failures:
-        return None
-    i, m, u = min(failures)
-    return _SYSTEM_LABELS[i], m, u
+    # the labels sort in the order they are listed in
+    return min(((label, m, u)
+                for m, firsts in enumerate(prefix.counts(n_max)) if firsts
+                for label, u in zip(_SYSTEM_LABELS, firsts) if u is not None),
+               default=None)
 
 
 # -- trivariate layer -------------------------------------------------------
