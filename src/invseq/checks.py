@@ -121,13 +121,13 @@ def _verify_system(n_max):
 
 
 def _structure_step(level, checker, avoids_basis, basis):
-    """The step of the structure prefix, whose level at depth d is (d,
-    the first disagreement at a length below d, or None): the level at
-    d + 1, and the disagreement of the level given.  The search at
-    length d runs only while there is none: it returns the first
-    inversion sequence of that length on which checker(e) and
-    avoids_basis(e, basis) disagree, with both answers, or None, so that
-    no word is checked past one."""
+    """The step of the structure prefix at length d, whose level there
+    is (d, the first disagreement at a length below d, or None): the
+    level at d + 1 and its count at d, the first disagreement through
+    length d.  The search at length d runs only while there is none: it
+    finds the first inversion sequence of that length on which
+    checker(e) and avoids_basis(e, basis) disagree, with both answers,
+    so that no word is checked past one."""
     length, found = level
     if found is None:
         for e in itertools.product(*map(range, range(1, length + 1))):
@@ -136,22 +136,18 @@ def _structure_step(level, checker, avoids_basis, basis):
             if checked != avoided:
                 found = e, checked, avoided
                 break
-    return (length + 1, found), level[1]
-
-
-def _structure_found(level):
-    return level[1]
+    return (length + 1, found), found
 
 
 def _verify_structure(n_max):
     """Compare the structure checker with pattern avoidance on every
-    inversion sequence of length at most n_max: the count at depth
-    n_max + 1 of this process's structure prefix (see ``invseq.prefix``
-    and _structure_step), kept for the two functions and the basis as
-    this module sees them at call time."""
+    inversion sequence of length at most n_max: the count at depth n_max
+    of this process's structure prefix (see ``invseq.prefix`` and
+    _structure_step), kept for the two functions and the basis as this
+    module sees them at call time."""
     found = shared("structure-theorem", (0, None), _structure_step,
-                   _structure_found, structure_check_201_210, avoids,
-                   get_system("201-210").basis).counts(n_max + 1)[-1]
+                   structure_check_201_210, avoids,
+                   get_system("201-210").basis).counts(n_max)[-1]
     if found is not None:
         e, checked, avoided = found
         return False, ["FAIL at e=%s: checker %s, avoidance %s"

@@ -32,9 +32,10 @@ differ in length.  Only the public ``phi`` takes and returns
 The closed form, the (k,F,F) slice, the bivariate system and the
 functional-equation iteration of each system keep a per-process prefix,
 and the relation residuals a per-process state, all in the registry of
-``invseq.prefix``.  Each prefix is a start level, a step and a count:
+``invseq.prefix``.  Each prefix is a start level and a step:
 ``_f_step``, ``_step_ff``, ``_system_step`` over the 201-210 kernel, and
-``_fe_slice_step`` over an entry of ``_FE_STEP``.  None of them is the
+``_fe_slice_step`` over an entry of ``_FE_STEP``; the step of depth d
+forms and checks depth d and nothing past it.  None of them is the
 rules memo of ``invseq.succession``, so that the routes stay apart from
 the route they check: the slices never touch the memo, and the closed
 form and the functional equations reach no succession code.
@@ -105,36 +106,32 @@ def f_coefficients(n_max):
 
     The coefficients come from this process's prefix of the recurrences
     (see ``invseq.prefix``), so a request no deeper than an earlier one
-    steps nothing.  Its level at depth d is the state (d + 1, r_d, f_d,
-    f_(d-1)) before x^(d+1), from (1, r_0, f_0, f_(-1)) = (1, 1, 1, 0),
-    where N_0 / 2 = 1, and its count is f_d.
+    steps nothing.  Its level at depth d is the state (d, r_(d-1),
+    f_(d-1), f_(d-2)) before x^d, from (0, 0, 0, 0), and the step of
+    depth d forms f_d (see _f_step).
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    return shared("f_coefficients", (1, 1, 1, 0), _f_step,
-                  _f_count).counts(n_max)
-
-
-def _f_count(level):
-    return level[2]
+    return shared("f_coefficients", (0, 0, 0, 0), _f_step).counts(n_max)
 
 
 def _f_step(level):
     """One step of the recurrences of f_coefficients: the state (k,
     r_(k-1), f_(k-1), f_(k-2)) before x^k to the state before x^(k+1),
-    for k >= 1, and f_(k-1).  The division of each recurrence is checked
-    to be exact, and f_k to be nonnegative."""
+    and f_k, where N_k is 2 at k = 0, -1 - r_0 at k = 1 and -r_(k-1)
+    past it, and r_0 = 1 is formed at k = 0.  The division of each
+    recurrence is checked to be exact, and f_k to be nonnegative."""
     k, r, f1, f2 = level
-    f, rem = divmod((-1 if k == 1 else 0) - r + 4 * f1 - 4 * f2, 2)
+    f, rem = divmod({0: 2, 1: -1}.get(k, 0) - r + 4 * f1 - 4 * f2, 2)
     if rem:
         raise ArithmeticError("coefficient of x^%d is not an integer" % k)
     if f < 0:
         raise ArithmeticError("coefficient of x^%d is negative: %r" % (k, f))
-    r, rem = divmod(4 * (2 * k - 3) * r, k)
+    r, rem = divmod(4 * (2 * k - 3) * r, k) if k else (1, 0)
     if rem:
         raise ArithmeticError(
             "sqrt(1-8x) coefficient of x^%d is not an integer" % k)
-    return (k + 1, r, f, f1), f1
+    return (k + 1, r, f, f1), f
 
 
 def ff_slice_series(n_max):
@@ -147,7 +144,7 @@ def ff_slice_series(n_max):
     subtracts these sums from the memo's counts, takes its two terms from
     separate routes."""
     return TruncatedSeries(
-        shared("ff_slice_series", [1], _step_ff, sum).counts(n_max), n_max)
+        shared("ff_slice_series", [1], _step_ff).counts(n_max), n_max)
 
 
 def tf_slice_series(n_max):
@@ -412,34 +409,22 @@ def _system_residuals(rows, prev):
     )
 
 
-def _system_level(census, prev):
-    """The level of the system prefix at the x-degree m of census, the
-    rows (A, B, C) at x^m, given prev, the _degree_rows of x^(m-1): the
-    _degree_rows of x^m and the level's count, None when the seven
-    residual rows at x^m vanish (see _system_residuals), else the
-    u-degree of each row's first nonzero coefficient, None for a row
-    that vanishes."""
-    rows = _degree_rows(*census)
+def _system_step(prev, kernel, axiom):
+    """The step of the system prefix at x^m, whose level there is prev,
+    the _degree_rows of x^(m-1), eight empty rows at m = 0, so that m is
+    the length of prev's rows.  It forms the census rows (A, B, C) at x^m
+    with _census_rows, from axiom at m = 0 and else from what kernel
+    steps prev's rows (A, B, C) to, and returns their _degree_rows, the
+    level at x^(m+1), and the count at x^m: None when the seven residual
+    rows there vanish (see _system_residuals), else the u-degree of each
+    row's first nonzero coefficient, None for a row that vanishes."""
+    m = len(prev[0])
+    rows = _degree_rows(*_census_rows(m, kernel(prev[:3])[0] if m else axiom))
     residuals = _system_residuals(rows, prev)
     if not any(map(any, residuals)):
         return rows, None
     return rows, tuple(next((j for j, c in enumerate(row) if c), None)
                        for row in residuals)
-
-
-def _system_step(level, kernel):
-    """The step of the system prefix, whose level at x^m is the
-    _system_level there: the level at x^(m+1), of the census rows that
-    _census_rows forms from what kernel steps the rows (A, B, C) at x^m
-    to, and the count of the level given.  The rows at x^m have m + 1
-    entries, so m is read from them."""
-    rows, firsts = level
-    census = _census_rows(len(rows[0]), kernel(rows[:3])[0])
-    return _system_level(census, rows), firsts
-
-
-def _system_count(level):
-    return level[1]
 
 
 def _check_system_violation(n_max, profiles=None):
@@ -471,29 +456,22 @@ def _check_system_violation(n_max, profiles=None):
     the lowest u-degree.
 
     The residuals come from this process's prefix of the system (see
-    ``invseq.prefix`` and _system_step), stepped by the 201-210 kernel,
-    whose count per x-degree is the first nonzero u-degree of each
-    residual row there.  Each level carries its count, formed by the
-    step that forms the level, and the start, the level at x^0, is the
-    stored prefix's when there is one.  So a process steps, converts
-    and forms the residual rows of each degree once.  Injected profiles
-    replay cold through the same step and count, in a Prefix of their
-    own that the registry never holds, whose kernel returns the next
-    injected rows.
+    ``invseq.prefix`` and _system_step), stepped by the 201-210 kernel
+    from the axiom's rows, whose count per x-degree is the first nonzero
+    u-degree of each residual row there.  So a process steps, converts
+    and forms the residual rows of each degree once, and a request
+    through x^n_max forms no census row past it.  Injected profiles
+    replay cold through the same step, in a Prefix of their own that the
+    registry never holds, whose kernel returns the next injected rows.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if profiles is None:
-        stored = _STATES.get("system-201-210")
-        start = (stored.route[0] if stored else
-                 _system_level(([1], [0], [0]), ([],) * 8))
-        prefix = shared("system-201-210", start, _system_step, _system_count,
-                        _fast_step_201_210)
+        prefix = shared("system-201-210", ([],) * 8, _system_step,
+                        _fast_step_201_210, ([1], [0], [0]))
     else:
-        prefix = Prefix(
-            _system_level(_census_rows(0, profiles[0]), ([],) * 8),
-            _system_step, _system_count,
-            lambda rows: (profiles[len(rows[0])],))
+        prefix = Prefix(([],) * 8, _system_step,
+                        lambda rows: (profiles[len(rows[0])],), profiles[0])
     # the labels sort in the order they are listed in
     return min(((label, m, u)
                 for m, firsts in enumerate(prefix.counts(n_max)) if firsts
@@ -601,27 +579,25 @@ def _fe_step(system_id):
 
 
 def _fe_slice_step(level, step):
-    """The step of a functional-equation prefix, whose level at x^deg is
-    (deg, slice): the level at x^(deg+1), with step applied to the slice,
-    and the count of the slice given, its coefficient sum.
+    """The step of a functional-equation prefix at x^deg, whose level
+    there is (deg, the slice at x^(deg-1), or None at deg = 0): the
+    level at x^(deg+1), of the slice at x^deg, [[1]] at deg = 0 and else
+    step applied to the slice given, and the count at x^deg, the slice's
+    coefficient sum.
 
-    The new slice is checked to have no nonzero coefficient at a u- or
-    v-degree above its x-degree, else ArithmeticError.  step never
-    mutates a slice.
+    The slice at x^deg is checked to have no nonzero coefficient at a u-
+    or v-degree above deg, else ArithmeticError.  step never mutates a
+    slice.
     """
     deg, slice_ = level
-    slice_, deg = step(slice_), deg + 1
+    slice_ = step(slice_) if deg else [[1]]
     for ju, row in enumerate(slice_):
         top = 0 if ju > deg else deg + 1
         if any(row[top:]):
             jv = next(j for j, c in enumerate(row) if c and j >= top)
             raise ArithmeticError(
                 "u^%d v^%d at x^%d breaks the degree bound" % (ju, jv, deg))
-    return (deg, slice_), _fe_count(level)
-
-
-def _fe_count(level):
-    return sum(map(sum, level[1]))
+    return (deg + 1, slice_), sum(map(sum, slice_))
 
 
 def iterate_fe(system_id, n_max):
@@ -630,7 +606,7 @@ def iterate_fe(system_id, n_max):
 
     The equation S = 1 + xu*L(S) keeps x-degrees apart, so the solution
     is built degree by degree, slice d+1 being the system's step applied
-    to slice d, in O(n_max) steps from the slice [[1]] at x^0; each slice
+    to slice d, in n_max + 1 steps from the slice [[1]] at x^0; each slice
     ``s[u_power][v_power]`` is checked against the degree bound (see
     _fe_slice_step).  The divisions are checked to be exact, but those
     checks pass for any equation of this shape and only guard the
@@ -646,5 +622,5 @@ def iterate_fe(system_id, n_max):
     is read.
     """
     step = _fe_step(system_id)
-    return shared(("iterate_fe", system_id), (0, [[1]]), _fe_slice_step,
-                  _fe_count, step).counts(n_max)
+    return shared(("iterate_fe", system_id), (0, None), _fe_slice_step,
+                  step).counts(n_max)

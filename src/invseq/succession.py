@@ -32,8 +32,8 @@ renderer of a dense level as text: state_profile() converts once, at
 the end, and profile_text() renders the level without a dict.
 
 Each RuleSystem keeps a memo, the per-process prefix of its own DP
-(see ``invseq.prefix``), whose route is the dense axiom level, the
-kernel and the accepted count: rule_counting_sequence(),
+(see ``invseq.prefix``), whose route is the dense axiom level and the
+kernel: rule_counting_sequence(),
 count_via_rules(), state_profile() and profile_text() read it, and
 extend it when a request is deeper.  profile_slices_201_210() does not
 use it.
@@ -61,20 +61,19 @@ class RuleSystem:
 
     kernel(level) takes a dense level to the next depth and also returns
     the accepted count of the level it was given, which falls out of its
-    partial sums; accepted(level) computes that count directly.
-    render(level) is the text of a dense level: one "state count" line
+    partial sums.  render(level) is the text of a dense level: one "state count" line
     per state with a nonzero count, in sorted state order, each state as
     state_str writes it.
 
     start is the dense axiom level.  memo is the per-process prefix of
     the system's levels, kept under its name (see ``invseq.prefix``): its
-    route starts at start, steps with kernel and counts the deepest level
-    with accepted, as the system holds them at call time.  The kernels
-    never mutate a level.
+    route starts at start and steps with kernel, as the system holds them
+    at call time, so a count through depth n steps level n too.  The
+    kernels never mutate a level.
     """
 
     def __init__(self, name, basis, axiom, successors, accept, state_str,
-                 kernel, accepted, to_dense, to_dict, render):
+                 kernel, to_dense, to_dict, render):
         self.name = name
         self.basis = basis
         self.axiom = axiom
@@ -82,7 +81,6 @@ class RuleSystem:
         self.accept = accept
         self.state_str = state_str
         self.kernel = kernel
-        self.accepted = accepted
         self.to_dense = to_dense
         self.to_dict = to_dict
         self.render = render
@@ -90,7 +88,7 @@ class RuleSystem:
 
     @property
     def memo(self):
-        return shared(self.name, self.start, self.kernel, self.accepted)
+        return shared(self.name, self.start, self.kernel)
 
     def __repr__(self):
         return "RuleSystem(%r)" % self.name
@@ -320,15 +318,6 @@ def _render_triangle(rows):
                     for ell, m in enumerate(reversed(row)) if m])
 
 
-def _accepted_201_210(level):
-    a, b, _ = level
-    return sum(a) + sum(b)
-
-
-def _accepted_triangle(rows):
-    return sum(map(sum, rows))
-
-
 def _accept_all(state):
     return True
 
@@ -341,17 +330,16 @@ SYSTEMS = {
     "201-210": RuleSystem(
         "201-210", ((2, 0, 1), (2, 1, 0)),
         (0, False, False), _successors_201_210,
-        _accept_uncommitted, _str_3, _fast_step_201_210, _accepted_201_210,
+        _accept_uncommitted, _str_3, _fast_step_201_210,
         _slices_from_dict, _slices_to_dict, _render_201_210),
     "011-201": RuleSystem(
         "011-201", ((0, 1, 1), (2, 0, 1)),
-        (0, 0), _successors_011_201, _accept_all, _str_2,
-        _fast_step_011_201, _accepted_triangle,
+        (0, 0), _successors_011_201, _accept_all, _str_2, _fast_step_011_201,
         _triangle_from_dict, _triangle_to_dict, _render_triangle),
     "010-100-120-210": RuleSystem(
         "010-100-120-210", ((0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0)),
         (0, 0), _successors_010_100_120_210,
-        _accept_all, _str_2, _fast_step_010_100_120_210, _accepted_triangle,
+        _accept_all, _str_2, _fast_step_010_100_120_210,
         _triangle_from_dict, _triangle_to_dict, _render_triangle),
 }
 
@@ -379,7 +367,7 @@ def rule_counting_sequence(system_id, n_max):
 def count_via_rules(system_id, n):
     """Number of accepted depth-n states, counted with multiplicity: the
     size of the class the system enumerates."""
-    return get_system(system_id).memo._reach(n)[0][n]
+    return get_system(system_id).memo.counts(n)[n]
 
 
 def profile_slices_201_210(n_max):

@@ -86,7 +86,7 @@ def test_cli_imports_no_private_name():
 
 def _held(obj):
     """The objects a name bound to obj leads to: the values of a dict,
-    the start, step, count and arguments of a Prefix's route, the items
+    the start, step and arguments of a Prefix's route, the items
     of a tuple, or obj itself."""
     if isinstance(obj, dict):
         return list(obj.values())
@@ -137,9 +137,8 @@ def test_the_walk_reaches_the_closed_form_route():
     def held(n):
         return HELD.counts(n)   # HELD is bound only in the walked namespace
     for prefix, step in (
-            (Prefix((1, 1, 1, 0), series._f_step, series._f_count),
-             series._f_step),
-            (Prefix((0, [[1]]), series._fe_slice_step, series._fe_count,
+            (Prefix((0, 0, 0, 0), series._f_step), series._f_step),
+            (Prefix((0, None), series._fe_slice_step,
                     series._FE_STEP["011-201"]), series._fe_step_011_201)):
         namespace = {"HELD": prefix, **vars(series)}
         assert _reachable([held], namespace)[step.__name__] is step

@@ -6,15 +6,16 @@ of the 201-210 system behind ``_check_system_violation`` (the route
 functional-equation iteration of each 2-parameter system behind
 ``iterate_fe`` and the first disagreements per length behind
 structure-theorem.  Each test starts from empty prefixes, compares with
-a run of the route (start, step, count, args) from its start, and
-plants failures or watchers in what the route's step runs, or plants
-another step."""
+a run of the route (start, step, args) from its start, and plants
+failures or watchers in what the route's step runs, or plants another
+step."""
 
 import ast
 import inspect
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, HealthCheck, settings, strategies as st
 
 from invseq import checks, prefix as prefix_module, series, succession
 from invseq.checks import run_check
@@ -39,6 +40,9 @@ SERIES_REQUESTS = {
 }
 STRUCTURE = "structure-theorem"
 NAMES = (*SYSTEMS, *SERIES_REQUESTS, STRUCTURE)
+# the routes whose step of x^0 forms it from the axiom, without running
+# what _slot plants in
+FROM_THE_AXIOM = ("census", *("iterate_fe:" + s for s in FE_IDS))
 
 
 class Planted(Exception):
@@ -48,8 +52,7 @@ class Planted(Exception):
 def _fresh_system(system_id):
     s = SYSTEMS[system_id]
     return RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
-                      s.state_str, s.kernel, s.accepted, s.to_dense, s.to_dict,
-                      s.render)
+                      s.state_str, s.kernel, s.to_dense, s.to_dict, s.render)
 
 
 def _planted_checker(monkeypatch):
@@ -130,19 +133,20 @@ def _failing_after(real, calls):
 def _cold(prefix, n):
     """[(level, count) for depths 0..n] of the prefix's route, stepped
     from its start with no prefix."""
-    start, step, count, args = prefix.route
+    start, step, args = prefix.route
     run, level = [], start
-    for _ in range(n):
+    for _ in range(n + 1):
         nxt, c = step(level, *args)
         run.append((level, c))
         level = nxt
-    return [*run, (level, count(level))]
+    return run
 
 
 def _assert_answers_equal(prefix, cold):
     """The prefix's counts and levels equal the run from the start, cold
-    = [(level, count) for depths 0..len(cold) - 1]."""
-    top = len(cold) - 1
+    = [(level, count) for depths 0..len(cold) - 1], for requests through
+    len(cold) - 2, so that the level the prefix steps next is in cold."""
+    top = len(cold) - 2
     for n in (0, 3, 20, 63, 64, 65, 100, top - 7, top):
         if n > top:
             continue
@@ -150,9 +154,9 @@ def _assert_answers_equal(prefix, cold):
         assert prefix.level(n) == cold[n][0], n
     counts, level, checkpoints = prefix._memo
     assert counts == [c for _, c in cold[:len(counts)]]
-    assert level == cold[len(counts) - 1][0]
+    assert level == cold[len(counts)][0]
     assert list(checkpoints) == \
-        [level for level, _ in cold[:len(counts):prefix._SPACING]]
+        [level for level, _ in cold[:len(counts) + 1:prefix._SPACING]]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -161,8 +165,9 @@ def test_a_failing_step_never_leaves_a_prefix_shallower(name, monkeypatch,
     """A step that raises during an extension, a few steps in or at the
     first one, leaves the prefix at least as deep as it was, although
     the extension cut it back to its last checkpoint before stepping: it
-    holds the counts of the depths stepped and the level of the last of
-    them.  Afterwards every answer equals a run from the start."""
+    holds the counts of the depths stepped and the level at the depth
+    whose step raised.  Afterwards every answer equals a run from the
+    start."""
     prefix, current, _ = _route(name, monkeypatch)
     cold = _cold(prefix, 130)
     prefix.counts(100)
@@ -172,24 +177,34 @@ def test_a_failing_step_never_leaves_a_prefix_shallower(name, monkeypatch,
             with pytest.raises(Planted):
                 prefix.counts(120)
         after = len(prefix._memo[0])
-        assert after == before + (calls - 1 if calls else 0), calls
-        assert prefix._memo[1] == cold[after - 1][0], calls
+        assert after == before + calls, calls
+        assert prefix._memo[1] == cold[after][0], calls
     _assert_answers_equal(prefix, cold)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_a_failing_first_request_keeps_only_levels_it_reached(
         name, monkeypatch, fresh_states):
-    """When the first step of a request on an empty prefix raises, the
-    prefix holds no level: a level's count comes from the step that
-    leaves it, so no route reaches a depth before its first step
-    returns."""
+    """A prefix publishes only the depths whose step returned: when what
+    the step runs raises at its first call, the prefix holds depth 0 of
+    a route that forms x^0 from the axiom without running it, and
+    nothing otherwise; when the first step itself raises, the prefix
+    stays empty."""
     prefix, current, _ = _route(name, monkeypatch)
     cold = _cold(prefix, 70)
     with _running(current, _failing_after(current[0], 0)):
         with pytest.raises(Planted):
             prefix.counts(10)
+    if name in FROM_THE_AXIOM:
+        assert prefix._memo[:2] == ([cold[0][1]], cold[1][0])
+        prefix._memo = None
     assert prefix._memo is None
+    start, step, args = prefix.route
+    prefix.route = start, _failing_after(step, 0), args
+    with pytest.raises(Planted):
+        prefix.counts(10)
+    assert prefix._memo is None
+    prefix.route = start, step, args
     _assert_answers_equal(prefix, cold)
 
 
@@ -241,7 +256,7 @@ def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch,
     two checkpoints is stepped from the one below it."""
     prefix, current, _ = _route(name, monkeypatch)
     prefix._SPACING = 8
-    cold = _cold(prefix, 30)
+    cold = _cold(prefix, 31)
     prefix.counts(21)
     assert list(prefix._memo[2]) == [cold[d][0] for d in (0, 8, 16)]
     real = current[0]
@@ -249,14 +264,14 @@ def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch,
 
     def watching(*args):
         counts, deepest, checkpoints = prefix._memo
-        seen.append((len(counts) - 1, deepest is checkpoints[-1]))
+        seen.append((len(counts), deepest is checkpoints[-1]))
         return real(*args)
     with _running(current, watching):
-        assert SERIES_REQUESTS[name](30) == [c for _, c in cold]
+        assert SERIES_REQUESTS[name](30) == [c for _, c in cold[:31]]
     assert seen == [(16, True)] * 9
     counts, level, checkpoints = prefix._memo
     assert len(counts) == 31
-    assert level == cold[30][0]
+    assert level == cold[31][0]
     assert list(checkpoints) == [cold[d][0] for d in (0, 8, 16, 24)]
     steps = _counting(current)
     assert prefix.level(23) == cold[23][0]
@@ -267,10 +282,11 @@ def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch,
 def test_a_planted_route_replaces_the_prefix(name, monkeypatch,
                                              fresh_states):
     """A step planted in ``invseq.series`` (for the census, the kernel
-    its step is given) after a warm request to depth 40 is stepped from
-    the start in a prefix of its own, which replaces the stored one, and
-    gives the answers of the step it wraps; restoring the real step
-    replaces that prefix in turn."""
+    its step is given, which the step of x^0 does not run) after a warm
+    request to depth 40 is stepped from the start in a prefix of its
+    own, which replaces the stored one, and gives the answers of the
+    step it wraps; restoring the real step replaces that prefix in
+    turn."""
     prefix, current, (namespace, key) = _route(name, monkeypatch)
     cold = [c for _, c in _cold(prefix, 40)]
     request = SERIES_REQUESTS[name]
@@ -285,9 +301,9 @@ def test_a_planted_route_replaces_the_prefix(name, monkeypatch,
         monkeypatch.setitem(namespace, key, step)
         steps[0] = 0
         assert request(30) == cold[:31]
-        assert steps[0] == 30
+        assert steps[0] == (30 if name in FROM_THE_AXIOM else 31)
         (new,) = [s for s in _STATES.values() if isinstance(s, Prefix)]
-        _, new_step, _, args = new.route
+        _, new_step, args = new.route
         assert new is not stored and step in (new_step, *args)
         stored = new
 
@@ -319,7 +335,7 @@ def test_a_planted_checker_replaces_the_structure_prefix(monkeypatch,
         assert run_check(STRUCTURE, 5) == line
         assert steps[0] == 6
         new = _STATES[STRUCTURE]
-        assert new is not stored and new.route[3][0] is checker
+        assert new is not stored and new.route[2][0] is checker
         stored = new
 
 
@@ -330,15 +346,83 @@ def test_state_profile_resumes_from_the_nearest_stored_level(monkeypatch,
     a fresh prefix stepped from the axiom."""
     memo, current, _ = _route("201-210", monkeypatch)
     system = SYSTEMS["201-210"]
-    memo.counts(150)
-    start, _, accepted, _ = memo.route
+    memo.counts(149)
+    start, _, _ = memo.route
     steps = _counting(current)
     for n, depth in ((150, 150), (149, 128), (128, 128), (127, 64), (5, 0)):
         steps[0] = 0
         profile = state_profile("201-210", n)
         assert steps[0] == n - depth, n
         assert profile == system.to_dict(
-            Prefix(start, succession._fast_step_201_210, accepted).level(n)), n
+            Prefix(start, succession._fast_step_201_210).level(n)), n
+
+
+_requests = st.lists(st.integers(0, 40), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(NAMES), _requests, _requests)
+def test_steps_per_request_on_every_route(fresh_states, name, counts, levels):
+    """With checkpoints every 8 depths, any sequence of count requests on
+    a route's empty prefix runs its step deepest n + 1 times in all, once
+    per depth through the deepest n; then level(n) steps n % 8 times
+    below the stored depth L, none at it and n - L times above it."""
+    fresh_states()
+    with pytest.MonkeyPatch.context() as mp:
+        start, step, args = _route(name, mp)[0].route
+        steps = [0]
+
+        def counted(*a):
+            steps[0] += 1
+            return step(*a)
+        prefix = Prefix(start, counted, *args)
+        prefix._SPACING = 8
+        for n in counts:
+            prefix.counts(n)
+        assert steps[0] == max(counts) + 1
+        for n in levels:
+            depth = len(prefix._memo[0])
+            steps[0] = 0
+            prefix.level(n)
+            assert steps[0] == (n % 8 if n < depth else n - depth), n
+
+
+# check[:entry of _FE_STEP] -> (namespace, key) of what the check's route
+# runs, and the depth a call of it asks for: the closed form's step the
+# x-degree it forms, a functional equation's step and the 201-210 kernel
+# one past the x-degree of their input, the structure checker the length
+PAST = {
+    "gf-vs-rules": (vars(series), "_f_step", lambda level: level[0]),
+    **{"fe-vs-rules:" + system_id: (series._FE_STEP, system_id, len)
+       for system_id in FE_IDS},
+    "structure-theorem": (vars(checks), "structure_check_201_210", len),
+    "system-201-210": (vars(series), "_fast_step_201_210",
+                       lambda level: len(level[0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST))
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_no_series_route_runs_past_the_requested_depth(name, n, monkeypatch,
+                                                      fresh_states):
+    """What a series route runs, planted to raise when it is asked for
+    depth n + 1, leaves the replies through n and 0 as the real route
+    gives them, cold and warm, served deepest first or last."""
+    check = name.split(":")[0]
+    expected = {d: run_check(check, d) for d in (0, n)}
+    namespace, key, depth_of = PAST[name]
+    real = namespace[key]
+
+    def planted(*args):
+        if depth_of(*args) > n:
+            raise Planted
+        return real(*args)
+    monkeypatch.setitem(namespace, key, planted)
+    for order in ((n, 0, n), (0, n, n)):
+        fresh_states()
+        assert [run_check(check, d) for d in order] == \
+            [expected[d] for d in order]
 
 
 def test_prefix_imports_no_invseq_module():

@@ -136,14 +136,15 @@ def test_closed_form_step_checks_each_division_and_sign():
     """The step from the state (k, r_(k-1), f_(k-1), f_(k-2)) checks the
     halving of f_k, its sign and the division of r_k by k, with the
     messages f_coefficients has always raised, and gives the next state
-    and f_(k-1)."""
+    and f_k; from the start (0, 0, 0, 0) it forms f_0 = 1 and r_0 = 1."""
     for state, message in (
             ((3, -3, 1, 1), "coefficient of x^3 is not an integer"),
             ((3, -4, -9, 1), "coefficient of x^3 is negative: -18"),
             ((5, 2, 1, 0), "sqrt(1-8x) coefficient of x^5 is not an integer")):
         with pytest.raises(ArithmeticError, match=re.escape(message)):
             series._f_step(state)
-    assert series._f_step((2, -4, 1, 1)) == ((3, -8, 2, 1), 1)
+    assert series._f_step((2, -4, 1, 1)) == ((3, -8, 2, 1), 2)
+    assert series._f_step((0, 0, 0, 0)) == ((1, 1, 1, 0), 1)
 
 
 # -- slice series and minimal polynomials -----------------------------------
@@ -157,7 +158,7 @@ def test_ff_slice_series_equals_the_full_dp_slice():
     """Stepping the closed (k,F,F) slice alone gives the slice that the
     whole 201-210 DP computes, k by k and summed."""
     levels = list(profile_slices_201_210(120))
-    ff = Prefix([1], succession._step_ff, sum)
+    ff = Prefix([1], succession._step_ff)
     assert ff.counts(120) == [sum(a) for a, _, _ in levels]
     assert [ff.level(n) for n in range(121)] == [a for a, _, _ in levels]
     assert ff_slice_series(120).coefficients == [sum(a) for a, _, _ in levels]
@@ -686,31 +687,32 @@ def test_verify_output_does_not_depend_on_request_order(fresh_states):
 
 def _system_prefix():
     """A fresh Prefix over the route the system prefix is keyed on."""
-    return Prefix(series._system_level(([1], [0], [0]), ([],) * 8),
-                  series._system_step, series._system_count,
-                  series._fast_step_201_210)
+    return Prefix(([],) * 8, series._system_step, series._fast_step_201_210,
+                  ([1], [0], [0]))
 
 
 def test_resuming_the_census_route_yields_the_tail_of_a_cold_run():
     """A system prefix taken to any depth and then to 30 counts no
     failure, and its level at x^m holds the degree rows of the rows that
-    a full run of the DP from the axiom converts at x^m, and its count."""
-    rows = [series._degree_rows(*series._census_rows(m, level))
-            for m, level in enumerate(profile_slices_201_210(30))]
+    a full run of the DP from the axiom converts at x^(m-1), eight empty
+    rows at m = 0."""
+    levels = [([],) * 8,
+              *(series._degree_rows(*series._census_rows(m, level))
+                for m, level in enumerate(profile_slices_201_210(30)))]
     for depth in range(31):
         prefix = _system_prefix()
         assert prefix.counts(depth) == [None] * (depth + 1), depth
         assert prefix.counts(30) == [None] * 31, depth
-        assert prefix.level(depth) == (rows[depth], None), depth
+        assert prefix.level(depth) == levels[depth], depth
     with pytest.raises(ValueError):
         prefix.counts(-1)
 
 
 def test_census_depths_per_system_request(monkeypatch, fresh_states):
     """The census rows come from one prefix per process: the requests 20,
-    80, 50 and 80 hold the 81 depths 0..80, whose rows are those at x^0,
-    the start, and the others, each formed once, and step the 201-210
-    kernel 80 times, and the answers are those of cold calls."""
+    80, 50 and 80 hold the 81 depths 0..80, whose rows are each formed
+    once, those at x^0 from the axiom, and step the 201-210 kernel 80
+    times, and the answers are those of cold calls."""
     rows, steps = [], []
     real_rows = series._census_rows
 
@@ -725,26 +727,27 @@ def test_census_depths_per_system_request(monkeypatch, fresh_states):
     monkeypatch.setattr(series, "_fast_step_201_210", counted_kernel)
     for n in (20, 80, 50, 80):
         assert _check_system_violation(n) is None, n
-    assert sorted(rows) == list(range(1, 81))
+    assert sorted(rows) == list(range(81))
     assert len(steps) == 80
     prefix = _STATES["system-201-210"]
     assert prefix.counts(80) == [None] * 81
-    assert [prefix.level(m)[0][:3] for m in range(81)] == \
+    assert [prefix.level(m + 1)[:3] for m in range(81)] == \
         [real_rows(m, level)
          for m, level in enumerate(profile_slices_201_210(80))]
 
 
 def test_one_system_check_keeps_one_registry_key(fresh_states):
     """Each system check leaves the one key of the system prefix, whose
-    deepest level holds the degree rows at x^45, which begin with the
-    census rows there, and its count."""
+    count at x^45 is None and whose stored level, the one it steps next,
+    holds the degree rows at x^45, which begin with the census rows
+    there."""
     census = [series._census_rows(m, level)
               for m, level in enumerate(profile_slices_201_210(45))]
     for n in (30, 12, 45):
         assert run_check("system-201-210", n)[0], n
         assert list(_STATES) == ["system-201-210"], n
-    counts, (rows, firsts), _ = _STATES["system-201-210"]._memo
-    assert len(counts) == 46 and firsts is None
+    counts, rows, _ = _STATES["system-201-210"]._memo
+    assert len(counts) == 46 and counts[45] is None
     assert rows == series._degree_rows(*census[45])
     assert rows[:3] == census[45]
 
@@ -881,7 +884,7 @@ def test_fe_solution_is_a_fixed_point(system_id):
     """The degree-by-degree solution, fed whole to the equation's
     right-hand side, comes back unchanged through x^25."""
     prefix = _fresh_prefix("iterate_fe:" + system_id)
-    s = [{(ju, jv): c for ju, row in enumerate(prefix.level(deg)[1])
+    s = [{(ju, jv): c for ju, row in enumerate(prefix.level(deg + 1)[1])
           for jv, c in enumerate(row) if c}
          for deg in range(26)]
     assert len(s) == 26
@@ -901,25 +904,31 @@ def test_fe_specializations_agree_conjecture_evidence():
 FE_IDS = ("011-201", "010-100-120-210")
 
 # route name -> the request, (namespace, name) of the step it repeats,
-# and the route (start, step, count, args) its prefix is keyed on
+# and the route (start, step, args) its prefix is keyed on
 PREFIX_ROUTES = {
     "ff_slice_series": (lambda n: ff_slice_series(n).coefficients,
                         (vars(series), "_step_ff"),
-                        ([1], series._step_ff, sum, ())),
+                        ([1], series._step_ff, ())),
     "f_coefficients": (f_coefficients, (vars(series), "_f_step"),
-                       ((1, 1, 1, 0), series._f_step, series._f_count, ())),
+                       ((0, 0, 0, 0), series._f_step, ())),
     **{"iterate_fe:" + system_id: (
         partial(iterate_fe, system_id), (series._FE_STEP, system_id),
-        ((0, [[1]]), series._fe_slice_step, series._fe_count,
-         (series._FE_STEP[system_id],)))
+        ((0, None), series._fe_slice_step, (series._FE_STEP[system_id],)))
        for system_id in FE_IDS},
 }
 
 
 def _fresh_prefix(name):
     """A fresh Prefix over the named route, with the real step."""
-    start, step, count, args = PREFIX_ROUTES[name][2]
-    return Prefix(start, step, count, *args)
+    start, step, args = PREFIX_ROUTES[name][2]
+    return Prefix(start, step, *args)
+
+
+def _cold_steps(name, n):
+    """The calls that a cold request through n makes to the step the
+    named route repeats: one per depth, n + 1, but n for a functional
+    equation, whose step of x^0 runs no entry of _FE_STEP."""
+    return n + 1 - name.startswith("iterate_fe")
 
 
 @cache
@@ -990,12 +999,12 @@ def test_mutating_an_answer_leaves_the_prefixes_intact(fresh_states):
 
 @pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
 def test_steps_per_prefix_request(name, monkeypatch, fresh_states):
-    """A cold request at depth n steps n times, a request no deeper than
-    the prefix steps nothing, and a deeper one steps once per extra
-    depth."""
+    """A cold request at depth n steps once per depth (see _cold_steps),
+    a request no deeper than the prefix steps nothing, and a deeper one
+    steps once per extra depth."""
     request = PREFIX_ROUTES[name][0]
     calls = _count_steps(monkeypatch, name)
-    for n, steps in ((30, 30), (30, 0), (12, 0), (0, 0), (37, 7), (38, 1),
+    for n, steps in ((30, _cold_steps(name, 30)), (30, 0), (12, 0), (0, 0), (37, 7), (38, 1),
                      (36, 0), (60, 22)):
         calls["steps"] = 0
         assert request(n) == list(_counts_from_axiom(name)[:n + 1]), n
@@ -1011,7 +1020,7 @@ def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
     calls = _count_steps(monkeypatch, name,
                          during_first=lambda: request(40))
     assert request(20) == list(_counts_from_axiom(name)[:21])
-    assert calls["steps"] == 60
+    assert calls["steps"] == _cold_steps(name, 40) + _cold_steps(name, 20)
     calls["steps"] = 0
     assert request(35) == list(_counts_from_axiom(name)[:36])
     assert calls["steps"] == 0
@@ -1052,9 +1061,9 @@ def test_concurrent_requests_share_consistent_prefixes(fresh_states):
                 cold = _fresh_prefix(name)
                 spacing = prefixes[key]._SPACING
                 assert counts == list(_counts_from_axiom(name)[:51])
-                assert level == cold.level(50)
+                assert level == cold.level(51)
                 assert list(checkpoints) == \
-                    [cold.level(d) for d in range(0, 51, spacing)]
+                    [cold.level(d) for d in range(0, 52, spacing)]
     finally:
         sys.setswitchinterval(switch)
 
@@ -1069,7 +1078,7 @@ def test_resuming_a_route_equals_the_run_from_the_axiom(name):
         prefix = _fresh_prefix(name)
         prefix.counts(depth)
         assert prefix.counts(30) == cold.counts(30), depth
-        assert prefix._memo[1] == cold.level(30), depth
+        assert prefix._memo[1] == cold.level(31), depth
         assert prefix.level(depth) == cold.level(depth), depth
 
 

@@ -216,8 +216,8 @@ def _fresh(system_id, calls=None):
     """A copy of a built-in system (see _copy) with an empty memo and
     checkpoints every SPACING depths, so that depths up to 60 cross
     several.  Its memo replaces the built-in system's in the registry,
-    also when the copy keeps the built-in kernel and accepted count, on
-    which that memo is keyed too."""
+    also when the copy keeps the built-in kernel, on which that memo is
+    keyed too."""
     system = _copy(system_id, calls)
     _STATES.pop(system_id, None)
     system.memo._SPACING = SPACING
@@ -226,23 +226,17 @@ def _fresh(system_id, calls=None):
 
 def _copy(system_id, calls=None):
     """A copy of a built-in system.  When calls is a dict, calls["kernel"]
-    and calls["accepted"] count the calls made to the system's kernel and
-    accepted functions."""
+    counts the calls made to the system's kernel."""
     s = SYSTEMS[system_id]
-    kernel, accepted = s.kernel, s.accepted
+    kernel = s.kernel
     if calls is not None:
-        calls.update(kernel=0, accepted=0)
+        calls.update(kernel=0)
 
         def kernel(level):
             calls["kernel"] += 1
             return s.kernel(level)
-
-        def accepted(level):
-            calls["accepted"] += 1
-            return s.accepted(level)
     return RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
-                      s.state_str, kernel, accepted, s.to_dense, s.to_dict,
-                      s.render)
+                      s.state_str, kernel, s.to_dense, s.to_dict, s.render)
 
 
 @cache
@@ -251,7 +245,7 @@ def _cold(system_id, n_max):
     by a fresh prefix over the system's route, not its memo, that keeps
     every level as a checkpoint."""
     system = _copy(system_id)
-    prefix = Prefix(system.start, system.kernel, system.accepted)
+    prefix = Prefix(system.start, system.kernel)
     prefix._SPACING = 1
     return (prefix.counts(n_max),
             [system.to_dict(prefix.level(n)) for n in range(n_max + 1)])
@@ -311,17 +305,18 @@ def test_mutating_an_answer_leaves_the_memo_intact(system_id, monkeypatch):
 def test_state_profile_around_the_memo_depth(system_id, monkeypatch):
     """Below the memo's depth state_profile resumes from a checkpoint, at
     it the memo's level is converted, above it the memo is advanced; all
-    three equal literal step() calls from the axiom."""
+    three equal literal step() calls from the axiom.  A count through 20
+    leaves the memo 21 deep."""
     system = _fresh(system_id)
     monkeypatch.setitem(SYSTEMS, system_id, system)
     literal = [{system.axiom: 1}]
     for _ in range(30):
         literal.append(step(system, literal[-1]))
     rule_counting_sequence(system_id, 20)
-    for n, memo_depth in ((20, 20), (7, 20), (0, 20), (25, 25), (20, 25),
+    for n, memo_depth in ((20, 21), (7, 21), (0, 21), (25, 25), (20, 25),
                           (30, 30), (29, 30), (30, 30)):
         assert state_profile(system_id, n) == literal[n], n
-        assert len(system.memo._memo[0]) - 1 == memo_depth, n
+        assert len(system.memo._memo[0]) == memo_depth, n
 
 
 def test_negative_n_raises_and_leaves_the_memo(monkeypatch):
@@ -340,49 +335,49 @@ def test_negative_n_raises_and_leaves_the_memo(monkeypatch):
 @pytest.mark.parametrize("system_id", SYSTEM_IDS)
 @pytest.mark.parametrize("first", sorted(ENTRY_POINTS))
 def test_kernel_calls_per_request(system_id, first, monkeypatch):
-    """A cold request for depth n steps the kernel n times and counts
-    the last level once; a shorter prefix steps nothing; a request k
-    deeper than the memo steps k times and counts its last level once; a
+    """A cold count through depth n steps the kernel n + 1 times, and a
+    cold profile at depth n n times; a shorter prefix steps nothing; a
+    request reaching k depths deeper than the memo steps k times; a
     profile below the memo's depth steps n - c times from the checkpoint
-    c = n - n % SPACING and counts nothing."""
+    c = n - n % SPACING."""
     calls = {}
     monkeypatch.setitem(SYSTEMS, system_id, _fresh(system_id, calls))
     ENTRY_POINTS[first](system_id, 40)
-    assert calls == {"kernel": 40, "accepted": 1}
-    for name, n, k, counted in (("rule_counting_sequence", 25, 0, 0),
-                                ("count_via_rules", 40, 0, 0),
-                                ("state_profile", 40, 0, 0),
-                                ("rule_counting_sequence", 47, 7, 1),
-                                ("count_via_rules", 50, 3, 1),
-                                ("count_via_rules", 13, 0, 0),
-                                ("state_profile", 61, 11, 1),
-                                ("state_profile", 13, 5, 0),
-                                ("state_profile", 40, 0, 0),
-                                ("state_profile", 0, 0, 0),
-                                ("state_profile", 7, 7, 0),
-                                ("state_profile", 60, 4, 0),
-                                ("state_profile", 56, 0, 0)):
-        calls.update(kernel=0, accepted=0)
+    profile_first = first == "state_profile"
+    assert calls == {"kernel": 40 if profile_first else 41}
+    for name, n, k in (("rule_counting_sequence", 25, 0),
+                       ("count_via_rules", 40, 1 if profile_first else 0),
+                       ("state_profile", 40, 0),
+                       ("rule_counting_sequence", 47, 7),
+                       ("count_via_rules", 50, 3),
+                       ("count_via_rules", 13, 0),
+                       ("state_profile", 61, 10),
+                       ("state_profile", 13, 5),
+                       ("state_profile", 40, 0),
+                       ("state_profile", 0, 0),
+                       ("state_profile", 7, 7),
+                       ("state_profile", 60, 4),
+                       ("state_profile", 56, 0)):
+        calls.update(kernel=0)
         ENTRY_POINTS[name](system_id, n)
-        assert calls == {"kernel": k, "accepted": counted}, (name, n)
+        assert calls == {"kernel": k}, (name, n)
 
 
 def test_minpoly_b_reads_the_201_210_memo():
     """minpoly-B takes its counts from the memo: once the memo holds
     depth n it steps no 201-210 level, and on an empty memo it steps each
-    depth once."""
-    for warm, requests in ((50, ((50, 0, 0), (40, 0, 0), (0, 0, 0))),
-                           (None, ((40, 40, 1), (25, 0, 0)))):
+    depth through n once."""
+    for warm, requests in ((50, ((50, 0), (40, 0), (0, 0))),
+                           (None, ((40, 41), (25, 0)))):
         calls = {}
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(SYSTEMS, "201-210", _fresh("201-210", calls))
             if warm is not None:
                 rule_counting_sequence("201-210", warm)
-            for n, kernel, accepted in requests:
-                calls.update(kernel=0, accepted=0)
+            for n, kernel in requests:
+                calls.update(kernel=0)
                 assert run_check("minpoly-B", n)[0], (warm, n)
-                assert calls == {"kernel": kernel, "accepted": accepted}, \
-                    (warm, n)
+                assert calls == {"kernel": kernel}, (warm, n)
 
 
 @pytest.mark.parametrize("system_id", ["201-210", "011-201"])
@@ -413,10 +408,10 @@ def test_concurrent_requests_share_a_consistent_memo(system_id, monkeypatch):
             assert answers == {(name, n): _expected(name, system_id, n)
                                for name, n in requests}
             counts, level, checkpoints = system.memo._memo
-            depth = len(counts) - 1
+            depth = len(counts)
             cold_counts, cold_profiles = _cold(system_id, 60)
             assert depth >= 30
-            assert counts == cold_counts[:depth + 1]
+            assert counts == cold_counts[:depth]
             assert system.to_dict(level) == cold_profiles[depth]
             assert len(checkpoints) == depth // SPACING + 1
             for i, checkpoint in enumerate(checkpoints):
@@ -439,7 +434,7 @@ def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
     def watching_kernel(level):
         if watching:
             counts, deepest, checkpoints = system.memo._memo
-            seen.append((len(counts) - 1, deepest is checkpoints[-1]))
+            seen.append((len(counts), deepest is checkpoints[-1]))
         return kernel(level)
 
     system.kernel = watching_kernel
