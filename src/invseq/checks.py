@@ -15,9 +15,10 @@ Where the numbers come from, each state kept in the registry of
   * series prefixes, which never touch the memo: the closed form
     (gf-vs-rules), the (k,F,F) slice sums (minpoly-A, and minpoly-B
     subtracts them from the memo's counts), ``iterate_fe``
-    (fe-vs-rules) and the census and residual rows of the 201-210
-    system, one x-degree per step (system-201-210, through
-    ``_check_system_violation``);
+    (fe-vs-rules) and the census of the 201-210 system with the residual
+    rows of its three equations, one x-degree per step (system-201-210,
+    through ``_check_system_violation``, which proves the four cleared
+    relations from those three);
   * residual states: minpoly-A, minpoly-B, minpoly-F and
     conjecture-010-102 evaluate their relation with
     ``relation_residual``, resumed at the first coefficient where its

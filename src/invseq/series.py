@@ -15,7 +15,9 @@ anywhere.  The module has four layers:
   * bivariate series in x and u, the ``phi`` operator, and
     ``_check_system_violation`` which replays the defining equations of
     the 201-210 rule system against its own census data, one x-degree
-    per step of a per-process prefix.
+    per step of a per-process prefix.  It forms the residual rows of the
+    three equations only, and proves that the four relations cleared of
+    phi follow from them.
   * the trivariate functional equations of the two 2-parameter systems,
     solved one x-degree at a time (``iterate_fe``), with divided
     differences done by checked exact synthetic division.  This layer
@@ -39,9 +41,10 @@ forms and checks depth d and nothing past it.  None of them is the
 rules memo of ``invseq.succession``, so that the routes stay apart from
 the route they check: the slices never touch the memo, and the closed
 form and the functional equations reach no succession code.
-``tf_slice_series`` keeps no prefix: it is minpoly-B's reference, a full
-run from the axiom.  Injected census profiles replay cold through the
-system's step, in a prefix the registry never holds.  A relation
+``tf_slice_series`` keeps no prefix in the registry: it is minpoly-B's
+reference, a full run of the 201-210 kernel from the axiom, in a Prefix
+of its own, and injected census profiles replay cold through the
+system's step the same way.  A relation
 residual resumes at the first coefficient where its input differs from
 the stored one, or past the stored order, so a corrupted input is
 evaluated from its first bad coefficient on, and every answer is that of
@@ -53,7 +56,7 @@ from itertools import accumulate, zip_longest
 from operator import add, mul, sub
 
 from .prefix import _STATES, Prefix, shared
-from .succession import _fast_step_201_210, _step_ff, profile_slices_201_210
+from .succession import _fast_step_201_210, _step_ff
 
 
 class TruncatedSeries:
@@ -152,9 +155,11 @@ def tf_slice_series(n_max):
 
     The reference for the minpoly-B check, which builds the same series
     as the 201-210 counts minus ``ff_slice_series``; this one sums the b
-    slices of a full run of the DP from the axiom."""
-    return TruncatedSeries(
-        [sum(b) for _, b, _ in profile_slices_201_210(n_max)], n_max)
+    slices of a full run of the 201-210 kernel from the axiom, stepped by
+    a Prefix that the registry never holds."""
+    prefix = Prefix(([1], [0], [0]),
+                    lambda level: (_fast_step_201_210(level)[0], sum(level[1])))
+    return TruncatedSeries(prefix.counts(n_max), n_max)
 
 
 # -- polynomial relations ---------------------------------------------------
@@ -228,8 +233,8 @@ def relation_residual(relation, s):
     acc = None
     for old_acc, i in zip(old.accs, reversed(range(0, len(polys), 2))):
         if i + 1 < len(polys):
-            new = _plus_poly(_product(polys[i + 1], y, n, start), polys[i],
-                             start)
+            new = _add_rows(_product(polys[i + 1], y, n, start),
+                            polys[i][start:n + 1])
         else:
             new = list(polys[i][start:n + 1])
         if acc is not None:
@@ -266,13 +271,11 @@ def _square(a, start):
     return out
 
 
-def _plus_poly(coeffs, poly, start):
-    """``coeffs + poly`` as a new list, where coeffs holds the coefficients
-    from x^start on, truncated to the length of ``coeffs``."""
-    out = list(coeffs)
-    for k, c in enumerate(poly[start:start + len(out)]):
-        out[k] += c
-    return out
+def _add_rows(x, y):
+    """x + y for two coefficient rows of any lengths."""
+    if len(x) < len(y):
+        x, y = y, x
+    return [*map(add, x, y), *x[len(y):]]
 
 
 def _pmul(*polys):
@@ -284,10 +287,6 @@ def _pmul(*polys):
                 res[i + j] += a * b
         out = res
     return tuple(out)
-
-
-def _pneg(p):
-    return tuple(-a for a in p)
 
 
 # x*y^2 - y + 1 = 0 for the (k,F,F) slice (Catalan).
@@ -311,8 +310,8 @@ MINPOLY_F = PolyRelation("minpoly-F", (
 
 # Conjectured cubic for the {010,102} counting series.
 CUBIC_010_102 = PolyRelation("conjecture-010-102", (
-    _pneg(_pmul((-1, 2), (1, -2, 1))),              # -(2x-1)(x-1)^2
-    _pneg((1, -6, 11, -8, 1)),
+    _pmul((1, -2), (1, -2, 1)),                     # (1-2x)(x-1)^2
+    (-1, 6, -11, 8, -1),
     _pmul((0, 2), (-1, 1), (1, -2, 2)),             # 2x(x-1)(2x^2-2x+1)
     _pmul((0, 1), (1, -1, 1), (1, -2, 1)),          # x(x^2-x+1)(x-1)^2
 ))
@@ -369,53 +368,42 @@ def _combine(length, *terms):
     return out
 
 
-_SYSTEM_LABELS = ("A", "B", "C", "P1", "P2", "P3", "P4")
+_SYSTEM_LABELS = ("A", "B", "C")
 
 
 def _degree_rows(am, bm, cm):
-    """The rows of one x-degree that the identities read: A, B, C, D =
-    phi(A + B), then the suffix sums of A, B, C and D."""
-    sa, sb, sc = _suffix_sums(am), _suffix_sums(bm), _suffix_sums(cm)
-    dm = [*map(add, sa[1:], sb[1:])]
-    return am, bm, cm, dm, sa, sb, sc, _suffix_sums(dm)
+    """The rows of one x-degree that the identities read: A, B, C, then
+    the suffix sums of A, B, C and of D = phi(A + B)."""
+    sa, sb = _suffix_sums(am), _suffix_sums(bm)
+    return (am, bm, cm, sa, sb, _suffix_sums(cm),
+            _suffix_sums([*map(add, sa[1:], sb[1:])]))
 
 
 def _system_residuals(rows, prev):
-    """The residual rows of the seven identities of _check_system_violation
-    at one x-degree m, in label order, each of length m + 2, from the
-    _degree_rows of x^m and of x^(m-1); m is read from the length of A.
+    """The residual rows of A, B and C (see _check_system_violation) at
+    one x-degree m, each as long as A there (m + 1), from the _degree_rows
+    of x^m and of x^(m-1).
 
     Rows of x-degree m - 1 enter through the factor x; at m = 0 they are
-    empty.  Terms use row + phi(row) = suffix sums of row, phi(u*row) =
-    suffix sums of row, and g(x,1) = the first suffix sum (a one-entry
-    row, empty when g is)."""
-    am, bm, cm, dm, sa, sb, _, _ = rows
-    ap, bp, cp, dp, sap, sbp, scp, sdp = prev
-    m = len(am) - 1
-    one = [1] if m == 0 else []
-    w = m + 2
+    empty.  Terms use row + phi(row) = suffix sums of row and phi(u*row)
+    = suffix sums of row."""
+    am, bm, cm = rows[:3]
+    _, bp, cp, sap, sbp, scp, sdp = prev
+    w = len(am)
     return (
-        _combine(w, (1, 0, am), (-1, 0, one), (-1, 1, sap)),
+        _combine(w, (1, 0, am), (-1, 0, [1] if w == 1 else []), (-1, 1, sap)),
         _combine(w, (1, 0, bm), (-1, 1, bp), (-1, 1, sbp), (-1, 1, cp)),
         _combine(w, (1, 0, cm), (-1, 1, sdp), (-1, 1, scp)),
-        _combine(w, (1, 0, am), (-1, 1, am), (1, 2, ap), (-1, 1, sap[:1]),
-                 (1, 1, one), (-1, 0, one)),
-        _combine(w, (1, 0, bm), (-1, 1, bm), (-1, 1, bp), (1, 2, bp),
-                 (1, 2, bp), (-1, 1, sbp[:1]), (1, 2, cp), (-1, 1, cp)),
-        _combine(w, (1, 0, cm), (-1, 1, cm), (1, 2, cp), (-1, 1, scp[:1]),
-                 (1, 2, dp), (-1, 1, sdp[:1])),
-        _combine(w, (1, 0, dm), (-1, 1, dm), (1, 0, am), (1, 0, bm),
-                 (-1, 0, sa[:1]), (-1, 0, sb[:1])),
     )
 
 
 def _system_step(prev, kernel, axiom):
     """The step of the system prefix at x^m, whose level there is prev,
-    the _degree_rows of x^(m-1), eight empty rows at m = 0, so that m is
+    the _degree_rows of x^(m-1), seven empty rows at m = 0, so that m is
     the length of prev's rows.  It forms the census rows (A, B, C) at x^m
     with _census_rows, from axiom at m = 0 and else from what kernel
     steps prev's rows (A, B, C) to, and returns their _degree_rows, the
-    level at x^(m+1), and the count at x^m: None when the seven residual
+    level at x^(m+1), and the count at x^m: None when the three residual
     rows there vanish (see _system_residuals), else the u-degree of each
     row's first nonzero coefficient, None for a row that vanishes."""
     m = len(prev[0])
@@ -444,16 +432,28 @@ def _check_system_violation(n_max, profiles=None):
     and the four cleared relations obtained from the same system by
     collecting terms:
 
-      (1 - u + xu^2)A - xu*A(x,1) + u - 1                          = 0
-      (1 - u - xu + 2xu^2)B - xu*B(x,1) + xu(u-1)C                 = 0
-      (1 - u + xu^2)C - xu*C(x,1) + xu^2*D - xu*D(x,1)             = 0
-      (1 - u)D + A + B - A(x,1) - B(x,1)                           = 0
+      P1:  (1 - u + xu^2)A - xu*A(x,1) + u - 1                     = 0
+      P2:  (1 - u - xu + 2xu^2)B - xu*B(x,1) + xu(u-1)C            = 0
+      P3:  (1 - u + xu^2)C - xu*C(x,1) + xu^2*D - xu*D(x,1)        = 0
+      P4:  (1 - u)D + A + B - A(x,1) - B(x,1)                      = 0
 
     Each identity is a residual row (left side minus right side) per
     x-degree, with phi a suffix sum on a row.  Returns None when every
     residual is zero, else (label, x_degree, u_degree) of the first
     failure: labels in the order above, then the lowest x-degree, then
     the lowest u-degree.
+
+    Only the residual rows of A, B and C are formed, because the cleared
+    relations follow from them on any census.  For every g,
+    (1 - u)phi(g) = g(x,1) - g, and phi(ug) = g + phi(g), so (1 - u)
+    times the residual of A, B or C is, term by term, the left side of
+    P1, P2 or P3; and P4 is the definition of D, which is formed from A
+    and B, never read from the census.  Multiplying by 1 - u keeps the
+    first nonzero u-degree of each x-degree of a residual, so P1, P2 or
+    P3 first fails exactly where A, B or C does, and P4 never fails.
+    Every P label sorts after C, so the first failure of the seven
+    identities is that of the three: None or the least (label, x_degree,
+    u_degree) with label A, B or C, on every census, injected or not.
 
     The residuals come from this process's prefix of the system (see
     ``invseq.prefix`` and _system_step), stepped by the 201-210 kernel
@@ -467,10 +467,10 @@ def _check_system_violation(n_max, profiles=None):
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if profiles is None:
-        prefix = shared("system-201-210", ([],) * 8, _system_step,
+        prefix = shared("system-201-210", ([],) * 7, _system_step,
                         _fast_step_201_210, ([1], [0], [0]))
     else:
-        prefix = Prefix(([],) * 8, _system_step,
+        prefix = Prefix(([],) * 7, _system_step,
                         lambda rows: (profiles[len(rows[0])],), profiles[0])
     # the labels sort in the order they are listed in
     return min(((label, m, u)
@@ -484,13 +484,6 @@ def _check_system_violation(n_max, profiles=None):
 # Both functional equations have the form S = 1 + xu*L(S) with L linear
 # and free of x, so slice d+1 of the fixed point is u*L(slice d): one
 # per-slice step per system, applied n_max times, gives the solution.
-
-def _add_rows(x, y):
-    """x + y for two coefficient rows of any lengths."""
-    if len(x) < len(y):
-        x, y = y, x
-    return [*map(add, x, y), *x[len(y):]]
-
 
 def _dd_uv_slice(slice_):
     """(g(u,v) - g(v,v)) / (u - v) for one x-degree, by synthetic division

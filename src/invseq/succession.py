@@ -33,10 +33,10 @@ the end, and profile_text() renders the level without a dict.
 
 Each RuleSystem keeps a memo, the per-process prefix of its own DP
 (see ``invseq.prefix``), whose route is the dense axiom level and the
-kernel: rule_counting_sequence(),
-count_via_rules(), state_profile() and profile_text() read it, and
-extend it when a request is deeper.  profile_slices_201_210() does not
-use it.
+kernel: rule_counting_sequence(), count_via_rules(), state_profile()
+and profile_text() read it, and extend it when a request is deeper.
+The series checks step the dense 201-210 kernel through prefixes of
+their own (``invseq.series``), never through the memo.
 
 >>> count_via_rules("201-210", 7)
 3720
@@ -368,25 +368,6 @@ def count_via_rules(system_id, n):
     """Number of accepted depth-n states, counted with multiplicity: the
     size of the class the system enumerates."""
     return get_system(system_id).memo.counts(n)[n]
-
-
-def profile_slices_201_210(n_max):
-    """Yield the (a, b, c) slices of the 201-210 DP for depths 0..n_max,
-    a full run from the axiom.
-
-    a[k], b[k], c[k] are the counts of (k,F,F), (k,T,F), (k,T,T); the
-    generating-function checks consume these directly as the coefficient
-    rows of the bivariate series they verify.  It never touches the memo,
-    and a yielded level is never mutated.
-    """
-    if n_max < 0:
-        raise ValueError("n must be non-negative")
-    system = SYSTEMS["201-210"]
-    level = system.start
-    for _ in range(n_max):
-        yield level
-        level = system.kernel(level)[0]
-    yield level
 
 
 def state_profile(system_id, n):

@@ -3,18 +3,20 @@
 The routes to the counting numbers stay independent only while the code
 keeps them apart: the core matcher depends on no counting route, the
 oracle needs nothing but pattern validation, the series layer reads
-only the census slices of the succession DP and the steps of its two
-census routes, and nothing of the oracle, and the closed form and the
-functional-equation iteration reach no succession code at all.  The
-command line reaches the checks through the public registry in
-``invseq.checks``, not through private names, and every per-process
-state but the command line's text memo lives in the registry of
-``invseq.prefix``.  These tests read the imports from the source
+nothing of the succession DP but the steps of its two census routes,
+the (k,F,F) slice and the 201-210 kernel, and nothing of the oracle,
+and the closed form and the functional-equation iteration reach no
+succession code at all.  The command line reaches the checks through
+the public registry in ``invseq.checks``, not through private names,
+every per-process state but the command line's text memo lives in the
+registry of ``invseq.prefix``, and the runtime imports nothing outside
+the standard library.  These tests read the imports from the source
 (``ast``) and the names the functions load (``co_names``)."""
 
 import ast
 import inspect
 import pathlib
+import sys
 import types
 
 import pytest
@@ -67,12 +69,28 @@ def test_oracle_imports_only_pattern_validation():
 
 
 def test_series_reads_only_the_census_slices_of_succession():
-    """The full census run that tf_slice_series reads, and the steps of
-    the (k,F,F) slice and census prefixes: no rule system, so no memo."""
+    """The steps of the (k,F,F) slice and of the 201-210 census, which
+    the system check and tf_slice_series step through prefixes of their
+    own: no rule system, so no memo."""
     from_succession = {name for m, name in _imports_of(series)
                        if m == "succession"}
-    assert from_succession == {"profile_slices_201_210", "_step_ff",
-                               "_fast_step_201_210"}
+    assert from_succession == {"_step_ff", "_fast_step_201_210"}
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    """Every absolute import in the package, at any depth, but those of
+    the package itself, names a top-level module of the standard library
+    (``sys.stdlib_module_names``, Python 3.10+)."""
+    found = set()
+    for path in pathlib.Path(invseq.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    found.discard("invseq")
+    assert {"itertools", "operator"} <= found
+    assert found <= sys.stdlib_module_names, found - sys.stdlib_module_names
 
 
 def test_series_imports_nothing_from_the_oracle():

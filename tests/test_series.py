@@ -27,12 +27,21 @@ from invseq.series import (
     TruncatedSeries,
 )
 from invseq.oracle import count_sequence
-from invseq.succession import profile_slices_201_210, rule_counting_sequence
+from invseq.succession import get_system, rule_counting_sequence
 
 SEQ_201_210 = [1, 1, 2, 6, 24, 116, 632, 3720, 23072, 148528, 983072]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 TF_SLICE = [0, 0, 0, 1, 10, 74, 500, 3291, 21642, 143666, 966276]
 SEQ_2INT = [1, 1, 2, 5, 15, 51, 189, 746, 3091]
+
+
+def _dp_levels(n):
+    """The dense levels (a, b, c) of the 201-210 DP at depths 0..n, a full
+    run from the axiom, stepped by a Prefix over the system's start and
+    kernel that the registry never holds."""
+    system = get_system("201-210")
+    prefix = Prefix(system.start, system.kernel)
+    return [prefix.level(d) for d in range(n + 1)]
 
 
 # -- TruncatedSeries and truncated products ---------------------------------
@@ -157,7 +166,7 @@ def test_slice_series_pinned():
 def test_ff_slice_series_equals_the_full_dp_slice():
     """Stepping the closed (k,F,F) slice alone gives the slice that the
     whole 201-210 DP computes, k by k and summed."""
-    levels = list(profile_slices_201_210(120))
+    levels = _dp_levels(120)
     ff = Prefix([1], succession._step_ff)
     assert ff.counts(120) == [sum(a) for a, _, _ in levels]
     assert [ff.level(n) for n in range(121)] == [a for a, _, _ in levels]
@@ -168,12 +177,12 @@ def test_counts_minus_the_ff_slice_are_the_tf_slice():
     """B(x,1) = F(x) - A(x,1): at every depth the count minus the (k,F,F)
     sum is the (k,T,F) sum, as tf_slice_series and the b slices of the
     whole 201-210 DP give it."""
+    tf = [sum(b) for _, b, _ in _dp_levels(400)]
     for n in [*range(61), 400]:
         ff = ff_slice_series(n).coefficients
         difference = list(map(sub, rule_counting_sequence("201-210", n), ff))
         assert difference == tf_slice_series(n).coefficients, n
-        assert difference == [sum(b) for _, b, _ in
-                              profile_slices_201_210(n)], n
+        assert difference == tf[:n + 1], n
 
 
 def test_minpoly_b_checks_the_tf_slice_series(monkeypatch):
@@ -318,18 +327,18 @@ def test_check_system_small_orders():
 
 def test_check_system_canary():
     profiles = [(list(a), list(b), list(c))
-                for a, b, c in profile_slices_201_210(20)]
+                for a, b, c in _dp_levels(20)]
     profiles[7][0][2] += 1
     assert _check_system_violation(20, profiles=profiles) is not None
     profiles = [(list(a), list(b), list(c))
-                for a, b, c in profile_slices_201_210(20)]
+                for a, b, c in _dp_levels(20)]
     profiles[12][2][4] -= 1
     assert _check_system_violation(20, profiles=profiles) is not None
 
 
 def test_check_system_rejects_a_u_degree_above_the_x_degree():
     profiles = [(list(a), list(b), list(c))
-                for a, b, c in profile_slices_201_210(6)]
+                for a, b, c in _dp_levels(6)]
     profiles[4][1].extend([0, 0])               # zeros past u^4 are fine
     assert _check_system_violation(6, profiles=profiles) is None
     profiles[4][1][5] = 1
@@ -394,7 +403,10 @@ def _ref_first_diff(f, g):
     return None
 
 
-def _reference_violation(n_max, profiles):
+def _reference_sides(n_max, profiles):
+    """(label, left side, right side) of each of the seven identities on
+    the census through x^n_max, in label order; P1-P4 are read as their
+    left side = 0."""
     def biv(i):
         return [{k: c for k, c in enumerate(profiles[n][i]) if c}
                 for n in range(n_max + 1)]
@@ -413,24 +425,29 @@ def _reference_violation(n_max, profiles):
     u_minus_1 = [{1: 1, 0: -1}] + [dict() for _ in range(n_max)]
     zero = [dict() for _ in range(n_max + 1)]
     checks += [
-        ("P1", zero, _ref_add(
+        ("P1", _ref_add(
             _ref_apply([(1, 0, 0), (-1, 0, 1), (1, 1, 2)], a),
             _ref_apply([(-1, 1, 1)], _ref_embed(a1)),
-            u_minus_1)),
-        ("P2", zero, _ref_add(
+            u_minus_1), zero),
+        ("P2", _ref_add(
             _ref_apply([(1, 0, 0), (-1, 0, 1), (-1, 1, 1), (2, 1, 2)], b),
             _ref_apply([(-1, 1, 1)], _ref_embed(b1)),
-            _ref_apply([(1, 1, 2), (-1, 1, 1)], c))),
-        ("P3", zero, _ref_add(
+            _ref_apply([(1, 1, 2), (-1, 1, 1)], c)), zero),
+        ("P3", _ref_add(
             _ref_apply([(1, 0, 0), (-1, 0, 1), (1, 1, 2)], c),
             _ref_apply([(-1, 1, 1)], _ref_embed(c1)),
             _ref_apply([(1, 1, 2)], d),
-            _ref_apply([(-1, 1, 1)], _ref_embed(d1)))),
-        ("P4", zero, _ref_add(
+            _ref_apply([(-1, 1, 1)], _ref_embed(d1))), zero),
+        ("P4", _ref_add(
             _ref_apply([(1, 0, 0), (-1, 0, 1)], d), a, b,
-            _ref_embed([-v for v in a1]), _ref_embed([-v for v in b1]))),
+            _ref_embed([-v for v in a1]), _ref_embed([-v for v in b1])),
+         zero),
     ]
-    for label, lhs, rhs in checks:
+    return checks
+
+
+def _reference_violation(n_max, profiles):
+    for label, lhs, rhs in _reference_sides(n_max, profiles):
         diff = _ref_first_diff(lhs, rhs)
         if diff is not None:
             return (label,) + diff
@@ -438,7 +455,7 @@ def _reference_violation(n_max, profiles):
 
 
 _CENSUS = [(list(a), list(b), list(c))
-           for a, b, c in profile_slices_201_210(30)]
+           for a, b, c in _dp_levels(30)]
 
 
 def test_check_system_matches_the_dict_reference_on_the_census():
@@ -460,6 +477,25 @@ def test_check_system_reports_the_reference_first_failure(n_max, cells):
     profiles = _corrupted_census(n_max, cells)
     expected = _reference_violation(n_max, profiles)
     assert _check_system_violation(n_max, profiles=profiles) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 14), st.lists(_cell, max_size=2))
+@example(0, [(0, 0, 0, 1)])
+@example(6, [(0, 2, 0, -2), (4, 1, 3, 1)])
+def test_the_cleared_relations_follow_from_the_three_equations(n_max, cells):
+    """On the census with up to two cells corrupted, x^0 included, the
+    dict reference's residuals (left side minus right side) of P1, P2 and
+    P3 are (1 - u) times those of A, B and C, and that of P4 is zero: the
+    proof in _check_system_violation that its three residual rows decide
+    all seven identities."""
+    residuals = {label: _ref_add(lhs, _ref_apply([(-1, 0, 0)], rhs))
+                 for label, lhs, rhs in
+                 _reference_sides(n_max, _corrupted_census(n_max, cells))}
+    for cleared, equation in (("P1", "A"), ("P2", "B"), ("P3", "C")):
+        assert residuals[cleared] == \
+            _ref_apply([(1, 0, 0), (-1, 0, 1)], residuals[equation]), cleared
+    assert residuals["P4"] == [{}] * (n_max + 1)
 
 
 def _corrupted_census(n_max, cells):
@@ -687,18 +723,18 @@ def test_verify_output_does_not_depend_on_request_order(fresh_states):
 
 def _system_prefix():
     """A fresh Prefix over the route the system prefix is keyed on."""
-    return Prefix(([],) * 8, series._system_step, series._fast_step_201_210,
+    return Prefix(([],) * 7, series._system_step, series._fast_step_201_210,
                   ([1], [0], [0]))
 
 
 def test_resuming_the_census_route_yields_the_tail_of_a_cold_run():
     """A system prefix taken to any depth and then to 30 counts no
     failure, and its level at x^m holds the degree rows of the rows that
-    a full run of the DP from the axiom converts at x^(m-1), eight empty
+    a full run of the DP from the axiom converts at x^(m-1), seven empty
     rows at m = 0."""
-    levels = [([],) * 8,
+    levels = [([],) * 7,
               *(series._degree_rows(*series._census_rows(m, level))
-                for m, level in enumerate(profile_slices_201_210(30)))]
+                for m, level in enumerate(_dp_levels(30)))]
     for depth in range(31):
         prefix = _system_prefix()
         assert prefix.counts(depth) == [None] * (depth + 1), depth
@@ -733,7 +769,7 @@ def test_census_depths_per_system_request(monkeypatch, fresh_states):
     assert prefix.counts(80) == [None] * 81
     assert [prefix.level(m + 1)[:3] for m in range(81)] == \
         [real_rows(m, level)
-         for m, level in enumerate(profile_slices_201_210(80))]
+         for m, level in enumerate(_dp_levels(80))]
 
 
 def test_one_system_check_keeps_one_registry_key(fresh_states):
@@ -742,7 +778,7 @@ def test_one_system_check_keeps_one_registry_key(fresh_states):
     holds the degree rows at x^45, which begin with the census rows
     there."""
     census = [series._census_rows(m, level)
-              for m, level in enumerate(profile_slices_201_210(45))]
+              for m, level in enumerate(_dp_levels(45))]
     for n in (30, 12, 45):
         assert run_check("system-201-210", n)[0], n
         assert list(_STATES) == ["system-201-210"], n

@@ -21,7 +21,6 @@ from invseq.succession import (
     count_via_rules,
     emit_diagram,
     get_system,
-    profile_slices_201_210,
     profile_text,
     rule_counting_sequence,
     state_profile,
@@ -47,7 +46,6 @@ ENTRY_POINTS = {
     "count_via_rules": lambda n: count_via_rules("201-210", n),
     "state_profile": lambda n: state_profile("010-100-120-210", n),
     "profile_text": lambda n: profile_text("011-201", n),
-    "profile_slices_201_210": lambda n: list(profile_slices_201_210(n)),
     "Prefix.level": lambda n: get_system("201-210").memo.level(n),
     "emit_diagram": lambda n: emit_diagram("201-210", n),
     "TruncatedSeries": lambda n: TruncatedSeries([1], n),

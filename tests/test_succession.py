@@ -17,7 +17,6 @@ from invseq.succession import (
     count_via_rules,
     emit_diagram,
     get_system,
-    profile_slices_201_210,
     rule_counting_sequence,
     state_profile,
     step,
@@ -161,9 +160,13 @@ def test_step_fast_equals_step_on_random_levels(data):
 
 
 def test_profile_slices_match_state_profile():
-    slices = list(profile_slices_201_210(6))
-    assert len(slices) == 7
-    for n, (a, b, c) in enumerate(slices):
+    """The dense levels of a full run of the 201-210 kernel, stepped by a
+    Prefix that the registry never holds, are the (k,F,F), (k,T,F) and
+    (k,T,T) slices of the state profile."""
+    system = get_system("201-210")
+    dp = Prefix(system.start, system.kernel)
+    for n in range(7):
+        a, b, c = dp.level(n)
         profile = state_profile("201-210", n)
         assert {k: m for k, m in enumerate(a) if m} == \
             {k: m for (k, ell, com), m in profile.items() if not ell and not com}
@@ -450,24 +453,26 @@ def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
 
 
 def test_verify_routes_stay_off_the_memo(monkeypatch, fresh_states):
-    """profile_slices_201_210 and the (k,F,F) slice behind
-    ff_slice_series neither read nor write the memo, so verify's census
-    is never served by the route it checks: they leave a fresh memo
-    empty and ignore a poisoned one."""
+    """tf_slice_series, a full run of the 201-210 kernel in a Prefix of
+    its own, and the (k,F,F) slice behind ff_slice_series neither read
+    nor write the memo, so verify's census is never served by the route
+    it checks: they leave a fresh memo empty and ignore a poisoned one."""
     n = 20
     system = _fresh("201-210")
     monkeypatch.setitem(SYSTEMS, "201-210", system)
-    slices = list(profile_slices_201_210(n))
+    tf = series.tf_slice_series(n)
     ff = series.ff_slice_series(n)
     assert system.memo._memo is None
-    assert [system.to_dict(level) for level in slices] == \
-        _cold("201-210", n)[1]
-    assert ff.coefficients == [sum(a) for a, _, _ in slices]
+    levels = _cold("201-210", n)[1]
+    for little, sums in ((F, ff), (T, tf)):
+        assert sums.coefficients == [
+            sum(m for (_, ell, com), m in level.items()
+                if ell == little and not com) for level in levels]
     junk = ([9], [9], [9])
     poison = ([-1] * 100, junk, (junk,) * (100 // SPACING))
     system.memo._memo = poison
     del _STATES["ff_slice_series"]
-    assert list(profile_slices_201_210(n)) == slices
+    assert series.tf_slice_series(n) == tf
     assert series.ff_slice_series(n) == ff
     assert system.memo._memo is poison
 
