@@ -9,9 +9,10 @@ open conjectures say so explicitly on success.
 Where the numbers come from, each state kept in the registry of
 ``invseq.prefix``:
 
-  * the rules memo: gf-vs-rules, minpoly-F, minpoly-B, fe-vs-rules,
-    wilf-011-201 and oracle-vs-rules read their rule counts from
-    ``rule_counting_sequence``;
+  * the rules memo: gf-vs-rules, fe-vs-rules, wilf-011-201 and
+    oracle-vs-rules read their rule counts from
+    ``rule_counting_sequence``, and minpoly-F and minpoly-B read the
+    memo's counts;
   * series prefixes, which never touch the memo: the closed form
     (gf-vs-rules), the (k,F,F) slice sums (minpoly-A, and minpoly-B
     subtracts them from the memo's counts), ``iterate_fe``
@@ -19,21 +20,21 @@ Where the numbers come from, each state kept in the registry of
     rows of its three equations, one x-degree per step (system-201-210,
     through ``_check_system_violation``, which proves the four cleared
     relations from those three);
-  * residual states: minpoly-A, minpoly-B, minpoly-F and
-    conjecture-010-102 evaluate their relation with
-    ``relation_residual``, resumed at the first coefficient where its
-    input differs from the stored one;
+  * residual prefixes: minpoly-A, minpoly-B and minpoly-F read the
+    residual of their relation, one coefficient per step, from a prefix
+    keyed on the prefixes above that it reads (``_residual_prefix``);
   * the structure prefix: structure-theorem reads, per length, the first
     inversion sequence on which ``structure_check_201_210`` and
     ``avoids`` disagree, or None (``_structure_step``);
   * no state: the oracle is the ground truth, so oracle-vs-rules and
     conjecture-010-102 count with ``count_sequence`` from scratch on
-    every request.
+    every request, and conjecture-010-102 evaluates its cubic with
+    ``relation_residual``, which keeps no state.
 
 So a process serving many checks steps each depth of each route,
 evaluates each coefficient of each residual and checks each sequence
-once, and a check handed another route (a planted fault, say) runs it
-cold.
+once, and a check handed another route (a planted fault, say), or a
+residual whose source was handed one, runs it cold.
 
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:
@@ -49,9 +50,10 @@ from .oracle import count_sequence
 from .prefix import shared
 from .series import (
     _check_system_violation,
+    _ff_slice_prefix,
+    _residual_prefix,
     CUBIC_010_102,
     f_coefficients,
-    ff_slice_series,
     iterate_fe,
     MINPOLY_A,
     MINPOLY_B,
@@ -88,30 +90,35 @@ def _verify_oracle_vs_rules(n_max):
                   "through n=%d" % n_max]
 
 
-def _verify_minpoly(relation, series, n_max):
-    residual = relation_residual(relation, series)
-    if residual is not None:
-        return False, ["FAIL: residual first nonzero at order %d" % residual]
+def _verify_minpoly(relation, n_max, *sources):
+    """Evaluate the relation at y_k = the count at k of the first source
+    prefix minus those of the others: the count at n_max of its residual
+    prefix, keyed on the bound count of each source (see
+    ``_residual_prefix``).  Each source is reached to n_max first, so
+    that every step of the residual reads a stored count."""
+    for source in sources:
+        source.count(n_max)
+    residual = _residual_prefix(relation, *(source.count for source in sources))
+    first = residual.count(n_max)
+    if first is not None:
+        return False, ["FAIL: residual first nonzero at order %d" % first]
     return True, ["OK: relation holds through n=%d" % n_max]
 
 
 def _verify_minpoly_a(n_max):
-    return _verify_minpoly(MINPOLY_A, ff_slice_series(n_max), n_max)
+    return _verify_minpoly(MINPOLY_A, n_max, _ff_slice_prefix())
 
 
 def _verify_minpoly_b(n_max):
     # B(x,1) = F(x) - A(x,1): the 201-210 rules accept (k,F,F) and (k,T,F)
     # and never reach (k,F,T), so a depth's count minus its (k,F,F) sum is
     # its (k,T,F) sum, the coefficient tf_slice_series gives.
-    counts = rule_counting_sequence("201-210", n_max)
-    ff = ff_slice_series(n_max).coefficients
-    series = TruncatedSeries([f - a for f, a in zip(counts, ff)])
-    return _verify_minpoly(MINPOLY_B, series, n_max)
+    return _verify_minpoly(MINPOLY_B, n_max, get_system("201-210").memo,
+                           _ff_slice_prefix())
 
 
 def _verify_minpoly_f(n_max):
-    series = TruncatedSeries(rule_counting_sequence("201-210", n_max))
-    return _verify_minpoly(MINPOLY_F, series, n_max)
+    return _verify_minpoly(MINPOLY_F, n_max, get_system("201-210").memo)
 
 
 def _verify_system(n_max):
@@ -148,7 +155,7 @@ def _verify_structure(n_max):
     module sees them at call time."""
     found = shared("structure-theorem", (0, None), _structure_step,
                    structure_check_201_210, avoids,
-                   get_system("201-210").basis).counts(n_max)[-1]
+                   get_system("201-210").basis).count(n_max)
     if found is not None:
         e, checked, avoided = found
         return False, ["FAIL at e=%s: checker %s, avoidance %s"

@@ -10,29 +10,32 @@ stored one has another start, step or arguments.  A caller passes them
 as it sees them at call time, so a planted step (a fault, say) is
 stepped cold.  A helper that a step looks up while it runs is not part
 of the key: a fault planted in one after a warm request is not seen
-until the registry is emptied.  Every state, prefix or not, is replaced
-only by a longer one, so threads need no lock.  The keys are:
+until the registry is emptied.  An argument may be the bound ``count``
+of another prefix, so that a route that reads other routes is keyed on
+the very prefixes it reads, and is stepped cold once one of them is made
+afresh.  Every state is a Prefix, replaced only by a longer one, so
+threads need no lock.  The keys are:
 
   * a system name (``invseq.succession``): the system's rules memo;
   * ``invseq.series``: "f_coefficients", "ff_slice_series",
-    "system-201-210" and ("iterate_fe", system), and the relation
-    residual states ("relation_residual", name), which are not prefixes:
-    they resume from the whole history of their input;
+    "system-201-210", ("iterate_fe", system) and ("relation_residual",
+    name), the residual of a relation on the prefixes it reads;
   * "structure-theorem" (``invseq.checks``).
 
 start is the level at depth 0.  step(level, *args) takes the level at
 depth d to the level at d + 1 and the count at d, which it forms from
 the work it does anyway.  A "count" is whatever the route makes of a
 depth: a number, the first nonzero u-degree of each residual row of the
-201-210 system, or the first disagreement so far.  No step mutates a
-level.
+201-210 system, or the first nonzero residual order or disagreement so
+far.  No step mutates a level.
 
 A Prefix keeps the counts at depths 0..L-1 and the level at depth L,
 the level it steps next, for the deepest L any request in this process
 has reached, and a checkpoint, the level at every multiple of _SPACING
 (64) up to L:
 
-  * counts(n) steps depths L..n, and nothing when L > n; level(n) first
+  * counts(n) steps depths L..n, and nothing when L > n, and so does
+    count(n), which reads the count at n without copying; level(n) first
     reaches depth n - 1, then returns the stored level if it is at depth
     n, and otherwise steps from the checkpoint at or below n, fewer than
     _SPACING steps;
@@ -55,11 +58,11 @@ has reached, and a checkpoint, the level at every multiple of _SPACING
 >>> def double(level):
 ...     return 2 * level, level
 >>> prefix = Prefix(1, double)
->>> prefix.counts(5), prefix.level(3), prefix.level(70)
-([1, 2, 4, 8, 16, 32], 8, 1180591620717411303424)
+>>> prefix.counts(5), prefix.count(4), prefix.level(3), prefix.level(70)
+([1, 2, 4, 8, 16, 32], 16, 8, 1180591620717411303424)
 """
 
-_STATES = {}        # key -> the per-process state kept under it
+_STATES = {}        # key -> the Prefix kept under it
 
 
 def shared(key, start, step, *args):
@@ -86,6 +89,12 @@ class Prefix:
         if n < 0:
             raise ValueError("n must be non-negative")
         return self._reach(n + 1)[0][:n + 1]
+
+    def count(self, n):
+        """The count at depth n."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        return self._reach(n + 1)[0][n]
 
     def level(self, n):
         """The level at depth n: the stored level once the prefix is n

@@ -10,8 +10,8 @@ anywhere.  The module has four layers:
     arithmetic.
   * polynomial relations (``PolyRelation`` / ``relation_residual``) used to
     test that a series satisfies an algebraic equation, by Horner's rule
-    in y^2 with y^2 formed once by a symmetric square, resumed from a
-    per-process residual state.
+    in y^2 with y^2 formed by a symmetric square, one coefficient per
+    step of a prefix.
   * bivariate series in x and u, the ``phi`` operator, and
     ``_check_system_violation`` which replays the defining equations of
     the 201-210 rule system against its own census data, one x-degree
@@ -31,31 +31,31 @@ x-degree) is a list over u-power of rows indexed by the v-power, so
 differ in length.  Only the public ``phi`` takes and returns
 ``{u_power: coeff}`` dicts, for readability at the API.
 
-The closed form, the (k,F,F) slice, the bivariate system and the
-functional-equation iteration of each system keep a per-process prefix,
-and the relation residuals a per-process state, all in the registry of
-``invseq.prefix``.  Each prefix is a start level and a step:
-``_f_step``, ``_step_ff``, ``_system_step`` over the 201-210 kernel, and
-``_fe_slice_step`` over an entry of ``_FE_STEP``; the step of depth d
-forms and checks depth d and nothing past it.  None of them is the
-rules memo of ``invseq.succession``, so that the routes stay apart from
-the route they check: the slices never touch the memo, and the closed
-form and the functional equations reach no succession code.
-``tf_slice_series`` keeps no prefix in the registry: it is minpoly-B's
-reference, a full run of the 201-210 kernel from the axiom, in a Prefix
-of its own, and injected census profiles replay cold through the
-system's step the same way.  A relation
-residual resumes at the first coefficient where its input differs from
-the stored one, or past the stored order, so a corrupted input is
-evaluated from its first bad coefficient on, and every answer is that of
-a cold evaluation.
+The closed form, the (k,F,F) slice, the bivariate system, the
+functional-equation iteration of each system and the residual of each
+relation that a check evaluates keep a per-process prefix in the
+registry of ``invseq.prefix``.  Each prefix is a start level and a step:
+``_f_step``, ``_step_ff``, ``_system_step`` over the 201-210 kernel,
+``_fe_slice_step`` over an entry of ``_FE_STEP``, and
+``_residual_step`` over the relation and the bound counts of the
+prefixes it reads; the step of depth d forms and checks depth d and
+nothing past it.  None of them is the rules memo of
+``invseq.succession``, so that the routes stay apart from the route
+they check: the slices never touch the memo, and the closed form and
+the functional equations reach no succession code.  A residual is keyed
+on the prefixes it reads, so it steps cold once one of them is made
+afresh.  Three routes keep no prefix in the registry and replay cold, in
+a Prefix of their own: ``tf_slice_series``, minpoly-B's reference, a
+full run of the 201-210 kernel from the axiom; injected census profiles,
+through the system's step; and ``relation_residual``, through
+``_residual_step`` over the coefficients it is given.
 """
 
 from collections import namedtuple
 from itertools import accumulate, zip_longest
 from operator import add, mul, sub
 
-from .prefix import _STATES, Prefix, shared
+from .prefix import Prefix, shared
 from .succession import _fast_step_201_210, _step_ff
 
 
@@ -146,8 +146,12 @@ def ff_slice_series(n_max):
     The route never touches the rules memo, so minpoly-B, which
     subtracts these sums from the memo's counts, takes its two terms from
     separate routes."""
-    return TruncatedSeries(
-        shared("ff_slice_series", [1], _step_ff).counts(n_max), n_max)
+    return TruncatedSeries(_ff_slice_prefix().counts(n_max), n_max)
+
+
+def _ff_slice_prefix():
+    """This process's prefix of the (k,F,F) slice, stepped by _step_ff."""
+    return shared("ff_slice_series", [1], _step_ff)
 
 
 def tf_slice_series(n_max):
@@ -171,104 +175,89 @@ def tf_slice_series(n_max):
 PolyRelation = namedtuple("PolyRelation", ["name", "coefficients"])
 
 
-# -- per-process residual states --------------------------------------------
-#
-# Coefficient k of every series a residual is built from (y, y^2, each
-# Horner accumulator) depends on the input only through its index k, so
-# a call may reuse the stored coefficients below the first index where
-# its input differs from the stored input.  The states live in
-# ``invseq.prefix._STATES`` under ("relation_residual", name); a call
-# works on private copies, never mutates a stored state, and publishes
-# its own only when it is longer.
-
-# polys: the relation's coefficients; y: the series evaluated, through
-# x^L; y2: y^2 through x^L (empty for y-degree 1 or less); accs: the
-# Horner accumulators, the last one the residual; first: the order of
-# the residual's first nonzero coefficient, or None.
-_RelationState = namedtuple("_RelationState", "polys y y2 accs first")
-
-
-def _shared_length(xs, ys):
-    """The length of the longest common prefix of two sequences."""
-    return next((k for k, (x, y) in enumerate(zip(xs, ys)) if x != y),
-                min(len(xs), len(ys)))
-
-
 def relation_residual(relation, s):
     """Evaluate the relation at y = s; return the order of the first
     nonzero coefficient of the residual, or None if the relation holds
     through s.order.  A relation with no coefficients raises ValueError.
 
-    Runs Horner's rule in y^2 on P(y) = sum_i (p_2i + p_2i+1*y)*(y^2)^i.
-    The p_j are short polynomials, so a p_j times a series is cheap.  The
-    full-length products are the truncated square giving y^2 (half the
-    multiplications of a product) and each Horner step whose accumulator
-    is already a series: half a product in all for y-degree 2, one and a
-    half for y-degree 3 or 4.
-
-    The evaluation resumes from this process's state of the relation's
-    name (see the residual states above): a cold call computes coefficients 0..s.order
-    of each series, a call whose series agrees with the stored one
-    through x^k only k + 1..s.order, and a call no deeper than the
-    stored order with a matching series multiplies nothing.  A name
-    whose coefficients differ from the stored ones starts cold and
-    replaces them.
+    Keeps no state: the residual's route (see _residual_step) is stepped
+    cold over the coefficients of s, in a Prefix the registry never
+    holds.
     """
+    return Prefix(*_residual_route(relation),
+                  s.coefficients.__getitem__).count(s.order)
+
+
+def _residual_prefix(relation, *terms):
+    """This process's prefix of the relation's residual at y_k =
+    terms[0](k) - terms[1](k) - ..., kept under ("relation_residual",
+    name) and keyed on the terms too: a check passes the bound ``count``
+    of each prefix it reads, so that a source made afresh (a planted
+    step, say) makes the residual step cold."""
+    return shared(("relation_residual", relation.name),
+                  *_residual_route(relation), *terms)
+
+
+def _residual_route(relation):
+    """(start, _residual_step, polys) for the relation, polys its
+    coefficients as tuples; ValueError for a relation with none.  The
+    start holds an empty history for each Horner accumulator that the
+    step keeps, those of p_2i + p_2i+1*y for 2 <= 2i < d, the y-degree
+    (see _residual_step)."""
     polys = tuple(map(tuple, relation.coefficients))
     if not polys:
         raise ValueError("relation %r has no coefficients" % (relation.name,))
-    n = s.order
-    y = s.coefficients[:n + 1]
-    key = ("relation_residual", relation.name)
-    old = _STATES.get(key)
-    if old is None or old.polys != polys:
-        old = _RelationState(polys, [], [], [[]] * ((len(polys) + 1) // 2),
-                             None)
-    start = _shared_length(y, old.y)
-    first = old.first if old.first is not None and old.first < start else None
-    if start > n:
-        return first
-    y2 = old.y2[:start] + _square(y, start) if len(polys) > 2 else []
-    accs = []
-    acc = None
-    for old_acc, i in zip(old.accs, reversed(range(0, len(polys), 2))):
-        if i + 1 < len(polys):
-            new = _add_rows(_product(polys[i + 1], y, n, start),
-                            polys[i][start:n + 1])
-        else:
-            new = list(polys[i][start:n + 1])
-        if acc is not None:
-            new = [*map(add, _product(acc, y2, n, start), new)]
-        acc = old_acc[:start] + new
-        accs.append(acc)
-    if first is None:
-        first = next((k for k, c in enumerate(acc[start:], start) if c), None)
-    stored = _STATES.get(key)
-    if stored is None or stored.polys != polys or len(stored.y) <= n:
-        _STATES[key] = _RelationState(polys, y, y2, accs, first)
-    return first
+    return ((), (), ((),) * max((len(polys) - 2) // 2, 0), None), \
+        _residual_step, polys
 
 
-def _product(a, b, n, start=0):
-    """Coefficients start..n of a*b.  b has at least n + 1 coefficients; a
-    may have fewer (a polynomial), and then costs len(a) multiplications
-    per coefficient."""
-    rb = b[n::-1]
-    m = len(a)
-    return [sum(map(mul, a, rb[n - k:n - k + m])) for k in range(start, n + 1)]
+def _residual_step(level, polys, *terms):
+    """The step of a residual prefix at x^k, whose level there is (y and
+    y^2 reversed, from x^(k-1) down to x^0, the kept Horner
+    accumulators through x^(k-1), and the order of the residual's first
+    nonzero coefficient below x^k, or None): the level at x^(k+1) and
+    its count at x^k, that first order through x^k.
 
-
-def _square(a, start):
-    """Coefficients start.. of a*a through the order of a, each cross term
-    a_i*a_j (i < j) formed once and doubled."""
-    out = []
-    for k in range(start, len(a)):
+    Horner's rule in y^2 on P(y) = sum_i (p_2i + p_2i+1*y)*(y^2)^i from
+    the top i down: each accumulator but the top is the one above it
+    times y^2, plus p_2i + p_2i+1*y, and the last one is the residual.
+    Coefficient k of each needs only coefficients 0..k of y, of y^2 and
+    of the accumulator above, so the step forms y_k from the terms, the
+    k-th coefficient of y^2 by a symmetric square (each cross term once,
+    doubled; only for y-degree 2 or more) and that of each accumulator,
+    and keeps the histories a later step reads: every accumulator that a
+    later one multiplies by y^2, but a top that is a bare p_d, whose
+    coefficients are its own history.  With y and y^2 reversed,
+    coefficient k of a*y is sum(map(mul, a, y reversed)) for a
+    polynomial or a history a through x^k, with no slicing.
+    """
+    ry, ry2, accs, first = level
+    k = len(ry)
+    c = terms[0](k)
+    for term in terms[1:]:
+        c -= term(k)
+    ry = (c,) + ry
+    if len(polys) > 2:
         h = (k + 1) // 2
-        c = 2 * sum(map(mul, a[:h], a[k:k - h:-1]))
-        if not k % 2:
-            c += a[k // 2] * a[k // 2]
-        out.append(c)
-    return out
+        c = 2 * sum(map(mul, ry[:h], ry[k:k - h:-1]))
+        ry2 = (c if k % 2 else c + ry[h] * ry[h],) + ry2
+    kept = []
+    above = None
+    for i in reversed(range(0, len(polys), 2)):
+        if i and i == len(polys) - 1:
+            above = polys[i]
+            continue
+        c = polys[i][k] if k < len(polys[i]) else 0
+        if i + 1 < len(polys):
+            c += sum(map(mul, polys[i + 1], ry))
+        if above is not None:
+            c += sum(map(mul, above, ry2))
+        if i:
+            above = accs[len(kept)] + (c,)
+            kept.append(above)
+    if first is None and c:
+        first = k
+    return (ry, ry2, tuple(kept), first), first
 
 
 def _add_rows(x, y):

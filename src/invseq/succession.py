@@ -367,7 +367,7 @@ def rule_counting_sequence(system_id, n_max):
 def count_via_rules(system_id, n):
     """Number of accepted depth-n states, counted with multiplicity: the
     size of the class the system enumerates."""
-    return get_system(system_id).memo.counts(n)[n]
+    return get_system(system_id).memo.count(n)
 
 
 def state_profile(system_id, n):

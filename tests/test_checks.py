@@ -16,6 +16,7 @@ import pytest
 from invseq import checks, series, succession
 from invseq.checks import CHECKS, run_check
 from invseq.prefix import _STATES, Prefix
+from invseq.succession import SYSTEMS
 
 # a word of length n has n! choices: 1 * 2 * ... * n
 WORDS_THROUGH_8 = sum(map(factorial, range(9)))
@@ -223,6 +224,12 @@ STEP_FAULTS = {
                     ["FAIL for 011-201 at n=6: iteration 190 != rules 189"]),
     "minpoly-A": (vars(series), "_step_ff", _bump_slice(5, 2), 40, 20,
                   ["FAIL: residual first nonzero at order 4"]),
+    "minpoly-B:kernel": (vars(SYSTEMS["201-210"]), "kernel", _bump_kernel, 40,
+                         20, ["FAIL: residual first nonzero at order 6"]),
+    "minpoly-B:_step_ff": (vars(series), "_step_ff", _bump_slice(5, 2), 40,
+                           20, ["FAIL: residual first nonzero at order 5"]),
+    "minpoly-F": (vars(SYSTEMS["201-210"]), "kernel", _bump_kernel, 40, 20,
+                  ["FAIL: residual first nonzero at order 6"]),
     "system-201-210": (vars(series), "_fast_step_201_210", _bump_kernel, 40,
                        20, ["FAIL: equation A first differs at x^5 u^2"]),
     "system-201-210:_system_step": (
@@ -237,7 +244,9 @@ def test_a_fault_planted_in_a_step_after_a_warm_run_prints_the_cold_line(
     """A fault planted in the step a prefix is keyed on, after a warm
     run deeper than the fault, is stepped cold at once: the check prints
     the FAIL line of a cold run, with no reset of the registry, and
-    restoring the step restores the OK line."""
+    restoring the step restores the OK line.  A minpoly check's residual
+    is keyed on the prefixes it reads, so a fault in the step of one of
+    them reaches it the same way."""
     namespace, key, plant, warm, depth, lines = STEP_FAULTS[name]
     name = name.split(":")[0]
     real = namespace[key]

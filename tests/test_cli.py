@@ -451,9 +451,23 @@ def _bump_census(real):
     return planted
 
 
+def _bump_count(at):
+    """A plant for the (k,F,F) step or the 201-210 kernel: one more in
+    the count of the level at depth at, whose (k,F,F) slice has at + 1
+    entries."""
+    def plant(real):
+        def planted(level):
+            new, count = real(level)
+            a = level[0] if isinstance(level, tuple) else level
+            return new, count + (len(a) == at + 1)
+        return planted
+    return plant
+
+
 B_011_201 = ((0, 1, 1), (2, 0, 1))
 
-# check: (module, route the check reads, plant, depth, OK line, FAIL line)
+# check: (module or object, route the check reads, plant, depth, OK line,
+# FAIL line)
 CHECK_CASES = {
     "gf-vs-rules": (
         checks, "f_coefficients", _bump_at(3), 6,
@@ -464,15 +478,15 @@ CHECK_CASES = {
         "OK: oracle matches the rules for all three systems through n=6",
         "FAIL for 011-201 at n=5: oracle 52 != rules 51"),
     "minpoly-A": (
-        checks, "ff_slice_series", _bump_at(4), 8,
+        series, "_step_ff", _bump_count(4), 8,
         "OK: relation holds through n=8",
         "FAIL: residual first nonzero at order 4"),
     "minpoly-B": (
-        checks, "ff_slice_series", _bump_at(4), 8,
+        series, "_step_ff", _bump_count(4), 8,
         "OK: relation holds through n=8",
         "FAIL: residual first nonzero at order 5"),
     "minpoly-F": (
-        checks, "rule_counting_sequence", _bump_at(4), 8,
+        SYSTEMS["201-210"], "kernel", _bump_count(4), 8,
         "OK: relation holds through n=8",
         "FAIL: residual first nonzero at order 5"),
     "system-201-210": (

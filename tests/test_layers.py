@@ -8,10 +8,11 @@ the (k,F,F) slice and the 201-210 kernel, and nothing of the oracle,
 and the closed form and the functional-equation iteration reach no
 succession code at all.  The command line reaches the checks through
 the public registry in ``invseq.checks``, not through private names,
-every per-process state but the command line's text memo lives in the
-registry of ``invseq.prefix``, and the runtime imports nothing outside
-the standard library.  These tests read the imports from the source
-(``ast``) and the names the functions load (``co_names``)."""
+every per-process state but the command line's text memo is a Prefix
+in the registry of ``invseq.prefix``, and the runtime imports nothing
+outside the standard library.  These tests read the imports from the
+source (``ast``) and the names the functions load (``co_names``), and
+the registry after requests of every kind."""
 
 import ast
 import inspect
@@ -23,7 +24,8 @@ import pytest
 
 import invseq
 from invseq import cli, core, oracle, series, succession
-from invseq.prefix import Prefix
+from invseq.checks import CHECKS, run_check
+from invseq.prefix import _STATES, Prefix
 from invseq.succession import RuleSystem
 
 
@@ -197,3 +199,32 @@ def test_the_registry_and_the_text_memo_are_the_only_module_states():
                 bound.update((path.stem, ast.unparse(t)) for t in targets)
     assert bound == {("prefix", "_STATES"), ("cli", "_DECIMAL")}
     assert not issubclass(RuleSystem, Prefix)
+
+
+def test_every_state_in_the_registry_is_a_prefix(capsys):
+    """After every check at its default depth and one request of each
+    command, every value in the registry is a Prefix, and evaluating a
+    relation, under a check's name or another, leaves every entry as it
+    was."""
+    for name in CHECKS:
+        assert run_check(name)[0], name
+    for argv in (["count", "--system", "201-210", "--n", "8"],
+                 ["series", "--system", "201-210", "--n-max", "8",
+                  "--method", "gf"],
+                 ["list", "--basis", "011,201", "--n", "3"],
+                 ["profile", "--system", "201-210", "--n", "3"],
+                 ["diagram", "--system", "201-210", "--n-max", "2"],
+                 ["verify", "--check", "minpoly-B", "--n-max", "20"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert all(isinstance(state, Prefix) for state in _STATES.values())
+    before = dict(_STATES)
+    memos = [state._memo for state in before.values()]
+    y = series.TruncatedSeries(series.f_coefficients(30))
+    for relation in (series.MINPOLY_A, series.MINPOLY_B, series.MINPOLY_F,
+                     series.CUBIC_010_102,
+                     series.PolyRelation("other", ((1,), (-1,)))):
+        series.relation_residual(relation, y)
+    assert _STATES == before
+    assert all(state._memo is memo
+               for state, memo in zip(_STATES.values(), memos))

@@ -1,14 +1,17 @@
 """The per-process prefix of ``invseq.prefix`` on each of the nine
-routes that keep one: the three rule systems (the rules memo), the
-(k,F,F) slice behind ``ff_slice_series``, the census and residual rows
-of the 201-210 system behind ``_check_system_violation`` (the route
-"census"), the closed form behind ``f_coefficients``, the
-functional-equation iteration of each 2-parameter system behind
-``iterate_fe`` and the first disagreements per length behind
-structure-theorem.  Each test starts from empty prefixes, compares with
-a run of the route (start, step, args) from its start, and plants
-failures or watchers in what the route's step runs, or plants another
-step."""
+routes that keep one and read no other route: the three rule systems
+(the rules memo), the (k,F,F) slice behind ``ff_slice_series``, the
+census and residual rows of the 201-210 system behind
+``_check_system_violation`` (the route "census"), the closed form
+behind ``f_coefficients``, the functional-equation iteration of each
+2-parameter system behind ``iterate_fe`` and the first disagreements
+per length behind structure-theorem.  Each test starts from empty
+prefixes, compares with a run of the route (start, step, args) from its
+start, and plants failures or watchers in what the route's step runs,
+or plants another step.  The residual routes of minpoly-A, minpoly-B
+and minpoly-F, which read those prefixes, make twelve in the registry;
+the test of ``Prefix.count`` reads all twelve, and ``test_series`` and
+``test_checks`` test the other three."""
 
 import ast
 import inspect
@@ -456,3 +459,19 @@ def test_each_prefix_is_distinct_and_served_by_its_own_route(monkeypatch,
         request(5)
         moved = [p._memo is not m for p, m in zip(prefixes, memos)]
         assert sum(moved) == 1, name
+
+
+def test_count_reads_the_count_of_counts(fresh_states):
+    """On each of the twelve routes in the registry, count(n) is
+    counts(n)[n], below and past the stored depth, and a negative depth
+    raises ValueError."""
+    for name in NAMES:
+        _request(name)(3)
+    for name in ("minpoly-A", "minpoly-B", "minpoly-F"):
+        assert run_check(name, 3)[0], name
+    assert len(_STATES) == 12
+    for key, prefix in _STATES.items():
+        for n in (2, 0, 7, 5):
+            assert prefix.count(n) == prefix.counts(n)[n], (key, n)
+        with pytest.raises(ValueError):
+            prefix.count(-1)

@@ -8,7 +8,7 @@ from operator import sub
 import pytest
 from hypothesis import example, given, HealthCheck, settings, strategies as st
 
-from invseq import checks, series, succession
+from invseq import series, succession
 from invseq.checks import run_check
 from invseq.prefix import _STATES, Prefix
 from invseq.series import (
@@ -44,17 +44,12 @@ def _dp_levels(n):
     return [prefix.level(d) for d in range(n + 1)]
 
 
-# -- TruncatedSeries and truncated products ---------------------------------
+# -- TruncatedSeries ----------------------------------------------------------
 
 def test_construction_pads_and_truncates():
     s = TruncatedSeries([1, 2, 3], 5)
     assert s.coefficients == [1, 2, 3, 0, 0, 0]
     assert TruncatedSeries([1, 2, 3], 1).coefficients == [1, 2]
-
-
-def test_multiplication():
-    assert series._product([1, 2, 3], [1, 2, 3, 0, 0, 0], 5) == \
-        [1, 4, 10, 12, 9, 0]
 
 
 # -- a reference for the closed form ----------------------------------------
@@ -185,21 +180,18 @@ def test_counts_minus_the_ff_slice_are_the_tf_slice():
         assert difference == tf[:n + 1], n
 
 
-def test_minpoly_b_checks_the_tf_slice_series(monkeypatch):
-    """minpoly-B answers as the route through tf_slice_series does, and
-    evaluates its relation on that very series."""
-    seen = []
-
-    def recording(relation, s):
-        seen.append(s)
-        return relation_residual(relation, s)
-
-    monkeypatch.setattr(checks, "relation_residual", recording)
+def test_minpoly_b_checks_the_tf_slice_series():
+    """minpoly-B evaluates its relation on the series tf_slice_series
+    gives: the y its residual route holds through x^n, last coefficient
+    first, is that series,
+    and the route answers as relation_residual on it does."""
     for n in (0, 1, 8, 200):
-        answer = run_check("minpoly-B", n)
-        assert seen[-1] == tf_slice_series(n), n
-        assert answer == checks._verify_minpoly(MINPOLY_B,
-                                                tf_slice_series(n), n), n
+        assert run_check("minpoly-B", n)[0], n
+        route = _STATES["relation_residual", "minpoly-B"]
+        assert route.level(n + 1)[0][::-1] == \
+            tuple(tf_slice_series(n).coefficients), n
+        assert route.count(n) == \
+            relation_residual(MINPOLY_B, tf_slice_series(n)), n
 
 
 def test_ff_slice_counts_avoiders_of_10():
@@ -519,12 +511,12 @@ def test_a_relation_without_coefficients_raises():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_residual_state_under_interleaved_requests(fresh_states, data):
-    """One relation's state, driven by a random sequence of orders, each
+    """One relation, evaluated on a random sequence of orders, each
     request clean or with one coefficient corrupted, answers every
     request as the plain Horner reference does.  Half the draws make the
     series a root of the relation through its order, so that clean
-    requests answer None and a corrupted one leaves a stored first
-    failure for later requests to get past."""
+    requests answer None and a corrupted one answers before a clean
+    request that follows it."""
     coeff = st.integers(-20, 20)
     if data.draw(st.booleans()):
         coeff = st.one_of(coeff, _small_fraction)
@@ -548,8 +540,8 @@ def test_residual_state_under_interleaved_requests(fresh_states, data):
 
 
 def test_the_state_keeps_its_own_copy_of_the_series(fresh_states):
-    """Mutating a series after it was evaluated does not reach the stored
-    state: the next evaluation sees the mutation."""
+    """Mutating a series after it was evaluated is seen by the next
+    evaluation, and undoing it too."""
     s = TruncatedSeries(CATALAN)
     assert relation_residual(MINPOLY_A, s) is None
     s.coefficients[7] -= 1
@@ -559,66 +551,64 @@ def test_the_state_keeps_its_own_copy_of_the_series(fresh_states):
     assert relation_residual(MINPOLY_A, s) is None
 
 
-def _count_coefficients(monkeypatch):
-    """Wrap _product and _square; the returned list gets, per call, the
-    number of coefficients it computed."""
-    computed = []
-    for name in ("_product", "_square"):
-        def counted(*args, _real=getattr(series, name)):
-            out = _real(*args)
-            computed.append(len(out))
-            return out
-        monkeypatch.setattr(series, name, counted)
-    return computed
+def _count_residual_steps(monkeypatch):
+    """Wrap _residual_step; the returned list gets, per call, the depth
+    it steps and the set of depths at which it reads its terms."""
+    stepped = []
+    real = series._residual_step
+
+    def counted(level, polys, *terms):
+        read = set()
+
+        def reading(term):
+            return lambda k: read.add(k) or term(k)
+        out = real(level, polys, *map(reading, terms))
+        stepped.append((len(level[0]), read))
+        return out
+    monkeypatch.setattr(series, "_residual_step", counted)
+    return stepped
 
 
-def _f_series(n):
-    return TruncatedSeries(f_coefficients(n))
-
-
-# relation, its series through n, and the full-length products and squares
-# of one evaluation
-RESIDUAL_WORK = {
-    "minpoly-A": (MINPOLY_A, ff_slice_series, 3),
-    "minpoly-B": (MINPOLY_B, tf_slice_series, 5),
-    "minpoly-F": (MINPOLY_F, _f_series, 3),
-}
-
-
-@pytest.mark.parametrize("name", sorted(RESIDUAL_WORK))
+@pytest.mark.parametrize("name", ["minpoly-A", "minpoly-B", "minpoly-F"])
 def test_coefficients_per_residual_request(name, monkeypatch, fresh_states):
-    """A cold request at order n computes the n + 1 coefficients of each
-    series, as a run without the state does; a request no deeper than
-    the state computes nothing; a deeper one computes the n - m past the
-    stored order m; and one whose series differs first at x^k computes
-    n + 1 - k."""
-    relation, series_at, products = RESIDUAL_WORK[name]
-    computed = _count_coefficients(monkeypatch)
-    for n, per_series in ((40, 41), (40, 0), (25, 0), (0, 0), (47, 7),
-                          (60, 13), (59, 0), (120, 60)):
-        computed.clear()
-        assert relation_residual(relation, series_at(n)) is None, n
-        assert computed == [per_series] * (products if per_series else 0), n
-    corrupted = series_at(100)
-    corrupted.coefficients[30] += 1
-    computed.clear()
-    assert relation_residual(relation, corrupted) is not None
-    assert computed == [71] * products
+    """A check's residual route steps n + 1 depths on a cold request
+    through n, none at or below its stored depth, and the n - m past a
+    stored depth m; each step reads its terms at its own depth only, so
+    no source count past n is read."""
+    stepped = _count_residual_steps(monkeypatch)
+    for n, steps in ((40, 41), (40, 0), (25, 0), (0, 0), (47, 7),
+                     (60, 13), (59, 0), (120, 60)):
+        stepped.clear()
+        assert run_check(name, n)[0], n
+        assert stepped == [(k, {k}) for k in range(n + 1 - steps, n + 1)], n
 
 
-def test_one_state_entry_per_relation_name(fresh_states):
-    """Fifty random relations evaluated under one name leave one entry,
-    that of the last; each answers as the plain Horner reference does."""
+def test_relation_residual_keeps_no_state(fresh_states):
+    """Fifty random relations evaluated under one name answer as the
+    plain Horner reference does and leave every registry entry as it
+    was; each minpoly check keeps the one key of its residual route,
+    whatever the order of its requests."""
+    names = ("minpoly-A", "minpoly-B", "minpoly-F")
+    for name in names:
+        assert run_check(name, 30)[0], name
+    before = dict(_STATES)
+    memos = [state._memo for state in before.values()]
     rng = random.Random(19)
     for _ in range(50):
         polys = tuple(tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4)))
                       for _ in range(rng.randint(1, 5)))
         y = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12))]
-        answer = relation_residual(PolyRelation("shared", polys),
+        answer = relation_residual(PolyRelation("minpoly-A", polys),
                                    TruncatedSeries(y))
         assert answer == _first_nonzero(_plain_horner(polys, y))
-    assert list(_STATES) == [("relation_residual", "shared")]
-    assert _STATES["relation_residual", "shared"].polys == polys
+    assert _STATES == before
+    assert all(state._memo is memo
+               for state, memo in zip(_STATES.values(), memos))
+    for n in (50, 10, 70):
+        for name in names:
+            assert run_check(name, n)[0], (name, n)
+        assert sorted(key[1] for key in _STATES
+                      if key[0] == "relation_residual") == list(names), n
 
 
 def _count_residual_degrees(monkeypatch):
