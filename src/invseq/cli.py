@@ -33,9 +33,11 @@ byte-identical text, so the commands are safe to diff in CI.
 series prints each count of the rules memo or the closed form with the
 decimal text a per-process memo keeps for that value (``_DECIMAL``), so
 a process converts each such count to text once; the oracle's counts,
-which no prefix keeps, are converted on every request.  profile prints
-``profile_text``, which renders the dense level without building a
-dict.
+which no prefix keeps, are converted on every request.  The memo is
+keyed by value, not by source, because the rules memo and the closed
+form hold the same 201-210 counts, so one memo converts each count once
+for both.  profile prints ``profile_text``, which renders the dense
+level without building a dict.
 
 main() builds the argument parser once per process, on its first call,
 and reuses it; build_parser() still returns a fresh one.

@@ -50,16 +50,18 @@ pairs does no pair work, so thin trees stay one small state per level.
 State DP.  With patterns of length at most 4 the subtree below a prefix
 depends on nothing but its length, its banned mask and its seen mask
 with the pairs in it: the children are the unbanned values, and each
-child's masks follow from the parent's masks and the appended value.  So
-`_count_fast` runs level by level over a dict {(banned, seen): number of
-prefixes}, which counts exactly what the walk would, merging the
-prefixes that share a state.  The last position reads only `banned`, so
-the deepest level is keyed on it alone (on canonical keys, below, the
-prefixes of length n - 1 are counted by their candidates, and their keys
-are never built).  At n = 8, {0123} has 83 states
-over its levels against 9,591 avoiders of length 8; at n = 10, {1012}
-has 3,846 against 1,694,858, and counts in about 70 ms against about
-800 ms for the walk.
+child's masks follow from the parent's masks and the appended value.
+One transition, `_raw_children`, lists a raw state's children with their
+values, and counting and listing both step it: `_count_raw` runs level
+by level over a dict {(banned, seen): number of prefixes}, which counts
+exactly what the walk would, merging the prefixes that share a state.
+The last position reads only `banned`, so the transition keeps no `seen`
+at depth n - 1, and the last level is counted by popcount (on canonical
+keys, below, the prefixes of length n - 1 are counted by their
+candidates, and their keys are never built).  At n = 8, {0123} has 83
+states over its levels against 9,591 avoiders of length 8; at n = 10,
+{1012} has 3,846 against 1,694,858, and counts in about 70 ms against
+about 800 ms for the walk.
 
 Canonical states.  What a rule (c, ra, rv) of a length-3 pattern reads
 of `seen` follows from the rule alone (`_reads`).  With c "above" and
@@ -71,11 +73,11 @@ region c and misses region rv; every other rule reads individual
 values.  By pattern: 100, 201 and 210 read the maximum, 011, 012 and
 021 the minimum, the other seven individual values.  When no rule of
 the basis reads individual values, `seen` is cut down to the extremes
-its rules read (`_seen_cut`).  That is all `listing_text` does, since
-its values must stay absolute; `_count_fast` also demotes seen values
-(below) and relabels each state by the order of its values, which keeps
-the subtree below it (bans are unions of regions defined by
-comparisons):
+its rules read (`_seen_cut`).  That is all the raw transition does,
+since the listing's values must stay absolute; `_count_fast` also
+demotes seen values (below) and relabels each state by the order of its
+values, which keeps the subtree below it (bans are unions of regions
+defined by comparisons):
 - a banned value not in `seen` is inert: it is never a candidate again
   and no rule reads it, so it is dropped;
 - of two values in both `seen` and `banned` with no candidate between
@@ -123,10 +125,11 @@ one length that share a state have the same set of completions, and
 lexicographic order on words is the order of their first entries, then
 of what follows; so the sorted completions of a state are, for each
 child value v in increasing order, v put in front of every sorted
-completion of that child's state.  A forward pass records each state's
-children in value order; a backward pass builds, from the last position
-up to the root, one text block per state holding its completions, a
-child's block taking its digit with one bytes.replace of every newline.
+completion of that child's state.  A forward pass steps the raw
+transition of the state DP and numbers each state's children in value
+order; a backward pass builds, from the last position up to the root,
+one text block per state holding its completions, a child's block
+taking its digit with one bytes.replace of every newline.
 Python-level work then grows with the transitions of the DP, not with
 the number of words, and only the blocks of two adjacent depths are
 alive at once.  A value is one character only while it is a digit, that
@@ -350,11 +353,11 @@ def _count_fast(basis, n_max):
         return [1]
     if any(len(p) > 3 for p in basis):
         return _count_raw(basis, n_max)
-    bans = start, ban = _bans(basis)
+    start, ban = _bans(basis)
     if n_max == 1:
         return [1, ~start & 1]
     counts = []
-    for level in _canonical_levels(basis, n_max - 1, _seen_cut(basis), bans):
+    for level in _canonical_levels(basis, n_max - 1):
         counts.append(sum(level.values()))
     # the prefixes of length n_max - 1 only pick the last entry, so they
     # are counted by their candidates, without building their keys
@@ -372,54 +375,76 @@ def _count_fast(basis, n_max):
     return counts + [below, last]
 
 
+def _raw_children(basis, n):
+    """(start, children) of the DP over raw (banned, seen) states, for a
+    basis whose patterns have length at most 4 and the values 0..n-1; the
+    bits of seen from n up hold the pairs.
+
+    start is the banned mask of the empty prefix, whose seen is 0.
+    children(banned, seen, depth) lists, in increasing value, the pair
+    (v, key) for each candidate v of the entry after a prefix of length
+    depth in that state, key being the child's state.  A child at depth
+    n - 1 only picks the last entry, so it keeps no seen; otherwise seen
+    is cut down to the extremes the rules read when _seen_cut applies.
+    The values stay absolute, as the listing needs."""
+    start, ban = _bans(basis)
+    pair_ban, link, lone = _pair_rules(basis, n)
+    values = (1 << n) - 1
+    cut = _seen_cut(basis) or (lambda seen: seen)
+
+    def children(banned, seen, depth):
+        keep = depth < n - 2
+        # candidates for entry number `depth` are 0..depth, minus banned ones
+        rest = ~banned & ((2 << depth) - 1)
+        out = []
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            # a prefix whose only value is v has no pairs (see lone)
+            if link and (lone or seen != bit):
+                key = (banned | ban(v, seen & values) | pair_ban(v, seen),
+                       seen | bit | link(v, seen) if keep else 0)
+            else:
+                key = (banned | ban(v, seen), cut(seen | bit) if keep else 0)
+            out.append((v, key))
+        return out
+
+    return start, children
+
+
 def _count_raw(basis, n_max):
     """Level counts from a forward DP over raw (banned, seen) states, for
-    a basis with a length-4 pattern; the bits of seen from n_max up hold
-    the pairs."""
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
-    start, ban = _bans(basis)
-    pair_ban, link, lone = _pair_rules(basis, n_max)
-    values = (1 << n_max) - 1
+    a basis with a length-4 pattern: each level steps _raw_children and
+    sums the prefixes per state, and the count at n_max is a popcount per
+    state at depth n_max - 1, so the last level builds no keys."""
+    start, children = _raw_children(basis, n_max)
+    counts = [1]
     level = {(start, 0): 1}
     for depth in range(n_max - 1):
-        # candidates for entry number `depth` are 0..depth, minus banned ones
-        full = (2 << depth) - 1
-        # the states at depth n_max - 1 only pick the last entry: drop `seen`
-        # and the pairs in it
-        keep = depth < n_max - 2
         nxt = {}
         for (banned, seen), mult in level.items():
-            rest = ~banned & full
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                v = bit.bit_length() - 1
-                # a prefix whose only value is v has no pairs (see lone)
-                if link and (lone or seen != bit):
-                    key = (banned | ban(v, seen & values) | pair_ban(v, seen),
-                           seen | bit | link(v, seen) if keep else 0)
-                else:
-                    key = (banned | ban(v, seen), seen | bit if keep else 0)
+            for _, key in children(banned, seen, depth):
                 nxt[key] = nxt.get(key, 0) + mult
         level = nxt
-        counts[depth + 1] = sum(level.values())
-    counts[n_max] = sum(mult * (~banned & values).bit_count()
-                        for (banned, _), mult in level.items())
+        counts.append(sum(level.values()))
+    values = (1 << n_max) - 1
+    counts.append(sum(mult * (~banned & values).bit_count()
+                      for (banned, _), mult in level.items()))
     return counts
 
 
-def _canonical_levels(basis, n, cut, bans=None):
+def _canonical_levels(basis, n):
     """The levels at depths 0..n-1 of the DP over canonical keys, each a
-    dict {(banned, seen, width): number of prefixes}, where cut is
-    _seen_cut(basis), or None when a rule reads individual values (see
-    Canonical states above), and bans is _bans(basis), computed here when
-    the caller has not.
+    dict {(banned, seen, width): number of prefixes}, for a basis whose
+    patterns have length at most 3; seen is cut by _seen_cut(basis) when
+    it applies (see Canonical states above).
 
     Keys do not hold the depth, so the children of a key are computed
     once, the first time it is reached."""
-    start, ban = bans or _bans(basis)
+    start, ban = _bans(basis)
     tests = _demotion(basis)
+    cut = _seen_cut(basis)
     level = {(start & 1, 0, 0): 1}
     children = {}
     yield level
@@ -682,38 +707,17 @@ def listing_text(basis, n):
         return None
     if n == 0:
         return "\n"
-    start, ban = _bans(basis)
-    pair_ban, link, lone = _pair_rules(basis, n)
-    values = (1 << n) - 1
-    # values stay absolute here, so only the projection of `seen` applies
-    cut = _seen_cut(basis) or (lambda seen: seen)
+    start, children = _raw_children(basis, n)
     # forward: tree[d][i] lists the (value, child index) pairs of state i
     # at depth d, in increasing value; states are numbered per depth in
     # the order they are first reached
     level = [(start, 0)]
     tree = []
     for depth in range(n - 1):
-        # the states at depth n - 1 only pick the last entry: drop `seen`
-        keep = depth < n - 2
-        mask = (2 << depth) - 1
         index = {}
-        children = []
-        for banned, seen in level:
-            out = []
-            rest = ~banned & mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                v = bit.bit_length() - 1
-                # a prefix whose only value is v has no pairs (see lone)
-                if link and (lone or seen != bit):
-                    key = (banned | ban(v, seen & values) | pair_ban(v, seen),
-                           seen | bit | link(v, seen) if keep else 0)
-                else:
-                    key = (banned | ban(v, seen), cut(seen | bit) if keep else 0)
-                out.append((v, index.setdefault(key, len(index))))
-            children.append(out)
-        tree.append(children)
+        tree.append([[(v, index.setdefault(key, len(index)))
+                      for v, key in children(banned, seen, depth)]
+                     for banned, seen in level])
         level = list(index)
     # backward: a block holds a newline before each of its lines
     digits = _NEWLINE_DIGIT[:n]

@@ -10,7 +10,8 @@ succession code at all.  The command line reaches the checks through
 the public registry in ``invseq.checks``, not through private names,
 every per-process state but the command line's text memo is a Prefix
 in the registry of ``invseq.prefix``, and the runtime imports nothing
-outside the standard library.  These tests read the imports from the
+outside the standard library.  The oracle's counting and listing step
+one transition of its raw states.  These tests read the imports from the
 source (``ast``) and the names the functions load (``co_names``), and
 the registry after requests of every kind."""
 
@@ -117,6 +118,18 @@ def _held(obj):
     return [obj]
 
 
+def _loaded_names(fn):
+    """The global names that fn loads, in its own code or in the code of
+    the functions defined inside it."""
+    names = set()
+    codes = [fn.__code__]
+    while codes:
+        code = codes.pop()
+        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        names.update(code.co_names)
+    return names
+
+
 def _reachable(functions, namespace):
     """Every object that the given functions load by global name from the
     namespace, followed through the functions they reach in the same
@@ -127,17 +140,26 @@ def _reachable(functions, namespace):
     while todo:
         fn = todo.pop()
         seen.setdefault(fn.__name__, fn)
-        codes = [fn.__code__]
-        while codes:
-            code = codes.pop()
-            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-            for name in code.co_names:
-                if name in namespace and name not in seen:
-                    obj = seen[name] = namespace[name]
-                    todo.extend(t for t in _held(obj)
-                                if isinstance(t, types.FunctionType)
-                                and t.__module__ == series.__name__)
+        for name in _loaded_names(fn):
+            if name in namespace and name not in seen:
+                obj = seen[name] = namespace[name]
+                todo.extend(t for t in _held(obj)
+                            if isinstance(t, types.FunctionType)
+                            and t.__module__ == series.__name__)
     return seen
+
+
+def test_counting_and_listing_step_one_raw_transition():
+    """Only the shared transition of the oracle's raw (banned, seen)
+    states reads the pair rules, and both the counting DP and the
+    listing's forward pass step it."""
+    functions = {name: obj for name, obj in vars(oracle).items()
+                 if isinstance(obj, types.FunctionType)
+                 and obj.__module__ == oracle.__name__}
+    assert {name for name, fn in functions.items()
+            if "_pair_rules" in _loaded_names(fn)} == {"_raw_children"}
+    for name in ("_count_raw", "listing_text"):
+        assert "_raw_children" in _loaded_names(functions[name]), name
 
 
 def test_the_walk_follows_calls_and_dispatch_tables():

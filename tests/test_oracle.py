@@ -301,7 +301,7 @@ def test_canonical_levels_of_011_201_evidence():
     {011, 201} has 1 + d(d-1)/2 states, as many as the hand-built (k, ell)
     system has labels."""
     basis = _basis("011,201")
-    sizes = [len(level) for level in _canonical_levels(basis, 31, _seen_cut(basis))]
+    sizes = [len(level) for level in _canonical_levels(basis, 31)]
     assert sizes == [1 + d * (d - 1) // 2 for d in range(31)]
 
 
@@ -355,7 +355,7 @@ def test_canonical_levels_of_010_100_120_210_evidence():
     {010, 100, 120, 210} has 1 + d(d-1)/2 states, as many as its
     hand-built system has labels."""
     basis = _basis("010,100,120,210")
-    sizes = [len(level) for level in _canonical_levels(basis, 31, _seen_cut(basis))]
+    sizes = [len(level) for level in _canonical_levels(basis, 31)]
     assert sizes == [1 + d * (d - 1) // 2 for d in range(31)]
 
 
@@ -366,7 +366,7 @@ def test_canonical_levels_of_000_evidence():
     while len(fib) < 21:
         fib.append(fib[-2] + fib[-1])
     basis = _basis("000")
-    sizes = [len(level) for level in _canonical_levels(basis, 21, _seen_cut(basis))]
+    sizes = [len(level) for level in _canonical_levels(basis, 21)]
     assert sizes == fib
 
 
@@ -454,10 +454,15 @@ def test_listing_text_peak_memory(basis, n):
 
 def test_pair_states_single_patterns():
     """Each of the 75 length-4 patterns alone: the state DP, whose pairs
-    carry those patterns, against the walk's anchored search."""
+    carry those patterns, against the walk's anchored search, in counts
+    and in the listing text, which has one line per counted word."""
     assert len(PATTERNS_4) == 75
     for p in PATTERNS_4:
-        assert count_sequence((p,), 7) == _walk((p,), 7), p
+        counts = count_sequence((p,), 7)
+        assert counts == _walk((p,), 7), p
+        text = listing_text((p,), 7)
+        assert text == render_listing(list_avoiders((p,), 7)), p
+        assert text.count("\n") == counts[7], p
 
 
 def test_pair_states_with_a_shorter_pattern():
