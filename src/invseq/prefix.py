@@ -13,8 +13,9 @@ of the key: a fault planted in one after a warm request is not seen
 until the registry is emptied.  An argument may be the bound ``count``
 of another prefix, so that a route that reads other routes is keyed on
 the very prefixes it reads, and is stepped cold once one of them is made
-afresh.  Every state is a Prefix, replaced only by a longer one, so
-threads need no lock.  The keys are:
+afresh.  Every state is a Prefix.  The registry is read and written
+under one module lock, so that two threads that find a key empty get
+the same Prefix.  The keys are:
 
   * a system name (``invseq.succession``): the system's rules memo;
   * ``invseq.series``: "f_coefficients", "ff_slice_series",
@@ -38,22 +39,20 @@ has reached, and a checkpoint, the level at every multiple of _SPACING
     count(n), which reads the count at n without copying; level(n) first
     reaches depth n - 1, then returns the stored level if it is at depth
     n, and otherwise steps from the checkpoint at or below n, fewer than
-    _SPACING steps;
-  * so a process steps each depth once, and a single request does the
-    work of a run from the start;
-  * before an extension steps, the prefix is cut back to its last
-    checkpoint, so that the old level at L is freed once the step has
-    gone past it;
-  * a step that raises at depth d publishes the counts at depths 0..d-1
-    and the level at d, so a failing step never leaves the prefix
-    shallower than it was; an empty prefix whose first step raises
-    stays empty;
-  * what is published replaces the prefix only when it is longer.  No
-    lock is needed: the prefix is one attribute read once, an extension
-    works on private copies, and nothing stored is mutated.  Two threads
-    may race between the length check and the write, so that a shorter
-    prefix replaces a longer one; that costs recomputation, never a
-    wrong answer.
+    _SPACING steps, outside the lock;
+  * an extension holds the prefix's lock while it steps, and publishes
+    the counts, the level and the checkpoints after every step, so the
+    old level is freed as soon as its step returns, and a step that
+    raises at depth d leaves the counts at depths 0..d-1 and the level
+    at d; an empty prefix whose first step raises stays empty;
+  * a thread that asks while another extends waits for it, so a
+    process steps each depth once, across threads too, and a single
+    request does the work of a run from the start;
+  * the lock is reentrant, so a step may request its own prefix: the
+    extension stops as soon as what is published is not what it last
+    published, and reads the published prefix again;
+  * an extension copies the counts it starts from once, so no prefix
+    published before it began is mutated.
 
 >>> def double(level):
 ...     return 2 * level, level
@@ -62,16 +61,20 @@ has reached, and a checkpoint, the level at every multiple of _SPACING
 ([1, 2, 4, 8, 16, 32], 16, 8, 1180591620717411303424)
 """
 
+import threading
+
 _STATES = {}        # key -> the Prefix kept under it
+_STATES_LOCK = threading.Lock()
 
 
 def shared(key, start, step, *args):
     """The Prefix in _STATES under key, made on first use, and made
     afresh, replacing the stored one, when the stored one has another
     start, step or arguments."""
-    prefix = _STATES.get(key)
-    if prefix is None or prefix.route != (start, step, args):
-        prefix = _STATES[key] = Prefix(start, step, *args)
+    with _STATES_LOCK:
+        prefix = _STATES.get(key)
+        if prefix is None or prefix.route != (start, step, args):
+            prefix = _STATES[key] = Prefix(start, step, *args)
     return prefix
 
 
@@ -83,6 +86,7 @@ class Prefix:
     def __init__(self, start, step, *args):
         self.route = start, step, args
         self._memo = None
+        self._lock = threading.RLock()
 
     def counts(self, n):
         """[count at depth 0, ..., count at depth n], a fresh list."""
@@ -99,12 +103,14 @@ class Prefix:
     def level(self, n):
         """The level at depth n: the stored level once the prefix is n
         deep, or stepped from the checkpoint at or below n."""
-        counts, level, checkpoints = self._reach(n)
-        if len(counts) != n:
-            _, step, args = self.route
-            level = checkpoints[n // self._SPACING]
-            for _ in range(n % self._SPACING):
-                level = step(level, *args)[0]
+        with self._lock:
+            counts, level, checkpoints = self._reach(n)
+            if len(counts) == n:
+                return level
+        _, step, args = self.route
+        level = checkpoints[n // self._SPACING]
+        for _ in range(n % self._SPACING):
+            level = step(level, *args)[0]
         return level
 
     def _reach(self, n):
@@ -115,26 +121,18 @@ class Prefix:
         if n < 0:
             raise ValueError("n must be non-negative")
         start, step, args = self.route
-        memo = self._memo
-        if memo is None:
-            counts, level, checkpoints = [], start, [start]
-        elif len(memo[0]) >= n:
-            return memo
-        else:
-            counts, level, checkpoints = memo
-            top = (len(checkpoints) - 1) * self._SPACING
-            if top < len(counts) and self._memo is memo:
-                self._memo = (counts[:top], checkpoints[-1], checkpoints)
-            counts, checkpoints, memo = list(counts), list(checkpoints), None
-        try:
-            while len(counts) < n:
-                level, count = step(level, *args)
-                counts.append(count)
-                if len(counts) % self._SPACING == 0:
-                    checkpoints.append(level)
-        finally:
-            reached = counts, level, tuple(checkpoints)
-            memo = self._memo
-            if counts and (memo is None or len(counts) > len(memo[0])):
-                self._memo = reached
-        return reached
+        with self._lock:
+            while True:
+                memo = self._memo
+                counts, level, checkpoints = memo or ([], start, (start,))
+                if len(counts) >= n:
+                    return counts, level, checkpoints
+                counts = list(counts)
+                while len(counts) < n:
+                    level, count = step(level, *args)
+                    if self._memo is not memo:
+                        break
+                    counts.append(count)
+                    if len(counts) % self._SPACING == 0:
+                        checkpoints += (level,)
+                    self._memo = memo = counts, level, checkpoints

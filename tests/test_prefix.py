@@ -15,6 +15,8 @@ the test of ``Prefix.count`` reads all twelve, and ``test_series`` and
 
 import ast
 import inspect
+import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -166,10 +168,9 @@ def _assert_answers_equal(prefix, cold):
 def test_a_failing_step_never_leaves_a_prefix_shallower(name, monkeypatch,
                                                         fresh_states):
     """A step that raises during an extension, a few steps in or at the
-    first one, leaves the prefix at least as deep as it was, although
-    the extension cut it back to its last checkpoint before stepping: it
-    holds the counts of the depths stepped and the level at the depth
-    whose step raised.  Afterwards every answer equals a run from the
+    first one, leaves the prefix at least as deep as it was: it holds
+    the counts of the depths stepped and the level at the depth whose
+    step raised.  Afterwards every answer equals a run from the
     start."""
     prefix, current, _ = _route(name, monkeypatch)
     cold = _cold(prefix, 130)
@@ -255,23 +256,26 @@ def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch,
                                                       fresh_states):
     """With checkpoints every 8 depths, a series prefix keeps the levels
     at 0, 8, 16, ..., and while a request extends it from depth 21 it is
-    the consistent triple ending at the checkpoint 16; a level between
-    two checkpoints is stepped from the one below it."""
+    published after every step: when the level at depth d is stepped,
+    the prefix holds the counts through d - 1 and that very level, so no
+    older level is kept; a level between two checkpoints is stepped from
+    the one below it."""
     prefix, current, _ = _route(name, monkeypatch)
     prefix._SPACING = 8
     cold = _cold(prefix, 31)
     prefix.counts(21)
     assert list(prefix._memo[2]) == [cold[d][0] for d in (0, 8, 16)]
-    real = current[0]
+    start, step, args = prefix.route
     seen = []
 
-    def watching(*args):
-        counts, deepest, checkpoints = prefix._memo
-        seen.append((len(counts), deepest is checkpoints[-1]))
-        return real(*args)
-    with _running(current, watching):
-        assert SERIES_REQUESTS[name](30) == [c for _, c in cold[:31]]
-    assert seen == [(16, True)] * 9
+    def watching(level, *rest):
+        counts, deepest, _ = prefix._memo
+        seen.append((len(counts), deepest is level))
+        return step(level, *rest)
+    prefix.route = start, watching, args
+    assert prefix.counts(30) == [c for _, c in cold[:31]]
+    prefix.route = start, step, args
+    assert seen == [(d, True) for d in range(22, 31)]
     counts, level, checkpoints = prefix._memo
     assert len(counts) == 31
     assert level == cold[31][0]
@@ -426,6 +430,70 @@ def test_no_series_route_runs_past_the_requested_depth(name, n, monkeypatch,
         fresh_states()
         assert [run_check(check, d) for d in order] == \
             [expected[d] for d in order]
+
+
+def test_threads_that_find_a_key_empty_share_one_prefix(monkeypatch,
+                                                        fresh_states):
+    """Two threads that ask shared for an empty key at once get the same
+    Prefix: making one waits up to 1 s for the other thread to make one
+    too, which it never does, since the lookup and the store are one
+    step."""
+    barrier = threading.Barrier(2)
+
+    class Waiting(Prefix):
+        def __init__(self, *route):
+            try:
+                barrier.wait(timeout=1)
+            except threading.BrokenBarrierError:
+                pass
+            super().__init__(*route)
+    monkeypatch.setattr(prefix_module, "Prefix", Waiting)
+    got = []
+
+    def step(level):
+        return level, 0
+
+    def ask():
+        got.append(prefix_module.shared("race", 0, step))
+    threads = [threading.Thread(target=ask) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert len(got) == 2 and got[0] is got[1] is _STATES["race"]
+
+
+def test_a_request_during_an_extension_repeats_no_step(fresh_states):
+    """A request for depth 20 that arrives while another thread extends
+    the same prefix to 50 waits for it and reads its counts: the step
+    runs once per depth 0..50 in all."""
+    reached = threading.Event()
+    stepped = []
+
+    def slow(level):
+        time.sleep(0.002)
+        stepped.append(level)
+        if level == 5:
+            reached.set()
+        return level + 1, level
+    prefix = Prefix(0, slow)
+    answers = {}
+
+    def deep():
+        answers[50] = prefix.counts(50)
+
+    def shallow():
+        assert reached.wait(timeout=10)
+        answers[20] = prefix.counts(20)
+    threads = [threading.Thread(target=deep), threading.Thread(target=shallow)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert answers == {n: list(range(n + 1)) for n in (50, 20)}
+    assert sorted(stepped) == list(range(51))
 
 
 def test_prefix_imports_no_invseq_module():

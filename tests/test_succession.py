@@ -426,18 +426,19 @@ def test_concurrent_requests_share_a_consistent_memo(system_id, monkeypatch):
 @pytest.mark.parametrize("system_id", SYSTEM_IDS)
 def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
                                                             monkeypatch):
-    """While a request extends the memo from a depth that is not a
-    checkpoint, the memo is a consistent triple ending at the last
-    checkpoint, so it no longer holds the old deepest level; afterwards
-    it reaches the new depth."""
+    """While a request extends the memo from depth 21 to 30, the memo is
+    published after every step: when the kernel steps the level at depth
+    d, the memo holds the counts through d - 1 and that very level, so it
+    no longer holds any older level; afterwards it reaches the new
+    depth."""
     seen, watching = [], []
     system = _fresh(system_id)
     kernel = system.kernel
 
     def watching_kernel(level):
         if watching:
-            counts, deepest, checkpoints = system.memo._memo
-            seen.append((len(counts), deepest is checkpoints[-1]))
+            counts, deepest, _ = system.memo._memo
+            seen.append((len(counts), deepest is level))
         return kernel(level)
 
     system.kernel = watching_kernel
@@ -446,7 +447,7 @@ def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
     rule_counting_sequence(system_id, 21)
     watching.append(True)
     rule_counting_sequence(system_id, 30)
-    assert seen == [(16, True)] * 9
+    assert seen == [(d, True) for d in range(22, 31)]
     assert len(system.memo._memo[0]) == 31
     assert state_profile(system_id, 21) == _expected("state_profile",
                                                      system_id, 21)
