@@ -112,7 +112,7 @@ def _verify_minpoly_a(n_max):
 def _verify_minpoly_b(n_max):
     # B(x,1) = F(x) - A(x,1): the 201-210 rules accept (k,F,F) and (k,T,F)
     # and never reach (k,F,T), so a depth's count minus its (k,F,F) sum is
-    # its (k,T,F) sum, the coefficient tf_slice_series gives.
+    # its (k,T,F) sum, the b slice of the 201-210 DP summed over k.
     return _verify_minpoly(MINPOLY_B, n_max, get_system("201-210").memo,
                            _ff_slice_prefix())
 
@@ -212,10 +212,13 @@ def run_check(name, n_max=None):
     """Run the named check through n_max (its default depth when None)
     and return (ok, lines).
 
-    A negative depth raises ValueError.  An arithmetic error inside the
-    check, such as an inexact division, is a failure: (False,
-    ["FAIL: <message>"]).
+    An unknown name or a negative depth raises ValueError.  An
+    arithmetic error inside the check, such as an inexact division, is a
+    failure: (False, ["FAIL: <message>"]).
     """
+    if name not in CHECKS:
+        raise ValueError("unknown check %r (have: %s)"
+                         % (name, ", ".join(sorted(CHECKS))))
     check, default_depth = CHECKS[name]
     if n_max is None:
         n_max = default_depth

@@ -18,9 +18,10 @@ under one module lock, so that two threads that find a key empty get
 the same Prefix.  The keys are:
 
   * a system name (``invseq.succession``): the system's rules memo;
-  * ``invseq.series``: "f_coefficients", "ff_slice_series",
-    "system-201-210", ("iterate_fe", system) and ("relation_residual",
-    name), the residual of a relation on the prefixes it reads;
+  * ``invseq.series``: "f_coefficients", "ff_slice_series" (the
+    (k,F,F) slice of ``_ff_slice_prefix``), "system-201-210",
+    ("iterate_fe", system) and ("relation_residual", name), the residual
+    of a relation on the prefixes it reads;
   * "structure-theorem" (``invseq.checks``).
 
 start is the level at depth 0.  step(level, *args) takes the level at

@@ -4,10 +4,10 @@ Everything here is exact, with hard truncation orders, so every identity
 we claim is checked coefficient-by-coefficient with no floating point
 anywhere.  The module has four layers:
 
-  * univariate series: the closed form (``f_coefficients``), the slice
-    series of the 201-210 DP, and ``TruncatedSeries``, which holds the
-    coefficients of a series known through ``x^order`` and does no
-    arithmetic.
+  * univariate series: the closed form (``f_coefficients``), the prefix
+    of the (k,F,F) slice of the 201-210 DP (``_ff_slice_prefix``), and
+    ``TruncatedSeries``, which holds the coefficients of a series known
+    through ``x^order`` and does no arithmetic.
   * polynomial relations (``PolyRelation`` / ``relation_residual``) used to
     test that a series satisfies an algebraic equation, by Horner's rule
     in y^2 with y^2 formed by a symmetric square, one coefficient per
@@ -44,11 +44,10 @@ nothing past it.  None of them is the rules memo of
 they check: the slices never touch the memo, and the closed form and
 the functional equations reach no succession code.  A residual is keyed
 on the prefixes it reads, so it steps cold once one of them is made
-afresh.  Three routes keep no prefix in the registry and replay cold, in
-a Prefix of their own: ``tf_slice_series``, minpoly-B's reference, a
-full run of the 201-210 kernel from the axiom; injected census profiles,
-through the system's step; and ``relation_residual``, through
-``_residual_step`` over the coefficients it is given.
+afresh.  Two routes keep no prefix in the registry and replay cold, in a
+Prefix of their own: injected census profiles, through the system's
+step, and ``relation_residual``, through ``_residual_step`` over the
+coefficients it is given.
 """
 
 from collections import namedtuple
@@ -78,17 +77,6 @@ class TruncatedSeries:
         coeffs.extend([0] * (order + 1 - len(coeffs)))
         self.order = order
         self.coefficients = coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.order == other.order
-                and self.coefficients == other.coefficients)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "TruncatedSeries(%r, order=%d)" % (self.coefficients, self.order)
 
 
 def f_coefficients(n_max):
@@ -137,33 +125,14 @@ def _f_step(level):
     return (k + 1, r, f, f1), f
 
 
-def ff_slice_series(n_max):
-    """Series counting the depth-n states (k,F,F) of the 201-210 system,
-    summed over k.  Its coefficients are the Catalan numbers.
-
-    The sums come from this process's prefix of the slice, stepped alone
-    by ``_step_ff`` from the axiom's slice [1] (see ``invseq.prefix``).
-    The route never touches the rules memo, so minpoly-B, which
-    subtracts these sums from the memo's counts, takes its two terms from
-    separate routes."""
-    return TruncatedSeries(_ff_slice_prefix().counts(n_max), n_max)
-
-
 def _ff_slice_prefix():
-    """This process's prefix of the (k,F,F) slice, stepped by _step_ff."""
+    """This process's prefix of the (k,F,F) slice of the 201-210 system,
+    stepped alone by _step_ff from the axiom's slice [1] (see
+    ``invseq.prefix``); its count at depth n, the slice summed over k,
+    is the n-th Catalan number.  The route never touches the rules memo,
+    so minpoly-B, which subtracts these sums from the memo's counts,
+    takes its two terms from separate routes."""
     return shared("ff_slice_series", [1], _step_ff)
-
-
-def tf_slice_series(n_max):
-    """Series counting the depth-n states (k,T,F), summed over k.
-
-    The reference for the minpoly-B check, which builds the same series
-    as the 201-210 counts minus ``ff_slice_series``; this one sums the b
-    slices of a full run of the 201-210 kernel from the axiom, stepped by
-    a Prefix that the registry never holds."""
-    prefix = Prefix(([1], [0], [0]),
-                    lambda level: (_fast_step_201_210(level)[0], sum(level[1])))
-    return TruncatedSeries(prefix.counts(n_max), n_max)
 
 
 # -- polynomial relations ---------------------------------------------------
@@ -551,15 +520,6 @@ _FE_STEP = {
 }
 
 
-def _fe_step(system_id):
-    """The per-slice step of a system's functional equation; ValueError
-    for a system that has none."""
-    try:
-        return _FE_STEP[system_id]
-    except KeyError:
-        raise ValueError("no functional equation for system %r" % system_id) from None
-
-
 def _fe_slice_step(level, step):
     """The step of a functional-equation prefix at x^deg, whose level
     there is (deg, the slice at x^(deg-1), or None at deg = 0): the
@@ -603,6 +563,9 @@ def iterate_fe(system_id, n_max):
     at call time.  An unknown system raises ValueError before the prefix
     is read.
     """
-    step = _fe_step(system_id)
+    try:
+        step = _FE_STEP[system_id]
+    except KeyError:
+        raise ValueError("no functional equation for system %r" % system_id) from None
     return shared(("iterate_fe", system_id), (0, None), _fe_slice_step,
                   step).counts(n_max)

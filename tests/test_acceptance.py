@@ -10,9 +10,9 @@ import time
 from invseq.checks import run_check
 from invseq.oracle import count_avoiders, count_sequence
 from invseq.series import (
+    _ff_slice_prefix,
     CUBIC_010_102,
     f_coefficients,
-    ff_slice_series,
     relation_residual,
     TruncatedSeries,
 )
@@ -91,7 +91,7 @@ def test_criterion_05_oracle_equivalence():
             count_sequence(B_QUAD, 11) ==
             rule_counting_sequence("010-100-120-210", 11),
             count_sequence(B_201_210, 11) == f_coefficients(11),
-            count_sequence(B_10, 11) == ff_slice_series(11).coefficients,
+            count_sequence(B_10, 11) == _ff_slice_prefix().counts(11),
             relation_residual(
                 CUBIC_010_102,
                 TruncatedSeries(count_sequence(B_010_102, 11))) is None,

@@ -1,10 +1,11 @@
 """The per-process state of the structure-theorem check: each inversion
 sequence goes to the structure checker and to pattern avoidance once per
 process, whatever the order of the requests, and the printed lines are
-those of a cold run.  The concurrency test also runs the system check,
-whose prefix threads share in the same way, the last but one empties
-the whole registry after every check, and the last plants a fault in a
-step after a warm run, with no reset."""
+those of a cold run.  The first test asks for a check that does not
+exist.  The concurrency test also runs the system check, whose prefix
+threads share in the same way, the last but one empties the whole
+registry after every check, and the last plants a fault in a step after
+a warm run, with no reset."""
 
 import sys
 import threading
@@ -34,6 +35,17 @@ def _count_calls(monkeypatch):
             return _real(e, *args)
         monkeypatch.setattr(checks, name, counted)
     return seen
+
+
+def test_an_unknown_check_is_value_error_naming_the_checks(fresh_states):
+    """run_check rejects a name outside CHECKS as get_system rejects an
+    unknown system, with every name there is, before it runs anything."""
+    have = ", ".join(sorted(CHECKS))
+    for name in ("nope", "minpoly-a", ""):
+        with pytest.raises(ValueError) as info:
+            run_check(name, 5)
+        assert str(info.value) == "unknown check %r (have: %s)" % (name, have)
+    assert not _STATES
 
 
 @pytest.mark.parametrize("order", [(5, 7, 6, 8), (8, 5)])

@@ -423,18 +423,14 @@ def test_internal_error_is_one_line_and_exit_two(capsys, monkeypatch, module,
 
 
 def _bump_at(k, key=None):
-    """A plant for a route that returns a sequence or a TruncatedSeries:
-    add 1 to its entry k, on the calls whose first argument is key when
-    key is given."""
+    """A plant for a route that returns a sequence: add 1 to its entry
+    k, on the calls whose first argument is key when key is given."""
     def plant(real):
         def planted(*args):
             out = real(*args)
             if key is None or args[0] == key:
-                coefficients = list(getattr(out, "coefficients", out))
-                coefficients[k] += 1
-                out = (series.TruncatedSeries(coefficients)
-                       if isinstance(out, series.TruncatedSeries)
-                       else coefficients)
+                out = list(out)
+                out[k] += 1
             return out
         return planted
     return plant

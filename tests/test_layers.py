@@ -11,11 +11,14 @@ the public registry in ``invseq.checks``, not through private names,
 every per-process state but the command line's text memo is a Prefix
 in the registry of ``invseq.prefix``, and the runtime imports nothing
 outside the standard library.  The oracle's counting and listing step
-one transition of its raw states.  These tests read the imports from the
-source (``ast``) and the names the functions load (``co_names``), and
+one transition of its raw states.  Every top-level function and class
+of the runtime is read by the package or exported, so none serves tests
+alone.  These tests read the imports and definitions from the source
+(``ast``), the names the functions load (``co_names`` and ``dis``), and
 the registry after requests of every kind."""
 
 import ast
+import dis
 import inspect
 import pathlib
 import sys
@@ -73,8 +76,8 @@ def test_oracle_imports_only_pattern_validation():
 
 def test_series_reads_only_the_census_slices_of_succession():
     """The steps of the (k,F,F) slice and of the 201-210 census, which
-    the system check and tf_slice_series step through prefixes of their
-    own: no rule system, so no memo."""
+    minpoly-A and the system check step through prefixes of their own:
+    no rule system, so no memo."""
     from_succession = {name for m, name in _imports_of(series)
                        if m == "succession"}
     assert from_succession == {"_step_ff", "_fast_step_201_210"}
@@ -103,6 +106,88 @@ def test_series_imports_nothing_from_the_oracle():
 def test_cli_imports_no_private_name():
     assert not {(m, name) for m, name in _imports_of(cli)
                 if name and name.startswith("_")}
+
+
+def _loads_by_owner(paths):
+    """{name: {(owner, by_attribute)}} over every code object of the
+    modules at paths that loads the name: a LOAD_* instruction with a
+    name (not LOAD_CONST) or IMPORT_FROM.  The owner is the (module,
+    name) of the top-level function or class whose body holds the code
+    object, or (module, the code's name) for module-level code and what
+    it holds outside a definition; by_attribute tells an IMPORT_FROM,
+    LOAD_ATTR or LOAD_METHOD, which may read another module's name, from
+    a load of the module's own.  The modules are compiled from their
+    source, not run."""
+    owners = {}
+    for path in paths:
+        module = compile(path.read_text(), str(path), "exec")
+        todo = [(module, (path.stem, module.co_name))]
+        while todo:
+            code, owner = todo.pop()
+            for ins in dis.get_instructions(code):
+                if (ins.opname == "IMPORT_FROM"
+                        or ins.opname.startswith("LOAD_")
+                        and ins.opname != "LOAD_CONST") \
+                        and isinstance(ins.argval, str):
+                    by_attribute = ins.opname in (
+                        "IMPORT_FROM", "LOAD_ATTR", "LOAD_METHOD")
+                    owners.setdefault(ins.argval, set()).add(
+                        (owner, by_attribute))
+            todo.extend((const, (path.stem, const.co_name)
+                         if code is module else owner)
+                        for const in code.co_consts
+                        if isinstance(const, types.CodeType))
+    return owners
+
+
+def _orphans(paths, exported):
+    """{(module, name)} for each top-level function or class of the
+    modules at paths that exported does not name and that no code object
+    loads outside its own body: by name in the same module, or as an
+    attribute or an import in any."""
+    owners = _loads_by_owner(paths)
+    orphans = set()
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined = path.stem, node.name
+                if node.name not in exported and not any(
+                        owner != defined
+                        and (owner[0] == path.stem or by_attribute)
+                        for owner, by_attribute in owners.get(node.name, ())):
+                    orphans.add(defined)
+    return orphans
+
+
+def test_the_orphan_reader_sees_calls_tables_imports_and_recursion(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def called(n):\n    return tabled(n) if n else called(n)\n"
+        "def tabled(n):\n    return [tabled for _ in ()]\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def imported():\n    pass\n"
+        "def exported():\n    pass\n"
+        "class Named:\n    def method(self):\n        return Named\n"
+        "def attribute():\n    pass\n"
+        "def keyed():\n    return 'quoted'\n"
+        "def quoted():\n    pass\n"
+        "def twin():\n    pass\n"
+        "TABLE = {'k': called}\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import imported\nimport a\n"
+        "def reader():\n    return a.attribute, a.keyed, twin\n"
+        "def twin():\n    pass\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _orphans(paths, ["exported", "reader"]) == {
+        ("a", "recursive"), ("a", "Named"), ("a", "quoted"), ("a", "twin")}
+
+
+def test_every_top_level_definition_is_read_or_exported():
+    """No function or class of the runtime serves tests alone: each one
+    defined at the top level of a module is loaded by some code object
+    of the package outside its own body, or named in ``invseq.__all__``."""
+    paths = sorted(pathlib.Path(invseq.__file__).parent.glob("*.py"))
+    assert _orphans(paths, invseq.__all__) == set()
 
 
 def _held(obj):

@@ -1,6 +1,6 @@
 """The per-process prefix of ``invseq.prefix`` on each of the nine
 routes that keep one and read no other route: the three rule systems
-(the rules memo), the (k,F,F) slice behind ``ff_slice_series``, the
+(the rules memo), the (k,F,F) slice of ``_ff_slice_prefix``, the
 census and residual rows of the 201-210 system behind
 ``_check_system_violation`` (the route "census"), the closed form
 behind ``f_coefficients``, the functional-equation iteration of each
@@ -37,7 +37,7 @@ def _census(n):
 
 
 SERIES_REQUESTS = {
-    "ff_slice_series": lambda n: series.ff_slice_series(n).coefficients,
+    "ff_slice_series": lambda n: series._ff_slice_prefix().counts(n),
     "census": _census,
     "f_coefficients": series.f_coefficients,
     **{"iterate_fe:" + system_id: (lambda n, s=system_id: series.iterate_fe(s, n))

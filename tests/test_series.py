@@ -13,9 +13,9 @@ from invseq.checks import run_check
 from invseq.prefix import _STATES, Prefix
 from invseq.series import (
     _check_system_violation,
+    _ff_slice_prefix,
     CUBIC_010_102,
     f_coefficients,
-    ff_slice_series,
     iterate_fe,
     MINPOLY_A,
     MINPOLY_B,
@@ -23,7 +23,6 @@ from invseq.series import (
     phi,
     PolyRelation,
     relation_residual,
-    tf_slice_series,
     TruncatedSeries,
 )
 from invseq.oracle import count_sequence
@@ -42,6 +41,12 @@ def _dp_levels(n):
     system = get_system("201-210")
     prefix = Prefix(system.start, system.kernel)
     return [prefix.level(d) for d in range(n + 1)]
+
+
+def _tf_slice(n):
+    """The (k,T,F) sums at depths 0..n: the b slices of _dp_levels(n),
+    each summed over k."""
+    return [sum(b) for _, b, _ in _dp_levels(n)]
 
 
 # -- TruncatedSeries ----------------------------------------------------------
@@ -154,8 +159,8 @@ def test_closed_form_step_checks_each_division_and_sign():
 # -- slice series and minimal polynomials -----------------------------------
 
 def test_slice_series_pinned():
-    assert ff_slice_series(10).coefficients == CATALAN
-    assert tf_slice_series(10).coefficients == TF_SLICE
+    assert _ff_slice_prefix().counts(10) == CATALAN
+    assert _tf_slice(10) == TF_SLICE
 
 
 def test_ff_slice_series_equals_the_full_dp_slice():
@@ -165,42 +170,43 @@ def test_ff_slice_series_equals_the_full_dp_slice():
     ff = Prefix([1], succession._step_ff)
     assert ff.counts(120) == [sum(a) for a, _, _ in levels]
     assert [ff.level(n) for n in range(121)] == [a for a, _, _ in levels]
-    assert ff_slice_series(120).coefficients == [sum(a) for a, _, _ in levels]
+    assert _ff_slice_prefix().counts(120) == [sum(a) for a, _, _ in levels]
 
 
 def test_counts_minus_the_ff_slice_are_the_tf_slice():
     """B(x,1) = F(x) - A(x,1): at every depth the count minus the (k,F,F)
-    sum is the (k,T,F) sum, as tf_slice_series and the b slices of the
-    whole 201-210 DP give it."""
-    tf = [sum(b) for _, b, _ in _dp_levels(400)]
+    sum is the (k,T,F) sum, as the b slices of the whole 201-210 DP give
+    it."""
+    tf = _tf_slice(400)
     for n in [*range(61), 400]:
-        ff = ff_slice_series(n).coefficients
+        ff = _ff_slice_prefix().counts(n)
         difference = list(map(sub, rule_counting_sequence("201-210", n), ff))
-        assert difference == tf_slice_series(n).coefficients, n
         assert difference == tf[:n + 1], n
 
 
 def test_minpoly_b_checks_the_tf_slice_series():
-    """minpoly-B evaluates its relation on the series tf_slice_series
-    gives: the y its residual route holds through x^n, last coefficient
-    first, is that series,
-    and the route answers as relation_residual on it does."""
+    """minpoly-B evaluates its relation on the (k,T,F) sums of the b
+    slices of the 201-210 DP: the y its residual route holds through
+    x^n, last coefficient first, is that series, and the route answers
+    as relation_residual on it does."""
+    tf = _tf_slice(200)
     for n in (0, 1, 8, 200):
         assert run_check("minpoly-B", n)[0], n
         route = _STATES["relation_residual", "minpoly-B"]
-        assert route.level(n + 1)[0][::-1] == \
-            tuple(tf_slice_series(n).coefficients), n
+        assert route.level(n + 1)[0][::-1] == tuple(tf[:n + 1]), n
         assert route.count(n) == \
-            relation_residual(MINPOLY_B, tf_slice_series(n)), n
+            relation_residual(MINPOLY_B, TruncatedSeries(tf[:n + 1])), n
 
 
 def test_ff_slice_counts_avoiders_of_10():
-    assert ff_slice_series(10).coefficients == count_sequence(((1, 0),), 10)
+    assert _ff_slice_prefix().counts(10) == count_sequence(((1, 0),), 10)
 
 
 def test_relation_residuals_zero():
-    assert relation_residual(MINPOLY_A, ff_slice_series(200)) is None
-    assert relation_residual(MINPOLY_B, tf_slice_series(200)) is None
+    assert relation_residual(
+        MINPOLY_A, TruncatedSeries(_ff_slice_prefix().counts(200))) is None
+    assert relation_residual(
+        MINPOLY_B, TruncatedSeries(_tf_slice(200))) is None
     f = TruncatedSeries(rule_counting_sequence("201-210", 200))
     assert relation_residual(MINPOLY_F, f) is None
 
@@ -932,7 +938,7 @@ FE_IDS = ("011-201", "010-100-120-210")
 # route name -> the request, (namespace, name) of the step it repeats,
 # and the route (start, step, args) its prefix is keyed on
 PREFIX_ROUTES = {
-    "ff_slice_series": (lambda n: ff_slice_series(n).coefficients,
+    "ff_slice_series": (lambda n: _ff_slice_prefix().counts(n),
                         (vars(series), "_step_ff"),
                         ([1], series._step_ff, ())),
     "f_coefficients": (f_coefficients, (vars(series), "_f_step"),
@@ -1012,9 +1018,8 @@ def test_mutating_an_answer_leaves_the_prefixes_intact(fresh_states):
         for system_id in FE_IDS:
             iterate_fe(system_id, n).append(-1)
             iterate_fe(system_id, n)[-1] = -1
-        s = ff_slice_series(n)
-        s.coefficients[-1] = -1
-        s.coefficients.append(-1)
+        _ff_slice_prefix().counts(n).append(-1)
+        _ff_slice_prefix().counts(n)[-1] = -1
         f_coefficients(n).append(-1)
         f_coefficients(n)[-1] = -1
     for n in (0, 12, 25, 30):

@@ -12,9 +12,7 @@ from invseq.oracle import (
 )
 from invseq.series import (
     f_coefficients,
-    ff_slice_series,
     iterate_fe,
-    tf_slice_series,
     TruncatedSeries,
 )
 from invseq.succession import (
@@ -50,8 +48,6 @@ ENTRY_POINTS = {
     "emit_diagram": lambda n: emit_diagram("201-210", n),
     "TruncatedSeries": lambda n: TruncatedSeries([1], n),
     "f_coefficients": f_coefficients,
-    "ff_slice_series": ff_slice_series,
-    "tf_slice_series": tf_slice_series,
     "iterate_fe": lambda n: iterate_fe("011-201", n),
     **{"run_check:" + name: _check(name) for name in CHECKS},
 }

@@ -454,32 +454,39 @@ def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
 
 
 def test_verify_routes_stay_off_the_memo(monkeypatch, fresh_states):
-    """tf_slice_series, a full run of the 201-210 kernel in a Prefix of
-    its own, and the (k,F,F) slice behind ff_slice_series neither read
-    nor write the memo, so verify's census is never served by the route
-    it checks: they leave a fresh memo empty and ignore a poisoned one."""
+    """The census of the system check, a full run of the 201-210 kernel
+    in a Prefix of its own, and the (k,F,F) slice that minpoly-A reads
+    neither read nor write the memo, so verify's census is never served
+    by the route it checks: they leave a fresh memo empty and ignore a
+    poisoned one.  The census's (k,T,F) row at x^m is the second of the
+    rows its level at x^(m+1) holds."""
     n = 20
     system = _fresh("201-210")
     monkeypatch.setitem(SYSTEMS, "201-210", system)
-    tf = series.tf_slice_series(n)
-    ff = series.ff_slice_series(n)
+
+    def tf_of_the_census():
+        assert series._check_system_violation(n) is None
+        census = _STATES["system-201-210"]
+        return [sum(census.level(m + 1)[1]) for m in range(n + 1)]
+    tf = tf_of_the_census()
+    ff = series._ff_slice_prefix().counts(n)
     assert system.memo._memo is None
     levels = _cold("201-210", n)[1]
     for little, sums in ((F, ff), (T, tf)):
-        assert sums.coefficients == [
+        assert sums == [
             sum(m for (_, ell, com), m in level.items()
                 if ell == little and not com) for level in levels]
     junk = ([9], [9], [9])
     poison = ([-1] * 100, junk, (junk,) * (100 // SPACING))
     system.memo._memo = poison
-    del _STATES["ff_slice_series"]
-    assert series.tf_slice_series(n) == tf
-    assert series.ff_slice_series(n) == ff
+    del _STATES["ff_slice_series"], _STATES["system-201-210"]
+    assert tf_of_the_census() == tf
+    assert series._ff_slice_prefix().counts(n) == ff
     assert system.memo._memo is poison
 
 
 def test_series_prefixes_stay_off_the_memo(monkeypatch, fresh_states):
-    """ff_slice_series and iterate_fe, served from empty series prefixes,
+    """The (k,F,F) slice and iterate_fe, served from empty series prefixes,
     leave fresh rules memos empty and ignore poisoned ones."""
     fresh = {system_id: _fresh(system_id) for system_id in SYSTEM_IDS}
     for system_id, system in fresh.items():
@@ -489,12 +496,12 @@ def test_series_prefixes_stay_off_the_memo(monkeypatch, fresh_states):
     def answers():
         for key in [key for key in _STATES if key not in fresh]:
             del _STATES[key]
-        return (series.ff_slice_series(400),
+        return (series._ff_slice_prefix().counts(400),
                 [series.iterate_fe(system_id, 30) for system_id in fe_ids])
 
     ff, fe = answers()
     assert all(system.memo._memo is None for system in fresh.values())
-    assert ff.coefficients[400] == comb(800, 400) // 401
+    assert ff[400] == comb(800, 400) // 401
     assert fe == [_cold(system_id, 30)[0] for system_id in fe_ids]
     poison = {}
     for system_id, system in fresh.items():
