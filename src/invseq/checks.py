@@ -20,9 +20,14 @@ Where the numbers come from, each state kept in the registry of
     rows of its three equations, one x-degree per step (system-201-210,
     through ``_check_system_violation``, which proves the four cleared
     relations from those three);
-  * residual prefixes: minpoly-A, minpoly-B and minpoly-F read the
-    residual of their relation, one coefficient per step, from a prefix
-    keyed on the prefixes above that it reads (``_residual_prefix``);
+  * residual and ODE prefixes: minpoly-A, minpoly-B and minpoly-F
+    check the linear ODE of their relation, derived in its first step
+    and checked one coefficient per step in O(order) big-integer
+    operations (``_ode_prefix``), and read the residual of the
+    relation, one coefficient per step (``_residual_prefix``), only
+    through the depth n0 that the ODE prefix proves enough (0 for A and
+    2 for B and F on their counts), or through n_max when the ODE
+    fails; both are keyed on the prefixes above that they read;
   * the structure prefix: structure-theorem reads, per length, the first
     inversion sequence on which ``structure_check_201_210`` and
     ``avoids`` disagree, or None (``_structure_step``);
@@ -32,9 +37,10 @@ Where the numbers come from, each state kept in the registry of
     ``relation_residual``, which keeps no state.
 
 So a process serving many checks steps each depth of each route,
-evaluates each coefficient of each residual and checks each sequence
-once, and a check handed another route (a planted fault, say), or a
-residual whose source was handed one, runs it cold.
+derives each ODE, evaluates each coefficient of each residual and
+checks each sequence once, and a check handed another route (a planted
+fault, say), or a residual or an ODE whose source was handed one, runs
+it cold.
 
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:
@@ -51,6 +57,7 @@ from .prefix import shared
 from .series import (
     _check_system_violation,
     _ff_slice_prefix,
+    _ode_prefix,
     _residual_prefix,
     CUBIC_010_102,
     f_coefficients,
@@ -92,14 +99,17 @@ def _verify_oracle_vs_rules(n_max):
 
 def _verify_minpoly(relation, n_max, *sources):
     """Evaluate the relation at y_k = the count at k of the first source
-    prefix minus those of the others: the count at n_max of its residual
-    prefix, keyed on the bound count of each source (see
-    ``_residual_prefix``).  Each source is reached to n_max first, so
-    that every step of the residual reads a stored count."""
+    prefix minus those of the others: the count at depth d of its
+    residual prefix, d the count at n_max of its ODE prefix, both keyed
+    on the bound count of each source (see ``_residual_prefix`` and
+    ``_ode_prefix``, which proves that the residual through d decides the
+    relation through n_max).  Each source is reached to n_max first, so
+    that every step of either route reads a stored count."""
     for source in sources:
         source.count(n_max)
-    residual = _residual_prefix(relation, *(source.count for source in sources))
-    first = residual.count(n_max)
+    terms = [source.count for source in sources]
+    depth = _ode_prefix(relation, *terms).count(n_max)
+    first = _residual_prefix(relation, *terms).count(depth)
     if first is not None:
         return False, ["FAIL: residual first nonzero at order %d" % first]
     return True, ["OK: relation holds through n=%d" % n_max]

@@ -20,8 +20,10 @@ the same Prefix.  The keys are:
   * a system name (``invseq.succession``): the system's rules memo;
   * ``invseq.series``: "f_coefficients", "ff_slice_series" (the
     (k,F,F) slice of ``_ff_slice_prefix``), "system-201-210",
-    ("iterate_fe", system) and ("relation_residual", name), the residual
-    of a relation on the prefixes it reads;
+    ("iterate_fe", system), ("relation_residual", name), the residual
+    of a relation on the prefixes it reads, and ("relation_ode", name),
+    the linear ODE of the relation, derived in its first step and
+    checked on the same prefixes;
   * "structure-theorem" (``invseq.checks``).
 
 start is the level at depth 0.  step(level, *args) takes the level at
@@ -49,6 +51,10 @@ has reached, and a checkpoint, the level at every multiple of _SPACING
   * a thread that asks while another extends waits for it, so a
     process steps each depth once, across threads too, and a single
     request does the work of a run from the start;
+  * counts(n) and count(n) read a published prefix at least n + 1 deep
+    without the lock: its counts list is only ever appended to, so its
+    first n + 1 entries are final; level(n) holds the lock, because an
+    extension appends to the list after it published its level;
   * the lock is reentrant, so a step may request its own prefix: the
     extension stops as soon as what is published is not what it last
     published, and reads the published prefix again;
@@ -118,9 +124,14 @@ class Prefix:
         """The prefix as (counts, level, checkpoints), at least n deep:
         the counts at depths 0..L-1, the level at depth L >= n and the
         levels at depths 0, _SPACING, ... up to L.  Callers must not
-        mutate them."""
+        mutate them.  A published prefix n deep is returned without the
+        lock, and while another thread extends it its counts may run
+        past L, so a caller that reads the level holds the lock."""
         if n < 0:
             raise ValueError("n must be non-negative")
+        memo = self._memo
+        if memo is not None and len(memo[0]) >= n:
+            return memo
         start, step, args = self.route
         with self._lock:
             while True:

@@ -11,7 +11,10 @@ anywhere.  The module has four layers:
   * polynomial relations (``PolyRelation`` / ``relation_residual``) used to
     test that a series satisfies an algebraic equation, by Horner's rule
     in y^2 with y^2 formed by a symmetric square, one coefficient per
-    step of a prefix.
+    step of a prefix, and the linear ODE of a relation, derived by
+    ``invseq.poly`` and checked as a recurrence, one coefficient per
+    step in O(order) operations: a check whose series passes it reads
+    the residual only through a short prefix (``_ode_prefix``).
   * bivariate series in x and u, the ``phi`` operator, and
     ``_check_system_violation`` which replays the defining equations of
     the 201-210 rule system against its own census data, one x-degree
@@ -32,19 +35,19 @@ differ in length.  Only the public ``phi`` takes and returns
 ``{u_power: coeff}`` dicts, for readability at the API.
 
 The closed form, the (k,F,F) slice, the bivariate system, the
-functional-equation iteration of each system and the residual of each
-relation that a check evaluates keep a per-process prefix in the
-registry of ``invseq.prefix``.  Each prefix is a start level and a step:
-``_f_step``, ``_step_ff``, ``_system_step`` over the 201-210 kernel,
-``_fe_slice_step`` over an entry of ``_FE_STEP``, and
-``_residual_step`` over the relation and the bound counts of the
-prefixes it reads; the step of depth d forms and checks depth d and
-nothing past it.  None of them is the rules memo of
+functional-equation iteration of each system and the residual and the
+ODE of each relation that a check evaluates keep a per-process prefix
+in the registry of ``invseq.prefix``.  Each prefix is a start level and
+a step: ``_f_step``, ``_step_ff``, ``_system_step`` over the 201-210
+kernel, ``_fe_slice_step`` over an entry of ``_FE_STEP``, and
+``_residual_step`` and ``_ode_step`` over the relation and the bound
+counts of the prefixes it reads; the step of depth d forms and checks
+depth d and nothing past it.  None of them is the rules memo of
 ``invseq.succession``, so that the routes stay apart from the route
 they check: the slices never touch the memo, and the closed form and
-the functional equations reach no succession code.  A residual is keyed
-on the prefixes it reads, so it steps cold once one of them is made
-afresh.  Two routes keep no prefix in the registry and replay cold, in a
+the functional equations reach no succession code.  A residual or an
+ODE is keyed on the prefixes it reads, so it steps cold once one of
+them is made afresh.  Two routes keep no prefix in the registry and replay cold, in a
 Prefix of their own: injected census profiles, through the system's
 step, and ``relation_residual``, through ``_residual_step`` over the
 coefficients it is given.
@@ -227,6 +230,97 @@ def _residual_step(level, polys, *terms):
     if first is None and c:
         first = k
     return (ry, ry2, tuple(kept), first), first
+
+
+def _ode_prefix(relation, *terms):
+    """This process's prefix of the linear ODE of the relation, checked
+    on y_k = terms[0](k) - terms[1](k) - ..., kept under ("relation_ode",
+    name) and keyed on the relation's coefficients and the terms, as
+    _residual_prefix is.  Its count at depth k is a depth d <= k such
+    that the relation's residual on y vanishes through x^k once it
+    vanishes through x^d: a check that reads the residual through d gets
+    the answer through k, since an order at or below d is first through
+    k too.  d = k until something is proved.
+
+    The first step derives the ODE c_(-1) + c_0*y + ... + c_r*y^(r) = 0
+    that every root of P = sum_i p_i*y^i satisfies (``poly.linear_ode``;
+    None, and d = k throughout, when P has a repeated factor) and its
+    recurrence (``poly.recurrence``): for every n >= 0,
+
+        [x^n]c_(-1) + sum_i a_i(n) * y_(n+t-i) = 0,
+
+    whose leading coefficient a_0(n) multiplies y_(n+t).  An index m is
+    free if no equation determines y_m from the terms below it: m < t,
+    or m = n + t for a nonnegative integer root n of a_0
+    (``poly.nonnegative_roots``); free is the last one, -1 if none.  The
+    step of depth k checks the equation that y_k tops (n = k - t >= 0)
+    on the last order + 1 terms; after the first one that fails, d = k.
+    Until its first nonzero coefficient, the step also steps the
+    residual of P_y = dP/dy (``_residual_step``), whose order v = ord
+    P_y(y) sets n0 = max(free + v, 2v); from then on d = min(k, n0).
+
+    Proof that d = n0 <= k suffices.  Every equation through depth k
+    holds.  Let z = y_0 + ... + y_(n0)*x^(n0) and suppose P(z) vanishes
+    through x^(n0).  Then ord P(z) > n0 >= 2v = 2 ord P_y(z), so by
+    Newton's lemma (Hensel's lemma over Q[[x]]) P has a root Y in Q[[x]]
+    with ord(Y - z) >= n0 + 1 - v > free: Y_m = y_m for every m <= free.
+    Y satisfies the ODE, as every root does, so every equation.  For
+    free < m <= k, y_m tops an equation, n = m - t >= 0, whose leading
+    coefficient a_0(n) is not zero since n is no root, and the terms
+    below agree by induction: y_m = Y_m.  So P(y) = P(Y) = 0 through
+    x^k.  For MINPOLY_F, P(0, y) = (y - 1)^2 picks no root: y_1 is free,
+    and the residual at x^2, (y_1 - 1)(y_1 - 2), picks one, as n0 = 2
+    (free = 1, v = 1) requires.
+    """
+    return shared(("relation_ode", relation.name), None, _ode_step,
+                  tuple(map(tuple, relation.coefficients)), *terms)
+
+
+def _ode_start(polys):
+    """The level of the ODE prefix at depth 0 (see _ode_step): the ODE
+    of polys derived, its recurrence and free index, and the start of
+    the residual route of dP/dy; no recurrence when there is no ODE.
+    ``invseq.poly`` is imported here, on the first step of the first
+    route that needs it, so that importing the package never compiles
+    it."""
+    from .poly import linear_ode, nonnegative_roots, recurrence, ydy
+    ode = linear_ode(polys)
+    if ode is None:
+        return 0, None, (), None, None
+    top, rows, const = recurrence(ode)
+    free = max([top - 1] + [top + n for n in nonnegative_roots(rows[0])])
+    start, _, dpolys = _residual_route(PolyRelation("dP/dy", ydy(polys)))
+    return 0, (top, rows, const, free, dpolys), (0,) * len(rows), start, None
+
+
+def _ode_step(level, polys, *terms):
+    """The step of an ODE prefix at depth k (see _ode_prefix), whose
+    level there is None at k = 0 and else (k, the recurrence as (top,
+    rows, c_(-1), free, dP/dy), or None once an equation failed or when
+    there is no ODE, y_(k-order-1) .. y_(k-1), zeros below index 0 as
+    the recurrence reads them, the level of the residual route of dP/dy
+    until its first nonzero coefficient, else None, and n0, once known):
+    the level at k + 1 and the count at k."""
+    k, rec, window, derivative, n0 = level or _ode_start(polys)
+    if rec is None:
+        return (k + 1, None, (), None, None), k
+    top, rows, const, free, dpolys = rec
+    y = terms[0](k)
+    for term in terms[1:]:
+        y -= term(k)
+    window = (*window[1:], y)
+    n = k - top
+    powers = [n ** i for i in range(max(map(len, rows)))]
+    if n >= 0 and (const[n] if n < len(const) else 0) + sum(
+            sum(map(mul, row, powers)) * t
+            for row, t in zip(rows, reversed(window))):
+        return (k + 1, None, (), None, None), k
+    if derivative is not None:
+        derivative, v = _residual_step(derivative, dpolys, *terms)
+        if v is not None:
+            derivative, n0 = None, max(free + v, 2 * v)
+    return (k + 1, rec, window, derivative, n0), \
+        k if n0 is None else min(k, n0)
 
 
 def _add_rows(x, y):

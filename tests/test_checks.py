@@ -4,17 +4,22 @@ process, whatever the order of the requests, and the printed lines are
 those of a cold run.  The first test asks for a check that does not
 exist.  The concurrency test also runs the system check, whose prefix
 threads share in the same way, the last but one empties the whole
-registry after every check, and the last plants a fault in a step after
-a warm run, with no reset."""
+registry after every check, and the next plants a fault in a step after
+a warm run, with no reset.  The last three test the ODE fast path of the
+minpoly checks: a unit planted in a source, a solution of the ODE that
+is no root of the relation, and a relation whose ODE the counts fail
+each print the line of the stateless residual."""
 
 import sys
 import threading
+import types
 from collections import Counter
 from math import factorial
+from operator import sub
 
 import pytest
 
-from invseq import checks, series, succession
+from invseq import checks, poly, series, succession
 from invseq.checks import CHECKS, run_check
 from invseq.prefix import _STATES, Prefix
 from invseq.succession import SYSTEMS
@@ -271,3 +276,138 @@ def test_a_fault_planted_in_a_step_after_a_warm_run_prints_the_cold_line(
     assert run_check(name, depth) == (False, lines)
     monkeypatch.setitem(namespace, key, real)
     assert run_check(name, depth)[0]
+
+
+# -- the ODE fast path of the minpoly checks ---------------------------------
+
+def _listed(values):
+    """A source prefix whose count at depth k is values[k]."""
+    return Prefix(0, lambda k: (k + 1, values[k]))
+
+
+def _with_series(name, y, monkeypatch):
+    """Make the sources of the minpoly check read y as the series it
+    evaluates: the (k,F,F) slice for minpoly-A, the memo for minpoly-F,
+    and for minpoly-B a memo of the (k,F,F) sums plus y."""
+    if name == "minpoly-A":
+        monkeypatch.setattr(checks, "_ff_slice_prefix", lambda: _listed(y))
+        return
+    if name == "minpoly-B":
+        a = series._ff_slice_prefix().counts(len(y) - 1)
+        y = [*map(sum, zip(a, y))]
+    memo = _listed(y)
+    monkeypatch.setattr(checks, "get_system",
+                        lambda system_id: types.SimpleNamespace(memo=memo))
+
+
+def _true_series(name, n):
+    a = series._ff_slice_prefix().counts(n)
+    f = succession.rule_counting_sequence("201-210", n)
+    return {"minpoly-A": a, "minpoly-F": f,
+            "minpoly-B": [*map(sub, f, a)]}[name]
+
+
+def _residual_line(name, y):
+    """What a check through len(y) - 1 prints from the stateless
+    residual of its relation on y."""
+    first = series.relation_residual(RELATIONS[name], series.TruncatedSeries(y))
+    if first is None:
+        return (True, ["OK: relation holds through n=%d" % (len(y) - 1)])
+    return (False, ["FAIL: residual first nonzero at order %d" % first])
+
+
+def _ode_route(name):
+    """(n0, the recurrence's order) of the check's ODE prefix."""
+    _, rec, _, _, n0 = _STATES[("relation_ode", name)]._memo[1]
+    return n0, len(rec[1]) - 1
+
+
+RELATIONS = {"minpoly-A": series.MINPOLY_A, "minpoly-B": series.MINPOLY_B,
+             "minpoly-F": series.MINPOLY_F}
+
+
+@pytest.mark.parametrize("name", sorted(RELATIONS))
+def test_a_unit_planted_in_a_source_prints_the_stateless_line(
+        name, monkeypatch, fresh_states):
+    """One more in the series at each index through n0 + order + 2, and
+    at x^150, makes an equation of the ODE fail, so the check reads the
+    residual through n_max and prints what the stateless residual gives
+    on the same series."""
+    n = 160
+    y = _true_series(name, n)
+    assert run_check(name, n) == (True, ["OK: relation holds through n=160"])
+    n0, order = _ode_route(name)
+    assert (n0, order) == {"minpoly-A": (0, 1), "minpoly-B": (2, 7),
+                           "minpoly-F": (2, 3)}[name]
+    for at in [*range(n0 + order + 3), 150]:
+        bumped = [*y[:at], y[at] + 1, *y[at + 1:]]
+        _with_series(name, bumped, monkeypatch)
+        expected = _residual_line(name, bumped)
+        assert not expected[0], at
+        assert run_check(name, n) == expected, at
+        assert _STATES[("relation_ode", name)].count(n) == n, at
+
+
+# the free term of each relation's ODE family: the values of the power
+# series roots, and one value that no root takes
+FREE_TERMS = {"minpoly-F": ((1, 2), 3), "minpoly-B": ((0, 1), 2)}
+
+
+def _ode_solution(relation, free, n):
+    """The solution of the relation's ODE through x^n whose free term at
+    x^1 is the given value, from the recurrence of its ODE."""
+    top, rows, const = poly.recurrence(poly.linear_ode(relation.coefficients))
+    assert top == 0 and poly.nonnegative_roots(rows[0]) == [1]
+    y = []
+    for m in range(n + 1):
+        if m == 1:
+            y.append(free)
+            continue
+        s = (const[m] if m < len(const) else 0) + sum(
+            poly.peval(row, m) * y[m - i]
+            for i, row in enumerate(rows) if i and m >= i)
+        c, rem = divmod(-s, poly.peval(rows[0], m))
+        assert not rem
+        y.append(c)
+    return y
+
+
+@pytest.mark.parametrize("name", sorted(FREE_TERMS))
+def test_an_ode_solution_that_is_no_root_is_caught_through_n0(
+        name, monkeypatch, fresh_states):
+    """A solution of the ODE whose free term no root takes passes every
+    equation, so the check reads the residual through n0 only, and that
+    catches it, as the stateless residual does; the solutions whose free
+    term a root takes are the roots."""
+    n = 120
+    roots, other = FREE_TERMS[name]
+    for free in roots:
+        y = _ode_solution(RELATIONS[name], free, n)
+        assert _residual_line(name, y)[0], free
+    assert _ode_solution(RELATIONS[name], roots[0], n) == _true_series(name, n)
+    y = _ode_solution(RELATIONS[name], other, n)
+    _with_series(name, y, monkeypatch)
+    line = run_check(name, n)
+    assert line == _residual_line(name, y) == (
+        False, ["FAIL: residual first nonzero at order 2"])
+    n0, _ = _ode_route(name)
+    assert _STATES[("relation_ode", name)].count(n) == n0 == 2
+    assert len(_STATES[("relation_residual", name)]._memo[0]) == n0 + 1
+
+
+def test_a_corrupted_relation_falls_back_to_the_residual(fresh_states):
+    """One coefficient of MINPOLY_F bumped still has an ODE, which the
+    true counts fail, so the check steps the residual through n_max and
+    prints its line."""
+    polys = [list(p) for p in series.MINPOLY_F.coefficients]
+    polys[1][0] += 1
+    relation = series.PolyRelation("bumped", tuple(map(tuple, polys)))
+    assert poly.linear_ode(relation.coefficients) is not None
+    memo = succession.get_system("201-210").memo
+    n = 60
+    f = memo.counts(n)
+    first = series.relation_residual(relation, series.TruncatedSeries(f))
+    assert checks._verify_minpoly(relation, n, memo) == (
+        False, ["FAIL: residual first nonzero at order %d" % first])
+    assert _STATES[("relation_ode", "bumped")].count(n) == n
+    assert len(_STATES[("relation_residual", "bumped")]._memo[0]) == n + 1

@@ -2,11 +2,12 @@
 
 The routes to the counting numbers stay independent only while the code
 keeps them apart: the core matcher depends on no counting route, the
-oracle needs nothing but pattern validation, the series layer reads
-nothing of the succession DP but the steps of its two census routes,
-the (k,F,F) slice and the 201-210 kernel, and nothing of the oracle,
-and the closed form and the functional-equation iteration reach no
-succession code at all.  The command line reaches the checks through
+oracle needs nothing but pattern validation, the polynomial layer
+imports nothing of the package, reads no relation and is not imported
+with it, the series layer reads nothing of the succession DP but the
+steps of its two census routes, the (k,F,F) slice and the 201-210
+kernel, and nothing of the oracle, and the closed form and the
+functional-equation iteration reach no succession code at all.  The command line reaches the checks through
 the public registry in ``invseq.checks``, not through private names,
 every per-process state but the command line's text memo is a Prefix
 in the registry of ``invseq.prefix``, and the runtime imports nothing
@@ -20,14 +21,16 @@ the registry after requests of every kind."""
 import ast
 import dis
 import inspect
+import os
 import pathlib
+import subprocess
 import sys
 import types
 
 import pytest
 
 import invseq
-from invseq import cli, core, oracle, series, succession
+from invseq import cli, core, oracle, poly, series, succession
 from invseq.checks import CHECKS, run_check
 from invseq.prefix import _STATES, Prefix
 from invseq.succession import RuleSystem
@@ -97,6 +100,32 @@ def test_the_runtime_imports_only_the_standard_library():
     found.discard("invseq")
     assert {"itertools", "operator"} <= found
     assert found <= sys.stdlib_module_names, found - sys.stdlib_module_names
+
+
+def test_poly_imports_no_invseq_module_and_reads_no_relation():
+    """The polynomial layer derives an ODE from the coefficients it is
+    handed: it imports nothing of the package, and no code object of it
+    loads a relation constant of ``invseq.series``."""
+    assert not _imports_of(poly)
+    loaded = _loads_by_owner([pathlib.Path(poly.__file__)])
+    constants = {name for name in vars(series)
+                 if name.startswith("MINPOLY_") or name == "CUBIC_010_102"}
+    assert len(constants) == 4 and not constants & set(loaded)
+    assert {"solve", "pmul", "ydy"} <= set(loaded)
+
+
+def test_importing_the_package_neither_imports_nor_runs_poly():
+    """The command line's import, what ``setup_s`` times, leaves
+    ``invseq.poly`` unimported: the ODE route's first step imports it,
+    so no ODE is derived, and no source compiled, before a minpoly check
+    asks."""
+    code = ("import sys, invseq.cli; invseq.cli.build_parser(); "
+            "print('invseq.poly' in sys.modules)")
+    src = str(pathlib.Path(invseq.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["False"]
 
 
 def test_series_imports_nothing_from_the_oracle():

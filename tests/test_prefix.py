@@ -8,13 +8,14 @@ behind ``f_coefficients``, the functional-equation iteration of each
 per length behind structure-theorem.  Each test starts from empty
 prefixes, compares with a run of the route (start, step, args) from its
 start, and plants failures or watchers in what the route's step runs,
-or plants another step.  The residual routes of minpoly-A, minpoly-B
-and minpoly-F, which read those prefixes, make twelve in the registry;
-the test of ``Prefix.count`` reads all twelve, and ``test_series`` and
-``test_checks`` test the other three."""
+or plants another step.  The residual and ODE routes of minpoly-A,
+minpoly-B and minpoly-F, which read those prefixes, make fifteen in the
+registry; the test of ``Prefix.count`` reads all fifteen, and
+``test_series`` and ``test_checks`` test the other six."""
 
 import ast
 import inspect
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -530,16 +531,88 @@ def test_each_prefix_is_distinct_and_served_by_its_own_route(monkeypatch,
 
 
 def test_count_reads_the_count_of_counts(fresh_states):
-    """On each of the twelve routes in the registry, count(n) is
+    """On each of the fifteen routes in the registry, count(n) is
     counts(n)[n], below and past the stored depth, and a negative depth
     raises ValueError."""
     for name in NAMES:
         _request(name)(3)
     for name in ("minpoly-A", "minpoly-B", "minpoly-F"):
         assert run_check(name, 3)[0], name
-    assert len(_STATES) == 12
+    assert len(_STATES) == 15
     for key, prefix in _STATES.items():
         for n in (2, 0, 7, 5):
             assert prefix.count(n) == prefix.counts(n)[n], (key, n)
         with pytest.raises(ValueError):
             prefix.count(-1)
+
+
+class _Untakable:
+    """A lock stub that fails the test when it is taken."""
+
+    def __enter__(self):
+        raise AssertionError("the lock was taken")
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_a_warm_count_takes_no_lock(fresh_states):
+    """counts and count read a prefix that is already deep enough
+    without its lock, and so does a warm minpoly check on every prefix
+    it reads; level, and a request past the stored depth, take it."""
+    prefix = Prefix(0, lambda level: (level + 1, level))
+    assert prefix.counts(70) == list(range(71))
+    prefix._lock = _Untakable()
+    assert prefix.counts(70) == list(range(71))
+    assert [prefix.count(n) for n in (0, 64, 70)] == [0, 64, 70]
+    for ask in (lambda: prefix.level(70), lambda: prefix.level(3),
+                lambda: prefix.count(71), lambda: prefix.counts(71)):
+        with pytest.raises(AssertionError, match="lock was taken"):
+            ask()
+    warm = run_check("minpoly-B", 50)
+    for state in _STATES.values():
+        state._lock = _Untakable()
+    assert run_check("minpoly-B", 50) == warm == (
+        True, ["OK: relation holds through n=50"])
+    assert run_check("minpoly-B", 20)[0]
+
+
+def test_lock_free_reads_during_an_extension_see_only_final_counts(
+        fresh_states):
+    """Four threads read counts and count at the published depth while
+    another extends the same prefix, with a tiny switch interval: the
+    extension waits at depth 700 until a read has been served, which a
+    read that waited for its lock could not be, and every answer is that
+    of a cold run."""
+    served = threading.Event()
+    waited = []
+
+    def step(level):
+        if level == 700:
+            waited.append(served.wait(timeout=10))
+        return level + 1, level * level
+    prefix = Prefix(0, step)
+    prefix.counts(10)
+    errors = []
+
+    def read():
+        for _ in range(500):
+            n = len(prefix._memo[0]) - 1
+            if prefix.counts(n) != [k * k for k in range(n + 1)] \
+                    or prefix.count(n) != n * n:
+                errors.append(n)
+            served.set()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=prefix.counts, args=(1500,)),
+                   *(threading.Thread(target=read) for _ in range(4))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert waited == [True] and not errors
+    assert prefix.counts(1500) == [k * k for k in range(1501)]

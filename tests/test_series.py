@@ -557,11 +557,12 @@ def test_the_state_keeps_its_own_copy_of_the_series(fresh_states):
     assert relation_residual(MINPOLY_A, s) is None
 
 
-def _count_residual_steps(monkeypatch):
-    """Wrap _residual_step; the returned list gets, per call, the depth
-    it steps and the set of depths at which it reads its terms."""
+def _count_route_steps(monkeypatch, name):
+    """Wrap the step of that name in series; the returned list gets, per
+    call, its polys, the depth it steps and the set of depths at which
+    it reads its terms."""
     stepped = []
-    real = series._residual_step
+    real = getattr(series, name)
 
     def counted(level, polys, *terms):
         read = set()
@@ -569,24 +570,44 @@ def _count_residual_steps(monkeypatch):
         def reading(term):
             return lambda k: read.add(k) or term(k)
         out = real(level, polys, *map(reading, terms))
-        stepped.append((len(level[0]), read))
+        depth = len(level[0]) if name == "_residual_step" else \
+            level[0] if level else 0
+        stepped.append((polys, depth, read))
         return out
-    monkeypatch.setattr(series, "_residual_step", counted)
+    monkeypatch.setattr(series, name, counted)
     return stepped
 
 
-@pytest.mark.parametrize("name", ["minpoly-A", "minpoly-B", "minpoly-F"])
+# name: (relation, the depth n0 through which the check steps its
+# residual once its ODE holds, the order v of dP/dy at its counts)
+N0 = {"minpoly-A": (MINPOLY_A, 0, 0), "minpoly-B": (MINPOLY_B, 2, 1),
+      "minpoly-F": (MINPOLY_F, 2, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(N0))
 def test_coefficients_per_residual_request(name, monkeypatch, fresh_states):
-    """A check's residual route steps n + 1 depths on a cold request
-    through n, none at or below its stored depth, and the n - m past a
-    stored depth m; each step reads its terms at its own depth only, so
-    no source count past n is read."""
-    stepped = _count_residual_steps(monkeypatch)
+    """A check's ODE route steps n + 1 depths on a cold request through
+    n, none at or below its stored depth, and the n - m past a stored
+    depth m; its residual route steps only the depths through n0, and
+    that of dP/dy those through its first nonzero order v, on the first
+    request.  Each step reads its terms at its own depth
+    only, so no source count past n is read."""
+    relation, n0, v = N0[name]
+    polys = tuple(map(tuple, relation.coefficients))
+    residual = _count_route_steps(monkeypatch, "_residual_step")
+    ode = _count_route_steps(monkeypatch, "_ode_step")
+    first = True
     for n, steps in ((40, 41), (40, 0), (25, 0), (0, 0), (47, 7),
                      (60, 13), (59, 0), (120, 60)):
-        stepped.clear()
+        residual.clear()
+        ode.clear()
         assert run_check(name, n)[0], n
-        assert stepped == [(k, {k}) for k in range(n + 1 - steps, n + 1)], n
+        assert ode == [(polys, k, {k}) for k in range(n + 1 - steps, n + 1)], n
+        assert [(k, read) for p, k, read in residual if p == polys] == \
+            [(k, {k}) for k in range(n0 + 1) if first], n
+        assert [(k, read) for p, k, read in residual if p != polys] == \
+            [(k, {k}) for k in range(v + 1) if first], n
+        first = False
 
 
 def test_relation_residual_keeps_no_state(fresh_states):
