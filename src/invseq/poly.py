@@ -174,18 +174,12 @@ def _yprem(a, rel):
 
 def _reduced(a, q, rel):
     """(n, q') with n/q' = a/q modulo rel, q nonzero: n the
-    pseudo-remainder of a by rel (_yprem), and the factor common to q
-    and every coefficient of n cancelled.  That factor divides g =
-    gcd(q, sum_i (i + 1)*n_i), so it is g when g divides every n_i, and
-    else the gcd of q and the n_i one at a time."""
+    pseudo-remainder of a by rel (_yprem), and the gcd of q and every
+    coefficient of n cancelled."""
     n, e = _yprem(a, rel)
     q = pmul(q, *(rel[-1],) * e)
-    g = _pgcd(q, padd(*(_pscale(c, i + 1) for i, c in enumerate(n))))
-    try:
-        return tuple(_pdiv(c, g) for c in n), _pdiv(q, g)
-    except ArithmeticError:
-        g = reduce(_pgcd, n, q)
-        return tuple(_pdiv(c, g) for c in n), _pdiv(q, g)
+    g = reduce(_pgcd, n, q)
+    return tuple(_pdiv(c, g) for c in n), _pdiv(q, g)
 
 
 def solve(matrix, b):

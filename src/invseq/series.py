@@ -330,27 +330,16 @@ def _add_rows(x, y):
     return [*map(add, x, y), *x[len(y):]]
 
 
-def _pmul(*polys):
-    out = [1]
-    for p in polys:
-        res = [0] * (len(out) + len(p) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(p):
-                res[i + j] += a * b
-        out = res
-    return tuple(out)
-
-
 # x*y^2 - y + 1 = 0 for the (k,F,F) slice (Catalan).
 MINPOLY_A = PolyRelation("minpoly-A", ((1,), (-1,), (0, 1)))
 
 # Quartic for the (k,T,F) slice.
 MINPOLY_B = PolyRelation("minpoly-B", (
     (0, 0, 0, 0, 1),                                # x^4
-    _pmul((0, 1), (-1, 1), (-1, 6), (-1, 3)),       # x(x-1)(6x-1)(3x-1)
+    (0, -1, 10, -27, 18),                           # x(x-1)(6x-1)(3x-1)
     (1, -8, 21, -16, -5, 12),
-    _pmul((0, 2), (-1, 1), (-1, 3), (1, -2, 2)),    # 2x(x-1)(3x-1)(2x^2-2x+1)
-    _pmul((0, 0, 1), (1, -2, 2), (1, -2, 2)),       # x^2(2x^2-2x+1)^2
+    (0, 2, -12, 26, -28, 12),                       # 2x(x-1)(3x-1)(2x^2-2x+1)
+    (0, 0, 1, -4, 8, -8, 4),                        # x^2(2x^2-2x+1)^2
 ))
 
 # Quadratic for the full 201-210 counting series.
@@ -362,10 +351,10 @@ MINPOLY_F = PolyRelation("minpoly-F", (
 
 # Conjectured cubic for the {010,102} counting series.
 CUBIC_010_102 = PolyRelation("conjecture-010-102", (
-    _pmul((1, -2), (1, -2, 1)),                     # (1-2x)(x-1)^2
+    (1, -4, 5, -2),                                 # (1-2x)(x-1)^2
     (-1, 6, -11, 8, -1),
-    _pmul((0, 2), (-1, 1), (1, -2, 2)),             # 2x(x-1)(2x^2-2x+1)
-    _pmul((0, 1), (1, -1, 1), (1, -2, 1)),          # x(x^2-x+1)(x-1)^2
+    (0, -2, 6, -8, 4),                              # 2x(x-1)(2x^2-2x+1)
+    (0, 1, -3, 4, -3, 1),                           # x(x^2-x+1)(x-1)^2
 ))
 
 # -- bivariate layer --------------------------------------------------------

@@ -109,6 +109,20 @@ def test_solve_is_fraction_free_cramer():
     assert poly.solve([[(1,), (2,)], [(2,), (4,)]], [(1,), (1,)]) is None
 
 
+def test_the_relation_constants_are_their_factored_forms():
+    """series writes the product coefficients of its relations out; the
+    factored forms in its comments multiply to them."""
+    b, c = series.MINPOLY_B.coefficients, series.CUBIC_010_102.coefficients
+    for factors, coefficient in [
+            (((0, 1), (-1, 1), (-1, 6), (-1, 3)), b[1]),
+            (((0, 2), (-1, 1), (-1, 3), (1, -2, 2)), b[3]),
+            (((0, 0, 1), (1, -2, 2), (1, -2, 2)), b[4]),
+            (((1, -2), (1, -2, 1)), c[0]),
+            (((0, 2), (-1, 1), (1, -2, 2)), c[2]),
+            (((0, 1), (1, -1, 1), (1, -2, 1)), c[3])]:
+        assert poly.pmul(*factors) == tuple(coefficient)
+
+
 def test_nonnegative_roots():
     # n(n - 1)(n - 12)(n + 5) and (n - 7)^2 + 1
     p = poly.pmul((0, 1), (-1, 1), (-12, 1), (5, 1))
@@ -118,8 +132,9 @@ def test_nonnegative_roots():
 
 
 def test_a_common_factor_of_the_combination_only_is_not_cancelled():
-    """2 - y over x: x divides q and 2*1 + 2*(-1), the weighted sum of
-    the coefficients, but not 2, so nothing is cancelled."""
+    """2 - y over x: x divides q and 1*2 + 2*(-1), a combination of the
+    numerator's coefficients, but not 2, so nothing is cancelled; x(2 - y)
+    over 3x^2 cancels x, the factor common to q and every coefficient."""
     rel = tuple(MINPOLY_F.coefficients)
     assert poly._reduced(((2,), (-1,)), (0, 1), rel) == (((2,), (-1,)), (0, 1))
     assert poly._reduced(((0, 2), (0, -1)), (0, 0, 3), rel) == (
