@@ -20,14 +20,14 @@ Where the numbers come from, each state kept in the registry of
     rows of its three equations, one x-degree per step (system-201-210,
     through ``_check_system_violation``, which proves the four cleared
     relations from those three);
-  * residual and ODE prefixes: minpoly-A, minpoly-B and minpoly-F
-    check the linear ODE of their relation, derived in its first step
-    and checked one coefficient per step in O(order) big-integer
-    operations (``_ode_prefix``), and read the residual of the
-    relation, one coefficient per step (``_residual_prefix``), only
-    through the depth n0 that the ODE prefix proves enough (0 for A and
-    2 for B and F on their counts), or through n_max when the ODE
-    fails; both are keyed on the prefixes above that they read;
+  * relation prefixes: minpoly-A, minpoly-B and minpoly-F each read
+    one route (``_relation_prefix``), keyed on the prefixes above that
+    it reads, whose count is the first nonzero order of the relation's
+    residual.  It checks the linear ODE of the relation, derived in its
+    first step, one coefficient per step in O(order) big-integer
+    operations, and steps the residual, one coefficient per step, only
+    through the depth n0 that the ODE proves enough (0 for A and 2 for
+    B and F on their counts), or through n_max once the ODE fails;
   * the structure prefix: structure-theorem reads, per length, the first
     inversion sequence on which ``structure_check_201_210`` and
     ``avoids`` disagree, or None (``_structure_step``);
@@ -39,8 +39,10 @@ Where the numbers come from, each state kept in the registry of
 So a process serving many checks steps each depth of each route,
 derives each ODE, evaluates each coefficient of each residual and
 checks each sequence once, and a check handed another route (a planted
-fault, say), or a residual or an ODE whose source was handed one, runs
-it cold.
+fault, say), or a relation whose source was handed one, runs it cold.
+gf-vs-rules, oracle-vs-rules, fe-vs-rules and wilf-011-201 compare
+their sequences in one place (``_compare``), and oracle-vs-rules and
+fe-vs-rules count a system only once the ones before it agree.
 
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:
@@ -57,8 +59,7 @@ from .prefix import shared
 from .series import (
     _check_system_violation,
     _ff_slice_prefix,
-    _ode_prefix,
-    _residual_prefix,
+    _relation_prefix,
     CUBIC_010_102,
     f_coefficients,
     iterate_fe,
@@ -71,45 +72,44 @@ from .series import (
 from .succession import get_system, rule_counting_sequence, SYSTEMS
 
 
-def _first_mismatch(xs, ys):
-    for n, (a, b) in enumerate(zip(xs, ys)):
-        if a != b:
-            return n, a, b
-    return None
+def _compare(triples, fail, ok):
+    """(False, [fail % (*label, n, x_n, y_n)]) for the first n at which
+    some (label, xs, ys) of triples differs, the triples taken in
+    order, each only once the ones before it agree; else (True, [ok])."""
+    for label, xs, ys in triples:
+        for n, (a, b) in enumerate(zip(xs, ys)):
+            if a != b:
+                return False, [fail % (*label, n, a, b)]
+    return True, [ok]
 
 
 def _verify_gf_vs_rules(n_max):
-    m = _first_mismatch(f_coefficients(n_max),
-                        rule_counting_sequence("201-210", n_max))
-    if m:
-        return False, ["FAIL at n=%d: closed form %d != rules %d" % m]
-    return True, ["OK: closed form matches the rules through n=%d" % n_max]
+    return _compare(
+        [((), f_coefficients(n_max), rule_counting_sequence("201-210", n_max))],
+        "FAIL at n=%d: closed form %d != rules %d",
+        "OK: closed form matches the rules through n=%d" % n_max)
 
 
 def _verify_oracle_vs_rules(n_max):
-    for system_id, system in SYSTEMS.items():
-        m = _first_mismatch(count_sequence(system.basis, n_max),
-                            rule_counting_sequence(system_id, n_max))
-        if m:
-            return False, ["FAIL for %s at n=%d: oracle %d != rules %d"
-                           % ((system_id,) + m)]
-    return True, ["OK: oracle matches the rules for all three systems "
-                  "through n=%d" % n_max]
+    return _compare(
+        (((system_id,), count_sequence(system.basis, n_max),
+          rule_counting_sequence(system_id, n_max))
+         for system_id, system in SYSTEMS.items()),
+        "FAIL for %s at n=%d: oracle %d != rules %d",
+        "OK: oracle matches the rules for all three systems through n=%d"
+        % n_max)
 
 
 def _verify_minpoly(relation, n_max, *sources):
     """Evaluate the relation at y_k = the count at k of the first source
-    prefix minus those of the others: the count at depth d of its
-    residual prefix, d the count at n_max of its ODE prefix, both keyed
-    on the bound count of each source (see ``_residual_prefix`` and
-    ``_ode_prefix``, which proves that the residual through d decides the
-    relation through n_max).  Each source is reached to n_max first, so
-    that every step of either route reads a stored count."""
+    prefix minus those of the others: the count at n_max of its relation
+    prefix, keyed on the bound count of each source (see
+    ``_relation_prefix``).  Each source is reached to n_max first, so
+    that every step of the route reads a stored count."""
     for source in sources:
         source.count(n_max)
-    terms = [source.count for source in sources]
-    depth = _ode_prefix(relation, *terms).count(n_max)
-    first = _residual_prefix(relation, *terms).count(depth)
+    first = _relation_prefix(
+        relation, *[source.count for source in sources]).count(n_max)
     if first is not None:
         return False, ["FAIL: residual first nonzero at order %d" % first]
     return True, ["OK: relation holds through n=%d" % n_max]
@@ -175,24 +175,22 @@ def _verify_structure(n_max):
 
 
 def _verify_fe_vs_rules(n_max):
-    for system_id in ("011-201", "010-100-120-210"):
-        m = _first_mismatch(iterate_fe(system_id, n_max),
-                            rule_counting_sequence(system_id, n_max))
-        if m:
-            return False, ["FAIL for %s at n=%d: iteration %d != rules %d"
-                           % ((system_id,) + m)]
-    return True, ["OK: functional-equation iteration matches the rules "
-                  "through n=%d" % n_max]
+    return _compare(
+        (((system_id,), iterate_fe(system_id, n_max),
+          rule_counting_sequence(system_id, n_max))
+         for system_id in ("011-201", "010-100-120-210")),
+        "FAIL for %s at n=%d: iteration %d != rules %d",
+        "OK: functional-equation iteration matches the rules through n=%d"
+        % n_max)
 
 
 def _verify_wilf(n_max):
-    m = _first_mismatch(rule_counting_sequence("011-201", n_max),
-                        rule_counting_sequence("010-100-120-210", n_max))
-    if m:
-        return False, ["FAIL at n=%d: 011-201 gives %d, 010-100-120-210 "
-                       "gives %d" % m]
-    return True, ["OK: the two systems agree through n=%d "
-                  "(evidence for the conjecture, not a proof)" % n_max]
+    return _compare(
+        [((), rule_counting_sequence("011-201", n_max),
+          rule_counting_sequence("010-100-120-210", n_max))],
+        "FAIL at n=%d: 011-201 gives %d, 010-100-120-210 gives %d",
+        "OK: the two systems agree through n=%d "
+        "(evidence for the conjecture, not a proof)" % n_max)
 
 
 def _verify_conjecture(n_max):

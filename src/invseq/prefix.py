@@ -20,10 +20,9 @@ the same Prefix.  The keys are:
   * a system name (``invseq.succession``): the system's rules memo;
   * ``invseq.series``: "f_coefficients", "ff_slice_series" (the
     (k,F,F) slice of ``_ff_slice_prefix``), "system-201-210",
-    ("iterate_fe", system), ("relation_residual", name), the residual
-    of a relation on the prefixes it reads, and ("relation_ode", name),
-    the linear ODE of the relation, derived in its first step and
-    checked on the same prefixes;
+    ("iterate_fe", system) and ("relation", name), the residual of a
+    relation on the prefixes it reads, checked through the linear ODE
+    of the relation, which its first step derives;
   * "structure-theorem" (``invseq.checks``).
 
 start is the level at depth 0.  step(level, *args) takes the level at

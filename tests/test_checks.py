@@ -5,10 +5,13 @@ those of a cold run.  The first test asks for a check that does not
 exist.  The concurrency test also runs the system check, whose prefix
 threads share in the same way, the last but one empties the whole
 registry after every check, and the next plants a fault in a step after
-a warm run, with no reset.  The last three test the ODE fast path of the
-minpoly checks: a unit planted in a source, a solution of the ODE that
-is no root of the relation, and a relation whose ODE the counts fail
-each print the line of the stateless residual."""
+a warm run, with no reset.  The next one plants a mismatch in the first
+system of oracle-vs-rules and fe-vs-rules, which then count no later
+system.  The last three test the ODE fast path of the minpoly checks: a
+unit planted in a source, a solution of the ODE that is no root of the
+relation, and a relation whose ODE the counts fail each print the line
+of the stateless residual, and the count of the check's one relation
+route is that residual's."""
 
 import sys
 import threading
@@ -278,6 +281,43 @@ def test_a_fault_planted_in_a_step_after_a_warm_run_prints_the_cold_line(
     assert run_check(name, depth)[0]
 
 
+# -- the comparison of the sequence checks ----------------------------------
+
+# check: (the function it counts each system with, the FAIL line's word,
+# the first system, the number of systems)
+COUNTED = {"oracle-vs-rules": ("count_sequence", "oracle", "201-210", 3),
+           "fe-vs-rules": ("iterate_fe", "iteration", "011-201", 2)}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_a_mismatch_in_the_first_system_counts_no_later_one(
+        name, monkeypatch, fresh_states):
+    """The check counts every system when they all agree, and one more
+    planted at x^3 of the first system's counts prints that system's
+    FAIL line with no later system counted."""
+    function, word, first, systems = COUNTED[name]
+    real = getattr(checks, function)
+    calls = []
+    bump = []
+
+    def counted(*args):
+        calls.append(args)
+        counts = real(*args)
+        if bump:
+            counts[3] += 1
+        return counts
+    monkeypatch.setattr(checks, function, counted)
+    assert run_check(name, 8)[0]
+    assert len(calls) == systems
+    calls.clear()
+    bump.append(1)
+    rules = succession.rule_counting_sequence(first, 8)[3]
+    assert run_check(name, 8) == (False, [
+        "FAIL for %s at n=3: %s %d != rules %d" % (first, word, rules + 1,
+                                                   rules)])
+    assert len(calls) == 1
+
+
 # -- the ODE fast path of the minpoly checks ---------------------------------
 
 def _listed(values):
@@ -317,9 +357,15 @@ def _residual_line(name, y):
 
 
 def _ode_route(name):
-    """(n0, the recurrence's order) of the check's ODE prefix."""
-    _, rec, _, _, n0 = _STATES[("relation_ode", name)]._memo[1]
+    """(n0, the recurrence's order) of the check's relation prefix."""
+    _, rec, _, _, n0, _ = _STATES[("relation", name)]._memo[1]
     return n0, len(rec[1]) - 1
+
+
+def _residual_depth(name):
+    """The depth through which the check's relation prefix has stepped
+    the residual of its relation."""
+    return len(_STATES[("relation", name)]._memo[1][5][0]) - 1
 
 
 RELATIONS = {"minpoly-A": series.MINPOLY_A, "minpoly-B": series.MINPOLY_B,
@@ -345,7 +391,10 @@ def test_a_unit_planted_in_a_source_prints_the_stateless_line(
         expected = _residual_line(name, bumped)
         assert not expected[0], at
         assert run_check(name, n) == expected, at
-        assert _STATES[("relation_ode", name)].count(n) == n, at
+        assert _residual_depth(name) == n, at
+        assert _STATES[("relation", name)].count(n) == \
+            series.relation_residual(RELATIONS[name],
+                                     series.TruncatedSeries(bumped)), at
 
 
 # the free term of each relation's ODE family: the values of the power
@@ -391,8 +440,9 @@ def test_an_ode_solution_that_is_no_root_is_caught_through_n0(
     assert line == _residual_line(name, y) == (
         False, ["FAIL: residual first nonzero at order 2"])
     n0, _ = _ode_route(name)
-    assert _STATES[("relation_ode", name)].count(n) == n0 == 2
-    assert len(_STATES[("relation_residual", name)]._memo[0]) == n0 + 1
+    assert _residual_depth(name) == n0 == 2
+    assert _STATES[("relation", name)].count(n) == \
+        series.relation_residual(RELATIONS[name], series.TruncatedSeries(y))
 
 
 def test_a_corrupted_relation_falls_back_to_the_residual(fresh_states):
@@ -409,5 +459,5 @@ def test_a_corrupted_relation_falls_back_to_the_residual(fresh_states):
     first = series.relation_residual(relation, series.TruncatedSeries(f))
     assert checks._verify_minpoly(relation, n, memo) == (
         False, ["FAIL: residual first nonzero at order %d" % first])
-    assert _STATES[("relation_ode", "bumped")].count(n) == n
-    assert len(_STATES[("relation_residual", "bumped")]._memo[0]) == n + 1
+    assert _residual_depth("bumped") == n
+    assert _STATES[("relation", "bumped")].count(n) == first

@@ -116,7 +116,7 @@ def test_poly_imports_no_invseq_module_and_reads_no_relation():
 
 def test_importing_the_package_neither_imports_nor_runs_poly():
     """The command line's import, what ``setup_s`` times, leaves
-    ``invseq.poly`` unimported: the ODE route's first step imports it,
+    ``invseq.poly`` unimported: a relation route's first step imports it,
     so no ODE is derived, and no source compiled, before a minpoly check
     asks."""
     code = ("import sys, invseq.cli; invseq.cli.build_parser(); "

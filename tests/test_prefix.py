@@ -8,10 +8,10 @@ behind ``f_coefficients``, the functional-equation iteration of each
 per length behind structure-theorem.  Each test starts from empty
 prefixes, compares with a run of the route (start, step, args) from its
 start, and plants failures or watchers in what the route's step runs,
-or plants another step.  The residual and ODE routes of minpoly-A,
-minpoly-B and minpoly-F, which read those prefixes, make fifteen in the
-registry; the test of ``Prefix.count`` reads all fifteen, and
-``test_series`` and ``test_checks`` test the other six."""
+or plants another step.  The relation routes of minpoly-A, minpoly-B
+and minpoly-F, which read those prefixes, make twelve in the registry;
+the test of ``Prefix.count`` reads all twelve, and ``test_series`` and
+``test_checks`` test the other three."""
 
 import ast
 import inspect
@@ -531,14 +531,14 @@ def test_each_prefix_is_distinct_and_served_by_its_own_route(monkeypatch,
 
 
 def test_count_reads_the_count_of_counts(fresh_states):
-    """On each of the fifteen routes in the registry, count(n) is
+    """On each of the twelve routes in the registry, count(n) is
     counts(n)[n], below and past the stored depth, and a negative depth
     raises ValueError."""
     for name in NAMES:
         _request(name)(3)
     for name in ("minpoly-A", "minpoly-B", "minpoly-F"):
         assert run_check(name, 3)[0], name
-    assert len(_STATES) == 15
+    assert len(_STATES) == 12
     for key, prefix in _STATES.items():
         for n in (2, 0, 7, 5):
             assert prefix.count(n) == prefix.counts(n)[n], (key, n)

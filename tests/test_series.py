@@ -49,14 +49,6 @@ def _tf_slice(n):
     return [sum(b) for _, b, _ in _dp_levels(n)]
 
 
-# -- TruncatedSeries ----------------------------------------------------------
-
-def test_construction_pads_and_truncates():
-    s = TruncatedSeries([1, 2, 3], 5)
-    assert s.coefficients == [1, 2, 3, 0, 0, 0]
-    assert TruncatedSeries([1, 2, 3], 1).coefficients == [1, 2]
-
-
 # -- a reference for the closed form ----------------------------------------
 #
 # (2 - x - x*sqrt(1-8x)) / (2 - 4x + 4x^2) in three steps that share no
@@ -186,14 +178,17 @@ def test_counts_minus_the_ff_slice_are_the_tf_slice():
 
 def test_minpoly_b_checks_the_tf_slice_series():
     """minpoly-B evaluates its relation on the (k,T,F) sums of the b
-    slices of the 201-210 DP: the y its residual route holds through
-    x^n, last coefficient first, is that series, and the route answers
-    as relation_residual on it does."""
+    slices of the 201-210 DP: the y its route holds through x^n, the
+    last terms that its ODE reads (zeros below x^0) and, last coefficient
+    first, the terms through n0 = 2 that its residual reads, is that
+    series, and the route answers as relation_residual on it does."""
     tf = _tf_slice(200)
     for n in (0, 1, 8, 200):
         assert run_check("minpoly-B", n)[0], n
-        route = _STATES["relation_residual", "minpoly-B"]
-        assert route.level(n + 1)[0][::-1] == tuple(tf[:n + 1]), n
+        route = _STATES["relation", "minpoly-B"]
+        _, _, window, _, _, residual = route.level(n + 1)
+        assert window == tuple([0] * len(window) + tf[:n + 1])[-len(window):], n
+        assert residual[0][::-1] == tuple(tf[:min(n, 2) + 1]), n
         assert route.count(n) == \
             relation_residual(MINPOLY_B, TruncatedSeries(tf[:n + 1])), n
 
@@ -213,7 +208,7 @@ def test_relation_residuals_zero():
 
 def test_relation_residual_nonzero_example():
     # x(1+x)^2 - (1+x) + 1 = 2x^2 + x^3
-    assert relation_residual(MINPOLY_A, TruncatedSeries([1, 1], 5)) == 2
+    assert relation_residual(MINPOLY_A, TruncatedSeries([1, 1, 0, 0, 0, 0])) == 2
 
 
 def _plain_horner(polys, coeffs):
@@ -586,23 +581,23 @@ N0 = {"minpoly-A": (MINPOLY_A, 0, 0), "minpoly-B": (MINPOLY_B, 2, 1),
 
 @pytest.mark.parametrize("name", sorted(N0))
 def test_coefficients_per_residual_request(name, monkeypatch, fresh_states):
-    """A check's ODE route steps n + 1 depths on a cold request through
-    n, none at or below its stored depth, and the n - m past a stored
-    depth m; its residual route steps only the depths through n0, and
-    that of dP/dy those through its first nonzero order v, on the first
-    request.  Each step reads its terms at its own depth
+    """A check's relation route steps n + 1 depths on a cold request
+    through n, none at or below its stored depth, and the n - m past a
+    stored depth m; within them it steps the residual of its relation
+    only through n0, and that of dP/dy through its first nonzero order
+    v, on the first request.  Each step reads its terms at its own depth
     only, so no source count past n is read."""
     relation, n0, v = N0[name]
     polys = tuple(map(tuple, relation.coefficients))
     residual = _count_route_steps(monkeypatch, "_residual_step")
-    ode = _count_route_steps(monkeypatch, "_ode_step")
+    route = _count_route_steps(monkeypatch, "_relation_step")
     first = True
     for n, steps in ((40, 41), (40, 0), (25, 0), (0, 0), (47, 7),
                      (60, 13), (59, 0), (120, 60)):
         residual.clear()
-        ode.clear()
+        route.clear()
         assert run_check(name, n)[0], n
-        assert ode == [(polys, k, {k}) for k in range(n + 1 - steps, n + 1)], n
+        assert route == [(polys, k, {k}) for k in range(n + 1 - steps, n + 1)], n
         assert [(k, read) for p, k, read in residual if p == polys] == \
             [(k, {k}) for k in range(n0 + 1) if first], n
         assert [(k, read) for p, k, read in residual if p != polys] == \
@@ -613,7 +608,7 @@ def test_coefficients_per_residual_request(name, monkeypatch, fresh_states):
 def test_relation_residual_keeps_no_state(fresh_states):
     """Fifty random relations evaluated under one name answer as the
     plain Horner reference does and leave every registry entry as it
-    was; each minpoly check keeps the one key of its residual route,
+    was; each minpoly check keeps the one key of its relation route,
     whatever the order of its requests."""
     names = ("minpoly-A", "minpoly-B", "minpoly-F")
     for name in names:
@@ -634,8 +629,8 @@ def test_relation_residual_keeps_no_state(fresh_states):
     for n in (50, 10, 70):
         for name in names:
             assert run_check(name, n)[0], (name, n)
-        assert sorted(key[1] for key in _STATES
-                      if key[0] == "relation_residual") == list(names), n
+        assert sorted(key for key in _STATES if isinstance(key, tuple)) \
+            == [("relation", name) for name in names], n
 
 
 def _count_residual_degrees(monkeypatch):

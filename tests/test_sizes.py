@@ -13,7 +13,6 @@ from invseq.oracle import (
 from invseq.series import (
     f_coefficients,
     iterate_fe,
-    TruncatedSeries,
 )
 from invseq.succession import (
     count_via_rules,
@@ -46,7 +45,6 @@ ENTRY_POINTS = {
     "profile_text": lambda n: profile_text("011-201", n),
     "Prefix.level": lambda n: get_system("201-210").memo.level(n),
     "emit_diagram": lambda n: emit_diagram("201-210", n),
-    "TruncatedSeries": lambda n: TruncatedSeries([1], n),
     "f_coefficients": f_coefficients,
     "iterate_fe": lambda n: iterate_fe("011-201", n),
     **{"run_check:" + name: _check(name) for name in CHECKS},

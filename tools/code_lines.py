@@ -1,8 +1,10 @@
 """Print the number of code lines of the invseq package.
 
-A code line is a line of a module in src/invseq that holds a token other
-than a comment, where docstrings (of the module, of a class or of a
-function) do not count as tokens.  Standard library only:
+A code line is a line of a module that holds a token other than a
+comment, where docstrings (of the module, of a class or of a function)
+do not count as tokens.  One line per module of src/invseq, then the
+code lines of tests/, then, on the last line, the total of src/invseq.
+Standard library only:
 
     python3 tools/code_lines.py
 """
@@ -11,7 +13,8 @@ import ast
 import pathlib
 import tokenize
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "invseq"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "invseq"
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 
@@ -41,4 +44,10 @@ def code_lines(path):
 
 
 if __name__ == "__main__":
-    print(sum(map(code_lines, PACKAGE.glob("*.py"))))
+    modules = {path.name: code_lines(path)
+               for path in sorted(PACKAGE.glob("*.py"))}
+    for name, lines in modules.items():
+        print("src/invseq/%-14s %5d" % (name, lines))
+    print("%-25s %5d" % ("tests/", sum(map(code_lines,
+                                            (ROOT / "tests").glob("*.py")))))
+    print(sum(modules.values()))
