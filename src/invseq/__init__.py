@@ -8,6 +8,12 @@ underneath all of them (``invseq.core``).  The named cross-checks
 between them live in ``invseq.checks``, every state a route keeps
 across the requests of one process in the registry of ``invseq.prefix``,
 and the ``invseq`` command line ties them together.
+
+The six names of ``invseq.series`` in ``__all__`` resolve on first
+access (PEP 562, ``__getattr__``), to the very objects of that module.
+So ``import invseq`` and the command line's import compile no series
+code: the first access to one of those names, the first ``--method gf``
+request or the first verify check that reads series algebra loads it.
 """
 
 from .core import (
@@ -22,14 +28,6 @@ from .core import (
     validate_pattern,
 )
 from .oracle import count_avoiders, count_sequence, list_avoiders
-from .series import (
-    f_coefficients,
-    iterate_fe,
-    phi,
-    PolyRelation,
-    relation_residual,
-    TruncatedSeries,
-)
 from .succession import (
     count_via_rules,
     emit_diagram,
@@ -40,6 +38,18 @@ from .succession import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """A name of ``__all__`` not bound above, which is one of
+    ``invseq.series``: imported on its first access and bound here, so
+    that later ones never reach this hook."""
+    if name not in __all__:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import series
+    value = globals()[name] = getattr(series, name)
+    return value
+
 
 __all__ = [
     "avoids",

@@ -44,6 +44,14 @@ gf-vs-rules, oracle-vs-rules, fe-vs-rules and wilf-011-201 compare
 their sequences in one place (``_compare``), and oracle-vs-rules and
 fe-vs-rules count a system only once the ones before it agree.
 
+``invseq.series`` is not imported with this module: gf-vs-rules,
+minpoly-A, minpoly-B, minpoly-F, system-201-210, fe-vs-rules and
+conjecture-010-102 each import what they read of it in their own body,
+so the first of them that runs loads it, and oracle-vs-rules,
+structure-theorem and wilf-011-201 never do.  A fault planted in one of
+those names is planted in ``invseq.series``, which they read at call
+time.
+
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:
 
@@ -56,19 +64,6 @@ import itertools
 from .core import avoids, render_word, structure_check_201_210
 from .oracle import count_sequence
 from .prefix import shared
-from .series import (
-    _check_system_violation,
-    _ff_slice_prefix,
-    _relation_prefix,
-    CUBIC_010_102,
-    f_coefficients,
-    iterate_fe,
-    MINPOLY_A,
-    MINPOLY_B,
-    MINPOLY_F,
-    relation_residual,
-    TruncatedSeries,
-)
 from .succession import get_system, rule_counting_sequence, SYSTEMS
 
 
@@ -84,6 +79,7 @@ def _compare(triples, fail, ok):
 
 
 def _verify_gf_vs_rules(n_max):
+    from .series import f_coefficients
     return _compare(
         [((), f_coefficients(n_max), rule_counting_sequence("201-210", n_max))],
         "FAIL at n=%d: closed form %d != rules %d",
@@ -106,6 +102,7 @@ def _verify_minpoly(relation, n_max, *sources):
     prefix, keyed on the bound count of each source (see
     ``_relation_prefix``).  Each source is reached to n_max first, so
     that every step of the route reads a stored count."""
+    from .series import _relation_prefix
     for source in sources:
         source.count(n_max)
     first = _relation_prefix(
@@ -116,10 +113,12 @@ def _verify_minpoly(relation, n_max, *sources):
 
 
 def _verify_minpoly_a(n_max):
+    from .series import _ff_slice_prefix, MINPOLY_A
     return _verify_minpoly(MINPOLY_A, n_max, _ff_slice_prefix())
 
 
 def _verify_minpoly_b(n_max):
+    from .series import _ff_slice_prefix, MINPOLY_B
     # B(x,1) = F(x) - A(x,1): the 201-210 rules accept (k,F,F) and (k,T,F)
     # and never reach (k,F,T), so a depth's count minus its (k,F,F) sum is
     # its (k,T,F) sum, the b slice of the 201-210 DP summed over k.
@@ -128,10 +127,12 @@ def _verify_minpoly_b(n_max):
 
 
 def _verify_minpoly_f(n_max):
+    from .series import MINPOLY_F
     return _verify_minpoly(MINPOLY_F, n_max, get_system("201-210").memo)
 
 
 def _verify_system(n_max):
+    from .series import _check_system_violation
     violation = _check_system_violation(n_max)
     if violation is not None:
         return False, ["FAIL: equation %s first differs at x^%d u^%d" % violation]
@@ -175,6 +176,7 @@ def _verify_structure(n_max):
 
 
 def _verify_fe_vs_rules(n_max):
+    from .series import iterate_fe
     return _compare(
         (((system_id,), iterate_fe(system_id, n_max),
           rule_counting_sequence(system_id, n_max))
@@ -194,6 +196,7 @@ def _verify_wilf(n_max):
 
 
 def _verify_conjecture(n_max):
+    from .series import CUBIC_010_102, relation_residual, TruncatedSeries
     counts = count_sequence(((0, 1, 0), (1, 0, 2)), n_max)
     residual = relation_residual(CUBIC_010_102, TruncatedSeries(counts))
     if residual is not None:

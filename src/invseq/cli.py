@@ -41,6 +41,13 @@ level without building a dict.
 
 main() builds the argument parser once per process, on its first call,
 and reuses it; build_parser() still returns a fresh one.
+
+Importing this module, or building the parser, compiles no code of
+``invseq.series``: the ``--method gf`` branch imports the closed form
+where it calls it, and the verify checks that read series algebra import
+it in their own bodies (see ``invseq.checks``), so the first such
+request loads it, and count, series and list requests on a basis or the
+rules, profile, diagram and the other checks never do.
 """
 
 import argparse
@@ -50,7 +57,6 @@ import sys
 from .checks import CHECKS, run_check
 from .core import digit_word, render_listing, validate_pattern
 from .oracle import count_sequence, list_avoiders, listing_text
-from .series import f_coefficients
 from .succession import (
     emit_diagram,
     get_system,
@@ -97,6 +103,7 @@ def _counts_through(args, n_max):
         if method == "gf":
             _require(args.system == "201-210",
                      "method gf only applies to system 201-210")
+            from .series import f_coefficients
             return f_coefficients(n_max), True
         return count_sequence(get_system(args.system).basis, n_max), False
     method = args.method or "oracle"

@@ -143,7 +143,8 @@ PolyRelation = namedtuple("PolyRelation", ["name", "coefficients"])
 def relation_residual(relation, s):
     """Evaluate the relation at y = s; return the order of the first
     nonzero coefficient of the residual, or None if the relation holds
-    through s.order.  A relation with no coefficients raises ValueError.
+    through s.order, as it does vacuously on an empty series (order -1).
+    A relation with no coefficients raises ValueError.
 
     Keeps no state: the residual's route (see _residual_step) is stepped
     cold over the coefficients of s, in a Prefix the registry never
@@ -152,6 +153,8 @@ def relation_residual(relation, s):
     polys = tuple(map(tuple, relation.coefficients))
     if not polys:
         raise ValueError("relation %r has no coefficients" % (relation.name,))
+    if s.order < 0:
+        return None
     return Prefix(_residual_start(polys), _residual_step, polys,
                   s.coefficients.__getitem__).count(s.order)
 

@@ -1,7 +1,12 @@
 """The public API of the package, pinned: a name leaves or joins it only
 by an edit here."""
 
+import importlib
+
+import pytest
+
 import invseq
+from invseq import series
 
 PUBLIC_NAMES = [
     "PolyRelation",
@@ -35,3 +40,24 @@ def test_public_api_is_pinned():
     assert sorted(invseq.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(invseq, name) is not None, name
+
+
+def test_the_package_root_binds_each_name_to_its_defining_object():
+    """Each public name, the six of ``invseq.series`` among them, which
+    resolve on first access, is the very object of the module that
+    defines it; ``from invseq import *`` binds all of them, and an
+    unknown name is still an AttributeError."""
+    for name in invseq.__all__:
+        obj = getattr(invseq, name)
+        assert obj.__module__ != "invseq", name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    for name in ("f_coefficients", "iterate_fe", "phi", "PolyRelation",
+                 "relation_residual", "TruncatedSeries"):
+        assert getattr(invseq, name) is getattr(series, name), name
+    namespace = {}
+    exec("from invseq import *", namespace)
+    namespace.pop("__builtins__")
+    assert namespace == {name: getattr(invseq, name) for name in PUBLIC_NAMES}
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        invseq.no_such_name
+    assert not hasattr(invseq, "MINPOLY_F")

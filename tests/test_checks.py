@@ -283,10 +283,12 @@ def test_a_fault_planted_in_a_step_after_a_warm_run_prints_the_cold_line(
 
 # -- the comparison of the sequence checks ----------------------------------
 
-# check: (the function it counts each system with, the FAIL line's word,
-# the first system, the number of systems)
-COUNTED = {"oracle-vs-rules": ("count_sequence", "oracle", "201-210", 3),
-           "fe-vs-rules": ("iterate_fe", "iteration", "011-201", 2)}
+# check: (the module the check reads it from, the function it counts each
+# system with, the FAIL line's word, the first system, the number of
+# systems)
+COUNTED = {"oracle-vs-rules": (checks, "count_sequence", "oracle", "201-210",
+                               3),
+           "fe-vs-rules": (series, "iterate_fe", "iteration", "011-201", 2)}
 
 
 @pytest.mark.parametrize("name", sorted(COUNTED))
@@ -295,8 +297,8 @@ def test_a_mismatch_in_the_first_system_counts_no_later_one(
     """The check counts every system when they all agree, and one more
     planted at x^3 of the first system's counts prints that system's
     FAIL line with no later system counted."""
-    function, word, first, systems = COUNTED[name]
-    real = getattr(checks, function)
+    module, function, word, first, systems = COUNTED[name]
+    real = getattr(module, function)
     calls = []
     bump = []
 
@@ -306,7 +308,7 @@ def test_a_mismatch_in_the_first_system_counts_no_later_one(
         if bump:
             counts[3] += 1
         return counts
-    monkeypatch.setattr(checks, function, counted)
+    monkeypatch.setattr(module, function, counted)
     assert run_check(name, 8)[0]
     assert len(calls) == systems
     calls.clear()
@@ -328,9 +330,11 @@ def _listed(values):
 def _with_series(name, y, monkeypatch):
     """Make the sources of the minpoly check read y as the series it
     evaluates: the (k,F,F) slice for minpoly-A, the memo for minpoly-F,
-    and for minpoly-B a memo of the (k,F,F) sums plus y."""
+    and for minpoly-B a memo of the (k,F,F) sums plus y.  The slice is
+    planted in ``invseq.series``, from which minpoly-A imports it when it
+    runs."""
     if name == "minpoly-A":
-        monkeypatch.setattr(checks, "_ff_slice_prefix", lambda: _listed(y))
+        monkeypatch.setattr(series, "_ff_slice_prefix", lambda: _listed(y))
         return
     if name == "minpoly-B":
         a = series._ff_slice_prefix().counts(len(y) - 1)

@@ -378,21 +378,23 @@ def test_verify_arithmetic_error_is_a_failure(capsys, monkeypatch,
     assert err == ""
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("f_coefficients", ["count", "--system", "201-210", "--method", "gf",
-                        "--n", "5"]),
-    ("f_coefficients", ["series", "--system", "201-210", "--method", "gf",
-                        "--n-max", "5"]),
-    ("listing_text", ["list", "--basis", "01", "--n", "3"]),
-    ("list_avoiders", ["list", "--basis", "01234", "--n", "3"]),
-    ("profile_text", ["profile", "--system", "201-210", "--n", "3"]),
-    ("emit_diagram", ["diagram", "--system", "201-210", "--n-max", "2"]),
+@pytest.mark.parametrize("module, name, argv", [
+    (series, "f_coefficients", ["count", "--system", "201-210", "--method",
+                                "gf", "--n", "5"]),
+    (series, "f_coefficients", ["series", "--system", "201-210", "--method",
+                                "gf", "--n-max", "5"]),
+    (cli, "listing_text", ["list", "--basis", "01", "--n", "3"]),
+    (cli, "list_avoiders", ["list", "--basis", "01234", "--n", "3"]),
+    (cli, "profile_text", ["profile", "--system", "201-210", "--n", "3"]),
+    (cli, "emit_diagram", ["diagram", "--system", "201-210", "--n-max", "2"]),
 ], ids=["count", "series", "list", "list-fallback", "profile", "diagram"])
 def test_arithmetic_error_outside_verify_is_usage_error(capsys, monkeypatch,
-                                                        name, argv):
+                                                        module, name, argv):
+    """The closed form is planted in ``invseq.series``, which the gf
+    branch imports from where it calls it."""
     def inexact(*args):
         raise ArithmeticError("coefficient of x^3 is not an integer")
-    monkeypatch.setattr(cli, name, inexact)
+    monkeypatch.setattr(module, name, inexact)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -463,10 +465,11 @@ def _bump_count(at):
 B_011_201 = ((0, 1, 1), (2, 0, 1))
 
 # check: (module or object, route the check reads, plant, depth, OK line,
-# FAIL line)
+# FAIL line); a series name is planted in invseq.series, from which the
+# check imports it when it runs
 CHECK_CASES = {
     "gf-vs-rules": (
-        checks, "f_coefficients", _bump_at(3), 6,
+        series, "f_coefficients", _bump_at(3), 6,
         "OK: closed form matches the rules through n=6",
         "FAIL at n=3: closed form 7 != rules 6"),
     "oracle-vs-rules": (
@@ -496,7 +499,7 @@ CHECK_CASES = {
         "sequences through n=4",
         "FAIL at e=010: checker False, avoidance True"),
     "fe-vs-rules": (
-        checks, "iterate_fe", _bump_at(4, "010-100-120-210"), 6,
+        series, "iterate_fe", _bump_at(4, "010-100-120-210"), 6,
         "OK: functional-equation iteration matches the rules through n=6",
         "FAIL for 010-100-120-210 at n=4: iteration 16 != rules 15"),
     "wilf-011-201": (

@@ -3,11 +3,12 @@
 The routes to the counting numbers stay independent only while the code
 keeps them apart: the core matcher depends on no counting route, the
 oracle needs nothing but pattern validation, the polynomial layer
-imports nothing of the package, reads no relation and is not imported
-with it, the series layer reads nothing of the succession DP but the
-steps of its two census routes, the (k,F,F) slice and the 201-210
-kernel, and nothing of the oracle, and the closed form and the
-functional-equation iteration reach no succession code at all.  The command line reaches the checks through
+imports nothing of the package and reads no relation, neither it nor
+the series layer is imported with the package or the command line but
+by the first request that reads it, the series layer reads nothing of
+the succession DP but the steps of its two census routes, the (k,F,F)
+slice and the 201-210 kernel, and nothing of the oracle, and the closed
+form and the functional-equation iteration reach no succession code at all.  The command line reaches the checks through
 the public registry in ``invseq.checks``, not through private names,
 every per-process state but the command line's text memo is a Prefix
 in the registry of ``invseq.prefix``, and the runtime imports nothing
@@ -21,6 +22,7 @@ the registry after requests of every kind."""
 import ast
 import dis
 import inspect
+import json
 import os
 import pathlib
 import subprocess
@@ -114,18 +116,68 @@ def test_poly_imports_no_invseq_module_and_reads_no_relation():
     assert {"solve", "pmul", "ydy"} <= set(loaded)
 
 
-def test_importing_the_package_neither_imports_nor_runs_poly():
-    """The command line's import, what ``setup_s`` times, leaves
-    ``invseq.poly`` unimported: a relation route's first step imports it,
-    so no ODE is derived, and no source compiled, before a minpoly check
-    asks."""
-    code = ("import sys, invseq.cli; invseq.cli.build_parser(); "
-            "print('invseq.poly' in sys.modules)")
+_FOOTPRINT = """\
+import contextlib, io, json, sys
+marks = []
+def mark(label):
+    marks.append([label, sorted(name for name in sys.modules
+                                if name in ("invseq.series", "invseq.poly"))])
+def run(*argv):
+    import invseq.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert invseq.cli.main(list(argv)) == 0, argv
+    mark(" ".join(argv))
+"""
+
+
+def _footprints(code):
+    """[label, the lazily loaded modules then] for each mark(label) that
+    code makes in a fresh interpreter, after the prelude _FOOTPRINT,
+    whose run(*argv) serves one request and marks it."""
     src = str(pathlib.Path(invseq.__file__).parent.parent)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=60,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == ["False"]
+    out = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT + code + "\nprint(json.dumps(marks))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    return [tuple(pair) for pair in json.loads(out)]
+
+
+def test_importing_the_package_neither_imports_nor_runs_poly():
+    """The package's import and the command line's, with its parser,
+    what ``setup_s`` times, leave ``invseq.series`` and ``invseq.poly``
+    unimported: no series source is compiled before a request reads the
+    closed form or a check reads series algebra, and no ODE is derived
+    before a minpoly check asks (a relation route's first step imports
+    poly).  The package's first read of a series name imports series."""
+    assert _footprints(
+        "import invseq\nmark('invseq')\n"
+        "import invseq.cli\ninvseq.cli.build_parser()\nmark('cli')\n"
+        "invseq.phi\nmark('phi')\n") == [
+        ("invseq", []), ("cli", []), ("phi", ["invseq.series"])]
+
+
+def test_only_requests_that_read_series_load_it():
+    """A request on a basis or on the rules, a listing, a profile, a
+    diagram and the checks that read no series algebra leave series
+    unloaded; the first gf request loads series alone, and the first
+    minpoly check series and poly."""
+    quiet = [("count", "--basis", "201,210", "--n", "6"),
+             ("series", "--basis", "011,201", "--n-max", "6"),
+             ("count", "--system", "201-210", "--n", "6"),
+             ("list", "--basis", "011,201", "--n", "3"),
+             ("profile", "--system", "201-210", "--n", "3"),
+             ("diagram", "--system", "201-210", "--n-max", "2"),
+             ("verify", "--check", "structure-theorem", "--n-max", "5"),
+             ("verify", "--check", "oracle-vs-rules", "--n-max", "6"),
+             ("verify", "--check", "wilf-011-201", "--n-max", "20")]
+    gf = ("count", "--system", "201-210", "--method", "gf", "--n", "6")
+    minpoly = ("verify", "--check", "minpoly-F", "--n-max", "10")
+    code = "".join("run(*%r)\n" % (argv,) for argv in [*quiet, gf])
+    assert _footprints(code) == [
+        *((" ".join(argv), []) for argv in quiet),
+        (" ".join(gf), ["invseq.series"])]
+    assert _footprints("run(*%r)\n" % (minpoly,)) == [
+        (" ".join(minpoly), ["invseq.poly", "invseq.series"])]
 
 
 def test_series_imports_nothing_from_the_oracle():
@@ -173,13 +225,16 @@ def _orphans(paths, exported):
     """{(module, name)} for each top-level function or class of the
     modules at paths that exported does not name and that no code object
     loads outside its own body: by name in the same module, or as an
-    attribute or an import in any."""
+    attribute or an import in any.  A module's ``__getattr__`` is
+    exempt: the interpreter calls it on a missing attribute (PEP 562),
+    and no code loads it."""
     owners = _loads_by_owner(paths)
     orphans = set()
     for path in paths:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+                                 ast.ClassDef)) \
+                    and node.name != "__getattr__":
                 defined = path.stem, node.name
                 if node.name not in exported and not any(
                         owner != defined
@@ -206,9 +261,13 @@ def test_the_orphan_reader_sees_calls_tables_imports_and_recursion(tmp_path):
         "from .a import imported\nimport a\n"
         "def reader():\n    return a.attribute, a.keyed, twin\n"
         "def twin():\n    pass\n")
+    (tmp_path / "c.py").write_text(
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+        "def __dir__():\n    return []\n")
     paths = sorted(tmp_path.glob("*.py"))
     assert _orphans(paths, ["exported", "reader"]) == {
-        ("a", "recursive"), ("a", "Named"), ("a", "quoted"), ("a", "twin")}
+        ("a", "recursive"), ("a", "Named"), ("a", "quoted"), ("a", "twin"),
+        ("c", "__dir__")}
 
 
 def test_every_top_level_definition_is_read_or_exported():

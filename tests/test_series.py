@@ -211,6 +211,17 @@ def test_relation_residual_nonzero_example():
     assert relation_residual(MINPOLY_A, TruncatedSeries([1, 1, 0, 0, 0, 0])) == 2
 
 
+def test_relation_residual_holds_vacuously_on_an_empty_series():
+    """An empty series has order -1, so every relation holds through it;
+    a relation with no coefficients is still rejected first."""
+    empty = TruncatedSeries([])
+    assert empty.order == -1
+    for relation in (MINPOLY_A, MINPOLY_B, MINPOLY_F, CUBIC_010_102):
+        assert relation_residual(relation, empty) is None, relation.name
+    with pytest.raises(ValueError, match="relation 'e' has no coefficients"):
+        relation_residual(PolyRelation("e", ()), empty)
+
+
 def _plain_horner(polys, coeffs):
     """Reference: the residual's coefficients by Horner's rule in y, one
     full product per step."""

@@ -1,9 +1,13 @@
-"""Print the number of code lines of the invseq package.
+"""Print the number of code lines and the compile time of each module
+of the invseq package.
 
 A code line is a line of a module that holds a token other than a
 comment, where docstrings (of the module, of a class or of a function)
-do not count as tokens.  One line per module of src/invseq, then the
-code lines of tests/, then, on the last line, the total of src/invseq.
+do not count as tokens.  A module's compile time is the least of
+COMPILE_RUNS calls of compile() on its source: what importing it costs
+where no bytecode is cached, as when PYTHONDONTWRITEBYTECODE is set.
+One line per module of src/invseq with both, then the code lines of
+tests/, then, on the last line, the total code lines of src/invseq.
 Standard library only:
 
     python3 tools/code_lines.py
@@ -11,10 +15,12 @@ Standard library only:
 
 import ast
 import pathlib
+import timeit
 import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "invseq"
+COMPILE_RUNS = 5
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 
@@ -43,11 +49,20 @@ def code_lines(path):
     return len(lines - docstrings)
 
 
+def compile_ms(path):
+    """The least time, in milliseconds, of COMPILE_RUNS compile() calls
+    on the source of the module at path."""
+    source = path.read_text()
+    return 1000 * min(timeit.repeat(lambda: compile(source, str(path), "exec"),
+                                    number=1, repeat=COMPILE_RUNS))
+
+
 if __name__ == "__main__":
     modules = {path.name: code_lines(path)
                for path in sorted(PACKAGE.glob("*.py"))}
     for name, lines in modules.items():
-        print("src/invseq/%-14s %5d" % (name, lines))
+        print("src/invseq/%-14s %5d  %6.2f ms compile"
+              % (name, lines, compile_ms(PACKAGE / name)))
     print("%-25s %5d" % ("tests/", sum(map(code_lines,
                                             (ROOT / "tests").glob("*.py")))))
     print(sum(modules.values()))
