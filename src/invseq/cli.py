@@ -39,8 +39,21 @@ form hold the same 201-210 counts, so one memo converts each count once
 for both.  profile prints ``profile_text``, which renders the dense
 level without building a dict.
 
-main() builds the argument parser once per process, on its first call,
-and reuses it; build_parser() still returns a fresh one.
+One table, ``_GRAMMAR``, holds the command line: each subcommand's
+handler, help text and flags, and whether it takes the --system/--basis
+pair.  build_parser() builds the argparse parser from it, and
+``_PLAIN``, what the plain path reads, is derived from it at import.
+main() parses a command line on one of two paths.  A plain command line
+(a subcommand, then exact long flags of it, each once, as "--flag value"
+with no value starting with "-") that argparse would accept is read by
+``_parse`` in a few dict lookups, into a Namespace equal to the one
+parse_args returns; this is the form of every request the benchmark
+sends and of every README example.  Any other command line (-h, an
+abbreviation, --flag=value, a repeat, a missing or unknown flag, a value
+argparse rejects) goes to argparse, which prints every help, usage and
+error text.  main() builds that parser on the first command line that
+needs it and reuses it, so a process whose command lines are all plain
+never builds one; build_parser() still returns a fresh one.
 
 Importing this module, or building the parser, compiles no code of
 ``invseq.series``: the ``--method gf`` branch imports the closed form
@@ -172,16 +185,48 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
-def _add_source_flags(sub, with_method=True):
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--system", choices=sorted(SYSTEMS),
-                       help="one of the built-in rule systems")
-    group.add_argument("--basis", help="comma-separated pattern words, "
-                       "e.g. 201,210 (empty string avoids nothing)")
-    if with_method:
-        sub.add_argument("--method", choices=["rules", "oracle", "gf"],
-                         help="rules (default with --system), oracle "
-                         "(default with --basis), or gf (201-210 only)")
+def _flag(option, type=str, choices=None, required=False, default=None,
+          help=None):
+    """One flag of the grammar: its option and the keywords of its
+    add_argument call, dest among them."""
+    return option, dict(dest=option[2:].replace("-", "_"), type=type,
+                        choices=choices, required=required, default=default,
+                        help=help)
+
+
+_SYSTEM_IDS = sorted(SYSTEMS)
+_SOURCE = (  # exactly one of them, for the commands marked below
+    _flag("--system", choices=_SYSTEM_IDS,
+          help="one of the built-in rule systems"),
+    _flag("--basis", help="comma-separated pattern words, "
+          "e.g. 201,210 (empty string avoids nothing)"),
+)
+_METHOD = _flag("--method", choices=["rules", "oracle", "gf"],
+                help="rules (default with --system), oracle "
+                "(default with --basis), or gf (201-210 only)")
+_SYSTEM = _flag("--system", choices=_SYSTEM_IDS, required=True)
+_N = _flag("--n", int, required=True)
+_N_MAX = _flag("--n-max", int, required=True)
+
+# The command line: subcommand -> (handler, help, whether the _SOURCE
+# pair comes first, the other flags in help order).
+_GRAMMAR = {
+    "count": (_cmd_count, "one term of a counting sequence", True,
+              (_METHOD, _N)),
+    "list": (_cmd_list, "enumerate avoiders of a basis", True, (_N,)),
+    "series": (_cmd_series, "counting sequence from 0 to n-max", True,
+               (_METHOD, _N_MAX, _flag("--format", default="plain",
+                                       choices=["plain", "csv", "bfile"]))),
+    "profile": (_cmd_profile, "state census of a system at depth n", False,
+                (_SYSTEM, _N)),
+    "diagram": (_cmd_diagram, "generating tree as DOT", False,
+                (_SYSTEM, _N_MAX, _flag("--format", choices=["dot"],
+                                        default="dot"))),
+    "verify": (_cmd_verify, "run a named cross-check", False,
+               (_flag("--check", choices=sorted(CHECKS), required=True),
+                _flag("--n-max", int, help="depth to check to "
+                      "(each check has a default)"))),
+}
 
 
 def build_parser():
@@ -189,52 +234,68 @@ def build_parser():
         prog="invseq",
         description="Count and enumerate pattern-avoiding inversion sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="one term of a counting sequence")
-    _add_source_flags(p)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("list", help="enumerate avoiders of a basis")
-    _add_source_flags(p, with_method=False)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("series", help="counting sequence from 0 to n-max")
-    _add_source_flags(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--format", choices=["plain", "csv", "bfile"],
-                   default="plain")
-
-    p = sub.add_parser("profile", help="state census of a system at depth n")
-    p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("diagram", help="generating tree as DOT")
-    p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--format", choices=["dot"], default="dot")
-
-    p = sub.add_parser("verify", help="run a named cross-check")
-    p.add_argument("--check", choices=sorted(CHECKS), required=True)
-    p.add_argument("--n-max", type=int,
-                   help="depth to check to (each check has a default)")
-
+    for name, (_, text, source, flags) in _GRAMMAR.items():
+        p = sub.add_parser(name, help=text)
+        if source:
+            group = p.add_mutually_exclusive_group(required=True)
+            for option, keywords in _SOURCE:
+                group.add_argument(option, **keywords)
+        for option, keywords in flags:
+            p.add_argument(option, **keywords)
     return parser
 
 
-_COMMANDS = {
-    "count": _cmd_count,
-    "list": _cmd_list,
-    "series": _cmd_series,
-    "profile": _cmd_profile,
-    "diagram": _cmd_diagram,
-    "verify": _cmd_verify,
-}
+def _plain_form(name, source, flags):
+    """What _parse reads for one subcommand: (dest, type, choices) by
+    option, the Namespace before any flag is read, and the options it
+    requires."""
+    flags = _SOURCE + flags if source else flags
+    return ({option: (kw["dest"], kw["type"], kw["choices"])
+             for option, kw in flags},
+            {"command": name, **{kw["dest"]: kw["default"] for _, kw in flags}},
+            {option for option, kw in flags if kw["required"]},
+            source)
+
+
+_PLAIN = {name: _plain_form(name, source, flags)
+          for name, (_, _, source, flags) in _GRAMMAR.items()}
+
+
+def _parse(argv):
+    """The Namespace parse_args(argv) returns, for a plain command line:
+    a subcommand, then exact long flags of it, each at most once, as
+    "--flag value" with no value starting with "-".  None for any other
+    command line and for one parse_args rejects, which main() then
+    hands to argparse for its help, usage or error text."""
+    form = _PLAIN.get(argv[0]) if argv else None
+    options = dict(zip(argv[1::2], argv[2::2]))
+    if form is None or 2 * len(options) != len(argv) - 1:
+        return None  # not a subcommand, a dangling flag, or a repeat
+    flags, namespace, required, source = form
+    values = dict(namespace)
+    for option, text in options.items():
+        flag = flags.get(option)
+        if flag is None or text[:1] == "-":
+            return None
+        dest, kind, choices = flag
+        try:
+            value = kind(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= options.keys() or \
+            source and ("--system" in options) == ("--basis" in options):
+        return None
+    return argparse.Namespace(**values)
 
 
 @functools.cache
 def _parser():
-    """The parser main() uses, built on its first call.  parse_args returns
-    a fresh Namespace every time, so reuse carries nothing over."""
+    """The parser main() hands a command line that _parse does not take,
+    built on the first such call.  parse_args returns a fresh Namespace
+    every time, so reuse carries nothing over."""
     return build_parser()
 
 
@@ -245,14 +306,18 @@ def _one_line(exc):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     # Exact counts outgrow the cap Python (3.10.7 and later) puts on
     # int -> str conversion; lift it for this call only.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[args.command](args)
+        return _GRAMMAR[args.command][0](args)
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import math
+import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -284,7 +286,7 @@ def test_output_is_deterministic(capsys):
         assert first[0] == 0 and first[1]
 
 
-# -- one parser per process -------------------------------------------------
+# -- parsing: the plain path and argparse ------------------------------------
 
 # Each command form once, in an order where a flag left over from one
 # request would change the next: the gf request just before a system gf
@@ -299,6 +301,7 @@ MIXED_REQUESTS = [
     ["series", "--system", "201-210", "--n-max", "5", "--format", "bfile"],
     ["verify", "--check", "gf-vs-rules", "--n-max", "20"],
 ]
+USAGE_ERROR = ["count", "--n", "3"]
 
 
 def replies(capsys, requests):
@@ -313,11 +316,16 @@ def replies(capsys, requests):
 
 
 def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    """Plain requests build no parser, and reply as argparse alone
+    would; the usage error builds it once per process."""
     build_parser = cli.build_parser
     with monkeypatch.context() as m:
+        m.setattr(cli, "_parse", lambda argv: None)  # argparse reads all
         m.setattr(cli, "_parser", build_parser)  # a fresh parser per call
         fresh = replies(capsys, MIXED_REQUESTS)
     assert [reply[0] for reply in fresh] == [0, 0, 0, 0, 0, 2, 0, 0]
+    assert fresh[5][2].endswith("invseq count: error: one of the arguments "
+                                "--system --basis is required\n")
 
     built = []
 
@@ -326,8 +334,119 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
         return build_parser()
     monkeypatch.setattr(cli, "build_parser", counted_build_parser)
     cli._parser.cache_clear()
+    plain = [argv for argv in MIXED_REQUESTS if argv != USAGE_ERROR]
+    assert replies(capsys, plain) == [reply for argv, reply
+                                      in zip(MIXED_REQUESTS, fresh)
+                                      if argv != USAGE_ERROR]
+    assert built == []
     assert replies(capsys, MIXED_REQUESTS * 2) == fresh * 2
     assert len(built) == 1
+
+
+PARSER = cli.build_parser()
+AWKWARD = ["--", "-1", "", "x", "nope", "+7", " 7", "7_0", "\u0663"]
+OPTIONS = sorted({option for _, _, _, flags in cli._GRAMMAR.values()
+                  for option, _ in flags + cli._SOURCE})
+
+
+def argparse_vars(argv):
+    """vars() of what argparse returns for argv, or None where it exits
+    (help, usage or an error)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def valid_values(keywords):
+    if keywords["choices"]:
+        return st.sampled_from(keywords["choices"])
+    if keywords["type"] is int:
+        return st.integers(0, 999).map(str)
+    return st.text("0123,", max_size=7)
+
+
+@st.composite
+def command_lines(draw, perturb):
+    """A subcommand of the grammar with its required flags, some of its
+    optional ones and one source where it takes one, in random order,
+    each with a valid value; with perturb, some values awkward and a
+    few of: a repeat, an abbreviation, --flag=value, a flag of another
+    subcommand, a missing flag, both sources, -h and a dangling flag."""
+    name = draw(st.sampled_from(sorted(cli._GRAMMAR)))
+    _, _, source, flags = cli._GRAMMAR[name]
+    chosen = [flag for flag in flags
+              if flag[1]["required"] or draw(st.booleans())]
+    if source:
+        chosen.append(draw(st.sampled_from(cli._SOURCE)))
+    values = [st.sampled_from(AWKWARD)
+              if perturb and draw(st.integers(0, 3)) == 0
+              else valid_values(kw) for _, kw in chosen]
+    pairs = draw(st.permutations(
+        [[option, draw(value)] for (option, _), value in zip(chosen, values)]))
+    kinds = draw(st.lists(st.sampled_from(
+        ["repeat", "abbreviate", "equals", "foreign", "missing", "both",
+         "help", "dangling"]), max_size=3)) if perturb else []
+    for kind in kinds:
+        at = draw(st.integers(0, len(pairs)))
+        pair = pairs[at] if at < len(pairs) and len(pairs[at]) == 2 else None
+        if kind == "repeat" and pair:
+            pairs.insert(draw(st.integers(0, len(pairs))), list(pair))
+        elif kind == "abbreviate" and pair and len(pair[0]) > 3:
+            pair[0] = pair[0][:draw(st.integers(3, len(pair[0]) - 1))]
+        elif kind == "equals" and pair:
+            pairs[at] = ["%s=%s" % tuple(pair)]
+        elif kind == "foreign":
+            pairs.insert(at, [draw(st.sampled_from(OPTIONS)), "1"])
+        elif kind == "missing" and pair:
+            del pairs[at]
+        elif kind == "both" and source:
+            pairs.insert(at, [draw(st.sampled_from(cli._SOURCE))[0], "10"])
+        elif kind == "help":
+            pairs.insert(at, [draw(st.sampled_from(["-h", "--help"]))])
+        elif kind == "dangling":
+            pairs.append([draw(st.sampled_from(OPTIONS))])
+    return [name] + [token for pair in pairs for token in pair]
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines(perturb=True))
+def test_plain_parse_equals_argparse(argv):
+    """Where _parse returns a Namespace, argparse returns an equal one;
+    where argparse exits, _parse has returned None."""
+    parsed = cli._parse(argv)
+    if parsed is not None:
+        assert vars(parsed) == argparse_vars(argv), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_lines(perturb=False))
+def test_every_plain_command_line_is_parsed_without_argparse(argv):
+    parsed = cli._parse(argv)
+    assert parsed is not None, argv
+    assert vars(parsed) == argparse_vars(argv)
+
+
+HELP = pathlib.Path(__file__).with_name("cli_help.txt")
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11), (3, 12)),
+                    reason="argparse of Python 3.13 wraps usage lines "
+                    "differently")
+def test_help_text(capsys, monkeypatch):
+    """invseq -h and <command> -h print what cli_help.txt holds after
+    their "$" line, at 80 columns, and exit 0."""
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = re.split(r"^(?=\$ invseq)", HELP.read_text(), flags=re.M)[1:]
+    assert len(pinned) == 1 + len(cli._GRAMMAR)
+    for example in pinned:
+        command, _, text = example.partition("\n")
+        with pytest.raises(SystemExit) as info:
+            main(command.split()[2:])
+        assert info.value.code == 0
+        assert capsys.readouterr() == (text, ""), command
 
 
 # -- verify -----------------------------------------------------------------

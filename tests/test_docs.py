@@ -66,5 +66,7 @@ def test_readme_has_shell_examples():
 @pytest.mark.parametrize("command, shown", EXAMPLES,
                          ids=[command for command, _ in EXAMPLES])
 def test_readme_shell_examples(command, shown, capsys):
-    assert cli.main(shlex.split(command)[1:]) == 0
+    argv = shlex.split(command)[1:]
+    assert cli._parse(argv) is not None  # no argparse needed
+    assert cli.main(argv) == 0
     assert capsys.readouterr().out == shown
