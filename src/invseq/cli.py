@@ -30,14 +30,21 @@ traceback.
 Output is deterministic: the same invocation always produces
 byte-identical text, so the commands are safe to diff in CI.
 
-series prints each count of the rules memo or the closed form with the
-decimal text a per-process memo keeps for that value (``_DECIMAL``), so
-a process converts each such count to text once; the oracle's counts,
-which no prefix keeps, are converted on every request.  The memo is
-keyed by value, not by source, because the rules memo and the closed
-form hold the same 201-210 counts, so one memo converts each count once
-for both.  profile prints ``profile_text``, which renders the dense
-level without building a dict.
+series prints the counts of the rules memo or the closed form from two
+kinds of route in the registry of ``invseq.prefix``: a text route per
+source, ("text", the source's registry key), whose count at depth d is
+the line of the source's count at d, and an index route per separator,
+("index", "," or " "), whose count at d is d and the separator.  The
+text route is keyed on the bound ``count`` of the source's prefix (the
+system's ``RuleSystem.memo``, or ``invseq.series.f_prefix``), so it
+steps cold once the source is made afresh, by a planted step say.  A
+process thus converts and formats each such count once: a plain reply
+joins the text route's lines, and a csv or bfile reply joins each line
+of the index route with the line of the text route.  The oracle's
+counts (--basis, --method oracle), which no prefix keeps, are converted
+and formatted on every request and add no route.  profile prints
+``profile_text``, which renders the dense level without building a
+dict.
 
 One table, ``_GRAMMAR``, holds the command line: each subcommand's
 handler, help text and flags, and whether it takes the --system/--basis
@@ -66,10 +73,12 @@ rules, profile, diagram and the other checks never do.
 import argparse
 import functools
 import sys
+from operator import add
 
 from .checks import CHECKS, run_check
 from .core import digit_word, render_listing, validate_pattern
 from .oracle import count_sequence, list_avoiders, listing_text
+from .prefix import shared
 from .succession import (
     emit_diagram,
     get_system,
@@ -104,43 +113,45 @@ def _resolve_basis(args):
     return parse_basis(args.basis)
 
 
-def _counts_through(args, n_max):
-    """(counting sequence 0..n_max, whether a per-process prefix holds
-    its counts) for the source the flags select: the rules memo and the
-    closed form keep one, the oracle none."""
+def _source(args, n_max):
+    """(counting sequence 0..n_max, registry key, prefix) for the source
+    the flags select: the rules memo, under the system's name, and the
+    closed form, under "f_coefficients", are per-process prefixes that
+    hold the counts; the oracle keeps none, and its key and prefix are
+    None."""
     _require(n_max >= 0, "n must be nonnegative")
     if args.system is not None:
         method = args.method or "rules"
         if method == "rules":
-            return rule_counting_sequence(args.system, n_max), True
+            return (rule_counting_sequence(args.system, n_max), args.system,
+                    get_system(args.system).memo)
         if method == "gf":
             _require(args.system == "201-210",
                      "method gf only applies to system 201-210")
-            from .series import f_coefficients
-            return f_coefficients(n_max), True
-        return count_sequence(get_system(args.system).basis, n_max), False
+            from .series import f_coefficients, f_prefix
+            return f_coefficients(n_max), "f_coefficients", f_prefix()
+        return count_sequence(get_system(args.system).basis, n_max), None, None
     method = args.method or "oracle"
     _require(method == "oracle",
              "--basis only supports method oracle; use --system for %s" % method)
-    return count_sequence(parse_basis(args.basis), n_max), False
+    return count_sequence(parse_basis(args.basis), n_max), None, None
 
 
-_DECIMAL = {}       # count -> its decimal text, for counts a prefix holds
+def _text_step(d, count):
+    """The text route's step: the line of the source's count at depth d."""
+    return d + 1, str(count(d)) + "\n"
 
 
-def _decimal(counts):
-    """The decimal text of each count, read from _DECIMAL or added to it.
+_SEPARATORS = {"plain": None, "csv": ",", "bfile": " "}  # by --format
 
-    str() of an integer depends on its value alone, so no entry can go
-    stale, and the memo keeps at most the counts the prefixes keep.  No
-    lock is needed: two threads may both convert a count, and the first
-    text stored is kept."""
-    memo = _DECIMAL
-    return [memo.get(c) or memo.setdefault(c, str(c)) for c in counts]
+
+def _index_step(d, sep):
+    """The index route's step: depth d and the separator."""
+    return d + 1, "%d%s" % (d, sep)
 
 
 def _cmd_count(args):
-    print(_counts_through(args, args.n)[0][args.n])
+    print(_source(args, args.n)[0][args.n])
     return 0
 
 
@@ -155,14 +166,17 @@ def _cmd_list(args):
 
 
 def _cmd_series(args):
-    counts, kept = _counts_through(args, args.n_max)
-    texts = _decimal(counts) if kept else map(str, counts)
-    if args.format == "plain":
-        lines = [text + "\n" for text in texts]
+    n = args.n_max
+    sep = _SEPARATORS[args.format]
+    # _source leaves the source's prefix n deep: the text steps only read it
+    counts, key, prefix = _source(args, n)
+    if prefix is None:
+        lines = [str(c) + "\n" for c in counts]
+        index = sep and ["%d%s" % (d, sep) for d in range(n + 1)]
     else:
-        sep = "," if args.format == "csv" else " "
-        lines = ["%d%s%s\n" % (n, sep, text) for n, text in enumerate(texts)]
-    sys.stdout.write("".join(lines))
+        lines = shared(("text", key), 0, _text_step, prefix.count).counts(n)
+        index = sep and shared(("index", sep), 0, _index_step, sep).counts(n)
+    sys.stdout.write("".join(map(add, index, lines) if index else lines))
     return 0
 
 
@@ -216,7 +230,7 @@ _GRAMMAR = {
     "list": (_cmd_list, "enumerate avoiders of a basis", True, (_N,)),
     "series": (_cmd_series, "counting sequence from 0 to n-max", True,
                (_METHOD, _N_MAX, _flag("--format", default="plain",
-                                       choices=["plain", "csv", "bfile"]))),
+                                       choices=list(_SEPARATORS)))),
     "profile": (_cmd_profile, "state census of a system at depth n", False,
                 (_SYSTEM, _N)),
     "diagram": (_cmd_diagram, "generating tree as DOT", False,

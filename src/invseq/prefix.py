@@ -23,14 +23,19 @@ the same Prefix.  The keys are:
     ("iterate_fe", system) and ("relation", name), the residual of a
     relation on the prefixes it reads, checked through the linear ODE
     of the relation, which its first step derives;
-  * "structure-theorem" (``invseq.checks``).
+  * "structure-theorem" (``invseq.checks``);
+  * ``invseq.cli``: ("text", source), the line of each count of a source
+    the command line prints, keyed on the bound ``count`` of the source's
+    prefix, a system's rules memo (source: the system's name) or the
+    closed form ("f_coefficients"), and ("index", sep), d and the
+    separator of a csv (",") or bfile (" ") line.
 
 start is the level at depth 0.  step(level, *args) takes the level at
 depth d to the level at d + 1 and the count at d, which it forms from
 the work it does anyway.  A "count" is whatever the route makes of a
 depth: a number, the first nonzero u-degree of each residual row of the
-201-210 system, or the first nonzero residual order or disagreement so
-far.  No step mutates a level.
+201-210 system, the first nonzero residual order or disagreement so
+far, or a line of text.  No step mutates a level.
 
 A Prefix keeps the counts at depths 0..L-1 and the level at depth L,
 the level it steps next, for the deepest L any request in this process

@@ -92,14 +92,22 @@ def f_coefficients(n_max):
     the closed form is wrong.
 
     The coefficients come from this process's prefix of the recurrences
-    (see ``invseq.prefix``), so a request no deeper than an earlier one
-    steps nothing.  Its level at depth d is the state (d, r_(d-1),
-    f_(d-1), f_(d-2)) before x^d, from (0, 0, 0, 0), and the step of
-    depth d forms f_d (see _f_step).
+    (``f_prefix``), so a request no deeper than an earlier one steps
+    nothing.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    return shared("f_coefficients", (0, 0, 0, 0), _f_step).counts(n_max)
+    return f_prefix().counts(n_max)
+
+
+def f_prefix():
+    """This process's prefix of the recurrences of f_coefficients (see
+    ``invseq.prefix``), under the key "f_coefficients".  Its level at
+    depth d is the state (d, r_(d-1), f_(d-1), f_(d-2)) before x^d, from
+    (0, 0, 0, 0), and the step of depth d forms f_d (see _f_step).  The
+    command line keys the text of the closed form's counts on this
+    prefix's bound ``count``."""
+    return shared("f_coefficients", (0, 0, 0, 0), _f_step)
 
 
 def _f_step(level):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from invseq import checks, cli, series
 from invseq.cli import CHECKS, main, parse_basis
 from invseq.oracle import count_sequence
+from invseq.prefix import _STATES
 from invseq.succession import (
     SYSTEMS,
     get_system,
@@ -210,7 +211,7 @@ def test_profile_and_series_write_what_a_print_per_line_would(capsys, n):
                 (source, fmt)
 
 
-# -- the decimal text of counts ---------------------------------------------
+# -- the text of counts -----------------------------------------------------
 
 # series, count and profile on the three systems, with the rules and the
 # closed form in every format, at depths on both sides of a checkpoint
@@ -232,6 +233,16 @@ WARM_REQUESTS = [
       for system_id in sorted(SYSTEMS) for n in (2, 66)],
 ]
 
+TEXT_KEYS = {("text", "201-210"), ("text", "f_coefficients"),
+             ("text", "011-201"), ("text", "010-100-120-210")}
+INDEX_KEYS = {("index", ","), ("index", " ")}
+
+
+def _route_keys():
+    """The text and index keys in the registry."""
+    return {key for key in _STATES
+            if isinstance(key, tuple) and key[0] in ("text", "index")}
+
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_warm_replies_equal_cold_ones_in_any_order(capsys, seed, fresh_states):
@@ -245,27 +256,140 @@ def test_warm_replies_equal_cold_ones_in_any_order(capsys, seed, fresh_states):
         cold.append(run_cli(capsys, *argv))
     fresh_states()
     assert [run_cli(capsys, *argv) for argv in requests] == cold
-    assert cli._DECIMAL
+    assert _route_keys() == TEXT_KEYS | INDEX_KEYS
     assert all(code == 0 and out and not err for code, out, err in cold)
 
 
-def test_only_prefix_sources_read_and_fill_the_text_memo(capsys, monkeypatch):
-    """series reads the text of a rules or closed-form count from the
-    memo; an oracle source, through --basis or --method oracle, neither
-    reads nor adds to it."""
-    monkeypatch.setattr(cli, "_DECIMAL", {116: "planted"})
-    for argv in (["--system", "201-210"],
-                 ["--system", "201-210", "--method", "gf"]):
-        assert run_cli(capsys, "series", *argv, "--n-max", "5")[1] \
-            .split("\n")[5] == "planted"
-    monkeypatch.setattr(cli, "_DECIMAL", {116: "planted"})
+# the four sources a per-process prefix keeps: flags, and the route that
+# gives the reference counts
+KEPT_SOURCES = {
+    "201-210": (["--system", "201-210"],
+                lambda n: rule_counting_sequence("201-210", n)),
+    "gf": (["--system", "201-210", "--method", "gf"], series.f_coefficients),
+    "011-201": (["--system", "011-201"],
+                lambda n: rule_counting_sequence("011-201", n)),
+    "010-100-120-210": (["--system", "010-100-120-210", "--method", "rules"],
+                        lambda n: rule_counting_sequence("010-100-120-210",
+                                                         n)),
+}
+SEPARATORS = {"plain": None, "csv": ",", "bfile": " "}
+
+
+def _reference(counts, fmt):
+    """The series reply for counts in a format, built with str."""
+    sep = SEPARATORS[fmt]
+    index = ["%d%s" % (d, sep) if sep else "" for d in range(len(counts))]
+    return "".join(i + str(c) + "\n" for i, c in zip(index, counts))
+
+
+def _served(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(KEPT_SOURCES)),
+                          st.sampled_from(sorted(SEPARATORS)),
+                          st.integers(min_value=0, max_value=150)),
+                min_size=1, max_size=8))
+def test_text_routes_print_the_reference_bytes(requests):
+    """Any sequence of series requests on the kept sources, served in one
+    process from no text or index route, prints for each request what
+    str, the format's index and its separator make of the source's
+    counts."""
+    counts = {name: through(150)
+              for name, (_, through) in KEPT_SOURCES.items()}
+    for key in _route_keys():
+        del _STATES[key]
+    for name, fmt, n in requests:
+        argv = ["series", *KEPT_SOURCES[name][0], "--n-max", str(n),
+                "--format", fmt]
+        assert _served(argv) == _reference(counts[name][:n + 1], fmt), argv
+
+
+def _bump_every_count(real):
+    """A kernel whose every count is one more."""
+    def planted(level):
+        new, count = real(level)
+        return new, count + 1
+    return planted
+
+
+def _bump_f3(real):
+    """The closed form's step with f_3 one more."""
+    def planted(level):
+        new, f = real(level)
+        return new, f + (level[0] == 3)
+    return planted
+
+
+@pytest.mark.parametrize("owner, name, plant, argv", [
+    (SYSTEMS["011-201"], "kernel", _bump_every_count,
+     ["series", "--system", "011-201", "--n-max", "20", "--format", "csv"]),
+    (series, "_f_step", _bump_f3,
+     ["series", "--system", "201-210", "--method", "gf", "--n-max", "20"]),
+], ids=["kernel", "closed-form"])
+def test_text_is_keyed_on_its_source(capsys, monkeypatch, fresh_states,
+                                     owner, name, plant, argv):
+    """A step planted in a source after a warm series request makes the
+    source afresh, and with it the text route that reads it: the next
+    reply is the one a fresh process prints, with no reset."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, plant(real))
+    cold = run_cli(capsys, *argv)
+    monkeypatch.setattr(owner, name, real)
+    fresh_states()
+    warm = run_cli(capsys, *argv)
+    assert warm[0] == cold[0] == 0 and warm != cold
+    monkeypatch.setattr(owner, name, plant(real))
+    assert run_cli(capsys, *argv) == cold
+
+
+def test_only_kept_sources_read_and_fill_the_text_routes(capsys,
+                                                         fresh_states):
+    """series prints a rules or closed-form count from the line its text
+    route holds, in every format; an oracle source, through --basis or
+    --method oracle, adds no text or index route."""
+    for argv, key in ((["--system", "201-210"], ("text", "201-210")),
+                      (["--system", "201-210", "--method", "gf"],
+                       ("text", "f_coefficients"))):
+        run_cli(capsys, "series", *argv, "--n-max", "5")
+        route = _STATES[key]
+        lines, level, checkpoints = route._memo
+        route._memo = [*lines[:5], "planted\n"], level, checkpoints
+        for fmt, line in (("plain", "planted"), ("csv", "5,planted"),
+                          ("bfile", "5 planted")):
+            assert run_cli(capsys, "series", *argv, "--n-max", "5",
+                           "--format", fmt)[1].split("\n")[5] == line
+    fresh_states()
     for argv in (["--basis", "201,210"],
                  ["--system", "201-210", "--method", "oracle"]):
         for fmt in ("plain", "csv", "bfile"):
             code, out, _ = run_cli(capsys, "series", *argv, "--n-max", "5",
                                    "--format", fmt)
             assert code == 0 and out.split("\n")[5].endswith("116")
-    assert cli._DECIMAL == {116: "planted"}
+    assert not _route_keys()
+
+
+def test_the_text_routes_keep_one_line_list_each(capsys, fresh_states):
+    """After series to 700 on 201-210, by rules and by the closed form, in
+    every format, the registry keeps one line list per source and one
+    index list per separator, and their lines take about the size of
+    the text: one str per line, with no copy kept per format."""
+    for method in ([], ["--method", "gf"]):
+        for fmt in ("plain", "csv", "bfile"):
+            assert run_cli(capsys, "series", "--system", "201-210", *method,
+                           "--n-max", "700", "--format", fmt)[0] == 0
+    plain = _reference(rule_counting_sequence("201-210", 700), "plain")
+    keys = {("text", "201-210"), ("text", "f_coefficients")} | INDEX_KEYS
+    assert _route_keys() == keys
+    lines = [line for key in keys for line in _STATES[key].counts(700)]
+    assert all(type(line) is str for line in lines)
+    assert len(lines) == 4 * 701
+    assert sum(map(sys.getsizeof, lines)) <= \
+        1.2 * (2 * len(plain) + 60 * len(lines))
 
 
 def test_diagram(capsys):

@@ -377,10 +377,9 @@ def _empty_container(node):
             and not node.args and not node.keywords)
 
 
-def test_the_registry_and_the_text_memo_are_the_only_module_states():
-    """The only module-level names bound to an empty container are the
-    registry and the command line's text memo, and a rule system is not
-    a Prefix."""
+def test_the_registry_is_the_only_module_state():
+    """The only module-level name bound to an empty container is the
+    registry, and a rule system is not a Prefix."""
     bound = set()
     for path in pathlib.Path(invseq.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
@@ -392,7 +391,7 @@ def test_the_registry_and_the_text_memo_are_the_only_module_states():
                 continue
             if _empty_container(node.value):
                 bound.update((path.stem, ast.unparse(t)) for t in targets)
-    assert bound == {("prefix", "_STATES"), ("cli", "_DECIMAL")}
+    assert bound == {("prefix", "_STATES")}
     assert not issubclass(RuleSystem, Prefix)
 
 
@@ -405,7 +404,7 @@ def test_every_state_in_the_registry_is_a_prefix(capsys):
         assert run_check(name)[0], name
     for argv in (["count", "--system", "201-210", "--n", "8"],
                  ["series", "--system", "201-210", "--n-max", "8",
-                  "--method", "gf"],
+                  "--method", "gf", "--format", "csv"],
                  ["list", "--basis", "011,201", "--n", "3"],
                  ["profile", "--system", "201-210", "--n", "3"],
                  ["diagram", "--system", "201-210", "--n-max", "2"],
