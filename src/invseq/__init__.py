@@ -9,7 +9,7 @@ between them live in ``invseq.checks``, every state a route keeps
 across the requests of one process in the registry of ``invseq.prefix``,
 and the ``invseq`` command line ties them together.
 
-The six names of ``invseq.series`` in ``__all__`` resolve on first
+The five names of ``invseq.series`` in ``__all__`` resolve on first
 access (PEP 562, ``__getattr__``), to the very objects of that module.
 So ``import invseq`` and the command line's import compile no series
 code: the first access to one of those names, the first ``--method gf``
@@ -65,7 +65,6 @@ __all__ = [
     "iterate_fe",
     "list_avoiders",
     "parse_word",
-    "phi",
     "PolyRelation",
     "relation_residual",
     "render_word",

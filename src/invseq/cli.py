@@ -119,7 +119,6 @@ def _source(args, n_max):
     closed form, under "f_coefficients", are per-process prefixes that
     hold the counts; the oracle keeps none, and its key and prefix are
     None."""
-    _require(n_max >= 0, "n must be nonnegative")
     if args.system is not None:
         method = args.method or "rules"
         if method == "rules":
@@ -151,6 +150,7 @@ def _index_step(d, sep):
 
 
 def _cmd_count(args):
+    _require(args.n >= 0, "n must be nonnegative")
     print(_source(args, args.n)[0][args.n])
     return 0
 
@@ -167,6 +167,7 @@ def _cmd_list(args):
 
 def _cmd_series(args):
     n = args.n_max
+    _require(n >= 0, "n-max must be nonnegative")
     sep = _SEPARATORS[args.format]
     # _source leaves the source's prefix n deep: the text steps only read it
     counts, key, prefix = _source(args, n)

@@ -9,19 +9,21 @@ anywhere.  The module has four layers:
     ``TruncatedSeries``, which holds the coefficients of a series known
     through ``x^order`` and does no arithmetic.
   * polynomial relations (``PolyRelation`` / ``relation_residual``) used to
-    test that a series satisfies an algebraic equation, by Horner's rule
-    in y^2 with y^2 formed by a symmetric square, one coefficient per
-    step of a prefix.  A check's route (``_relation_prefix``) also
-    checks the linear ODE of its relation, derived by ``invseq.poly``,
-    as a recurrence, one coefficient per step in O(order) operations,
-    and steps the residual only through a short prefix while the series
-    passes it.
-  * bivariate series in x and u, the ``phi`` operator, and
-    ``_check_system_violation`` which replays the defining equations of
-    the 201-210 rule system against its own census data, one x-degree
-    per step of a per-process prefix.  It forms the residual rows of the
-    three equations only, and proves that the four relations cleared of
-    phi follow from them.
+    test that a series satisfies an algebraic equation, one coefficient
+    per step of a prefix that keeps y and its powers, each power's
+    coefficient formed as that of the power below times y, which every
+    polynomial evaluated there reads.  A check's route
+    (``_relation_prefix``) also checks the linear ODE of its relation,
+    derived by ``invseq.poly``, as a recurrence, one coefficient per
+    step in O(order) operations, and steps the residuals of the relation
+    and of its derivative in y, over one history of y, only through a
+    short prefix while the series passes it.
+  * bivariate series in x and u, the operator phi, which sends u^k to
+    1 + u + ... + u^(k-1), and ``_check_system_violation`` which
+    replays the defining equations of the 201-210 rule system against
+    its own census data, one x-degree per step of a per-process
+    prefix.  It forms the residual rows of the three equations only,
+    and proves that the four relations cleared of phi follow from them.
   * the trivariate functional equations of the two 2-parameter systems,
     solved one x-degree at a time (``iterate_fe``), with divided
     differences done by checked exact synthetic division.  This layer
@@ -32,8 +34,7 @@ is a list over x-degree of rows, each a list of coefficients indexed by
 the u-power, so phi is a suffix sum on a row.  A trivariate slice (one
 x-degree) is a list over u-power of rows indexed by the v-power, so
 ``s[u_power][v_power]`` is a coefficient.  Rows may carry zeros and may
-differ in length.  Only the public ``phi`` takes and returns
-``{u_power: coeff}`` dicts, for readability at the API.
+differ in length.
 
 The closed form, the (k,F,F) slice, the bivariate system, the
 functional-equation iteration of each system and each relation that a
@@ -163,64 +164,50 @@ def relation_residual(relation, s):
         raise ValueError("relation %r has no coefficients" % (relation.name,))
     if s.order < 0:
         return None
-    return Prefix(_residual_start(polys), _residual_step, polys,
-                  s.coefficients.__getitem__).count(s.order)
+    return Prefix(_residual_start((polys,)), _residual_step, (polys,),
+                  s.coefficients.__getitem__).count(s.order)[0]
 
 
 def _residual_start(polys):
-    """The level of a residual route over polys at x^0: an empty history
-    for each Horner accumulator that the step keeps, those of p_2i +
-    p_2i+1*y for 2 <= 2i < d, the y-degree (see _residual_step)."""
-    return (), (), ((),) * max((len(polys) - 2) // 2, 0), None
+    """The level of a residual route over the polynomials polys at x^0:
+    an empty history of y and of each power of y up to the highest
+    y-degree of polys (y alone below y-degree 2), and no first order for
+    any of them (see _residual_step)."""
+    return ((),) * max(max(map(len, polys)) - 1, 1), (None,) * len(polys)
 
 
 def _residual_step(level, polys, *terms):
-    """The step of a residual prefix at x^k, whose level there is (y and
-    y^2 reversed, from x^(k-1) down to x^0, the kept Horner
-    accumulators through x^(k-1), and the order of the residual's first
-    nonzero coefficient below x^k, or None): the level at x^(k+1) and
-    its count at x^k, that first order through x^k.
+    """The step of a residual prefix at x^k, whose level there is (y,
+    y^2, ..., y^d reversed, from x^(k-1) down to x^0, and for each P of
+    polys the order of the first nonzero coefficient of P(y) below x^k,
+    or None): the level at x^(k+1) and its count at x^k, those first
+    orders through x^k.
 
-    Horner's rule in y^2 on P(y) = sum_i (p_2i + p_2i+1*y)*(y^2)^i from
-    the top i down: each accumulator but the top is the one above it
-    times y^2, plus p_2i + p_2i+1*y, and the last one is the residual.
-    Coefficient k of each needs only coefficients 0..k of y, of y^2 and
-    of the accumulator above, so the step forms y_k from the terms, the
-    k-th coefficient of y^2 by a symmetric square (each cross term once,
-    doubled; only for y-degree 2 or more) and that of each accumulator,
-    and keeps the histories a later step reads: every accumulator that a
-    later one multiplies by y^2, but a top that is a bare p_d, whose
-    coefficients are its own history.  With y and y^2 reversed,
-    coefficient k of a*y is sum(map(mul, a, y reversed)) for a
-    polynomial or a history a through x^k, with no slicing.
+    The step forms y_k from the terms, then coefficient k of each y^j
+    past y as that of y^(j-1) times y, sum(map(mul, y^(j-1) reversed, y))
+    with y in ascending order, and coefficient k of each P(y) = sum_j
+    p_j*y^j that has no first order yet: p_0's coefficient k plus, for
+    each j, sum(map(mul, p_j, y^j reversed)).  So every polynomial reads
+    the one history of the powers of y, with no slicing.
     """
-    ry, ry2, accs, first = level
-    k = len(ry)
+    powers, firsts = level
+    k = len(powers[0])
     c = terms[0](k)
     for term in terms[1:]:
         c -= term(k)
-    ry = (c,) + ry
-    if len(polys) > 2:
-        h = (k + 1) // 2
-        c = 2 * sum(map(mul, ry[:h], ry[k:k - h:-1]))
-        ry2 = (c if k % 2 else c + ry[h] * ry[h],) + ry2
-    kept = []
-    above = None
-    for i in reversed(range(0, len(polys), 2)):
-        if i and i == len(polys) - 1:
-            above = polys[i]
-            continue
-        c = polys[i][k] if k < len(polys[i]) else 0
-        if i + 1 < len(polys):
-            c += sum(map(mul, polys[i + 1], ry))
-        if above is not None:
-            c += sum(map(mul, above, ry2))
-        if i:
-            above = accs[len(kept)] + (c,)
-            kept.append(above)
-    if first is None and c:
-        first = k
-    return (ry, ry2, tuple(kept), first), first
+    powers = [(c,) + powers[0], *powers[1:]]
+    y = powers[0][::-1]
+    for j in range(1, len(powers)):
+        powers[j] = (sum(map(mul, powers[j - 1], y)),) + powers[j]
+    firsts = list(firsts)
+    for i, poly in enumerate(polys):
+        if firsts[i] is None and poly:
+            c = poly[0][k] if k < len(poly[0]) else 0
+            if c + sum(sum(map(mul, p, power))
+                       for p, power in zip(poly[1:], powers)):
+                firsts[i] = k
+    firsts = tuple(firsts)
+    return (tuple(powers), firsts), firsts
 
 
 def _relation_prefix(relation, *terms):
@@ -245,15 +232,16 @@ def _relation_prefix(relation, *terms):
     or m = n + t for a nonnegative integer root n of a_0
     (``poly.nonnegative_roots``); free is the last one, -1 if none.  The
     step of depth k checks the equation that y_k tops (n = k - t >= 0)
-    on the last order + 1 terms.  Until its first nonzero coefficient,
-    the step also steps the residual of P_y = dP/dy (``_residual_step``),
-    whose order v = ord P_y(y) sets n0 = max(free + v, 2v).  The step
-    steps P's residual (``_residual_step``) through d = min(k, n0) while
-    every equation holds and n0 is known, and through d = k otherwise:
-    when there is no ODE, before n0 is known, and from the first
-    equation that fails on, where it catches up from n0 to k at once.
-    An order at or below d is first through k too, and none through d is
-    none through k, by the proof below.
+    on the last order + 1 terms.  One residual route (``_residual_step``)
+    over (P, P_y), P_y = dP/dy, or over (P,) when there is no ODE, gives
+    the first nonzero orders of both; the step steps it through d =
+    min(k, n0) while every equation holds and n0 is known, and through
+    d = k otherwise: when there is no ODE, before n0 is known, and from
+    the first equation that fails on, where it catches up from n0 to k
+    at once.  The first order v = ord P_y(y) that it gives, at depth v,
+    sets n0 = max(free + v, 2v) >= v.  An order of P(y) at or below d is
+    first through k too, and none through d is none through k, by the
+    proof below.
 
     Proof that d = n0 <= k suffices.  Every equation through depth k
     holds.  Let z = y_0 + ... + y_(n0)*x^(n0) and suppose P(z) vanishes
@@ -275,34 +263,34 @@ def _relation_prefix(relation, *terms):
 def _relation_start(polys):
     """The level of the relation prefix at depth 0 (see _relation_step):
     the ODE of polys derived, its recurrence and free index, and the
-    start of the residual route of dP/dy, then that of P; no recurrence
-    when there is no ODE.  ``invseq.poly`` is imported here, on the
-    first step of the first route that needs it, so that importing the
-    package never compiles it."""
+    start of the residual route of (P, dP/dy); no recurrence, and the
+    residual route of P alone, when there is no ODE.  ``invseq.poly`` is
+    imported here, on the first step of the first route that needs it,
+    so that importing the package never compiles it."""
     from .poly import linear_ode, nonnegative_roots, recurrence, ydy
     ode = linear_ode(polys)
     if ode is None:
-        return 0, None, (), None, None, _residual_start(polys)
+        return 0, None, (), (polys,), None, _residual_start((polys,))
     top, rows, const = recurrence(ode)
     free = max([top - 1] + [top + n for n in nonnegative_roots(rows[0])])
-    dpolys = ydy(polys)
-    return 0, (top, rows, const, free, dpolys), (0,) * len(rows), \
-        _residual_start(dpolys), None, _residual_start(polys)
+    rels = polys, ydy(polys)
+    return 0, (top, rows, const, free), (0,) * len(rows), rels, None, \
+        _residual_start(rels)
 
 
 def _relation_step(level, polys, *terms):
     """The step of a relation prefix at depth k (see _relation_prefix),
     whose level there is None at k = 0 and else (k, the recurrence as
-    (top, rows, c_(-1), free, dP/dy), or None once an equation failed or
-    when there is no ODE, y_(k-order-1) .. y_(k-1), zeros below index 0
-    as the recurrence reads them, the level of the residual route of
-    dP/dy until its first nonzero coefficient, else None, n0, once
-    known, and the level of P's residual route past the depth d of the
-    step before): the level at k + 1 and the count at k, the first
-    nonzero order of P's residual through the depth d of this step."""
-    k, rec, window, derivative, n0, residual = level or _relation_start(polys)
+    (top, rows, c_(-1), free), or None once an equation failed or when
+    there is no ODE, y_(k-order-1) .. y_(k-1), zeros below index 0 as
+    the recurrence reads them, the polynomials of the residual route,
+    n0, once known, and the level of the residual route past the depth d
+    of the step before): the level at k + 1 and the count at k, the
+    first nonzero order of P's residual through the depth d of this
+    step."""
+    k, rec, window, rels, n0, residual = level or _relation_start(polys)
     if rec is not None:
-        top, rows, const, free, dpolys = rec
+        top, rows, const, free = rec
         y = terms[0](k)
         for term in terms[1:]:
             y -= term(k)
@@ -313,14 +301,13 @@ def _relation_step(level, polys, *terms):
                 sum(map(mul, row, powers)) * t
                 for row, t in zip(rows, reversed(window))):
             rec = None
-        elif derivative is not None:
-            derivative, v = _residual_step(derivative, dpolys, *terms)
-            if v is not None:
-                derivative, n0 = None, max(free + v, 2 * v)
     depth = k if rec is None or n0 is None else min(k, n0)
-    while len(residual[0]) <= depth:
-        residual = _residual_step(residual, polys, *terms)[0]
-    return (k + 1, rec, window, derivative, n0, residual), residual[3]
+    while len(residual[0][0]) <= depth:
+        residual = _residual_step(residual, rels, *terms)[0]
+    firsts = residual[1]
+    if rec is not None and n0 is None and firsts[1] is not None:
+        n0 = max(free + firsts[1], 2 * firsts[1])
+    return (k + 1, rec, window, rels, n0, residual), firsts[0]
 
 
 def _add_rows(x, y):
@@ -367,25 +354,6 @@ def _suffix_sums(row):
     """
     out = list(accumulate(reversed(row)))
     out.reverse()
-    return out
-
-
-def phi(f):
-    """The operator sending u^k to 1 + u + ... + u^(k-1), per x-degree.
-
-    f is a list over x-degree of ``{u_power: coeff}`` dicts, and so is the
-    result, with zeros dropped.  A negative u-power raises ValueError.
-
-    >>> phi([{}, {0: 1, 1: 1, 2: 3}])
-    [{}, {0: 4, 1: 3}]
-    """
-    out = []
-    for slice_ in f:
-        low = min(slice_, default=0)
-        if low < 0:
-            raise ValueError("phi needs nonnegative u-powers, got u^%d" % low)
-        row = [slice_.get(j, 0) for j in range(max(slice_, default=-1) + 1)]
-        out.append({j: c for j, c in enumerate(_suffix_sums(row)[1:]) if c})
     return out
 
 

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "iterate_fe",
     "list_avoiders",
     "parse_word",
-    "phi",
     "relation_residual",
     "render_word",
     "rule_counting_sequence",
@@ -43,7 +42,7 @@ def test_public_api_is_pinned():
 
 
 def test_the_package_root_binds_each_name_to_its_defining_object():
-    """Each public name, the six of ``invseq.series`` among them, which
+    """Each public name, the five of ``invseq.series`` among them, which
     resolve on first access, is the very object of the module that
     defines it; ``from invseq import *`` binds all of them, and an
     unknown name is still an AttributeError."""
@@ -51,7 +50,7 @@ def test_the_package_root_binds_each_name_to_its_defining_object():
         obj = getattr(invseq, name)
         assert obj.__module__ != "invseq", name
         assert getattr(importlib.import_module(obj.__module__), name) is obj
-    for name in ("f_coefficients", "iterate_fe", "phi", "PolyRelation",
+    for name in ("f_coefficients", "iterate_fe", "PolyRelation",
                  "relation_residual", "TruncatedSeries"):
         assert getattr(invseq, name) is getattr(series, name), name
     namespace = {}

@@ -7,11 +7,11 @@ threads share in the same way, the last but one empties the whole
 registry after every check, and the next plants a fault in a step after
 a warm run, with no reset.  The next one plants a mismatch in the first
 system of oracle-vs-rules and fe-vs-rules, which then count no later
-system.  The last three test the ODE fast path of the minpoly checks: a
+system.  The last four test the ODE fast path of the minpoly checks: a
 unit planted in a source, a solution of the ODE that is no root of the
-relation, and a relation whose ODE the counts fail each print the line
-of the stateless residual, and the count of the check's one relation
-route is that residual's."""
+relation, a relation whose ODE the counts fail and a relation with no
+ODE each print the line of the stateless residual, and the count of the
+check's one relation route is that residual's."""
 
 import sys
 import threading
@@ -369,7 +369,7 @@ def _ode_route(name):
 def _residual_depth(name):
     """The depth through which the check's relation prefix has stepped
     the residual of its relation."""
-    return len(_STATES[("relation", name)]._memo[1][5][0]) - 1
+    return len(_STATES[("relation", name)]._memo[1][5][0][0]) - 1
 
 
 RELATIONS = {"minpoly-A": series.MINPOLY_A, "minpoly-B": series.MINPOLY_B,
@@ -465,3 +465,29 @@ def test_a_corrupted_relation_falls_back_to_the_residual(fresh_states):
         False, ["FAIL: residual first nonzero at order %d" % first])
     assert _residual_depth("bumped") == n
     assert _STATES[("relation", "bumped")].count(n) == first
+
+
+@pytest.mark.parametrize("name", sorted(RELATIONS))
+def test_a_relation_with_no_ode_steps_its_residual_through_n(
+        name, monkeypatch, fresh_states):
+    """A relation planted as its own square has a repeated factor, so no
+    linear ODE: the check steps its residual through n_max, prints its
+    OK line on the true series, and with a unit planted in its source
+    the FAIL line of the stateless residual on the same terms."""
+    n = 60
+    p = RELATIONS[name].coefficients
+    squared = series.PolyRelation(name, poly._ymul(p, p))
+    assert poly.linear_ode(squared.coefficients) is None
+    monkeypatch.setattr(series, "MINPOLY_" + name[-1], squared)
+    assert run_check(name, n) == (True, ["OK: relation holds through n=60"])
+    assert _residual_depth(name) == n
+    y = _true_series(name, n)
+    for at in (0, 1, 7, 20):
+        bumped = [*y[:at], y[at] + 1, *y[at + 1:]]
+        _with_series(name, bumped, monkeypatch)
+        first = series.relation_residual(squared,
+                                         series.TruncatedSeries(bumped))
+        assert first is not None, at
+        assert run_check(name, n) == (
+            False, ["FAIL: residual first nonzero at order %d" % first]), at
+        assert _residual_depth(name) == n, at

@@ -776,6 +776,13 @@ def test_verify_negative_depth_is_usage_error(capsys):
                    "--n-max", "-1") == (2, "", "error: n-max must be nonnegative\n")
 
 
+@pytest.mark.parametrize("source", [("--system", "201-210"), ("--basis", "000")],
+                         ids=["system", "basis"])
+def test_series_negative_depth_is_usage_error(capsys, source):
+    assert run_cli(capsys, "series", *source, "--n-max", "-1") == (
+        2, "", "error: n-max must be nonnegative\n")
+
+
 # -- usage errors -----------------------------------------------------------
 
 def test_bad_basis_is_usage_error(capsys):

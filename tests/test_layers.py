@@ -152,8 +152,8 @@ def test_importing_the_package_neither_imports_nor_runs_poly():
     assert _footprints(
         "import invseq\nmark('invseq')\n"
         "import invseq.cli\ninvseq.cli.build_parser()\nmark('cli')\n"
-        "invseq.phi\nmark('phi')\n") == [
-        ("invseq", []), ("cli", []), ("phi", ["invseq.series"])]
+        "invseq.TruncatedSeries\nmark('TruncatedSeries')\n") == [
+        ("invseq", []), ("cli", []), ("TruncatedSeries", ["invseq.series"])]
 
 
 def test_only_requests_that_read_series_load_it():

@@ -8,7 +8,7 @@ from operator import sub
 import pytest
 from hypothesis import example, given, HealthCheck, settings, strategies as st
 
-from invseq import series, succession
+from invseq import poly, series, succession
 from invseq.checks import run_check
 from invseq.prefix import _STATES, Prefix
 from invseq.series import (
@@ -20,7 +20,6 @@ from invseq.series import (
     MINPOLY_A,
     MINPOLY_B,
     MINPOLY_F,
-    phi,
     PolyRelation,
     relation_residual,
     TruncatedSeries,
@@ -188,7 +187,7 @@ def test_minpoly_b_checks_the_tf_slice_series():
         route = _STATES["relation", "minpoly-B"]
         _, _, window, _, _, residual = route.level(n + 1)
         assert window == tuple([0] * len(window) + tf[:n + 1])[-len(window):], n
-        assert residual[0][::-1] == tuple(tf[:min(n, 2) + 1]), n
+        assert residual[0][0][::-1] == tuple(tf[:min(n, 2) + 1]), n
         assert route.count(n) == \
             relation_residual(MINPOLY_B, TruncatedSeries(tf[:n + 1])), n
 
@@ -266,6 +265,38 @@ def test_relation_residual_matches_plain_horner(data):
         _first_nonzero(_plain_horner(polys, y))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_residual_route_gives_the_orders_of_p_and_dp_dy(data):
+    """The residual route over (P, dP/dy), on random relations of
+    y-degree 0-5 at int or Fraction series, once as drawn and once with
+    one coefficient corrupted, gives at every depth the first orders
+    that two separate relation_residual calls give, one on P and one on
+    dP/dy; the empty dP/dy of y-degree 0 never has one.  Half the draws
+    replace p_0 so that the series is a root through its order."""
+    coeff = st.integers(-20, 20)
+    if data.draw(st.booleans()):
+        coeff = st.one_of(coeff, _small_fraction)
+    y = data.draw(st.lists(coeff, min_size=1, max_size=16))
+    polys = data.draw(st.lists(
+        st.lists(st.integers(-9, 9), max_size=6), min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        polys[0] = [-c for c in _plain_horner([()] + polys[1:], y)]
+    polys = tuple(map(tuple, polys))
+    rels = (polys, poly.ydy(polys))
+    for corrupt in (False, True):
+        if corrupt:
+            y[data.draw(st.integers(0, len(y) - 1))] += data.draw(
+                coeff.filter(bool))
+        route = Prefix(series._residual_start(rels), series._residual_step,
+                       rels, y.__getitem__)
+        assert route.counts(len(y) - 1) == [
+            tuple(relation_residual(PolyRelation("r", p),
+                                    TruncatedSeries(y[:k + 1])) if p else None
+                  for p in rels)
+            for k in range(len(y))], corrupt
+
+
 def test_relation_residual_catches_interior_corruption():
     f = f_coefficients(12)
     f[5] += 1
@@ -273,52 +304,6 @@ def test_relation_residual_catches_interior_corruption():
     c = list(CATALAN)
     c[7] -= 1
     assert relation_residual(MINPOLY_A, TruncatedSeries(c)) is not None
-
-
-# -- phi --------------------------------------------------------------------
-
-def test_phi_worked_example():
-    f = [{}, {0: 1, 1: 1, 2: 3}, {1: 2, 2: 4, 3: 1}]
-    assert phi(f) == [{}, {0: 4, 1: 3}, {0: 7, 1: 5, 2: 1}]
-
-
-def test_phi_trivia():
-    assert phi([{0: 5}, {0: -2}]) == [{}, {}]
-    assert phi([{3: 1}]) == [{0: 1, 1: 1, 2: 1}]
-
-
-def test_phi_rejects_a_negative_u_power():
-    with pytest.raises(ValueError, match=r"u\^-1"):
-        phi([{-1: 1}])
-    with pytest.raises(ValueError, match=r"u\^-2"):
-        phi([{0: 1}, {-2: 1, 3: 4}])
-
-
-_biv_slice = st.dictionaries(st.integers(0, 6),
-                             st.integers(-9, 9).filter(bool), max_size=4)
-
-
-def _combine(a, f, b, g):
-    out = []
-    for fs, gs in zip(f, g):
-        d = {}
-        for j, c in fs.items():
-            d[j] = d.get(j, 0) + a * c
-        for j, c in gs.items():
-            d[j] = d.get(j, 0) + b * c
-        out.append({j: c for j, c in d.items() if c})
-    return out
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_phi_linearity(data):
-    n = data.draw(st.integers(min_value=1, max_value=5))
-    f = data.draw(st.lists(_biv_slice, min_size=n, max_size=n))
-    g = data.draw(st.lists(_biv_slice, min_size=n, max_size=n))
-    a = data.draw(st.integers(min_value=-5, max_value=5))
-    b = data.draw(st.integers(min_value=-5, max_value=5))
-    assert phi(_combine(a, f, b, g)) == _combine(a, phi(f), b, phi(g))
 
 
 # -- the bivariate system ---------------------------------------------------
@@ -576,7 +561,7 @@ def _count_route_steps(monkeypatch, name):
         def reading(term):
             return lambda k: read.add(k) or term(k)
         out = real(level, polys, *map(reading, terms))
-        depth = len(level[0]) if name == "_residual_step" else \
+        depth = len(level[0][0]) if name == "_residual_step" else \
             level[0] if level else 0
         stepped.append((polys, depth, read))
         return out
@@ -594,12 +579,13 @@ N0 = {"minpoly-A": (MINPOLY_A, 0, 0), "minpoly-B": (MINPOLY_B, 2, 1),
 def test_coefficients_per_residual_request(name, monkeypatch, fresh_states):
     """A check's relation route steps n + 1 depths on a cold request
     through n, none at or below its stored depth, and the n - m past a
-    stored depth m; within them it steps the residual of its relation
-    only through n0, and that of dP/dy through its first nonzero order
-    v, on the first request.  Each step reads its terms at its own depth
-    only, so no source count past n is read."""
+    stored depth m; within them it steps one residual route, over its
+    relation and dP/dy, only through n0, on the first request, which
+    finds the first nonzero order v of dP/dy there.  Each step reads its
+    terms at its own depth only, so no source count past n is read."""
     relation, n0, v = N0[name]
     polys = tuple(map(tuple, relation.coefficients))
+    rels = (polys, poly.ydy(polys))
     residual = _count_route_steps(monkeypatch, "_residual_step")
     route = _count_route_steps(monkeypatch, "_relation_step")
     first = True
@@ -609,10 +595,8 @@ def test_coefficients_per_residual_request(name, monkeypatch, fresh_states):
         route.clear()
         assert run_check(name, n)[0], n
         assert route == [(polys, k, {k}) for k in range(n + 1 - steps, n + 1)], n
-        assert [(k, read) for p, k, read in residual if p == polys] == \
-            [(k, {k}) for k in range(n0 + 1) if first], n
-        assert [(k, read) for p, k, read in residual if p != polys] == \
-            [(k, {k}) for k in range(v + 1) if first], n
+        assert residual == [(rels, k, {k}) for k in range(n0 + 1) if first], n
+        assert _STATES["relation", name]._memo[1][5][1] == (None, v), n
         first = False
 
 
