@@ -77,8 +77,9 @@ def parse_word(text):
 
 
 def render_word(word):
-    """Inverse of parse_word: digit-string when all values fit in one digit."""
-    if max(word, default=0) > 9:
+    """Inverse of parse_word: digit-string when every value is a digit
+    0..9, else comma-separated."""
+    if max(word, default=0) > 9 or min(word, default=0) < 0:
         return ",".join(map(str, word))
     return "".join(map(str, word))
 

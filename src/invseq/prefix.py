@@ -33,7 +33,7 @@ the same Prefix.  The keys are:
 start is the level at depth 0.  step(level, *args) takes the level at
 depth d to the level at d + 1 and the count at d, which it forms from
 the work it does anyway.  A "count" is whatever the route makes of a
-depth: a number, the first nonzero u-degree of each residual row of the
+depth: a number, the first failure so far of the equations of the
 201-210 system, the first nonzero residual order or disagreement so
 far, or a line of text.  No step mutates a level.
 

@@ -18,12 +18,13 @@ anywhere.  The module has four layers:
     step in O(order) operations, and steps the residuals of the relation
     and of its derivative in y, over one history of y, only through a
     short prefix while the series passes it.
-  * bivariate series in x and u, the operator phi, which sends u^k to
-    1 + u + ... + u^(k-1), and ``_check_system_violation`` which
+  * bivariate series in x and u, and ``_check_system_violation``, which
     replays the defining equations of the 201-210 rule system against
     its own census data, one x-degree per step of a per-process
-    prefix.  It forms the residual rows of the three equations only,
-    and proves that the four relations cleared of phi follow from them.
+    prefix.  Its equations read phi, which sends u^k to 1 + u + ... +
+    u^(k-1), as a suffix sum on a row.  It forms the residual rows of
+    the three equations only, and proves that the four relations
+    cleared of phi follow from them.
   * the trivariate functional equations of the two 2-parameter systems,
     solved one x-degree at a time (``iterate_fe``), with divided
     differences done by checked exact synthetic division.  This layer
@@ -49,10 +50,9 @@ nothing past it.  None of them is the rules memo of
 they check: the slices never touch the memo, and the closed form and
 the functional equations reach no succession code.  A relation is
 keyed on the prefixes it reads, so it steps cold once one of them is
-made afresh.  Two routes keep no prefix in the registry and replay
-cold, in a Prefix of their own: injected census profiles, through the
-system's step, and ``relation_residual``, through ``_residual_step``
-over the coefficients it is given.
+made afresh.  One route keeps no prefix in the registry and replays
+cold, in a Prefix of its own: ``relation_residual``, through
+``_residual_step`` over the coefficients it is given.
 """
 
 from collections import namedtuple
@@ -377,62 +377,56 @@ def _combine(length, *terms):
     return out
 
 
-_SYSTEM_LABELS = ("A", "B", "C")
-
-
-def _degree_rows(am, bm, cm):
-    """The rows of one x-degree that the identities read: A, B, C, then
-    the suffix sums of A, B, C and of D = phi(A + B)."""
-    sa, sb = _suffix_sums(am), _suffix_sums(bm)
-    return (am, bm, cm, sa, sb, _suffix_sums(cm),
-            _suffix_sums([*map(add, sa[1:], sb[1:])]))
-
-
 def _system_residuals(rows, prev):
     """The residual rows of A, B and C (see _check_system_violation) at
-    one x-degree m, each as long as A there (m + 1), from the _degree_rows
-    of x^m and of x^(m-1).
+    one x-degree m, each as long as A there (m + 1), from the census
+    rows (A, B, C) of x^m and of x^(m-1).
 
     Rows of x-degree m - 1 enter through the factor x; at m = 0 they are
-    empty.  Terms use row + phi(row) = suffix sums of row and phi(u*row)
-    = suffix sums of row."""
-    am, bm, cm = rows[:3]
-    _, bp, cp, sap, sbp, scp, sdp = prev
+    empty.  The terms read the suffix sums of the rows A, B and C of
+    x^(m-1) and of D = phi(A + B) there, using row + phi(row) = suffix
+    sums of row and phi(u*row) = suffix sums of row."""
+    am, bm, cm = rows
+    ap, bp, cp = prev
+    sa, sb = _suffix_sums(ap), _suffix_sums(bp)
+    sd = _suffix_sums([*map(add, sa[1:], sb[1:])])
     w = len(am)
     return (
-        _combine(w, (1, 0, am), (-1, 0, [1] if w == 1 else []), (-1, 1, sap)),
-        _combine(w, (1, 0, bm), (-1, 1, bp), (-1, 1, sbp), (-1, 1, cp)),
-        _combine(w, (1, 0, cm), (-1, 1, sdp), (-1, 1, scp)),
+        _combine(w, (1, 0, am), (-1, 0, [1] if w == 1 else []), (-1, 1, sa)),
+        _combine(w, (1, 0, bm), (-1, 1, bp), (-1, 1, sb), (-1, 1, cp)),
+        _combine(w, (1, 0, cm), (-1, 1, sd), (-1, 1, _suffix_sums(cp))),
     )
 
 
-def _system_step(prev, kernel, axiom):
-    """The step of the system prefix at x^m, whose level there is prev,
-    the _degree_rows of x^(m-1), seven empty rows at m = 0, so that m is
-    the length of prev's rows.  It forms the census rows (A, B, C) at x^m
-    with _census_rows, from axiom at m = 0 and else from what kernel
-    steps prev's rows (A, B, C) to, and returns their _degree_rows, the
-    level at x^(m+1), and the count at x^m: None when the three residual
-    rows there vanish (see _system_residuals), else the u-degree of each
-    row's first nonzero coefficient, None for a row that vanishes."""
+def _system_step(level, kernel, axiom):
+    """The step of the system prefix at x^m, whose level there is (the
+    census rows (A, B, C) at x^(m-1), the first failure below x^m), three
+    empty rows and None at m = 0, so that m is the length of the rows.
+    It forms the census rows at x^m with _census_rows, from axiom at m =
+    0 and else from what kernel steps the rows of the level to, and their
+    residual rows (see _system_residuals), and returns the level at
+    x^(m+1) and the count at x^m: the first failure through x^m, the
+    least (label, x_degree, u_degree) at which a residual row is
+    nonzero, or None."""
+    prev, first = level
     m = len(prev[0])
-    rows = _degree_rows(*_census_rows(m, kernel(prev[:3])[0] if m else axiom))
+    rows = _census_rows(m, kernel(prev)[0] if m else axiom)
     residuals = _system_residuals(rows, prev)
-    if not any(map(any, residuals)):
-        return rows, None
-    return rows, tuple(next((j for j, c in enumerate(row) if c), None)
-                       for row in residuals)
+    if any(map(any, residuals)):
+        failure = next((label, m, next(j for j, c in enumerate(row) if c))
+                       for label, row in zip("ABC", residuals) if any(row))
+        first = min(first or failure, failure)
+    return (rows, first), first
 
 
-def _check_system_violation(n_max, profiles=None):
+def _check_system_violation(n_max):
     """Replay the defining equations of the 201-210 system on its census.
 
-    Reads the three census slices from the DP (or from injected profiles,
-    which the tests use to make sure a corrupted census is actually
-    caught) as rows: A, B and C have, at x^m, the row of counts of the
-    states (k,F,F), (k,T,F) and (k,T,T) indexed by u^k.  A nonzero count
-    at a u-power above m raises ArithmeticError.  Then it verifies,
-    coefficient by coefficient through x^n_max:
+    Reads the three census slices from the DP as rows: A, B and C have,
+    at x^m, the row of counts of the states (k,F,F), (k,T,F) and (k,T,T)
+    indexed by u^k.  A nonzero count at a u-power above m raises
+    ArithmeticError.  Then it verifies, coefficient by coefficient
+    through x^n_max:
 
       A = 1 + xu*(A + phi(A))
       B = xu*(2B + phi(B) + C)
@@ -464,28 +458,17 @@ def _check_system_violation(n_max, profiles=None):
     identities is that of the three: None or the least (label, x_degree,
     u_degree) with label A, B or C, on every census, injected or not.
 
-    The residuals come from this process's prefix of the system (see
-    ``invseq.prefix`` and _system_step), stepped by the 201-210 kernel
-    from the axiom's rows, whose count per x-degree is the first nonzero
-    u-degree of each residual row there.  So a process steps, converts
-    and forms the residual rows of each degree once, and a request
-    through x^n_max forms no census row past it.  Injected profiles
-    replay cold through the same step, in a Prefix of their own that the
-    registry never holds, whose kernel returns the next injected rows.
+    The answer is the count at x^n_max of this process's prefix of the
+    system (see ``invseq.prefix`` and _system_step), stepped by the
+    201-210 kernel from the axiom's rows, whose count at x^m is the first
+    failure through x^m.  So a process steps, converts and forms the
+    residual rows of each degree once, and a request through x^n_max
+    forms no census row past it.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if profiles is None:
-        prefix = shared("system-201-210", ([],) * 7, _system_step,
-                        _fast_step_201_210, ([1], [0], [0]))
-    else:
-        prefix = Prefix(([],) * 7, _system_step,
-                        lambda rows: (profiles[len(rows[0])],), profiles[0])
-    # the labels sort in the order they are listed in
-    return min(((label, m, u)
-                for m, firsts in enumerate(prefix.counts(n_max)) if firsts
-                for label, u in zip(_SYSTEM_LABELS, firsts) if u is not None),
-               default=None)
+    return shared("system-201-210", (([],) * 3, None), _system_step,
+                  _fast_step_201_210, ([1], [0], [0])).count(n_max)
 
 
 # -- trivariate layer -------------------------------------------------------

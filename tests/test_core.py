@@ -44,6 +44,7 @@ def test_parse_garbage_rejected():
 def test_render_word():
     assert render_word((2, 0, 1)) == "201"
     assert render_word((10, 2, 0)) == "10,2,0"
+    assert render_word((-1, 0)) == "-1,0"
     assert render_word(()) == ""
 
 
@@ -117,12 +118,15 @@ def test_is_valid_pattern():
     assert is_valid_pattern((0,))
     assert not is_valid_pattern(parse_word("202"))
     assert not is_valid_pattern((1, 2))
+    assert not is_valid_pattern((-1, 0))
 
 
 def test_validate_pattern():
     validate_pattern((1, 0, 1))
     with pytest.raises(ValueError):
         validate_pattern((2, 0, 2))
+    with pytest.raises(ValueError, match="^-1,0 is not an inversion pattern"):
+        validate_pattern((-1, 0))
     # containment of the empty pattern is left undefined on purpose
     with pytest.raises(ValueError):
         validate_pattern(())
@@ -150,6 +154,13 @@ def test_avoids():
     assert avoids((0, 1, 2), ((1, 0),))
     assert not avoids((0, 1, 0), ((0, 1, 0),))
     assert avoids((0, 1, 0), ())
+
+
+def test_avoids_on_a_tuple_of_lists_agrees_with_tuples():
+    """A tuple of lists passes the type test but not the compiled-basis
+    cache, which keys on tuples; it is compiled as the tuples."""
+    for e in ((0, 1, 0), (0, 0, 1)):
+        assert avoids(e, ([0, 1, 0],)) == avoids(e, ((0, 1, 0),))
 
 
 def test_contains_rejects_invalid_patterns_on_every_call():

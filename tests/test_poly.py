@@ -109,6 +109,31 @@ def test_solve_is_fraction_free_cramer():
     assert poly.solve([[(1,), (2,)], [(2,), (4,)]], [(1,), (1,)]) is None
 
 
+def test_solve_swaps_in_a_row_past_a_zero_pivot():
+    assert poly.solve([[(), (1,)], [(1,), ()]], [(2,), (3,)]) == (
+        [(3,), (2,)], (1,))
+
+
+def test_independent_rows_skip_a_dependent_row():
+    """[2, 4] reduces to zero by [1, 2] and is skipped; with no row after
+    it there are not two independent rows."""
+    assert poly._independent_rows([[1, 2], [2, 4], [0, 1]], 2) == [0, 2]
+    assert poly._independent_rows([[1, 2], [2, 4]], 2) is None
+
+
+def test_null_vector_passes_a_point_where_the_columns_vanish():
+    """x - 2 vanishes at 2, the first point tried, so the rows are found
+    at 3; w = (-1, x - 2) cancels the columns (x - 2, 1)."""
+    assert poly._null_vector([((-2, 1),), ((1,),)], 1) == [(-1,), (-2, 1)]
+
+
+@pytest.mark.parametrize("p, q", [((1, 3), (1, 2)), ((1, 0, 1), (1, 1))],
+                         ids=["inexact-coefficient", "nonzero-remainder"])
+def test_pdiv_raises_on_an_inexact_division(p, q):
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        poly._pdiv(p, q)
+
+
 def test_the_relation_constants_are_their_factored_forms():
     """series writes the product coefficients of its relations out; the
     factored forms in its comments multiply to them."""

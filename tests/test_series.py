@@ -314,25 +314,30 @@ def test_check_system_small_orders():
     assert _check_system_violation(25) is None
 
 
+def test_check_system_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="n_max"):
+        _check_system_violation(-1)
+
+
 def test_check_system_canary():
     profiles = [(list(a), list(b), list(c))
                 for a, b, c in _dp_levels(20)]
     profiles[7][0][2] += 1
-    assert _check_system_violation(20, profiles=profiles) is not None
+    assert _injected_violation(20, profiles) is not None
     profiles = [(list(a), list(b), list(c))
                 for a, b, c in _dp_levels(20)]
     profiles[12][2][4] -= 1
-    assert _check_system_violation(20, profiles=profiles) is not None
+    assert _injected_violation(20, profiles) is not None
 
 
 def test_check_system_rejects_a_u_degree_above_the_x_degree():
     profiles = [(list(a), list(b), list(c))
                 for a, b, c in _dp_levels(6)]
     profiles[4][1].extend([0, 0])               # zeros past u^4 are fine
-    assert _check_system_violation(6, profiles=profiles) is None
+    assert _injected_violation(6, profiles) is None
     profiles[4][1][5] = 1
     with pytest.raises(ArithmeticError, match="x\\^4"):
-        _check_system_violation(6, profiles=profiles)
+        _injected_violation(6, profiles)
 
 
 # Reference: the seven identities on bivariate series held as lists over
@@ -451,7 +456,7 @@ def test_check_system_matches_the_dict_reference_on_the_census():
     for n_max in range(31):
         assert _reference_violation(n_max, _CENSUS) is None
         assert _check_system_violation(n_max) is None
-        assert _check_system_violation(n_max, profiles=_CENSUS) is None
+        assert _injected_violation(n_max, _CENSUS) is None
 
 
 _cell = st.tuples(st.integers(0, 14), st.integers(0, 2), st.integers(0, 14),
@@ -465,7 +470,7 @@ def test_check_system_reports_the_reference_first_failure(n_max, cells):
     dense check names the same (label, x, u) as the dict reference."""
     profiles = _corrupted_census(n_max, cells)
     expected = _reference_violation(n_max, profiles)
-    assert _check_system_violation(n_max, profiles=profiles) == expected
+    assert _injected_violation(n_max, profiles) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -485,6 +490,20 @@ def test_the_cleared_relations_follow_from_the_three_equations(n_max, cells):
         assert residuals[cleared] == \
             _ref_apply([(1, 0, 0), (-1, 0, 1)], residuals[equation]), cleared
     assert residuals["P4"] == [{}] * (n_max + 1)
+
+
+def _system_prefix(kernel=series._fast_step_201_210, axiom=([1], [0], [0])):
+    """A fresh Prefix over the system's step that the registry never
+    holds, by default over the route the system prefix is keyed on."""
+    return Prefix((([],) * 3, None), series._system_step, kernel, axiom)
+
+
+def _injected_violation(n_max, profiles):
+    """What _check_system_violation answers on the census profiles in
+    place of the DP's: the system's step replayed cold, its kernel
+    returning the next injected rows."""
+    return _system_prefix(lambda rows: (profiles[len(rows[0])],),
+                          profiles[0]).count(n_max)
 
 
 def _corrupted_census(n_max, cells):
@@ -653,7 +672,7 @@ def test_residual_rows_per_system_request(monkeypatch, fresh_states):
         assert len(formed) == degrees, n
     profiles = _corrupted_census(25, [(9, 1, 3, 1)])
     formed.clear()
-    assert _check_system_violation(25, profiles=profiles) == ("B", 9, 3)
+    assert _injected_violation(25, profiles) == ("B", 9, 3)
     assert _reference_violation(25, profiles) == ("B", 9, 3)
     assert len(formed) == 26
 
@@ -669,8 +688,8 @@ def test_an_injected_census_leaves_the_registry_as_it_was(warm,
     before = dict(_STATES)
     memos = [state._memo for state in before.values()]
     profiles = _corrupted_census(20, [(9, 1, 3, 1)])
-    assert _check_system_violation(20, profiles=profiles) == ("B", 9, 3)
-    assert _check_system_violation(20, profiles=_CENSUS) is None
+    assert _injected_violation(20, profiles) == ("B", 9, 3)
+    assert _injected_violation(20, _CENSUS) is None
     assert _STATES == before
     assert all(state._memo is memo
                for state, memo in zip(_STATES.values(), memos))
@@ -701,9 +720,9 @@ def test_a_warm_system_check_reports_the_reference_first_failure(
     prefix = _STATES["system-201-210"]
     prefix._memo = memo
     profiles = _corrupted_census(n_max, cells)
-    assert _check_system_violation(n_max, profiles=profiles) == \
+    assert _injected_violation(n_max, profiles) == \
         _reference_violation(n_max, profiles)
-    assert _check_system_violation(n_max, profiles=_CENSUS) is None
+    assert _injected_violation(n_max, _CENSUS) is None
     assert prefix._memo is memo
     assert _check_system_violation(max(warm, n_max)) is None
     assert list(_STATES) == ["system-201-210"]
@@ -728,19 +747,13 @@ def test_verify_output_does_not_depend_on_request_order(fresh_states):
         assert {request: run_check(*request) for request in order} == cold
 
 
-def _system_prefix():
-    """A fresh Prefix over the route the system prefix is keyed on."""
-    return Prefix(([],) * 7, series._system_step, series._fast_step_201_210,
-                  ([1], [0], [0]))
-
-
 def test_resuming_the_census_route_yields_the_tail_of_a_cold_run():
     """A system prefix taken to any depth and then to 30 counts no
-    failure, and its level at x^m holds the degree rows of the rows that
-    a full run of the DP from the axiom converts at x^(m-1), seven empty
-    rows at m = 0."""
-    levels = [([],) * 7,
-              *(series._degree_rows(*series._census_rows(m, level))
+    failure, and its level at x^m holds the rows that a full run of the
+    DP from the axiom converts at x^(m-1), three empty rows at m = 0,
+    and no failure."""
+    levels = [(([],) * 3, None),
+              *((series._census_rows(m, level), None)
                 for m, level in enumerate(_dp_levels(30)))]
     for depth in range(31):
         prefix = _system_prefix()
@@ -774,7 +787,7 @@ def test_census_depths_per_system_request(monkeypatch, fresh_states):
     assert len(steps) == 80
     prefix = _STATES["system-201-210"]
     assert prefix.counts(80) == [None] * 81
-    assert [prefix.level(m + 1)[:3] for m in range(81)] == \
+    assert [prefix.level(m + 1)[0] for m in range(81)] == \
         [real_rows(m, level)
          for m, level in enumerate(_dp_levels(80))]
 
@@ -782,17 +795,15 @@ def test_census_depths_per_system_request(monkeypatch, fresh_states):
 def test_one_system_check_keeps_one_registry_key(fresh_states):
     """Each system check leaves the one key of the system prefix, whose
     count at x^45 is None and whose stored level, the one it steps next,
-    holds the degree rows at x^45, which begin with the census rows
-    there."""
+    holds the census rows at x^45 and no failure."""
     census = [series._census_rows(m, level)
               for m, level in enumerate(_dp_levels(45))]
     for n in (30, 12, 45):
         assert run_check("system-201-210", n)[0], n
         assert list(_STATES) == ["system-201-210"], n
-    counts, rows, _ = _STATES["system-201-210"]._memo
+    counts, level, _ = _STATES["system-201-210"]._memo
     assert len(counts) == 46 and counts[45] is None
-    assert rows == series._degree_rows(*census[45])
-    assert rows[:3] == census[45]
+    assert level == (census[45], None)
 
 
 def _planted_census(real):

@@ -57,6 +57,11 @@ def test_step_rejects_impossible_state():
         step(get_system("201-210"), {(2, F, T): 1})
 
 
+def test_to_dense_rejects_an_unreachable_state():
+    with pytest.raises(ValueError, match="unreachable"):
+        get_system("201-210").to_dense({(2, F, T): 1})
+
+
 def test_state_profile_pinned():
     profile = state_profile("201-210", 3)
     assert profile[(3, F, F)] == 1
@@ -459,7 +464,7 @@ def test_verify_routes_stay_off_the_memo(monkeypatch, fresh_states):
     neither read nor write the memo, so verify's census is never served
     by the route it checks: they leave a fresh memo empty and ignore a
     poisoned one.  The census's (k,T,F) row at x^m is the second of the
-    rows its level at x^(m+1) holds."""
+    census rows its level at x^(m+1) holds."""
     n = 20
     system = _fresh("201-210")
     monkeypatch.setitem(SYSTEMS, "201-210", system)
@@ -467,7 +472,7 @@ def test_verify_routes_stay_off_the_memo(monkeypatch, fresh_states):
     def tf_of_the_census():
         assert series._check_system_violation(n) is None
         census = _STATES["system-201-210"]
-        return [sum(census.level(m + 1)[1]) for m in range(n + 1)]
+        return [sum(census.level(m + 1)[0][1]) for m in range(n + 1)]
     tf = tf_of_the_census()
     ff = series._ff_slice_prefix().counts(n)
     assert system.memo._memo is None
