@@ -83,7 +83,6 @@ from .succession import (
     emit_diagram,
     get_system,
     profile_text,
-    rule_counting_sequence,
     SYSTEMS,
 )
 
@@ -114,26 +113,26 @@ def _resolve_basis(args):
 
 
 def _source(args, n_max):
-    """(counting sequence 0..n_max, registry key, prefix) for the source
-    the flags select: the rules memo, under the system's name, and the
-    closed form, under "f_coefficients", are per-process prefixes that
-    hold the counts; the oracle keeps none, and its key and prefix are
-    None."""
+    """(count, registry key) for the source the flags select, where
+    count(d) is its count at depth d <= n_max.  The rules memo, under the
+    system's name, and the closed form, under "f_coefficients", are
+    per-process prefixes, and count is the prefix's bound ``count``,
+    which reads one kept count; the oracle keeps none, so its key is None
+    and count reads the counting sequence it returns."""
     if args.system is not None:
         method = args.method or "rules"
         if method == "rules":
-            return (rule_counting_sequence(args.system, n_max), args.system,
-                    get_system(args.system).memo)
+            return get_system(args.system).memo.count, args.system
         if method == "gf":
             _require(args.system == "201-210",
                      "method gf only applies to system 201-210")
-            from .series import f_coefficients, f_prefix
-            return f_coefficients(n_max), "f_coefficients", f_prefix()
-        return count_sequence(get_system(args.system).basis, n_max), None, None
+            from .series import f_prefix
+            return f_prefix().count, "f_coefficients"
+        return count_sequence(get_system(args.system).basis, n_max).__getitem__, None
     method = args.method or "oracle"
     _require(method == "oracle",
              "--basis only supports method oracle; use --system for %s" % method)
-    return count_sequence(parse_basis(args.basis), n_max), None, None
+    return count_sequence(parse_basis(args.basis), n_max).__getitem__, None
 
 
 def _text_step(d, count):
@@ -151,7 +150,7 @@ def _index_step(d, sep):
 
 def _cmd_count(args):
     _require(args.n >= 0, "n must be nonnegative")
-    print(_source(args, args.n)[0][args.n])
+    print(_source(args, args.n)[0](args.n))
     return 0
 
 
@@ -169,13 +168,13 @@ def _cmd_series(args):
     n = args.n_max
     _require(n >= 0, "n-max must be nonnegative")
     sep = _SEPARATORS[args.format]
-    # _source leaves the source's prefix n deep: the text steps only read it
-    counts, key, prefix = _source(args, n)
-    if prefix is None:
-        lines = [str(c) + "\n" for c in counts]
+    count, key = _source(args, n)
+    if key is None:
+        lines = [str(count(d)) + "\n" for d in range(n + 1)]
         index = sep and ["%d%s" % (d, sep) for d in range(n + 1)]
     else:
-        lines = shared(("text", key), 0, _text_step, prefix.count).counts(n)
+        count(n)  # reach depth n first: the text steps only read the source
+        lines = shared(("text", key), 0, _text_step, count).counts(n)
         index = sep and shared(("index", sep), 0, _index_step, sep).counts(n)
     sys.stdout.write("".join(map(add, index, lines) if index else lines))
     return 0

@@ -22,7 +22,7 @@ from operator import sub
 
 import pytest
 
-from invseq import checks, poly, series, succession
+from invseq import checks, core, poly, series, succession
 from invseq.checks import CHECKS, run_check
 from invseq.prefix import _STATES, Prefix
 from invseq.succession import SYSTEMS
@@ -109,6 +109,23 @@ def test_a_fault_planted_after_a_warm_run_prints_the_cold_line(
     monkeypatch.setattr(checks, "structure_check_201_210", real)
     assert run_check("structure-theorem", 5)[0]
     assert list(_STATES) == ["structure-theorem"]
+
+
+def test_a_fault_in_the_generated_matcher_reaches_the_verify_line(
+        monkeypatch, fresh_states):
+    """The structure sweep matches its words by the code core generates
+    per length: min(right) < max(left) planted inverted there prints the
+    line that the same inversion planted in the loop of
+    core._middle_match printed when the sweep ran that loop."""
+    wrong = core._HIT_CODE[-1].replace(" < ", " > ")
+    assert wrong != core._HIT_CODE[-1]
+    monkeypatch.setitem(core._HIT_CODE, -1, wrong)
+    core._compile.cache_clear()
+    try:
+        assert run_check("structure-theorem", 6) == (
+            False, ["FAIL at e=0102: checker True, avoidance False"])
+    finally:
+        core._compile.cache_clear()  # drop the matchers made with the fault
 
 
 def test_concurrent_requests_share_consistent_states(fresh_states):

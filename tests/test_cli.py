@@ -622,10 +622,10 @@ def test_verify_arithmetic_error_is_a_failure(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("module, name, argv", [
-    (series, "f_coefficients", ["count", "--system", "201-210", "--method",
-                                "gf", "--n", "5"]),
-    (series, "f_coefficients", ["series", "--system", "201-210", "--method",
-                                "gf", "--n-max", "5"]),
+    (series, "_f_step", ["count", "--system", "201-210", "--method",
+                         "gf", "--n", "5"]),
+    (series, "_f_step", ["series", "--system", "201-210", "--method",
+                         "gf", "--n-max", "5"]),
     (cli, "listing_text", ["list", "--basis", "01", "--n", "3"]),
     (cli, "list_avoiders", ["list", "--basis", "01234", "--n", "3"]),
     (cli, "profile_text", ["profile", "--system", "201-210", "--n", "3"]),
@@ -633,8 +633,9 @@ def test_verify_arithmetic_error_is_a_failure(capsys, monkeypatch,
 ], ids=["count", "series", "list", "list-fallback", "profile", "diagram"])
 def test_arithmetic_error_outside_verify_is_usage_error(capsys, monkeypatch,
                                                         module, name, argv):
-    """The closed form is planted in ``invseq.series``, which the gf
-    branch imports from where it calls it."""
+    """The step of the closed form is planted in ``invseq.series``, whose
+    prefix (``f_prefix``) the gf branch imports where it reads it, so
+    the prefix is made afresh and steps the planted step."""
     def inexact(*args):
         raise ArithmeticError("coefficient of x^3 is not an integer")
     monkeypatch.setattr(module, name, inexact)

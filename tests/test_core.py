@@ -1,8 +1,10 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from invseq import core
 from invseq.core import (
     avoids,
     contains,
@@ -205,6 +207,59 @@ def test_avoids_matches_definition(e, patterns, as_lists):
     # duplicates are allowed, and some bases arrive as lists of lists
     basis = [list(p) for p in patterns] if as_lists else tuple(patterns)
     assert avoids(e, basis) == (not any(occurs(e, p) for p in patterns))
+
+
+# every basis of one or two length-3 patterns: 13 + 78
+PATTERNS_3 = [p for p in PATTERNS_1_4 if len(p) == 3]
+BASES_3 = [(p,) for p in PATTERNS_3] + list(itertools.combinations(PATTERNS_3, 2))
+
+
+def test_the_generated_matcher_equals_the_loop():
+    """avoids matches words up to core._UNROLLED_MAX long by generated
+    code; on every inversion sequence of length at most 6 it agrees with
+    the loop of _middle_match for every basis of length-3 patterns."""
+    assert len(BASES_3) == 91
+    words = [e for n in range(7) for e in all_inversion_sequences(n)]
+    for basis in BASES_3:
+        groups = core._compile(basis)[0]
+        assert ([avoids(e, basis) for e in words]
+                == [not core._middle_match(e, groups) for e in words]), basis
+
+
+def _any_word(n):
+    """Words of length n with negative, out-of-range and huge values."""
+    return st.lists(st.integers(min_value=-3, max_value=n + 3)
+                    | st.sampled_from([-10**30, 10**30]),
+                    min_size=n, max_size=n)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.sampled_from([p for p in PATTERNS_1_4 if len(p) > 1]),
+                min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=core._UNROLLED_MAX + 2).flatmap(_any_word))
+def test_avoids_matches_definition_on_both_sides_of_the_bound(patterns, e):
+    """Bases mixing lengths 2 to 4, on any integer word up to two entries
+    longer than the longest word the generated code matches."""
+    assert avoids(e, patterns) == (not any(occurs(e, p) for p in patterns))
+
+
+def test_each_length_up_to_the_bound_generates_one_matcher(monkeypatch):
+    """The matcher of a length is generated on the first word of that
+    length and kept; a longer word is matched by the loop, generating
+    nothing."""
+    made = Counter()
+
+    def counted(groups, n, _real=core._unrolled):
+        made[n] += 1
+        return _real(groups, n)
+    monkeypatch.setattr(core, "_unrolled", counted)
+    core._compile.cache_clear()
+    basis = ((2, 0, 1), (2, 1, 0))
+    for _ in range(3):
+        for n in range(core._UNROLLED_MAX + 4):
+            for e in ((0,) * n, tuple(range(n)), tuple(range(n))[::-1]):
+                assert avoids(e, basis) == (not any(occurs(e, p) for p in basis))
+    assert made == Counter(range(core._UNROLLED_MAX + 1))
 
 
 def test_contains_any_integer_word():

@@ -1,0 +1,64 @@
+"""Print the time the core matcher takes on whole sweeps of inversion
+sequences.
+
+Two tables, each time the least of RUNS runs, in milliseconds, with the
+first run, which pays for building the matcher of a length, beside it:
+
+  * the step of the structure prefix (``invseq.checks._structure_step``)
+    at lengths 6 to 9: structure_check_201_210 and avoids on {201, 210}
+    for every inversion sequence of that length, as verify's
+    structure-theorem check runs them;
+  * avoids alone on every inversion sequence of length 8, for {201, 210},
+    {010, 102} and the four patterns of 010-100-120-210.
+
+Run in a fresh interpreter, from the root of the repository; standard
+library only:
+
+    python3 tools/matcher_times.py
+"""
+
+import itertools
+import pathlib
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from invseq.checks import _structure_step  # noqa: E402
+from invseq.core import avoids, structure_check_201_210  # noqa: E402
+
+RUNS = 5
+BASES = {
+    "201,210": ((2, 0, 1), (2, 1, 0)),
+    "010,102": ((0, 1, 0), (1, 0, 2)),
+    "010,100,120,210": ((0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0)),
+}
+
+
+def times_ms(run):
+    """(first, least) of RUNS timed calls of run(), in milliseconds."""
+    times = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        run()
+        times.append(1000 * (time.perf_counter() - start))
+    return times[0], min(times)
+
+
+def words(n):
+    """Every inversion sequence of length n."""
+    return list(itertools.product(*map(range, range(1, n + 1))))
+
+
+if __name__ == "__main__":
+    basis = BASES["201,210"]
+    for n in range(6, 10):
+        first, least = times_ms(lambda: _structure_step(
+            (n, None), structure_check_201_210, avoids, basis))
+        print("structure step, n=%d      %9.2f ms  (first %.2f ms)"
+              % (n, least, first))
+    length_8 = words(8)
+    for name, basis in BASES.items():
+        first, least = times_ms(lambda: [avoids(e, basis) for e in length_8])
+        print("avoids %-17s n=8 %9.2f ms  (first %.2f ms)"
+              % (name, least, first))
