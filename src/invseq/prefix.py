@@ -2,11 +2,16 @@
 
 ``_STATES`` is the one registry of per-process state: every route that
 keeps state across requests keeps it there, under its own key, and
-emptying the dict makes the process cold.  A route that steps levels is
-a start level and a step, and keeps a Prefix, which
-``shared(key, start, step, *args)`` returns: the one stored under key,
-made on first use and made afresh, replacing the stored one, when the
-stored one has another start, step or arguments.  A caller passes them
+emptying the dict makes every route cold.  It does not make the process
+cold: the code ``invseq.core`` generates per word length, the matcher's
+avoidance tests kept with each compiled basis (``core._compile``) and
+the structure checker's (``core._straight_checker``), is cached outside
+the registry, so a fault planted in what that code is generated from
+after a warm request is seen only once those caches are cleared.  A
+route that steps levels is a start level and a step, and keeps a
+Prefix, which ``shared(key, start, step, *args)`` returns: the one
+stored under key, made on first use and made afresh, replacing the
+stored one, when the stored one has another start, step or arguments.  A caller passes them
 as it sees them at call time, so a planted step (a fault, say) is
 stepped cold.  A helper that a step looks up while it runs is not part
 of the key: a fault planted in one after a warm request is not seen

@@ -32,16 +32,20 @@ WORDS_THROUGH_8 = sum(map(factorial, range(9)))
 
 
 def _count_calls(monkeypatch):
-    """Wrap checks.avoids and checks.structure_check_201_210; the returned
-    Counters get, per function, the words it was called on."""
+    """Wrap checks._avoider and checks._structure_checker, the per-length
+    accessors of the two sides, so that each function they return counts
+    its words; the returned Counters get, per accessor, the words its
+    functions were called on."""
     seen = {}
-    for name in ("avoids", "structure_check_201_210"):
+    for name in ("_avoider", "_structure_checker"):
         calls = seen[name] = Counter()
 
-        def counted(e, *args, _real=getattr(checks, name), _calls=calls):
-            _calls[e] += 1
-            return _real(e, *args)
-        monkeypatch.setattr(checks, name, counted)
+        def accessor(*args, _real=getattr(checks, name), _calls=calls):
+            def counted(e, _test=_real(*args)):
+                _calls[e] += 1
+                return _test(e)
+            return counted
+        monkeypatch.setattr(checks, name, accessor)
     return seen
 
 
@@ -71,9 +75,10 @@ def test_each_word_goes_to_each_route_once(order, monkeypatch,
 
 def _planted_checker(monkeypatch):
     """Make the checker wrong on the word 010 only."""
-    real = checks.structure_check_201_210
-    monkeypatch.setattr(checks, "structure_check_201_210",
-                        lambda e: real(e) != (e == (0, 1, 0)))
+    real = checks._structure_checker
+    monkeypatch.setattr(checks, "_structure_checker",
+                        lambda n: lambda e, _check=real(n): (
+                            _check(e) != (e == (0, 1, 0))))
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -100,13 +105,13 @@ def test_a_fault_planted_after_a_warm_run_prints_the_cold_line(
     assert run_check("structure-theorem", 8) == (True, [
         "OK: checker agrees with pattern avoidance for all inversion "
         "sequences through n=8"])
-    real = checks.structure_check_201_210
+    real = checks._structure_checker
     _planted_checker(monkeypatch)
     fail = (False, ["FAIL at e=010: checker False, avoidance True"])
     for n in (8, 4, 3):
         assert run_check("structure-theorem", n) == fail, n
     assert run_check("structure-theorem", 2)[0]
-    monkeypatch.setattr(checks, "structure_check_201_210", real)
+    monkeypatch.setattr(checks, "_structure_checker", real)
     assert run_check("structure-theorem", 5)[0]
     assert list(_STATES) == ["structure-theorem"]
 
@@ -126,6 +131,25 @@ def test_a_fault_in_the_generated_matcher_reaches_the_verify_line(
             False, ["FAIL at e=0102: checker True, avoidance False"])
     finally:
         core._compile.cache_clear()  # drop the matchers made with the fault
+
+
+def test_a_fault_in_the_generated_checker_reaches_the_verify_line(
+        monkeypatch, fresh_states):
+    """The structure sweep checks its words by the code core generates
+    per length: "below the maximum" planted as "at most the maximum" in
+    the test at a left-to-right maximum prints the line that the same
+    fault (the second-smallest value to the right compared with <=, not
+    <) printed when structure_check_201_210 kept the two smallest
+    values of the suffix in a loop."""
+    wrong = core._MAXIMUM_CODE.replace("(b{i} - 1)", "((b{i} << 1) - 1)")
+    assert wrong != core._MAXIMUM_CODE
+    monkeypatch.setattr(core, "_MAXIMUM_CODE", wrong)
+    core._straight_checker.cache_clear()
+    try:
+        assert run_check("structure-theorem", 6) == (
+            False, ["FAIL at e=0101: checker False, avoidance True"])
+    finally:
+        core._straight_checker.cache_clear()  # drop the checkers made with it
 
 
 def test_concurrent_requests_share_consistent_states(fresh_states):

@@ -737,8 +737,9 @@ CHECK_CASES = {
         "OK: all seven bivariate identities hold through n=8",
         "FAIL: equation A first differs at x^5 u^2"),
     "structure-theorem": (
-        checks, "structure_check_201_210",
-        lambda real: lambda e: real(e) != (e == (0, 1, 0)), 4,
+        checks, "_structure_checker",
+        lambda real: lambda n: lambda e, _check=real(n): (
+            _check(e) != (e == (0, 1, 0))), 4,
         "OK: checker agrees with pattern avoidance for all inversion "
         "sequences through n=4",
         "FAIL at e=010: checker False, avoidance True"),

@@ -288,6 +288,54 @@ def test_structure_check_worked_examples():
     assert structure_check_201_210(())
 
 
+def two_smallest_check(e):
+    """The structure check by another algorithm: sweep a word of
+    non-negative values right to left keeping the two smallest distinct
+    values to the right; a left-to-right maximum m (ties included) fails
+    when the second-smallest of them is below m."""
+    n = len(e)
+    is_lr_max = [False] * n
+    best = -1
+    for i, v in enumerate(e):
+        if v >= best:
+            is_lr_max[i] = True
+            best = v
+    lo1 = lo2 = None  # two smallest distinct values strictly to the right
+    for i in range(n - 1, -1, -1):
+        if is_lr_max[i] and lo2 is not None and lo2 < e[i]:
+            return False
+        v = e[i]
+        if lo1 is None or v < lo1:
+            if lo1 is not None and v != lo1:
+                lo2 = lo1 if (lo2 is None or lo1 < lo2) else lo2
+            lo1 = v
+        elif v != lo1 and (lo2 is None or v < lo2):
+            lo2 = v
+    return True
+
+
+def test_the_generated_checker_equals_the_loops():
+    """structure_check_201_210 checks words up to core._UNROLLED_MAX long
+    by generated code; on every inversion sequence of length at most 8 it
+    agrees with the bitmask loop of longer words and with the sweep of
+    the two smallest suffix values."""
+    words = [e for n in range(9) for e in all_inversion_sequences(n)]
+    assert len(words) == 46234
+    checked = [structure_check_201_210(e) for e in words]
+    assert checked == [core._structure_loop(e) for e in words]
+    assert checked == [two_smallest_check(e) for e in words]
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=core._UNROLLED_MAX + 4).flatmap(_any_word))
+@example([-2, -10**30, -3])  # 201 once standardized
+def test_structure_check_matches_avoidance_on_any_integer_word(e):
+    """Any integer word up to four entries longer than the longest word
+    the generated code checks, with negative, out-of-range and huge
+    values and ties."""
+    assert structure_check_201_210(e) == avoids(e, ((2, 0, 1), (2, 1, 0)))
+
+
 def test_structure_check_matches_avoidance_small():
     # the exhaustive length <= 9 sweep lives in the acceptance tests
     basis = ((2, 0, 1), (2, 1, 0))

@@ -64,9 +64,10 @@ def _fresh_system(system_id):
 def _planted_checker(monkeypatch):
     """Make the structure checker wrong on the word 010 only, so that
     the structure route checks no word past length 3."""
-    real = checks.structure_check_201_210
-    monkeypatch.setattr(checks, "structure_check_201_210",
-                        lambda e: real(e) != (e == (0, 1, 0)))
+    real = checks._structure_checker
+    monkeypatch.setattr(checks, "_structure_checker",
+                        lambda n: lambda e, _check=real(n): (
+                            _check(e) != (e == (0, 1, 0))))
 
 
 def _slot(name, monkeypatch):
@@ -318,14 +319,14 @@ def test_a_planted_route_replaces_the_prefix(name, monkeypatch,
 
 def test_a_planted_checker_replaces_the_structure_prefix(monkeypatch,
                                                          fresh_states):
-    """A checker planted in ``invseq.checks`` after a warm request to
-    length 6 is checked from the empty word in a prefix of its own, which
-    replaces the stored one, and gives the line of a cold run on it;
-    restoring the real checker replaces that prefix in turn."""
-    real = checks.structure_check_201_210
+    """A checker accessor planted in ``invseq.checks`` after a warm
+    request to length 6 is checked from the empty word in a prefix of its
+    own, which replaces the stored one, and gives the line of a cold run
+    on it; restoring the real accessor replaces that prefix in turn."""
+    real = checks._structure_checker
     assert run_check(STRUCTURE, 6)[0]
     _planted_checker(monkeypatch)
-    planted = checks.structure_check_201_210
+    planted = checks._structure_checker
     real_step = checks._structure_step
     steps = [0]
 
@@ -338,7 +339,7 @@ def test_a_planted_checker_replaces_the_structure_prefix(monkeypatch,
             (planted, (False, ["FAIL at e=010: checker False, avoidance True"])),
             (real, (True, ["OK: checker agrees with pattern avoidance for all "
                            "inversion sequences through n=5"]))):
-        monkeypatch.setattr(checks, "structure_check_201_210", checker)
+        monkeypatch.setattr(checks, "_structure_checker", checker)
         steps[0] = 0
         assert run_check(STRUCTURE, 5) == line
         assert steps[0] == 6
@@ -399,12 +400,14 @@ def test_steps_per_request_on_every_route(fresh_states, name, counts, levels):
 # check[:entry of _FE_STEP] -> (namespace, key) of what the check's route
 # runs, and the depth a call of it asks for: the closed form's step the
 # x-degree it forms, a functional equation's step and the 201-210 kernel
-# one past the x-degree of their input, the structure checker the length
+# one past the x-degree of their input, the structure checker's accessor
+# the word length it is asked for
 PAST = {
     "gf-vs-rules": (vars(series), "_f_step", lambda level: level[0]),
     **{"fe-vs-rules:" + system_id: (series._FE_STEP, system_id, len)
        for system_id in FE_IDS},
-    "structure-theorem": (vars(checks), "structure_check_201_210", len),
+    "structure-theorem": (vars(checks), "_structure_checker",
+                          lambda length: length),
     "system-201-210": (vars(series), "_fast_step_201_210",
                        lambda level: len(level[0])),
 }

@@ -1,12 +1,15 @@
-"""Print the time the core matcher takes on whole sweeps of inversion
-sequences.
+"""Print the time the core matcher and the structure checker take on
+whole sweeps of inversion sequences.
 
-Two tables, each time the least of RUNS runs, in milliseconds, with the
-first run, which pays for building the matcher of a length, beside it:
+Three tables, each time the least of RUNS runs, in milliseconds, with
+the first run beside it, which pays for generating the code of a length
+that no row above it generated:
 
+  * the structure checker alone (``invseq.core._structure_checker``) on
+    every inversion sequence of length 6 to 9;
   * the step of the structure prefix (``invseq.checks._structure_step``)
-    at lengths 6 to 9: structure_check_201_210 and avoids on {201, 210}
-    for every inversion sequence of that length, as verify's
+    at lengths 6 to 9: the checker and the avoidance test of {201, 210}
+    on every inversion sequence of that length, as verify's
     structure-theorem check runs them;
   * avoids alone on every inversion sequence of length 8, for {201, 210},
     {010, 102} and the four patterns of 010-100-120-210.
@@ -25,7 +28,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from invseq.checks import _structure_step  # noqa: E402
-from invseq.core import avoids, structure_check_201_210  # noqa: E402
+from invseq.core import _avoider, _structure_checker, avoids  # noqa: E402
 
 RUNS = 5
 BASES = {
@@ -51,10 +54,17 @@ def words(n):
 
 
 if __name__ == "__main__":
+    for n in range(6, 10):
+        length_n = words(n)
+        first, least = times_ms(
+            lambda: list(map(_structure_checker(n), length_n)))
+        print("structure checker, n=%d   %9.2f ms  (first %.2f ms)"
+              % (n, least, first))
+    del length_n  # garbage collection would walk its tuples in the rows below
     basis = BASES["201,210"]
     for n in range(6, 10):
         first, least = times_ms(lambda: _structure_step(
-            (n, None), structure_check_201_210, avoids, basis))
+            (n, None), _structure_checker, _avoider, basis))
         print("structure step, n=%d      %9.2f ms  (first %.2f ms)"
               % (n, least, first))
     length_8 = words(8)
