@@ -12,14 +12,11 @@ pair of its entries compares (<, =, >) as the same pair of p does.
 
 The matcher.  avoids(e, basis) is the one matcher; contains(e, p) is
 avoids(e, (p,)) negated.  A basis is compiled once, through a small
-cache keyed on it as a tuple of tuples, and each pattern is validated
-there; a bad pattern is never cached, so it raises on every call.
-avoids runs the avoidance test that _avoider(basis, n) fetches for the
-length n of e, made on first use and kept in the compiled value, so a
-sweep over the words of one length fetches it once and maps it over
-them.  The matcher shares nothing with the oracle's bans and is checked
-in the tests against the definition (standardize over
-itertools.combinations).
+cache keyed on it as a tuple of tuples that holds pattern data only,
+and each pattern is validated there; a bad pattern is never cached, so
+it raises on every call.  The matcher shares nothing with the oracle's
+bans and is checked in the tests against the definition (standardize
+over itertools.combinations).
 
 - Length 3, the middle-entry test.  Fix the position j of the middle
   entry of a would-be occurrence of (x, y, z).  Its first entry a lies
@@ -31,19 +28,14 @@ itertools.combinations).
   max(right) > min(left) (cmp(z, x) > 0).  So one pass over j decides
   every length-3 pattern, with the classes held as bitmasks of values;
   patterns with the same cmp(x, y), such as 201 and 210, share the left
-  class.  A word of at most _UNROLLED_MAX (12) entries is matched by
-  that pass written out for its length n as straight-line code,
-  generated from n and the compiled comparisons alone on the first word
-  of that length and kept in the basis's compiled value: each entry,
-  its bit and each right mask is a local, and every class and hit test
-  is inlined, so avoids on the 40320 inversion sequences of length 8
-  takes about 40 % of the loop's time (tools/matcher_times.py).  Every
-  exhaustive sweep the package runs stays below the bound
-  (structure-theorem runs through 9 by default, and a sweep at 12 would
-  visit 12! = 479001600 words), while the code and the time to generate
-  it grow with n (about 0.8 ms at 12 and 9 ms at 100 for {201, 210}), so
-  a longer word, which only a single call brings, keeps the loop of
-  _middle_match.
+  class.  avoids runs that pass as the loop of _middle_match.
+  _avoider(basis, n) writes it out for the words of length n as
+  straight-line code, generated afresh on every call from n and the
+  compiled comparisons of a basis of length-3 patterns: each entry, its
+  bit and each right mask is a local, and every class and hit test is
+  inlined.  Only the structure-theorem sweep runs it, generating it
+  once per length and mapping it over every word of that length, where
+  it takes about a third of the loop's time at length 8.
 - Any other length: a depth-first, left-to-right search on an explicit
   stack.  Once the earlier entries of an occurrence are picked, the
   next value must equal one of them or lie strictly between two of
@@ -53,21 +45,28 @@ itertools.combinations).
 The structure checker.  structure_check_201_210(e) decides {201, 210}
 avoidance by the paper's structural description, never searching for an
 occurrence: at each left-to-right maximum of e (ties included), the
-smaller entries to its right take at most one value.  With values as
-bits, b = 1 << e[i] and the values after position i as the suffix mask
-s, the smaller ones are low = s & (b - 1), and low & (low - 1) == 0 says
-that there is at most one.  A word with a value below 0 or with a bit
-at or past those of n - 1 is standardized first, which keeps its
-answer, as the matcher does.  _structure_checker(n) fetches the test
-for words of length n: up to _UNROLLED_MAX, straight-line code generated
-from n alone on first use and kept per length (_straight_checker), with
+smaller entries to its right take at most one value.  On every integer
+word this is avoidance.  If a maximum e[p] has smaller entries
+e[q] != e[r] to its right, q < r, then (e[p], e[q], e[r]) is an
+occurrence of 201 (e[q] < e[r]) or of 210 (e[q] > e[r]).  Conversely, in
+an occurrence (e[i], e[j], e[k]) of either, e[j] and e[k] are below e[i]
+and differ, and the first position p <= i that holds max(e[..i]) is a
+left-to-right maximum with e[p] >= e[i], so it has two smaller values
+to its right.  With values as bits, b = 1 << e[i] and the values after
+position i as the suffix mask s, the smaller ones are low = s & (b - 1),
+and low & (low - 1) == 0 says that there is at most one.  A word with a
+value below 0 or with a bit at or past those of n - 1 is standardized
+first, which keeps its answer, as the matcher does.
+structure_check_201_210 runs the test as a loop, right to left.
+_structure_checker(n) writes it out for the words of length n as
+straight-line code, generated afresh on every call from n alone, with
 each entry, bit and suffix mask a local and the test of each position
-(_MAXIMUM_CODE) written out after the one before it, which on the 40320
-inversion sequences of length 8 takes about 30 % of the time of the
-loop that longer words keep (_structure_loop, the same algorithm).  The checker shares no generated code and no
-helper but standardize with the matcher, so that the structure-theorem
-check, which compares the two on every inversion sequence through its
-depth, compares two independent routes.
+(_MAXIMUM_CODE) written out after the one before it; only the
+structure-theorem sweep runs it, generating it once per length, and at
+length 8 it takes about half the loop's time.  The checker shares
+no generated code and no helper but standardize with the matcher, so
+that the structure-theorem check, which compares the two on every
+inversion sequence through its depth, compares two independent routes.
 
 >>> standardize((4, 3, 4, 7, 1, 9, 9, 3))
 (2, 1, 2, 3, 0, 4, 4, 1)
@@ -218,10 +217,7 @@ def _windows(p):
 def _compile(basis):
     """Validate each pattern of a basis (a tuple of tuples) once and turn it
     into matcher data: length-3 patterns grouped by the class of their
-    left entry, windows for every other length, and the table, filled on
-    first use (see _avoider), from a word length up to _UNROLLED_MAX to
-    the avoidance test of that length, and from None to the one of every
-    other length."""
+    left entry, and windows for every other length."""
     groups = {}
     searches = []
     for p in dict.fromkeys(basis):
@@ -232,7 +228,7 @@ def _compile(basis):
         else:
             searches.append(_windows(p))
     groups = tuple((rel, tuple(tests)) for rel, tests in groups.items())
-    return groups, tuple(searches), {}
+    return groups, tuple(searches)
 
 
 def _middle_match(e, groups):
@@ -275,8 +271,6 @@ def _middle_match(e, groups):
         left |= bit
     return False
 
-
-_UNROLLED_MAX = 12  # the longest word matched by generated code
 
 # The code _middle_match runs for each class, indexed by cmp + 1 (the
 # values below, equal to and above e[j], with bit = b<j>), and for each
@@ -369,39 +363,13 @@ def contains(e, p):
 
 
 def _avoider(basis, n):
-    """avoids(., basis) for the words of length n, basis a tuple of tuples:
-    made on first use and kept in the compiled value of basis, one per
-    length up to _UNROLLED_MAX when basis has a length-3 pattern, and one
-    for every other length."""
-    groups, searches, tests = _compile(basis)
-    if not groups or n > _UNROLLED_MAX:
-        n = None
-    test = tests.get(n)
-    if test is None:  # threads that both make it share one
-        test = tests.setdefault(n, _avoidance(groups, searches, n))
-    return test
-
-
-def _avoidance(groups, searches, n):
-    """The avoidance test of the compiled groups and searches for the
-    words of length n, by the generated middle-entry test, or by the
-    loop when n is None."""
-    if n is None:
-        def middle(e):
-            return not (groups and _middle_match(e, groups))
-    else:
-        middle = _unrolled(groups, n)
-    if not searches:
-        return middle
-
-    def avoid(e):
-        if not middle(e):
-            return False
-        for windows in searches:
-            if _search(e, windows):
-                return False
-        return True
-    return avoid
+    """avoids(., basis) for the words of length n, basis a tuple of
+    length-3 patterns, as code generated afresh on every call; any other
+    basis raises ValueError."""
+    groups, searches = _compile(basis)
+    if searches:
+        raise ValueError("only length-3 patterns have a generated matcher")
+    return _unrolled(groups, n)
 
 
 def avoids(e, basis):
@@ -414,10 +382,15 @@ def avoids(e, basis):
         basis = tuple(map(tuple, basis))
     e = tuple(e)
     try:
-        avoid = _avoider(basis, len(e))
+        groups, searches = _compile(basis)
     except TypeError:  # a pattern given as a list: the cache keys on tuples
-        avoid = _avoider(tuple(map(tuple, basis)), len(e))
-    return avoid(e)
+        groups, searches = _compile(tuple(map(tuple, basis)))
+    if groups and _middle_match(e, groups):
+        return False
+    for windows in searches:
+        if _search(e, windows):
+            return False
+    return True
 
 
 # The code the structure checker runs at position {i}: when e{i} is a
@@ -432,17 +405,17 @@ _MAXIMUM_CODE = """\
             return False"""
 
 
-@lru_cache(maxsize=None)
-def _straight_checker(n):
-    """_structure_loop for the words of length n, at most _UNROLLED_MAX,
-    as a function generated from straight-line code, made once per
-    length: e<i> and b<i> hold the entry and the bit of position i, s<i>
-    the values after it.  Only n goes into the code."""
+def _structure_checker(n):
+    """structure_check_201_210 for the words of length n, as a function
+    generated afresh on every call from straight-line code: e<i> and b<i>
+    hold the entry and the bit of position i, s<i> the values after it.
+    Only n goes into the code."""
     lines = ["def check(e):"]
     if n >= 2:
         entries = ", ".join("e%d" % i for i in range(n))
-        # standardize, as _structure_loop does, a word with a value below
-        # 0 or past the bits of n - 1, so that every mask stays within them
+        # standardize, as structure_check_201_210 does, a word with a
+        # value below 0 or past the bits of n - 1, so that every mask
+        # stays within them
         lines += ["    %s, = e" % entries,
                   "    if (%s) >> %d:" % (entries.replace(",", " |"),
                                          (n - 1).bit_length()),
@@ -460,42 +433,27 @@ def _straight_checker(n):
     return namespace["check"]
 
 
-def _structure_loop(e):
-    """structure_check_201_210 for a tuple e of any length, by a loop:
-    the values after each position as a bitmask, right to left, then the
-    left-to-right maxima, left to right."""
-    if e and (min(e) < 0 or max(e) >= len(e)):
-        e = standardize(e)  # values in 0..n-1 keep every mask within n bits
-    suffixes = [0]  # the values of the last k entries, k = 0, 1, ...
-    for v in reversed(e[1:]):
-        suffixes.append(suffixes[-1] | 1 << v)
-    top = 0
-    for v, suffix in zip(e, reversed(suffixes)):
-        if v >= top:
-            top = v
-            low = suffix & ((1 << v) - 1)
-            if low & (low - 1):
-                return False
-    return True
-
-
-def _structure_checker(n):
-    """structure_check_201_210 for the words of length n: the generated
-    code of that length up to _UNROLLED_MAX, the loop past it."""
-    return _straight_checker(n) if n <= _UNROLLED_MAX else _structure_loop
-
-
 def structure_check_201_210(e):
     """Avoidance test for {201, 210} that never searches for an occurrence.
 
     A sequence avoids both 201 and 210 exactly when, for each left-to-right
     maximum (ties included), the entries strictly smaller and strictly to
-    the right of it take at most one distinct value.  With the values
-    after each position held as a bitmask, the smaller ones are that mask
-    and (bit of the maximum) - 1, and at most one of them is set.
+    the right of it take at most one distinct value.  Right to left, with
+    the values after position i held as a bitmask, the smaller ones are
+    that mask and (bit of e[i]) - 1; where two or more of them are set,
+    e[i] must not be a left-to-right maximum, the largest of e[:i + 1].
 
     >>> structure_check_201_210((0, 0, 2, 0, 1))
     False
     """
     e = tuple(e)
-    return _structure_checker(len(e))(e)
+    if e and (min(e) < 0 or max(e) >= len(e)):
+        e = standardize(e)  # values in 0..n-1 keep every mask within n bits
+    after = 0  # the values after position i
+    for i in range(len(e) - 1, -1, -1):
+        bit = 1 << e[i]
+        low = after & (bit - 1)
+        if low & (low - 1) and max(e[:i + 1]) == e[i]:
+            return False
+        after |= bit
+    return True

@@ -2,12 +2,7 @@
 
 ``_STATES`` is the one registry of per-process state: every route that
 keeps state across requests keeps it there, under its own key, and
-emptying the dict makes every route cold.  It does not make the process
-cold: the code ``invseq.core`` generates per word length, the matcher's
-avoidance tests kept with each compiled basis (``core._compile``) and
-the structure checker's (``core._straight_checker``), is cached outside
-the registry, so a fault planted in what that code is generated from
-after a warm request is seen only once those caches are cleared.  A
+emptying the dict makes every route, and so the process, cold.  A
 route that steps levels is a start level and a step, and keeps a
 Prefix, which ``shared(key, start, step, *args)`` returns: the one
 stored under key, made on first use and made afresh, replacing the

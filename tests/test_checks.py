@@ -11,7 +11,9 @@ system.  The last four test the ODE fast path of the minpoly checks: a
 unit planted in a source, a solution of the ODE that is no root of the
 relation, a relation whose ODE the counts fail and a relation with no
 ODE each print the line of the stateless residual, and the count of the
-check's one relation route is that residual's."""
+check's one relation route is that residual's.  A fault planted in a
+template of the code core generates for the sweep prints its FAIL line
+cold, and after a warm run once the registry is emptied."""
 
 import sys
 import threading
@@ -116,21 +118,31 @@ def test_a_fault_planted_after_a_warm_run_prints_the_cold_line(
     assert list(_STATES) == ["structure-theorem"]
 
 
+def _plant_hit_fault(monkeypatch):
+    """min(right) < max(left) inverted in the matcher's generated code."""
+    wrong = core._HIT_CODE[-1].replace(" < ", " > ")
+    assert wrong != core._HIT_CODE[-1]
+    monkeypatch.setitem(core._HIT_CODE, -1, wrong)
+    return False, ["FAIL at e=0102: checker True, avoidance False"]
+
+
+def _plant_maximum_fault(monkeypatch):
+    """"below the maximum" as "at most the maximum" in the checker's
+    generated code."""
+    wrong = core._MAXIMUM_CODE.replace("(b{i} - 1)", "((b{i} << 1) - 1)")
+    assert wrong != core._MAXIMUM_CODE
+    monkeypatch.setattr(core, "_MAXIMUM_CODE", wrong)
+    return False, ["FAIL at e=0101: checker False, avoidance True"]
+
+
 def test_a_fault_in_the_generated_matcher_reaches_the_verify_line(
         monkeypatch, fresh_states):
     """The structure sweep matches its words by the code core generates
     per length: min(right) < max(left) planted inverted there prints the
     line that the same inversion planted in the loop of
     core._middle_match printed when the sweep ran that loop."""
-    wrong = core._HIT_CODE[-1].replace(" < ", " > ")
-    assert wrong != core._HIT_CODE[-1]
-    monkeypatch.setitem(core._HIT_CODE, -1, wrong)
-    core._compile.cache_clear()
-    try:
-        assert run_check("structure-theorem", 6) == (
-            False, ["FAIL at e=0102: checker True, avoidance False"])
-    finally:
-        core._compile.cache_clear()  # drop the matchers made with the fault
+    fail = _plant_hit_fault(monkeypatch)
+    assert run_check("structure-theorem", 6) == fail
 
 
 def test_a_fault_in_the_generated_checker_reaches_the_verify_line(
@@ -141,15 +153,21 @@ def test_a_fault_in_the_generated_checker_reaches_the_verify_line(
     fault (the second-smallest value to the right compared with <=, not
     <) printed when structure_check_201_210 kept the two smallest
     values of the suffix in a loop."""
-    wrong = core._MAXIMUM_CODE.replace("(b{i} - 1)", "((b{i} << 1) - 1)")
-    assert wrong != core._MAXIMUM_CODE
-    monkeypatch.setattr(core, "_MAXIMUM_CODE", wrong)
-    core._straight_checker.cache_clear()
-    try:
-        assert run_check("structure-theorem", 6) == (
-            False, ["FAIL at e=0101: checker False, avoidance True"])
-    finally:
-        core._straight_checker.cache_clear()  # drop the checkers made with it
+    fail = _plant_maximum_fault(monkeypatch)
+    assert run_check("structure-theorem", 6) == fail
+
+
+@pytest.mark.parametrize("plant", [_plant_hit_fault, _plant_maximum_fault],
+                         ids=["_HIT_CODE", "_MAXIMUM_CODE"])
+def test_one_reset_makes_the_generated_code_cold(plant, monkeypatch,
+                                                 fresh_states):
+    """A fault planted in what core generates the sweep's code from,
+    after a warm run, prints the cold FAIL line once the registry is
+    emptied, and no cache needs clearing."""
+    assert run_check("structure-theorem", 6)[0]
+    fail = plant(monkeypatch)
+    _STATES.clear()
+    assert run_check("structure-theorem", 6) == fail
 
 
 def test_concurrent_requests_share_consistent_states(fresh_states):

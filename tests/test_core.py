@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invseq import core
+from invseq.checks import run_check
 from invseq.core import (
     avoids,
     contains,
@@ -215,15 +216,23 @@ BASES_3 = [(p,) for p in PATTERNS_3] + list(itertools.combinations(PATTERNS_3, 2
 
 
 def test_the_generated_matcher_equals_the_loop():
-    """avoids matches words up to core._UNROLLED_MAX long by generated
-    code; on every inversion sequence of length at most 6 it agrees with
-    the loop of _middle_match for every basis of length-3 patterns."""
+    """The matcher core._avoider generates for a length agrees, on every
+    inversion sequence of that length up to 6, with the loop of
+    _middle_match for every basis of length-3 patterns."""
     assert len(BASES_3) == 91
-    words = [e for n in range(7) for e in all_inversion_sequences(n)]
     for basis in BASES_3:
         groups = core._compile(basis)[0]
-        assert ([avoids(e, basis) for e in words]
-                == [not core._middle_match(e, groups) for e in words]), basis
+        for n in range(7):
+            avoid = core._avoider(basis, n)
+            words = list(all_inversion_sequences(n))
+            assert ([avoid(e) for e in words]
+                    == [not core._middle_match(e, groups) for e in words]), basis
+
+
+def test_only_length_3_patterns_have_a_generated_matcher():
+    for basis in (((0, 1),), ((2, 0, 1), (0, 1, 0, 2))):
+        with pytest.raises(ValueError):
+            core._avoider(basis, 5)
 
 
 def _any_word(n):
@@ -236,30 +245,43 @@ def _any_word(n):
 @settings(max_examples=100)
 @given(st.lists(st.sampled_from([p for p in PATTERNS_1_4 if len(p) > 1]),
                 min_size=1, max_size=3),
-       st.integers(min_value=0, max_value=core._UNROLLED_MAX + 2).flatmap(_any_word))
-def test_avoids_matches_definition_on_both_sides_of_the_bound(patterns, e):
-    """Bases mixing lengths 2 to 4, on any integer word up to two entries
-    longer than the longest word the generated code matches."""
+       st.integers(min_value=0, max_value=14).flatmap(_any_word))
+def test_avoids_and_the_generated_matcher_match_definition_on_any_integer_word(
+        patterns, e):
+    """Bases mixing lengths 2 to 4, on any integer word up to 14 entries:
+    avoids, and the matcher generated for the word's length from the
+    basis's length-3 patterns."""
     assert avoids(e, patterns) == (not any(occurs(e, p) for p in patterns))
+    basis = tuple(p for p in patterns if len(p) == 3)
+    assert (core._avoider(basis, len(e))(tuple(e))
+            == (not any(occurs(e, p) for p in basis)))
 
 
-def test_each_length_up_to_the_bound_generates_one_matcher(monkeypatch):
-    """The matcher of a length is generated on the first word of that
-    length and kept; a longer word is matched by the loop, generating
-    nothing."""
+def test_only_the_sweep_generates_code_once_per_length_per_process(
+        monkeypatch, fresh_states):
+    """Single calls of the matcher and the structure checker generate
+    nothing; a structure-theorem sweep through 6 generates one checker
+    and one matcher per length 0 to 6, a second sweep none, and a sweep
+    after the registry is emptied one of each again."""
     made = Counter()
 
-    def counted(groups, n, _real=core._unrolled):
-        made[n] += 1
-        return _real(groups, n)
-    monkeypatch.setattr(core, "_unrolled", counted)
-    core._compile.cache_clear()
+    def counted(source, filename, *args, _real=compile):
+        made[filename] += 1
+        return _real(source, filename, *args)
+    monkeypatch.setattr(core, "compile", counted, raising=False)
     basis = ((2, 0, 1), (2, 1, 0))
-    for _ in range(3):
-        for n in range(core._UNROLLED_MAX + 4):
-            for e in ((0,) * n, tuple(range(n)), tuple(range(n))[::-1]):
-                assert avoids(e, basis) == (not any(occurs(e, p) for p in basis))
-    assert made == Counter(range(core._UNROLLED_MAX + 1))
+    for n in range(16):
+        for e in ((0,) * n, tuple(range(n)), tuple(range(n))[::-1]):
+            assert avoids(e, basis) == (not any(occurs(e, p) for p in basis))
+            assert structure_check_201_210(e) == avoids(e, basis)
+    assert not made
+    once = Counter(["<middle-entry test, n=%d>" % n for n in range(7)]
+                   + ["<structure checker, n=%d>" % n for n in range(7)])
+    for resets in range(1, 3):
+        for _ in range(2):
+            assert run_check("structure-theorem", 6)[0]
+        assert made == Counter({name: resets for name in once})
+        fresh_states()
 
 
 def test_contains_any_integer_word():
@@ -315,25 +337,30 @@ def two_smallest_check(e):
 
 
 def test_the_generated_checker_equals_the_loops():
-    """structure_check_201_210 checks words up to core._UNROLLED_MAX long
-    by generated code; on every inversion sequence of length at most 8 it
-    agrees with the bitmask loop of longer words and with the sweep of
-    the two smallest suffix values."""
+    """On every inversion sequence of length at most 8, the checker
+    core._structure_checker generates for its length agrees with the
+    bitmask loop of structure_check_201_210 and with the sweep of the
+    two smallest suffix values."""
     words = [e for n in range(9) for e in all_inversion_sequences(n)]
     assert len(words) == 46234
     checked = [structure_check_201_210(e) for e in words]
-    assert checked == [core._structure_loop(e) for e in words]
+    checkers = [core._structure_checker(n) for n in range(9)]
+    assert checked == [checkers[len(e)](e) for e in words]
     assert checked == [two_smallest_check(e) for e in words]
 
 
 @settings(max_examples=200)
-@given(st.integers(min_value=0, max_value=core._UNROLLED_MAX + 4).flatmap(_any_word))
+@given(st.integers(min_value=0, max_value=16).flatmap(_any_word))
 @example([-2, -10**30, -3])  # 201 once standardized
 def test_structure_check_matches_avoidance_on_any_integer_word(e):
-    """Any integer word up to four entries longer than the longest word
-    the generated code checks, with negative, out-of-range and huge
-    values and ties."""
-    assert structure_check_201_210(e) == avoids(e, ((2, 0, 1), (2, 1, 0)))
+    """Any integer word up to 16 entries, with negative, out-of-range and
+    huge values and ties: the loop, the checker and the matcher
+    generated for its length, and avoids all agree."""
+    basis = ((2, 0, 1), (2, 1, 0))
+    expected = avoids(e, basis)
+    assert structure_check_201_210(e) == expected
+    assert core._structure_checker(len(e))(tuple(e)) == expected
+    assert core._avoider(basis, len(e))(tuple(e)) == expected
 
 
 def test_structure_check_matches_avoidance_small():

@@ -10,8 +10,9 @@ the succession DP but the steps of its two census routes, the (k,F,F)
 slice and the 201-210 kernel, and nothing of the oracle, and the closed
 form and the functional-equation iteration reach no succession code at all.  The command line reaches the checks through
 the public registry in ``invseq.checks``, not through private names,
-every per-process state but the command line's text memo is a Prefix
-in the registry of ``invseq.prefix``, and the runtime imports nothing
+every per-process state is a Prefix in the registry of
+``invseq.prefix``, the only functools caches hold pattern data and the
+command line's parser, and the runtime imports nothing
 outside the standard library.  The oracle's counting and listing step
 one transition of its raw states.  Every top-level function and class
 of the runtime is read by the package or exported, so none serves tests
@@ -393,6 +394,28 @@ def test_the_registry_is_the_only_module_state():
                 bound.update((path.stem, ast.unparse(t)) for t in targets)
     assert bound == {("prefix", "_STATES")}
     assert not issubclass(RuleSystem, Prefix)
+
+
+def test_only_the_basis_compiler_and_the_parser_are_cached():
+    """Every functools cache or lru_cache of the runtime decorates
+    core._compile, which holds pattern data only, or cli._parser, which
+    hands out a fresh Namespace on every parse, so no generated code and
+    no count is kept outside the registry."""
+    cached = []
+    for path in pathlib.Path(invseq.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}  # each node of a decorator -> the function it decorates
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    owner.update((part, node.name)
+                                 for part in ast.walk(decorator))
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if (isinstance(node, (ast.Attribute, ast.Name))
+                    and name in ("cache", "lru_cache")):
+                cached.append((path.stem, owner.get(node)))
+    assert sorted(cached) == [("cli", "_parser"), ("core", "_compile")]
 
 
 def test_every_state_in_the_registry_is_a_prefix(capsys):

@@ -2,17 +2,19 @@
 whole sweeps of inversion sequences.
 
 Three tables, each time the least of RUNS runs, in milliseconds, with
-the first run beside it, which pays for generating the code of a length
-that no row above it generated:
+the first run beside it:
 
-  * the structure checker alone (``invseq.core._structure_checker``) on
-    every inversion sequence of length 6 to 9;
+  * the structure checker alone, generated for the length by
+    ``invseq.core._structure_checker`` on each run, on every inversion
+    sequence of length 6 to 9;
   * the step of the structure prefix (``invseq.checks._structure_step``)
-    at lengths 6 to 9: the checker and the avoidance test of {201, 210}
-    on every inversion sequence of that length, as verify's
-    structure-theorem check runs them;
-  * avoids alone on every inversion sequence of length 8, for {201, 210},
-    {010, 102} and the four patterns of 010-100-120-210.
+    at lengths 6 to 9: the checker and the avoidance test of {201, 210},
+    each generated once for the length, on every inversion sequence of
+    that length, as verify's structure-theorem check runs them;
+  * single calls, which run the loops and generate nothing, on every
+    inversion sequence of length 8: ``structure_check_201_210``, and
+    ``avoids`` for {201, 210}, {010, 102} and the four patterns of
+    010-100-120-210.
 
 Run in a fresh interpreter, from the root of the repository; standard
 library only:
@@ -28,7 +30,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from invseq.checks import _structure_step  # noqa: E402
-from invseq.core import _avoider, _structure_checker, avoids  # noqa: E402
+from invseq.core import (  # noqa: E402
+    _avoider, _structure_checker, avoids, structure_check_201_210)
 
 RUNS = 5
 BASES = {
@@ -68,6 +71,10 @@ if __name__ == "__main__":
         print("structure step, n=%d      %9.2f ms  (first %.2f ms)"
               % (n, least, first))
     length_8 = words(8)
+    first, least = times_ms(
+        lambda: [structure_check_201_210(e) for e in length_8])
+    print("structure_check_201_210 n=8 %8.2f ms  (first %.2f ms)"
+          % (least, first))
     for name, basis in BASES.items():
         first, least = times_ms(lambda: [avoids(e, basis) for e in length_8])
         print("avoids %-17s n=8 %9.2f ms  (first %.2f ms)"
