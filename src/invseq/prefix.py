@@ -39,14 +39,19 @@ far, or a line of text.  No step mutates a level.
 
 A Prefix keeps the counts at depths 0..L-1 and the level at depth L,
 the level it steps next, for the deepest L any request in this process
-has reached, and a checkpoint, the level at every multiple of _SPACING
-(64) up to L:
+has reached, and checkpoints: the level at depth 0, as the route
+starts it, and at most _KEEP (16) more, the levels at depths s, 2s, ...
+up to L, each stored pickled.  The spacing s is the least power of two
+with L <= _KEEP * s, so it is 8 through depth 128 and 64 through 1024,
+and when an extension doubles it every other checkpoint is dropped:
 
   * counts(n) steps depths L..n, and nothing when L > n, and so does
     count(n), which reads the count at n without copying; level(n) first
     reaches depth n - 1, then returns the stored level if it is at depth
-    n, and otherwise steps from the checkpoint at or below n, fewer than
-    _SPACING steps, outside the lock;
+    n, and otherwise unpickles the checkpoint at or below n and steps
+    it, fewer than s steps, outside the lock; it reads s from the depth
+    of the prefix it read under the lock, so the spacing and the
+    checkpoints are those of one published prefix;
   * an extension holds the prefix's lock while it steps, and publishes
     the counts, the level and the checkpoints after every step, so the
     old level is freed as soon as its step returns, and a step that
@@ -63,13 +68,18 @@ has reached, and a checkpoint, the level at every multiple of _SPACING
     extension stops as soon as what is published is not what it last
     published, and reads the published prefix again;
   * an extension copies the counts it starts from once, so no prefix
-    published before it began is mutated.
+    published before it began is mutated;
+  * pickle is imported by the first pack, not with this module, so that
+    a process that never stores a checkpoint past depth 0 never loads
+    it.
 
 >>> def double(level):
 ...     return 2 * level, level
 >>> prefix = Prefix(1, double)
 >>> prefix.counts(5), prefix.count(4), prefix.level(3), prefix.level(70)
 ([1, 2, 4, 8, 16, 32], 16, 8, 1180591620717411303424)
+>>> prefix.level(69) == 2 ** 69, len(prefix._memo[2])  # 0, 8, ..., 64
+(True, 9)
 """
 
 import threading
@@ -92,7 +102,7 @@ def shared(key, start, step, *args):
 class Prefix:
     """The per-process prefix of one route (see the module docstring)."""
 
-    _SPACING = 64     # depth between two checkpoints
+    _KEEP = 16     # checkpoints besides the one at depth 0
 
     def __init__(self, start, step, *args):
         self.route = start, step, args
@@ -116,21 +126,33 @@ class Prefix:
         deep, or stepped from the checkpoint at or below n."""
         with self._lock:
             counts, level, checkpoints = self._reach(n)
-            if len(counts) == n:
-                return level
+            depth = len(counts)
+        if depth == n:
+            return level
+        i, steps = divmod(n, self._spacing(depth))
+        if i:
+            import pickle
+            level = pickle.loads(checkpoints[i])
+        else:
+            level = checkpoints[0]
         _, step, args = self.route
-        level = checkpoints[n // self._SPACING]
-        for _ in range(n % self._SPACING):
+        for _ in range(steps):
             level = step(level, *args)[0]
         return level
+
+    def _spacing(self, depth):
+        """The spacing of the checkpoints of a prefix depth deep: the
+        least power of two s with depth <= _KEEP * s."""
+        return 1 << (max(depth - 1, 0) // self._KEEP).bit_length()
 
     def _reach(self, n):
         """The prefix as (counts, level, checkpoints), at least n deep:
         the counts at depths 0..L-1, the level at depth L >= n and the
-        levels at depths 0, _SPACING, ... up to L.  Callers must not
-        mutate them.  A published prefix n deep is returned without the
-        lock, and while another thread extends it its counts may run
-        past L, so a caller that reads the level holds the lock."""
+        levels at depths 0, s, 2s, ... up to L, all but the first
+        pickled, s = _spacing(L).  Callers must not mutate them.  A
+        published prefix n deep is returned without the lock, and while
+        another thread extends it its counts may run past L, so a caller
+        that reads the level or the spacing holds the lock."""
         if n < 0:
             raise ValueError("n must be non-negative")
         memo = self._memo
@@ -144,11 +166,22 @@ class Prefix:
                 if len(counts) >= n:
                     return counts, level, checkpoints
                 counts = list(counts)
+                spacing = self._spacing(len(counts))
                 while len(counts) < n:
                     level, count = step(level, *args)
                     if self._memo is not memo:
                         break
                     counts.append(count)
-                    if len(counts) % self._SPACING == 0:
-                        checkpoints += (level,)
+                    if len(counts) > self._KEEP * spacing:
+                        spacing *= 2
+                        checkpoints = checkpoints[::2]
+                    if len(counts) % spacing == 0:
+                        checkpoints += (_pack(level),)
                     self._memo = memo = counts, level, checkpoints
+
+
+def _pack(level):
+    """level pickled, pickle imported on the first call (see the module
+    docstring)."""
+    import pickle
+    return pickle.dumps(level, pickle.HIGHEST_PROTOCOL)

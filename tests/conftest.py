@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import pickle
+
 import pytest
 
 from invseq.prefix import _STATES
@@ -16,3 +18,28 @@ def fresh_states():
     yield _STATES.clear
     _STATES.clear()
     _STATES.update(saved)
+
+
+def _stored_levels(prefix):
+    """The checkpoints of a published prefix L deep as [(depth, level)],
+    the first its route's start and the others unpickled, once they are
+    checked against the policy of ``invseq.prefix``: one at each depth
+    0, s, 2s, ... up to L, s the least power of two with L <= _KEEP * s,
+    so at most _KEEP + 1, each but the first pickled."""
+    counts, _, checkpoints = prefix._memo
+    depth, spacing = len(counts), 1
+    while depth > prefix._KEEP * spacing:
+        spacing *= 2
+    assert len(checkpoints) == depth // spacing + 1 <= prefix._KEEP + 1
+    assert checkpoints[0] is prefix.route[0]
+    assert all(isinstance(packed, bytes) for packed in checkpoints[1:])
+    return [(0, checkpoints[0]), *((i * spacing, pickle.loads(packed))
+                                   for i, packed in enumerate(checkpoints)
+                                   if i)]
+
+
+@pytest.fixture
+def stored_levels():
+    """A function of a prefix: its checkpoints with their depths (see
+    _stored_levels)."""
+    return _stored_levels

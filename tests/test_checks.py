@@ -170,11 +170,13 @@ def test_one_reset_makes_the_generated_code_cold(plant, monkeypatch,
     assert run_check("structure-theorem", 6) == fail
 
 
-def test_concurrent_requests_share_consistent_states(fresh_states):
+def test_concurrent_requests_share_consistent_states(fresh_states,
+                                                    stored_levels):
     """Eight threads request structure-theorem and system-201-210 at
     different depths at once; a tiny switch interval makes them
     interleave inside the checks.  Every answer is that of a cold run,
-    and the states left behind are those of cold runs to their depths."""
+    and the states left behind, their checkpoints unpickled, are those
+    of cold runs to their depths."""
     requests = [(name, n) for name, depths in (("structure-theorem", (3, 6)),
                                                ("system-201-210", (20, 45)))
                 for n in depths for _ in range(2)]
@@ -185,6 +187,7 @@ def test_concurrent_requests_share_consistent_states(fresh_states):
     system = succession.get_system("201-210")
     dp = Prefix(system.start, system.kernel)
     census = [series._census_rows(m, dp.level(m)) for m in range(46)]
+    levels = [(([],) * 3, None), *((rows, None) for rows in census)]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -207,10 +210,14 @@ def test_concurrent_requests_share_consistent_states(fresh_states):
             assert sorted(answers) == sorted((r, cold[r]) for r in requests)
             first = _STATES["structure-theorem"]._memo[0]
             assert len(first) in (4, 7) and not any(first)
-            found, level, checkpoints = _STATES["system-201-210"]._memo
+            found, level, _ = _STATES["system-201-210"]._memo
             assert len(found) in (21, 46) and not any(found)
-            assert level == (census[len(found) - 1], None)
-            assert checkpoints == ((([],) * 3, None),)
+            assert level == levels[len(found)]
+            stored = stored_levels(_STATES["system-201-210"])
+            spacing = {21: 2, 46: 4}[len(found)]
+            assert [d for d, _ in stored] == \
+                list(range(0, len(found) + 1, spacing))
+            assert stored == [(d, levels[d]) for d, _ in stored]
     finally:
         sys.setswitchinterval(switch)
 

@@ -120,9 +120,8 @@ def test_poly_imports_no_invseq_module_and_reads_no_relation():
 _FOOTPRINT = """\
 import contextlib, io, json, sys
 marks = []
-def mark(label):
-    marks.append([label, sorted(name for name in sys.modules
-                                if name in ("invseq.series", "invseq.poly"))])
+def mark(label, lazy=("invseq.series", "invseq.poly")):
+    marks.append([label, sorted(name for name in sys.modules if name in lazy)])
 def run(*argv):
     import invseq.cli
     with contextlib.redirect_stdout(io.StringIO()):
@@ -134,7 +133,8 @@ def run(*argv):
 def _footprints(code):
     """[label, the lazily loaded modules then] for each mark(label) that
     code makes in a fresh interpreter, after the prelude _FOOTPRINT,
-    whose run(*argv) serves one request and marks it."""
+    whose run(*argv) serves one request and marks it; mark(label, lazy)
+    looks for the modules lazy instead of series and poly."""
     src = str(pathlib.Path(invseq.__file__).parent.parent)
     out = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT + code + "\nprint(json.dumps(marks))"],
@@ -155,6 +155,19 @@ def test_importing_the_package_neither_imports_nor_runs_poly():
         "import invseq.cli\ninvseq.cli.build_parser()\nmark('cli')\n"
         "invseq.TruncatedSeries\nmark('TruncatedSeries')\n") == [
         ("invseq", []), ("cli", []), ("TruncatedSeries", ["invseq.series"])]
+
+
+def test_the_first_checkpoint_imports_pickle():
+    """The command line's import and parser, what ``setup_s`` times,
+    leave pickle unimported: a prefix imports it when it packs its first
+    checkpoint past depth 0 (see ``invseq.prefix``)."""
+    assert _footprints(
+        "import invseq.cli\ninvseq.cli.build_parser()\n"
+        "mark('cli', ('pickle',))\n"
+        "run('count', '--system', '201-210', '--n', '6')\n"
+        "mark('count', ('pickle',))\n") == [
+        ("cli", []), ("count --system 201-210 --n 6", []),
+        ("count", ["pickle"])]
 
 
 def test_only_requests_that_read_series_load_it():

@@ -23,8 +23,8 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, HealthCheck, settings, strategies as st
 
-from invseq import checks, prefix as prefix_module, series, succession
-from invseq.checks import run_check
+from invseq import checks, cli, prefix as prefix_module, series, succession
+from invseq.checks import CHECKS, run_check
 from invseq.prefix import _STATES, Prefix
 from invseq.succession import SYSTEMS, RuleSystem, state_profile
 
@@ -149,26 +149,29 @@ def _cold(prefix, n):
     return run
 
 
-def _assert_answers_equal(prefix, cold):
+def _assert_answers_equal(prefix, cold, stored_levels):
     """The prefix's counts and levels equal the run from the start, cold
     = [(level, count) for depths 0..len(cold) - 1], for requests through
-    len(cold) - 2, so that the level the prefix steps next is in cold."""
+    len(cold) - 2, so that the level the prefix steps next is in cold,
+    and each checkpoint unpickles to the level of the run at its depth
+    (see the fixture stored_levels)."""
     top = len(cold) - 2
     for n in (0, 3, 20, 63, 64, 65, 100, top - 7, top):
         if n > top:
             continue
         assert prefix.counts(n) == [c for _, c in cold[:n + 1]], n
         assert prefix.level(n) == cold[n][0], n
-    counts, level, checkpoints = prefix._memo
+    counts, level, _ = prefix._memo
     assert counts == [c for _, c in cold[:len(counts)]]
     assert level == cold[len(counts)][0]
-    assert list(checkpoints) == \
-        [level for level, _ in cold[:len(counts) + 1:prefix._SPACING]]
+    stored = stored_levels(prefix)
+    assert stored == [(d, cold[d][0]) for d, _ in stored]
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_a_failing_step_never_leaves_a_prefix_shallower(name, monkeypatch,
-                                                        fresh_states):
+                                                        fresh_states,
+                                                        stored_levels):
     """A step that raises during an extension, a few steps in or at the
     first one, leaves the prefix at least as deep as it was: it holds
     the counts of the depths stepped and the level at the depth whose
@@ -185,12 +188,12 @@ def test_a_failing_step_never_leaves_a_prefix_shallower(name, monkeypatch,
         after = len(prefix._memo[0])
         assert after == before + calls, calls
         assert prefix._memo[1] == cold[after][0], calls
-    _assert_answers_equal(prefix, cold)
+    _assert_answers_equal(prefix, cold, stored_levels)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_a_failing_first_request_keeps_only_levels_it_reached(
-        name, monkeypatch, fresh_states):
+        name, monkeypatch, fresh_states, stored_levels):
     """A prefix publishes only the depths whose step returned: when what
     the step runs raises at its first call, the prefix holds depth 0 of
     a route that forms x^0 from the axiom without running it, and
@@ -211,12 +214,12 @@ def test_a_failing_first_request_keeps_only_levels_it_reached(
         prefix.counts(10)
     assert prefix._memo is None
     prefix.route = start, step, args
-    _assert_answers_equal(prefix, cold)
+    _assert_answers_equal(prefix, cold, stored_levels)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
-                                                  fresh_states):
+                                                  fresh_states, stored_levels):
     """A request for depth 20 that finishes after one for depth 40, here
     served inside its first step, leaves the deeper prefix in place; and
     mutating an answer leaves the prefix intact."""
@@ -238,7 +241,7 @@ def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
         answer = prefix.counts(n)
         answer[n] = -1
         answer.append(-1)
-    _assert_answers_equal(prefix, cold)
+    _assert_answers_equal(prefix, cold, stored_levels)
 
 
 def _counting(current):
@@ -255,18 +258,20 @@ def _counting(current):
 
 @pytest.mark.parametrize("name", sorted(SERIES_REQUESTS))
 def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch,
-                                                      fresh_states):
-    """With checkpoints every 8 depths, a series prefix keeps the levels
-    at 0, 8, 16, ..., and while a request extends it from depth 21 it is
-    published after every step: when the level at depth d is stepped,
-    the prefix holds the counts through d - 1 and that very level, so no
-    older level is kept; a level between two checkpoints is stepped from
-    the one below it."""
+                                                      fresh_states,
+                                                      stored_levels):
+    """With at most 4 checkpoints besides depth 0, a series prefix 17 to
+    32 deep keeps the levels at 0, 8, 16, ..., having dropped every
+    other one at depths 5, 9 and 17, and while a request extends it from
+    depth 21 it is published after every step: when the level at depth
+    d is stepped, the prefix holds the counts through d - 1 and that
+    very level, so no older level is kept; a level between two
+    checkpoints is stepped from the one below it."""
     prefix, current, _ = _route(name, monkeypatch)
-    prefix._SPACING = 8
+    prefix._KEEP = 4
     cold = _cold(prefix, 31)
     prefix.counts(21)
-    assert list(prefix._memo[2]) == [cold[d][0] for d in (0, 8, 16)]
+    assert stored_levels(prefix) == [(d, cold[d][0]) for d in (0, 8, 16)]
     start, step, args = prefix.route
     seen = []
 
@@ -278,10 +283,10 @@ def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch,
     assert prefix.counts(30) == [c for _, c in cold[:31]]
     prefix.route = start, step, args
     assert seen == [(d, True) for d in range(22, 31)]
-    counts, level, checkpoints = prefix._memo
+    counts, level, _ = prefix._memo
     assert len(counts) == 31
     assert level == cold[31][0]
-    assert list(checkpoints) == [cold[d][0] for d in (0, 8, 16, 24)]
+    assert stored_levels(prefix) == [(d, cold[d][0]) for d in (0, 8, 16, 24)]
     steps = _counting(current)
     assert prefix.level(23) == cold[23][0]
     assert steps == [7]
@@ -350,20 +355,41 @@ def test_a_planted_checker_replaces_the_structure_prefix(monkeypatch,
 
 def test_state_profile_resumes_from_the_nearest_stored_level(monkeypatch,
                                                             fresh_states):
-    """A profile at depth n, once the memo is 150 deep, steps the kernel
-    from the stored level nearest at or below n, and equals the level of
-    a fresh prefix stepped from the axiom."""
+    """A profile at depth n, once the memo is 150 deep and so keeps a
+    checkpoint every 16 depths, steps the kernel from the stored level
+    nearest at or below n, and equals the level of a run from the
+    axiom."""
     memo, current, _ = _route("201-210", monkeypatch)
     system = SYSTEMS["201-210"]
     memo.counts(149)
-    start, _, _ = memo.route
+    cold = _cold(memo, 150)
     steps = _counting(current)
-    for n, depth in ((150, 150), (149, 128), (128, 128), (127, 64), (5, 0)):
+    for n, depth in ((150, 150), (149, 144), (128, 128), (127, 112),
+                     (5, 0)):
         steps[0] = 0
         profile = state_profile("201-210", n)
         assert steps[0] == n - depth, n
-        assert profile == system.to_dict(
-            Prefix(start, succession._fast_step_201_210).level(n)), n
+        assert profile == system.to_dict(cold[n][0]), n
+
+
+@pytest.mark.parametrize("system_id", SYSTEMS)
+def test_a_profile_right_after_a_count_steps_nothing(system_id, monkeypatch,
+                                                     fresh_states):
+    """A count through n = 120 leaves the memo 121 deep with a checkpoint
+    every 8 depths, so the profile at 120 that follows it unpickles the
+    checkpoint at 120 and steps no level, and the profile at 119 steps
+    7, from 112; both equal the levels of a run from the axiom."""
+    memo, current, _ = _route(system_id, monkeypatch)
+    system = SYSTEMS[system_id]
+    cold = _cold(memo, 121)
+    succession.count_via_rules(system_id, 120)
+    steps = _counting(current)
+    assert succession.profile_text(system_id, 120) == \
+        system.render(cold[120][0])
+    assert steps == [0]
+    assert succession.profile_text(system_id, 119) == \
+        system.render(cold[119][0])
+    assert steps == [7]
 
 
 _requests = st.lists(st.integers(0, 40), min_size=1, max_size=6)
@@ -373,10 +399,11 @@ _requests = st.lists(st.integers(0, 40), min_size=1, max_size=6)
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(NAMES), _requests, _requests)
 def test_steps_per_request_on_every_route(fresh_states, name, counts, levels):
-    """With checkpoints every 8 depths, any sequence of count requests on
-    a route's empty prefix runs its step deepest n + 1 times in all, once
-    per depth through the deepest n; then level(n) steps n % 8 times
-    below the stored depth L, none at it and n - L times above it."""
+    """With at most 4 checkpoints besides depth 0, any sequence of count
+    requests on a route's empty prefix runs its step deepest n + 1 times
+    in all, once per depth through the deepest n; then level(n) steps n
+    % s times below the stored depth L, s the least power of two with L
+    <= 4s, none at it and n - L times above it."""
     fresh_states()
     with pytest.MonkeyPatch.context() as mp:
         start, step, args = _route(name, mp)[0].route
@@ -386,15 +413,17 @@ def test_steps_per_request_on_every_route(fresh_states, name, counts, levels):
             steps[0] += 1
             return step(*a)
         prefix = Prefix(start, counted, *args)
-        prefix._SPACING = 8
+        prefix._KEEP = 4
         for n in counts:
             prefix.counts(n)
         assert steps[0] == max(counts) + 1
         for n in levels:
-            depth = len(prefix._memo[0])
+            depth, spacing = len(prefix._memo[0]), 1
+            while depth > 4 * spacing:
+                spacing *= 2
             steps[0] = 0
             prefix.level(n)
-            assert steps[0] == (n % 8 if n < depth else n - depth), n
+            assert steps[0] == (n % spacing if n < depth else n - depth), n
 
 
 # check[:entry of _FE_STEP] -> (namespace, key) of what the check's route
@@ -619,3 +648,95 @@ def test_lock_free_reads_during_an_extension_see_only_final_counts(
         sys.setswitchinterval(switch)
     assert waited == [True] and not errors
     assert prefix.counts(1500) == [k * k for k in range(1501)]
+
+
+def test_threads_across_doublings_get_the_cold_answers(monkeypatch,
+                                                       fresh_states,
+                                                       stored_levels):
+    """With at most 2 checkpoints besides depth 0, so that the spacing
+    doubles at depths 3, 5, 9, 17, 33 and 65, eight threads that mix
+    level(n), counts(n) and deeper extensions on one prefix of the
+    (k,F,F) slice, with a tiny switch interval, all get the answers of a
+    run from the start, and the prefix they leave holds its levels."""
+    monkeypatch.setattr(Prefix, "_KEEP", 2)
+    run, level = [], [1]
+    for _ in range(102):
+        nxt, count = series._step_ff(level)
+        run.append((level, count))
+        level = nxt
+    errors = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            prefix = Prefix([1], series._step_ff)
+            barrier = threading.Barrier(8)
+
+            def serve(offset):
+                barrier.wait(timeout=30)
+                for n in range(offset, 101, 8):
+                    for m in (n, n // 2, n // 3):
+                        if prefix.level(m) != run[m][0]:
+                            errors.append(("level", m))
+                    if prefix.counts(n // 2) != [c for _, c in run[:n // 2 + 1]]:
+                        errors.append(("counts", n // 2))
+            threads = [threading.Thread(target=serve, args=(offset,))
+                       for offset in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert not errors
+            counts, level, _ = prefix._memo
+            assert len(counts) == 100 and level == run[100][0]
+            stored = stored_levels(prefix)
+            assert [d for d, _ in stored] == [0, 64]
+            assert stored == [(d, run[d][0]) for d, _ in stored]
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def _same(a, b):
+    """a == b, with the same type at every list and tuple inside."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_every_route_keeps_few_checkpoints_that_unpickle_to_its_levels(
+        capsys, fresh_states, stored_levels):
+    """After every check at its default depth, but structure-theorem at
+    length 7, and one request of each command, each prefix in the
+    registry holds at most _KEEP + 1 checkpoints, and each unpickles to
+    the level of a run of its route from the start at its depth, with
+    the same list and tuple types inside.  The (k,F,F) slice, at 1500
+    deep, holds 12."""
+    for name, (_, depth) in CHECKS.items():
+        assert run_check(name, 7 if name == STRUCTURE else depth)[0], name
+    for argv in (["count", "--system", "201-210", "--n", "300"],
+                 ["count", "--system", "201-210", "--method", "gf",
+                  "--n", "150"],
+                 ["series", "--system", "011-201", "--n-max", "120",
+                  "--format", "csv"],
+                 ["series", "--system", "010-100-120-210", "--n-max", "90",
+                  "--format", "bfile"],
+                 ["list", "--basis", "011,201", "--n", "3"],
+                 ["profile", "--system", "201-210", "--n", "100"],
+                 ["diagram", "--system", "201-210", "--n-max", "2"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(_STATES) == 16
+    for key, prefix in _STATES.items():
+        start, step, args = prefix.route
+        stored = stored_levels(prefix)
+        level, depth = start, 0
+        for d, kept in stored:
+            while depth < d:
+                level = step(level, *args)[0]
+                depth += 1
+            assert _same(kept, level), (key, d)
+    series._ff_slice_prefix().count(1500)
+    assert len(stored_levels(_STATES["ff_slice_series"])) == 12

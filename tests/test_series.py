@@ -985,6 +985,16 @@ def _cold_steps(name, n):
     return n + 1 - name.startswith("iterate_fe")
 
 
+def _levels_from_axiom(name, n):
+    """The route's levels at depths 0..n, stepped from the start with no
+    prefix."""
+    level, step, args = PREFIX_ROUTES[name][2]
+    levels = [level]
+    for _ in range(n):
+        levels.append(step(levels[-1], *args)[0])
+    return levels
+
+
 @cache
 def _counts_from_axiom(name):
     """The route's counts at depths 0..60, stepped from the start by a
@@ -1080,11 +1090,13 @@ def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
     assert calls["steps"] == 0
 
 
-def test_concurrent_requests_share_consistent_prefixes(fresh_states):
+def test_concurrent_requests_share_consistent_prefixes(fresh_states,
+                                                      stored_levels):
     """Eight threads request different depths of the four prefixed routes
     at once; a tiny switch interval makes them interleave inside the
     steps.  Every answer, and every prefix left behind, is that of a run
-    from the axiom."""
+    from the axiom: its counts, its level and each checkpoint,
+    unpickled."""
     requests = [(name, n) for name in sorted(PREFIX_ROUTES) for n in (25, 50)]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1111,13 +1123,13 @@ def test_concurrent_requests_share_consistent_prefixes(fresh_states):
             for name in PREFIX_ROUTES:
                 key = (name if name in prefixes
                        else ("iterate_fe", name.split(":")[1]))
-                counts, level, checkpoints = prefixes[key]._memo
-                cold = _fresh_prefix(name)
-                spacing = prefixes[key]._SPACING
+                counts, level, _ = prefixes[key]._memo
+                run = _levels_from_axiom(name, 51)
                 assert counts == list(_counts_from_axiom(name)[:51])
-                assert level == cold.level(51)
-                assert list(checkpoints) == \
-                    [cold.level(d) for d in range(0, 52, spacing)]
+                assert level == run[51]
+                stored = stored_levels(prefixes[key])
+                assert [d for d, _ in stored] == list(range(0, 52, 4))
+                assert stored == [(d, run[d]) for d, _ in stored]
     finally:
         sys.setswitchinterval(switch)
 

@@ -217,18 +217,18 @@ ENTRY_POINTS = {
 }
 
 
-SPACING = 8
+KEEP = 8
 
 
 def _fresh(system_id, calls=None):
-    """A copy of a built-in system (see _copy) with an empty memo and
-    checkpoints every SPACING depths, so that depths up to 60 cross
-    several.  Its memo replaces the built-in system's in the registry,
-    also when the copy keeps the built-in kernel, on which that memo is
-    keyed too."""
+    """A copy of a built-in system (see _copy) with an empty memo that
+    keeps at most KEEP checkpoints besides depth 0, so that their
+    spacing doubles at depths 9, 17 and 33 and is 8 from 33 to 64.  Its
+    memo replaces the built-in system's in the registry, also when the
+    copy keeps the built-in kernel, on which that memo is keyed too."""
     system = _copy(system_id, calls)
     _STATES.pop(system_id, None)
-    system.memo._SPACING = SPACING
+    system.memo._KEEP = KEEP
     return system
 
 
@@ -249,14 +249,15 @@ def _copy(system_id, calls=None):
 
 @cache
 def _cold(system_id, n_max):
-    """(counts, dict levels) for depths 0..n_max: one run from the axiom
-    by a fresh prefix over the system's route, not its memo, that keeps
-    every level as a checkpoint."""
-    system = _copy(system_id)
-    prefix = Prefix(system.start, system.kernel)
-    prefix._SPACING = 1
-    return (prefix.counts(n_max),
-            [system.to_dict(prefix.level(n)) for n in range(n_max + 1)])
+    """(counts, dict levels) for depths 0..n_max: one run of the
+    system's kernel from the axiom, with no prefix."""
+    system = SYSTEMS[system_id]
+    counts, profiles, level = [], [], system.start
+    for _ in range(n_max + 1):
+        profiles.append(system.to_dict(level))
+        level, count = system.kernel(level)
+        counts.append(count)
+    return counts, profiles
 
 
 def _expected(name, system_id, n):
@@ -346,8 +347,8 @@ def test_kernel_calls_per_request(system_id, first, monkeypatch):
     """A cold count through depth n steps the kernel n + 1 times, and a
     cold profile at depth n n times; a shorter prefix steps nothing; a
     request reaching k depths deeper than the memo steps k times; a
-    profile below the memo's depth steps n - c times from the checkpoint
-    c = n - n % SPACING."""
+    profile below the memo's depth, 33 to 64 deep, steps n - c times
+    from the checkpoint c = n - n % 8."""
     calls = {}
     monkeypatch.setitem(SYSTEMS, system_id, _fresh(system_id, calls))
     ENTRY_POINTS[first](system_id, 40)
@@ -389,9 +390,12 @@ def test_minpoly_b_reads_the_201_210_memo():
 
 
 @pytest.mark.parametrize("system_id", ["201-210", "011-201"])
-def test_concurrent_requests_share_a_consistent_memo(system_id, monkeypatch):
+def test_concurrent_requests_share_a_consistent_memo(system_id, monkeypatch,
+                                                    stored_levels):
     """Four threads request different depths of one system at once; a
-    tiny switch interval makes them interleave inside the DP."""
+    tiny switch interval makes them interleave inside the DP.  The memo
+    left behind holds the counts and levels of a cold run, and its
+    checkpoints unpickle to the levels at their depths."""
     requests = [("rule_counting_sequence", 45), ("state_profile", 60),
                 ("count_via_rules", 30), ("rule_counting_sequence", 55)]
     switch = sys.getswitchinterval()
@@ -415,15 +419,16 @@ def test_concurrent_requests_share_a_consistent_memo(system_id, monkeypatch):
                 assert not t.is_alive()
             assert answers == {(name, n): _expected(name, system_id, n)
                                for name, n in requests}
-            counts, level, checkpoints = system.memo._memo
+            counts, level, _ = system.memo._memo
             depth = len(counts)
             cold_counts, cold_profiles = _cold(system_id, 60)
             assert depth >= 30
             assert counts == cold_counts[:depth]
             assert system.to_dict(level) == cold_profiles[depth]
-            assert len(checkpoints) == depth // SPACING + 1
-            for i, checkpoint in enumerate(checkpoints):
-                assert system.to_dict(checkpoint) == cold_profiles[i * SPACING]
+            stored = stored_levels(system.memo)
+            assert len(stored) == depth // 8 + 1
+            for d, checkpoint in stored:
+                assert system.to_dict(checkpoint) == cold_profiles[d]
     finally:
         sys.setswitchinterval(switch)
 
@@ -447,7 +452,7 @@ def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
         return kernel(level)
 
     system.kernel = watching_kernel
-    system.memo._SPACING = SPACING
+    system.memo._KEEP = KEEP
     monkeypatch.setitem(SYSTEMS, system_id, system)
     rule_counting_sequence(system_id, 21)
     watching.append(True)
@@ -482,7 +487,7 @@ def test_verify_routes_stay_off_the_memo(monkeypatch, fresh_states):
             sum(m for (_, ell, com), m in level.items()
                 if ell == little and not com) for level in levels]
     junk = ([9], [9], [9])
-    poison = ([-1] * 100, junk, (junk,) * (100 // SPACING))
+    poison = ([-1] * 100, junk, (junk,) * (KEEP + 1))
     system.memo._memo = poison
     del _STATES["ff_slice_series"], _STATES["system-201-210"]
     assert tf_of_the_census() == tf
@@ -512,7 +517,7 @@ def test_series_prefixes_stay_off_the_memo(monkeypatch, fresh_states):
     for system_id, system in fresh.items():
         junk = ([9], [9], [9]) if system_id == "201-210" else [[9]]
         poison[system_id] = system.memo._memo = (
-            [-1] * 500, junk, (junk,) * (500 // SPACING + 1))
+            [-1] * 500, junk, (junk,) * (KEEP + 1))
     assert answers() == (ff, fe)
     assert {system_id: system.memo._memo for system_id, system in fresh.items()} \
         == poison

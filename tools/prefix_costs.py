@@ -1,0 +1,77 @@
+"""Print what the prefixes of the rules memos keep, and what resuming
+from their checkpoints costs, after a fixed mix of requests.
+
+The mix, served in this process: a count through depth 700 on 201-210
+and through 110 on 011-201 and on 010-100-120-210, then profiles below
+each memo's depth (PROFILES), as ``invseq profile`` serves them.  Each
+system's kernel is wrapped before the first request, so that its memo
+is keyed on the wrapper from the start, and the wrapper counts the
+kernel steps that ``Prefix.level`` takes to resume from a checkpoint.
+
+One line per key of ``invseq.prefix._STATES``: the prefix's depth L,
+the spacing of its checkpoints and their number (depth 0 included),
+the bytes of the pickled checkpoints, the bytes of the live level at
+depth L (``sys.getsizeof`` summed over its lists, tuples and ints), and
+the kernel steps that the profiles took in ``level``.  Standard library
+only:
+
+    python3 tools/prefix_costs.py
+"""
+
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from invseq.prefix import _STATES  # noqa: E402
+from invseq.succession import SYSTEMS, count_via_rules, profile_text  # noqa: E402
+
+COUNTS = {"201-210": 700, "011-201": 110, "010-100-120-210": 110}
+PROFILES = {"201-210": (100, 250, 333, 500, 639, 699),
+            "011-201": (30, 57, 64, 83, 100, 109),
+            "010-100-120-210": (30, 57, 64, 83, 100, 109)}
+
+
+def counting(kernel, calls):
+    """kernel, counting its calls in calls[0]."""
+    def counted(level):
+        calls[0] += 1
+        return kernel(level)
+    return counted
+
+
+def deep_size(obj, seen=None):
+    """sys.getsizeof of obj and of every list, tuple and int inside it,
+    each object once."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (list, tuple)):
+        size += sum(deep_size(item, seen) for item in obj)
+    return size
+
+
+if __name__ == "__main__":
+    calls = {}
+    for system_id, system in SYSTEMS.items():
+        calls[system_id] = [0]
+        system.kernel = counting(system.kernel, calls[system_id])
+    for system_id, n in COUNTS.items():
+        count_via_rules(system_id, n)
+    level_steps = {}
+    for system_id, depths in PROFILES.items():
+        calls[system_id][0] = 0
+        for n in depths:
+            profile_text(system_id, n)
+        level_steps[system_id] = calls[system_id][0]
+    print("%-18s %6s %8s %12s %13s %11s %12s"
+          % ("key", "depth", "spacing", "checkpoints", "packed_bytes",
+             "live_bytes", "level_steps"))
+    for key, prefix in _STATES.items():
+        counts, level, checkpoints = prefix._memo
+        print("%-18s %6d %8d %12d %13d %11d %12d"
+              % (key, len(counts), prefix._spacing(len(counts)),
+                 len(checkpoints), sum(map(len, checkpoints[1:])),
+                 deep_size(level), level_steps[key]))
