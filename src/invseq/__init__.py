@@ -9,70 +9,37 @@ between them live in ``invseq.checks``, every state a route keeps
 across the requests of one process in the registry of ``invseq.prefix``,
 and the ``invseq`` command line ties them together.
 
-The five names of ``invseq.series`` in ``__all__`` resolve on first
-access (PEP 562, ``__getattr__``), to the very objects of that module.
-So ``import invseq`` and the command line's import compile no series
-code: the first access to one of those names, the first ``--method gf``
-request or the first verify check that reads series algebra loads it.
+Each public name is listed once, in ``_PUBLIC``, under the module that
+defines it, and ``__all__`` is read from that table.  A public name
+resolves on its first access (PEP 562, ``__getattr__``), to the very
+object of its module, which that access imports; the name is then bound
+here, so later reads skip the hook.  So ``import invseq`` imports no
+other module of the package: reading ``avoids`` imports ``invseq.core``,
+and ``f_coefficients`` imports ``invseq.series`` without the oracle.
+Until a name is read, ``dir(invseq)`` does not list it.
 """
-
-from .core import (
-    avoids,
-    contains,
-    is_inversion_sequence,
-    is_valid_pattern,
-    parse_word,
-    render_word,
-    standardize,
-    structure_check_201_210,
-    validate_pattern,
-)
-from .oracle import count_avoiders, count_sequence, list_avoiders
-from .succession import (
-    count_via_rules,
-    emit_diagram,
-    get_system,
-    rule_counting_sequence,
-    state_profile,
-    step,
-)
 
 __version__ = "0.1.0"
 
+_PUBLIC = {
+    "core": ("avoids", "contains", "is_inversion_sequence", "is_valid_pattern",
+             "parse_word", "render_word", "standardize",
+             "structure_check_201_210", "validate_pattern"),
+    "oracle": ("count_avoiders", "count_sequence", "list_avoiders"),
+    "series": ("f_coefficients", "iterate_fe", "PolyRelation",
+               "relation_residual", "TruncatedSeries"),
+    "succession": ("count_via_rules", "emit_diagram", "get_system",
+                   "rule_counting_sequence", "state_profile", "step"),
+}
+_HOME = {name: home for home, names in _PUBLIC.items() for name in names}
+__all__ = list(_HOME)
+
 
 def __getattr__(name):
-    """A name of ``__all__`` not bound above, which is one of
-    ``invseq.series``: imported on its first access and bound here, so
-    that later ones never reach this hook."""
-    if name not in __all__:
+    """The public name, imported from its home module on its first
+    access and bound here; any other name is an AttributeError."""
+    if name not in _HOME:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from . import series
-    value = globals()[name] = getattr(series, name)
+    module = __import__(f"{__name__}.{_HOME[name]}", fromlist=[name])
+    value = globals()[name] = getattr(module, name)
     return value
-
-
-__all__ = [
-    "avoids",
-    "contains",
-    "count_avoiders",
-    "count_sequence",
-    "count_via_rules",
-    "emit_diagram",
-    "f_coefficients",
-    "get_system",
-    "is_inversion_sequence",
-    "is_valid_pattern",
-    "iterate_fe",
-    "list_avoiders",
-    "parse_word",
-    "PolyRelation",
-    "relation_residual",
-    "render_word",
-    "rule_counting_sequence",
-    "standardize",
-    "state_profile",
-    "step",
-    "structure_check_201_210",
-    "TruncatedSeries",
-    "validate_pattern",
-]

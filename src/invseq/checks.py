@@ -16,10 +16,11 @@ Where the numbers come from, each state kept in the registry of
   * series prefixes, which never touch the memo: the closed form
     (gf-vs-rules), the (k,F,F) slice sums (minpoly-A, and minpoly-B
     subtracts them from the memo's counts), ``iterate_fe``
-    (fe-vs-rules) and the census of the 201-210 system with the residual
-    rows of its three equations, one x-degree per step (system-201-210,
-    through ``_check_system_violation``, which proves the four cleared
-    relations from those three);
+    (fe-vs-rules, on each system of ``series._FE_STEP``) and the census
+    of the 201-210 system with the residual rows of its three equations,
+    one x-degree per step (system-201-210, through
+    ``_check_system_violation``, which proves the four cleared relations
+    from those three);
   * relation prefixes: minpoly-A, minpoly-B and minpoly-F each read
     one route (``_relation_prefix``), keyed on the prefixes above that
     it reads, whose count is the first nonzero order of the relation's
@@ -192,11 +193,11 @@ def _verify_structure(n_max):
 
 
 def _verify_fe_vs_rules(n_max):
-    from .series import iterate_fe
+    from .series import _FE_STEP, iterate_fe
     return _compare(
         (((system_id,), iterate_fe(system_id, n_max),
           rule_counting_sequence(system_id, n_max))
-         for system_id in ("011-201", "010-100-120-210")),
+         for system_id in _FE_STEP),
         "FAIL for %s at n=%d: iteration %d != rules %d",
         "OK: functional-equation iteration matches the rules through n=%d"
         % n_max)

@@ -378,13 +378,8 @@ def avoids(e, basis):
     Raises ValueError, on every call, when a pattern of basis is empty or
     not a valid pattern.
     """
-    if type(basis) is not tuple:
-        basis = tuple(map(tuple, basis))
     e = tuple(e)
-    try:
-        groups, searches = _compile(basis)
-    except TypeError:  # a pattern given as a list: the cache keys on tuples
-        groups, searches = _compile(tuple(map(tuple, basis)))
+    groups, searches = _compile(tuple(map(tuple, basis)))
     if groups and _middle_match(e, groups):
         return False
     for windows in searches:

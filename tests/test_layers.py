@@ -130,14 +130,16 @@ def run(*argv):
 """
 
 
-def _footprints(code):
+def _footprints(code, *flags):
     """[label, the lazily loaded modules then] for each mark(label) that
-    code makes in a fresh interpreter, after the prelude _FOOTPRINT,
-    whose run(*argv) serves one request and marks it; mark(label, lazy)
-    looks for the modules lazy instead of series and poly."""
+    code makes in a fresh interpreter run with flags, after the prelude
+    _FOOTPRINT, whose run(*argv) serves one request and marks it;
+    mark(label, lazy) looks for the modules lazy instead of series and
+    poly."""
     src = str(pathlib.Path(invseq.__file__).parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT + code + "\nprint(json.dumps(marks))"],
+        [sys.executable, *flags, "-c",
+         _FOOTPRINT + code + "\nprint(json.dumps(marks))"],
         capture_output=True, text=True, check=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src}).stdout
     return [tuple(pair) for pair in json.loads(out)]
@@ -155,6 +157,29 @@ def test_importing_the_package_neither_imports_nor_runs_poly():
         "import invseq.cli\ninvseq.cli.build_parser()\nmark('cli')\n"
         "invseq.TruncatedSeries\nmark('TruncatedSeries')\n") == [
         ("invseq", []), ("cli", []), ("TruncatedSeries", ["invseq.series"])]
+
+
+_PACKAGE = tuple(
+    "invseq" + ("" if path.stem == "__init__" else "." + path.stem)
+    for path in pathlib.Path(invseq.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("read, loaded", [
+    ("", []),
+    ("avoids", ["invseq.core"]),
+    ("count_sequence", ["invseq.core", "invseq.oracle"]),
+    ("step", ["invseq.prefix", "invseq.succession"]),
+    ("f_coefficients", ["invseq.prefix", "invseq.series", "invseq.succession"]),
+])
+def test_a_read_of_the_package_root_imports_the_home_of_the_name(read, loaded):
+    """``import invseq`` imports no other module of the package, and the
+    first read of a public name imports its home module and what that
+    imports, no more: ``f_coefficients`` imports neither the oracle nor
+    poly.  Each read runs in its own interpreter, under ``-S``, so that
+    site preloads nothing."""
+    code = "import invseq\n%s\nmark('read', %r)\n" % (
+        "invseq." + read if read else "", _PACKAGE)
+    assert _footprints(code, "-S") == [("read", ["invseq", *loaded])]
 
 
 def test_the_first_checkpoint_imports_pickle():

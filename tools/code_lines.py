@@ -7,20 +7,33 @@ do not count as tokens.  A module's compile time is the least of
 COMPILE_RUNS calls of compile() on its source: what importing it costs
 where no bytecode is cached, as when PYTHONDONTWRITEBYTECODE is set.
 One line per module of src/invseq with both, then the code lines of
-tests/, then, on the last line, the total code lines of src/invseq.
-Standard library only:
+tests/, then two import times, each the median over IMPORT_RUNS fresh
+interpreters in the caller's environment (with src/ on PYTHONPATH):
+``import invseq``, and ``import invseq.cli`` plus ``build_parser()``,
+what the benchmark's setup_s times.  On the last line, the total code
+lines of src/invseq.  Standard library only:
 
     python3 tools/code_lines.py
 """
 
 import ast
+import os
 import pathlib
+import statistics
+import subprocess
+import sys
 import timeit
 import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "invseq"
 COMPILE_RUNS = 5
+IMPORT_RUNS = 9
+IMPORTS = {
+    "import invseq": "import invseq",
+    "import invseq.cli + build_parser()":
+        "import invseq.cli; invseq.cli.build_parser()",
+}
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 
@@ -57,6 +70,20 @@ def compile_ms(path):
                                     number=1, repeat=COMPILE_RUNS))
 
 
+def import_ms(code):
+    """The median time, in milliseconds, that code takes to run in each
+    of IMPORT_RUNS fresh interpreters, with src/ on PYTHONPATH."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    timed = ("import time; t = time.perf_counter(); %s; "
+             "print(time.perf_counter() - t)" % code)
+    return 1000 * statistics.median(
+        float(subprocess.run([sys.executable, "-c", timed], env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True).stdout)
+        for _ in range(IMPORT_RUNS))
+
+
 if __name__ == "__main__":
     modules = {path.name: code_lines(path)
                for path in sorted(PACKAGE.glob("*.py"))}
@@ -65,4 +92,6 @@ if __name__ == "__main__":
               % (name, lines, compile_ms(PACKAGE / name)))
     print("%-25s %5d" % ("tests/", sum(map(code_lines,
                                             (ROOT / "tests").glob("*.py")))))
+    for label, code in IMPORTS.items():
+        print("%-36s %6.2f ms" % (label, import_ms(code)))
     print(sum(modules.values()))
