@@ -39,19 +39,22 @@ far, or a line of text.  No step mutates a level.
 
 A Prefix keeps the counts at depths 0..L-1 and the level at depth L,
 the level it steps next, for the deepest L any request in this process
-has reached, and checkpoints: the level at depth 0, as the route
-starts it, and at most _KEEP (16) more, the levels at depths s, 2s, ...
-up to L, each stored pickled.  The spacing s is the least power of two
-with L <= _KEEP * s, so it is 8 through depth 128 and 64 through 1024,
-and when an extension doubles it every other checkpoint is dropped:
+has reached, and checkpoints, spaced at s(target) per extension, keyed
+by depth: {0: the level at depth 0, as the route starts it, d: the
+level at depth d, pickled, ...}.  An extension to depth n takes s(n),
+the least power of two s with n <= _KEEP * s (so 8 through depth 128
+and 64 through 1024), keeps only the checkpoints at multiples of s and
+packs only the levels it steps at multiples of s.  So a prefix holds at
+most _KEEP + 1 (17) checkpoints, and once an extension completes to
+depth L they are those at 0, s(L), 2s(L), ... up to L, unless a step of
+an earlier extension raised: that leaves only multiples of its own
+spacing, with gaps below it, which a later extension keeps as they are:
 
   * counts(n) steps depths L..n, and nothing when L > n, and so does
     count(n), which reads the count at n without copying; level(n) first
     reaches depth n - 1, then returns the stored level if it is at depth
-    n, and otherwise unpickles the checkpoint at or below n and steps
-    it, fewer than s steps, outside the lock; it reads s from the depth
-    of the prefix it read under the lock, so the spacing and the
-    checkpoints are those of one published prefix;
+    n, and otherwise unpickles the deepest checkpoint at or below n and
+    steps it, outside the lock;
   * an extension holds the prefix's lock while it steps, and publishes
     the counts, the level and the checkpoints after every step, so the
     old level is freed as soon as its step returns, and a step that
@@ -123,60 +126,53 @@ class Prefix:
 
     def level(self, n):
         """The level at depth n: the stored level once the prefix is n
-        deep, or stepped from the checkpoint at or below n."""
+        deep, or stepped from the deepest checkpoint at or below n."""
         with self._lock:
             counts, level, checkpoints = self._reach(n)
-            depth = len(counts)
-        if depth == n:
-            return level
-        i, steps = divmod(n, self._spacing(depth))
-        if i:
+            if len(counts) == n:
+                return level
+            depth = max(d for d in checkpoints if d <= n)
+            level = checkpoints[depth]
+        if depth:
             import pickle
-            level = pickle.loads(checkpoints[i])
-        else:
-            level = checkpoints[0]
+            level = pickle.loads(level)
         _, step, args = self.route
-        for _ in range(steps):
+        for _ in range(n - depth):
             level = step(level, *args)[0]
         return level
 
-    def _spacing(self, depth):
-        """The spacing of the checkpoints of a prefix depth deep: the
-        least power of two s with depth <= _KEEP * s."""
-        return 1 << (max(depth - 1, 0) // self._KEEP).bit_length()
-
     def _reach(self, n):
         """The prefix as (counts, level, checkpoints), at least n deep:
-        the counts at depths 0..L-1, the level at depth L >= n and the
-        levels at depths 0, s, 2s, ... up to L, all but the first
-        pickled, s = _spacing(L).  Callers must not mutate them.  A
-        published prefix n deep is returned without the lock, and while
-        another thread extends it its counts may run past L, so a caller
-        that reads the level or the spacing holds the lock."""
+        the counts at depths 0..L-1, the level at depth L >= n and
+        {depth: level} at 0 and at multiples of the spacing, all but the
+        first pickled.  Callers must not mutate them.  A published
+        prefix n deep is returned without the lock, and while another
+        thread extends it its counts may run past L, so a caller that
+        reads the level or the checkpoints holds the lock."""
         if n < 0:
             raise ValueError("n must be non-negative")
         memo = self._memo
         if memo is not None and len(memo[0]) >= n:
             return memo
         start, step, args = self.route
+        spacing = 1 << ((n - 1) // self._KEEP).bit_length()
         with self._lock:
             while True:
                 memo = self._memo
-                counts, level, checkpoints = memo or ([], start, (start,))
+                counts, level, checkpoints = memo or ([], start, {0: start})
                 if len(counts) >= n:
                     return counts, level, checkpoints
                 counts = list(counts)
-                spacing = self._spacing(len(counts))
+                checkpoints = {d: c for d, c in checkpoints.items()
+                               if d % spacing == 0}
                 while len(counts) < n:
                     level, count = step(level, *args)
                     if self._memo is not memo:
                         break
                     counts.append(count)
-                    if len(counts) > self._KEEP * spacing:
-                        spacing *= 2
-                        checkpoints = checkpoints[::2]
                     if len(counts) % spacing == 0:
-                        checkpoints += (_pack(level),)
+                        checkpoints = {**checkpoints,
+                                       len(counts): _pack(level)}
                     self._memo = memo = counts, level, checkpoints
 
 

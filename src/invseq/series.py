@@ -50,16 +50,16 @@ nothing past it.  None of them is the rules memo of
 they check: the slices never touch the memo, and the closed form and
 the functional equations reach no succession code.  A relation is
 keyed on the prefixes it reads, so it steps cold once one of them is
-made afresh.  One route keeps no prefix in the registry and replays
-cold, in a Prefix of its own: ``relation_residual``, through
-``_residual_step`` over the coefficients it is given.
+made afresh.  One route keeps no prefix at all and replays cold, in a
+loop of its own: ``relation_residual``, through ``_residual_step`` over
+the coefficients it is given.
 """
 
 from collections import namedtuple
 from itertools import accumulate, zip_longest
 from operator import add, mul, sub
 
-from .prefix import Prefix, shared
+from .prefix import shared
 from .succession import _fast_step_201_210, _step_ff
 
 
@@ -156,16 +156,17 @@ def relation_residual(relation, s):
     A relation with no coefficients raises ValueError.
 
     Keeps no state: the residual's route (see _residual_step) is stepped
-    cold over the coefficients of s, in a Prefix the registry never
-    holds.
+    cold over the coefficients of s, x^0 through x^s.order.
     """
     polys = tuple(map(tuple, relation.coefficients))
     if not polys:
         raise ValueError("relation %r has no coefficients" % (relation.name,))
-    if s.order < 0:
-        return None
-    return Prefix(_residual_start((polys,)), _residual_step, (polys,),
-                  s.coefficients.__getitem__).count(s.order)[0]
+    level = _residual_start((polys,))
+    firsts = (None,)
+    for _ in range(s.order + 1):
+        level, firsts = _residual_step(level, (polys,),
+                                       s.coefficients.__getitem__)
+    return firsts[0]
 
 
 def _residual_start(polys):

@@ -30,12 +30,12 @@ def _stored_levels(prefix):
     depth, spacing = len(counts), 1
     while depth > prefix._KEEP * spacing:
         spacing *= 2
-    assert len(checkpoints) == depth // spacing + 1 <= prefix._KEEP + 1
+    assert sorted(checkpoints) == list(range(0, depth + 1, spacing))
+    assert len(checkpoints) <= prefix._KEEP + 1
     assert checkpoints[0] is prefix.route[0]
-    assert all(isinstance(packed, bytes) for packed in checkpoints[1:])
-    return [(0, checkpoints[0]), *((i * spacing, pickle.loads(packed))
-                                   for i, packed in enumerate(checkpoints)
-                                   if i)]
+    assert all(isinstance(checkpoints[d], bytes) for d in checkpoints if d)
+    return [(0, checkpoints[0]), *((d, pickle.loads(checkpoints[d]))
+                                   for d in sorted(checkpoints) if d)]
 
 
 @pytest.fixture

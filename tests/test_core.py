@@ -160,8 +160,9 @@ def test_avoids():
 
 
 def test_avoids_on_a_tuple_of_lists_agrees_with_tuples():
-    """A tuple of lists passes the type test but not the compiled-basis
-    cache, which keys on tuples; it is compiled as the tuples."""
+    """avoids turns each pattern of a basis into a tuple before it
+    compiles the basis, so a tuple of lists is compiled, and answers, as
+    the same tuples."""
     for e in ((0, 1, 0), (0, 0, 1)):
         assert avoids(e, ([0, 1, 0],)) == avoids(e, ((0, 1, 0),))
 

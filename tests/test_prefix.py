@@ -261,12 +261,12 @@ def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch,
                                                       fresh_states,
                                                       stored_levels):
     """With at most 4 checkpoints besides depth 0, a series prefix 17 to
-    32 deep keeps the levels at 0, 8, 16, ..., having dropped every
-    other one at depths 5, 9 and 17, and while a request extends it from
-    depth 21 it is published after every step: when the level at depth
-    d is stepped, the prefix holds the counts through d - 1 and that
-    very level, so no older level is kept; a level between two
-    checkpoints is stepped from the one below it."""
+    32 deep keeps the levels at 0, 8, 16, ..., the only ones a cold
+    extension to it packs, and while a request extends it from depth 21
+    it is published after every step: when the level at depth d is
+    stepped, the prefix holds the counts through d - 1 and that very
+    level, so no older level is kept; a level between two checkpoints
+    is stepped from the one below it."""
     prefix, current, _ = _route(name, monkeypatch)
     prefix._KEEP = 4
     cold = _cold(prefix, 31)
@@ -424,6 +424,64 @@ def test_steps_per_request_on_every_route(fresh_states, name, counts, levels):
             steps[0] = 0
             prefix.level(n)
             assert steps[0] == (n % spacing if n < depth else n - depth), n
+
+
+def test_an_extension_packs_only_the_levels_it_keeps(monkeypatch):
+    """An extension to depth n packs a level only at multiples of the
+    spacing s(n) it keeps: a cold counts(1000) packs the 15 levels at
+    64, 128, ..., 960, and counts(20) then counts(100) pack the 10 at
+    2, 4, ..., 20 and then the 10 at 24, 32, ..., 96."""
+    packed = []
+
+    def counting(level):
+        packed.append(level)
+        return real(level)
+    real = prefix_module._pack
+    monkeypatch.setattr(prefix_module, "_pack", counting)
+    Prefix(0, lambda level: (level + 1, level)).counts(1000)
+    assert packed == list(range(64, 1000, 64))
+    packed.clear()
+    prefix = Prefix(0, lambda level: (level + 1, level))
+    prefix.counts(20)
+    assert packed == list(range(2, 21, 2))
+    packed.clear()
+    prefix.counts(100)
+    assert packed == list(range(24, 101, 8))
+
+
+def test_an_interrupted_wider_extension_keeps_levels_it_can_step(
+        stored_levels):
+    """A (k,F,F) slice prefix 101 deep keeps its levels at multiples of
+    8; a counts(1000) whose fifth step raises keeps only those at
+    multiples of 64, the spacing it extends at, and a later counts(110)
+    keeps those as they are.  After each, every level at or below the
+    depth reached is that of a run from the start, and at most _KEEP + 1
+    checkpoints are held."""
+    run, level = [], [1]
+    for _ in range(112):
+        run.append(level)
+        level = series._step_ff(level)[0]
+    steps = [0]
+
+    def failing(level):
+        steps[0] += 1
+        if steps[0] == 5:
+            raise Planted
+        return series._step_ff(level)
+    prefix = Prefix([1], series._step_ff)
+    prefix.counts(100)
+    assert [d for d, _ in stored_levels(prefix)] == list(range(0, 101, 8))
+    prefix.route = [1], failing, ()
+    with pytest.raises(Planted):
+        prefix.counts(1000)
+    prefix.route = [1], series._step_ff, ()
+    for depth in (105, 111):
+        counts, _, checkpoints = prefix._memo
+        assert len(counts) == depth
+        assert sorted(checkpoints) == [0, 64]
+        assert len(checkpoints) <= Prefix._KEEP + 1
+        assert all(prefix.level(m) == run[m] for m in range(depth + 1))
+        prefix.counts(110)
 
 
 # check[:entry of _FE_STEP] -> (namespace, key) of what the check's route
