@@ -47,8 +47,11 @@ and 64 through 1024), keeps only the checkpoints at multiples of s and
 packs only the levels it steps at multiples of s.  So a prefix holds at
 most _KEEP + 1 (17) checkpoints, and once an extension completes to
 depth L they are those at 0, s(L), 2s(L), ... up to L, unless a step of
-an earlier extension raised: that leaves only multiples of its own
-spacing, with gaps below it, which a later extension keeps as they are:
+an earlier extension raised.  An extension to n that raises at depth d
+puts back the checkpoints it thinned, packs the last level it stepped
+at a multiple of s(d) past its last pack, and keeps those at multiples
+of s(d); that leaves gaps of s(n) only between the depth it started
+from and that level, which a later extension keeps as they are:
 
   * counts(n) steps depths L..n, and nothing when L > n, and so does
     count(n), which reads the count at n without copying; level(n) first
@@ -155,25 +158,52 @@ class Prefix:
         if memo is not None and len(memo[0]) >= n:
             return memo
         start, step, args = self.route
-        spacing = 1 << ((n - 1) // self._KEEP).bit_length()
+        spacing = self._spacing(n)
         with self._lock:
             while True:
-                memo = self._memo
-                counts, level, checkpoints = memo or ([], start, {0: start})
+                memo = begun = self._memo
+                counts, level, kept = memo or ([], start, {0: start})
                 if len(counts) >= n:
-                    return counts, level, checkpoints
+                    return counts, level, kept
                 counts = list(counts)
-                checkpoints = {d: c for d, c in checkpoints.items()
+                checkpoints = {d: c for d, c in kept.items()
                                if d % spacing == 0}
-                while len(counts) < n:
-                    level, count = step(level, *args)
-                    if self._memo is not memo:
-                        break
-                    counts.append(count)
-                    if len(counts) % spacing == 0:
-                        checkpoints = {**checkpoints,
-                                       len(counts): _pack(level)}
-                    self._memo = memo = counts, level, checkpoints
+                spare = {}
+                try:
+                    while len(counts) < n:
+                        level, count = step(level, *args)
+                        if self._memo is not memo:
+                            break
+                        counts.append(count)
+                        depth = len(counts)
+                        if depth % spacing == 0:
+                            checkpoints = {**checkpoints,
+                                           depth: _pack(level)}
+                            spare = {}
+                        elif depth % self._spacing(depth) == 0:
+                            spare = {depth: level}
+                        self._memo = memo = counts, level, checkpoints
+                except BaseException:
+                    if self._memo is memo is not begun:
+                        self._memo = counts, level, self._restored(
+                            len(counts), kept, checkpoints, spare)
+                    raise
+
+    def _spacing(self, n):
+        """s(n), the least power of two s with n <= _KEEP * s."""
+        return 1 << ((n - 1) // self._KEEP).bit_length()
+
+    def _restored(self, depth, kept, checkpoints, spare):
+        """The checkpoints a prefix depth deep publishes when a step of an
+        extension raises: those at multiples of s(depth) among the ones
+        kept before the extension, the ones it packed and spare, which
+        maps the last depth it stepped at a multiple of s(that depth)
+        after its last pack to the level there, packed here."""
+        spacing = self._spacing(depth)
+        spare = {d: _pack(level) for d, level in spare.items()
+                 if d % spacing == 0}
+        return {d: c for d, c in {**kept, **checkpoints, **spare}.items()
+                if d % spacing == 0}
 
 
 def _pack(level):

@@ -56,7 +56,7 @@ the coefficients it is given.
 """
 
 from collections import namedtuple
-from itertools import accumulate, zip_longest
+from itertools import accumulate, islice, zip_longest
 from operator import add, mul, sub
 
 from .prefix import shared
@@ -184,12 +184,14 @@ def _residual_step(level, polys, *terms):
     or None): the level at x^(k+1) and its count at x^k, those first
     orders through x^k.
 
-    The step forms y_k from the terms, then coefficient k of each y^j
-    past y as that of y^(j-1) times y, sum(map(mul, y^(j-1) reversed, y))
-    with y in ascending order, and coefficient k of each P(y) = sum_j
-    p_j*y^j that has no first order yet: p_0's coefficient k plus, for
-    each j, sum(map(mul, p_j, y^j reversed)).  So every polynomial reads
-    the one history of the powers of y, with no slicing.
+    The step forms y_k from the terms, then coefficient k of y^2 by
+    symmetry, twice the sum of y_i*y_(k-i) over i < k/2, plus y_(k/2)^2
+    for an even k, and of each y^j past it as that of y^(j-1) times y,
+    sum(map(mul, y^(j-1) reversed, y)) with y in ascending order, and
+    coefficient k of each P(y) = sum_j p_j*y^j that has no first order
+    yet: p_0's coefficient k plus, for each j, sum(map(mul, p_j, y^j
+    reversed)).  So every polynomial reads the one history of the powers
+    of y, with no slicing.
     """
     powers, firsts = level
     k = len(powers[0])
@@ -198,7 +200,13 @@ def _residual_step(level, polys, *terms):
         c -= term(k)
     powers = [(c,) + powers[0], *powers[1:]]
     y = powers[0][::-1]
-    for j in range(1, len(powers)):
+    if len(powers) > 1:
+        half, odd = divmod(k + 1, 2)
+        square = 2 * sum(map(mul, islice(y, half), powers[0]))
+        if odd:
+            square += y[half] * y[half]
+        powers[1] = (square,) + powers[1]
+    for j in range(2, len(powers)):
         powers[j] = (sum(map(mul, powers[j - 1], y)),) + powers[j]
     firsts = list(firsts)
     for i, poly in enumerate(polys):

@@ -21,15 +21,37 @@ objects of size n.  Three systems are built in:
 At the API a level vector is a plain dict mapping states to positive
 integer counts; the depth is whatever number of steps produced it.
 step() applies the rules literally and is the reference.  The counting
-functions instead step a dense level: three k-indexed lists (a, b, c)
-for 201-210, and for the 2-parameter systems an exact triangle of rows,
-rows[k] holding the counts of (k, ell) for ell = len(rows) - 1 - k down
-to 0, so that the suffix sums over ell are running sums of the row.
+functions instead step a dense level.  For 201-210 that is three
+k-indexed lists (a, b, c).  For the 2-parameter systems it is packed,
+(W, cols): cols[ell] holds the counts of (k, ell) for every k as the
+W-bit lanes of one int, lane k at bit W * k, and m = len(cols) exceeds
+k + ell for every state with a count (m is the depth plus one along
+the memo's route).  Every sum the two kernels form is then a whole-word
+add or a shift by one lane: the suffix sums over ell are the running
+sums R[ell] = cols[ell] + cols[ell + 1] + ..., the 011-201 anti-diagonal
+sums are dg = cols[ell] + (dg >> W), the 010-100-120-210 row sums are
+R[0] >> (W * ell), and the total T of the level is R[0] % (2^W - 1),
+the sum of R[0]'s lanes.  Before a step the level is widened when W <
+T.bit_length() + m.bit_length() + 1: repacked, each lane's bytes padded
+with zero bytes, to that bound plus 64 bits, rounded up to a multiple
+of 8, so that one repacking serves many depths.  Then no lane ever
+carries into the next.  A state (k, ell) has k + ell + 1 <= m children,
+so the level a step makes totals at most mT; every lane a step forms is
+a sum of counts of the input level or of that level, so it is at most
+mT < 2^(W - 1), and R[0] % (2^W - 1) reads the next total exactly.
+201-210 stays dense: its cells average about 1350 bits at depth 700,
+against about 130 for the 2-parameter systems at depth 120, so its
+seven additions per k cost their digits, not the int objects, and
+packing them would save nothing.
+
 Each RuleSystem carries its dense kernel, which turns the ranged
 productions into partial sums so one depth costs time linear in the
-number of cells, its conversions between dense and dict levels and its
-renderer of a dense level as text: state_profile() converts once, at
-the end, and profile_text() renders the level without a dict.
+number of cells (for the packed levels, linear in the number of
+columns, each a whole-word add), its conversions between dense and
+dict levels and its renderer of a dense level as text: to_dense,
+to_dict and render are the only code that reads or writes lanes.
+state_profile() converts once, at the end, and profile_text() renders
+the level without a dict.
 
 Each RuleSystem keeps a memo, the per-process prefix of its own DP
 (see ``invseq.prefix``), whose route is the dense axiom level and the
@@ -44,7 +66,7 @@ their own (``invseq.series``), never through the memo.
 51
 """
 
-from itertools import accumulate, islice
+from itertools import accumulate, islice, zip_longest
 from operator import add
 
 from .prefix import shared
@@ -61,7 +83,14 @@ class RuleSystem:
 
     kernel(level) takes a dense level to the next depth and also returns
     the accepted count of the level it was given, which falls out of its
-    partial sums.  render(level) is the text of a dense level: one "state count" line
+    partial sums; a dense level is three k-indexed lists for 201-210
+    and packed columns (W, cols) for the 2-parameter systems (see the
+    module docstring).  to_dense(level) makes the dense level of a dict
+    level, and raises ValueError on a state (k,F,T), which the 201-210
+    rules never reach, and on a negative count of a 2-parameter state,
+    which no lane holds; to_dict(level) makes the dict back, without
+    zero counts.
+    render(level) is the text of a dense level: one "state count" line
     per state with a nonzero count, in sorted state order, each state as
     state_str writes it.
 
@@ -215,54 +244,102 @@ def _fast_step_201_210(level):
     return (new_a, new_b, new_c), sa[0] + sb[0]
 
 
-def _fast_step_011_201(rows):
-    """Advance the 011-201 triangle one depth (rows[k] lists the counts of
-    (k, ell) with ell descending, see the module docstring).
+_SLACK = 64     # bits a widened lane gets beyond what its next step needs
+
+
+def _lane_width(total, m):
+    """The lane width a packed level of that total over m columns is
+    packed or widened to: the least multiple of 8 that is at least
+    total.bit_length() + m.bit_length() + 1 + _SLACK (see the module
+    docstring)."""
+    return -(-(total.bit_length() + m.bit_length() + 1 + _SLACK) // 8) * 8
+
+
+def _lane_bytes(col, w):
+    """The w-bit lanes of a column as little-endian bytes, lane 0 first,
+    through its last nonzero lane."""
+    n = w // 8
+    data = col.to_bytes(-(-col.bit_length() // w) * n, "little")
+    return [data[i:i + n] for i in range(0, len(data), n)]
+
+
+def _lanes(col, w):
+    """The w-bit lanes of a column as ints (see _lane_bytes)."""
+    return [int.from_bytes(lane, "little") for lane in _lane_bytes(col, w)]
+
+
+def _prepared(level):
+    """(W, cols, R, total) for one step of a packed level: R[ell] =
+    cols[ell] + cols[ell + 1] + ..., a fresh list, and total the count
+    of the level, which is R[0] % (2^W - 1), the sum of R[0]'s lanes.
+    When W < total.bit_length() + len(cols).bit_length() + 1 the level
+    is repacked first, at _lane_width(total, len(cols)) bits a lane,
+    each lane's bytes padded with zero bytes."""
+    w, cols = level
+    sums = list(accumulate(reversed(cols)))
+    sums.reverse()
+    total = sums[0] % ((1 << w) - 1)
+    m = len(cols)
+    if w < total.bit_length() + m.bit_length() + 1:
+        wide = _lane_width(total, m)
+        pad = bytes((wide - w) // 8)
+        cols = [int.from_bytes(pad.join(_lane_bytes(col, w)), "little")
+                for col in cols]
+        w = wide
+        sums = list(accumulate(reversed(cols)))
+        sums.reverse()
+    return w, cols, sums, total
+
+
+def _fast_step_011_201(level):
+    """Advance the packed 011-201 level (W, cols) one depth (see the
+    module docstring).
 
     A state (k, ell) feeds (k + 1, 0), every (k + 1, i) with i < ell, and
     along its anti-diagonal every (i, ell + k - i) with 1 <= i <= k.  With
-    S the suffix sums over ell of row k - 1 and D_k[ell] = rows[k][ell] +
-    D_{k+1}[ell - 1] the anti-diagonal sums, built from the bottom row up,
+    R[ell] = cols[ell] + cols[ell + 1] + ..., whose lane k is the suffix
+    sum over ell of row k, and the anti-diagonal sums dg[ell] =
+    cols[ell] + (dg[ell - 1] >> W), whose lane k sums the counts of
+    (k + j, ell - j) for j >= 0,
 
-        new[k][ell] = S[ell + 1] + D_k[ell]   (plus S[0] when ell = 0)
+        new[ell] = (R[ell + 1] + (dg[ell] >> W)) << W   (plus R[0] << W
+                                                          when ell = 0)
 
-    In the descending order S is the running sum of the row and D_k is
-    row k plus D_{k+1} entry by entry, then the last entry of row k.
-    Also returns the input level's total.
+    where >> W moves lane k + 1 to k and << W lane k to k + 1, which
+    leaves lane 0 empty.  Also returns the input level's total.
     """
-    m = len(rows)
+    w, cols, sums, total = _prepared(level)
+    sums.append(0)
     new = []
-    diag = []                      # D_k for the row k being built
-    total = 0
-    for k in range(m, 0, -1):
-        prev = rows[k - 1]
-        suf = list(accumulate(prev))
-        row = [0, *map(add, suf, diag)]
-        row[-1] += suf[-1]
-        new.append(row)
-        total += suf[-1]
-        diag = [*map(add, prev, diag), prev[-1]]
-    new.append([0] * (m + 1))
-    new.reverse()
-    return new, total
+    diag = 0                       # dg[ell - 1] >> W
+    for col, tail in zip(cols, islice(sums, 1, None)):
+        diag = (col + diag) >> w
+        new.append((tail + diag) << w)
+    new[0] += sums[0] << w
+    new.append(0)
+    return (w, new), total
 
 
-def _fast_step_010_100_120_210(rows):
-    """Advance the 010-100-120-210 triangle one depth (rows[k] lists the
-    counts of (k, ell) with ell descending, see the module docstring).
+def _fast_step_010_100_120_210(level):
+    """Advance the packed 010-100-120-210 level (W, cols) one depth (see
+    the module docstring).
 
     A state (k, ell) feeds (k + 1, i) for every i <= ell, and (i, k - i)
-    for 1 <= i <= k, forgetting ell.  With S the suffix sums over ell of
-    row k - 1, new[k][ell] = S[ell] + sum(rows[k + ell]); in the
-    descending order S is the running sum of the row and the row sums
-    are read from the last row up.  Also returns the input level's total.
+    for 1 <= i <= k, forgetting ell.  With R[ell] = cols[ell] +
+    cols[ell + 1] + ..., whose lane k is the suffix sum over ell of row
+    k, so that lane k of R[0] is the sum of row k,
+
+        new[ell] = (R[ell] + (R[0] >> (W * (ell + 1)))) << W
+
+    where << W moves lane k to k + 1, which leaves lane 0 empty.  Also
+    returns the input level's total.
     """
-    m = len(rows)
-    sufs = [list(accumulate(r)) for r in rows]
-    row_sums = [0, *(s[-1] for s in reversed(sufs))]   # rows m, m-1, ..., 0
-    new = [[0] * (m + 1)]
-    new.extend([*map(add, s, row_sums)] for s in sufs)
-    return new, sum(row_sums)
+    w, cols, sums, total = _prepared(level)
+    rows = sums[0]
+    new = [(tail + (rows >> (w * shift))) << w
+           for shift, tail in enumerate(sums, 1)]
+    new.append(0)
+    return (w, new), total
 
 
 # ---------- dense <-> dict conversions ----------
@@ -290,17 +367,23 @@ def _slices_to_dict(level):
     return out
 
 
-def _triangle_from_dict(level):
+def _columns_from_dict(level):
     size = max((k + ell for k, ell in level), default=0) + 1
-    rows = [[0] * (size - k) for k in range(size)]
+    lanes = [[0] * (size - ell) for ell in range(size)]
     for (k, ell), m in level.items():
-        rows[k][size - k - 1 - ell] = m
-    return rows
+        if m < 0:
+            raise ValueError("state (%d,%d) has a negative count" % (k, ell))
+        lanes[ell][k] = m
+    w = _lane_width(sum(level.values()), size)
+    n = w // 8
+    return w, [int.from_bytes(b"".join([m.to_bytes(n, "little") for m in col]),
+                              "little") for col in lanes]
 
 
-def _triangle_to_dict(rows):
-    return {(k, len(row) - 1 - i): m
-            for k, row in enumerate(rows) for i, m in enumerate(row) if m}
+def _columns_to_dict(level):
+    w, cols = level
+    return {(k, ell): m for ell, col in enumerate(cols)
+            for k, m in enumerate(_lanes(col, w)) if m}
 
 
 def _render_201_210(level):
@@ -311,11 +394,14 @@ def _render_201_210(level):
                     for flags, m in zip(("F,F", "T,F", "T,T"), cells) if m])
 
 
-def _render_triangle(rows):
-    """Per k, the states (k, ell) with ell ascending: row k reversed."""
+def _render_columns(level):
+    """Per k, the states (k, ell) with ell ascending: lane k of every
+    column."""
+    w, cols = level
+    rows = zip_longest(*[_lanes(col, w) for col in cols], fillvalue=0)
     return "".join(["(%d,%d) %d\n" % (k, ell, m)
                     for k, row in enumerate(rows)
-                    for ell, m in enumerate(reversed(row)) if m])
+                    for ell, m in enumerate(row) if m])
 
 
 def _accept_all(state):
@@ -335,12 +421,12 @@ SYSTEMS = {
     "011-201": RuleSystem(
         "011-201", ((0, 1, 1), (2, 0, 1)),
         (0, 0), _successors_011_201, _accept_all, _str_2, _fast_step_011_201,
-        _triangle_from_dict, _triangle_to_dict, _render_triangle),
+        _columns_from_dict, _columns_to_dict, _render_columns),
     "010-100-120-210": RuleSystem(
         "010-100-120-210", ((0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0)),
         (0, 0), _successors_010_100_120_210,
         _accept_all, _str_2, _fast_step_010_100_120_210,
-        _triangle_from_dict, _triangle_to_dict, _render_triangle),
+        _columns_from_dict, _columns_to_dict, _render_columns),
 }
 
 

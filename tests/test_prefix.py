@@ -452,36 +452,46 @@ def test_an_extension_packs_only_the_levels_it_keeps(monkeypatch):
 def test_an_interrupted_wider_extension_keeps_levels_it_can_step(
         stored_levels):
     """A (k,F,F) slice prefix 101 deep keeps its levels at multiples of
-    8; a counts(1000) whose fifth step raises keeps only those at
-    multiples of 64, the spacing it extends at, and a later counts(110)
-    keeps those as they are.  After each, every level at or below the
-    depth reached is that of a run from the start, and at most _KEEP + 1
-    checkpoints are held."""
+    8; a counts(1000), which packs only at multiples of 64, raises on its
+    fifth step, at depth 105, and puts back the checkpoints it thinned,
+    with the level at 104 packed; a later counts(110) keeps them.  After
+    each, every level at or below the depth reached is that of a run
+    from the start, stepped from a checkpoint at most 7 levels below it,
+    and at most _KEEP + 1 checkpoints are held."""
     run, level = [], [1]
     for _ in range(112):
         run.append(level)
         level = series._step_ff(level)[0]
     steps = [0]
 
-    def failing(level):
+    def counted(level):
         steps[0] += 1
-        if steps[0] == 5:
-            raise Planted
         return series._step_ff(level)
+
+    def failing(level):
+        if steps[0] == 4:
+            raise Planted
+        return counted(level)
     prefix = Prefix([1], series._step_ff)
     prefix.counts(100)
     assert [d for d, _ in stored_levels(prefix)] == list(range(0, 101, 8))
     prefix.route = [1], failing, ()
     with pytest.raises(Planted):
         prefix.counts(1000)
-    prefix.route = [1], series._step_ff, ()
+    prefix.route = [1], counted, ()
     for depth in (105, 111):
         counts, _, checkpoints = prefix._memo
         assert len(counts) == depth
-        assert sorted(checkpoints) == [0, 64]
+        assert sorted(checkpoints) == list(range(0, 105, 8))
         assert len(checkpoints) <= Prefix._KEEP + 1
-        assert all(prefix.level(m) == run[m] for m in range(depth + 1))
+        for m in range(depth + 1):
+            steps[0] = 0
+            assert prefix.level(m) == run[m], m
+            assert steps[0] <= 7, (depth, m)
         prefix.counts(110)
+    steps[0] = 0
+    prefix.level(110)
+    assert steps[0] == 6
 
 
 # check[:entry of _FE_STEP] -> (namespace, key) of what the check's route

@@ -297,6 +297,43 @@ def test_one_residual_route_gives_the_orders_of_p_and_dp_dy(data):
             for k in range(len(y))], corrupt
 
 
+def _first_through(residual, k):
+    """The first nonzero order of a residual through x^k, or None."""
+    return next((i for i, c in enumerate(residual[:k + 1]) if c), None)
+
+
+# relation -> the series it is checked on, through x^n
+CHECKED_ON = {
+    MINPOLY_A: lambda n: _ff_slice_prefix().counts(n),
+    MINPOLY_B: _tf_slice,
+    MINPOLY_F: f_coefficients,
+    CUBIC_010_102: lambda n: count_sequence(((0, 1, 0), (1, 0, 2)), 11),
+}
+
+
+@pytest.mark.parametrize("relation", CHECKED_ON, ids=lambda r: r.name)
+def test_residual_route_equals_a_full_convolution(relation):
+    """The residual route over (P, dP/dy), which forms y^2 by symmetry,
+    gives at every depth the first orders of a full-convolution
+    reference (_plain_horner, all k + 1 products at x^k), on the series
+    each relation is checked on (60 terms; 12 of {010, 102}) and on that
+    series with one coefficient planted wrong, early or late."""
+    y = CHECKED_ON[relation](60)
+    polys = tuple(map(tuple, relation.coefficients))
+    rels = (polys, poly.ydy(polys))
+    for fault in (None, 5, len(y) - 2):
+        z = list(y)
+        if fault is not None:
+            z[fault] -= 1
+        route = Prefix(series._residual_start(rels), series._residual_step,
+                       rels, z.__getitem__)
+        residuals = [_plain_horner(p, z) for p in rels]
+        assert route.counts(len(z) - 1) == [
+            tuple(_first_through(r, k) for r in residuals)
+            for k in range(len(z))], fault
+        assert (fault is None) == (route.count(len(z) - 1)[0] is None)
+
+
 def test_relation_residual_catches_interior_corruption():
     f = f_coefficients(12)
     f[5] += 1

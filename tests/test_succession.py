@@ -17,6 +17,7 @@ from invseq.succession import (
     count_via_rules,
     emit_diagram,
     get_system,
+    profile_text,
     rule_counting_sequence,
     state_profile,
     step,
@@ -162,6 +163,69 @@ def test_step_fast_equals_step_on_random_levels(data):
     level = data.draw(st.dictionaries(state, _counts, max_size=8))
     sys_ = get_system(system_id)
     assert kernel_step(sys_, level) == step(sys_, level)
+
+
+# ---------- the packed columns of the 2-parameter systems ----------
+
+TRIANGLE_IDS = ("011-201", "010-100-120-210")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_levels_round_trip_and_step_literally(data):
+    """Levels of either 2-parameter system with zero counts among counts
+    up to 10^80: to_dict(to_dense(level)) is the level without its zero
+    counts, and the packed kernel steps it as step() does."""
+    system = get_system(data.draw(st.sampled_from(TRIANGLE_IDS)))
+    level = data.draw(st.dictionaries(
+        _state_2, st.one_of(st.just(0), st.integers(1, 10**80)),
+        max_size=12))
+    dense = system.to_dense(level)
+    assert system.to_dict(dense) == {s: m for s, m in level.items() if m}
+    assert system.to_dict(system.kernel(dense)[0]) == step(system, level)
+    assert system.kernel(dense)[1] == sum(level.values())
+
+
+@pytest.mark.parametrize("system_id", TRIANGLE_IDS)
+def test_a_level_one_bit_under_its_lane_width_is_widened_first(system_id):
+    """A packed level whose total has W - 1 bits leaves no room for the
+    m-fold growth of a step: the kernel widens the lanes before it steps
+    and still steps as step() does, and its total reads exactly."""
+    system = get_system(system_id)
+    level = {(3, 0): 2**70 - 5, (1, 2): 4, (2, 1): 1, (0, 3): 0}
+    total = sum(level.values())
+    w = total.bit_length() + 1
+    assert w % 8 == 0
+    lanes = {ell: [0] * 4 for ell in range(4)}
+    for (k, ell), m in level.items():
+        lanes[ell][k] = m
+    packed = (w, [sum(m << (w * k) for k, m in enumerate(lanes[ell]))
+                  for ell in range(4)])
+    assert system.to_dict(packed) == {s: m for s, m in level.items() if m}
+    (wide, cols), count = system.kernel(packed)
+    assert wide > w and wide % 8 == 0
+    assert count == total
+    assert system.to_dict((wide, cols)) == step(system, level)
+
+
+@pytest.mark.parametrize("system_id", TRIANGLE_IDS)
+def test_to_dense_rejects_a_negative_count(system_id):
+    with pytest.raises(ValueError, match="negative"):
+        get_system(system_id).to_dense({(1, 0): 3, (2, 1): -1})
+
+
+@pytest.mark.parametrize("system_id", TRIANGLE_IDS)
+def test_profile_text_renders_the_packed_level_as_the_profile(system_id,
+                                                              monkeypatch):
+    """profile_text renders the packed level at depth 200 straight from
+    its lanes: the text is that of state_profile, state by state in
+    sorted order, each state written by state_str."""
+    system = _fresh(system_id)
+    monkeypatch.setitem(SYSTEMS, system_id, system)
+    profile = state_profile(system_id, 200)
+    assert profile_text(system_id, 200) == "".join(
+        "%s %d\n" % (system.state_str(state), profile[state])
+        for state in sorted(profile))
 
 
 def test_profile_slices_match_state_profile():
