@@ -29,22 +29,21 @@ Where the numbers come from, each state kept in the registry of
     operations, and steps the residual, one coefficient per step, only
     through the depth n0 that the ODE proves enough (0 for A and 2 for
     B and F on their counts), or through n_max once the ODE fails;
-  * the structure prefix: structure-theorem reads, per length, the first
-    inversion sequence on which the structure checker and the avoidance
-    test of {201, 210} disagree, or None (``_structure_step``, keyed on
-    the per-length accessors of the two sides in ``invseq.core``,
-    ``_structure_checker`` and ``_avoider``, and the basis: it fetches
-    both tests of a length once and maps each over the words of that
-    length in chunks);
   * no state: the oracle is the ground truth, so oracle-vs-rules and
     conjecture-010-102 count with ``count_sequence`` from scratch on
     every request, and conjecture-010-102 evaluates its cubic with
-    ``relation_residual``, which keeps no state.
+    ``relation_residual``, which keeps no state; structure-theorem
+    builds the order masks of each length through n_max afresh on every
+    request (``_order_masks`` in ``invseq.core``) and runs the structure
+    checker and the avoidance test of {201, 210} on every word of the
+    length at once (``_sliced_checker`` and ``_sliced_avoider``), so a
+    fault planted in either side, or in the compiled groups the
+    avoidance test reads, is seen by the next request.
 
 So a process serving many checks steps each depth of each route,
-derives each ODE, evaluates each coefficient of each residual and
-checks each sequence once, and a check handed another route (a planted
-fault, say), or a relation whose source was handed one, runs it cold.
+derives each ODE and evaluates each coefficient of each residual once,
+and a check handed another route (a planted fault, say), or a relation
+whose source was handed one, runs it cold.
 gf-vs-rules, oracle-vs-rules, fe-vs-rules and wilf-011-201 compare
 their sequences in one place (``_compare``), and oracle-vs-rules and
 fe-vs-rules count a system only once the ones before it agree.
@@ -64,9 +63,7 @@ runs one by name, the way the command line and the acceptance suite do:
 (True, ['OK: closed form matches the rules through n=5'])
 """
 
-import itertools
-
-from .core import _avoider, _structure_checker, render_word
+from .core import _order_masks, _sliced_avoider, _sliced_checker, render_word
 from .oracle import count_sequence
 from .prefix import shared
 from .succession import get_system, rule_counting_sequence, SYSTEMS
@@ -144,50 +141,28 @@ def _verify_system(n_max):
     return True, ["OK: all seven bivariate identities hold through n=%d" % n_max]
 
 
-# The words of one length that each side is mapped over at once.  A
-# chunk's words are all alive together, so it stays small: 128 is as fast
-# as 512 at lengths 8 and 9 and adds less to the peak resident set.
-_CHUNK = 128
-
-
-def _structure_step(level, checker, avoider, basis):
-    """The step of the structure prefix at length d, whose level there
-    is (d, the first disagreement at a length below d, or None): the
-    level at d + 1 and its count at d, the first disagreement through
-    length d.  The search at length d runs only while there is none: it
-    fetches checker(d) and avoider(basis, d) once and maps each over the
-    inversion sequences of length d, _CHUNK at a time, in order, and
-    stops at the first chunk where their answers differ, with its first
-    word that they disagree on and both answers, so that no length past
-    a disagreement is searched."""
-    length, found = level
-    if found is None:
-        check, avoid = checker(length), avoider(basis, length)
-        words = itertools.product(*map(range, range(1, length + 1)))
-        while chunk := list(itertools.islice(words, _CHUNK)):
-            checked = list(map(check, chunk))
-            avoided = list(map(avoid, chunk))
-            if checked != avoided:
-                found = next((e, c, a) for e, c, a
-                             in zip(chunk, checked, avoided) if c != a)
-                break
-    return (length + 1, found), found
-
-
 def _verify_structure(n_max):
     """Compare the structure checker with pattern avoidance on every
-    inversion sequence of length at most n_max: the count at depth n_max
-    of this process's structure prefix (see ``invseq.prefix`` and
-    _structure_step), kept for the per-length accessors of the two sides
-    in ``invseq.core`` and the basis as this module sees them at call
-    time."""
-    found = shared("structure-theorem", (0, None), _structure_step,
-                   _structure_checker, _avoider,
-                   get_system("201-210").basis).count(n_max)
-    if found is not None:
-        e, checked, avoided = found
-        return False, ["FAIL at e=%s: checker %s, avoidance %s"
-                       % (render_word(e), checked, avoided)]
+    inversion sequence of length at most n_max, one length at a time and
+    every word of a length at once: the two sides of ``invseq.core`` mark
+    the words they pass as bits of one mask, numbered in the order of
+    itertools.product, so the first word on which they disagree is the
+    lowest bit where the masks differ, decoded by mixed radix."""
+    basis = get_system("201-210").basis
+    for n in range(n_max + 1):
+        lt = _order_masks(n)
+        checked = _sliced_checker(n, lt)
+        avoided = _sliced_avoider(basis, n, lt)
+        differ = checked ^ avoided
+        if differ:
+            w = index = (differ & -differ).bit_length() - 1
+            e = []
+            for size in range(n, 0, -1):
+                index, v = divmod(index, size)
+                e.append(v)
+            return False, ["FAIL at e=%s: checker %s, avoidance %s"
+                           % (render_word(e[::-1]), bool(checked >> w & 1),
+                              bool(avoided >> w & 1))]
     return True, ["OK: checker agrees with pattern avoidance for all "
                   "inversion sequences through n=%d" % n_max]
 

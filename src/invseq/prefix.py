@@ -23,7 +23,6 @@ the same Prefix.  The keys are:
     ("iterate_fe", system) and ("relation", name), the residual of a
     relation on the prefixes it reads, checked through the linear ODE
     of the relation, which its first step derives;
-  * "structure-theorem" (``invseq.checks``);
   * ``invseq.cli``: ("text", source), the line of each count of a source
     the command line prints, keyed on the bound ``count`` of the source's
     prefix, a system's rules memo (source: the system's name) or the

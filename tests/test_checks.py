@@ -1,9 +1,10 @@
-"""The per-process state of the structure-theorem check: each inversion
-sequence goes to the structure checker and to pattern avoidance once per
-process, whatever the order of the requests, and the printed lines are
-those of a cold run.  The first test asks for a check that does not
-exist.  The concurrency test also runs the system check, whose prefix
-threads share in the same way, the last but one empties the whole
+"""The structure-theorem check, which keeps no state: each request
+runs both sides of the sweep once per length through its depth, so the
+printed lines are those of a cold run whatever came before, and a fault
+planted in a sliced side or in the compiled groups the matcher reads
+is seen by the next request, with no reset.  The first test asks for a
+check that does not exist.  The concurrency test also runs the system
+check, whose prefix threads share, the one after it empties the whole
 registry after every check, and the next plants a fault in a step after
 a warm run, with no reset.  The next one plants a mismatch in the first
 system of oracle-vs-rules and fe-vs-rules, which then count no later
@@ -11,9 +12,7 @@ system.  The last four test the ODE fast path of the minpoly checks: a
 unit planted in a source, a solution of the ODE that is no root of the
 relation, a relation whose ODE the counts fail and a relation with no
 ODE each print the line of the stateless residual, and the count of the
-check's one relation route is that residual's.  A fault planted in a
-template of the code core generates for the sweep prints its FAIL line
-cold, and after a warm run once the registry is emptied."""
+check's one relation route is that residual's."""
 
 import sys
 import threading
@@ -29,26 +28,68 @@ from invseq.checks import CHECKS, run_check
 from invseq.prefix import _STATES, Prefix
 from invseq.succession import SYSTEMS
 
-# a word of length n has n! choices: 1 * 2 * ... * n
-WORDS_THROUGH_8 = sum(map(factorial, range(9)))
+STRUCTURE = "structure-theorem"
 
 
 def _count_calls(monkeypatch):
-    """Wrap checks._avoider and checks._structure_checker, the per-length
-    accessors of the two sides, so that each function they return counts
-    its words; the returned Counters get, per accessor, the words its
-    functions were called on."""
+    """Wrap the mask builder and the two sliced sides that the check
+    reads from ``invseq.checks`` so that each counts the word lengths it
+    is called for (its argument n); returns a Counter of lengths per
+    name."""
     seen = {}
-    for name in ("_avoider", "_structure_checker"):
+    for name, at in (("_order_masks", 0), ("_sliced_checker", 0),
+                     ("_sliced_avoider", 1)):
         calls = seen[name] = Counter()
 
-        def accessor(*args, _real=getattr(checks, name), _calls=calls):
-            def counted(e, _test=_real(*args)):
-                _calls[e] += 1
-                return _test(e)
-            return counted
-        monkeypatch.setattr(checks, name, accessor)
+        def counted(*args, _real=getattr(checks, name), _calls=calls, _at=at):
+            _calls[args[_at]] += 1
+            return _real(*args)
+        monkeypatch.setattr(checks, name, counted)
     return seen
+
+
+def _index(e):
+    """The bit of the word e among the words of its length."""
+    w = 0
+    for size, v in enumerate(e, 1):
+        w = w * size + v
+    return w
+
+
+def _plant_word_fault(monkeypatch):
+    """Make the sliced checker wrong on the word 010 only."""
+    real = checks._sliced_checker
+    monkeypatch.setattr(checks, "_sliced_checker", lambda n, lt: (
+        real(n, lt) ^ (1 << _index((0, 1, 0)) if n == 3 else 0)))
+    return False, ["FAIL at e=010: checker False, avoidance True"]
+
+
+def _plant_group_fault(monkeypatch):
+    """The hit test min(right) < max(left) (order -1) of every compiled
+    group planted as max(right) > min(left) (order 1), which turns 201
+    into 102."""
+    real = core._compile
+
+    def planted(basis):
+        groups, searches = real(basis)
+        return tuple((rel, tuple((right_rel, 1 if order == -1 else order)
+                                 for right_rel, order in tests))
+                     for rel, tests in groups), searches
+    monkeypatch.setattr(core, "_compile", planted)
+    return False, ["FAIL at e=0102: checker True, avoidance False"]
+
+
+def _plant_checker_fault(monkeypatch):
+    """The sliced checker handed e[a] <= e[b] wherever it reads
+    e[a] < e[b]: "below the maximum" becomes "at most the maximum", and
+    two entries always count as different."""
+    real = checks._sliced_checker
+
+    def planted(n, lt):
+        full = (1 << factorial(n)) - 1
+        return real(n, {(a, b): full ^ lt[b, a] for a, b in lt})
+    monkeypatch.setattr(checks, "_sliced_checker", planted)
+    return False, ["FAIL at e=000: checker False, avoidance True"]
 
 
 def test_an_unknown_check_is_value_error_naming_the_checks(fresh_states):
@@ -65,22 +106,17 @@ def test_an_unknown_check_is_value_error_naming_the_checks(fresh_states):
 @pytest.mark.parametrize("order", [(5, 7, 6, 8), (8, 5)])
 def test_each_word_goes_to_each_route_once(order, monkeypatch,
                                            fresh_states):
+    """Each request decides each word through its depth once on each
+    side: the order masks and both sliced sides are run once per length
+    0..n, whatever ran before, and the registry stays empty."""
     seen = _count_calls(monkeypatch)
     for n in order:
-        assert run_check("structure-theorem", n)[0], n
-    assert WORDS_THROUGH_8 == 46234
-    for name, calls in seen.items():
-        assert sum(calls.values()) == WORDS_THROUGH_8, name
-        assert set(calls.values()) == {1}, name
-        assert max(map(len, calls)) == 8, name
-
-
-def _planted_checker(monkeypatch):
-    """Make the checker wrong on the word 010 only."""
-    real = checks._structure_checker
-    monkeypatch.setattr(checks, "_structure_checker",
-                        lambda n: lambda e, _check=real(n): (
-                            _check(e) != (e == (0, 1, 0))))
+        for calls in seen.values():
+            calls.clear()
+        assert run_check(STRUCTURE, n)[0], n
+        for name, calls in seen.items():
+            assert calls == Counter(range(n + 1)), (n, name)
+    assert not _STATES
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -90,84 +126,61 @@ def test_output_does_not_depend_on_request_order(planted, monkeypatch,
     and in descending order in one process, get the same lines, with and
     without a planted fault."""
     if planted:
-        _planted_checker(monkeypatch)
+        _plant_word_fault(monkeypatch)
     depths = (0, 2, 3, 7, 5, 6)
     cold = {}
     for n in depths:
         fresh_states()
-        cold[n] = run_check("structure-theorem", n)
+        cold[n] = run_check(STRUCTURE, n)
     assert cold[7][0] is not planted
     for order in (sorted(depths), sorted(depths, reverse=True), depths):
         fresh_states()
-        assert {n: run_check("structure-theorem", n) for n in order} == cold
+        assert {n: run_check(STRUCTURE, n) for n in order} == cold
 
 
 def test_a_fault_planted_after_a_warm_run_prints_the_cold_line(
         monkeypatch, fresh_states):
-    assert run_check("structure-theorem", 8) == (True, [
+    """A fault planted in a sliced side, or in the compiled groups the
+    matcher reads, after a warm run and with no reset, prints the FAIL
+    line of a cold run at every depth that reaches its word; removing
+    it prints the OK line again, and no request leaves a state."""
+    assert run_check(STRUCTURE, 8) == (True, [
         "OK: checker agrees with pattern avoidance for all inversion "
         "sequences through n=8"])
-    real = checks._structure_checker
-    _planted_checker(monkeypatch)
-    fail = (False, ["FAIL at e=010: checker False, avoidance True"])
-    for n in (8, 4, 3):
-        assert run_check("structure-theorem", n) == fail, n
-    assert run_check("structure-theorem", 2)[0]
-    monkeypatch.setattr(checks, "_structure_checker", real)
-    assert run_check("structure-theorem", 5)[0]
-    assert list(_STATES) == ["structure-theorem"]
+    for plant in (_plant_word_fault, _plant_group_fault,
+                  _plant_checker_fault):
+        with monkeypatch.context() as planting:
+            fail = plant(planting)
+            for n in (8, 4):
+                assert run_check(STRUCTURE, n) == fail, (plant, n)
+            assert run_check(STRUCTURE, 2)[0], plant
+            fresh_states()
+            assert run_check(STRUCTURE, 8) == fail, plant
+        assert run_check(STRUCTURE, 5)[0], plant
+    assert not _STATES
 
 
-def _plant_hit_fault(monkeypatch):
-    """min(right) < max(left) inverted in the matcher's generated code."""
-    wrong = core._HIT_CODE[-1].replace(" < ", " > ")
-    assert wrong != core._HIT_CODE[-1]
-    monkeypatch.setitem(core._HIT_CODE, -1, wrong)
-    return False, ["FAIL at e=0102: checker True, avoidance False"]
-
-
-def _plant_maximum_fault(monkeypatch):
-    """"below the maximum" as "at most the maximum" in the checker's
-    generated code."""
-    wrong = core._MAXIMUM_CODE.replace("(b{i} - 1)", "((b{i} << 1) - 1)")
-    assert wrong != core._MAXIMUM_CODE
-    monkeypatch.setattr(core, "_MAXIMUM_CODE", wrong)
-    return False, ["FAIL at e=0101: checker False, avoidance True"]
-
-
-def test_a_fault_in_the_generated_matcher_reaches_the_verify_line(
+def test_a_fault_in_a_compiled_group_reaches_the_verify_line(
         monkeypatch, fresh_states):
-    """The structure sweep matches its words by the code core generates
-    per length: min(right) < max(left) planted inverted there prints the
-    line that the same inversion planted in the loop of
-    core._middle_match printed when the sweep ran that loop."""
-    fail = _plant_hit_fault(monkeypatch)
-    assert run_check("structure-theorem", 6) == fail
+    """The sliced matcher reads the compiled groups of the basis: the hit
+    test min(right) < max(left) planted as max(right) > min(left) there
+    prints the line that the same inversion planted in the loop of
+    core._middle_match prints, at 0102, the first word that holds 102."""
+    fail = _plant_group_fault(monkeypatch)
+    assert run_check(STRUCTURE, 6) == fail
+    groups = core._compile(((2, 0, 1), (2, 1, 0)))[0]
+    assert core._middle_match((0, 1, 0, 2), groups)
+    assert not any(core._middle_match(e, groups) for e in
+                   [(0, 1, 0, 1), (0, 0, 2, 3), (0, 1, 2)])
 
 
-def test_a_fault_in_the_generated_checker_reaches_the_verify_line(
+def test_a_fault_in_the_sliced_checker_reaches_the_verify_line(
         monkeypatch, fresh_states):
-    """The structure sweep checks its words by the code core generates
-    per length: "below the maximum" planted as "at most the maximum" in
-    the test at a left-to-right maximum prints the line that the same
-    fault (the second-smallest value to the right compared with <=, not
-    <) printed when structure_check_201_210 kept the two smallest
-    values of the suffix in a loop."""
-    fail = _plant_maximum_fault(monkeypatch)
-    assert run_check("structure-theorem", 6) == fail
-
-
-@pytest.mark.parametrize("plant", [_plant_hit_fault, _plant_maximum_fault],
-                         ids=["_HIT_CODE", "_MAXIMUM_CODE"])
-def test_one_reset_makes_the_generated_code_cold(plant, monkeypatch,
-                                                 fresh_states):
-    """A fault planted in what core generates the sweep's code from,
-    after a warm run, prints the cold FAIL line once the registry is
-    emptied, and no cache needs clearing."""
-    assert run_check("structure-theorem", 6)[0]
-    fail = plant(monkeypatch)
-    _STATES.clear()
-    assert run_check("structure-theorem", 6) == fail
+    """A sliced checker handed non-strict comparisons for strict ones
+    fails the word 000 (two entries after a maximum, not below it), and
+    the verify line names it."""
+    fail = _plant_checker_fault(monkeypatch)
+    assert run_check(STRUCTURE, 6) == fail
 
 
 def test_concurrent_requests_share_consistent_states(fresh_states,
@@ -175,9 +188,10 @@ def test_concurrent_requests_share_consistent_states(fresh_states,
     """Eight threads request structure-theorem and system-201-210 at
     different depths at once; a tiny switch interval makes them
     interleave inside the checks.  Every answer is that of a cold run,
-    and the states left behind, their checkpoints unpickled, are those
-    of cold runs to their depths."""
-    requests = [(name, n) for name, depths in (("structure-theorem", (3, 6)),
+    and the state left behind, its checkpoints unpickled, is that of a
+    cold run of the system check to its depth; structure-theorem leaves
+    none."""
+    requests = [(name, n) for name, depths in ((STRUCTURE, (3, 6)),
                                                ("system-201-210", (20, 45)))
                 for n in depths for _ in range(2)]
     cold = {}
@@ -208,8 +222,7 @@ def test_concurrent_requests_share_consistent_states(fresh_states,
                 t.join(timeout=60)
                 assert not t.is_alive()
             assert sorted(answers) == sorted((r, cold[r]) for r in requests)
-            first = _STATES["structure-theorem"]._memo[0]
-            assert len(first) in (4, 7) and not any(first)
+            assert STRUCTURE not in _STATES
             found, level, _ = _STATES["system-201-210"]._memo
             assert len(found) in (21, 46) and not any(found)
             assert level == levels[len(found)]

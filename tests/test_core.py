@@ -1,11 +1,10 @@
 import itertools
-from collections import Counter
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invseq import core
-from invseq.checks import run_check
 from invseq.core import (
     avoids,
     contains,
@@ -21,6 +20,8 @@ from invseq.core import (
 
 
 def all_inversion_sequences(n):
+    """The inversion sequences of length n, in the order in which the
+    sliced sweep numbers them."""
     return itertools.product(*[range(i + 1) for i in range(n)])
 
 
@@ -216,24 +217,81 @@ PATTERNS_3 = [p for p in PATTERNS_1_4 if len(p) == 3]
 BASES_3 = [(p,) for p in PATTERNS_3] + list(itertools.combinations(PATTERNS_3, 2))
 
 
-def test_the_generated_matcher_equals_the_loop():
-    """The matcher core._avoider generates for a length agrees, on every
-    inversion sequence of that length up to 6, with the loop of
-    _middle_match for every basis of length-3 patterns."""
+def decoded(mask, n):
+    """The words of length n whose bits are set in mask."""
+    return [e for w, e in enumerate(all_inversion_sequences(n))
+            if mask >> w & 1]
+
+
+def test_value_masks_mark_each_entry_in_product_order():
+    """Every bit of every at[i][v] through length 7 is set exactly when
+    the word it numbers in the product order has e[i] = v, and no mask
+    has a bit past the n! words."""
+    for n in range(8):
+        words = list(all_inversion_sequences(n))
+        at = core._value_masks(n)
+        assert [len(row) for row in at] == list(range(1, n + 1))
+        for i, row in enumerate(at):
+            for v, mask in enumerate(row):
+                assert mask >> len(words) == 0, (n, i, v)
+                assert decoded(mask, n) == [e for e in words if e[i] == v], \
+                    (n, i, v)
+
+
+def test_order_masks_compare_the_entries():
+    """lt[a, b] through length 7 holds exactly the words with
+    e[a] < e[b], for every two positions a != b."""
+    for n in range(8):
+        words = list(all_inversion_sequences(n))
+        lt = core._order_masks(n)
+        assert sorted(lt) == [(a, b) for a in range(n) for b in range(n)
+                              if a != b]
+        for (a, b), mask in lt.items():
+            assert decoded(mask, n) == [e for e in words if e[a] < e[b]], \
+                (n, a, b)
+
+
+def sliced_answers(mask, n):
+    """The answer of a sliced side on each word of length n, in order."""
+    return [bool(mask >> w & 1) for w in range(factorial(n))]
+
+
+def test_the_sliced_matcher_equals_the_loop():
+    """The sliced matcher agrees, on every inversion sequence of length
+    up to 6, with the loop of _middle_match for every basis of length-3
+    patterns."""
     assert len(BASES_3) == 91
+    masks = [core._order_masks(n) for n in range(7)]
     for basis in BASES_3:
         groups = core._compile(basis)[0]
-        for n in range(7):
-            avoid = core._avoider(basis, n)
-            words = list(all_inversion_sequences(n))
-            assert ([avoid(e) for e in words]
-                    == [not core._middle_match(e, groups) for e in words]), basis
+        for n, lt in enumerate(masks):
+            assert (sliced_answers(core._sliced_avoider(basis, n, lt), n)
+                    == [not core._middle_match(e, groups)
+                        for e in all_inversion_sequences(n)]), basis
 
 
-def test_only_length_3_patterns_have_a_generated_matcher():
+@pytest.mark.parametrize("basis", [
+    ((2, 0, 1), (2, 1, 0)),
+    ((0, 1, 1), (2, 0, 1)),
+    ((0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 0)),
+    ((1, 0, 2),),
+], ids=["201-210", "011-201", "010-100-120-210", "102"])
+def test_the_sliced_matcher_equals_avoids_through_8(basis):
+    """On every inversion sequence of length at most 8, the sliced
+    matcher agrees with avoids, for the bases of the three rule systems
+    and one single pattern."""
+    for n in range(9):
+        answers = sliced_answers(
+            core._sliced_avoider(basis, n, core._order_masks(n)), n)
+        assert answers == [avoids(e, basis)
+                           for e in all_inversion_sequences(n)], n
+
+
+def test_only_length_3_patterns_have_a_sliced_matcher():
+    lt = core._order_masks(5)
     for basis in (((0, 1),), ((2, 0, 1), (0, 1, 0, 2))):
         with pytest.raises(ValueError):
-            core._avoider(basis, 5)
+            core._sliced_avoider(basis, 5, lt)
 
 
 def _any_word(n):
@@ -247,42 +305,10 @@ def _any_word(n):
 @given(st.lists(st.sampled_from([p for p in PATTERNS_1_4 if len(p) > 1]),
                 min_size=1, max_size=3),
        st.integers(min_value=0, max_value=14).flatmap(_any_word))
-def test_avoids_and_the_generated_matcher_match_definition_on_any_integer_word(
-        patterns, e):
-    """Bases mixing lengths 2 to 4, on any integer word up to 14 entries:
-    avoids, and the matcher generated for the word's length from the
-    basis's length-3 patterns."""
+def test_avoids_matches_definition_on_any_integer_word(patterns, e):
+    """Bases mixing lengths 2 to 4, on any integer word up to 14
+    entries."""
     assert avoids(e, patterns) == (not any(occurs(e, p) for p in patterns))
-    basis = tuple(p for p in patterns if len(p) == 3)
-    assert (core._avoider(basis, len(e))(tuple(e))
-            == (not any(occurs(e, p) for p in basis)))
-
-
-def test_only_the_sweep_generates_code_once_per_length_per_process(
-        monkeypatch, fresh_states):
-    """Single calls of the matcher and the structure checker generate
-    nothing; a structure-theorem sweep through 6 generates one checker
-    and one matcher per length 0 to 6, a second sweep none, and a sweep
-    after the registry is emptied one of each again."""
-    made = Counter()
-
-    def counted(source, filename, *args, _real=compile):
-        made[filename] += 1
-        return _real(source, filename, *args)
-    monkeypatch.setattr(core, "compile", counted, raising=False)
-    basis = ((2, 0, 1), (2, 1, 0))
-    for n in range(16):
-        for e in ((0,) * n, tuple(range(n)), tuple(range(n))[::-1]):
-            assert avoids(e, basis) == (not any(occurs(e, p) for p in basis))
-            assert structure_check_201_210(e) == avoids(e, basis)
-    assert not made
-    once = Counter(["<middle-entry test, n=%d>" % n for n in range(7)]
-                   + ["<structure checker, n=%d>" % n for n in range(7)])
-    for resets in range(1, 3):
-        for _ in range(2):
-            assert run_check("structure-theorem", 6)[0]
-        assert made == Counter({name: resets for name in once})
-        fresh_states()
 
 
 def test_contains_any_integer_word():
@@ -337,16 +363,16 @@ def two_smallest_check(e):
     return True
 
 
-def test_the_generated_checker_equals_the_loops():
-    """On every inversion sequence of length at most 8, the checker
-    core._structure_checker generates for its length agrees with the
-    bitmask loop of structure_check_201_210 and with the sweep of the
-    two smallest suffix values."""
+def test_the_sliced_checker_equals_the_loops():
+    """On every inversion sequence of length at most 8, the sliced
+    checker agrees with the bitmask loop of structure_check_201_210 and
+    with the sweep of the two smallest suffix values."""
     words = [e for n in range(9) for e in all_inversion_sequences(n)]
     assert len(words) == 46234
     checked = [structure_check_201_210(e) for e in words]
-    checkers = [core._structure_checker(n) for n in range(9)]
-    assert checked == [checkers[len(e)](e) for e in words]
+    sliced = [answer for n in range(9) for answer in sliced_answers(
+        core._sliced_checker(n, core._order_masks(n)), n)]
+    assert checked == sliced
     assert checked == [two_smallest_check(e) for e in words]
 
 
@@ -355,13 +381,8 @@ def test_the_generated_checker_equals_the_loops():
 @example([-2, -10**30, -3])  # 201 once standardized
 def test_structure_check_matches_avoidance_on_any_integer_word(e):
     """Any integer word up to 16 entries, with negative, out-of-range and
-    huge values and ties: the loop, the checker and the matcher
-    generated for its length, and avoids all agree."""
-    basis = ((2, 0, 1), (2, 1, 0))
-    expected = avoids(e, basis)
-    assert structure_check_201_210(e) == expected
-    assert core._structure_checker(len(e))(tuple(e)) == expected
-    assert core._avoider(basis, len(e))(tuple(e)) == expected
+    huge values and ties: the loop and avoids agree."""
+    assert structure_check_201_210(e) == avoids(e, ((2, 0, 1), (2, 1, 0)))
 
 
 def test_structure_check_matches_avoidance_small():

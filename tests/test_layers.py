@@ -12,8 +12,9 @@ form and the functional-equation iteration reach no succession code at all.  The
 the public registry in ``invseq.checks``, not through private names,
 every per-process state is a Prefix in the registry of
 ``invseq.prefix``, the only functools caches hold pattern data and the
-command line's parser, and the runtime imports nothing
-outside the standard library.  The oracle's counting and listing step
+command line's parser, no module runs generated code (exec, eval or
+compile), and the runtime imports nothing outside the standard
+library.  The oracle's counting and listing step
 one transition of its raw states.  Every top-level function and class
 of the runtime is read by the package or exported, so none serves tests
 alone.  These tests read the imports and definitions from the source
@@ -74,6 +75,36 @@ def test_the_import_reader_sees_every_form():
 def test_core_imports_no_counting_route():
     assert not {m for m, _ in _imports_of(core)} & {
         "oracle", "succession", "series"}
+
+
+def _code_runners(source):
+    """The lines of the source text that call exec, eval or the builtin
+    compile, by name or through ``builtins``; ``re.compile`` and other
+    methods of that name are not the builtin."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(
+                    func.value, ast.Name) and func.value.id == "builtins":
+                name = func.attr
+            else:
+                name = getattr(func, "id", None)
+            if name in ("exec", "eval", "compile"):
+                lines.add(node.lineno)
+    return lines
+
+
+def test_the_runtime_runs_no_generated_code():
+    """No module of the package calls exec, eval or the builtin compile:
+    core decides every word with code written in its source, the
+    structure sweep included, and generates none at run time."""
+    text = ("exec(s)\nx = eval('1')\nimport builtins\n"
+            "builtins.compile(s, 'f', 'exec')\nre.compile('a')\n"
+            "def f():\n    return compile(s, 'f', 'eval')\n")
+    assert _code_runners(text) == {1, 2, 4, 7}
+    for path in pathlib.Path(invseq.__file__).parent.glob("*.py"):
+        assert not _code_runners(path.read_text()), path.name
 
 
 def test_oracle_imports_only_pattern_validation():
@@ -437,8 +468,8 @@ def test_the_registry_is_the_only_module_state():
 def test_only_the_basis_compiler_and_the_parser_are_cached():
     """Every functools cache or lru_cache of the runtime decorates
     core._compile, which holds pattern data only, or cli._parser, which
-    hands out a fresh Namespace on every parse, so no generated code and
-    no count is kept outside the registry."""
+    hands out a fresh Namespace on every parse, so no count is kept
+    outside the registry."""
     cached = []
     for path in pathlib.Path(invseq.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())

@@ -1,16 +1,15 @@
-"""The per-process prefix of ``invseq.prefix`` on each of the nine
+"""The per-process prefix of ``invseq.prefix`` on each of the eight
 routes that keep one and read no other route: the three rule systems
 (the rules memo), the (k,F,F) slice of ``_ff_slice_prefix``, the
 census and residual rows of the 201-210 system behind
 ``_check_system_violation`` (the route "census"), the closed form
-behind ``f_coefficients``, the functional-equation iteration of each
-2-parameter system behind ``iterate_fe`` and the first disagreements
-per length behind structure-theorem.  Each test starts from empty
+behind ``f_coefficients`` and the functional-equation iteration of each
+2-parameter system behind ``iterate_fe``.  Each test starts from empty
 prefixes, compares with a run of the route (start, step, args) from its
 start, and plants failures or watchers in what the route's step runs,
 or plants another step.  The relation routes of minpoly-A, minpoly-B
-and minpoly-F, which read those prefixes, make twelve in the registry;
-the test of ``Prefix.count`` reads all twelve, and ``test_series`` and
+and minpoly-F, which read those prefixes, make eleven in the registry;
+the test of ``Prefix.count`` reads all eleven, and ``test_series`` and
 ``test_checks`` test the other three."""
 
 import ast
@@ -44,8 +43,7 @@ SERIES_REQUESTS = {
     **{"iterate_fe:" + system_id: (lambda n, s=system_id: series.iterate_fe(s, n))
        for system_id in FE_IDS},
 }
-STRUCTURE = "structure-theorem"
-NAMES = (*SYSTEMS, *SERIES_REQUESTS, STRUCTURE)
+NAMES = (*SYSTEMS, *SERIES_REQUESTS)
 # the routes whose step of x^0 forms it from the axiom, without running
 # what _slot plants in
 FROM_THE_AXIOM = ("census", *("iterate_fe:" + s for s in FE_IDS))
@@ -61,15 +59,6 @@ def _fresh_system(system_id):
                       s.state_str, s.kernel, s.to_dense, s.to_dict, s.render)
 
 
-def _planted_checker(monkeypatch):
-    """Make the structure checker wrong on the word 010 only, so that
-    the structure route checks no word past length 3."""
-    real = checks._structure_checker
-    monkeypatch.setattr(checks, "_structure_checker",
-                        lambda n: lambda e, _check=real(n): (
-                            _check(e) != (e == (0, 1, 0))))
-
-
 def _slot(name, monkeypatch):
     """(namespace, key) where the named route's step, or for the census
     the kernel its step is given, is looked up when a request runs."""
@@ -83,16 +72,12 @@ def _slot(name, monkeypatch):
         return vars(series), "_fast_step_201_210"
     if name == "f_coefficients":
         return vars(series), "_f_step"
-    if name == STRUCTURE:
-        return vars(checks), "_structure_step"
     return series._FE_STEP, name.split(":")[1]
 
 
 def _request(name):
     if name in SYSTEMS:
         return lambda n: succession.rule_counting_sequence(name, n)
-    if name == STRUCTURE:
-        return lambda n: run_check(STRUCTURE, n)
     return SERIES_REQUESTS[name]
 
 
@@ -100,14 +85,10 @@ def _route(name, monkeypatch):
     """(prefix, current, slot) for the named route: its Prefix in the
     registry, emptied, made with a forwarding step installed in slot (see
     _slot) that runs current[0], the real step at first, so that a test
-    swaps what the step runs without changing the prefix's key.  The
-    structure route runs on a planted checker (see _planted_checker),
-    so that it reaches any depth."""
+    swaps what the step runs without changing the prefix's key."""
     namespace, key = slot = _slot(name, monkeypatch)
     current = [namespace[key]]
     monkeypatch.setitem(namespace, key, lambda *args: current[0](*args))
-    if name == STRUCTURE:
-        _planted_checker(monkeypatch)
     _request(name)(0)
     (prefix,) = [s for s in _STATES.values() if isinstance(s, Prefix)]
     prefix._memo = None
@@ -322,37 +303,6 @@ def test_a_planted_route_replaces_the_prefix(name, monkeypatch,
         stored = new
 
 
-def test_a_planted_checker_replaces_the_structure_prefix(monkeypatch,
-                                                         fresh_states):
-    """A checker accessor planted in ``invseq.checks`` after a warm
-    request to length 6 is checked from the empty word in a prefix of its
-    own, which replaces the stored one, and gives the line of a cold run
-    on it; restoring the real accessor replaces that prefix in turn."""
-    real = checks._structure_checker
-    assert run_check(STRUCTURE, 6)[0]
-    _planted_checker(monkeypatch)
-    planted = checks._structure_checker
-    real_step = checks._structure_step
-    steps = [0]
-
-    def counted(*args):
-        steps[0] += 1
-        return real_step(*args)
-    monkeypatch.setattr(checks, "_structure_step", counted)
-    stored = _STATES[STRUCTURE]
-    for checker, line in (
-            (planted, (False, ["FAIL at e=010: checker False, avoidance True"])),
-            (real, (True, ["OK: checker agrees with pattern avoidance for all "
-                           "inversion sequences through n=5"]))):
-        monkeypatch.setattr(checks, "_structure_checker", checker)
-        steps[0] = 0
-        assert run_check(STRUCTURE, 5) == line
-        assert steps[0] == 6
-        new = _STATES[STRUCTURE]
-        assert new is not stored and new.route[2][0] is checker
-        stored = new
-
-
 def test_state_profile_resumes_from_the_nearest_stored_level(monkeypatch,
                                                             fresh_states):
     """A profile at depth n, once the memo is 150 deep and so keeps a
@@ -497,13 +447,13 @@ def test_an_interrupted_wider_extension_keeps_levels_it_can_step(
 # check[:entry of _FE_STEP] -> (namespace, key) of what the check's route
 # runs, and the depth a call of it asks for: the closed form's step the
 # x-degree it forms, a functional equation's step and the 201-210 kernel
-# one past the x-degree of their input, the structure checker's accessor
-# the word length it is asked for
+# one past the x-degree of their input, and the order masks that
+# structure-theorem builds per request the word length they are built for
 PAST = {
     "gf-vs-rules": (vars(series), "_f_step", lambda level: level[0]),
     **{"fe-vs-rules:" + system_id: (series._FE_STEP, system_id, len)
        for system_id in FE_IDS},
-    "structure-theorem": (vars(checks), "_structure_checker",
+    "structure-theorem": (vars(checks), "_order_masks",
                           lambda length: length),
     "system-201-210": (vars(series), "_fast_step_201_210",
                        lambda level: len(level[0])),
@@ -631,14 +581,14 @@ def test_each_prefix_is_distinct_and_served_by_its_own_route(monkeypatch,
 
 
 def test_count_reads_the_count_of_counts(fresh_states):
-    """On each of the twelve routes in the registry, count(n) is
+    """On each of the eleven routes in the registry, count(n) is
     counts(n)[n], below and past the stored depth, and a negative depth
     raises ValueError."""
     for name in NAMES:
         _request(name)(3)
     for name in ("minpoly-A", "minpoly-B", "minpoly-F"):
         assert run_check(name, 3)[0], name
-    assert len(_STATES) == 12
+    assert len(_STATES) == 11
     for key, prefix in _STATES.items():
         for n in (2, 0, 7, 5):
             assert prefix.count(n) == prefix.counts(n)[n], (key, n)
@@ -776,14 +726,13 @@ def _same(a, b):
 
 def test_every_route_keeps_few_checkpoints_that_unpickle_to_its_levels(
         capsys, fresh_states, stored_levels):
-    """After every check at its default depth, but structure-theorem at
-    length 7, and one request of each command, each prefix in the
-    registry holds at most _KEEP + 1 checkpoints, and each unpickles to
-    the level of a run of its route from the start at its depth, with
-    the same list and tuple types inside.  The (k,F,F) slice, at 1500
-    deep, holds 12."""
+    """After every check at its default depth and one request of each
+    command, each prefix in the registry holds at most _KEEP + 1
+    checkpoints, and each unpickles to the level of a run of its route
+    from the start at its depth, with the same list and tuple types
+    inside.  The (k,F,F) slice, at 1500 deep, holds 12."""
     for name, (_, depth) in CHECKS.items():
-        assert run_check(name, 7 if name == STRUCTURE else depth)[0], name
+        assert run_check(name, depth)[0], name
     for argv in (["count", "--system", "201-210", "--n", "300"],
                  ["count", "--system", "201-210", "--method", "gf",
                   "--n", "150"],
@@ -796,7 +745,7 @@ def test_every_route_keeps_few_checkpoints_that_unpickle_to_its_levels(
                  ["diagram", "--system", "201-210", "--n-max", "2"]):
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
-    assert len(_STATES) == 16
+    assert len(_STATES) == 15
     for key, prefix in _STATES.items():
         start, step, args = prefix.route
         stored = stored_levels(prefix)

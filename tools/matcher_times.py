@@ -1,20 +1,18 @@
-"""Print the time the core matcher and the structure checker take on
-whole sweeps of inversion sequences.
+"""Print the time the core matcher, the structure checker and the
+structure-theorem check take.
 
 Three tables, each time the least of RUNS runs, in milliseconds, with
 the first run beside it:
 
-  * the structure checker alone, generated for the length by
-    ``invseq.core._structure_checker`` on each run, on every inversion
-    sequence of length 6 to 9;
-  * the step of the structure prefix (``invseq.checks._structure_step``)
-    at lengths 6 to 9: the checker and the avoidance test of {201, 210},
-    each generated once for the length, on every inversion sequence of
-    that length, as verify's structure-theorem check runs them;
-  * single calls, which run the loops and generate nothing, on every
-    inversion sequence of length 8: ``structure_check_201_210``, and
-    ``avoids`` for {201, 210}, {010, 102} and the four patterns of
-    010-100-120-210.
+  * single calls, which run the loops, on every inversion sequence of
+    length 8: ``structure_check_201_210``, and ``avoids`` for
+    {201, 210}, {010, 102} and the four patterns of 010-100-120-210;
+  * the sliced sweep at lengths 6 to 9, per part: the order masks of
+    the length (``invseq.core._order_masks``), then the sliced checker
+    and the sliced matcher of {201, 210} on those masks, as verify's
+    structure-theorem check runs them;
+  * ``run_check("structure-theorem", n)`` at n = 5 to 9, which keeps no
+    state, so every run is a cold request.
 
 Run in a fresh interpreter, from the root of the repository; standard
 library only:
@@ -29,9 +27,10 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from invseq.checks import _structure_step  # noqa: E402
+from invseq.checks import run_check  # noqa: E402
 from invseq.core import (  # noqa: E402
-    _avoider, _structure_checker, avoids, structure_check_201_210)
+    _order_masks, _sliced_avoider, _sliced_checker, avoids,
+    structure_check_201_210)
 
 RUNS = 5
 BASES = {
@@ -51,31 +50,27 @@ def times_ms(run):
     return times[0], min(times)
 
 
-def words(n):
-    """Every inversion sequence of length n."""
-    return list(itertools.product(*map(range, range(1, n + 1))))
+def row(name, first, least):
+    print("%-32s %9.2f ms  (first %.2f ms)" % (name, least, first))
 
 
 if __name__ == "__main__":
-    for n in range(6, 10):
-        length_n = words(n)
-        first, least = times_ms(
-            lambda: list(map(_structure_checker(n), length_n)))
-        print("structure checker, n=%d   %9.2f ms  (first %.2f ms)"
-              % (n, least, first))
-    del length_n  # garbage collection would walk its tuples in the rows below
+    length_8 = list(itertools.product(*map(range, range(1, 9))))
+    row("structure_check_201_210 n=8", *times_ms(
+        lambda: [structure_check_201_210(e) for e in length_8]))
+    for name, basis in BASES.items():
+        row("avoids %s n=8" % name, *times_ms(
+            lambda: [avoids(e, basis) for e in length_8]))
+    del length_8  # garbage collection would walk its tuples in the rows below
     basis = BASES["201,210"]
     for n in range(6, 10):
-        first, least = times_ms(lambda: _structure_step(
-            (n, None), _structure_checker, _avoider, basis))
-        print("structure step, n=%d      %9.2f ms  (first %.2f ms)"
-              % (n, least, first))
-    length_8 = words(8)
-    first, least = times_ms(
-        lambda: [structure_check_201_210(e) for e in length_8])
-    print("structure_check_201_210 n=8 %8.2f ms  (first %.2f ms)"
-          % (least, first))
-    for name, basis in BASES.items():
-        first, least = times_ms(lambda: [avoids(e, basis) for e in length_8])
-        print("avoids %-17s n=8 %9.2f ms  (first %.2f ms)"
-              % (name, least, first))
+        lt = _order_masks(n)
+        row("order masks n=%d" % n, *times_ms(lambda: _order_masks(n)))
+        row("sliced checker n=%d" % n, *times_ms(
+            lambda: _sliced_checker(n, lt)))
+        row("sliced matcher 201,210 n=%d" % n, *times_ms(
+            lambda: _sliced_avoider(basis, n, lt)))
+    del lt
+    for n in range(5, 10):
+        row("structure-theorem check n=%d" % n, *times_ms(
+            lambda: run_check("structure-theorem", n)))
