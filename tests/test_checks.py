@@ -183,6 +183,23 @@ def test_a_fault_in_the_sliced_checker_reaches_the_verify_line(
     assert run_check(STRUCTURE, 6) == fail
 
 
+@pytest.mark.parametrize("plant", [_plant_group_fault, _plant_checker_fault],
+                         ids=["_HIT_CODE", "_MAXIMUM_CODE"])
+def test_one_reset_makes_the_generated_code_cold(plant, monkeypatch,
+                                                 fresh_states):
+    """A fault planted after a warm run in the hit test the matcher reads
+    (id _HIT_CODE) or in the "below the maximum" test of the checker (id
+    _MAXIMUM_CODE), the two tests the sweep once ran as generated code,
+    prints the cold FAIL line once the registry is emptied, as it does
+    with no reset, and no cache needs clearing."""
+    assert run_check(STRUCTURE, 6)[0]
+    fail = plant(monkeypatch)
+    assert run_check(STRUCTURE, 6) == fail
+    _STATES.clear()
+    assert run_check(STRUCTURE, 6) == fail
+    assert not _STATES
+
+
 def test_concurrent_requests_share_consistent_states(fresh_states,
                                                     stored_levels):
     """Eight threads request structure-theorem and system-201-210 at

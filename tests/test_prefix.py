@@ -17,6 +17,7 @@ import inspect
 import sys
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -44,6 +45,7 @@ SERIES_REQUESTS = {
        for system_id in FE_IDS},
 }
 NAMES = (*SYSTEMS, *SERIES_REQUESTS)
+STRUCTURE = "structure-theorem"
 # the routes whose step of x^0 forms it from the axiom, without running
 # what _slot plants in
 FROM_THE_AXIOM = ("census", *("iterate_fe:" + s for s in FE_IDS))
@@ -301,6 +303,36 @@ def test_a_planted_route_replaces_the_prefix(name, monkeypatch,
         _, new_step, args = new.route
         assert new is not stored and step in (new_step, *args)
         stored = new
+
+
+def test_a_planted_checker_replaces_the_structure_prefix(monkeypatch,
+                                                         fresh_states):
+    """structure-theorem keeps no prefix, so none can outlive a checker
+    planted in ``invseq.checks`` after a warm request to length 6: the
+    planted checker, and then the real one restored, are each asked for
+    every length from the empty word up, once, until the first length
+    that fails, give the line of a cold run on them and leave no state."""
+    real = checks._sliced_checker
+    assert run_check(STRUCTURE, 6)[0]
+
+    def planted(n, lt):
+        # 010 is word 3 of length 3, in the order of itertools.product
+        return real(n, lt) ^ (1 << 3 if n == 3 else 0)
+    lengths = Counter()
+
+    def counted(n, lt):
+        lengths[n] += 1
+        return checker(n, lt)
+    monkeypatch.setattr(checks, "_sliced_checker", counted)
+    for checker, line, through in (
+            (planted, (False, ["FAIL at e=010: checker False, avoidance True"]),
+             3),
+            (real, (True, ["OK: checker agrees with pattern avoidance for all "
+                           "inversion sequences through n=5"]), 5)):
+        lengths.clear()
+        assert run_check(STRUCTURE, 5) == line
+        assert lengths == Counter(range(through + 1))
+        assert STRUCTURE not in _STATES
 
 
 def test_state_profile_resumes_from_the_nearest_stored_level(monkeypatch,
