@@ -38,30 +38,28 @@ far, or a line of text.  No step mutates a level.
 
 A Prefix keeps the counts at depths 0..L-1 and the level at depth L,
 the level it steps next, for the deepest L any request in this process
-has reached, and checkpoints, spaced at s(target) per extension, keyed
-by depth: {0: the level at depth 0, as the route starts it, d: the
-level at depth d, pickled, ...}.  An extension to depth n takes s(n),
-the least power of two s with n <= _KEEP * s (so 8 through depth 128
-and 64 through 1024), keeps only the checkpoints at multiples of s and
-packs only the levels it steps at multiples of s.  So a prefix holds at
-most _KEEP + 1 (17) checkpoints, and once an extension completes to
-depth L they are those at 0, s(L), 2s(L), ... up to L, unless a step of
-an earlier extension raised.  An extension to n that raises at depth d
-puts back the checkpoints it thinned, packs the last level it stepped
-at a multiple of s(d) past its last pack, and keeps those at multiples
-of s(d); that leaves gaps of s(n) only between the depth it started
-from and that level, which a later extension keeps as they are:
+has reached, and checkpoints keyed by depth: {0: the level at depth 0,
+as the route starts it, s: the level at depth s, 2s: ...} up to L, s =
+s(L) the least power of two with L <= _KEEP * s (so 8 through depth 128
+and 64 through 1024).  A checkpoint is the very level an extension
+stepped past, not a copy.  An extension keeps each level it steps at a
+multiple of s(depth), and at the step that takes the depth past _KEEP *
+s it drops the checkpoints that are not multiples of the new s, in a new
+dict.  So a published prefix holds at most _KEEP + 1 (17) checkpoints,
+always the ones of its depth, and a step that raises leaves the last
+published prefix as it stands:
 
   * counts(n) steps depths L..n, and nothing when L > n, and so does
     count(n), which reads the count at n without copying; level(n) first
     reaches depth n - 1, then returns the stored level if it is at depth
-    n, and otherwise unpickles the deepest checkpoint at or below n and
-    steps it, outside the lock;
+    n, and otherwise steps the deepest checkpoint at or below n, fewer
+    than s(L) levels, outside the lock;
   * an extension holds the prefix's lock while it steps, and publishes
     the counts, the level and the checkpoints after every step, so the
-    old level is freed as soon as its step returns, and a step that
-    raises at depth d leaves the counts at depths 0..d-1 and the level
-    at d; an empty prefix whose first step raises stays empty;
+    old level is freed as soon as its step returns unless it is a
+    checkpoint, and a step that raises at depth d leaves the counts at
+    depths 0..d-1, the level at d and the checkpoints of depth d; an
+    empty prefix whose first step raises stays empty;
   * a thread that asks while another extends waits for it, so a
     process steps each depth once, across threads too, and a single
     request does the work of a run from the start;
@@ -73,10 +71,7 @@ from and that level, which a later extension keeps as they are:
     extension stops as soon as what is published is not what it last
     published, and reads the published prefix again;
   * an extension copies the counts it starts from once, so no prefix
-    published before it began is mutated;
-  * pickle is imported by the first pack, not with this module, so that
-    a process that never stores a checkpoint past depth 0 never loads
-    it.
+    published before it began is mutated.
 
 >>> def double(level):
 ...     return 2 * level, level
@@ -135,9 +130,6 @@ class Prefix:
                 return level
             depth = max(d for d in checkpoints if d <= n)
             level = checkpoints[depth]
-        if depth:
-            import pickle
-            level = pickle.loads(level)
         _, step, args = self.route
         for _ in range(n - depth):
             level = step(level, *args)[0]
@@ -146,67 +138,39 @@ class Prefix:
     def _reach(self, n):
         """The prefix as (counts, level, checkpoints), at least n deep:
         the counts at depths 0..L-1, the level at depth L >= n and
-        {depth: level} at 0 and at multiples of the spacing, all but the
-        first pickled.  Callers must not mutate them.  A published
-        prefix n deep is returned without the lock, and while another
-        thread extends it its counts may run past L, so a caller that
-        reads the level or the checkpoints holds the lock."""
+        {depth: level} at 0 and at the multiples of s(L) up to L.
+        Callers must not mutate them.  A published prefix n deep is
+        returned without the lock, and while another thread extends it
+        its counts may run past L, so a caller that reads the level or
+        the checkpoints holds the lock."""
         if n < 0:
             raise ValueError("n must be non-negative")
         memo = self._memo
         if memo is not None and len(memo[0]) >= n:
             return memo
         start, step, args = self.route
-        spacing = self._spacing(n)
         with self._lock:
             while True:
-                memo = begun = self._memo
-                counts, level, kept = memo or ([], start, {0: start})
+                memo = self._memo
+                counts, level, checkpoints = memo or ([], start, {0: start})
                 if len(counts) >= n:
-                    return counts, level, kept
+                    return counts, level, checkpoints
                 counts = list(counts)
-                checkpoints = {d: c for d, c in kept.items()
-                               if d % spacing == 0}
-                spare = {}
-                try:
-                    while len(counts) < n:
-                        level, count = step(level, *args)
-                        if self._memo is not memo:
-                            break
-                        counts.append(count)
-                        depth = len(counts)
-                        if depth % spacing == 0:
-                            checkpoints = {**checkpoints,
-                                           depth: _pack(level)}
-                            spare = {}
-                        elif depth % self._spacing(depth) == 0:
-                            spare = {depth: level}
-                        self._memo = memo = counts, level, checkpoints
-                except BaseException:
-                    if self._memo is memo is not begun:
-                        self._memo = counts, level, self._restored(
-                            len(counts), kept, checkpoints, spare)
-                    raise
+                spacing = self._spacing(len(counts))
+                while len(counts) < n:
+                    level, count = step(level, *args)
+                    if self._memo is not memo:
+                        break
+                    counts.append(count)
+                    depth = len(counts)
+                    if depth > self._KEEP * spacing:
+                        spacing *= 2
+                        checkpoints = {d: c for d, c in checkpoints.items()
+                                       if d % spacing == 0}
+                    if depth % spacing == 0:
+                        checkpoints = {**checkpoints, depth: level}
+                    self._memo = memo = counts, level, checkpoints
 
     def _spacing(self, n):
         """s(n), the least power of two s with n <= _KEEP * s."""
-        return 1 << ((n - 1) // self._KEEP).bit_length()
-
-    def _restored(self, depth, kept, checkpoints, spare):
-        """The checkpoints a prefix depth deep publishes when a step of an
-        extension raises: those at multiples of s(depth) among the ones
-        kept before the extension, the ones it packed and spare, which
-        maps the last depth it stepped at a multiple of s(that depth)
-        after its last pack to the level there, packed here."""
-        spacing = self._spacing(depth)
-        spare = {d: _pack(level) for d, level in spare.items()
-                 if d % spacing == 0}
-        return {d: c for d, c in {**kept, **checkpoints, **spare}.items()
-                if d % spacing == 0}
-
-
-def _pack(level):
-    """level pickled, pickle imported on the first call (see the module
-    docstring)."""
-    import pickle
-    return pickle.dumps(level, pickle.HIGHEST_PROTOCOL)
+        return 1 << (max(n - 1, 0) // self._KEEP).bit_length()

@@ -276,8 +276,7 @@ def _prepared(level):
     is repacked first, at _lane_width(total, len(cols)) bits a lane,
     each lane's bytes padded with zero bytes."""
     w, cols = level
-    sums = list(accumulate(reversed(cols)))
-    sums.reverse()
+    sums = _suffix_sums(cols)
     total = sums[0] % ((1 << w) - 1)
     m = len(cols)
     if w < total.bit_length() + m.bit_length() + 1:
@@ -286,8 +285,7 @@ def _prepared(level):
         cols = [int.from_bytes(pad.join(_lane_bytes(col, w)), "little")
                 for col in cols]
         w = wide
-        sums = list(accumulate(reversed(cols)))
-        sums.reverse()
+        sums = _suffix_sums(cols)
     return w, cols, sums, total
 
 

@@ -1,7 +1,5 @@
 """Shared fixtures."""
 
-import pickle
-
 import pytest
 
 from invseq.prefix import _STATES
@@ -22,10 +20,9 @@ def fresh_states():
 
 def _stored_levels(prefix):
     """The checkpoints of a published prefix L deep as [(depth, level)],
-    the first its route's start and the others unpickled, once they are
-    checked against the policy of ``invseq.prefix``: one at each depth
-    0, s, 2s, ... up to L, s the least power of two with L <= _KEEP * s,
-    so at most _KEEP + 1, each but the first pickled."""
+    the first its route's start, once they are checked against the
+    policy of ``invseq.prefix``: one at each depth 0, s, 2s, ... up to L,
+    s the least power of two with L <= _KEEP * s, so at most _KEEP + 1."""
     counts, _, checkpoints = prefix._memo
     depth, spacing = len(counts), 1
     while depth > prefix._KEEP * spacing:
@@ -33,9 +30,7 @@ def _stored_levels(prefix):
     assert sorted(checkpoints) == list(range(0, depth + 1, spacing))
     assert len(checkpoints) <= prefix._KEEP + 1
     assert checkpoints[0] is prefix.route[0]
-    assert all(isinstance(checkpoints[d], bytes) for d in checkpoints if d)
-    return [(0, checkpoints[0]), *((d, pickle.loads(checkpoints[d]))
-                                   for d in sorted(checkpoints) if d)]
+    return sorted(checkpoints.items())
 
 
 @pytest.fixture

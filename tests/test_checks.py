@@ -205,8 +205,8 @@ def test_concurrent_requests_share_consistent_states(fresh_states,
     """Eight threads request structure-theorem and system-201-210 at
     different depths at once; a tiny switch interval makes them
     interleave inside the checks.  Every answer is that of a cold run,
-    and the state left behind, its checkpoints unpickled, is that of a
-    cold run of the system check to its depth; structure-theorem leaves
+    and the state left behind, its checkpoints too, is that of a cold
+    run of the system check to its depth; structure-theorem leaves
     none."""
     requests = [(name, n) for name, depths in ((STRUCTURE, (3, 6)),
                                                ("system-201-210", (20, 45)))

@@ -213,17 +213,19 @@ def test_a_read_of_the_package_root_imports_the_home_of_the_name(read, loaded):
     assert _footprints(code, "-S") == [("read", ["invseq", *loaded])]
 
 
-def test_the_first_checkpoint_imports_pickle():
-    """The command line's import and parser, what ``setup_s`` times,
-    leave pickle unimported: a prefix imports it when it packs its first
-    checkpoint past depth 0 (see ``invseq.prefix``)."""
-    assert _footprints(
-        "import invseq.cli\ninvseq.cli.build_parser()\n"
-        "mark('cli', ('pickle',))\n"
-        "run('count', '--system', '201-210', '--n', '6')\n"
-        "mark('count', ('pickle',))\n") == [
-        ("cli", []), ("count --system 201-210 --n 6", []),
-        ("count", ["pickle"])]
+def test_no_request_imports_pickle():
+    """A prefix keeps its checkpoints as the levels it stepped past (see
+    ``invseq.prefix``), so no request loads pickle: not a count, not a
+    profile below the memo's depth, which steps from a checkpoint, and
+    not any check at its default depth."""
+    requests = [("count", "--system", "201-210", "--n", "300"),
+                ("profile", "--system", "201-210", "--n", "250"),
+                *(("verify", "--check", name) for name in CHECKS)]
+    code = "".join("run(*%r)\n" % (argv,) for argv in requests)
+    marks = _footprints(code + "mark('pickle', ('pickle',))\n")
+    assert [label for label, _ in marks] == [
+        *(" ".join(argv) for argv in requests), "pickle"]
+    assert marks[-1] == ("pickle", [])
 
 
 def test_only_requests_that_read_series_load_it():

@@ -21,7 +21,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, HealthCheck, settings, strategies as st
+from hypothesis import example, given, HealthCheck, settings, strategies as st
 
 from invseq import checks, cli, prefix as prefix_module, series, succession
 from invseq.checks import CHECKS, run_check
@@ -136,8 +136,8 @@ def _assert_answers_equal(prefix, cold, stored_levels):
     """The prefix's counts and levels equal the run from the start, cold
     = [(level, count) for depths 0..len(cold) - 1], for requests through
     len(cold) - 2, so that the level the prefix steps next is in cold,
-    and each checkpoint unpickles to the level of the run at its depth
-    (see the fixture stored_levels)."""
+    and each checkpoint is the level of the run at its depth (see the
+    fixture stored_levels)."""
     top = len(cold) - 2
     for n in (0, 3, 20, 63, 64, 65, 100, top - 7, top):
         if n > top:
@@ -358,7 +358,7 @@ def test_state_profile_resumes_from_the_nearest_stored_level(monkeypatch,
 def test_a_profile_right_after_a_count_steps_nothing(system_id, monkeypatch,
                                                      fresh_states):
     """A count through n = 120 leaves the memo 121 deep with a checkpoint
-    every 8 depths, so the profile at 120 that follows it unpickles the
+    every 8 depths, so the profile at 120 that follows it reads the
     checkpoint at 120 and steps no level, and the profile at 119 steps
     7, from 112; both equal the levels of a run from the axiom."""
     memo, current, _ = _route(system_id, monkeypatch)
@@ -408,27 +408,86 @@ def test_steps_per_request_on_every_route(fresh_states, name, counts, levels):
             assert steps[0] == (n % spacing if n < depth else n - depth), n
 
 
-def test_an_extension_packs_only_the_levels_it_keeps(monkeypatch):
-    """An extension to depth n packs a level only at multiples of the
-    spacing s(n) it keeps: a cold counts(1000) packs the 15 levels at
-    64, 128, ..., 960, and counts(20) then counts(100) pack the 10 at
-    2, 4, ..., 20 and then the 10 at 24, 32, ..., 96."""
-    packed = []
+def _spacing(depth):
+    """s(depth), the least power of two s with depth <= _KEEP * s."""
+    spacing = 1
+    while depth > Prefix._KEEP * spacing:
+        spacing *= 2
+    return spacing
 
-    def counting(level):
-        packed.append(level)
-        return real(level)
-    real = prefix_module._pack
-    monkeypatch.setattr(prefix_module, "_pack", counting)
-    Prefix(0, lambda level: (level + 1, level)).counts(1000)
-    assert packed == list(range(64, 1000, 64))
-    packed.clear()
-    prefix = Prefix(0, lambda level: (level + 1, level))
-    prefix.counts(20)
-    assert packed == list(range(2, 21, 2))
-    packed.clear()
-    prefix.counts(100)
-    assert packed == list(range(24, 101, 8))
+
+def test_every_published_prefix_holds_the_checkpoints_of_its_depth():
+    """A step that reads the published prefix at every depth of a cold
+    counts(1000), and of counts(20) then counts(100), finds at depth d
+    exactly the checkpoints at 0, s, 2s, ... up to d, s = s(d), at most
+    _KEEP + 1 of them, each the level at its depth.  The counts list
+    grows in place, so its length is read when the step runs."""
+    seen = []
+
+    def published():
+        memo = prefix._memo
+        seen.append(memo and (len(memo[0]), memo[2]))
+
+    def watching(level):
+        published()
+        return level + 1, level
+    for requests in ((1000,), (20, 100)):
+        prefix = Prefix(0, watching)
+        seen.clear()
+        for n in requests:
+            prefix.counts(n)
+        published()
+        assert seen[0] is None
+        assert [depth for depth, _ in seen[1:]] == \
+            list(range(1, requests[-1] + 2))
+        for depth, checkpoints in seen[1:]:
+            assert sorted(checkpoints) == \
+                list(range(0, depth + 1, _spacing(depth))), depth
+            assert len(checkpoints) <= Prefix._KEEP + 1
+            assert all(level == d for d, level in checkpoints.items())
+
+
+_prefix_requests = st.lists(
+    st.tuples(st.sampled_from(("counts", "level")), st.integers(0, 400)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_prefix_requests, st.integers(0, 400))
+@example([("counts", 100), ("counts", 1000)], 200)
+def test_any_requests_leave_the_checkpoints_of_the_depth_reached(requests,
+                                                                 fails_at):
+    """After each of any counts and level requests on a prefix whose step
+    raises once, when it is given the level at depth fails_at, the prefix
+    L deep holds exactly the checkpoints at 0, s, 2s, ... up to L, s =
+    s(L), each the level at its depth, and level(m) steps fewer than s
+    levels for every m <= L.  The example pinned: counts(100), then a
+    counts(1000) that raises at depth 200, keeps every multiple of 16
+    through 192; spacing checkpoints by the target depth kept only 0,
+    16, ..., 96, 128 and 192 there, and level(190) stepped 62 levels."""
+    steps, armed = [0], [True]
+
+    def step(level):
+        if level == fails_at and armed:
+            armed.clear()
+            raise Planted
+        steps[0] += 1
+        return level + 1, level
+    prefix = Prefix(0, step)
+    for ask, n in requests:
+        try:
+            getattr(prefix, ask)(n)
+        except Planted:
+            pass
+        counts, _, checkpoints = prefix._memo or ([], 0, {0: 0})
+        depth, spacing = len(counts), _spacing(len(counts))
+        assert counts == list(range(depth))
+        assert sorted(checkpoints) == list(range(0, depth + 1, spacing))
+        assert all(level == d for d, level in checkpoints.items())
+        for m in range(depth + 1):
+            steps[0] = 0
+            assert prefix.level(m) == m
+            assert steps[0] < spacing, (depth, m)
 
 
 def test_an_interrupted_wider_extension_keeps_levels_it_can_step(
@@ -760,8 +819,8 @@ def test_every_route_keeps_few_checkpoints_that_unpickle_to_its_levels(
         capsys, fresh_states, stored_levels):
     """After every check at its default depth and one request of each
     command, each prefix in the registry holds at most _KEEP + 1
-    checkpoints, and each unpickles to the level of a run of its route
-    from the start at its depth, with the same list and tuple types
+    checkpoints, and each is the level of a run of its route from the
+    start at its depth, with the same list and tuple types
     inside.  The (k,F,F) slice, at 1500 deep, holds 12."""
     for name, (_, depth) in CHECKS.items():
         assert run_check(name, depth)[0], name

@@ -1132,8 +1132,7 @@ def test_concurrent_requests_share_consistent_prefixes(fresh_states,
     """Eight threads request different depths of the four prefixed routes
     at once; a tiny switch interval makes them interleave inside the
     steps.  Every answer, and every prefix left behind, is that of a run
-    from the axiom: its counts, its level and each checkpoint,
-    unpickled."""
+    from the axiom: its counts, its level and each checkpoint."""
     requests = [(name, n) for name in sorted(PREFIX_ROUTES) for n in (25, 50)]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

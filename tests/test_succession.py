@@ -459,7 +459,7 @@ def test_concurrent_requests_share_a_consistent_memo(system_id, monkeypatch,
     """Four threads request different depths of one system at once; a
     tiny switch interval makes them interleave inside the DP.  The memo
     left behind holds the counts and levels of a cold run, and its
-    checkpoints unpickle to the levels at their depths."""
+    checkpoints are the levels at their depths."""
     requests = [("rule_counting_sequence", 45), ("state_profile", 60),
                 ("count_via_rules", 30), ("rule_counting_sequence", 55)]
     switch = sys.getswitchinterval()

@@ -10,7 +10,7 @@ the first run beside it:
   * a cold extension of each 2-parameter system's memo to depth 120: a
     fresh ``invseq.prefix.Prefix`` over the system's start and kernel,
     as ``RuleSystem.memo`` keeps it, asked for the counts through 120,
-    so its checkpoints are packed too.
+    so that it keeps its checkpoints too.
 
 Run in a fresh interpreter, from the root of the repository; standard
 library only:

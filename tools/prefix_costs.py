@@ -8,26 +8,27 @@ system's kernel is wrapped before the first request, so that its memo
 is keyed on the wrapper from the start, and the wrapper counts the
 kernel steps that ``Prefix.level`` takes to resume from a checkpoint.
 
-``invseq.prefix._pack`` is wrapped too, to count the levels each
-system's requests pickle.
-
 One line per key of ``invseq.prefix._STATES``: the prefix's depth L,
 the largest gap between its checkpoints and their number (depth 0
-included), the levels its requests packed, the bytes of the pickled
-checkpoints, the bytes of the live level at depth L (``sys.getsizeof``
-summed over its lists, tuples and ints), and the kernel steps that the
-profiles took in ``level``.  Standard library only:
+included), the bytes of the checkpoints past depth 0 and of the level
+at depth L (each ``deep_size``: ``sys.getsizeof`` summed over its
+lists, tuples and ints, each object once), and the kernel steps that
+the profiles took in ``level``.  A checkpoint is the live level itself,
+so the level at L is counted in the checkpoint bytes too when L is a
+checkpoint.  On the last line, tracemalloc's peak and retained bytes
+over the whole mix, what its answers and the prefixes it leaves
+behind cost in memory.  Standard library only:
 
     python3 tools/prefix_costs.py
 """
 
 import pathlib
 import sys
+import tracemalloc
 from operator import sub
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from invseq import prefix as prefix_module  # noqa: E402
 from invseq.prefix import _STATES  # noqa: E402
 from invseq.succession import SYSTEMS, count_via_rules, profile_text  # noqa: E402
 
@@ -63,28 +64,27 @@ if __name__ == "__main__":
     for system_id, system in SYSTEMS.items():
         calls[system_id] = [0]
         system.kernel = counting(system.kernel, calls[system_id])
-    pack_calls = [0]
-    prefix_module._pack = counting(prefix_module._pack, pack_calls)
-    packs = {}
+    tracemalloc.start()
     for system_id, n in COUNTS.items():
-        pack_calls[0] = 0
         count_via_rules(system_id, n)
-        packs[system_id] = pack_calls[0]
     level_steps = {}
     for system_id, depths in PROFILES.items():
-        calls[system_id][0] = pack_calls[0] = 0
+        calls[system_id][0] = 0
         for n in depths:
             profile_text(system_id, n)
         level_steps[system_id] = calls[system_id][0]
-        packs[system_id] += pack_calls[0]
-    print("%-18s %6s %4s %12s %6s %13s %11s %12s"
-          % ("key", "depth", "gap", "checkpoints", "packs", "packed_bytes",
+    retained, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    print("%-18s %6s %4s %12s %17s %11s %12s"
+          % ("key", "depth", "gap", "checkpoints", "checkpoint_bytes",
              "live_bytes", "level_steps"))
     for key, prefix in _STATES.items():
         counts, level, checkpoints = prefix._memo
         depths = sorted(checkpoints)
-        print("%-18s %6d %4d %12d %6d %13d %11d %12d"
+        seen = set()
+        kept = sum(deep_size(checkpoints[d], seen) for d in depths[1:])
+        print("%-18s %6d %4d %12d %17d %11d %12d"
               % (key, len(counts), max(map(sub, depths[1:], depths), default=0),
-                 len(checkpoints), packs[key],
-                 sum(len(checkpoints[d]) for d in depths if d),
-                 deep_size(level), level_steps[key]))
+                 len(checkpoints), kept, deep_size(level), level_steps[key]))
+    print("mix (tracemalloc): peak %.2f MB, retained %.2f MB"
+          % (peak / 1e6, retained / 1e6))
