@@ -27,7 +27,7 @@ _PUBLIC = {
              "structure_check_201_210", "validate_pattern"),
     "oracle": ("count_avoiders", "count_sequence", "list_avoiders"),
     "series": ("f_coefficients", "iterate_fe", "PolyRelation",
-               "relation_residual", "TruncatedSeries"),
+               "relation_residual"),
     "succession": ("count_via_rules", "emit_diagram", "get_system",
                    "rule_counting_sequence", "state_profile", "step"),
 }

@@ -65,7 +65,6 @@ runs one by name, the way the command line and the acceptance suite do:
 
 from .core import _order_masks, _sliced_avoider, _sliced_checker, render_word
 from .oracle import count_sequence
-from .prefix import shared
 from .succession import get_system, rule_counting_sequence, SYSTEMS
 
 
@@ -188,9 +187,9 @@ def _verify_wilf(n_max):
 
 
 def _verify_conjecture(n_max):
-    from .series import CUBIC_010_102, relation_residual, TruncatedSeries
-    counts = count_sequence(((0, 1, 0), (1, 0, 2)), n_max)
-    residual = relation_residual(CUBIC_010_102, TruncatedSeries(counts))
+    from .series import CUBIC_010_102, relation_residual
+    residual = relation_residual(
+        CUBIC_010_102, count_sequence(((0, 1, 0), (1, 0, 2)), n_max))
     if residual is not None:
         return False, ["FAIL: cubic residual first nonzero at order %d" % residual]
     return True, ["OK: conjectured cubic fits brute-force counts through "

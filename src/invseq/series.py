@@ -4,10 +4,10 @@ Everything here is exact, with hard truncation orders, so every identity
 we claim is checked coefficient-by-coefficient with no floating point
 anywhere.  The module has four layers:
 
-  * univariate series: the closed form (``f_coefficients``), the prefix
-    of the (k,F,F) slice of the 201-210 DP (``_ff_slice_prefix``), and
-    ``TruncatedSeries``, which holds the coefficients of a series known
-    through ``x^order`` and does no arithmetic.
+  * univariate series: the closed form (``f_coefficients``) and the
+    prefix of the (k,F,F) slice of the 201-210 DP (``_ff_slice_prefix``).
+    A series known through x^k is the plain list of its coefficients of
+    x^0..x^k, as every counting route of the package returns it.
   * polynomial relations (``PolyRelation`` / ``relation_residual``) used to
     test that a series satisfies an algebraic equation, one coefficient
     per step of a prefix that keeps y and its powers, each power's
@@ -63,17 +63,9 @@ from .prefix import shared
 from .succession import _fast_step_201_210, _step_ff
 
 
-class TruncatedSeries:
-    """The coefficients of a power series in x, known through ``x^order``.
-
-    A plain holder for the series that the relation checks evaluate
-    (``relation_residual``): ``order`` is one less than the number of
-    coefficients given.  It does no arithmetic.
-    """
-
-    def __init__(self, coefficients):
-        self.coefficients = list(coefficients)
-        self.order = len(self.coefficients) - 1
+# The oracle workload's checker in bench/checks.py still wraps its counts
+# in this name; nothing in the package reads it.
+TruncatedSeries = list
 
 
 def f_coefficients(n_max):
@@ -149,23 +141,24 @@ def _ff_slice_prefix():
 PolyRelation = namedtuple("PolyRelation", ["name", "coefficients"])
 
 
-def relation_residual(relation, s):
-    """Evaluate the relation at y = s; return the order of the first
+def relation_residual(relation, coefficients):
+    """Evaluate the relation at the series y whose coefficients of x^0
+    .. x^k are the list coefficients; return the order of the first
     nonzero coefficient of the residual, or None if the relation holds
-    through s.order, as it does vacuously on an empty series (order -1).
-    A relation with no coefficients raises ValueError.
+    through x^k, as it does vacuously on an empty list.  A relation with
+    no coefficients raises ValueError.
 
     Keeps no state: the residual's route (see _residual_step) is stepped
-    cold over the coefficients of s, x^0 through x^s.order.
+    cold over the coefficients.
     """
     polys = tuple(map(tuple, relation.coefficients))
     if not polys:
         raise ValueError("relation %r has no coefficients" % (relation.name,))
     level = _residual_start((polys,))
     firsts = (None,)
-    for _ in range(s.order + 1):
+    for _ in coefficients:
         level, firsts = _residual_step(level, (polys,),
-                                       s.coefficients.__getitem__)
+                                       coefficients.__getitem__)
     return firsts[0]
 
 

@@ -10,7 +10,6 @@ from invseq import series
 
 PUBLIC_NAMES = [
     "PolyRelation",
-    "TruncatedSeries",
     "avoids",
     "contains",
     "count_avoiders",
@@ -42,7 +41,7 @@ def test_public_api_is_pinned():
 
 
 def test_the_package_root_binds_each_name_to_its_defining_object():
-    """Each public name, the five of ``invseq.series`` among them, which
+    """Each public name, the four of ``invseq.series`` among them, which
     resolve on first access, is the very object of the module that
     defines it; ``from invseq import *`` binds all of them, and an
     unknown name is still an AttributeError."""
@@ -51,7 +50,7 @@ def test_the_package_root_binds_each_name_to_its_defining_object():
         assert obj.__module__ != "invseq", name
         assert getattr(importlib.import_module(obj.__module__), name) is obj
     for name in ("f_coefficients", "iterate_fe", "PolyRelation",
-                 "relation_residual", "TruncatedSeries"):
+                 "relation_residual"):
         assert getattr(invseq, name) is getattr(series, name), name
     namespace = {}
     exec("from invseq import *", namespace)
@@ -60,3 +59,18 @@ def test_the_package_root_binds_each_name_to_its_defining_object():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         invseq.no_such_name
     assert not hasattr(invseq, "MINPOLY_F")
+
+
+def test_the_benchmark_checker_still_reaches_the_cubic_through_the_alias():
+    """``series.TruncatedSeries`` is no public name, only an alias of
+    ``list`` that the oracle workload's checker of the benchmark still
+    calls; its call, replayed here, checks the cubic on a plain list of
+    counts and catches a wrong count."""
+    assert "TruncatedSeries" not in invseq.__all__
+    assert series.TruncatedSeries is list
+    counts = invseq.count_sequence(((0, 1, 0), (1, 0, 2)), 11)
+    assert series.relation_residual(
+        series.CUBIC_010_102, series.TruncatedSeries(counts)) is None
+    counts[9] += 1
+    assert series.relation_residual(
+        series.CUBIC_010_102, series.TruncatedSeries(counts)) == 9

@@ -450,7 +450,7 @@ def _true_series(name, n):
 def _residual_line(name, y):
     """What a check through len(y) - 1 prints from the stateless
     residual of its relation on y."""
-    first = series.relation_residual(RELATIONS[name], series.TruncatedSeries(y))
+    first = series.relation_residual(RELATIONS[name], y)
     if first is None:
         return (True, ["OK: relation holds through n=%d" % (len(y) - 1)])
     return (False, ["FAIL: residual first nonzero at order %d" % first])
@@ -493,8 +493,7 @@ def test_a_unit_planted_in_a_source_prints_the_stateless_line(
         assert run_check(name, n) == expected, at
         assert _residual_depth(name) == n, at
         assert _STATES[("relation", name)].count(n) == \
-            series.relation_residual(RELATIONS[name],
-                                     series.TruncatedSeries(bumped)), at
+            series.relation_residual(RELATIONS[name], bumped), at
 
 
 # the free term of each relation's ODE family: the values of the power
@@ -542,7 +541,7 @@ def test_an_ode_solution_that_is_no_root_is_caught_through_n0(
     n0, _ = _ode_route(name)
     assert _residual_depth(name) == n0 == 2
     assert _STATES[("relation", name)].count(n) == \
-        series.relation_residual(RELATIONS[name], series.TruncatedSeries(y))
+        series.relation_residual(RELATIONS[name], y)
 
 
 def test_a_corrupted_relation_falls_back_to_the_residual(fresh_states):
@@ -556,7 +555,7 @@ def test_a_corrupted_relation_falls_back_to_the_residual(fresh_states):
     memo = succession.get_system("201-210").memo
     n = 60
     f = memo.counts(n)
-    first = series.relation_residual(relation, series.TruncatedSeries(f))
+    first = series.relation_residual(relation, f)
     assert checks._verify_minpoly(relation, n, memo) == (
         False, ["FAIL: residual first nonzero at order %d" % first])
     assert _residual_depth("bumped") == n
@@ -581,8 +580,7 @@ def test_a_relation_with_no_ode_steps_its_residual_through_n(
     for at in (0, 1, 7, 20):
         bumped = [*y[:at], y[at] + 1, *y[at + 1:]]
         _with_series(name, bumped, monkeypatch)
-        first = series.relation_residual(squared,
-                                         series.TruncatedSeries(bumped))
+        first = series.relation_residual(squared, bumped)
         assert first is not None, at
         assert run_check(name, n) == (
             False, ["FAIL: residual first nonzero at order %d" % first]), at

@@ -17,7 +17,8 @@ compile), and the runtime imports nothing outside the standard
 library.  The oracle's counting and listing step
 one transition of its raw states.  Every top-level function and class
 of the runtime is read by the package or exported, so none serves tests
-alone.  These tests read the imports and definitions from the source
+alone, and every name that a top-level import binds is read in its
+module.  These tests read the imports and definitions from the source
 (``ast``), the names the functions load (``co_names`` and ``dis``), and
 the registry after requests of every kind."""
 
@@ -186,8 +187,8 @@ def test_importing_the_package_neither_imports_nor_runs_poly():
     assert _footprints(
         "import invseq\nmark('invseq')\n"
         "import invseq.cli\ninvseq.cli.build_parser()\nmark('cli')\n"
-        "invseq.TruncatedSeries\nmark('TruncatedSeries')\n") == [
-        ("invseq", []), ("cli", []), ("TruncatedSeries", ["invseq.series"])]
+        "invseq.relation_residual\nmark('relation_residual')\n") == [
+        ("invseq", []), ("cli", []), ("relation_residual", ["invseq.series"])]
 
 
 _PACKAGE = tuple(
@@ -350,6 +351,36 @@ def test_every_top_level_definition_is_read_or_exported():
     assert _orphans(paths, invseq.__all__) == set()
 
 
+def _unread_imports(source):
+    """The names that a top-level import of the source binds and that no
+    expression of the source reads; ``import a.b`` binds a."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+def test_the_unread_import_reader_sees_every_binding():
+    assert _unread_imports(
+        "import os.path\nimport sys as system\nfrom .a import b, c as d\n"
+        "from .e import f, g\n"
+        "def h():\n    import json\n    return os.path, f, json\n"
+        "g = 1\n") == {"system", "b", "d", "g"}
+
+
+def test_every_top_level_import_is_read():
+    """Every name that a top-level import of a runtime module binds is
+    read somewhere in that module."""
+    unread = {(path.stem, name)
+              for path in pathlib.Path(invseq.__file__).parent.glob("*.py")
+              for name in _unread_imports(path.read_text())}
+    assert unread == set()
+
+
 def _held(obj):
     """The objects a name bound to obj leads to: the values of a dict,
     the start, step and arguments of a Prefix's route, the items
@@ -508,7 +539,7 @@ def test_every_state_in_the_registry_is_a_prefix(capsys):
     assert all(isinstance(state, Prefix) for state in _STATES.values())
     before = dict(_STATES)
     memos = [state._memo for state in before.values()]
-    y = series.TruncatedSeries(series.f_coefficients(30))
+    y = series.f_coefficients(30)
     for relation in (series.MINPOLY_A, series.MINPOLY_B, series.MINPOLY_F,
                      series.CUBIC_010_102,
                      series.PolyRelation("other", ((1,), (-1,)))):

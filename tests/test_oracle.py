@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,8 @@ from invseq.core import (
 from invseq.oracle import (
     _bans,
     _canonical_levels,
+    _children,
+    _demotion,
     _reads,
     _rule,
     _seen_cut,
@@ -24,7 +27,7 @@ from invseq.oracle import (
     list_avoiders,
     listing_text,
 )
-from invseq.series import CUBIC_010_102, relation_residual, TruncatedSeries
+from invseq.series import CUBIC_010_102, relation_residual
 from invseq.succession import SYSTEMS, get_system, rule_counting_sequence
 
 B_201_210 = ((2, 0, 1), (2, 1, 0))
@@ -171,14 +174,14 @@ def test_cubic_fits_010_102_to_16_conjecture_evidence():
     """Evidence, not a proof: the conjectured cubic for {010, 102} fits
     brute-force counts through n = 16."""
     counts = count_sequence(((0, 1, 0), (1, 0, 2)), 16)
-    assert relation_residual(CUBIC_010_102, TruncatedSeries(counts)) is None
+    assert relation_residual(CUBIC_010_102, counts) is None
 
 
 def test_cubic_fits_010_102_to_20_conjecture_evidence():
     """Evidence, not a proof: the conjectured cubic for {010, 102} fits
     the counts of the canonical route through n = 20."""
     counts = count_sequence(((0, 1, 0), (1, 0, 2)), 20)
-    assert relation_residual(CUBIC_010_102, TruncatedSeries(counts)) is None
+    assert relation_residual(CUBIC_010_102, counts) is None
 
 
 def test_oracle_matches_rules_through_13():
@@ -357,6 +360,62 @@ def test_canonical_levels_of_010_100_120_210_evidence():
     basis = _basis("010,100,120,210")
     sizes = [len(level) for level in _canonical_levels(basis, 31)]
     assert sizes == [1 + d * (d - 1) // 2 for d in range(31)]
+
+
+def _label_010_100_120_210(key):
+    """The (k, ell) state of a canonical key of {010, 100, 120, 210}:
+    (0, 1 << ell, k + ell) is (k, ell), k >= 1, and the root the axiom."""
+    banned, seen, width = key
+    if key == (0, 0, 0):
+        return 0, 0
+    ell = seen.bit_length() - 1
+    assert banned == 0 and seen == 1 << ell and width > ell, key
+    return width - ell, ell
+
+
+def _label_011_201(key):
+    """The (k, ell) state of a canonical key of {011, 201}: (1 << (ell +
+    1), 1 << (ell + 1) | 1, k + ell + 1) is (k, ell), k >= 1, (0, 1, k) is
+    (k, 0), and the root the axiom."""
+    banned, seen, width = key
+    if key == (0, 0, 0):
+        return 0, 0
+    if (banned, seen) == (0, 1):
+        return width, 0
+    ell = banned.bit_length() - 2
+    assert ell >= 0 and banned == 1 << ell + 1 and seen == banned | 1 \
+        and width > ell + 1, key
+    return width - ell - 1, ell
+
+
+# system -> (the label of a canonical key, how many labels have k + ell <= 40)
+HAND_LABELS = {"010-100-120-210": (_label_010_100_120_210, 821),
+               "011-201": (_label_011_201, 861)}
+
+
+@pytest.mark.parametrize("system_id", sorted(HAND_LABELS))
+def test_the_hand_systems_are_the_canonical_trees_relabelled(system_id):
+    """Every canonical key the oracle reaches through depth 41 has one of
+    the forms of its label, and for each label with k + ell <= 40 the
+    labels of the key's children are the hand-written successors of the
+    label, counted with multiplicity."""
+    label, labels = HAND_LABELS[system_id]
+    system = get_system(system_id)
+    keys = set().union(*_canonical_levels(system.basis, 42))
+    _, ban = _bans(system.basis)
+    tests, cut = _demotion(system.basis), _seen_cut(system.basis)
+    assert label((0, 0, 0)) == system.axiom
+    checked = 0
+    for key in keys:
+        k, ell = label(key)
+        if k + ell <= 40:
+            successors = Counter()
+            for target, mult in system.successors((k, ell)):
+                successors[target] += mult
+            children = _children(key, ban, tests, cut)
+            assert Counter(map(label, children)) == successors, key
+            checked += 1
+    assert checked == labels
 
 
 def test_canonical_levels_of_000_evidence():

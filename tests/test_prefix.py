@@ -244,9 +244,10 @@ def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch,
                                                       fresh_states,
                                                       stored_levels):
     """With at most 4 checkpoints besides depth 0, a series prefix 17 to
-    32 deep keeps the levels at 0, 8, 16, ..., the only ones a cold
-    extension to it packs, and while a request extends it from depth 21
-    it is published after every step: when the level at depth d is
+    32 deep keeps the levels at 0, 8, 16, ..., the very levels a cold
+    extension to it steps past there, and while a request extends it
+    from depth 21 it is published after every step: when the level at
+    depth d is
     stepped, the prefix holds the counts through d - 1 and that very
     level, so no older level is kept; a level between two checkpoints
     is stepped from the one below it."""
@@ -493,9 +494,10 @@ def test_any_requests_leave_the_checkpoints_of_the_depth_reached(requests,
 def test_an_interrupted_wider_extension_keeps_levels_it_can_step(
         stored_levels):
     """A (k,F,F) slice prefix 101 deep keeps its levels at multiples of
-    8; a counts(1000), which packs only at multiples of 64, raises on its
-    fifth step, at depth 105, and puts back the checkpoints it thinned,
-    with the level at 104 packed; a later counts(110) keeps them.  After
+    8; a counts(1000) keeps each level it steps at a multiple of
+    s(depth), 8 here, not of s(1000) = 64, so when it raises on its fifth
+    step, at depth 105, the prefix holds the levels at 0, 8, ..., 104;
+    a later counts(110) keeps them.  After
     each, every level at or below the depth reached is that of a run
     from the start, stepped from a checkpoint at most 7 levels below it,
     and at most _KEEP + 1 checkpoints are held."""
@@ -815,7 +817,7 @@ def _same(a, b):
     return a == b
 
 
-def test_every_route_keeps_few_checkpoints_that_unpickle_to_its_levels(
+def test_every_route_keeps_few_checkpoints_that_are_its_levels(
         capsys, fresh_states, stored_levels):
     """After every check at its default depth and one request of each
     command, each prefix in the registry holds at most _KEEP + 1
