@@ -118,21 +118,22 @@ def _source(args, n_max):
     system's name, and the closed form, under "f_coefficients", are
     per-process prefixes, and count is the prefix's bound ``count``,
     which reads one kept count; the oracle keeps none, so its key is None
-    and count reads the counting sequence it returns."""
-    if args.system is not None:
-        method = args.method or "rules"
-        if method == "rules":
-            return get_system(args.system).memo.count, args.system
-        if method == "gf":
-            _require(args.system == "201-210",
-                     "method gf only applies to system 201-210")
-            from .series import f_prefix
-            return f_prefix().count, "f_coefficients"
-        return count_sequence(get_system(args.system).basis, n_max).__getitem__, None
-    method = args.method or "oracle"
-    _require(method == "oracle",
+    and count reads the counting sequence it returns.
+
+    The one place that picks a count's source: the method defaults to
+    rules on a system and to oracle on a basis, and the oracle reads its
+    basis through _resolve_basis, as list does; which engine counts it is
+    then count_sequence's choice."""
+    method = args.method or ("oracle" if args.system is None else "rules")
+    if method == "oracle":
+        return count_sequence(_resolve_basis(args), n_max).__getitem__, None
+    _require(args.system is not None,
              "--basis only supports method oracle; use --system for %s" % method)
-    return count_sequence(parse_basis(args.basis), n_max).__getitem__, None
+    if method == "rules":
+        return get_system(args.system).memo.count, args.system
+    _require(args.system == "201-210", "method gf only applies to system 201-210")
+    from .series import f_prefix
+    return f_prefix().count, "f_coefficients"
 
 
 def _text_step(d, count):

@@ -55,6 +55,9 @@ One transition, `_raw_children`, lists a raw state's children with their
 values, and counting and listing both step it: `_count_raw` runs level
 by level over a dict {(banned, seen): number of prefixes}, which counts
 exactly what the walk would, merging the prefixes that share a state.
+`count_sequence` alone picks the engine, by the longest pattern: a
+length-4 basis goes to `_count_raw`, a shorter one to `_count_fast` on
+the canonical keys below, and n = 0 to neither.
 The last position reads only `banned`, so the transition keeps no `seen`
 at depth n - 1, and the last level is counted by popcount (on canonical
 keys, below, the prefixes of length n - 1 are counted by their
@@ -138,20 +141,21 @@ more, `listing_text` returns None, and the listing comes from
 `list_avoiders`.
 
 Iterative walk.  A pattern p of length k >= 5 needs the prefix itself,
-so any basis holding one is counted by `_walk`, depth first on an
-explicit stack; the walk also lists past n = 10.  It treats a length-4
-pattern like a longer one, without pairs, which keeps it a check on the
-pair states.  Its nodes carry the same banned and seen masks.  On top
-of the closed-form bans, each node bans the values that would finish an
-occurrence of p whose first k - 1 entries end at the node's last entry;
-a matcher anchored at that entry finds them once per node, not once per
-child, and stops a branch as soon as every value it could still ban is
-banned already.  p[:-1] cannot end at the new entry when `seen` holds no
-earlier value below, equal to or above it that p[:-1] needs, which skips
-the search on most nodes of thin trees.  The leaves are the unbanned
-values at the last position, counted with one popcount per parent.  The
-same walk lists avoiders in lexicographic order.  Nothing recurses, so
-the depth is bounded by memory, not by the interpreter's recursion limit.
+so `count_sequence` counts any basis holding one with `_walk`, depth
+first on an explicit stack; the walk also lists past n = 10.  It treats
+a length-4 pattern like a longer one, without pairs, which keeps it a
+check on the pair states.  Its nodes carry the same banned and seen
+masks.  On top of the closed-form bans, each node bans the values that
+would finish an occurrence of p whose first k - 1 entries end at the
+node's last entry; a matcher anchored at that entry finds them once per
+node, not once per child, and stops a branch as soon as every value it
+could still ban is banned already.  p[:-1] cannot end at the new entry
+when `seen` holds no earlier value below, equal to or above it that
+p[:-1] needs, which skips the search on most nodes of thin trees.  The
+leaves are the unbanned values at the last position, counted with one
+popcount per parent.  The same walk lists avoiders in lexicographic
+order.  Nothing recurses, so the depth is bounded by memory, not by the
+interpreter's recursion limit.
 
 >>> count_avoiders(((2, 0, 1), (2, 1, 0)), 5)
 116
@@ -346,13 +350,9 @@ def _pair_rules(basis, n):
 
 
 def _count_fast(basis, n_max):
-    """Level counts [|I_0|, .., |I_n_max|] from the state DP: on canonical
-    keys with demoted seen values when every pattern has length <= 3, on
-    raw masks with pairs when a pattern has length 4."""
-    if n_max == 0:
-        return [1]
-    if any(len(p) > 3 for p in basis):
-        return _count_raw(basis, n_max)
+    """Level counts [|I_0|, .., |I_n_max|], n_max >= 1, from the state DP
+    on canonical keys with demoted seen values, for a basis whose patterns
+    have length at most 3 (count_sequence picks this engine)."""
     start, ban = _bans(basis)
     if n_max == 1:
         return [1, ~start & 1]
@@ -414,10 +414,11 @@ def _raw_children(basis, n):
 
 
 def _count_raw(basis, n_max):
-    """Level counts from a forward DP over raw (banned, seen) states, for
-    a basis with a length-4 pattern: each level steps _raw_children and
-    sums the prefixes per state, and the count at n_max is a popcount per
-    state at depth n_max - 1, so the last level builds no keys."""
+    """Level counts, n_max >= 1, from a forward DP over raw (banned,
+    seen) states, for a basis with a length-4 pattern (count_sequence
+    picks this engine): each level steps _raw_children and sums the
+    prefixes per state, and the count at n_max is a popcount per state
+    at depth n_max - 1, so the last level builds no keys."""
     start, children = _raw_children(basis, n_max)
     counts = [1]
     level = {(start, 0): 1}
@@ -649,14 +650,29 @@ def _walk(basis, n, leaves=None):
 # ---------- public operations ----------
 
 
-def count_sequence(basis, n_max):
-    """[|I_0(basis)|, ..., |I_n_max(basis)|], exact."""
+def _request(basis, n):
+    """The cleaned basis and the length of its longest pattern (0 for the
+    empty basis), after checking that the size n is not negative: the one
+    request check of count_sequence, list_avoiders and listing_text."""
     basis = clean_basis(basis)
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    if all(len(p) <= 4 for p in basis):
-        return _count_fast(basis, n_max)
-    return _walk(basis, n_max)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return basis, max(map(len, basis), default=0)
+
+
+def count_sequence(basis, n_max):
+    """[|I_0(basis)|, ..., |I_n_max(basis)|], exact.
+
+    The one place that picks a counting engine, by the longest pattern:
+    the walk for length 5 or more, else the raw-mask DP for length 4 and
+    the canonical-key DP (_count_fast) below that; n_max = 0 needs no DP.
+    """
+    basis, longest = _request(basis, n_max)
+    if longest > 4:
+        return _walk(basis, n_max)
+    if n_max == 0:
+        return [1]
+    return (_count_raw if longest == 4 else _count_fast)(basis, n_max)
 
 
 def count_avoiders(basis, n):
@@ -672,9 +688,7 @@ def list_avoiders(basis, n):
     the output comes out sorted without a final sort.  Intended for small
     n; the result has count_avoiders(basis, n) members.
     """
-    basis = clean_basis(basis)
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    basis = _request(basis, n)[0]
     found = []
     _walk(basis, n, found)
     return found
@@ -700,10 +714,8 @@ def listing_text(basis, n):
     >>> listing_text(((0, 1, 2, 3, 4),), 5) is None
     True
     """
-    basis = clean_basis(basis)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > 10 or any(len(p) > 4 for p in basis):
+    basis, longest = _request(basis, n)
+    if n > 10 or longest > 4:
         return None
     if n == 0:
         return "\n"

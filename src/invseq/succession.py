@@ -3,20 +3,33 @@
 A succession system rewrites state labels: starting from an axiom label,
 each state produces a finite multiset of successor states, and the number
 of length-n production paths landing in accepting states counts the
-objects of size n.  Three systems are built in:
+objects of size n.  Three systems are built in.  In all three, an
+accepting state at depth n stands for inversion sequences e of length n,
+and its k is n - max e (0 for the empty sequence).
 
 ``201-210``
-    States (k, ell, c) where k is the bounce of the sequence built so far,
-    ell records whether a little value exists, and c whether we are still
-    committed to placing entries at a promised little value.  Only states
-    with c = F describe completed sequences, so those are the accepting
-    ones.  Counts |I_n(201, 210)|.
+    States (k, ell, c): ell records whether a little value exists, and c
+    whether we are still committed to placing entries at a promised
+    little value.  Only states with c = F describe completed sequences,
+    so those are the accepting ones, and on them ell says whether e has
+    a descent e_i > e_(i+1).  Counts |I_n(201, 210)|.
 
 ``011-201`` and ``010-100-120-210``
-    States (k, ell) with k the bounce and ell the number of values below
-    the maximum that are still unused.  Every state accepts.  The two
-    systems produce identical counting sequences as far as anyone has
-    checked, which is why they share a module.
+    States (k, ell), every one accepting.  ell is read off the oracle's
+    canonical keys (banned, seen, width), not off e itself: for
+    {010, 100, 120, 210} the key (0, 1 << ell, k + ell) is (k, ell) when
+    k >= 1; for {011, 201} the key (1 << (ell + 1), 1 << (ell + 1) | 1,
+    k + ell + 1) is (k, ell) and (0, 1, k) is (k, 0); each root (0, 0, 0)
+    is the axiom (0, 0).  Under these maps the children of a key are the
+    successors of its label.  The two systems produce identical counting
+    sequences as far as anyone has checked, which is why they share a
+    module.
+
+These readings are checked, not proved: tests/test_oracle.py checks the
+key maps for every label with k + ell <= 40, and tests/test_succession.py
+that through n = 9 the accepting states counted by (k, ell) for 201-210,
+and by k for the other two, equal the avoiders counted by
+(n - max e, descent) and by n - max e.
 
 At the API a level vector is a plain dict mapping states to positive
 integer counts; the depth is whatever number of steps produced it.
@@ -130,7 +143,7 @@ def _successors_201_210(state):
         raise ValueError("state (%d,F,T) is unreachable: a commitment "
                          "presupposes a little value" % k)
     if not ell:
-        # no little value yet: grow the bounce, bounce to a smaller one,
+        # no little value yet: grow k, set it to some i in 1..k,
         # or commit to one of the k - i + 1 admissible little values
         out = [((k + 1, False, False), 1)]
         for i in range(1, k + 1):

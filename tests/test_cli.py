@@ -106,6 +106,53 @@ def test_count_prints_integers_past_the_str_digit_limit(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+# -- the source of a count or series ------------------------------------------
+
+SERIES_201_210 = "1\n1\n2\n6\n24\n116\n"
+SERIES_WILF = "1\n1\n2\n5\n15\n51\n"
+GF_ONLY = "error: method gf only applies to system 201-210\n"
+
+
+def _basis_only(method):
+    return "error: --basis only supports method oracle; use --system for %s\n" % method
+
+
+# (source flags, --method or None) -> (exit code, series stdout, stderr)
+SOURCES = {
+    (("--system", "201-210"), None): (0, SERIES_201_210, ""),
+    (("--system", "201-210"), "rules"): (0, SERIES_201_210, ""),
+    (("--system", "201-210"), "gf"): (0, SERIES_201_210, ""),
+    (("--system", "201-210"), "oracle"): (0, SERIES_201_210, ""),
+    (("--system", "011-201"), None): (0, SERIES_WILF, ""),
+    (("--system", "011-201"), "rules"): (0, SERIES_WILF, ""),
+    (("--system", "011-201"), "gf"): (2, "", GF_ONLY),
+    (("--system", "011-201"), "oracle"): (0, SERIES_WILF, ""),
+    (("--system", "010-100-120-210"), None): (0, SERIES_WILF, ""),
+    (("--system", "010-100-120-210"), "rules"): (0, SERIES_WILF, ""),
+    (("--system", "010-100-120-210"), "gf"): (2, "", GF_ONLY),
+    (("--system", "010-100-120-210"), "oracle"): (0, SERIES_WILF, ""),
+    (("--basis", "201,210"), None): (0, SERIES_201_210, ""),
+    (("--basis", "201,210"), "rules"): (2, "", _basis_only("rules")),
+    (("--basis", "201,210"), "gf"): (2, "", _basis_only("gf")),
+    (("--basis", "201,210"), "oracle"): (0, SERIES_201_210, ""),
+    # the method is checked before the basis is parsed
+    (("--basis", "2x1"), "gf"): (2, "", _basis_only("gf")),
+}
+
+
+@pytest.mark.parametrize("command", ["count", "series"])
+@pytest.mark.parametrize("source, method", sorted(SOURCES, key=str))
+def test_count_and_series_sources(capsys, command, source, method):
+    """Every source of count and series at n = 5: the same lines from the
+    rules, the closed form and the oracle, and one error line on stderr,
+    with exit status 2, for a method the source does not support."""
+    code, series, err = SOURCES[source, method]
+    size = ("--n", "5") if command == "count" else ("--n-max", "5")
+    argv = (command,) + source + size + (("--method", method) if method else ())
+    out = series.splitlines(True)[-1] if command == "count" and series else series
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
 # -- list -------------------------------------------------------------------
 
 def test_list(capsys):

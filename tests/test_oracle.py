@@ -539,6 +539,35 @@ def test_pair_states_deep_thin(basis):
     assert count_sequence(basis, 1400) == _walk(basis, 1400)
 
 
+def _recording(entered, name, real):
+    def wrapper(*args):
+        entered.append(name)
+        return real(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("basis, engine", [
+    ("201,210", "_count_fast"),
+    ("0012,201", "_count_raw"),
+    ("01234", "_walk"),
+])
+def test_count_sequence_enters_exactly_one_engine(monkeypatch, basis, engine):
+    """count_sequence picks the engine by the longest pattern, and no
+    engine hands the count on to another; n = 0 enters neither DP."""
+    import invseq.oracle as oracle
+
+    entered = []
+    for name in ("_walk", "_count_raw", "_count_fast"):
+        monkeypatch.setattr(oracle, name,
+                            _recording(entered, name, getattr(oracle, name)))
+    basis = _basis(basis)
+    assert count_sequence(basis, 6) == _walk(basis, 6)
+    assert entered == [engine]
+    entered.clear()
+    assert count_sequence(basis, 0) == [1]
+    assert entered == ([engine] if engine == "_walk" else [])
+
+
 def test_length_4_bases_do_not_walk(monkeypatch):
     """Counts through n and listings through n = 10 of a basis with a
     length-4 pattern come from the state DP alone."""
