@@ -1,9 +1,10 @@
 """Print the lines of src/invseq that no benchmark request reaches.
 
-Builds each workload's requests with ``bench/workloads.build(workload,
-seed, seconds)`` (read from bench/, which this script does not edit) and
-replays them in order through ``invseq.cli.main``, with stdout and
-stderr captured, under ``sys.settrace``.  Tracing starts before the
+Builds the requests of the three workloads with
+``bench/workloads.build(workload, seed, seconds)`` (read from bench/,
+which this script does not edit) and replays them in order through
+``invseq.cli.main``, with stdout and stderr captured, under
+``sys.settrace``.  Tracing starts before the
 package is imported, so its import-time lines count as reached.  A
 module's executable lines are the line starts of its compiled code and
 of every function and class in it.  For each module of src/invseq, one
@@ -12,7 +13,7 @@ as ranges; a module that no request imports shows every line.  The
 three workloads at seed 0 and one second take about 1.1 s on a 2-core
 x86-64 VM with CPython 3.11.  Standard library only:
 
-    python3 tools/workload_lines.py [--seed 0] [--seconds 1] [--workload NAME]
+    python3 tools/workload_lines.py [--seed 0] [--seconds 1]
 """
 
 import argparse
@@ -88,15 +89,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=1.0)
-    ap.add_argument("--workload", choices=workloads.WORKLOADS)
     args = ap.parse_args(argv)
-    names = [args.workload] if args.workload else list(workloads.WORKLOADS)
-    argvs = [r["argv"] for name in names
+    argvs = [r["argv"] for name in workloads.WORKLOADS
              for r in workloads.build(name, args.seed, args.seconds)]
     paths = sorted(PACKAGE.glob("*.py"))
     reached = replay(argvs, [str(path) for path in paths])
     print("%d requests of %s, seed %d, %g s"
-          % (len(argvs), ", ".join(names), args.seed, args.seconds))
+          % (len(argvs), ", ".join(workloads.WORKLOADS), args.seed, args.seconds))
     for path in paths:
         every = executable_lines(path)
         unreached = every - reached[str(path)]
@@ -104,6 +103,7 @@ def main(argv=None):
               % (path.relative_to(ROOT), len(unreached), len(every)))
         if unreached:
             print("    " + ranges(unreached))
+
 
 if __name__ == "__main__":
     main()
