@@ -1,7 +1,7 @@
 """Print the lines of src/invseq that no benchmark request reaches.
 
 Builds the requests of the three workloads with
-``bench/workloads.build(workload, seed, seconds)`` (read from bench/,
+``bench/workloads.build(workload, SEED, SECONDS)`` (read from bench/,
 which this script does not edit) and replays them in order through
 ``invseq.cli.main``, with stdout and stderr captured, under
 ``sys.settrace``.  Tracing starts before the
@@ -13,10 +13,9 @@ as ranges; a module that no request imports shows every line.  The
 three workloads at seed 0 and one second take about 1.1 s on a 2-core
 x86-64 VM with CPython 3.11.  Standard library only:
 
-    python3 tools/workload_lines.py [--seed 0] [--seconds 1]
+    python3 tools/workload_lines.py
 """
 
-import argparse
 import contextlib
 import io
 import pathlib
@@ -28,6 +27,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 import workloads  # noqa: E402
+
+SEED = 0
+SECONDS = 1
 
 
 def executable_lines(path):
@@ -85,17 +87,13 @@ def ranges(numbers):
     return ", ".join(str(a) if a == b else "%d-%d" % (a, b) for a, b in out)
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=1.0)
-    args = ap.parse_args(argv)
+def main():
     argvs = [r["argv"] for name in workloads.WORKLOADS
-             for r in workloads.build(name, args.seed, args.seconds)]
+             for r in workloads.build(name, SEED, SECONDS)]
     paths = sorted(PACKAGE.glob("*.py"))
     reached = replay(argvs, [str(path) for path in paths])
     print("%d requests of %s, seed %d, %g s"
-          % (len(argvs), ", ".join(workloads.WORKLOADS), args.seed, args.seconds))
+          % (len(argvs), ", ".join(workloads.WORKLOADS), SEED, SECONDS))
     for path in paths:
         every = executable_lines(path)
         unreached = every - reached[str(path)]
