@@ -15,7 +15,8 @@ resolves on its first access (PEP 562, ``__getattr__``), to the very
 object of its module, which that access imports; the name is then bound
 here, so later reads skip the hook.  So ``import invseq`` imports no
 other module of the package: reading ``avoids`` imports ``invseq.core``,
-and ``f_coefficients`` imports ``invseq.series`` without the oracle.
+and ``f_coefficients`` imports ``invseq.series`` without the oracle or
+the rule systems.
 Until a name is read, ``dir(invseq)`` does not list it.
 """
 

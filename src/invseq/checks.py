@@ -14,13 +14,16 @@ Where the numbers come from, each state kept in the registry of
     ``rule_counting_sequence``, and minpoly-F and minpoly-B read the
     memo's counts;
   * series prefixes, which never touch the memo: the closed form
-    (gf-vs-rules), the (k,F,F) slice sums (minpoly-A, and minpoly-B
-    subtracts them from the memo's counts), ``iterate_fe``
-    (fe-vs-rules, on each system of ``series._FE_STEP``) and the census
-    of the 201-210 system with the residual rows of its three equations,
-    one x-degree per step (system-201-210, through
-    ``_check_system_violation``, which proves the four cleared relations
-    from those three);
+    (gf-vs-rules) and ``iterate_fe`` (fe-vs-rules, on each system of
+    ``series._FE_STEP``);
+  * the two census routes of this module, which never touch the memo
+    either: the (k,F,F) slice sums (``_ff_slice_prefix``, stepped by
+    ``succession._step_ff``; minpoly-A, and minpoly-B subtracts them
+    from the memo's counts) and the census of the 201-210 system with
+    the residual rows of its three equations, one x-degree per step
+    (system-201-210, through ``_check_system_violation``, which steps
+    ``series._system_step`` over ``succession._fast_step_201_210``;
+    the step proves the four cleared relations from those three);
   * relation prefixes: minpoly-A, minpoly-B and minpoly-F each read
     one route (``_relation_prefix``), keyed on the prefixes above that
     it reads, whose count is the first nonzero order of the relation's
@@ -33,12 +36,14 @@ Where the numbers come from, each state kept in the registry of
     conjecture-010-102 count with ``count_sequence`` from scratch on
     every request, and conjecture-010-102 evaluates its cubic with
     ``relation_residual``, which keeps no state; structure-theorem
-    builds the order masks of each length through n_max afresh on every
-    request (``_order_masks`` in ``invseq.core``) and runs the structure
-    checker and the avoidance test of {201, 210} on every word of the
-    length at once (``_sliced_checker`` and ``_sliced_avoider``), so a
-    fault planted in either side, or in the compiled groups the
-    avoidance test reads, is seen by the next request.
+    refuses an n_max above ``_SWEEP_N_MAX`` before it builds any mask,
+    and otherwise builds the order masks of each length through n_max
+    afresh on every request (``_order_masks`` in ``invseq.core``) and
+    runs the structure checker and the avoidance test of {201, 210} on
+    every word of the length at once (``_sliced_checker`` and
+    ``_sliced_avoider``), so a fault planted in either side, or in the
+    compiled groups the avoidance test reads, is seen by the next
+    request.
 
 So a process serving many checks steps each depth of each route,
 derives each ODE and evaluates each coefficient of each residual once,
@@ -54,7 +59,9 @@ conjecture-010-102 each import what they read of it in their own body,
 so the first of them that runs loads it, and oracle-vs-rules,
 structure-theorem and wilf-011-201 never do.  A fault planted in one of
 those names is planted in ``invseq.series``, which they read at call
-time.
+time.  The steps of the census routes are read from this module's own
+globals, so a fault in ``_step_ff`` or ``_fast_step_201_210`` is
+planted here.
 
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:
@@ -65,7 +72,16 @@ runs one by name, the way the command line and the acceptance suite do:
 
 from .core import _order_masks, _sliced_avoider, _sliced_checker, render_word
 from .oracle import count_sequence
-from .succession import get_system, rule_counting_sequence, SYSTEMS
+from .prefix import shared
+from .succession import (
+    _fast_step_201_210, _step_ff, get_system, rule_counting_sequence, SYSTEMS)
+
+# The structure sweep's largest n_max.  _order_masks(n) holds n(n - 1)
+# order masks of n! bits and, until it returns, the n(n + 1)/2 value
+# masks: at n = 11, 176 masks of 11!/8 bytes = 5.0 MB (880 MB; the peak
+# measured is 1.1 GB), and at n = 12, 132 order masks of 12!/8 bytes =
+# 59.9 MB, 7.9 GB.
+_SWEEP_N_MAX = 11
 
 
 def _compare(triples, fail, ok):
@@ -113,13 +129,23 @@ def _verify_minpoly(relation, n_max, *sources):
     return True, ["OK: relation holds through n=%d" % n_max]
 
 
+def _ff_slice_prefix():
+    """This process's prefix of the (k,F,F) slice of the 201-210 system,
+    stepped alone by _step_ff from the axiom's slice [1] (see
+    ``invseq.prefix``); its count at depth n, the slice summed over k,
+    is the n-th Catalan number.  The route never touches the rules memo,
+    so minpoly-B, which subtracts these sums from the memo's counts,
+    takes its two terms from separate routes."""
+    return shared("ff_slice_series", [1], _step_ff)
+
+
 def _verify_minpoly_a(n_max):
-    from .series import _ff_slice_prefix, MINPOLY_A
+    from .series import MINPOLY_A
     return _verify_minpoly(MINPOLY_A, n_max, _ff_slice_prefix())
 
 
 def _verify_minpoly_b(n_max):
-    from .series import _ff_slice_prefix, MINPOLY_B
+    from .series import MINPOLY_B
     # B(x,1) = F(x) - A(x,1): the 201-210 rules accept (k,F,F) and (k,T,F)
     # and never reach (k,F,T), so a depth's count minus its (k,F,F) sum is
     # its (k,T,F) sum, the b slice of the 201-210 DP summed over k.
@@ -132,8 +158,30 @@ def _verify_minpoly_f(n_max):
     return _verify_minpoly(MINPOLY_F, n_max, get_system("201-210").memo)
 
 
+def _check_system_violation(n_max):
+    """Replay the defining equations of the 201-210 system on its census:
+    None when the seven identities of ``series._system_step`` hold
+    through x^n_max, else the (label, x_degree, u_degree) of the first
+    failure.  A nonzero count at a u-power above its x-degree raises
+    ArithmeticError.
+
+    The census rows A, B and C have, at x^m, the counts of the states
+    (k,F,F), (k,T,F) and (k,T,T) indexed by u^k.  The answer is the
+    count at x^n_max of this process's prefix of the system (see
+    ``invseq.prefix``), stepped by _system_step over the 201-210 kernel
+    from the axiom's rows, whose count at x^m is the first failure
+    through x^m.  So a process steps, converts and forms the residual
+    rows of each degree once, and a request through x^n_max forms no
+    census row past it.
+    """
+    from .series import _system_step
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    return shared("system-201-210", (([],) * 3, None), _system_step,
+                  _fast_step_201_210, ([1], [0], [0])).count(n_max)
+
+
 def _verify_system(n_max):
-    from .series import _check_system_violation
     violation = _check_system_violation(n_max)
     if violation is not None:
         return False, ["FAIL: equation %s first differs at x^%d u^%d" % violation]
@@ -146,7 +194,11 @@ def _verify_structure(n_max):
     every word of a length at once: the two sides of ``invseq.core`` mark
     the words they pass as bits of one mask, numbered in the order of
     itertools.product, so the first word on which they disagree is the
-    lowest bit where the masks differ, decoded by mixed radix."""
+    lowest bit where the masks differ, decoded by mixed radix.  An
+    n_max above _SWEEP_N_MAX raises ValueError before any mask is
+    built."""
+    if n_max > _SWEEP_N_MAX:
+        raise ValueError("structure-theorem takes n-max at most %d" % _SWEEP_N_MAX)
     basis = get_system("201-210").basis
     for n in range(n_max + 1):
         lt = _order_masks(n)
@@ -214,9 +266,10 @@ def run_check(name, n_max=None):
     """Run the named check through n_max (its default depth when None)
     and return (ok, lines).
 
-    An unknown name or a negative depth raises ValueError.  An
-    arithmetic error inside the check, such as an inexact division, is a
-    failure: (False, ["FAIL: <message>"]).
+    An unknown name, a negative depth or a structure-theorem depth
+    above _SWEEP_N_MAX raises ValueError.  An arithmetic error inside
+    the check, such as an inexact division, is a failure: (False,
+    ["FAIL: <message>"]).
     """
     if name not in CHECKS:
         raise ValueError("unknown check %r (have: %s)"

@@ -18,11 +18,13 @@ under one module lock, so that two threads that find a key empty get
 the same Prefix.  The keys are:
 
   * a system name (``invseq.succession``): the system's rules memo;
-  * ``invseq.series``: "f_coefficients", "ff_slice_series" (the
-    (k,F,F) slice of ``_ff_slice_prefix``), "system-201-210",
-    ("iterate_fe", system) and ("relation", name), the residual of a
-    relation on the prefixes it reads, checked through the linear ODE
-    of the relation, which its first step derives;
+  * ``invseq.series``: "f_coefficients", ("iterate_fe", system) and
+    ("relation", name), the residual of a relation on the prefixes it
+    reads, checked through the linear ODE of the relation, which its
+    first step derives;
+  * ``invseq.checks``: "ff_slice_series" (the (k,F,F) slice of
+    ``_ff_slice_prefix``) and "system-201-210" (the census of
+    ``_check_system_violation``);
   * ``invseq.cli``: ("text", source), the line of each count of a source
     the command line prints, keyed on the bound ``count`` of the source's
     prefix, a system's rules memo (source: the system's name) or the

@@ -4,10 +4,9 @@ Everything here is exact, with hard truncation orders, so every identity
 we claim is checked coefficient-by-coefficient with no floating point
 anywhere.  The module has four layers:
 
-  * univariate series: the closed form (``f_coefficients``) and the
-    prefix of the (k,F,F) slice of the 201-210 DP (``_ff_slice_prefix``).
-    A series known through x^k is the plain list of its coefficients of
-    x^0..x^k, as every counting route of the package returns it.
+  * univariate series: the closed form (``f_coefficients``).  A series
+    known through x^k is the plain list of its coefficients of x^0..x^k,
+    as every counting route of the package returns it.
   * polynomial relations (``PolyRelation`` / ``relation_residual``) used to
     test that a series satisfies an algebraic equation, one coefficient
     per step of a prefix that keeps y and its powers, each power's
@@ -18,13 +17,13 @@ anywhere.  The module has four layers:
     step in O(order) operations, and steps the residuals of the relation
     and of its derivative in y, over one history of y, only through a
     short prefix while the series passes it.
-  * bivariate series in x and u, and ``_check_system_violation``, which
-    replays the defining equations of the 201-210 rule system against
-    its own census data, one x-degree per step of a per-process
-    prefix.  Its equations read phi, which sends u^k to 1 + u + ... +
-    u^(k-1), as a suffix sum on a row.  It forms the residual rows of
-    the three equations only, and proves that the four relations
-    cleared of phi follow from them.
+  * bivariate series in x and u, and ``_system_step``, the step with
+    which ``invseq.checks`` replays the defining equations of the
+    201-210 rule system against its own census data, one x-degree per
+    step of a per-process prefix.  Its equations read phi, which sends
+    u^k to 1 + u + ... + u^(k-1), as a suffix sum on a row.  It forms
+    the residual rows of the three equations only, and proves that the
+    four relations cleared of phi follow from them.
   * the trivariate functional equations of the two 2-parameter systems,
     solved one x-degree at a time (``iterate_fe``), with divided
     differences done by checked exact synthetic division.  This layer
@@ -37,22 +36,22 @@ x-degree) is a list over u-power of rows indexed by the v-power, so
 ``s[u_power][v_power]`` is a coefficient.  Rows may carry zeros and may
 differ in length.
 
-The closed form, the (k,F,F) slice, the bivariate system, the
-functional-equation iteration of each system and each relation that a
-check evaluates keep a per-process prefix in the registry of
-``invseq.prefix``.  Each prefix is a start level and a step:
-``_f_step``, ``_step_ff``, ``_system_step`` over the 201-210 kernel,
-``_fe_slice_step`` over an entry of ``_FE_STEP``, and
+The closed form, the functional-equation iteration of each system and
+each relation that a check evaluates keep a per-process prefix in the
+registry of ``invseq.prefix``.  Each prefix is a start level and a step:
+``_f_step``, ``_fe_slice_step`` over an entry of ``_FE_STEP``, and
 ``_relation_step`` over the relation and the bound counts of the
 prefixes it reads; the step of depth d forms and checks depth d and
-nothing past it.  None of them is the rules memo of
-``invseq.succession``, so that the routes stay apart from the route
-they check: the slices never touch the memo, and the closed form and
-the functional equations reach no succession code.  A relation is
-keyed on the prefixes it reads, so it steps cold once one of them is
-made afresh.  One route keeps no prefix at all and replays cold, in a
-loop of its own: ``relation_residual``, through ``_residual_step`` over
-the coefficients it is given.
+nothing past it.  A relation is keyed on the prefixes it reads, so it
+steps cold once one of them is made afresh.  One route keeps no prefix
+at all and replays cold, in a loop of its own: ``relation_residual``,
+through ``_residual_step`` over the coefficients it is given.
+
+The module imports nothing of ``invseq.succession``: the two census
+routes, the (k,F,F) slice and the system's prefix over ``_system_step``
+and the 201-210 kernel, live in ``invseq.checks``, which hands the
+kernel in.  So the closed form and the functional equations reach no
+succession code, and reading them loads no rule system.
 """
 
 from collections import namedtuple
@@ -60,7 +59,6 @@ from itertools import accumulate, islice, zip_longest
 from operator import add, mul, sub
 
 from .prefix import shared
-from .succession import _fast_step_201_210, _step_ff
 
 
 # The oracle workload's checker in bench/checks.py still wraps its counts
@@ -120,16 +118,6 @@ def _f_step(level):
         raise ArithmeticError(
             "sqrt(1-8x) coefficient of x^%d is not an integer" % k)
     return (k + 1, r, f, f1), f
-
-
-def _ff_slice_prefix():
-    """This process's prefix of the (k,F,F) slice of the 201-210 system,
-    stepped alone by _step_ff from the axiom's slice [1] (see
-    ``invseq.prefix``); its count at depth n, the slice summed over k,
-    is the n-th Catalan number.  The route never touches the rules memo,
-    so minpoly-B, which subtracts these sums from the memo's counts,
-    takes its two terms from separate routes."""
-    return shared("ff_slice_series", [1], _step_ff)
 
 
 # -- polynomial relations ---------------------------------------------------
@@ -380,9 +368,9 @@ def _combine(length, *terms):
 
 
 def _system_residuals(rows, prev):
-    """The residual rows of A, B and C (see _check_system_violation) at
-    one x-degree m, each as long as A there (m + 1), from the census
-    rows (A, B, C) of x^m and of x^(m-1).
+    """The residual rows of A, B and C (see _system_step) at one
+    x-degree m, each as long as A there (m + 1), from the census rows
+    (A, B, C) of x^m and of x^(m-1).
 
     Rows of x-degree m - 1 enter through the factor x; at m = 0 they are
     empty.  The terms read the suffix sums of the rows A, B and C of
@@ -409,33 +397,18 @@ def _system_step(level, kernel, axiom):
     residual rows (see _system_residuals), and returns the level at
     x^(m+1) and the count at x^m: the first failure through x^m, the
     least (label, x_degree, u_degree) at which a residual row is
-    nonzero, or None."""
-    prev, first = level
-    m = len(prev[0])
-    rows = _census_rows(m, kernel(prev)[0] if m else axiom)
-    residuals = _system_residuals(rows, prev)
-    if any(map(any, residuals)):
-        failure = next((label, m, next(j for j, c in enumerate(row) if c))
-                       for label, row in zip("ABC", residuals) if any(row))
-        first = min(first or failure, failure)
-    return (rows, first), first
+    nonzero, or None.
 
-
-def _check_system_violation(n_max):
-    """Replay the defining equations of the 201-210 system on its census.
-
-    Reads the three census slices from the DP as rows: A, B and C have,
-    at x^m, the row of counts of the states (k,F,F), (k,T,F) and (k,T,T)
-    indexed by u^k.  A nonzero count at a u-power above m raises
-    ArithmeticError.  Then it verifies, coefficient by coefficient
-    through x^n_max:
+    The three equations, where A, B and C have, at x^m, the row of
+    counts of the states (k,F,F), (k,T,F) and (k,T,T) indexed by u^k,
+    are
 
       A = 1 + xu*(A + phi(A))
       B = xu*(2B + phi(B) + C)
       C = xu*(phi(uD) + phi(C) + C)        with D = phi(A + B)
 
     and the four cleared relations obtained from the same system by
-    collecting terms:
+    collecting terms are
 
       P1:  (1 - u + xu^2)A - xu*A(x,1) + u - 1                     = 0
       P2:  (1 - u - xu + 2xu^2)B - xu*B(x,1) + xu(u-1)C            = 0
@@ -443,10 +416,8 @@ def _check_system_violation(n_max):
       P4:  (1 - u)D + A + B - A(x,1) - B(x,1)                      = 0
 
     Each identity is a residual row (left side minus right side) per
-    x-degree, with phi a suffix sum on a row.  Returns None when every
-    residual is zero, else (label, x_degree, u_degree) of the first
-    failure: labels in the order above, then the lowest x-degree, then
-    the lowest u-degree.
+    x-degree, with phi a suffix sum on a row, and a failure sorts by
+    label in the order above, then by x-degree, then by u-degree.
 
     Only the residual rows of A, B and C are formed, because the cleared
     relations follow from them on any census.  For every g,
@@ -458,19 +429,16 @@ def _check_system_violation(n_max):
     P3 first fails exactly where A, B or C does, and P4 never fails.
     Every P label sorts after C, so the first failure of the seven
     identities is that of the three: None or the least (label, x_degree,
-    u_degree) with label A, B or C, on every census, injected or not.
-
-    The answer is the count at x^n_max of this process's prefix of the
-    system (see ``invseq.prefix`` and _system_step), stepped by the
-    201-210 kernel from the axiom's rows, whose count at x^m is the first
-    failure through x^m.  So a process steps, converts and forms the
-    residual rows of each degree once, and a request through x^n_max
-    forms no census row past it.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    return shared("system-201-210", (([],) * 3, None), _system_step,
-                  _fast_step_201_210, ([1], [0], [0])).count(n_max)
+    u_degree) with label A, B or C, on every census, injected or not."""
+    prev, first = level
+    m = len(prev[0])
+    rows = _census_rows(m, kernel(prev)[0] if m else axiom)
+    residuals = _system_residuals(rows, prev)
+    if any(map(any, residuals)):
+        failure = next((label, m, next(j for j, c in enumerate(row) if c))
+                       for label, row in zip("ABC", residuals) if any(row))
+        first = min(first or failure, failure)
+    return (rows, first), first
 
 
 # -- trivariate layer -------------------------------------------------------

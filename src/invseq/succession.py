@@ -70,8 +70,9 @@ Each RuleSystem keeps a memo, the per-process prefix of its own DP
 (see ``invseq.prefix``), whose route is the dense axiom level and the
 kernel: rule_counting_sequence(), count_via_rules(), state_profile()
 and profile_text() read it, and extend it when a request is deeper.
-The series checks step the dense 201-210 kernel through prefixes of
-their own (``invseq.series``), never through the memo.
+The census checks step the dense 201-210 kernel and the (k,F,F) step
+through prefixes of their own (``invseq.checks``), never through the
+memo.
 
 >>> count_via_rules("201-210", 7)
 3720
@@ -131,9 +132,6 @@ class RuleSystem:
     @property
     def memo(self):
         return shared(self.name, self.start, self.kernel)
-
-    def __repr__(self):
-        return "RuleSystem(%r)" % self.name
 
 
 def _successors_201_210(state):

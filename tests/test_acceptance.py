@@ -7,10 +7,9 @@ gather exactly that: agreement below a cutoff, no proof claimed.
 
 import time
 
-from invseq.checks import run_check
+from invseq.checks import _ff_slice_prefix, run_check
 from invseq.oracle import count_avoiders, count_sequence
 from invseq.series import (
-    _ff_slice_prefix,
     CUBIC_010_102,
     f_coefficients,
     relation_residual,

@@ -3,27 +3,29 @@ runs both sides of the sweep once per length through its depth, so the
 printed lines are those of a cold run whatever came before, and a fault
 planted in a sliced side or in the compiled groups the matcher reads
 is seen by the next request, with no reset.  The first test asks for a
-check that does not exist.  The concurrency test also runs the system
+check that does not exist, and the next for a sweep too deep for its
+masks to fit in memory.  The concurrency test also runs the system
 check, whose prefix threads share, the one after it empties the whole
 registry after every check, and the next plants a fault in a step after
 a warm run, with no reset.  The next one plants a mismatch in the first
 system of oracle-vs-rules and fe-vs-rules, which then count no later
-system.  The last four test the ODE fast path of the minpoly checks: a
+system.  The last five test the ODE fast path of the minpoly checks: a
 unit planted in a source, a solution of the ODE that is no root of the
 relation, a relation whose ODE the counts fail and a relation with no
 ODE each print the line of the stateless residual, and the count of the
-check's one relation route is that residual's."""
+check's one relation route is that residual's, as it is for a relation
+whose recurrence tops a term past the one its equation is numbered by."""
 
 import sys
 import threading
 import types
 from collections import Counter
-from math import factorial
+from math import comb, factorial
 from operator import sub
 
 import pytest
 
-from invseq import checks, core, poly, series, succession
+from invseq import checks, cli, core, poly, series, succession
 from invseq.checks import CHECKS, run_check
 from invseq.prefix import _STATES, Prefix
 from invseq.succession import SYSTEMS
@@ -101,6 +103,24 @@ def test_an_unknown_check_is_value_error_naming_the_checks(fresh_states):
             run_check(name, 5)
         assert str(info.value) == "unknown check %r (have: %s)" % (name, have)
     assert not _STATES
+
+
+def test_too_deep_a_structure_sweep_is_refused_before_any_mask(
+        monkeypatch, capsys, fresh_states):
+    """The order masks of length 12 would take about 7.9 GB, so an n_max
+    above 11 is a ValueError, and on the command line one error line and
+    exit status 2, before a mask of any length is built; 11 itself goes
+    on to build the masks of length 0."""
+    def unbuilt(n):
+        raise LookupError("masks of length %d" % n)
+    monkeypatch.setattr(checks, "_order_masks", unbuilt)
+    with pytest.raises(LookupError, match="length 0"):
+        run_check(STRUCTURE, 11)
+    with pytest.raises(ValueError, match="at most 11"):
+        run_check(STRUCTURE, 12)
+    assert cli.main(["verify", "--check", STRUCTURE, "--n-max", "12"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: structure-theorem takes n-max at most 11\n")
 
 
 @pytest.mark.parametrize("order", [(5, 7, 6, 8), (8, 5)])
@@ -338,15 +358,15 @@ STEP_FAULTS = {
                     20, ["FAIL: planted at x^7"]),
     "fe-vs-rules": (series._FE_STEP, "011-201", _bump_fe, 20, 10,
                     ["FAIL for 011-201 at n=6: iteration 190 != rules 189"]),
-    "minpoly-A": (vars(series), "_step_ff", _bump_slice(5, 2), 40, 20,
+    "minpoly-A": (vars(checks), "_step_ff", _bump_slice(5, 2), 40, 20,
                   ["FAIL: residual first nonzero at order 4"]),
     "minpoly-B:kernel": (vars(SYSTEMS["201-210"]), "kernel", _bump_kernel, 40,
                          20, ["FAIL: residual first nonzero at order 6"]),
-    "minpoly-B:_step_ff": (vars(series), "_step_ff", _bump_slice(5, 2), 40,
+    "minpoly-B:_step_ff": (vars(checks), "_step_ff", _bump_slice(5, 2), 40,
                            20, ["FAIL: residual first nonzero at order 5"]),
     "minpoly-F": (vars(SYSTEMS["201-210"]), "kernel", _bump_kernel, 40, 20,
                   ["FAIL: residual first nonzero at order 6"]),
-    "system-201-210": (vars(series), "_fast_step_201_210", _bump_kernel, 40,
+    "system-201-210": (vars(checks), "_fast_step_201_210", _bump_kernel, 40,
                        20, ["FAIL: equation A first differs at x^5 u^2"]),
     "system-201-210:_system_step": (
         vars(series), "_system_step", _bump_system_step, 40, 20,
@@ -427,13 +447,13 @@ def _with_series(name, y, monkeypatch):
     """Make the sources of the minpoly check read y as the series it
     evaluates: the (k,F,F) slice for minpoly-A, the memo for minpoly-F,
     and for minpoly-B a memo of the (k,F,F) sums plus y.  The slice is
-    planted in ``invseq.series``, from which minpoly-A imports it when it
+    planted in ``invseq.checks``, whose global minpoly-A reads when it
     runs."""
     if name == "minpoly-A":
-        monkeypatch.setattr(series, "_ff_slice_prefix", lambda: _listed(y))
+        monkeypatch.setattr(checks, "_ff_slice_prefix", lambda: _listed(y))
         return
     if name == "minpoly-B":
-        a = series._ff_slice_prefix().counts(len(y) - 1)
+        a = checks._ff_slice_prefix().counts(len(y) - 1)
         y = [*map(sum, zip(a, y))]
     memo = _listed(y)
     monkeypatch.setattr(checks, "get_system",
@@ -441,7 +461,7 @@ def _with_series(name, y, monkeypatch):
 
 
 def _true_series(name, n):
-    a = series._ff_slice_prefix().counts(n)
+    a = checks._ff_slice_prefix().counts(n)
     f = succession.rule_counting_sequence("201-210", n)
     return {"minpoly-A": a, "minpoly-F": f,
             "minpoly-B": [*map(sub, f, a)]}[name]
@@ -560,6 +580,29 @@ def test_a_corrupted_relation_falls_back_to_the_residual(fresh_states):
         False, ["FAIL: residual first nonzero at order %d" % first])
     assert _residual_depth("bumped") == n
     assert _STATES[("relation", "bumped")].count(n) == first
+
+
+def test_a_recurrence_with_top_above_zero_checks_the_equation_it_tops(
+        fresh_states):
+    """y^2 = 1 - 4x, whose recurrence tops y_(n+1) at equation n (top 1,
+    where the three minpoly relations have top 0): on y = sqrt(1 - 4x)
+    through x^58 its prefix keeps the recurrence and steps the residual
+    at x^0 only (n0 = 0), and on copies with the coefficient of x^m
+    bumped its count at every depth k is the stateless residual's
+    through x^k: None below m, and m from m on."""
+    relation = series.PolyRelation("root", ((-1, 4), (), (1,)))
+    top, _, _ = poly.recurrence(poly.linear_ode(relation.coefficients))
+    assert top == 1
+    n = 58
+    y = [1, *(-2 * comb(2 * k - 2, k - 1) // k for k in range(1, n + 1))]
+    assert series._relation_prefix(relation, _listed(y).count).counts(n) \
+        == [None] * (n + 1)
+    assert _ode_route("root") == (0, 1) and _residual_depth("root") == 0
+    for at in range(n + 1):
+        bumped = [*y[:at], y[at] + 1, *y[at + 1:]]
+        assert series.relation_residual(relation, bumped) == at
+        route = series._relation_prefix(relation, _listed(bumped).count)
+        assert route.counts(n) == [None] * at + [at] * (n + 1 - at), at
 
 
 @pytest.mark.parametrize("name", sorted(RELATIONS))

@@ -757,7 +757,7 @@ B_011_201 = ((0, 1, 1), (2, 0, 1))
 
 # check: (module or object, route the check reads, plant, depth, OK line,
 # FAIL line); a series name is planted in invseq.series, from which the
-# check imports it when it runs
+# check imports it when it runs, and a census step in invseq.checks
 CHECK_CASES = {
     "gf-vs-rules": (
         series, "f_coefficients", _bump_at(3), 6,
@@ -768,11 +768,11 @@ CHECK_CASES = {
         "OK: oracle matches the rules for all three systems through n=6",
         "FAIL for 011-201 at n=5: oracle 52 != rules 51"),
     "minpoly-A": (
-        series, "_step_ff", _bump_count(4), 8,
+        checks, "_step_ff", _bump_count(4), 8,
         "OK: relation holds through n=8",
         "FAIL: residual first nonzero at order 4"),
     "minpoly-B": (
-        series, "_step_ff", _bump_count(4), 8,
+        checks, "_step_ff", _bump_count(4), 8,
         "OK: relation holds through n=8",
         "FAIL: residual first nonzero at order 5"),
     "minpoly-F": (
@@ -780,7 +780,7 @@ CHECK_CASES = {
         "OK: relation holds through n=8",
         "FAIL: residual first nonzero at order 5"),
     "system-201-210": (
-        series, "_fast_step_201_210", _bump_census, 8,
+        checks, "_fast_step_201_210", _bump_census, 8,
         "OK: all seven bivariate identities hold through n=8",
         "FAIL: equation A first differs at x^5 u^2"),
     "structure-theorem": (

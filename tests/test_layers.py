@@ -1,14 +1,17 @@
 """Import boundaries between the layers.
 
 The routes to the counting numbers stay independent only while the code
-keeps them apart: the core matcher depends on no counting route, the
-oracle needs nothing but pattern validation, the polynomial layer
-imports nothing of the package and reads no relation, neither it nor
-the series layer is imported with the package or the command line but
-by the first request that reads it, the series layer reads nothing of
-the succession DP but the steps of its two census routes, the (k,F,F)
-slice and the 201-210 kernel, and nothing of the oracle, and the closed
-form and the functional-equation iteration reach no succession code at all.  The command line reaches the checks through
+keeps them apart, and one table pins the package imports of each route
+module, at any depth: the core matcher, the polynomial layer and the
+prefix registry import nothing of the package, the oracle nothing but
+pattern validation, the succession DP nothing but the registry, and the
+series layer the registry and the polynomial layer, so nothing of the
+succession DP or the oracle.  The two census routes, which step the DP,
+live in ``invseq.checks``.  The polynomial layer reads no relation,
+neither it nor the series layer is imported with the package or the
+command line but by the first request that reads it, and reading or
+running the closed form or the functional-equation iteration loads no
+rule system.  The command line reaches the checks through
 the public registry in ``invseq.checks``, not through private names,
 every per-process state is a Prefix in the registry of
 ``invseq.prefix``, the only functools caches hold pattern data and the
@@ -24,6 +27,7 @@ the registry after requests of every kind."""
 
 import ast
 import dis
+import importlib
 import inspect
 import json
 import os
@@ -35,7 +39,7 @@ import types
 import pytest
 
 import invseq
-from invseq import cli, core, oracle, poly, series, succession
+from invseq import cli, oracle, poly, series
 from invseq.checks import CHECKS, run_check
 from invseq.prefix import _STATES, Prefix
 from invseq.succession import RuleSystem
@@ -73,9 +77,27 @@ def test_the_import_reader_sees_every_form():
                                      ("d", "y"), ("e", None), ("g", "z")}
 
 
-def test_core_imports_no_counting_route():
-    assert not {m for m, _ in _imports_of(core)} & {
-        "oracle", "succession", "series"}
+# route module -> the (module, name) pairs of the package that it imports
+ROUTE_IMPORTS = {
+    "core": set(),
+    "oracle": {("core", "validate_pattern")},
+    "succession": {("prefix", "shared")},
+    "series": {("prefix", "shared"), *(("poly", name) for name in (
+        "linear_ode", "nonnegative_roots", "recurrence", "ydy"))},
+    "poly": set(),
+    "prefix": set(),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_IMPORTS)
+def test_each_route_module_imports_exactly_its_row(name):
+    """What a route module imports of the package, at module level or in
+    a function body: the core matcher depends on no counting route, the
+    oracle on pattern validation alone, and the closed form, the
+    relations and the functional equations on neither the succession DP
+    nor the oracle."""
+    module = importlib.import_module("invseq." + name)
+    assert _imports_of(module) == ROUTE_IMPORTS[name]
 
 
 def _code_runners(source):
@@ -108,19 +130,6 @@ def test_the_runtime_runs_no_generated_code():
         assert not _code_runners(path.read_text()), path.name
 
 
-def test_oracle_imports_only_pattern_validation():
-    assert _imports_of(oracle) == {("core", "validate_pattern")}
-
-
-def test_series_reads_only_the_census_slices_of_succession():
-    """The steps of the (k,F,F) slice and of the 201-210 census, which
-    minpoly-A and the system check step through prefixes of their own:
-    no rule system, so no memo."""
-    from_succession = {name for m, name in _imports_of(series)
-                       if m == "succession"}
-    assert from_succession == {"_step_ff", "_fast_step_201_210"}
-
-
 def test_the_runtime_imports_only_the_standard_library():
     """Every absolute import in the package, at any depth, but those of
     the package itself, names a top-level module of the standard library
@@ -137,11 +146,10 @@ def test_the_runtime_imports_only_the_standard_library():
     assert found <= sys.stdlib_module_names, found - sys.stdlib_module_names
 
 
-def test_poly_imports_no_invseq_module_and_reads_no_relation():
+def test_poly_reads_no_relation():
     """The polynomial layer derives an ODE from the coefficients it is
-    handed: it imports nothing of the package, and no code object of it
-    loads a relation constant of ``invseq.series``."""
-    assert not _imports_of(poly)
+    handed: no code object of it loads a relation constant of
+    ``invseq.series``."""
     loaded = _loads_by_owner([pathlib.Path(poly.__file__)])
     constants = {name for name in vars(series)
                  if name.startswith("MINPOLY_") or name == "CUBIC_010_102"}
@@ -201,14 +209,18 @@ _PACKAGE = tuple(
     ("avoids", ["invseq.core"]),
     ("count_sequence", ["invseq.core", "invseq.oracle"]),
     ("step", ["invseq.prefix", "invseq.succession"]),
-    ("f_coefficients", ["invseq.prefix", "invseq.series", "invseq.succession"]),
+    ("f_coefficients", ["invseq.prefix", "invseq.series"]),
+    ("f_coefficients(60)", ["invseq.prefix", "invseq.series"]),
+    ("iterate_fe('011-201', 20)", ["invseq.prefix", "invseq.series"]),
+    ("iterate_fe('010-100-120-210', 20)", ["invseq.prefix", "invseq.series"]),
 ])
 def test_a_read_of_the_package_root_imports_the_home_of_the_name(read, loaded):
     """``import invseq`` imports no other module of the package, and the
     first read of a public name imports its home module and what that
-    imports, no more: ``f_coefficients`` imports neither the oracle nor
-    poly.  Each read runs in its own interpreter, under ``-S``, so that
-    site preloads nothing."""
+    imports, no more: reading ``f_coefficients``, and running it or
+    ``iterate_fe`` on either system, imports neither the succession DP
+    nor the oracle nor poly.  Each read runs in its own interpreter,
+    under ``-S``, so that site preloads nothing."""
     code = "import invseq\n%s\nmark('read', %r)\n" % (
         "invseq." + read if read else "", _PACKAGE)
     assert _footprints(code, "-S") == [("read", ["invseq", *loaded])]
@@ -251,10 +263,6 @@ def test_only_requests_that_read_series_load_it():
         (" ".join(gf), ["invseq.series"])]
     assert _footprints("run(*%r)\n" % (minpoly,)) == [
         (" ".join(minpoly), ["invseq.poly", "invseq.series"])]
-
-
-def test_series_imports_nothing_from_the_oracle():
-    assert "oracle" not in {m for m, _ in _imports_of(series)}
 
 
 def test_cli_imports_no_private_name():
@@ -381,19 +389,6 @@ def test_every_top_level_import_is_read():
     assert unread == set()
 
 
-def _held(obj):
-    """The objects a name bound to obj leads to: the values of a dict,
-    the start, step and arguments of a Prefix's route, the items
-    of a tuple, or obj itself."""
-    if isinstance(obj, dict):
-        return list(obj.values())
-    if isinstance(obj, Prefix):
-        return _held(obj.route)
-    if isinstance(obj, tuple):
-        return [t for part in obj for t in _held(part)]
-    return [obj]
-
-
 def _loaded_names(fn):
     """The global names that fn loads, in its own code or in the code of
     the functions defined inside it."""
@@ -404,25 +399,6 @@ def _loaded_names(fn):
         codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
         names.update(code.co_names)
     return names
-
-
-def _reachable(functions, namespace):
-    """Every object that the given functions load by global name from the
-    namespace, followed through the functions they reach in the same
-    module, directly or held in a dict, a Prefix or a tuple; a function
-    reached is also listed under its own name."""
-    seen = {}
-    todo = list(functions)
-    while todo:
-        fn = todo.pop()
-        seen.setdefault(fn.__name__, fn)
-        for name in _loaded_names(fn):
-            if name in namespace and name not in seen:
-                obj = seen[name] = namespace[name]
-                todo.extend(t for t in _held(obj)
-                            if isinstance(t, types.FunctionType)
-                            and t.__module__ == series.__name__)
-    return seen
 
 
 def test_counting_and_listing_step_one_raw_transition():
@@ -436,38 +412,6 @@ def test_counting_and_listing_step_one_raw_transition():
             if "_pair_rules" in _loaded_names(fn)} == {"_raw_children"}
     for name in ("_count_raw", "listing_text"):
         assert "_raw_children" in _loaded_names(functions[name]), name
-
-
-def test_the_walk_follows_calls_and_dispatch_tables():
-    reached = _reachable([series.iterate_fe], vars(series))
-    assert {"_fe_slice_step", "_FE_STEP", "_fe_step_011_201",
-            "_dd_uv_slice", "_suffix_sums"} <= set(reached)
-
-
-def test_the_walk_reaches_the_closed_form_route():
-    """The closed form's coefficients come from a Prefix over its step;
-    the walk reaches the step, also through a Prefix bound to a name,
-    whose route it follows to the step and, for a functional equation,
-    to the system's entry of _FE_STEP."""
-    reached = _reachable([series.f_coefficients], vars(series))
-    assert reached["_f_step"] is series._f_step
-
-    def held(n):
-        return HELD.counts(n)   # HELD is bound only in the walked namespace
-    for prefix, step in (
-            (Prefix((0, 0, 0, 0), series._f_step), series._f_step),
-            (Prefix((0, None), series._fe_slice_step,
-                    series._FE_STEP["011-201"]), series._fe_step_011_201)):
-        namespace = {"HELD": prefix, **vars(series)}
-        assert _reachable([held], namespace)[step.__name__] is step
-
-
-@pytest.mark.parametrize("name", ["f_coefficients", "iterate_fe",
-                                  "_fe_slice_step"])
-def test_closed_form_and_fe_reach_no_succession_code(name):
-    for ref, obj in _reachable([getattr(series, name)], vars(series)).items():
-        assert obj is not succession, ref
-        assert getattr(obj, "__module__", None) != succession.__name__, ref
 
 
 def _empty_container(node):

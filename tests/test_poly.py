@@ -6,7 +6,7 @@ coefficients set how far the minpoly checks step their residuals."""
 
 import pytest
 
-from invseq import poly, series
+from invseq import checks, poly, series
 from invseq.series import MINPOLY_A, MINPOLY_B, MINPOLY_F
 from invseq.succession import rule_counting_sequence
 
@@ -14,7 +14,7 @@ N = 300
 
 
 def _sources(n):
-    a = series._ff_slice_prefix().counts(n)
+    a = checks._ff_slice_prefix().counts(n)
     f = rule_counting_sequence("201-210", n)
     return {"minpoly-A": a, "minpoly-F": f,
             "minpoly-B": [x - y for x, y in zip(f, a)]}

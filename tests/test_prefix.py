@@ -33,12 +33,12 @@ FE_IDS = ("011-201", "010-100-120-210")
 
 def _census(n):
     """The residual counts the system check reads through x^n."""
-    assert series._check_system_violation(n) is None
+    assert checks._check_system_violation(n) is None
     return _STATES["system-201-210"].counts(n)
 
 
 SERIES_REQUESTS = {
-    "ff_slice_series": lambda n: series._ff_slice_prefix().counts(n),
+    "ff_slice_series": lambda n: checks._ff_slice_prefix().counts(n),
     "census": _census,
     "f_coefficients": series.f_coefficients,
     **{"iterate_fe:" + system_id: (lambda n, s=system_id: series.iterate_fe(s, n))
@@ -69,9 +69,9 @@ def _slot(name, monkeypatch):
         monkeypatch.setitem(SYSTEMS, name, system)
         return vars(system), "kernel"
     if name == "ff_slice_series":
-        return vars(series), "_step_ff"
+        return vars(checks), "_step_ff"
     if name == "census":
-        return vars(series), "_fast_step_201_210"
+        return vars(checks), "_fast_step_201_210"
     if name == "f_coefficients":
         return vars(series), "_f_step"
     return series._FE_STEP, name.split(":")[1]
@@ -279,12 +279,12 @@ def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch,
 @pytest.mark.parametrize("name", sorted(SERIES_REQUESTS))
 def test_a_planted_route_replaces_the_prefix(name, monkeypatch,
                                              fresh_states):
-    """A step planted in ``invseq.series`` (for the census, the kernel
-    its step is given, which the step of x^0 does not run) after a warm
-    request to depth 40 is stepped from the start in a prefix of its
-    own, which replaces the stored one, and gives the answers of the
-    step it wraps; restoring the real step replaces that prefix in
-    turn."""
+    """A step planted in ``invseq.series`` or ``invseq.checks`` (for the
+    census, the kernel its step is given, which the step of x^0 does not
+    run) after a warm request to depth 40 is stepped from the start in a
+    prefix of its own, which replaces the stored one, and gives the
+    answers of the step it wraps; restoring the real step replaces that
+    prefix in turn."""
     prefix, current, (namespace, key) = _route(name, monkeypatch)
     cold = [c for _, c in _cold(prefix, 40)]
     request = SERIES_REQUESTS[name]
@@ -504,18 +504,18 @@ def test_an_interrupted_wider_extension_keeps_levels_it_can_step(
     run, level = [], [1]
     for _ in range(112):
         run.append(level)
-        level = series._step_ff(level)[0]
+        level = checks._step_ff(level)[0]
     steps = [0]
 
     def counted(level):
         steps[0] += 1
-        return series._step_ff(level)
+        return checks._step_ff(level)
 
     def failing(level):
         if steps[0] == 4:
             raise Planted
         return counted(level)
-    prefix = Prefix([1], series._step_ff)
+    prefix = Prefix([1], checks._step_ff)
     prefix.counts(100)
     assert [d for d, _ in stored_levels(prefix)] == list(range(0, 101, 8))
     prefix.route = [1], failing, ()
@@ -548,7 +548,7 @@ PAST = {
        for system_id in FE_IDS},
     "structure-theorem": (vars(checks), "_order_masks",
                           lambda length: length),
-    "system-201-210": (vars(series), "_fast_step_201_210",
+    "system-201-210": (vars(checks), "_fast_step_201_210",
                        lambda level: len(level[0])),
 }
 
@@ -772,7 +772,7 @@ def test_threads_across_doublings_get_the_cold_answers(monkeypatch,
     monkeypatch.setattr(Prefix, "_KEEP", 2)
     run, level = [], [1]
     for _ in range(102):
-        nxt, count = series._step_ff(level)
+        nxt, count = checks._step_ff(level)
         run.append((level, count))
         level = nxt
     errors = []
@@ -780,7 +780,7 @@ def test_threads_across_doublings_get_the_cold_answers(monkeypatch,
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            prefix = Prefix([1], series._step_ff)
+            prefix = Prefix([1], checks._step_ff)
             barrier = threading.Barrier(8)
 
             def serve(offset):
@@ -848,5 +848,5 @@ def test_every_route_keeps_few_checkpoints_that_are_its_levels(
                 level = step(level, *args)[0]
                 depth += 1
             assert _same(kept, level), (key, d)
-    series._ff_slice_prefix().count(1500)
+    checks._ff_slice_prefix().count(1500)
     assert len(stored_levels(_STATES["ff_slice_series"])) == 12

@@ -8,12 +8,10 @@ from operator import sub
 import pytest
 from hypothesis import example, given, HealthCheck, settings, strategies as st
 
-from invseq import poly, series, succession
-from invseq.checks import run_check
+from invseq import checks, poly, series, succession
+from invseq.checks import _check_system_violation, _ff_slice_prefix, run_check
 from invseq.prefix import _STATES, Prefix
 from invseq.series import (
-    _check_system_violation,
-    _ff_slice_prefix,
     CUBIC_010_102,
     f_coefficients,
     iterate_fe,
@@ -526,7 +524,7 @@ def test_the_cleared_relations_follow_from_the_three_equations(n_max, cells):
     assert residuals["P4"] == [{}] * (n_max + 1)
 
 
-def _system_prefix(kernel=series._fast_step_201_210, axiom=([1], [0], [0])):
+def _system_prefix(kernel=checks._fast_step_201_210, axiom=([1], [0], [0])):
     """A fresh Prefix over the system's step that the registry never
     holds, by default over the route the system prefix is keyed on."""
     return Prefix((([],) * 3, None), series._system_step, kernel, axiom)
@@ -810,10 +808,10 @@ def test_census_depths_per_system_request(monkeypatch, fresh_states):
         return real_rows(deg, level)
     monkeypatch.setattr(series, "_census_rows", counted_rows)
 
-    def counted_kernel(level, _real=series._fast_step_201_210):
+    def counted_kernel(level, _real=checks._fast_step_201_210):
         steps.append(1)
         return _real(level)
-    monkeypatch.setattr(series, "_fast_step_201_210", counted_kernel)
+    monkeypatch.setattr(checks, "_fast_step_201_210", counted_kernel)
     for n in (20, 80, 50, 80):
         assert _check_system_violation(n) is None, n
     assert sorted(rows) == list(range(81))
@@ -854,13 +852,13 @@ def test_a_planted_census_route_is_checked_cold(monkeypatch, fresh_states):
     """A census kernel planted after a warm call to depth 25 gives, at
     any depth and in any order, the answers of a cold call on it;
     restoring the real kernel restores the real answers."""
-    real = series._fast_step_201_210
+    real = checks._fast_step_201_210
     planted = _planted_census(real)
 
     def cold(n):
         fresh_states()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(series, "_fast_step_201_210", planted)
+            mp.setattr(checks, "_fast_step_201_210", planted)
             return _check_system_violation(n)
 
     expected = {n: cold(n) for n in (3, 5, 25, 40)}
@@ -868,11 +866,11 @@ def test_a_planted_census_route_is_checked_cold(monkeypatch, fresh_states):
                         40: ("A", 5, 2)}
     fresh_states()
     assert _check_system_violation(25) is None
-    monkeypatch.setattr(series, "_fast_step_201_210", planted)
+    monkeypatch.setattr(checks, "_fast_step_201_210", planted)
     for n in (25, 3, 40, 5, 25):
         assert _check_system_violation(n) == expected[n], n
     assert len([s for s in _STATES.values() if isinstance(s, Prefix)]) == 1
-    monkeypatch.setattr(series, "_fast_step_201_210", real)
+    monkeypatch.setattr(checks, "_fast_step_201_210", real)
     for n in (40, 5):
         assert _check_system_violation(n) is None, n
 
@@ -994,8 +992,8 @@ FE_IDS = ("011-201", "010-100-120-210")
 # and the route (start, step, args) its prefix is keyed on
 PREFIX_ROUTES = {
     "ff_slice_series": (lambda n: _ff_slice_prefix().counts(n),
-                        (vars(series), "_step_ff"),
-                        ([1], series._step_ff, ())),
+                        (vars(checks), "_step_ff"),
+                        ([1], checks._step_ff, ())),
     "f_coefficients": (f_coefficients, (vars(series), "_f_step"),
                        ((0, 0, 0, 0), series._f_step, ())),
     **{"iterate_fe:" + system_id: (

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invseq import series
+from invseq import checks, series
 from invseq.checks import run_check
 from invseq.oracle import count_sequence, list_avoiders
 from invseq.prefix import _STATES, Prefix
@@ -543,11 +543,11 @@ def test_verify_routes_stay_off_the_memo(monkeypatch, fresh_states):
     monkeypatch.setitem(SYSTEMS, "201-210", system)
 
     def tf_of_the_census():
-        assert series._check_system_violation(n) is None
+        assert checks._check_system_violation(n) is None
         census = _STATES["system-201-210"]
         return [sum(census.level(m + 1)[0][1]) for m in range(n + 1)]
     tf = tf_of_the_census()
-    ff = series._ff_slice_prefix().counts(n)
+    ff = checks._ff_slice_prefix().counts(n)
     assert system.memo._memo is None
     levels = _cold("201-210", n)[1]
     for little, sums in ((F, ff), (T, tf)):
@@ -559,7 +559,7 @@ def test_verify_routes_stay_off_the_memo(monkeypatch, fresh_states):
     system.memo._memo = poison
     del _STATES["ff_slice_series"], _STATES["system-201-210"]
     assert tf_of_the_census() == tf
-    assert series._ff_slice_prefix().counts(n) == ff
+    assert checks._ff_slice_prefix().counts(n) == ff
     assert system.memo._memo is poison
 
 
@@ -574,7 +574,7 @@ def test_series_prefixes_stay_off_the_memo(monkeypatch, fresh_states):
     def answers():
         for key in [key for key in _STATES if key not in fresh]:
             del _STATES[key]
-        return (series._ff_slice_prefix().counts(400),
+        return (checks._ff_slice_prefix().counts(400),
                 [series.iterate_fe(system_id, 30) for system_id in fe_ids])
 
     ff, fe = answers()

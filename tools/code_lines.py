@@ -7,11 +7,12 @@ do not count as tokens.  A module's compile time is the least of
 COMPILE_RUNS calls of compile() on its source: what importing it costs
 where no bytecode is cached, as when PYTHONDONTWRITEBYTECODE is set.
 One line per module of src/invseq with both, then the code lines of
-tests/, then two import times, each the median over IMPORT_RUNS fresh
-interpreters in the caller's environment (with src/ on PYTHONPATH):
-``import invseq``, and ``import invseq.cli`` plus ``build_parser()``,
-what the benchmark's setup_s times.  On the last line, the total code
-lines of src/invseq.  Standard library only:
+tests/, then three import times, each the median over IMPORT_RUNS
+fresh interpreters in the caller's environment (with src/ on
+PYTHONPATH): ``import invseq``, ``import invseq.cli`` plus
+``build_parser()``, what the benchmark's setup_s times, and ``import
+invseq.series`` plus ``f_coefficients(60)``, which loads no rule
+system.  On the last line, the total code lines of src/invseq.  Standard library only:
 
     python3 tools/code_lines.py
 """
@@ -33,6 +34,8 @@ IMPORTS = {
     "import invseq": "import invseq",
     "import invseq.cli + build_parser()":
         "import invseq.cli; invseq.cli.build_parser()",
+    "import invseq.series + f_coefficients(60)":
+        "import invseq.series; invseq.series.f_coefficients(60)",
 }
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
@@ -93,5 +96,5 @@ if __name__ == "__main__":
     print("%-25s %5d" % ("tests/", sum(map(code_lines,
                                             (ROOT / "tests").glob("*.py")))))
     for label, code in IMPORTS.items():
-        print("%-36s %6.2f ms" % (label, import_ms(code)))
+        print("%-42s %6.2f ms" % (label, import_ms(code)))
     print(sum(modules.values()))
