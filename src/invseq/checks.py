@@ -22,8 +22,11 @@ Where the numbers come from, each state kept in the registry of
     from the memo's counts) and the census of the 201-210 system with
     the residual rows of its three equations, one x-degree per step
     (system-201-210, through ``_check_system_violation``, which steps
-    ``series._system_step`` over ``succession._fast_step_201_210``;
-    the step proves the four cleared relations from those three);
+    ``series._system_step`` over ``succession._fast_step_201_210``,
+    the one 201-210 kernel, and reads the census rows through
+    ``succession._decode_201_210``, so that ``invseq.series`` never
+    reads the layout of the level; the step proves the four cleared
+    relations from those three);
   * relation prefixes: minpoly-A, minpoly-B and minpoly-F each read
     one route (``_relation_prefix``), keyed on the prefixes above that
     it reads, whose count is the first nonzero order of the relation's
@@ -59,9 +62,9 @@ conjecture-010-102 each import what they read of it in their own body,
 so the first of them that runs loads it, and oracle-vs-rules,
 structure-theorem and wilf-011-201 never do.  A fault planted in one of
 those names is planted in ``invseq.series``, which they read at call
-time.  The steps of the census routes are read from this module's own
-globals, so a fault in ``_step_ff`` or ``_fast_step_201_210`` is
-planted here.
+time.  The steps of the census routes, and the census route's decoder,
+are read from this module's own globals, so a fault in ``_step_ff``,
+``_fast_step_201_210`` or ``_decode_201_210`` is planted here.
 
 ``CHECKS`` maps each name to (check, default depth), and ``run_check``
 runs one by name, the way the command line and the acceptance suite do:
@@ -74,7 +77,8 @@ from .core import _order_masks, _sliced_avoider, _sliced_checker, render_word
 from .oracle import count_sequence
 from .prefix import shared
 from .succession import (
-    _fast_step_201_210, _step_ff, get_system, rule_counting_sequence, SYSTEMS)
+    _decode_201_210, _fast_step_201_210, _step_ff, get_system,
+    rule_counting_sequence, SYSTEMS)
 
 # The structure sweep's largest n_max.  _order_masks(n) holds n(n - 1)
 # order masks of n! bits and, until it returns, the n(n + 1)/2 value
@@ -166,19 +170,21 @@ def _check_system_violation(n_max):
     ArithmeticError.
 
     The census rows A, B and C have, at x^m, the counts of the states
-    (k,F,F), (k,T,F) and (k,T,T) indexed by u^k.  The answer is the
-    count at x^n_max of this process's prefix of the system (see
+    (k,F,F), (k,T,F) and (k,T,T) indexed by u^k, as _decode_201_210
+    reads them off the DP level at depth m.  The answer is the count at
+    x^n_max of this process's prefix of the system (see
     ``invseq.prefix``), stepped by _system_step over the 201-210 kernel
-    from the axiom's rows, whose count at x^m is the first failure
-    through x^m.  So a process steps, converts and forms the residual
-    rows of each degree once, and a request through x^n_max forms no
-    census row past it.
+    and its decoder from the system's dense axiom level, whose count at
+    x^m is the first failure through x^m.  So a process steps, decodes
+    and forms the residual rows of each degree once, and a request
+    through x^n_max forms no census row past it.
     """
     from .series import _system_step
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    return shared("system-201-210", (([],) * 3, None), _system_step,
-                  _fast_step_201_210, ([1], [0], [0])).count(n_max)
+    return shared("system-201-210", (None, ([],) * 3, None), _system_step,
+                  _fast_step_201_210, _decode_201_210,
+                  get_system("201-210").start).count(n_max)
 
 
 def _verify_system(n_max):

@@ -52,10 +52,16 @@ always the ones of its depth, and a step that raises leaves the last
 published prefix as it stands:
 
   * counts(n) steps depths L..n, and nothing when L > n, and so does
-    count(n), which reads the count at n without copying; level(n) first
-    reaches depth n - 1, then returns the stored level if it is at depth
-    n, and otherwise steps the deepest checkpoint at or below n, fewer
-    than s(L) levels, outside the lock;
+    count(n), which reads the count at n without copying; level(n,
+    back) first reaches depth n - 1, then returns the stored level if it
+    is at depth n, and otherwise steps, outside the lock, from the
+    nearer stored level, when the caller gives an inverse back: the
+    deepest checkpoint at or below n, fewer than s(L) levels forward,
+    or, when it is strictly nearer, the nearest stored level above n, a
+    checkpoint or the level at L, stepped back by back, a step at a
+    time.  Ties go forward, and so does every resume with no back.  The
+    inverse is passed at call time, so it is not part of the route's
+    key;
   * an extension holds the prefix's lock while it steps, and publishes
     the counts, the level and the checkpoints after every step, so the
     old level is freed as soon as its step returns unless it is a
@@ -82,6 +88,10 @@ published prefix as it stands:
 ([1, 2, 4, 8, 16, 32], 16, 8, 1180591620717411303424)
 >>> prefix.level(69) == 2 ** 69, len(prefix._memo[2])  # 0, 8, ..., 64
 (True, 9)
+>>> def halve(level):
+...     return level // 2
+>>> prefix.level(63, halve) == 2 ** 63   # one step back from 64
+True
 """
 
 import threading
@@ -123,18 +133,28 @@ class Prefix:
             raise ValueError("n must be non-negative")
         return self._reach(n + 1)[0][n]
 
-    def level(self, n):
+    def level(self, n, back=None):
         """The level at depth n: the stored level once the prefix is n
-        deep, or stepped from the deepest checkpoint at or below n."""
+        deep, or stepped from the nearer stored level, the deepest
+        checkpoint at or below n or, when back is given, the nearest
+        stored level above n, a checkpoint or the level at L, when it is
+        strictly nearer.  back(level, *args) takes the level at depth d
+        + 1 to the level at d, the inverse of the route's step."""
         with self._lock:
             counts, level, checkpoints = self._reach(n)
-            if len(counts) == n:
-                return level
-            depth = max(d for d in checkpoints if d <= n)
-            level = checkpoints[depth]
+            depth = len(counts)
+            if depth > n:
+                below = max(d for d in checkpoints if d <= n)
+                above = min((d for d in checkpoints if d > n), default=depth)
+                if back is None or n - below <= above - n:
+                    depth, level = below, checkpoints[below]
+                elif above < depth:
+                    depth, level = above, checkpoints[above]
         _, step, args = self.route
         for _ in range(n - depth):
             level = step(level, *args)[0]
+        for _ in range(depth - n):
+            level = back(level, *args)
         return level
 
     def _reach(self, n):

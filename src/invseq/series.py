@@ -50,8 +50,10 @@ through ``_residual_step`` over the coefficients it is given.
 The module imports nothing of ``invseq.succession``: the two census
 routes, the (k,F,F) slice and the system's prefix over ``_system_step``
 and the 201-210 kernel, live in ``invseq.checks``, which hands the
-kernel in.  So the closed form and the functional equations reach no
-succession code, and reading them loads no rule system.
+kernel in, with the decoder of its levels into census slices, so this
+module never reads the layout of a DP level.  So the closed form and
+the functional equations reach no succession code, and reading them
+loads no rule system.
 """
 
 from collections import namedtuple
@@ -347,14 +349,14 @@ def _suffix_sums(row):
     return out
 
 
-def _census_rows(deg, level):
-    """The census rows (A, B, C) at x^deg of a level (a, b, c) of the
-    201-210 DP, each a list of length deg + 1; a nonzero coefficient past
-    u^deg raises ArithmeticError."""
-    if any(any(row[deg + 1:]) for row in level):
+def _census_rows(deg, slices):
+    """The census rows (A, B, C) at x^deg of the k-indexed count slices
+    (a, b, c) of a 201-210 level, each a list of length deg + 1; a
+    nonzero coefficient past u^deg raises ArithmeticError."""
+    if any(any(row[deg + 1:]) for row in slices):
         raise ArithmeticError("u-degree exceeds x-degree at x^%d" % deg)
     return tuple([*row[:deg + 1], *[0] * (deg + 1 - len(row))]
-                 for row in level)
+                 for row in slices)
 
 
 def _combine(length, *terms):
@@ -388,16 +390,18 @@ def _system_residuals(rows, prev):
     )
 
 
-def _system_step(level, kernel, axiom):
+def _system_step(level, kernel, decode, axiom):
     """The step of the system prefix at x^m, whose level there is (the
-    census rows (A, B, C) at x^(m-1), the first failure below x^m), three
-    empty rows and None at m = 0, so that m is the length of the rows.
-    It forms the census rows at x^m with _census_rows, from axiom at m =
-    0 and else from what kernel steps the rows of the level to, and their
-    residual rows (see _system_residuals), and returns the level at
-    x^(m+1) and the count at x^m: the first failure through x^m, the
-    least (label, x_degree, u_degree) at which a residual row is
-    nonzero, or None.
+    DP level at depth m - 1, the census rows (A, B, C) at x^(m-1), the
+    first failure below x^m), None, three empty rows and None at m = 0,
+    so that m is the length of the rows.  The DP level at depth m is
+    axiom at m = 0 and else what kernel steps the level's DP level to;
+    the step forms the census rows at x^m with _census_rows from the
+    slices decode(DP level) gives, and their residual rows (see
+    _system_residuals), and returns the level at x^(m+1) and the count
+    at x^m: the first failure through x^m, the least (label, x_degree,
+    u_degree) at which a residual row is nonzero, or None.  The DP
+    level is opaque here: only kernel and decode read it.
 
     The three equations, where A, B and C have, at x^m, the row of
     counts of the states (k,F,F), (k,T,F) and (k,T,T) indexed by u^k,
@@ -430,15 +434,16 @@ def _system_step(level, kernel, axiom):
     Every P label sorts after C, so the first failure of the seven
     identities is that of the three: None or the least (label, x_degree,
     u_degree) with label A, B or C, on every census, injected or not."""
-    prev, first = level
+    dp, prev, first = level
     m = len(prev[0])
-    rows = _census_rows(m, kernel(prev)[0] if m else axiom)
+    dp = kernel(dp)[0] if m else axiom
+    rows = _census_rows(m, decode(dp))
     residuals = _system_residuals(rows, prev)
     if any(map(any, residuals)):
         failure = next((label, m, next(j for j, c in enumerate(row) if c))
                        for label, row in zip("ABC", residuals) if any(row))
         first = min(first or failure, failure)
-    return (rows, first), first
+    return (dp, rows, first), first
 
 
 # -- trivariate layer -------------------------------------------------------

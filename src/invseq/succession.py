@@ -35,7 +35,14 @@ At the API a level vector is a plain dict mapping states to positive
 integer counts; the depth is whatever number of steps produced it.
 step() applies the rules literally and is the reference.  The counting
 functions instead step a dense level.  For 201-210 that is three
-k-indexed lists (a, b, c).  For the 2-parameter systems it is packed,
+k-indexed lists (a, T, v), each of length d + 1 at depth d, made from
+the slices (a, b, c) of the counts of the states (k,F,F), (k,T,F) and
+(k,T,T): T is the suffix sums of a + b, so T[0] is the accepted count,
+and v = b + c.  Decoding takes the differences t of T, then b = t - a
+and c = v - b.  In this form a step costs three suffix passes and three
+additions per k, six in all, and has an exact inverse, which halves a
+difference and checks that it is even (see _fast_step_201_210 and
+_back_201_210).  For the 2-parameter systems it is packed,
 (W, cols): cols[ell] holds the counts of (k, ell) for every k as the
 W-bit lanes of one int, lane k at bit W * k, and m = len(cols) exceeds
 k + ell for every state with a count (m is the depth plus one along
@@ -54,7 +61,7 @@ a sum of counts of the input level or of that level, so it is at most
 mT < 2^(W - 1), and R[0] % (2^W - 1) reads the next total exactly.
 201-210 stays dense: its cells average about 1350 bits at depth 700,
 against about 130 for the 2-parameter systems at depth 120, so its
-seven additions per k cost their digits, not the int objects, and
+six additions per k cost their digits, not the int objects, and
 packing them would save nothing.
 
 Each RuleSystem carries its dense kernel, which turns the ranged
@@ -62,7 +69,9 @@ productions into partial sums so one depth costs time linear in the
 number of cells (for the packed levels, linear in the number of
 columns, each a whole-word add), its conversions between dense and
 dict levels and its renderer of a dense level as text: to_dense,
-to_dict and render are the only code that reads or writes lanes.
+to_dict and render are the only code that reads or writes lanes, and,
+with the census route's decoder (_decode_201_210), the only code that
+reads the 201-210 layout.
 state_profile() converts once, at the end, and profile_text() renders
 the level without a dict.
 
@@ -70,6 +79,9 @@ Each RuleSystem keeps a memo, the per-process prefix of its own DP
 (see ``invseq.prefix``), whose route is the dense axiom level and the
 kernel: rule_counting_sequence(), count_via_rules(), state_profile()
 and profile_text() read it, and extend it when a request is deeper.
+state_profile() and profile_text() hand the memo the system's inverse
+step, back, so a level below the memo's depth is stepped back from the
+stored level above it when that is nearer than the checkpoint below.
 The census checks step the dense 201-210 kernel and the (k,F,F) step
 through prefixes of their own (``invseq.checks``), never through the
 memo.
@@ -80,8 +92,8 @@ memo.
 51
 """
 
-from itertools import accumulate, islice, zip_longest
-from operator import add
+from itertools import accumulate, islice, repeat, zip_longest
+from operator import add, and_, rshift, sub
 
 from .prefix import shared
 
@@ -97,13 +109,17 @@ class RuleSystem:
 
     kernel(level) takes a dense level to the next depth and also returns
     the accepted count of the level it was given, which falls out of its
-    partial sums; a dense level is three k-indexed lists for 201-210
-    and packed columns (W, cols) for the 2-parameter systems (see the
-    module docstring).  to_dense(level) makes the dense level of a dict
-    level, and raises ValueError on a state (k,F,T), which the 201-210
-    rules never reach, and on a negative count of a 2-parameter state,
-    which no lane holds; to_dict(level) makes the dict back, without
-    zero counts.
+    partial sums; a dense level is three k-indexed lists (a, T, v) for
+    201-210 and packed columns (W, cols) for the 2-parameter systems
+    (see the module docstring).  back(level), for 201-210, is the exact
+    inverse of kernel, the level one depth shallower, and raises
+    ArithmeticError on a level no step produces; it is None for the
+    2-parameter systems (011-201's kernel is not injective), whose
+    levels are only ever stepped forward.  to_dense(level) makes the
+    dense level of a dict level, and raises ValueError on a state
+    (k,F,T), which the 201-210 rules never reach, and on a negative
+    count of a 2-parameter state, which no lane holds; to_dict(level)
+    makes the dict back, without zero counts.
     render(level) is the text of a dense level: one "state count" line
     per state with a nonzero count, in sorted state order, each state as
     state_str writes it.
@@ -116,7 +132,7 @@ class RuleSystem:
     """
 
     def __init__(self, name, basis, axiom, successors, accept, state_str,
-                 kernel, to_dense, to_dict, render):
+                 kernel, to_dense, to_dict, render, back=None):
         self.name = name
         self.basis = basis
         self.axiom = axiom
@@ -127,6 +143,7 @@ class RuleSystem:
         self.to_dense = to_dense
         self.to_dict = to_dict
         self.render = render
+        self.back = back
         self.start = to_dense({axiom: 1})
 
     @property
@@ -228,31 +245,67 @@ def _step_ff(a):
 
 
 def _fast_step_201_210(level):
-    """Advance the three k-indexed count slices one depth.
+    """Advance the dense 201-210 level (a, T, v) one depth (see the
+    module docstring), and return the accepted count of the input level,
+    T[0], too.
 
-    a[k], b[k], c[k] hold the counts of states (k,F,F), (k,T,F), (k,T,T).
-    Ranged productions (i, ...) for i = 1..k turn into the suffix sums
-    sa, sb, sc over k, and the triangular multiplicities k - i + 1 into
-    t, the suffix sums of sa + sb.  Folding in the productions that raise
+    With sa, sT and sv the suffix sums of a, T and v, and x = sT + sv,
+
+        new_a = [0, *sa]
+        new_T = [x[0], *x]
+        new_v[k + 1] = v[k] + sv[k] + sT[k + 1]    (sT[d + 1] = 0)
+
+    and new_v[0] = 0, so a depth costs three suffix passes and three
+    additions per k.  new_a is the (k,F,F) slice stepped alone (see
+    _step_ff).
+
+    Why: on the slices (a, b, c), with sb and sc the suffix sums of b
+    and c, the ranged productions (i, ...) for i = 1..k turn into suffix
+    sums over k and the triangular multiplicities k - i + 1 into the
+    suffix sums t of sa + sb, and folding in the productions that raise
     k leaves, for j >= 1,
 
         new_a[j] = sa[j-1]
         new_b[j] = b[j-1] + sb[j-1] + c[j-1]
         new_c[j] = sc[j-1] + t[j]
 
-    and new_c is itself one suffix sum, of w[i] = c[i] + sa[i+1] + sb[i+1],
-    so a depth costs seven integer additions per k.  new_a is [0, *sa],
-    the (k,F,F) slice stepped alone (see _step_ff).  Also returns the
-    accepted count of the input level, sa[0] + sb[0].
+    with new_b[0] = new_c[0] = 0.  Since sa + sb = S(a + b) = T, t = sT,
+    and new_a + new_b = [0, *(T + v)], whose suffix sums are [x[0], *x];
+    and new_b + new_c = [0, *(v + sv + sT shifted by one)], since sb +
+    sc = sv.
     """
-    a, b, c = level
-    sa, sb = _suffix_sums(a), _suffix_sums(b)
-    new_a = [0, *sa]
-    w = [*map(add, c, map(add, islice(new_a, 2, None), islice(sb, 1, None))),
-         c[-1]]
-    new_b = [0, *map(add, map(add, b, sb), c)]
-    new_c = [0, *_suffix_sums(w)]
-    return (new_a, new_b, new_c), sa[0] + sb[0]
+    a, t, v = level
+    sa, st, sv = _suffix_sums(a), _suffix_sums(t), _suffix_sums(v)
+    x = [*map(add, st, sv)]
+    st.append(0)
+    new_v = [0, *map(add, map(add, v, sv), islice(st, 1, None))]
+    return ([0, *sa], [x[0], *x], new_v), t[0]
+
+
+def _back_201_210(level):
+    """The dense 201-210 level that _fast_step_201_210 steps to level,
+    one depth shallower: the exact inverse of the step.
+
+    a is the differences of new_a[1:] = sa.  With x = new_T[1:] and
+    x[d + 1] = 0, new_v[k + 1] - x[k + 1] = v[k] + sv[k] - sv[k + 1] =
+    2v[k], so v is that difference halved; then sT = x - S(v), and T is
+    the differences of sT.  A nonzero new_v[0] or an odd difference
+    raises ArithmeticError: no step produced that level.
+    """
+    new_a, new_t, new_v = level
+    twice = [*map(sub, islice(new_v, 1, None), islice(new_t, 2, None)),
+             new_v[-1]]
+    if new_v[0] or any(map(and_, twice, repeat(1))):
+        raise ArithmeticError("no 201-210 step produces this level")
+    v = [*map(rshift, twice, repeat(1))]
+    st = [*map(sub, islice(new_t, 1, None), _suffix_sums(v))]
+    return _differences(new_a[1:]), _differences(st), v
+
+
+def _differences(sums):
+    """xs with sums[j] = xs[j] + xs[j+1] + ..., as long as sums: the
+    inverse of _suffix_sums."""
+    return [*map(sub, sums, islice(sums, 1, None)), sums[-1]]
 
 
 _SLACK = 64     # bits a widened lane gets beyond what its next step needs
@@ -354,7 +407,22 @@ def _fast_step_010_100_120_210(level):
 # ---------- dense <-> dict conversions ----------
 
 
-def _slices_from_dict(level):
+def _encode_201_210(slices):
+    """The dense 201-210 level (a, T, v) of the slices (a, b, c): T the
+    suffix sums of a + b, and v = b + c."""
+    a, b, c = slices
+    return a, _suffix_sums([*map(add, a, b)]), [*map(add, b, c)]
+
+
+def _decode_201_210(level):
+    """The slices (a, b, c) of the dense 201-210 level (a, T, v): with t
+    the differences of T, b = t - a and c = v - b."""
+    a, t, v = level
+    b = [*map(sub, _differences(t), a)]
+    return a, b, [*map(sub, v, b)]
+
+
+def _dense_201_210(level):
     top = max((s[0] for s in level), default=0)
     a = [0] * (top + 1)
     b = [0] * (top + 1)
@@ -363,13 +431,13 @@ def _slices_from_dict(level):
         if com and not ell:
             raise ValueError("state (%d,F,T) is unreachable" % k)
         (c if com else (b if ell else a))[k] = m
-    return a, b, c
+    return _encode_201_210((a, b, c))
 
 
-def _slices_to_dict(level):
+def _dict_201_210(level):
     out = {}
     for flags, counts in zip(((False, False), (True, False), (True, True)),
-                             level):
+                             _decode_201_210(level)):
         for k, m in enumerate(counts):
             if m:
                 out[(k,) + flags] = m
@@ -399,7 +467,7 @@ def _render_201_210(level):
     """Per k, the states (k,F,F), (k,T,F), (k,T,T), the sorted order of
     the reachable states."""
     return "".join(["(%d,%s) %d\n" % (k, flags, m)
-                    for k, cells in enumerate(zip(*level))
+                    for k, cells in enumerate(zip(*_decode_201_210(level)))
                     for flags, m in zip(("F,F", "T,F", "T,T"), cells) if m])
 
 
@@ -426,7 +494,7 @@ SYSTEMS = {
         "201-210", ((2, 0, 1), (2, 1, 0)),
         (0, False, False), _successors_201_210,
         _accept_uncommitted, _str_3, _fast_step_201_210,
-        _slices_from_dict, _slices_to_dict, _render_201_210),
+        _dense_201_210, _dict_201_210, _render_201_210, _back_201_210),
     "011-201": RuleSystem(
         "011-201", ((0, 1, 1), (2, 0, 1)),
         (0, 0), _successors_011_201, _accept_all, _str_2, _fast_step_011_201,
@@ -469,7 +537,7 @@ def state_profile(system_id, n):
     """The full depth-n level vector, as a dict from state to count,
     always built afresh from the memo's level (see ``invseq.prefix``)."""
     system = get_system(system_id)
-    return system.to_dict(system.memo.level(n))
+    return system.to_dict(system.memo.level(n, system.back))
 
 
 def profile_text(system_id, n):
@@ -477,7 +545,7 @@ def profile_text(system_id, n):
     state_profile(system_id, n), in sorted state order, rendered straight
     from the memo's dense level."""
     system = get_system(system_id)
-    return system.render(system.memo.level(n))
+    return system.render(system.memo.level(n, system.back))
 
 
 # ---------- diagram output ----------

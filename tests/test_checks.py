@@ -237,8 +237,11 @@ def test_concurrent_requests_share_consistent_states(fresh_states,
         cold[request] = run_check(*request)
     system = succession.get_system("201-210")
     dp = Prefix(system.start, system.kernel)
-    census = [series._census_rows(m, dp.level(m)) for m in range(46)]
-    levels = [(([],) * 3, None), *((rows, None) for rows in census)]
+    levels = [(None, ([],) * 3, None)]
+    for m in range(46):
+        level = dp.level(m)
+        levels.append((level, series._census_rows(
+            m, succession._decode_201_210(level)), None))
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -335,20 +338,23 @@ def _bump_fe(real):
 
 
 def _bump_kernel(real):
-    """The 201-210 kernel with one more (k,F,F) state at x^5 u^2."""
+    """The 201-210 kernel with one more (k,F,F) state at x^5 u^2, in the
+    slices of the level it steps to."""
     def planted(level):
-        (a, b, c), accepted = real(level)
+        new, accepted = real(level)
+        a, b, c = succession._decode_201_210(new)
         if len(a) == 6:
-            a = [*a[:2], a[2] + 1, *a[3:]]
-        return (a, b, c), accepted
+            new = succession._encode_201_210(([*a[:2], a[2] + 1, *a[3:]],
+                                              b, c))
+        return new, accepted
     return planted
 
 
 def _bump_system_step(real):
     """The step of the system prefix, handed the 201-210 kernel with one
     more (k,F,F) state at x^5 u^2 (see _bump_kernel)."""
-    def planted(prev, kernel, axiom):
-        return real(prev, _bump_kernel(kernel), axiom)
+    def planted(prev, kernel, decode, axiom):
+        return real(prev, _bump_kernel(kernel), decode, axiom)
     return planted
 
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invseq import checks, cli, series
+from invseq import checks, cli, series, succession
 from invseq.cli import CHECKS, main, parse_basis
 from invseq.oracle import count_sequence
 from invseq.prefix import _STATES
@@ -731,12 +731,14 @@ def _bump_at(k, key=None):
 
 def _bump_census(real):
     """The 201-210 kernel with one more (k,F,F) state at x^5 u^2 in the
-    level it steps to."""
+    slices of the level it steps to."""
     def planted(level):
-        (a, b, c), accepted = real(level)
+        new, accepted = real(level)
+        a, b, c = succession._decode_201_210(new)
         if len(a) == 6:
-            a = [*a[:2], a[2] + 1, *a[3:]]
-        return (a, b, c), accepted
+            new = succession._encode_201_210(([*a[:2], a[2] + 1, *a[3:]],
+                                              b, c))
+        return new, accepted
     return planted
 
 

@@ -58,7 +58,8 @@ class Planted(Exception):
 def _fresh_system(system_id):
     s = SYSTEMS[system_id]
     return RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
-                      s.state_str, s.kernel, s.to_dense, s.to_dict, s.render)
+                      s.state_str, s.kernel, s.to_dense, s.to_dict, s.render,
+                      s.back)
 
 
 def _slot(name, monkeypatch):
@@ -336,23 +337,77 @@ def test_a_planted_checker_replaces_the_structure_prefix(monkeypatch,
         assert STRUCTURE not in _STATES
 
 
+def _counting_back(system):
+    """Make the system's inverse step count its calls in the returned
+    list."""
+    real = system.back
+    steps = [0]
+
+    def counted(*args):
+        steps[0] += 1
+        return real(*args)
+    system.back = counted
+    return steps
+
+
 def test_state_profile_resumes_from_the_nearest_stored_level(monkeypatch,
                                                             fresh_states):
     """A profile at depth n, once the memo is 150 deep and so keeps a
     checkpoint every 16 depths, steps the kernel from the stored level
-    nearest at or below n, and equals the level of a run from the
-    axiom."""
+    nearest at or below n, or steps back with the system's inverse from
+    the stored level above n, a checkpoint or the level at 150, when that
+    is strictly nearer (136 and 147 are ties, and step forward), and
+    equals the level of a run from the axiom."""
     memo, current, _ = _route("201-210", monkeypatch)
     system = SYSTEMS["201-210"]
     memo.counts(149)
     cold = _cold(memo, 150)
     steps = _counting(current)
-    for n, depth in ((150, 150), (149, 144), (128, 128), (127, 112),
-                     (5, 0)):
-        steps[0] = 0
+    backs = _counting_back(system)
+    for n, depth in ((150, 150), (149, 150), (128, 128), (127, 128),
+                     (5, 0), (137, 144), (136, 128), (147, 144), (148, 150)):
+        steps[0] = backs[0] = 0
         profile = state_profile("201-210", n)
-        assert steps[0] == n - depth, n
+        assert (steps[0], backs[0]) == (max(n - depth, 0),
+                                        max(depth - n, 0)), n
         assert profile == system.to_dict(cold[n][0]), n
+
+
+def test_level_steps_back_from_a_nearer_stored_level():
+    """On a route with an exact inverse, the doubling of the module's
+    doctest with halving as back, a prefix 70 deep keeps checkpoints at
+    0, 8, ..., 64 and the level at 70.  level(n, back) steps forward from
+    the checkpoint at or below n unless the stored level above n is
+    strictly nearer, and then steps back from it; ties go forward, and
+    with no back every resume goes forward.  Every level is 2^n, and
+    the prefix is left as it was."""
+    steps, backs = [0], [0]
+
+    def double(level):
+        steps[0] += 1
+        return 2 * level, level
+
+    def halve(level):
+        backs[0] += 1
+        assert level % 2 == 0
+        return level // 2
+
+    prefix = Prefix(1, double)
+    prefix.counts(69)
+    memo = prefix._memo
+    assert sorted(memo[2]) == list(range(0, 65, 8)) and len(memo[0]) == 70
+    stored = (*range(0, 65, 8), 70)
+    for n in range(71):
+        below = max(d for d in stored if d <= n)
+        above = min(d for d in stored if d >= n)
+        for back, expected in (
+                (None, (n - below, 0)),
+                (halve, (n - below, 0) if n - below <= above - n
+                 else (0, above - n))):
+            steps[0] = backs[0] = 0
+            assert prefix.level(n, back) == 2 ** n, n
+            assert (steps[0], backs[0]) == expected, (n, back)
+    assert prefix._memo is memo
 
 
 @pytest.mark.parametrize("system_id", SYSTEMS)
@@ -361,18 +416,21 @@ def test_a_profile_right_after_a_count_steps_nothing(system_id, monkeypatch,
     """A count through n = 120 leaves the memo 121 deep with a checkpoint
     every 8 depths, so the profile at 120 that follows it reads the
     checkpoint at 120 and steps no level, and the profile at 119 steps
-    7, from 112; both equal the levels of a run from the axiom."""
+    7, from 112, or, for a system with an inverse step, steps back once
+    from 120; both equal the levels of a run from the axiom."""
     memo, current, _ = _route(system_id, monkeypatch)
     system = SYSTEMS[system_id]
     cold = _cold(memo, 121)
     succession.count_via_rules(system_id, 120)
     steps = _counting(current)
+    backs = [0] if system.back is None else _counting_back(system)
     assert succession.profile_text(system_id, 120) == \
         system.render(cold[120][0])
-    assert steps == [0]
+    assert (steps, backs) == ([0], [0])
     assert succession.profile_text(system_id, 119) == \
         system.render(cold[119][0])
-    assert steps == [7]
+    assert (steps, backs) == (([7], [0]) if system.back is None
+                              else ([0], [1]))
 
 
 _requests = st.lists(st.integers(0, 40), min_size=1, max_size=6)

@@ -31,18 +31,24 @@ SEQ_2INT = [1, 1, 2, 5, 15, 51, 189, 746, 3091]
 
 
 def _dp_levels(n):
-    """The dense levels (a, b, c) of the 201-210 DP at depths 0..n, a full
-    run from the axiom, stepped by a Prefix over the system's start and
-    kernel that the registry never holds."""
+    """The dense levels of the 201-210 DP at depths 0..n, a full run from
+    the axiom, stepped by a Prefix over the system's start and kernel
+    that the registry never holds."""
     system = get_system("201-210")
     prefix = Prefix(system.start, system.kernel)
     return [prefix.level(d) for d in range(n + 1)]
 
 
+def _dp_slices(n):
+    """The slices (a, b, c) of the (k,F,F), (k,T,F) and (k,T,T) counts of
+    _dp_levels(n), as the system's decoder reads them."""
+    return [succession._decode_201_210(level) for level in _dp_levels(n)]
+
+
 def _tf_slice(n):
-    """The (k,T,F) sums at depths 0..n: the b slices of _dp_levels(n),
+    """The (k,T,F) sums at depths 0..n: the b slices of _dp_slices(n),
     each summed over k."""
-    return [sum(b) for _, b, _ in _dp_levels(n)]
+    return [sum(b) for _, b, _ in _dp_slices(n)]
 
 
 # -- a reference for the closed form ----------------------------------------
@@ -154,7 +160,7 @@ def test_slice_series_pinned():
 def test_ff_slice_series_equals_the_full_dp_slice():
     """Stepping the closed (k,F,F) slice alone gives the slice that the
     whole 201-210 DP computes, k by k and summed."""
-    levels = _dp_levels(120)
+    levels = _dp_slices(120)
     ff = Prefix([1], succession._step_ff)
     assert ff.counts(120) == [sum(a) for a, _, _ in levels]
     assert [ff.level(n) for n in range(121)] == [a for a, _, _ in levels]
@@ -353,18 +359,18 @@ def test_check_system_rejects_a_negative_depth():
 
 def test_check_system_canary():
     profiles = [(list(a), list(b), list(c))
-                for a, b, c in _dp_levels(20)]
+                for a, b, c in _dp_slices(20)]
     profiles[7][0][2] += 1
     assert _injected_violation(20, profiles) is not None
     profiles = [(list(a), list(b), list(c))
-                for a, b, c in _dp_levels(20)]
+                for a, b, c in _dp_slices(20)]
     profiles[12][2][4] -= 1
     assert _injected_violation(20, profiles) is not None
 
 
 def test_check_system_rejects_a_u_degree_above_the_x_degree():
     profiles = [(list(a), list(b), list(c))
-                for a, b, c in _dp_levels(6)]
+                for a, b, c in _dp_slices(6)]
     profiles[4][1].extend([0, 0])               # zeros past u^4 are fine
     assert _injected_violation(6, profiles) is None
     profiles[4][1][5] = 1
@@ -481,7 +487,7 @@ def _reference_violation(n_max, profiles):
 
 
 _CENSUS = [(list(a), list(b), list(c))
-           for a, b, c in _dp_levels(30)]
+           for a, b, c in _dp_slices(30)]
 
 
 def test_check_system_matches_the_dict_reference_on_the_census():
@@ -524,18 +530,22 @@ def test_the_cleared_relations_follow_from_the_three_equations(n_max, cells):
     assert residuals["P4"] == [{}] * (n_max + 1)
 
 
-def _system_prefix(kernel=checks._fast_step_201_210, axiom=([1], [0], [0])):
+def _system_prefix(kernel=checks._fast_step_201_210,
+                   decode=checks._decode_201_210,
+                   axiom=get_system("201-210").start):
     """A fresh Prefix over the system's step that the registry never
     holds, by default over the route the system prefix is keyed on."""
-    return Prefix((([],) * 3, None), series._system_step, kernel, axiom)
+    return Prefix((None, ([],) * 3, None), series._system_step, kernel,
+                  decode, axiom)
 
 
 def _injected_violation(n_max, profiles):
     """What _check_system_violation answers on the census profiles in
-    place of the DP's: the system's step replayed cold, its kernel
-    returning the next injected rows."""
-    return _system_prefix(lambda rows: (profiles[len(rows[0])],),
-                          profiles[0]).count(n_max)
+    place of the DP's: the system's step replayed cold over levels that
+    are the injected slices themselves, its kernel returning the next
+    injected slices and its decoder each as it is."""
+    return _system_prefix(lambda slices: (profiles[len(slices[0])],),
+                          lambda slices: slices, profiles[0]).count(n_max)
 
 
 def _corrupted_census(n_max, cells):
@@ -780,12 +790,13 @@ def test_verify_output_does_not_depend_on_request_order(fresh_states):
 
 def test_resuming_the_census_route_yields_the_tail_of_a_cold_run():
     """A system prefix taken to any depth and then to 30 counts no
-    failure, and its level at x^m holds the rows that a full run of the
-    DP from the axiom converts at x^(m-1), three empty rows at m = 0,
-    and no failure."""
-    levels = [(([],) * 3, None),
-              *((series._census_rows(m, level), None)
-                for m, level in enumerate(_dp_levels(30)))]
+    failure, and its level at x^m holds the level that a full run of the
+    DP from the axiom reaches at depth m - 1 and the rows it converts
+    there, None and three empty rows at m = 0, and no failure."""
+    levels = [(None, ([],) * 3, None),
+              *((level, series._census_rows(m, slices), None)
+                for m, (level, slices) in enumerate(zip(_dp_levels(30),
+                                                        _dp_slices(30))))]
     for depth in range(31):
         prefix = _system_prefix()
         assert prefix.counts(depth) == [None] * (depth + 1), depth
@@ -818,33 +829,36 @@ def test_census_depths_per_system_request(monkeypatch, fresh_states):
     assert len(steps) == 80
     prefix = _STATES["system-201-210"]
     assert prefix.counts(80) == [None] * 81
-    assert [prefix.level(m + 1)[0] for m in range(81)] == \
-        [real_rows(m, level)
-         for m, level in enumerate(_dp_levels(80))]
+    assert [prefix.level(m + 1)[1] for m in range(81)] == \
+        [real_rows(m, slices)
+         for m, slices in enumerate(_dp_slices(80))]
 
 
 def test_one_system_check_keeps_one_registry_key(fresh_states):
     """Each system check leaves the one key of the system prefix, whose
     count at x^45 is None and whose stored level, the one it steps next,
-    holds the census rows at x^45 and no failure."""
-    census = [series._census_rows(m, level)
-              for m, level in enumerate(_dp_levels(45))]
+    holds the DP level at depth 45, the census rows at x^45 and no
+    failure."""
+    census = [series._census_rows(m, slices)
+              for m, slices in enumerate(_dp_slices(45))]
     for n in (30, 12, 45):
         assert run_check("system-201-210", n)[0], n
         assert list(_STATES) == ["system-201-210"], n
     counts, level, _ = _STATES["system-201-210"]._memo
     assert len(counts) == 46 and counts[45] is None
-    assert level == (census[45], None)
+    assert level == (_dp_levels(45)[45], census[45], None)
 
 
 def _planted_census(real):
     """The 201-210 kernel with one more (k,F,F) state at x^5 u^2 in the
-    level it steps to."""
+    slices of the level it steps to."""
     def planted(level):
-        (a, b, c), accepted = real(level)
+        new, accepted = real(level)
+        a, b, c = succession._decode_201_210(new)
         if len(a) == 6:
-            a = [*a[:2], a[2] + 1, *a[3:]]
-        return (a, b, c), accepted
+            new = succession._encode_201_210(([*a[:2], a[2] + 1, *a[3:]],
+                                              b, c))
+        return new, accepted
     return planted
 
 

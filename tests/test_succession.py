@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invseq import checks, series
+from invseq import checks, series, succession
 from invseq.checks import run_check
 from invseq.oracle import count_sequence, list_avoiders
 from invseq.prefix import _STATES, Prefix
@@ -169,6 +169,82 @@ def test_step_fast_equals_step_on_random_levels(data):
     assert kernel_step(sys_, level) == step(sys_, level)
 
 
+# ---------- the inverse step of 201-210 ----------
+
+
+def test_back_inverts_the_kernel_from_the_axiom():
+    """The 201-210 inverse takes every level the kernel steps to, through
+    depth 301, back to the level it was stepped from."""
+    system = get_system("201-210")
+    level = system.start
+    for depth in range(301):
+        stepped = system.kernel(level)[0]
+        assert system.back(stepped) == level, depth
+        level = stepped
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_state_3, st.one_of(st.just(0), _counts),
+                       max_size=8))
+def test_back_inverts_the_kernel_on_random_levels(level):
+    """Any dict level of reachable states, zero counts among them: the
+    dense level's round trip drops only the zeros, and the inverse takes
+    the level the kernel steps it to back to it."""
+    system = get_system("201-210")
+    dense = system.to_dense(level)
+    assert system.to_dict(dense) == {s: m for s, m in level.items() if m}
+    assert system.back(system.kernel(dense)[0]) == dense
+
+
+@pytest.mark.parametrize("depth", [1, 2, 30])
+def test_back_rejects_a_level_no_step_produces(depth):
+    """A level the kernel steps to, with any one cell of v (the counts of
+    (k,T,F) plus (k,T,T)) one more, is no step's result: the inverse
+    raises ArithmeticError, from its checked halving or, at k = 0, from
+    the cell that every step leaves at zero."""
+    system = get_system("201-210")
+    level = system.start
+    for _ in range(depth):
+        level = system.kernel(level)[0]
+    a, t, v = level
+    assert system.back(level) is not None
+    for k in range(len(v)):
+        bumped = (a, t, [*v[:k], v[k] + 1, *v[k + 1:]])
+        with pytest.raises(ArithmeticError):
+            system.back(bumped)
+
+
+def test_a_profile_resumes_from_the_nearer_side_of_a_deep_memo():
+    """On a 201-210 memo 701 deep, with checkpoints at 0, 64, ..., 640,
+    the level at n with the system's inverse is the forward-only level,
+    and it takes min(n - below, above - n) steps, forward from the
+    checkpoint below n on a tie, back from the checkpoint or the level
+    above n otherwise."""
+    system = get_system("201-210")
+    steps, backs = [0], [0]
+
+    def kernel(level):
+        steps[0] += 1
+        return system.kernel(level)
+
+    def back(level):
+        backs[0] += 1
+        return system.back(level)
+
+    memo = Prefix(system.start, kernel)
+    memo.counts(700)
+    assert sorted(memo._memo[2]) == list(range(0, 641, 64))
+    for n in (0, 1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 600, 640, 669,
+              670, 671, 672, 699, 700, 701):
+        below = n - n % 64
+        above = min(below + 64, 701)
+        forward = memo.level(n)
+        steps[0] = backs[0] = 0
+        assert memo.level(n, back) == forward, n
+        assert steps[0] + backs[0] == min(n - below, above - n), n
+        assert backs[0] == (0 if n - below <= above - n else above - n), n
+
+
 # ---------- the packed columns of the 2-parameter systems ----------
 
 TRIANGLE_IDS = ("011-201", "010-100-120-210")
@@ -233,13 +309,14 @@ def test_profile_text_renders_the_packed_level_as_the_profile(system_id,
 
 
 def test_profile_slices_match_state_profile():
-    """The dense levels of a full run of the 201-210 kernel, stepped by a
-    Prefix that the registry never holds, are the (k,F,F), (k,T,F) and
-    (k,T,T) slices of the state profile."""
+    """The slices the decoder reads off the dense levels of a full run of
+    the 201-210 kernel, stepped by a Prefix that the registry never
+    holds, are the (k,F,F), (k,T,F) and (k,T,T) slices of the state
+    profile."""
     system = get_system("201-210")
     dp = Prefix(system.start, system.kernel)
     for n in range(7):
-        a, b, c = dp.level(n)
+        a, b, c = succession._decode_201_210(dp.level(n))
         profile = state_profile("201-210", n)
         assert {k: m for k, m in enumerate(a) if m} == \
             {k: m for (k, ell, com), m in profile.items() if not ell and not com}
@@ -302,17 +379,25 @@ def _fresh(system_id, calls=None):
 
 def _copy(system_id, calls=None):
     """A copy of a built-in system.  When calls is a dict, calls["kernel"]
-    counts the calls made to the system's kernel."""
+    counts the calls made to the system's kernel and, when it has an
+    inverse step, calls["back"] those made to it."""
     s = SYSTEMS[system_id]
-    kernel = s.kernel
+    kernel, back = s.kernel, s.back
     if calls is not None:
         calls.update(kernel=0)
 
         def kernel(level):
             calls["kernel"] += 1
             return s.kernel(level)
+        if back is not None:
+            calls.update(back=0)
+
+            def back(level):
+                calls["back"] += 1
+                return s.back(level)
     return RuleSystem(s.name, s.basis, s.axiom, s.successors, s.accept,
-                      s.state_str, kernel, s.to_dense, s.to_dict, s.render)
+                      s.state_str, kernel, s.to_dense, s.to_dict, s.render,
+                      back)
 
 
 @cache
@@ -409,6 +494,14 @@ def test_negative_n_raises_and_leaves_the_memo(monkeypatch):
             assert system.memo._memo is memo
 
 
+# (entry point, n) -> (kernel, back) steps of test_kernel_calls_per_request
+# for a system with an inverse step, where they differ from the kernel
+# steps alone: the memo is then 61 deep, with checkpoints at 0, 8, ..., 56
+TWO_WAY = {("state_profile", 13): (0, 3),     # back from 16, not on from 8
+           ("state_profile", 7): (0, 1),      # back from 8, not on from 0
+           ("state_profile", 60): (0, 1)}     # back from the level at 61
+
+
 @pytest.mark.parametrize("system_id", SYSTEM_IDS)
 @pytest.mark.parametrize("first", sorted(ENTRY_POINTS))
 def test_kernel_calls_per_request(system_id, first, monkeypatch):
@@ -416,12 +509,16 @@ def test_kernel_calls_per_request(system_id, first, monkeypatch):
     cold profile at depth n n times; a shorter prefix steps nothing; a
     request reaching k depths deeper than the memo steps k times; a
     profile below the memo's depth, 33 to 64 deep, steps n - c times
-    from the checkpoint c = n - n % 8."""
+    from the checkpoint c = n - n % 8, or, for a system with an inverse
+    step, steps back from the stored level above n when that is
+    strictly nearer (the (kernel, back) steps of TWO_WAY)."""
     calls = {}
     monkeypatch.setitem(SYSTEMS, system_id, _fresh(system_id, calls))
     ENTRY_POINTS[first](system_id, 40)
     profile_first = first == "state_profile"
-    assert calls == {"kernel": 40 if profile_first else 41}
+    two_way = "back" in calls
+    assert calls == {"kernel": 40 if profile_first else 41,
+                     **({"back": 0} if two_way else {})}
     for name, n, k in (("rule_counting_sequence", 25, 0),
                        ("count_via_rules", 40, 1 if profile_first else 0),
                        ("state_profile", 40, 0),
@@ -435,9 +532,13 @@ def test_kernel_calls_per_request(system_id, first, monkeypatch):
                        ("state_profile", 7, 7),
                        ("state_profile", 60, 4),
                        ("state_profile", 56, 0)):
-        calls.update(kernel=0)
+        calls.update(kernel=0, **({"back": 0} if two_way else {}))
         ENTRY_POINTS[name](system_id, n)
-        assert calls == {"kernel": k}, (name, n)
+        if two_way:
+            forward, back = TWO_WAY.get((name, n), (k, 0))
+            assert calls == {"kernel": forward, "back": back}, (name, n)
+        else:
+            assert calls == {"kernel": k}, (name, n)
 
 
 def test_minpoly_b_reads_the_201_210_memo():
@@ -454,7 +555,7 @@ def test_minpoly_b_reads_the_201_210_memo():
             for n, kernel in requests:
                 calls.update(kernel=0)
                 assert run_check("minpoly-B", n)[0], (warm, n)
-                assert calls == {"kernel": kernel}, (warm, n)
+                assert calls == {"kernel": kernel, "back": 0}, (warm, n)
 
 
 @pytest.mark.parametrize("system_id", ["201-210", "011-201"])
@@ -537,7 +638,7 @@ def test_verify_routes_stay_off_the_memo(monkeypatch, fresh_states):
     neither read nor write the memo, so verify's census is never served
     by the route it checks: they leave a fresh memo empty and ignore a
     poisoned one.  The census's (k,T,F) row at x^m is the second of the
-    census rows its level at x^(m+1) holds."""
+    census rows its level at x^(m+1) holds, after the DP level."""
     n = 20
     system = _fresh("201-210")
     monkeypatch.setitem(SYSTEMS, "201-210", system)
@@ -545,7 +646,7 @@ def test_verify_routes_stay_off_the_memo(monkeypatch, fresh_states):
     def tf_of_the_census():
         assert checks._check_system_violation(n) is None
         census = _STATES["system-201-210"]
-        return [sum(census.level(m + 1)[0][1]) for m in range(n + 1)]
+        return [sum(census.level(m + 1)[1][1]) for m in range(n + 1)]
     tf = tf_of_the_census()
     ff = checks._ff_slice_prefix().counts(n)
     assert system.memo._memo is None

@@ -6,7 +6,9 @@ the first run beside it:
 
   * one step of each system's kernel at fixed depths (201-210 at 300
     and 600, each 2-parameter system at 40, 120 and 200), on the level
-    that the kernel's own run from the system's start reaches there;
+    that the kernel's own run from the system's start reaches there,
+    and, for a system with an inverse step (201-210), one step back
+    from that level beside it;
   * a cold extension of each 2-parameter system's memo to depth 120: a
     fresh ``invseq.prefix.Prefix`` over the system's start and kernel,
     as ``RuleSystem.memo`` keeps it, asked for the counts through 120,
@@ -61,6 +63,10 @@ if __name__ == "__main__":
             first, least = times_ms(lambda: system.kernel(level))
             print("%-16s step at depth %3d  %9.3f ms  (first %.3f ms)"
                   % (system_id, depth, least, first))
+            if system.back is not None:
+                first, least = times_ms(lambda: system.back(level))
+                print("%-16s back at depth %3d  %9.3f ms  (first %.3f ms)"
+                      % (system_id, depth, least, first))
     for system_id in ("011-201", "010-100-120-210"):
         system = SYSTEMS[system_id]
         first, least = times_ms(
