@@ -1,16 +1,29 @@
-"""The per-process prefix of ``invseq.prefix`` on each of the eight
-routes that keep one and read no other route: the three rule systems
-(the rules memo), the (k,F,F) slice of ``_ff_slice_prefix``, the
-census and residual rows of the 201-210 system behind
-``_check_system_violation`` (the route "census"), the closed form
-behind ``f_coefficients`` and the functional-equation iteration of each
-2-parameter system behind ``iterate_fe``.  Each test starts from empty
-prefixes, compares with a run of the route (start, step, args) from its
-start, and plants failures or watchers in what the route's step runs,
-or plants another step.  The relation routes of minpoly-A, minpoly-B
-and minpoly-F, which read those prefixes, make eleven in the registry;
-the test of ``Prefix.count`` reads all eleven, and ``test_series`` and
-``test_checks`` test the other three."""
+"""The one home of the contract of ``invseq.prefix``: every property a
+Prefix promises is tested here once, on each of the eight routes that
+keep one and read no other route (NAMES):
+
+  * the rules memo of each of the three rule systems, 201-210, 011-201
+    and 010-100-120-210;
+  * the (k,F,F) slice of ``_ff_slice_prefix`` ("ff_slice_series");
+  * the census and residual rows of the 201-210 system behind
+    ``_check_system_violation`` ("census");
+  * the closed form behind ``f_coefficients``;
+  * the functional-equation iteration of each 2-parameter system behind
+    ``iterate_fe`` ("iterate_fe:011-201", "iterate_fe:010-100-120-210").
+
+What only some routes have is a row per route: the entry points that
+read a route's prefix (ENTRIES: a memo also answers ``count_via_rules``
+and ``state_profile``), and the routes whose step of x^0 runs nothing a
+test plants in (FROM_THE_AXIOM: the census and the two FE routes).  Each
+test starts from empty prefixes, compares with a run of the route
+(start, step, args) from its start, and plants failures or watchers in
+what the route's step runs, or plants another step.  The relation
+routes of minpoly-A, minpoly-B and minpoly-F, which read those
+prefixes, make eleven in the registry; the test of ``Prefix.count``
+reads all eleven, and ``test_series`` and ``test_checks`` test the
+other three.  ``test_succession``, ``test_series`` and ``test_checks``
+keep what a route adds to the contract: the kernel and back steps of
+the memos, the census, FE and relation algebra."""
 
 import ast
 import inspect
@@ -19,6 +32,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
+from functools import cache, partial
 
 import pytest
 from hypothesis import example, given, HealthCheck, settings, strategies as st
@@ -49,6 +63,21 @@ STRUCTURE = "structure-theorem"
 # the routes whose step of x^0 forms it from the axiom, without running
 # what _slot plants in
 FROM_THE_AXIOM = ("census", *("iterate_fe:" + s for s in FE_IDS))
+# route name -> {entry point: request(n)} for every request that reads
+# the route's prefix: "counts" on every route, and on a rules memo also
+# "count" (count_via_rules) and "profile" (state_profile)
+ENTRIES = {
+    **{system_id: {
+        "counts": partial(succession.rule_counting_sequence, system_id),
+        "count": partial(succession.count_via_rules, system_id),
+        "profile": partial(state_profile, system_id)}
+       for system_id in SYSTEMS},
+    **{name: {"counts": request} for name, request in SERIES_REQUESTS.items()},
+}
+ROWS = [(name, entry) for name in NAMES for entry in ENTRIES[name]]
+# at most KEEP checkpoints besides depth 0, so that their spacing doubles
+# at depths 9, 17 and 33 and is 8 from 33 to 64
+KEEP = 8
 
 
 class Planted(Exception):
@@ -78,12 +107,6 @@ def _slot(name, monkeypatch):
     return series._FE_STEP, name.split(":")[1]
 
 
-def _request(name):
-    if name in SYSTEMS:
-        return lambda n: succession.rule_counting_sequence(name, n)
-    return SERIES_REQUESTS[name]
-
-
 def _route(name, monkeypatch):
     """(prefix, current, slot) for the named route: its Prefix in the
     registry, emptied, made with a forwarding step installed in slot (see
@@ -92,7 +115,7 @@ def _route(name, monkeypatch):
     namespace, key = slot = _slot(name, monkeypatch)
     current = [namespace[key]]
     monkeypatch.setitem(namespace, key, lambda *args: current[0](*args))
-    _request(name)(0)
+    ENTRIES[name]["counts"](0)
     (prefix,) = [s for s in _STATES.values() if isinstance(s, Prefix)]
     prefix._memo = None
     return prefix, current, slot
@@ -131,6 +154,51 @@ def _cold(prefix, n):
         run.append((level, c))
         level = nxt
     return run
+
+
+def _key(name):
+    """The registry key of the named route's Prefix."""
+    if name == "census":
+        return "system-201-210"
+    if name.startswith("iterate_fe:"):
+        return "iterate_fe", name.split(":")[1]
+    return name
+
+
+@cache
+def _cold_run(name):
+    """[(level, count) for depths 0..61] of the named route, stepped by
+    its real step from its start with no prefix, in a registry of its
+    own."""
+    saved = dict(_STATES)
+    _STATES.clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            return _cold(_route(name, mp)[0], 61)
+    finally:
+        _STATES.clear()
+        _STATES.update(saved)
+
+
+def _expected(name, entry, n):
+    """What a cold run answers to the entry point's request at n."""
+    run = _cold_run(name)
+    if entry == "counts":
+        return [c for _, c in run[:n + 1]]
+    if entry == "count":
+        return run[n][1]
+    return SYSTEMS[name].to_dict(run[n][0])
+
+
+def _spoil(answer):
+    """Mutate a returned list or dict in place: a list's first and last
+    entries, and one more at its end; every entry of a dict."""
+    if isinstance(answer, list):
+        answer[0] = answer[-1] = -1
+        answer.append(-1)
+    elif isinstance(answer, dict):
+        answer.clear()
+        answer["spoiled"] = -1
 
 
 def _assert_answers_equal(prefix, cold, stored_levels):
@@ -205,20 +273,29 @@ def test_a_failing_first_request_keeps_only_levels_it_reached(
 def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
                                                   fresh_states, stored_levels):
     """A request for depth 20 that finishes after one for depth 40, here
-    served inside its first step, leaves the deeper prefix in place; and
+    served inside its first call of what the step runs, leaves the deeper
+    prefix in place and answers from it without finishing its own copy:
+    what the step runs is called once per depth through 40 (not at x^0
+    on a route FROM_THE_AXIOM) and once more, for the call that served
+    the deeper request, and a request for 35 then steps nothing; and
     mutating an answer leaves the prefix intact."""
     prefix, current, _ = _route(name, monkeypatch)
     cold = _cold(prefix, 70)
     real = current[0]
-    nested = []
+    nested, steps = [], [0]
 
     def serving_a_deeper_request_first(*args):
+        steps[0] += 1
         if not nested:
             nested.append(None)
             nested.append(prefix.counts(40))
         return real(*args)
     with _running(current, serving_a_deeper_request_first):
         assert prefix.counts(20) == [c for _, c in cold[:21]]
+        assert steps[0] == 1 + 41 - (name in FROM_THE_AXIOM)
+        steps[0] = 0
+        assert prefix.counts(35) == [c for _, c in cold[:36]]
+        assert steps[0] == 0
     assert nested == [None, [c for _, c in cold[:41]]]
     assert len(prefix._memo[0]) == 41
     for n in (40, 20, 0):
@@ -226,6 +303,74 @@ def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
         answer[n] = -1
         answer.append(-1)
     _assert_answers_equal(prefix, cold, stored_levels)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_negative_depth_raises_and_leaves_the_prefix(name, monkeypatch,
+                                                       fresh_states):
+    """Every entry point of a route raises ValueError at n = -1, on an
+    empty prefix and on a warm one, and leaves the prefix as it was."""
+    prefix = _route(name, monkeypatch)[0]
+    for warm in (False, True):
+        if warm:
+            prefix.counts(10)
+        memo = prefix._memo
+        for request in ENTRIES[name].values():
+            with pytest.raises(ValueError):
+                request(-1)
+            assert prefix._memo is memo
+
+
+def _spoil_then_read(rows):
+    """The requests that mutate the answers of rows at depths 20, 12, 20
+    and 25, then read each row at 0, 12, 25 and 30."""
+    return [(row, n) for n in (20, 12, 20, 25) for row in rows
+            if row[1] != "count"] + \
+        [(row, n) for row in rows for n in (0, 12, 25, 30)]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(ROWS), st.integers(0, 60)),
+                min_size=1, max_size=8))
+@example([(("ff_slice_series", "counts"), n) for n in (30, 30, 20, 0, 45)])
+@example([(("iterate_fe:" + s, "counts"), n) for s, n in (
+    ("011-201", 25), ("011-201", 12), ("011-201", 3), ("011-201", 25),
+    ("010-100-120-210", 60), ("011-201", 40))])
+@example(_spoil_then_read([row for row in ROWS if row[0] == "201-210"]))
+@example(_spoil_then_read([row for row in ROWS if row[0] == "011-201"]))
+@example(_spoil_then_read([row for row in ROWS
+                           if row[0] == "010-100-120-210"]))
+@example(_spoil_then_read([row for row in ROWS if row[0] not in SYSTEMS]))
+def test_answers_equal_a_cold_run_under_any_requests(fresh_states, requests):
+    """Any sequence of requests on any routes through any of their entry
+    points, repeats and decreasing runs included, served from empty
+    prefixes that keep at most KEEP checkpoints besides depth 0, gets
+    the answers of a run from the start, even when the caller mutates
+    every answer it gets."""
+    fresh_states()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Prefix, "_KEEP", KEEP)
+        for (name, entry), n in requests:
+            answer = ENTRIES[name][entry](n)
+            assert answer == _expected(name, entry, n), (name, entry, n)
+            _spoil(answer)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_resuming_a_route_equals_the_run_from_the_axiom(name, monkeypatch,
+                                                        fresh_states):
+    """A prefix taken to any depth and then to 30 ends where a fresh one
+    taken to 30 at once does, and has the same levels on the way."""
+    start, step, args = _route(name, monkeypatch)[0].route
+    cold = Prefix(start, step, *args)
+    cold.counts(30)
+    for depth in range(31):
+        prefix = Prefix(start, step, *args)
+        prefix.counts(depth)
+        assert prefix.counts(30) == cold.counts(30), depth
+        assert prefix._memo[1] == cold.level(31), depth
+        assert prefix.level(depth) == cold.level(depth), depth
 
 
 def _counting(current):
@@ -240,55 +385,19 @@ def _counting(current):
     return steps
 
 
-@pytest.mark.parametrize("name", sorted(SERIES_REQUESTS))
-def test_series_prefixes_keep_checkpoints_and_cut_back(name, monkeypatch,
-                                                      fresh_states,
-                                                      stored_levels):
-    """With at most 4 checkpoints besides depth 0, a series prefix 17 to
-    32 deep keeps the levels at 0, 8, 16, ..., the very levels a cold
-    extension to it steps past there, and while a request extends it
-    from depth 21 it is published after every step: when the level at
-    depth d is
-    stepped, the prefix holds the counts through d - 1 and that very
-    level, so no older level is kept; a level between two checkpoints
-    is stepped from the one below it."""
-    prefix, current, _ = _route(name, monkeypatch)
-    prefix._KEEP = 4
-    cold = _cold(prefix, 31)
-    prefix.counts(21)
-    assert stored_levels(prefix) == [(d, cold[d][0]) for d in (0, 8, 16)]
-    start, step, args = prefix.route
-    seen = []
-
-    def watching(level, *rest):
-        counts, deepest, _ = prefix._memo
-        seen.append((len(counts), deepest is level))
-        return step(level, *rest)
-    prefix.route = start, watching, args
-    assert prefix.counts(30) == [c for _, c in cold[:31]]
-    prefix.route = start, step, args
-    assert seen == [(d, True) for d in range(22, 31)]
-    counts, level, _ = prefix._memo
-    assert len(counts) == 31
-    assert level == cold[31][0]
-    assert stored_levels(prefix) == [(d, cold[d][0]) for d in (0, 8, 16, 24)]
-    steps = _counting(current)
-    assert prefix.level(23) == cold[23][0]
-    assert steps == [7]
-
-
-@pytest.mark.parametrize("name", sorted(SERIES_REQUESTS))
+@pytest.mark.parametrize("name", NAMES)
 def test_a_planted_route_replaces_the_prefix(name, monkeypatch,
                                              fresh_states):
-    """A step planted in ``invseq.series`` or ``invseq.checks`` (for the
-    census, the kernel its step is given, which the step of x^0 does not
-    run) after a warm request to depth 40 is stepped from the start in a
-    prefix of its own, which replaces the stored one, and gives the
-    answers of the step it wraps; restoring the real step replaces that
-    prefix in turn."""
+    """A step planted where the route looks it up (see _slot: a rule
+    system's kernel, a step in ``invseq.series`` or ``invseq.checks``,
+    or for the census the kernel its step is given, which the step of
+    x^0 does not run) after a warm request to depth 40 is stepped from
+    the start in a prefix of its own, which replaces the stored one, and
+    gives the answers of the step it wraps; restoring the real step
+    replaces that prefix in turn."""
     prefix, current, (namespace, key) = _route(name, monkeypatch)
     cold = [c for _, c in _cold(prefix, 40)]
-    request = SERIES_REQUESTS[name]
+    request = ENTRIES[name]["counts"]
     assert request(40) == cold
     installed = namespace[key]
     steps = _counting(current)
@@ -307,8 +416,8 @@ def test_a_planted_route_replaces_the_prefix(name, monkeypatch,
         stored = new
 
 
-def test_a_planted_checker_replaces_the_structure_prefix(monkeypatch,
-                                                         fresh_states):
+def test_a_planted_checker_is_asked_each_length_once_and_keeps_no_state(
+        monkeypatch, fresh_states):
     """structure-theorem keeps no prefix, so none can outlive a checker
     planted in ``invseq.checks`` after a warm request to length 6: the
     planted checker, and then the real one restored, are each asked for
@@ -439,12 +548,19 @@ _requests = st.lists(st.integers(0, 40), min_size=1, max_size=6)
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(NAMES), _requests, _requests)
+@example("ff_slice_series", [30, 30, 12, 0, 37, 38, 36, 60], [13, 60, 0])
+@example("f_coefficients", [30, 30, 12, 0, 37, 38, 36, 60], [13, 60, 0])
+@example("iterate_fe:011-201", [30, 30, 12, 0, 37, 38, 36, 60], [13, 60, 0])
+@example("iterate_fe:010-100-120-210", [30, 30, 12, 0, 37, 38, 36, 60],
+         [13, 60, 0])
 def test_steps_per_request_on_every_route(fresh_states, name, counts, levels):
-    """With at most 4 checkpoints besides depth 0, any sequence of count
-    requests on a route's empty prefix runs its step deepest n + 1 times
-    in all, once per depth through the deepest n; then level(n) steps n
-    % s times below the stored depth L, s the least power of two with L
-    <= 4s, none at it and n - L times above it."""
+    """With at most 4 checkpoints besides depth 0, each of any sequence of
+    count requests on a route's empty prefix gets the counts of a run
+    from the start and runs its step once per depth it adds: n + 1 - L
+    times on a prefix L deep, none when L > n, so once per depth through
+    the deepest n in all; then level(n) steps n % s times below the
+    stored depth L, s the least power of two with L <= 4s, none at it and
+    n - L times above it, leaving the prefix n deep."""
     fresh_states()
     with pytest.MonkeyPatch.context() as mp:
         start, step, args = _route(name, mp)[0].route
@@ -456,8 +572,10 @@ def test_steps_per_request_on_every_route(fresh_states, name, counts, levels):
         prefix = Prefix(start, counted, *args)
         prefix._KEEP = 4
         for n in counts:
-            prefix.counts(n)
-        assert steps[0] == max(counts) + 1
+            depth = len(prefix._memo[0]) if prefix._memo else 0
+            steps[0] = 0
+            assert prefix.counts(n) == _expected(name, "counts", n), n
+            assert steps[0] == max(n + 1 - depth, 0), n
         for n in levels:
             depth, spacing = len(prefix._memo[0]), 1
             while depth > 4 * spacing:
@@ -465,6 +583,7 @@ def test_steps_per_request_on_every_route(fresh_states, name, counts, levels):
             steps[0] = 0
             prefix.level(n)
             assert steps[0] == (n % spacing if n < depth else n - depth), n
+            assert len(prefix._memo[0]) == max(depth, n), n
 
 
 def _spacing(depth):
@@ -504,6 +623,45 @@ def test_every_published_prefix_holds_the_checkpoints_of_its_depth():
                 list(range(0, depth + 1, _spacing(depth))), depth
             assert len(checkpoints) <= Prefix._KEEP + 1
             assert all(level == d for d, level in checkpoints.items())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_prefix_keeps_checkpoints_and_cuts_back(name, monkeypatch,
+                                                      fresh_states,
+                                                      stored_levels):
+    """With at most 4 checkpoints besides depth 0, a prefix 17 to 32 deep
+    keeps the levels at 0, 8, 16, ..., the very levels a cold extension
+    to it steps past there, and while a request extends it from depth 21
+    it is published after every step: when the level at depth d is
+    stepped, the prefix holds the counts through d - 1 and that very
+    level, so no older level is kept; a level between two checkpoints
+    is stepped from the one below it, and a memo's state_profile there
+    is the level of the run."""
+    prefix, current, _ = _route(name, monkeypatch)
+    prefix._KEEP = 4
+    cold = _cold(prefix, 31)
+    prefix.counts(21)
+    assert stored_levels(prefix) == [(d, cold[d][0]) for d in (0, 8, 16)]
+    start, step, args = prefix.route
+    seen = []
+
+    def watching(level, *rest):
+        counts, deepest, _ = prefix._memo
+        seen.append((len(counts), deepest is level))
+        return step(level, *rest)
+    prefix.route = start, watching, args
+    assert prefix.counts(30) == [c for _, c in cold[:31]]
+    prefix.route = start, step, args
+    assert seen == [(d, True) for d in range(22, 31)]
+    counts, level, _ = prefix._memo
+    assert len(counts) == 31
+    assert level == cold[31][0]
+    assert stored_levels(prefix) == [(d, cold[d][0]) for d in (0, 8, 16, 24)]
+    steps = _counting(current)
+    assert prefix.level(23) == cold[23][0]
+    assert steps == [7]
+    if name in SYSTEMS:
+        assert state_profile(name, 21) == SYSTEMS[name].to_dict(cold[21][0])
 
 
 _prefix_requests = st.lists(
@@ -714,11 +872,7 @@ def test_each_prefix_is_distinct_and_served_by_its_own_route(monkeypatch,
     were."""
     for system_id in SYSTEMS:
         monkeypatch.setitem(SYSTEMS, system_id, _fresh_system(system_id))
-    requests = {
-        **{system_id: (lambda n, s=system_id: succession.rule_counting_sequence(s, n))
-           for system_id in SYSTEMS},
-        **SERIES_REQUESTS,
-    }
+    requests = {name: ENTRIES[name]["counts"] for name in NAMES}
     for request in requests.values():
         request(2)
     prefixes = list(_STATES.values())
@@ -736,7 +890,7 @@ def test_count_reads_the_count_of_counts(fresh_states):
     counts(n)[n], below and past the stored depth, and a negative depth
     raises ValueError."""
     for name in NAMES:
-        _request(name)(3)
+        ENTRIES[name]["counts"](3)
     for name in ("minpoly-A", "minpoly-B", "minpoly-F"):
         assert run_check(name, 3)[0], name
     assert len(_STATES) == 11
@@ -862,6 +1016,60 @@ def test_threads_across_doublings_get_the_cold_answers(monkeypatch,
             stored = stored_levels(prefix)
             assert [d for d, _ in stored] == [0, 64]
             assert stored == [(d, run[d][0]) for d, _ in stored]
+    finally:
+        sys.setswitchinterval(switch)
+
+
+# route name -> the (entry point, n) requests of its threads in
+# test_concurrent_requests_share_consistent_prefixes
+THREADED = {
+    **{system_id: (("counts", 45), ("profile", 60), ("count", 30),
+                   ("counts", 55)) for system_id in SYSTEMS},
+    **{name: (("counts", 25), ("counts", 50)) for name in SERIES_REQUESTS},
+}
+
+
+def test_concurrent_requests_share_consistent_prefixes(monkeypatch,
+                                                      fresh_states,
+                                                      stored_levels):
+    """Threads request different depths of every route at once, through
+    every entry point a route has (THREADED); a tiny switch interval
+    makes them interleave inside the steps.  With at most KEEP
+    checkpoints besides depth 0, every answer, and every prefix left
+    behind, is that of a run from the start: as deep as the deepest
+    request, its counts, its level and each checkpoint."""
+    monkeypatch.setattr(Prefix, "_KEEP", KEEP)
+    requests = [(name, entry, n) for name, rows in THREADED.items()
+                for entry, n in rows]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fresh_states()
+            barrier = threading.Barrier(len(requests))
+            answers = {}
+
+            def serve(name, entry, n):
+                barrier.wait(timeout=30)
+                answers[name, entry, n] = ENTRIES[name][entry](n)
+
+            threads = [threading.Thread(target=serve, args=r) for r in requests]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert answers == {r: _expected(*r) for r in requests}
+            assert len(_STATES) == len(NAMES)
+            for name in NAMES:
+                prefix, run = _STATES[_key(name)], _cold_run(name)
+                counts, level, _ = prefix._memo
+                depth = max(n + (entry != "profile")
+                            for entry, n in THREADED[name])
+                assert counts == [c for _, c in run[:depth]], name
+                assert level == run[depth][0], name
+                assert stored_levels(prefix) == [
+                    (d, run[d][0]) for d in range(0, depth + 1, 8)], name
     finally:
         sys.setswitchinterval(switch)
 

@@ -1,7 +1,5 @@
 import random
 import re
-import sys
-import threading
 from functools import cache, partial
 from operator import sub
 
@@ -982,7 +980,8 @@ def _fe_rhs_by_expansion(system_id, s):
 def test_fe_solution_is_a_fixed_point(system_id):
     """The degree-by-degree solution, fed whole to the equation's
     right-hand side, comes back unchanged through x^25."""
-    prefix = _fresh_prefix("iterate_fe:" + system_id)
+    prefix = Prefix((0, None), series._fe_slice_step,
+                    series._FE_STEP[system_id])
     s = [{(ju, jv): c for ju, row in enumerate(prefix.level(deg + 1)[1])
           for jv, c in enumerate(row) if c}
          for deg in range(26)]
@@ -998,198 +997,12 @@ def test_fe_specializations_agree_conjecture_evidence():
     assert iterate_fe("011-201", 120) == iterate_fe("010-100-120-210", 120)
 
 
-# -- per-process prefixes of the slice, closed-form and FE routes -----------
+# -- a resumed functional-equation iteration -------------------------------
+#
+# The Prefix contract of every route, these included, is tested in
+# test_prefix.py.
 
 FE_IDS = ("011-201", "010-100-120-210")
-
-# route name -> the request, (namespace, name) of the step it repeats,
-# and the route (start, step, args) its prefix is keyed on
-PREFIX_ROUTES = {
-    "ff_slice_series": (lambda n: _ff_slice_prefix().counts(n),
-                        (vars(checks), "_step_ff"),
-                        ([1], checks._step_ff, ())),
-    "f_coefficients": (f_coefficients, (vars(series), "_f_step"),
-                       ((0, 0, 0, 0), series._f_step, ())),
-    **{"iterate_fe:" + system_id: (
-        partial(iterate_fe, system_id), (series._FE_STEP, system_id),
-        ((0, None), series._fe_slice_step, (series._FE_STEP[system_id],)))
-       for system_id in FE_IDS},
-}
-
-
-def _fresh_prefix(name):
-    """A fresh Prefix over the named route, with the real step."""
-    start, step, args = PREFIX_ROUTES[name][2]
-    return Prefix(start, step, *args)
-
-
-def _cold_steps(name, n):
-    """The calls that a cold request through n makes to the step the
-    named route repeats: one per depth, n + 1, but n for a functional
-    equation, whose step of x^0 runs no entry of _FE_STEP."""
-    return n + 1 - name.startswith("iterate_fe")
-
-
-def _levels_from_axiom(name, n):
-    """The route's levels at depths 0..n, stepped from the start with no
-    prefix."""
-    level, step, args = PREFIX_ROUTES[name][2]
-    levels = [level]
-    for _ in range(n):
-        levels.append(step(levels[-1], *args)[0])
-    return levels
-
-
-@cache
-def _counts_from_axiom(name):
-    """The route's counts at depths 0..60, stepped from the start by a
-    fresh prefix."""
-    return tuple(_fresh_prefix(name).counts(60))
-
-
-def _count_steps(monkeypatch, name, during_first=None):
-    """Wrap the step of the named route so that the returned dict counts
-    its calls in "steps"; during_first, if given, is called once, inside
-    the first step."""
-    namespace, key = PREFIX_ROUTES[name][1]
-    real = namespace[key]
-    calls = {"steps": 0}
-
-    def counted(level):
-        calls["steps"] += 1
-        if calls["steps"] == 1 and during_first is not None:
-            during_first()
-        return real(level)
-    monkeypatch.setitem(namespace, key, counted)
-    return calls
-
-
-_requests = st.lists(st.tuples(st.sampled_from(sorted(PREFIX_ROUTES)),
-                               st.integers(0, 60)),
-                     min_size=1, max_size=8)
-
-
-@settings(max_examples=50, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_requests)
-@example([("ff_slice_series", 30), ("ff_slice_series", 30),
-          ("ff_slice_series", 20), ("ff_slice_series", 0),
-          ("ff_slice_series", 45)])
-@example([("iterate_fe:011-201", 25), ("iterate_fe:011-201", 12),
-          ("iterate_fe:011-201", 3), ("iterate_fe:011-201", 25),
-          ("iterate_fe:010-100-120-210", 60), ("iterate_fe:011-201", 40)])
-def test_prefix_answers_equal_a_run_from_the_axiom(fresh_states, requests):
-    """Any order of requests, repeats and decreasing runs included, served
-    from empty prefixes, gets the answers of a run from the axiom, even
-    when the caller mutates every answer it gets."""
-    fresh_states()
-    for name, n in requests:
-        answer = PREFIX_ROUTES[name][0](n)
-        assert answer == list(_counts_from_axiom(name)[:n + 1]), (name, n)
-        answer[0] = -1
-        answer.append(-1)
-
-
-def test_mutating_an_answer_leaves_the_prefixes_intact(fresh_states):
-    for n in (20, 12, 20, 25):
-        for system_id in FE_IDS:
-            iterate_fe(system_id, n).append(-1)
-            iterate_fe(system_id, n)[-1] = -1
-        _ff_slice_prefix().counts(n).append(-1)
-        _ff_slice_prefix().counts(n)[-1] = -1
-        f_coefficients(n).append(-1)
-        f_coefficients(n)[-1] = -1
-    for n in (0, 12, 25, 30):
-        for name, (request, *_) in PREFIX_ROUTES.items():
-            assert request(n) == list(_counts_from_axiom(name)[:n + 1]), \
-                (name, n)
-
-
-@pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
-def test_steps_per_prefix_request(name, monkeypatch, fresh_states):
-    """A cold request at depth n steps once per depth (see _cold_steps),
-    a request no deeper than the prefix steps nothing, and a deeper one
-    steps once per extra depth."""
-    request = PREFIX_ROUTES[name][0]
-    calls = _count_steps(monkeypatch, name)
-    for n, steps in ((30, _cold_steps(name, 30)), (30, 0), (12, 0), (0, 0), (37, 7), (38, 1),
-                     (36, 0), (60, 22)):
-        calls["steps"] = 0
-        assert request(n) == list(_counts_from_axiom(name)[:n + 1]), n
-        assert calls["steps"] == steps, n
-
-
-@pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
-def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
-                                                  fresh_states):
-    """A request that a deeper one overtakes, here served inside its
-    first step, leaves the deeper prefix in place and answers from it
-    without finishing its own copy: only that first step is repeated."""
-    request = PREFIX_ROUTES[name][0]
-    calls = _count_steps(monkeypatch, name,
-                         during_first=lambda: request(40))
-    assert request(20) == list(_counts_from_axiom(name)[:21])
-    assert calls["steps"] == _cold_steps(name, 40) + 1
-    calls["steps"] = 0
-    assert request(35) == list(_counts_from_axiom(name)[:36])
-    assert calls["steps"] == 0
-
-
-def test_concurrent_requests_share_consistent_prefixes(fresh_states,
-                                                      stored_levels):
-    """Eight threads request different depths of the four prefixed routes
-    at once; a tiny switch interval makes them interleave inside the
-    steps.  Every answer, and every prefix left behind, is that of a run
-    from the axiom: its counts, its level and each checkpoint."""
-    requests = [(name, n) for name in sorted(PREFIX_ROUTES) for n in (25, 50)]
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            fresh_states()
-            prefixes = _STATES
-            barrier = threading.Barrier(len(requests))
-            answers = {}
-
-            def serve(name, n):
-                barrier.wait(timeout=30)
-                answers[name, n] = PREFIX_ROUTES[name][0](n)
-
-            threads = [threading.Thread(target=serve, args=r) for r in requests]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-            assert answers == {(name, n): list(_counts_from_axiom(name)[:n + 1])
-                               for name, n in requests}
-            assert len(prefixes) == len(PREFIX_ROUTES)
-            for name in PREFIX_ROUTES:
-                key = (name if name in prefixes
-                       else ("iterate_fe", name.split(":")[1]))
-                counts, level, _ = prefixes[key]._memo
-                run = _levels_from_axiom(name, 51)
-                assert counts == list(_counts_from_axiom(name)[:51])
-                assert level == run[51]
-                stored = stored_levels(prefixes[key])
-                assert [d for d, _ in stored] == list(range(0, 52, 4))
-                assert stored == [(d, run[d]) for d, _ in stored]
-    finally:
-        sys.setswitchinterval(switch)
-
-
-@pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
-def test_resuming_a_route_equals_the_run_from_the_axiom(name):
-    """A prefix taken to any depth and then to 30 ends where a fresh one
-    taken to 30 at once does, and has the same levels on the way."""
-    cold = _fresh_prefix(name)
-    cold.counts(30)
-    for depth in range(31):
-        prefix = _fresh_prefix(name)
-        prefix.counts(depth)
-        assert prefix.counts(30) == cold.counts(30), depth
-        assert prefix._memo[1] == cold.level(31), depth
-        assert prefix.level(depth) == cold.level(depth), depth
 
 
 @pytest.mark.parametrize("system_id", FE_IDS)
@@ -1211,6 +1024,58 @@ def test_degree_bound_fires_after_a_resume(monkeypatch, system_id,
     assert iterate_fe(system_id, 5) == SEQ_2INT[:6]
     with pytest.raises(ArithmeticError, match="at x\\^6 breaks the degree"):
         iterate_fe(system_id, 6)
+
+
+# -- an overtaken request through the public entry points -------------------
+
+# route name -> the request, (namespace, name) of the step it repeats,
+# and the route (start, step, args) its prefix is keyed on
+PREFIX_ROUTES = {
+    "ff_slice_series": (lambda n: _ff_slice_prefix().counts(n),
+                        (vars(checks), "_step_ff"),
+                        ([1], checks._step_ff, ())),
+    "f_coefficients": (f_coefficients, (vars(series), "_f_step"),
+                       ((0, 0, 0, 0), series._f_step, ())),
+    **{"iterate_fe:" + system_id: (
+        partial(iterate_fe, system_id), (series._FE_STEP, system_id),
+        ((0, None), series._fe_slice_step, (series._FE_STEP[system_id],)))
+       for system_id in FE_IDS},
+}
+
+
+@cache
+def _counts_from_axiom(name):
+    """The route's counts at depths 0..60, stepped from the start by a
+    fresh prefix with the real step."""
+    start, step, args = PREFIX_ROUTES[name][2]
+    return tuple(Prefix(start, step, *args).counts(60))
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
+def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
+                                                  fresh_states):
+    """A request through the route's public entry point that a deeper one
+    overtakes, here served inside its first step, leaves the deeper
+    prefix in place and answers from it without finishing its own copy:
+    only that first step is repeated.  A cold request through n steps
+    n + 1 times, but n for a functional equation, whose step of x^0 runs
+    no entry of _FE_STEP."""
+    request = PREFIX_ROUTES[name][0]
+    namespace, key = PREFIX_ROUTES[name][1]
+    real = namespace[key]
+    steps = [0]
+
+    def counted(level):
+        steps[0] += 1
+        if steps[0] == 1:
+            request(40)
+        return real(level)
+    monkeypatch.setitem(namespace, key, counted)
+    assert request(20) == list(_counts_from_axiom(name)[:21])
+    assert steps[0] == 41 - name.startswith("iterate_fe") + 1
+    steps[0] = 0
+    assert request(35) == list(_counts_from_axiom(name)[:36])
+    assert steps[0] == 0
 
 
 # -- the conjectured cubic --------------------------------------------------

@@ -1,5 +1,3 @@
-import sys
-import threading
 from collections import Counter
 from functools import cache
 from math import comb
@@ -9,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from invseq import checks, series, succession
 from invseq.checks import run_check
-from invseq.oracle import count_sequence, list_avoiders
+from invseq.oracle import list_avoiders
 from invseq.prefix import _STATES, Prefix
 from invseq.succession import (
     SYSTEMS,
@@ -92,11 +90,6 @@ def test_no_impossible_state_is_ever_produced():
     for _ in range(15):
         level = step(sys_, level)
         assert not any(ell is False and c is True for _, ell, c in level)
-
-
-def test_oracle_equivalence_201_210():
-    assert count_sequence(((2, 0, 1), (2, 1, 0)), 12) == \
-        rule_counting_sequence("201-210", 12)
 
 
 def test_bounce_census_matches_the_label_k_evidence():
@@ -413,85 +406,19 @@ def _cold(system_id, n_max):
     return counts, profiles
 
 
-def _expected(name, system_id, n):
-    counts, profiles = _cold(system_id, 60)
-    return {"rule_counting_sequence": counts[:n + 1],
-            "count_via_rules": counts[n],
-            "state_profile": profiles[n]}[name]
-
-
-def _spoil(answer):
-    """Mutate a returned list or dict in place."""
-    if isinstance(answer, list):
-        answer[0] = -1
-        answer.append(-1)
-    elif isinstance(answer, dict):
-        answer.clear()
-        answer["spoiled"] = -1
-
-
-_calls = st.lists(st.tuples(st.sampled_from(sorted(ENTRY_POINTS)),
-                            st.sampled_from(SYSTEM_IDS),
-                            st.integers(0, 60)),
-                  min_size=1, max_size=8)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_calls)
-def test_memo_answers_equal_a_cold_run(calls):
-    """Any sequence of requests, served from one memo per system, gets
-    the answers of a cold run from the axiom, even when the caller
-    mutates every answer it gets."""
-    with pytest.MonkeyPatch.context() as mp:
-        for system_id in SYSTEM_IDS:
-            mp.setitem(SYSTEMS, system_id, _fresh(system_id))
-        for name, system_id, n in calls:
-            answer = ENTRY_POINTS[name](system_id, n)
-            assert answer == _expected(name, system_id, n), (name, system_id, n)
-            _spoil(answer)
-
-
-@pytest.mark.parametrize("system_id", SYSTEM_IDS)
-def test_mutating_an_answer_leaves_the_memo_intact(system_id, monkeypatch):
-    monkeypatch.setitem(SYSTEMS, system_id, _fresh(system_id))
-    for n in (20, 12, 20, 25):
-        _spoil(rule_counting_sequence(system_id, n))
-        _spoil(state_profile(system_id, n))
-    for name in ENTRY_POINTS:
-        for n in (0, 12, 25, 30):
-            assert ENTRY_POINTS[name](system_id, n) == \
-                _expected(name, system_id, n), (name, n)
-
-
 @pytest.mark.parametrize("system_id", SYSTEM_IDS)
 def test_state_profile_around_the_memo_depth(system_id, monkeypatch):
     """Below the memo's depth state_profile resumes from a checkpoint, at
     it the memo's level is converted, above it the memo is advanced; all
-    three equal literal step() calls from the axiom.  A count through 20
-    leaves the memo 21 deep."""
+    three equal literal step() calls from the axiom."""
     system = _fresh(system_id)
     monkeypatch.setitem(SYSTEMS, system_id, system)
     literal = [{system.axiom: 1}]
     for _ in range(30):
         literal.append(step(system, literal[-1]))
     rule_counting_sequence(system_id, 20)
-    for n, memo_depth in ((20, 21), (7, 21), (0, 21), (25, 25), (20, 25),
-                          (30, 30), (29, 30), (30, 30)):
+    for n in (20, 7, 0, 25, 20, 30, 29, 30):
         assert state_profile(system_id, n) == literal[n], n
-        assert len(system.memo._memo[0]) == memo_depth, n
-
-
-def test_negative_n_raises_and_leaves_the_memo(monkeypatch):
-    system = _fresh("201-210")
-    monkeypatch.setitem(SYSTEMS, "201-210", system)
-    for warm in (False, True):
-        if warm:
-            rule_counting_sequence("201-210", 10)
-        memo = system.memo._memo
-        for fn in ENTRY_POINTS.values():
-            with pytest.raises(ValueError):
-                fn("201-210", -1)
-            assert system.memo._memo is memo
 
 
 # (entry point, n) -> (kernel, back) steps of test_kernel_calls_per_request
@@ -556,80 +483,6 @@ def test_minpoly_b_reads_the_201_210_memo():
                 calls.update(kernel=0)
                 assert run_check("minpoly-B", n)[0], (warm, n)
                 assert calls == {"kernel": kernel, "back": 0}, (warm, n)
-
-
-@pytest.mark.parametrize("system_id", ["201-210", "011-201"])
-def test_concurrent_requests_share_a_consistent_memo(system_id, monkeypatch,
-                                                    stored_levels):
-    """Four threads request different depths of one system at once; a
-    tiny switch interval makes them interleave inside the DP.  The memo
-    left behind holds the counts and levels of a cold run, and its
-    checkpoints are the levels at their depths."""
-    requests = [("rule_counting_sequence", 45), ("state_profile", 60),
-                ("count_via_rules", 30), ("rule_counting_sequence", 55)]
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            system = _fresh(system_id)
-            monkeypatch.setitem(SYSTEMS, system_id, system)
-            barrier = threading.Barrier(len(requests))
-            answers = {}
-
-            def serve(name, n):
-                barrier.wait(timeout=30)
-                answers[name, n] = ENTRY_POINTS[name](system_id, n)
-
-            threads = [threading.Thread(target=serve, args=r) for r in requests]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-            assert answers == {(name, n): _expected(name, system_id, n)
-                               for name, n in requests}
-            counts, level, _ = system.memo._memo
-            depth = len(counts)
-            cold_counts, cold_profiles = _cold(system_id, 60)
-            assert depth >= 30
-            assert counts == cold_counts[:depth]
-            assert system.to_dict(level) == cold_profiles[depth]
-            stored = stored_levels(system.memo)
-            assert len(stored) == depth // 8 + 1
-            for d, checkpoint in stored:
-                assert system.to_dict(checkpoint) == cold_profiles[d]
-    finally:
-        sys.setswitchinterval(switch)
-
-
-@pytest.mark.parametrize("system_id", SYSTEM_IDS)
-def test_extension_cuts_the_memo_back_to_its_last_checkpoint(system_id,
-                                                            monkeypatch):
-    """While a request extends the memo from depth 21 to 30, the memo is
-    published after every step: when the kernel steps the level at depth
-    d, the memo holds the counts through d - 1 and that very level, so it
-    no longer holds any older level; afterwards it reaches the new
-    depth."""
-    seen, watching = [], []
-    system = _fresh(system_id)
-    kernel = system.kernel
-
-    def watching_kernel(level):
-        if watching:
-            counts, deepest, _ = system.memo._memo
-            seen.append((len(counts), deepest is level))
-        return kernel(level)
-
-    system.kernel = watching_kernel
-    system.memo._KEEP = KEEP
-    monkeypatch.setitem(SYSTEMS, system_id, system)
-    rule_counting_sequence(system_id, 21)
-    watching.append(True)
-    rule_counting_sequence(system_id, 30)
-    assert seen == [(d, True) for d in range(22, 31)]
-    assert len(system.memo._memo[0]) == 31
-    assert state_profile(system_id, 21) == _expected("state_profile",
-                                                     system_id, 21)
 
 
 def test_verify_routes_stay_off_the_memo(monkeypatch, fresh_states):
