@@ -35,33 +35,35 @@ At the API a level vector is a plain dict mapping states to positive
 integer counts; the depth is whatever number of steps produced it.
 step() applies the rules literally and is the reference.  The counting
 functions instead step a dense level.  For 201-210 that is three
-k-indexed lists (a, T, v), each of length d + 1 at depth d, made from
+k-indexed lists (a, T, r), each of length d + 1 at depth d, made from
 the slices (a, b, c) of the counts of the states (k,F,F), (k,T,F) and
 (k,T,T): T is the suffix sums of a + b, so T[0] is the accepted count,
-and v = b + c.  Decoding takes the differences t of T, then b = t - a
-and c = v - b.  In this form a step costs three suffix passes and three
-additions per k, six in all, and has an exact inverse, which halves a
-difference and checks that it is even (see _fast_step_201_210 and
-_back_201_210).  For the 2-parameter systems it is packed,
-(W, cols): cols[ell] holds the counts of (k, ell) for every k as the
-W-bit lanes of one int, lane k at bit W * k, and m = len(cols) exceeds
-k + ell for every state with a count (m is the depth plus one along
-the memo's route).  Every sum the two kernels form is then a whole-word
-add or a shift by one lane: the suffix sums over ell are the running
-sums R[ell] = cols[ell] + cols[ell + 1] + ..., the 011-201 anti-diagonal
-sums are dg = cols[ell] + (dg >> W), the 010-100-120-210 row sums are
-R[0] >> (W * ell), and the total T of the level is R[0] % (2^W - 1),
-the sum of R[0]'s lanes.  Before a step the level is widened when W <
-T.bit_length() + m.bit_length() + 1: repacked, each lane's bytes padded
-with zero bytes, to that bound plus 64 bits, rounded up to a multiple
-of 8, so that one repacking serves many depths.  Then no lane ever
-carries into the next.  A state (k, ell) has k + ell + 1 <= m children,
-so the level a step makes totals at most mT; every lane a step forms is
-a sum of counts of the input level or of that level, so it is at most
-mT < 2^(W - 1), and R[0] % (2^W - 1) reads the next total exactly.
-201-210 stays dense: its cells average about 1350 bits at depth 700,
-against about 130 for the 2-parameter systems at depth 120, so its
-six additions per k cost their digits, not the int objects, and
+and r = T - b - c.  Decoding takes v = T - r and the differences t of T,
+then b = t - a and c = v - b.  A step leaves r as it was, shifted by one
+cell, so on every level stepped from the axiom r is the counting
+sequence so far, reversed; a step costs four big-integer passes per k,
+two suffix passes and the two additions that form 2T - r, and has an
+exact inverse, which halves a difference and checks that it is even (see
+_fast_step_201_210 and _back_201_210).  For the 2-parameter systems it
+is packed, (W, cols): cols[ell] holds the counts of (k, ell) for every k
+as the W-bit lanes of one int, lane k at bit W * k, and m = len(cols)
+exceeds k + ell for every state with a count (m is the depth plus one
+along the memo's route).  Every sum the two kernels form is then a
+whole-word add or a shift by one lane: the suffix sums over ell are the
+running sums R[ell] = cols[ell] + cols[ell + 1] + ..., the 011-201
+anti-diagonal sums are dg = cols[ell] + (dg >> W), the 010-100-120-210
+row sums are R[0] >> (W * ell), and the total T of the level is R[0] %
+(2^W - 1), the sum of R[0]'s lanes.  Before a step the level is widened
+when W < T.bit_length() + m.bit_length() + 1: repacked, each lane's
+bytes padded with zero bytes, to that bound plus 64 bits, rounded up to
+a multiple of 8, so that one repacking serves many depths.  Then no lane
+ever carries into the next.  A state (k, ell) has k + ell + 1 <= m
+children, so the level a step makes totals at most mT; every lane a step
+forms is a sum of counts of the input level or of that level, so it is
+at most mT < 2^(W - 1), and R[0] % (2^W - 1) reads the next total
+exactly.  201-210 stays dense: its cells average about 1170 bits at
+depth 700, against about 130 for the 2-parameter systems at depth 120,
+so its four passes per k cost their digits, not the int objects, and
 packing them would save nothing.
 
 Each RuleSystem carries its dense kernel, which turns the ranged
@@ -109,7 +111,7 @@ class RuleSystem:
 
     kernel(level) takes a dense level to the next depth and also returns
     the accepted count of the level it was given, which falls out of its
-    partial sums; a dense level is three k-indexed lists (a, T, v) for
+    partial sums; a dense level is three k-indexed lists (a, T, r) for
     201-210 and packed columns (W, cols) for the 2-parameter systems
     (see the module docstring).  back(level), for 201-210, is the exact
     inverse of kernel, the level one depth shallower, and raises
@@ -245,61 +247,66 @@ def _step_ff(a):
 
 
 def _fast_step_201_210(level):
-    """Advance the dense 201-210 level (a, T, v) one depth (see the
+    """Advance the dense 201-210 level (a, T, r) one depth (see the
     module docstring), and return the accepted count of the input level,
     T[0], too.
 
-    With sa, sT and sv the suffix sums of a, T and v, and x = sT + sv,
+    With S the suffix sums, S(x)[k] = x[k] + x[k+1] + ..., and
+    y = S(2T - r),
 
-        new_a = [0, *sa]
-        new_T = [x[0], *x]
-        new_v[k + 1] = v[k] + sv[k] + sT[k + 1]    (sT[d + 1] = 0)
+        new_a = [0, *S(a)]
+        new_T = [y[0], *y]
+        new_r = [y[0], *r]
 
-    and new_v[0] = 0, so a depth costs three suffix passes and three
-    additions per k.  new_a is the (k,F,F) slice stepped alone (see
-    _step_ff).
+    so a depth costs two suffix passes and two additions per k, and
+    new_r adds nothing: its ints are those of the input level.  new_a is
+    the (k,F,F) slice stepped alone (see _step_ff).
 
-    Why: on the slices (a, b, c), with sb and sc the suffix sums of b
-    and c, the ranged productions (i, ...) for i = 1..k turn into suffix
-    sums over k and the triangular multiplicities k - i + 1 into the
-    suffix sums t of sa + sb, and folding in the productions that raise
-    k leaves, for j >= 1,
+    Why: on the slices (a, b, c), with sa, sb and sc their suffix sums
+    and v = b + c = T - r, the ranged productions (i, ...) for i = 1..k
+    turn into suffix sums over k and the triangular multiplicities
+    k - i + 1 into the suffix sums of sa + sb, and folding in the
+    productions that raise k leaves, for j >= 1,
 
         new_a[j] = sa[j-1]
         new_b[j] = b[j-1] + sb[j-1] + c[j-1]
-        new_c[j] = sc[j-1] + t[j]
+        new_c[j] = sc[j-1] + S(T)[j]
 
-    with new_b[0] = new_c[0] = 0.  Since sa + sb = S(a + b) = T, t = sT,
-    and new_a + new_b = [0, *(T + v)], whose suffix sums are [x[0], *x];
-    and new_b + new_c = [0, *(v + sv + sT shifted by one)], since sb +
-    sc = sv.
+    with new_b[0] = new_c[0] = 0.  Since sa + sb = S(a + b) = T,
+    new_a + new_b = [0, *(T + v)], whose suffix sums are [y[0], *y] as
+    T + v = 2T - r; and new_v = new_b + new_c has new_v[0] = 0 and
+    new_v[k + 1] = v[k] + S(v)[k] + S(T)[k + 1] = v[k] + y[k] - T[k],
+    since S(T)[k] = T[k] + S(T)[k + 1].  So new_r[k + 1] =
+    new_T[k + 1] - new_v[k + 1] = T[k] - v[k] = r[k], and new_r[0] =
+    new_T[0] = y[0].  This holds for every dense level, not only the
+    reachable ones.  From the axiom, where r = T = [1], the count of
+    each level is new_T[0] = new_r[0], so at depth d r is the counting
+    sequence c(d), c(d - 1), ..., c(0); the step still reads only the
+    level.
     """
-    a, t, v = level
-    sa, st, sv = _suffix_sums(a), _suffix_sums(t), _suffix_sums(v)
-    x = [*map(add, st, sv)]
-    st.append(0)
-    new_v = [0, *map(add, map(add, v, sv), islice(st, 1, None))]
-    return ([0, *sa], [x[0], *x], new_v), t[0]
+    a, t, r = level
+    y = _suffix_sums([*map(sub, map(add, t, t), r)])
+    return (_step_ff(a)[0], [y[0], *y], [y[0], *r]), t[0]
 
 
 def _back_201_210(level):
     """The dense 201-210 level that _fast_step_201_210 steps to level,
     one depth shallower: the exact inverse of the step.
 
-    a is the differences of new_a[1:] = sa.  With x = new_T[1:] and
-    x[d + 1] = 0, new_v[k + 1] - x[k + 1] = v[k] + sv[k] - sv[k + 1] =
-    2v[k], so v is that difference halved; then sT = x - S(v), and T is
-    the differences of sT.  A nonzero new_v[0] or an odd difference
-    raises ArithmeticError: no step produced that level.
+    r is new_r[1:]; 2T - r is the differences of new_T[1:] = y, so 2T
+    is those differences plus r, halved; a is the differences of
+    new_a[1:] = S(a).  A step leaves new_a[0] = 0 and new_T[0] =
+    new_T[1] = new_r[0], and forms 2T even; a level that breaks any of
+    these raises ArithmeticError: no step produced it.  The checks are
+    complete: the level they pass is stepped to the given one.
     """
-    new_a, new_t, new_v = level
-    twice = [*map(sub, islice(new_v, 1, None), islice(new_t, 2, None)),
-             new_v[-1]]
-    if new_v[0] or any(map(and_, twice, repeat(1))):
+    new_a, new_t, new_r = level
+    twice = [*map(add, _differences(new_t[1:]), islice(new_r, 1, None))]
+    if (new_a[0] or new_t[:2] != [new_r[0]] * 2
+            or any(map(and_, twice, repeat(1)))):
         raise ArithmeticError("no 201-210 step produces this level")
-    v = [*map(rshift, twice, repeat(1))]
-    st = [*map(sub, islice(new_t, 1, None), _suffix_sums(v))]
-    return _differences(new_a[1:]), _differences(st), v
+    return (_differences(new_a[1:]), [*map(rshift, twice, repeat(1))],
+            new_r[1:])
 
 
 def _differences(sums):
@@ -408,18 +415,19 @@ def _fast_step_010_100_120_210(level):
 
 
 def _encode_201_210(slices):
-    """The dense 201-210 level (a, T, v) of the slices (a, b, c): T the
-    suffix sums of a + b, and v = b + c."""
+    """The dense 201-210 level (a, T, r) of the slices (a, b, c): T the
+    suffix sums of a + b, and r = T - b - c."""
     a, b, c = slices
-    return a, _suffix_sums([*map(add, a, b)]), [*map(add, b, c)]
+    t = _suffix_sums([*map(add, a, b)])
+    return a, t, [*map(sub, map(sub, t, b), c)]
 
 
 def _decode_201_210(level):
-    """The slices (a, b, c) of the dense 201-210 level (a, T, v): with t
-    the differences of T, b = t - a and c = v - b."""
-    a, t, v = level
+    """The slices (a, b, c) of the dense 201-210 level (a, T, r): b the
+    differences of T less a, and c = T - r - b."""
+    a, t, r = level
     b = [*map(sub, _differences(t), a)]
-    return a, b, [*map(sub, v, b)]
+    return a, b, [*map(sub, map(sub, t, r), b)]
 
 
 def _dense_201_210(level):

@@ -189,22 +189,52 @@ def test_back_inverts_the_kernel_on_random_levels(level):
     assert system.back(system.kernel(dense)[0]) == dense
 
 
+def test_the_third_list_is_the_counting_sequence_reversed():
+    """On every level (a, T, r) the 201-210 kernel steps to from the
+    axiom, through depth 300, r is the counting sequence so far, last
+    first, so r[0] is T[0], the level's count: r at depth d is c(d),
+    c(d - 1), ..., c(0), where c(m) is the count the kernel returns
+    for the level at depth m."""
+    system = get_system("201-210")
+    level, counts = system.start, []
+    for depth in range(301):
+        a, t, r = level
+        assert r[0] == t[0], depth
+        level, count = system.kernel(level)
+        counts.append(count)
+        assert r == counts[::-1], depth
+    assert counts[:len(SEQ_201_210)] == SEQ_201_210
+
+
+def _bumped(xs, k, by=1):
+    return [*xs[:k], xs[k] + by, *xs[k + 1:]]
+
+
 @pytest.mark.parametrize("depth", [1, 2, 30])
 def test_back_rejects_a_level_no_step_produces(depth):
-    """A level the kernel steps to, with any one cell of v (the counts of
-    (k,T,F) plus (k,T,T)) one more, is no step's result: the inverse
-    raises ArithmeticError, from its checked halving or, at k = 0, from
-    the cell that every step leaves at zero."""
+    """A level (a, T, r) the kernel steps to, with a[0], or any one cell
+    of T or of r, one more, or T[1] two more, is no step's result: the
+    inverse raises ArithmeticError, at a[0], T[0], T[1] and r[0] from
+    the cells every step leaves at 0, y[0], y[0] and y[0], and elsewhere
+    from its checked halving.  With a cell of a[1:] one more the level is still
+    a step's result, since a[1:] is the suffix sums of some a, and the
+    inverse takes it to the level the kernel steps back to it."""
     system = get_system("201-210")
     level = system.start
     for _ in range(depth):
         level = system.kernel(level)[0]
-    a, t, v = level
-    assert system.back(level) is not None
-    for k in range(len(v)):
-        bumped = (a, t, [*v[:k], v[k] + 1, *v[k + 1:]])
+    a, t, r = level
+    back = system.back(level)
+    for bumped in [(_bumped(a, 0), t, r), (a, _bumped(t, 1, 2), r),
+                   *[(a, _bumped(t, k), r) for k in range(len(t))],
+                   *[(a, t, _bumped(r, k)) for k in range(len(r))]]:
         with pytest.raises(ArithmeticError):
             system.back(bumped)
+    for k in range(1, len(a)):
+        bumped = (_bumped(a, k), t, r)
+        shallower = system.back(bumped)
+        assert shallower[1:] == back[1:], k
+        assert system.kernel(shallower)[0] == bumped, k
 
 
 def test_a_profile_resumes_from_the_nearer_side_of_a_deep_memo():

@@ -1,5 +1,5 @@
 """Print the time the three dense kernels of ``invseq.succession`` take
-per step, and what a cold extension of each 2-parameter memo costs.
+per step, and what a cold extension of each system's memo costs.
 
 Two tables, each time the least of RUNS runs, in milliseconds, with
 the first run beside it:
@@ -9,10 +9,12 @@ the first run beside it:
     that the kernel's own run from the system's start reaches there,
     and, for a system with an inverse step (201-210), one step back
     from that level beside it;
-  * a cold extension of each 2-parameter system's memo to depth 120: a
-    fresh ``invseq.prefix.Prefix`` over the system's start and kernel,
-    as ``RuleSystem.memo`` keeps it, asked for the counts through 120,
-    so that it keeps its checkpoints too.
+  * a cold extension of each system's memo to the depth in COLD_DEPTHS
+    (201-210 to 700, the deepest count of the bench's transfer
+    workload; each 2-parameter system to 120): a fresh
+    ``invseq.prefix.Prefix`` over the system's start and kernel, as
+    ``RuleSystem.memo`` keeps it, asked for the counts through that
+    depth, so that it keeps its checkpoints too.
 
 Run in a fresh interpreter, from the root of the repository; standard
 library only:
@@ -33,7 +35,7 @@ RUNS = 11
 STEP_DEPTHS = {"201-210": (300, 600),
                "011-201": (40, 120, 200),
                "010-100-120-210": (40, 120, 200)}
-COLD_DEPTH = 120
+COLD_DEPTHS = {"201-210": 700, "011-201": 120, "010-100-120-210": 120}
 
 
 def times_ms(run):
@@ -67,9 +69,9 @@ if __name__ == "__main__":
                 first, least = times_ms(lambda: system.back(level))
                 print("%-16s back at depth %3d  %9.3f ms  (first %.3f ms)"
                       % (system_id, depth, least, first))
-    for system_id in ("011-201", "010-100-120-210"):
+    for system_id, depth in COLD_DEPTHS.items():
         system = SYSTEMS[system_id]
         first, least = times_ms(
-            lambda: Prefix(system.start, system.kernel).counts(COLD_DEPTH))
+            lambda: Prefix(system.start, system.kernel).counts(depth))
         print("%-16s cold memo to %3d  %9.3f ms  (first %.3f ms)"
-              % (system_id, COLD_DEPTH, least, first))
+              % (system_id, depth, least, first))
