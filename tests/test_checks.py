@@ -1,20 +1,35 @@
-"""The structure-theorem check, which keeps no state: each request
-runs both sides of the sweep once per length through its depth, so the
-printed lines are those of a cold run whatever came before, and a fault
-planted in a sliced side or in the compiled groups the matcher reads
-is seen by the next request, with no reset.  The first test asks for a
-check that does not exist, and the next for a sweep too deep for its
-masks to fit in memory.  The concurrency test also runs the system
-check, whose prefix threads share, the one after it empties the whole
-registry after every check, and the next plants a fault in a step after
-a warm run, with no reset.  The next one plants a mismatch in the first
-system of oracle-vs-rules and fe-vs-rules, which then count no later
-system.  The last five test the ODE fast path of the minpoly checks: a
-unit planted in a source, a solution of the ODE that is no root of the
-relation, a relation whose ODE the counts fail and a relation with no
-ODE each print the line of the stateless residual, and the count of the
-check's one relation route is that residual's, as it is for a relation
-whose recurrence tops a term past the one its equation is numbered by."""
+"""The verify checks of ``invseq.checks``.
+
+The fault table, ``verify_faults.FAULTS``, has one row per check with
+its planted faults: ``test_the_fault_table_covers_every_check`` ties it
+to CHECKS, and ``test_output_does_not_depend_on_request_order``
+runs the checks at their depths from the table in any order, all in
+one process and each alone with its first fault planted (``test_cli``
+drives each fault through ``invseq verify``).
+
+The structure-theorem check keeps no state: each request runs both
+sides of the sweep once per length through its depth
+(``test_each_word_goes_to_each_route_once``), so a fault planted in a
+sliced side or in the compiled groups the matcher reads is seen by the
+next request with no reset
+(``test_a_fault_planted_after_a_warm_run_prints_the_cold_line``), and
+too deep a sweep is refused before any mask is built.
+``test_concurrent_requests_share_consistent_states`` also runs the
+system check, whose prefix threads share, and
+``test_one_reset_makes_a_warm_process_cold`` empties the whole registry
+after every check.  ``test_a_mismatch_in_the_first_system_counts_no_later_one``
+plants a mismatch in the first system of oracle-vs-rules and
+fe-vs-rules.  The ODE fast path of the minpoly checks prints the line
+of the stateless residual on a unit planted in a source
+(``test_a_unit_planted_in_a_source_prints_the_stateless_line``), on a
+solution of the ODE that is no root of the relation
+(``test_an_ode_solution_that_is_no_root_is_caught_through_n0``), on a
+relation whose ODE the counts fail
+(``test_a_corrupted_relation_falls_back_to_the_residual``) or that has
+no ODE (``test_a_relation_with_no_ode_steps_its_residual_through_n``),
+and on a relation whose recurrence tops a term past the one its
+equation is numbered by
+(``test_a_recurrence_with_top_above_zero_checks_the_equation_it_tops``)."""
 
 import sys
 import threading
@@ -28,7 +43,7 @@ import pytest
 from invseq import checks, cli, core, poly, series, succession
 from invseq.checks import CHECKS, run_check
 from invseq.prefix import _STATES, Prefix
-from invseq.succession import SYSTEMS
+from verify_faults import FAULTS, flip_010
 
 STRUCTURE = "structure-theorem"
 
@@ -50,19 +65,10 @@ def _count_calls(monkeypatch):
     return seen
 
 
-def _index(e):
-    """The bit of the word e among the words of its length."""
-    w = 0
-    for size, v in enumerate(e, 1):
-        w = w * size + v
-    return w
-
-
 def _plant_word_fault(monkeypatch):
     """Make the sliced checker wrong on the word 010 only."""
-    real = checks._sliced_checker
-    monkeypatch.setattr(checks, "_sliced_checker", lambda n, lt: (
-        real(n, lt) ^ (1 << _index((0, 1, 0)) if n == 3 else 0)))
+    monkeypatch.setattr(checks, "_sliced_checker",
+                        flip_010(checks._sliced_checker))
     return False, ["FAIL at e=010: checker False, avoidance True"]
 
 
@@ -139,25 +145,6 @@ def test_each_word_goes_to_each_route_once(order, monkeypatch,
     assert not _STATES
 
 
-@pytest.mark.parametrize("planted", [False, True])
-def test_output_does_not_depend_on_request_order(planted, monkeypatch,
-                                                 fresh_states):
-    """Requests at several depths, run cold one by one, then in ascending
-    and in descending order in one process, get the same lines, with and
-    without a planted fault."""
-    if planted:
-        _plant_word_fault(monkeypatch)
-    depths = (0, 2, 3, 7, 5, 6)
-    cold = {}
-    for n in depths:
-        fresh_states()
-        cold[n] = run_check(STRUCTURE, n)
-    assert cold[7][0] is not planted
-    for order in (sorted(depths), sorted(depths, reverse=True), depths):
-        fresh_states()
-        assert {n: run_check(STRUCTURE, n) for n in order} == cold
-
-
 def test_a_fault_planted_after_a_warm_run_prints_the_cold_line(
         monkeypatch, fresh_states):
     """A fault planted in a sliced side, or in the compiled groups the
@@ -192,31 +179,6 @@ def test_a_fault_in_a_compiled_group_reaches_the_verify_line(
     assert core._middle_match((0, 1, 0, 2), groups)
     assert not any(core._middle_match(e, groups) for e in
                    [(0, 1, 0, 1), (0, 0, 2, 3), (0, 1, 2)])
-
-
-def test_a_fault_in_the_sliced_checker_reaches_the_verify_line(
-        monkeypatch, fresh_states):
-    """A sliced checker handed non-strict comparisons for strict ones
-    fails the word 000 (two entries after a maximum, not below it), and
-    the verify line names it."""
-    fail = _plant_checker_fault(monkeypatch)
-    assert run_check(STRUCTURE, 6) == fail
-
-
-@pytest.mark.parametrize("plant", [_plant_group_fault, _plant_checker_fault],
-                         ids=["hit_test", "below_the_maximum"])
-def test_a_structure_fault_planted_warm_fails_with_and_without_a_reset(
-        plant, monkeypatch, fresh_states):
-    """A fault planted after a warm run in the hit test the matcher reads
-    (id hit_test) or in the "below the maximum" test of the checker (id
-    below_the_maximum) prints the cold FAIL line once the registry is
-    emptied, as it does with no reset, and no cache needs clearing."""
-    assert run_check(STRUCTURE, 6)[0]
-    fail = plant(monkeypatch)
-    assert run_check(STRUCTURE, 6) == fail
-    _STATES.clear()
-    assert run_check(STRUCTURE, 6) == fail
-    assert not _STATES
 
 
 def test_concurrent_requests_share_consistent_states(fresh_states,
@@ -302,104 +264,43 @@ def test_one_reset_makes_a_warm_process_cold(monkeypatch, fresh_states):
     assert {name: run_check(name) for name in names} == cold
 
 
-def _raise_at(k):
-    """A closed-form step raising at the state before x^k."""
-    def plant(real):
-        def planted(level):
-            if level[0] == k:
-                raise ArithmeticError("planted at x^%d" % k)
-            return real(level)
-        return planted
-    return plant
+def test_the_fault_table_covers_every_check():
+    """The fault table has a row for each check, with at least one
+    fault, and no other row; each check's default depth is
+    nonnegative."""
+    assert set(FAULTS) == set(CHECKS)
+    assert all(faults for _, _, faults in FAULTS.values())
+    assert all(depth >= 0 for _, depth in CHECKS.values())
 
 
-def _bump_slice(length, at):
-    """A step whose new slices, one entry longer than their input, get
-    one more at entry ``at`` when they have the given length."""
-    def plant(real):
-        def planted(level):
-            new, count = real(level)
-            if len(new) == length:
-                new = [*new[:at], new[at] + 1, *new[at + 1:]]
-            return new, count
-        return planted
-    return plant
-
-
-def _bump_fe(real):
-    """The 011-201 slice step with one more uv^0 term at x^6."""
-    def planted(slice_):
-        out = real(slice_)
-        if len(out) == 7:
-            out = [out[0], [out[1][0] + 1, *out[1][1:]], *out[2:]]
-        return out
-    return planted
-
-
-def _bump_kernel(real):
-    """The 201-210 kernel with one more (k,F,F) state at x^5 u^2, in the
-    slices of the level it steps to."""
-    def planted(level):
-        new, accepted = real(level)
-        a, b, c = succession._decode_201_210(new)
-        if len(a) == 6:
-            new = succession._encode_201_210(([*a[:2], a[2] + 1, *a[3:]],
-                                              b, c))
-        return new, accepted
-    return planted
-
-
-def _bump_system_step(real):
-    """The step of the system prefix, handed the 201-210 kernel with one
-    more (k,F,F) state at x^5 u^2 (see _bump_kernel)."""
-    def planted(prev, kernel, decode, axiom):
-        return real(prev, _bump_kernel(kernel), decode, axiom)
-    return planted
-
-
-# check[:step]: (namespace, key, plant, warm depth, depth, FAIL lines)
-STEP_FAULTS = {
-    "gf-vs-rules": (vars(series), "_f_step", _raise_at(7), 30,
-                    20, ["FAIL: planted at x^7"]),
-    "fe-vs-rules": (series._FE_STEP, "011-201", _bump_fe, 20, 10,
-                    ["FAIL for 011-201 at n=6: iteration 190 != rules 189"]),
-    "minpoly-A": (vars(checks), "_step_ff", _bump_slice(5, 2), 40, 20,
-                  ["FAIL: residual first nonzero at order 4"]),
-    "minpoly-B:kernel": (vars(SYSTEMS["201-210"]), "kernel", _bump_kernel, 40,
-                         20, ["FAIL: residual first nonzero at order 6"]),
-    "minpoly-B:_step_ff": (vars(checks), "_step_ff", _bump_slice(5, 2), 40,
-                           20, ["FAIL: residual first nonzero at order 5"]),
-    "minpoly-F": (vars(SYSTEMS["201-210"]), "kernel", _bump_kernel, 40, 20,
-                  ["FAIL: residual first nonzero at order 6"]),
-    "system-201-210": (vars(checks), "_fast_step_201_210", _bump_kernel, 40,
-                       20, ["FAIL: equation A first differs at x^5 u^2"]),
-    "system-201-210:_system_step": (
-        vars(series), "_system_step", _bump_system_step, 40, 20,
-        ["FAIL: equation A first differs at x^5 u^2"]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(STEP_FAULTS))
-def test_a_fault_planted_in_a_step_after_a_warm_run_prints_the_cold_line(
-        name, monkeypatch, fresh_states):
-    """A fault planted in the step a prefix is keyed on, after a warm
-    run deeper than the fault, is stepped cold at once: the check prints
-    the FAIL line of a cold run, with no reset of the registry, and
-    restoring the step restores the OK line.  A minpoly check's residual
-    is keyed on the prefixes it reads, so a fault in the step of one of
-    them reaches it the same way."""
-    namespace, key, plant, warm, depth, lines = STEP_FAULTS[name]
-    name = name.split(":")[0]
-    real = namespace[key]
-    monkeypatch.setitem(namespace, key, plant(real))
-    assert run_check(name, depth) == (False, lines)
-    fresh_states()
-    monkeypatch.setitem(namespace, key, real)
-    assert run_check(name, warm)[0]
-    monkeypatch.setitem(namespace, key, plant(real))
-    assert run_check(name, depth) == (False, lines)
-    monkeypatch.setitem(namespace, key, real)
-    assert run_check(name, depth)[0]
+@pytest.mark.parametrize("planted", [False, True])
+def test_output_does_not_depend_on_request_order(planted, monkeypatch,
+                                                 fresh_states):
+    """The checks at their depths in the fault table, run cold one by one,
+    then in ascending and descending depth and in the listed order in one
+    process, get the same lines: all checks in one process, or each
+    check alone with its first fault planted, which fails some of its
+    depths and not others."""
+    runs = [(None, [(name, n) for name, (_, depths, _) in FAULTS.items()
+                    for n in depths])]
+    if planted:
+        runs = [(faults[0][:3], [(name, n) for n in depths])
+                for name, (_, depths, faults) in FAULTS.items()]
+    for fault, requests in runs:
+        with monkeypatch.context() as planting:
+            if fault:
+                namespace, key, plant = fault
+                planting.setitem(namespace, key, plant(namespace[key]))
+            cold = {}
+            for request in requests:
+                fresh_states()
+                cold[request] = run_check(*request)
+            assert {ok for ok, _ in cold.values()} == {True, not planted}, \
+                requests
+            fresh_states()
+            for order in (sorted(requests, key=lambda r: r[1]),
+                          sorted(requests, key=lambda r: -r[1]), requests):
+                assert {r: run_check(*r) for r in order} == cold, order
 
 
 # -- the comparison of the sequence checks ----------------------------------

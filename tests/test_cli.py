@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invseq import checks, cli, series, succession
+from invseq import checks, cli, series
 from invseq.cli import CHECKS, main, parse_basis
 from invseq.oracle import count_sequence
 from invseq.prefix import _STATES
@@ -20,6 +20,7 @@ from invseq.succession import (
     rule_counting_sequence,
     state_profile,
 )
+from verify_faults import FAULTS
 
 # Regression fixture: pinned values that must never drift, whatever else
 # changes.  test_known_counts_fixture asserts the CLI reproduces them.
@@ -715,111 +716,34 @@ def test_internal_error_is_one_line_and_exit_two(capsys, monkeypatch, module,
     assert err == "error: internal error: %s\n" % line
 
 
-def _bump_at(k, key=None):
-    """A plant for a route that returns a sequence: add 1 to its entry
-    k, on the calls whose first argument is key when key is given."""
-    def plant(real):
-        def planted(*args):
-            out = real(*args)
-            if key is None or args[0] == key:
-                out = list(out)
-                out[k] += 1
-            return out
-        return planted
-    return plant
+@pytest.mark.parametrize("name, fault", [
+    pytest.param(name, fault, id=name if i == 0 else "%s:%s" % (name,
+                                                                fault[1]))
+    for name, (_, _, faults) in FAULTS.items()
+    for i, fault in enumerate(faults)])
+def test_every_check_prints_its_ok_and_fail_lines(name, fault, capsys,
+                                                  monkeypatch, fresh_states):
+    """From an empty registry, ``invseq verify`` at the fault's warm
+    depth prints the check's OK line and exits 0.  The fault, planted in
+    the slot the check reads with no reset, makes it print the FAIL line
+    of a cold run at the fault's depth and exit 1, and so does a cold run
+    with the registry emptied; restoring the real slot restores the OK
+    line.  The id is the check, and the planted slot after it from the
+    check's second fault on."""
+    namespace, key, plant, warm, depth, fail = fault
 
-
-def _bump_census(real):
-    """The 201-210 kernel with one more (k,F,F) state at x^5 u^2 in the
-    slices of the level it steps to."""
-    def planted(level):
-        new, accepted = real(level)
-        a, b, c = succession._decode_201_210(new)
-        if len(a) == 6:
-            new = succession._encode_201_210(([*a[:2], a[2] + 1, *a[3:]],
-                                              b, c))
-        return new, accepted
-    return planted
-
-
-def _bump_count(at):
-    """A plant for the (k,F,F) step or the 201-210 kernel: one more in
-    the count of the level at depth at, whose (k,F,F) slice has at + 1
-    entries."""
-    def plant(real):
-        def planted(level):
-            new, count = real(level)
-            a = level[0] if isinstance(level, tuple) else level
-            return new, count + (len(a) == at + 1)
-        return planted
-    return plant
-
-
-B_011_201 = ((0, 1, 1), (2, 0, 1))
-
-# check: (module or object, route the check reads, plant, depth, OK line,
-# FAIL line); a series name is planted in invseq.series, from which the
-# check imports it when it runs, and a census step in invseq.checks
-CHECK_CASES = {
-    "gf-vs-rules": (
-        series, "f_coefficients", _bump_at(3), 6,
-        "OK: closed form matches the rules through n=6",
-        "FAIL at n=3: closed form 7 != rules 6"),
-    "oracle-vs-rules": (
-        checks, "count_sequence", _bump_at(5, B_011_201), 6,
-        "OK: oracle matches the rules for all three systems through n=6",
-        "FAIL for 011-201 at n=5: oracle 52 != rules 51"),
-    "minpoly-A": (
-        checks, "_step_ff", _bump_count(4), 8,
-        "OK: relation holds through n=8",
-        "FAIL: residual first nonzero at order 4"),
-    "minpoly-B": (
-        checks, "_step_ff", _bump_count(4), 8,
-        "OK: relation holds through n=8",
-        "FAIL: residual first nonzero at order 5"),
-    "minpoly-F": (
-        SYSTEMS["201-210"], "kernel", _bump_count(4), 8,
-        "OK: relation holds through n=8",
-        "FAIL: residual first nonzero at order 5"),
-    "system-201-210": (
-        checks, "_fast_step_201_210", _bump_census, 8,
-        "OK: all seven bivariate identities hold through n=8",
-        "FAIL: equation A first differs at x^5 u^2"),
-    "structure-theorem": (
-        # bit 3 of length 3 is the word 010 (see core._value_masks)
-        checks, "_sliced_checker",
-        lambda real: lambda n, lt: real(n, lt) ^ (1 << 3 if n == 3 else 0), 4,
-        "OK: checker agrees with pattern avoidance for all inversion "
-        "sequences through n=4",
-        "FAIL at e=010: checker False, avoidance True"),
-    "fe-vs-rules": (
-        series, "iterate_fe", _bump_at(4, "010-100-120-210"), 6,
-        "OK: functional-equation iteration matches the rules through n=6",
-        "FAIL for 010-100-120-210 at n=4: iteration 16 != rules 15"),
-    "wilf-011-201": (
-        checks, "rule_counting_sequence", _bump_at(6, "010-100-120-210"), 8,
-        "OK: the two systems agree through n=8 (evidence for the "
-        "conjecture, not a proof)",
-        "FAIL at n=6: 011-201 gives 189, 010-100-120-210 gives 190"),
-    "conjecture-010-102": (
-        checks, "count_sequence", _bump_at(5), 8,
-        "OK: conjectured cubic fits brute-force counts through n=8 "
-        "(evidence, not a proof)",
-        "FAIL: cubic residual first nonzero at order 5"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CHECKS))
-def test_every_check_prints_its_ok_and_fail_lines(capsys, monkeypatch, name):
-    """On the real routes each check prints its OK line; one planted
-    counterexample, where the check reads the route, makes it print its
-    exact FAIL line and exit 1."""
-    assert CHECKS[name][1] >= 0
-    module, route, plant, depth, ok_line, fail_line = CHECK_CASES[name]
-    argv = ["verify", "--check", name, "--n-max", str(depth)]
-    assert run_cli(capsys, *argv) == (0, "%s: %s\n" % (name, ok_line), "")
-    monkeypatch.setattr(module, route, plant(getattr(module, route)))
-    assert run_cli(capsys, *argv) == (1, "%s: %s\n" % (name, fail_line), "")
+    def verify(n):
+        return run_cli(capsys, "verify", "--check", name, "--n-max", str(n))
+    ok = (0, "%s: %s\n" % (name, FAULTS[name][0] % warm), "")
+    failed = (1, "%s: %s\n" % (name, fail), "")
+    real = namespace[key]
+    assert verify(warm) == ok
+    monkeypatch.setitem(namespace, key, plant(real))
+    assert verify(depth) == failed
+    fresh_states()
+    assert verify(depth) == failed
+    monkeypatch.setitem(namespace, key, real)
+    assert verify(warm) == ok
 
 
 def test_verify_negative_depth_is_usage_error(capsys):

@@ -19,11 +19,17 @@ test starts from empty prefixes, compares with a run of the route
 (start, step, args) from its start, and plants failures or watchers in
 what the route's step runs, or plants another step.  The relation
 routes of minpoly-A, minpoly-B and minpoly-F, which read those
-prefixes, make eleven in the registry; the test of ``Prefix.count``
-reads all eleven, and ``test_series`` and ``test_checks`` test the
-other three.  ``test_succession``, ``test_series`` and ``test_checks``
-keep what a route adds to the contract: the kernel and back steps of
-the memos, the census, FE and relation algebra."""
+prefixes, make eleven in the registry;
+``test_count_reads_the_count_of_counts`` reads all eleven, and
+``test_coefficients_per_residual_request`` in ``test_series`` steps the
+three relation routes.  What the census level holds is pinned by
+``test_the_census_level_at_x_m_holds_the_dp_level_at_m_minus_one``, and
+the memo's resume from either side of a stored level by
+``test_state_profile_resumes_from_the_nearest_stored_level``.
+``test_succession``, ``test_series`` and ``test_checks`` keep what a
+route adds to the contract: the kernel and back steps of the memos, the
+census, FE and relation algebra; the planted faults of every verify
+check are rows of ``verify_faults.FAULTS``."""
 
 import ast
 import inspect
@@ -416,6 +422,27 @@ def test_a_planted_route_replaces_the_prefix(name, monkeypatch,
         stored = new
 
 
+def test_the_census_level_at_x_m_holds_the_dp_level_at_m_minus_one(
+        fresh_states):
+    """Each system check leaves the one key of its prefix, which counts
+    no failure, and whose level at x^m holds the level that a run of
+    the 201-210 DP from the axiom reaches at depth m - 1, the census
+    rows it converts there and no failure: None and three empty rows at
+    m = 0."""
+    system = SYSTEMS["201-210"]
+    dp = Prefix(system.start, system.kernel)
+    for n in (30, 12, 45):
+        assert run_check("system-201-210", n)[0], n
+        assert list(_STATES) == ["system-201-210"], n
+    census = _STATES["system-201-210"]
+    assert census.counts(45) == [None] * 46
+    assert census.level(0) == (None, ([],) * 3, None)
+    for m in range(46):
+        level = dp.level(m)
+        assert census.level(m + 1) == (level, series._census_rows(
+            m, succession._decode_201_210(level)), None), m
+
+
 def test_a_planted_checker_is_asked_each_length_once_and_keeps_no_state(
         monkeypatch, fresh_states):
     """structure-theorem keeps no prefix, so none can outlive a checker
@@ -461,25 +488,36 @@ def _counting_back(system):
 
 def test_state_profile_resumes_from_the_nearest_stored_level(monkeypatch,
                                                             fresh_states):
-    """A profile at depth n, once the memo is 150 deep and so keeps a
-    checkpoint every 16 depths, steps the kernel from the stored level
-    nearest at or below n, or steps back with the system's inverse from
-    the stored level above n, a checkpoint or the level at 150, when that
-    is strictly nearer (136 and 147 are ties, and step forward), and
-    equals the level of a run from the axiom."""
+    """A profile at depth n, once the memo is L deep, L = 150 or 701, and
+    so keeps a checkpoint every s = 16 or 64 depths, steps the kernel
+    from the checkpoint c = n - n % s, or steps back with the system's
+    inverse from the stored level above n, a checkpoint or the level at
+    L, when that is strictly nearer (136 and 147 at L = 150, 32 and 96
+    at L = 701 are ties, and step forward), and equals the level of a
+    run from the axiom."""
     memo, current, _ = _route("201-210", monkeypatch)
     system = SYSTEMS["201-210"]
-    memo.counts(149)
-    cold = _cold(memo, 150)
+    kernel = current[0]
     steps = _counting(current)
     backs = _counting_back(system)
-    for n, depth in ((150, 150), (149, 150), (128, 128), (127, 128),
-                     (5, 0), (137, 144), (136, 128), (147, 144), (148, 150)):
-        steps[0] = backs[0] = 0
-        profile = state_profile("201-210", n)
-        assert (steps[0], backs[0]) == (max(n - depth, 0),
-                                        max(depth - n, 0)), n
-        assert profile == system.to_dict(cold[n][0]), n
+    for depth, spacing, ns in (
+            (150, 16, (150, 149, 128, 127, 5, 137, 136, 147, 148)),
+            (701, 64, (0, 1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 600, 640,
+                       669, 670, 671, 672, 699, 700, 701))):
+        memo.counts(depth - 1)
+        level, run = system.start, {}
+        for m in range(depth + 1):
+            if m in ns:
+                run[m] = system.to_dict(level)
+            level = kernel(level)[0]
+        for n in ns:
+            below = n - n % spacing
+            above = min(below + spacing, depth)
+            steps[0] = backs[0] = 0
+            profile = state_profile("201-210", n)
+            assert (steps[0], backs[0]) == (
+                (0, above - n) if above - n < n - below else (n - below, 0)), n
+            assert profile == run[n], n
 
 
 def test_level_steps_back_from_a_nearer_stored_level():
@@ -542,12 +580,15 @@ def test_a_profile_right_after_a_count_steps_nothing(system_id, monkeypatch,
                               else ([0], [1]))
 
 
-_requests = st.lists(st.integers(0, 40), min_size=1, max_size=6)
+_requests = st.lists(st.integers(0, 40), max_size=6)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(NAMES), _requests, _requests)
+@example("census", [20, 60, 50, 60, 20, 8, 0], [13, 60, 0])
+@example("census", [20, 20, 8, 0, 27, 30, 29], [])
+@example("201-210", [], [40, 61, 13, 0, 7, 60, 56])
 @example("ff_slice_series", [30, 30, 12, 0, 37, 38, 36, 60], [13, 60, 0])
 @example("f_coefficients", [30, 30, 12, 0, 37, 38, 36, 60], [13, 60, 0])
 @example("iterate_fe:011-201", [30, 30, 12, 0, 37, 38, 36, 60], [13, 60, 0])
@@ -560,7 +601,8 @@ def test_steps_per_request_on_every_route(fresh_states, name, counts, levels):
     times on a prefix L deep, none when L > n, so once per depth through
     the deepest n in all; then level(n) steps n % s times below the
     stored depth L, s the least power of two with L <= 4s, none at it and
-    n - L times above it, leaving the prefix n deep."""
+    n - L times above it (n times on an empty prefix), leaving the
+    prefix n deep."""
     fresh_states()
     with pytest.MonkeyPatch.context() as mp:
         start, step, args = _route(name, mp)[0].route
@@ -571,19 +613,22 @@ def test_steps_per_request_on_every_route(fresh_states, name, counts, levels):
             return step(*a)
         prefix = Prefix(start, counted, *args)
         prefix._KEEP = 4
+
+        def depth():
+            return len(prefix._memo[0]) if prefix._memo else 0
         for n in counts:
-            depth = len(prefix._memo[0]) if prefix._memo else 0
+            stored = depth()
             steps[0] = 0
             assert prefix.counts(n) == _expected(name, "counts", n), n
-            assert steps[0] == max(n + 1 - depth, 0), n
+            assert steps[0] == max(n + 1 - stored, 0), n
         for n in levels:
-            depth, spacing = len(prefix._memo[0]), 1
-            while depth > 4 * spacing:
+            stored, spacing = depth(), 1
+            while stored > 4 * spacing:
                 spacing *= 2
             steps[0] = 0
             prefix.level(n)
-            assert steps[0] == (n % spacing if n < depth else n - depth), n
-            assert len(prefix._memo[0]) == max(depth, n), n
+            assert steps[0] == (n % spacing if n < stored else n - stored), n
+            assert depth() == max(stored, n), n
 
 
 def _spacing(depth):

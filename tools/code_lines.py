@@ -7,12 +7,14 @@ do not count as tokens.  A module's compile time is the least of
 COMPILE_RUNS calls of compile() on its source: what importing it costs
 where no bytecode is cached, as when PYTHONDONTWRITEBYTECODE is set.
 One line per module of src/invseq with both, then the code lines of
-tests/, then three import times, each the median over IMPORT_RUNS
-fresh interpreters in the caller's environment (with src/ on
-PYTHONPATH): ``import invseq``, ``import invseq.cli`` plus
+each module of tests/ and their total, so that a change to the tests
+shows file by file, then three import times, each the median over
+IMPORT_RUNS fresh interpreters in the caller's environment (with src/
+on PYTHONPATH): ``import invseq``, ``import invseq.cli`` plus
 ``build_parser()``, what the benchmark's setup_s times, and ``import
 invseq.series`` plus ``f_coefficients(60)``, which loads no rule
-system.  On the last line, the total code lines of src/invseq.  Standard library only:
+system.  On the last line, the total code lines of src/invseq.
+Standard library only:
 
     python3 tools/code_lines.py
 """
@@ -93,8 +95,11 @@ if __name__ == "__main__":
     for name, lines in modules.items():
         print("src/invseq/%-14s %5d  %6.2f ms compile"
               % (name, lines, compile_ms(PACKAGE / name)))
-    print("%-25s %5d" % ("tests/", sum(map(code_lines,
-                                            (ROOT / "tests").glob("*.py")))))
+    tests = {path.name: code_lines(path)
+             for path in sorted((ROOT / "tests").glob("*.py"))}
+    for name, lines in tests.items():
+        print("tests/%-19s %5d" % (name, lines))
+    print("%-25s %5d" % ("tests/", sum(tests.values())))
     for label, code in IMPORTS.items():
         print("%-42s %6.2f ms" % (label, import_ms(code)))
     print(sum(modules.values()))
