@@ -12,8 +12,10 @@ sides of the sweep once per length through its depth
 (``test_each_word_goes_to_each_route_once``), so a fault planted in a
 sliced side or in the compiled groups the matcher reads is seen by the
 next request with no reset
-(``test_a_fault_planted_after_a_warm_run_prints_the_cold_line``), and
-too deep a sweep is refused before any mask is built.
+(``test_a_fault_planted_after_a_warm_run_prints_the_cold_line``, and
+for the hit test and the "below the maximum" test alone
+``test_a_structure_fault_planted_warm_fails_with_and_without_a_reset``),
+and too deep a sweep is refused before any mask is built.
 ``test_concurrent_requests_share_consistent_states`` also runs the
 system check, whose prefix threads share, and
 ``test_one_reset_makes_a_warm_process_cold`` empties the whole registry
@@ -179,6 +181,31 @@ def test_a_fault_in_a_compiled_group_reaches_the_verify_line(
     assert core._middle_match((0, 1, 0, 2), groups)
     assert not any(core._middle_match(e, groups) for e in
                    [(0, 1, 0, 1), (0, 0, 2, 3), (0, 1, 2)])
+
+
+def test_a_fault_in_the_sliced_checker_reaches_the_verify_line(
+        monkeypatch, fresh_states):
+    """A sliced checker handed non-strict comparisons for strict ones
+    fails the word 000 (two entries after a maximum, not below it), and
+    the verify line names it."""
+    fail = _plant_checker_fault(monkeypatch)
+    assert run_check(STRUCTURE, 6) == fail
+
+
+@pytest.mark.parametrize("plant", [_plant_group_fault, _plant_checker_fault],
+                         ids=["hit_test", "below_the_maximum"])
+def test_a_structure_fault_planted_warm_fails_with_and_without_a_reset(
+        plant, monkeypatch, fresh_states):
+    """A fault planted after a warm run in the hit test the matcher reads
+    (id hit_test) or in the "below the maximum" test of the checker (id
+    below_the_maximum) prints the cold FAIL line once the registry is
+    emptied, as it does with no reset, and no cache needs clearing."""
+    assert run_check(STRUCTURE, 6)[0]
+    fail = plant(monkeypatch)
+    assert run_check(STRUCTURE, 6) == fail
+    _STATES.clear()
+    assert run_check(STRUCTURE, 6) == fail
+    assert not _STATES
 
 
 def test_concurrent_requests_share_consistent_states(fresh_states,

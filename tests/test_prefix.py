@@ -22,14 +22,11 @@ routes of minpoly-A, minpoly-B and minpoly-F, which read those
 prefixes, make eleven in the registry;
 ``test_count_reads_the_count_of_counts`` reads all eleven, and
 ``test_coefficients_per_residual_request`` in ``test_series`` steps the
-three relation routes.  What the census level holds is pinned by
-``test_the_census_level_at_x_m_holds_the_dp_level_at_m_minus_one``, and
-the memo's resume from either side of a stored level by
-``test_state_profile_resumes_from_the_nearest_stored_level``.
-``test_succession``, ``test_series`` and ``test_checks`` keep what a
-route adds to the contract: the kernel and back steps of the memos, the
-census, FE and relation algebra; the planted faults of every verify
-check are rows of ``verify_faults.FAULTS``."""
+three relation routes.  ``test_succession``, ``test_series`` and
+``test_checks`` keep what a route adds to the contract: the kernel and
+back steps of the memos, the census, FE and relation algebra; the
+planted faults of every verify check are rows of
+``verify_faults.FAULTS``."""
 
 import ast
 import inspect
@@ -422,27 +419,6 @@ def test_a_planted_route_replaces_the_prefix(name, monkeypatch,
         stored = new
 
 
-def test_the_census_level_at_x_m_holds_the_dp_level_at_m_minus_one(
-        fresh_states):
-    """Each system check leaves the one key of its prefix, which counts
-    no failure, and whose level at x^m holds the level that a run of
-    the 201-210 DP from the axiom reaches at depth m - 1, the census
-    rows it converts there and no failure: None and three empty rows at
-    m = 0."""
-    system = SYSTEMS["201-210"]
-    dp = Prefix(system.start, system.kernel)
-    for n in (30, 12, 45):
-        assert run_check("system-201-210", n)[0], n
-        assert list(_STATES) == ["system-201-210"], n
-    census = _STATES["system-201-210"]
-    assert census.counts(45) == [None] * 46
-    assert census.level(0) == (None, ([],) * 3, None)
-    for m in range(46):
-        level = dp.level(m)
-        assert census.level(m + 1) == (level, series._census_rows(
-            m, succession._decode_201_210(level)), None), m
-
-
 def test_a_planted_checker_is_asked_each_length_once_and_keeps_no_state(
         monkeypatch, fresh_states):
     """structure-theorem keeps no prefix, so none can outlive a checker
@@ -488,36 +464,25 @@ def _counting_back(system):
 
 def test_state_profile_resumes_from_the_nearest_stored_level(monkeypatch,
                                                             fresh_states):
-    """A profile at depth n, once the memo is L deep, L = 150 or 701, and
-    so keeps a checkpoint every s = 16 or 64 depths, steps the kernel
-    from the checkpoint c = n - n % s, or steps back with the system's
-    inverse from the stored level above n, a checkpoint or the level at
-    L, when that is strictly nearer (136 and 147 at L = 150, 32 and 96
-    at L = 701 are ties, and step forward), and equals the level of a
-    run from the axiom."""
+    """A profile at depth n, once the memo is 150 deep and so keeps a
+    checkpoint every 16 depths, steps the kernel from the stored level
+    nearest at or below n, or steps back with the system's inverse from
+    the stored level above n, a checkpoint or the level at 150, when that
+    is strictly nearer (136 and 147 are ties, and step forward), and
+    equals the level of a run from the axiom."""
     memo, current, _ = _route("201-210", monkeypatch)
     system = SYSTEMS["201-210"]
-    kernel = current[0]
+    memo.counts(149)
+    cold = _cold(memo, 150)
     steps = _counting(current)
     backs = _counting_back(system)
-    for depth, spacing, ns in (
-            (150, 16, (150, 149, 128, 127, 5, 137, 136, 147, 148)),
-            (701, 64, (0, 1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 600, 640,
-                       669, 670, 671, 672, 699, 700, 701))):
-        memo.counts(depth - 1)
-        level, run = system.start, {}
-        for m in range(depth + 1):
-            if m in ns:
-                run[m] = system.to_dict(level)
-            level = kernel(level)[0]
-        for n in ns:
-            below = n - n % spacing
-            above = min(below + spacing, depth)
-            steps[0] = backs[0] = 0
-            profile = state_profile("201-210", n)
-            assert (steps[0], backs[0]) == (
-                (0, above - n) if above - n < n - below else (n - below, 0)), n
-            assert profile == run[n], n
+    for n, depth in ((150, 150), (149, 150), (128, 128), (127, 128),
+                     (5, 0), (137, 144), (136, 128), (147, 144), (148, 150)):
+        steps[0] = backs[0] = 0
+        profile = state_profile("201-210", n)
+        assert (steps[0], backs[0]) == (max(n - depth, 0),
+                                        max(depth - n, 0)), n
+        assert profile == system.to_dict(cold[n][0]), n
 
 
 def test_level_steps_back_from_a_nearer_stored_level():

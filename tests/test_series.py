@@ -10,12 +10,14 @@ checked against a dict reference on the census and on corrupted copies
 of it (``test_check_system_reports_the_reference_first_failure``), cold
 and after a warm check, and an injected census is replayed cold and
 leaves the registry as it was
-(``test_an_injected_census_leaves_the_registry_as_it_was``).  The
-functional equations are checked against the rules and their own
-expansion, and ``test_an_overtaken_request_through_a_series_entry_point_repeats_one_step``
-goes through each series route's public entry point.  The planted
-faults of the verify checks are rows of the one fault table,
-``verify_faults.FAULTS``."""
+(``test_an_injected_census_leaves_the_registry_as_it_was``).  The census
+route's levels, rows and kernel steps per request are checked against
+a run of the DP from the axiom, and the residual checks' output against
+their cold output in any request order.  The functional equations are
+checked against the rules and their own expansion, and the last
+``test_a_prefix_is_replaced_only_by_a_longer_one`` goes through each
+series route's public entry point.  The planted faults of the verify
+checks are rows of the one fault table, ``verify_faults.FAULTS``."""
 
 import random
 import re
@@ -40,6 +42,7 @@ from invseq.series import (
 )
 from invseq.oracle import count_sequence
 from invseq.succession import get_system, rule_counting_sequence
+from verify_faults import bump_census
 
 SEQ_201_210 = [1, 1, 2, 6, 24, 116, 632, 3720, 23072, 148528, 983072]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -550,15 +553,22 @@ def test_the_cleared_relations_follow_from_the_three_equations(n_max, cells):
     assert residuals["P4"] == [{}] * (n_max + 1)
 
 
+def _system_prefix(kernel=checks._fast_step_201_210,
+                   decode=checks._decode_201_210,
+                   axiom=get_system("201-210").start):
+    """A fresh Prefix over the system's step that the registry never
+    holds, by default over the route the system prefix is keyed on."""
+    return Prefix((None, ([],) * 3, None), series._system_step, kernel,
+                  decode, axiom)
+
+
 def _injected_violation(n_max, profiles):
     """What _check_system_violation answers on the census profiles in
-    place of the DP's: the system's step replayed cold, in a Prefix that
-    the registry never holds, over levels that are the injected slices
-    themselves, its kernel returning the next injected slices and its
-    decoder each as it is."""
-    return Prefix((None, ([],) * 3, None), series._system_step,
-                  lambda slices: (profiles[len(slices[0])],),
-                  lambda slices: slices, profiles[0]).count(n_max)
+    place of the DP's: the system's step replayed cold over levels that
+    are the injected slices themselves, its kernel returning the next
+    injected slices and its decoder each as it is."""
+    return _system_prefix(lambda slices: (profiles[len(slices[0])],),
+                          lambda slices: slices, profiles[0]).count(n_max)
 
 
 def _corrupted_census(n_max, cells):
@@ -657,6 +667,36 @@ def test_relation_residual_keeps_no_state(fresh_states):
             == [("relation", name) for name in names], n
 
 
+def _count_residual_degrees(monkeypatch):
+    """Wrap _system_residuals; the returned list gets one entry per
+    x-degree whose residual rows are formed."""
+    formed = []
+    real = series._system_residuals
+
+    def counted(rows, prev):
+        formed.append(1)
+        return real(rows, prev)
+    monkeypatch.setattr(series, "_system_residuals", counted)
+    return formed
+
+
+def test_residual_rows_per_system_request(monkeypatch, fresh_states):
+    """The system's residual rows: n + 1 degrees cold, none at or below
+    the stored degree, n - m past a stored degree m, and n + 1 for an
+    injected census, which is replayed cold."""
+    formed = _count_residual_degrees(monkeypatch)
+    for n, degrees in ((20, 21), (20, 0), (8, 0), (0, 0), (27, 7), (30, 3),
+                       (29, 0)):
+        formed.clear()
+        assert _check_system_violation(n) is None, n
+        assert len(formed) == degrees, n
+    profiles = _corrupted_census(25, [(9, 1, 3, 1)])
+    formed.clear()
+    assert _injected_violation(25, profiles) == ("B", 9, 3)
+    assert _reference_violation(25, profiles) == ("B", 9, 3)
+    assert len(formed) == 26
+
+
 @pytest.mark.parametrize("warm", [None, 40, 5])
 def test_an_injected_census_leaves_the_registry_as_it_was(warm, monkeypatch,
                                                           fresh_states):
@@ -668,10 +708,7 @@ def test_an_injected_census_leaves_the_registry_as_it_was(warm, monkeypatch,
         assert _check_system_violation(warm) is None
     before = dict(_STATES)
     memos = [state._memo for state in before.values()]
-    formed = []
-    real = series._system_residuals
-    monkeypatch.setattr(series, "_system_residuals",
-                        lambda *args: formed.append(1) or real(*args))
+    formed = _count_residual_degrees(monkeypatch)
     profiles = _corrupted_census(20, [(9, 1, 3, 1)])
     assert _injected_violation(20, profiles) == ("B", 9, 3)
     assert len(formed) == 21
@@ -714,6 +751,111 @@ def test_a_warm_system_check_reports_the_reference_first_failure(
     assert list(_STATES) == ["system-201-210"]
     assert _STATES["system-201-210"] is prefix
     assert len(memo[0]) == warm + 1 and not any(memo[0])
+
+
+def test_verify_output_does_not_depend_on_request_order(fresh_states):
+    """The residual checks at several depths, run cold one by one, then
+    in ascending and in descending order in one process, print the same
+    lines."""
+    requests = [(name, n) for name in ("minpoly-A", "minpoly-B", "minpoly-F",
+                                       "system-201-210")
+                for n in (0, 1, 13, 40, 64, 90)]
+    cold = {}
+    for request in requests:
+        fresh_states()
+        cold[request] = run_check(*request)
+    fresh_states()
+    for order in (sorted(requests, key=lambda r: r[1]),
+                  sorted(requests, key=lambda r: -r[1])):
+        assert {request: run_check(*request) for request in order} == cold
+
+
+def test_resuming_the_census_route_yields_the_tail_of_a_cold_run():
+    """A system prefix taken to any depth and then to 30 counts no
+    failure, and its level at x^m holds the level that a full run of the
+    DP from the axiom reaches at depth m - 1 and the rows it converts
+    there, None and three empty rows at m = 0, and no failure."""
+    levels = [(None, ([],) * 3, None),
+              *((level, series._census_rows(m, slices), None)
+                for m, (level, slices) in enumerate(zip(_dp_levels(30),
+                                                        _dp_slices(30))))]
+    for depth in range(31):
+        prefix = _system_prefix()
+        assert prefix.counts(depth) == [None] * (depth + 1), depth
+        assert prefix.counts(30) == [None] * 31, depth
+        assert prefix.level(depth) == levels[depth], depth
+    with pytest.raises(ValueError):
+        prefix.counts(-1)
+
+
+def test_census_depths_per_system_request(monkeypatch, fresh_states):
+    """The census rows come from one prefix per process: the requests 20,
+    80, 50 and 80 hold the 81 depths 0..80, whose rows are each formed
+    once, those at x^0 from the axiom, and step the 201-210 kernel 80
+    times, and the answers are those of cold calls."""
+    rows, steps = [], []
+    real_rows = series._census_rows
+
+    def counted_rows(deg, level):
+        rows.append(deg)
+        return real_rows(deg, level)
+    monkeypatch.setattr(series, "_census_rows", counted_rows)
+
+    def counted_kernel(level, _real=checks._fast_step_201_210):
+        steps.append(1)
+        return _real(level)
+    monkeypatch.setattr(checks, "_fast_step_201_210", counted_kernel)
+    for n in (20, 80, 50, 80):
+        assert _check_system_violation(n) is None, n
+    assert sorted(rows) == list(range(81))
+    assert len(steps) == 80
+    prefix = _STATES["system-201-210"]
+    assert prefix.counts(80) == [None] * 81
+    assert [prefix.level(m + 1)[1] for m in range(81)] == \
+        [real_rows(m, slices)
+         for m, slices in enumerate(_dp_slices(80))]
+
+
+def test_one_system_check_keeps_one_registry_key(fresh_states):
+    """Each system check leaves the one key of the system prefix, whose
+    count at x^45 is None and whose stored level, the one it steps next,
+    holds the DP level at depth 45, the census rows at x^45 and no
+    failure."""
+    census = [series._census_rows(m, slices)
+              for m, slices in enumerate(_dp_slices(45))]
+    for n in (30, 12, 45):
+        assert run_check("system-201-210", n)[0], n
+        assert list(_STATES) == ["system-201-210"], n
+    counts, level, _ = _STATES["system-201-210"]._memo
+    assert len(counts) == 46 and counts[45] is None
+    assert level == (_dp_levels(45)[45], census[45], None)
+
+
+def test_a_planted_census_route_is_checked_cold(monkeypatch, fresh_states):
+    """A census kernel planted after a warm call to depth 25 gives, at
+    any depth and in any order, the answers of a cold call on it;
+    restoring the real kernel restores the real answers."""
+    real = checks._fast_step_201_210
+    planted = bump_census(real)
+
+    def cold(n):
+        fresh_states()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "_fast_step_201_210", planted)
+            return _check_system_violation(n)
+
+    expected = {n: cold(n) for n in (3, 5, 25, 40)}
+    assert expected == {3: None, 5: ("A", 5, 2), 25: ("A", 5, 2),
+                        40: ("A", 5, 2)}
+    fresh_states()
+    assert _check_system_violation(25) is None
+    monkeypatch.setattr(checks, "_fast_step_201_210", planted)
+    for n in (25, 3, 40, 5, 25):
+        assert _check_system_violation(n) == expected[n], n
+    assert len([s for s in _STATES.values() if isinstance(s, Prefix)]) == 1
+    monkeypatch.setattr(checks, "_fast_step_201_210", real)
+    for n in (40, 5):
+        assert _check_system_violation(n) is None, n
 
 
 # -- functional equations ---------------------------------------------------
@@ -881,8 +1023,8 @@ def _counts_from_axiom(name):
 
 
 @pytest.mark.parametrize("name", sorted(PREFIX_ROUTES))
-def test_an_overtaken_request_through_a_series_entry_point_repeats_one_step(
-        name, monkeypatch, fresh_states):
+def test_a_prefix_is_replaced_only_by_a_longer_one(name, monkeypatch,
+                                                  fresh_states):
     """A request through the route's public entry point that a deeper one
     overtakes, here served inside its first step, leaves the deeper
     prefix in place and answers from it without finishing its own copy:

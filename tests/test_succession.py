@@ -237,6 +237,37 @@ def test_back_rejects_a_level_no_step_produces(depth):
         assert system.kernel(shallower)[0] == bumped, k
 
 
+def test_a_profile_resumes_from_the_nearer_side_of_a_deep_memo():
+    """On a 201-210 memo 701 deep, with checkpoints at 0, 64, ..., 640,
+    the level at n with the system's inverse is the forward-only level,
+    and it takes min(n - below, above - n) steps, forward from the
+    checkpoint below n on a tie, back from the checkpoint or the level
+    above n otherwise."""
+    system = get_system("201-210")
+    steps, backs = [0], [0]
+
+    def kernel(level):
+        steps[0] += 1
+        return system.kernel(level)
+
+    def back(level):
+        backs[0] += 1
+        return system.back(level)
+
+    memo = Prefix(system.start, kernel)
+    memo.counts(700)
+    assert sorted(memo._memo[2]) == list(range(0, 641, 64))
+    for n in (0, 1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 600, 640, 669,
+              670, 671, 672, 699, 700, 701):
+        below = n - n % 64
+        above = min(below + 64, 701)
+        forward = memo.level(n)
+        steps[0] = backs[0] = 0
+        assert memo.level(n, back) == forward, n
+        assert steps[0] + backs[0] == min(n - below, above - n), n
+        assert backs[0] == (0 if n - below <= above - n else above - n), n
+
+
 # ---------- the packed columns of the 2-parameter systems ----------
 
 TRIANGLE_IDS = ("011-201", "010-100-120-210")
@@ -349,12 +380,19 @@ def test_diagram_deterministic():
 
 SYSTEM_IDS = tuple(SYSTEMS)
 
+ENTRY_POINTS = {
+    "rule_counting_sequence": rule_counting_sequence,
+    "count_via_rules": count_via_rules,
+    "state_profile": state_profile,
+}
+
 KEEP = 8
 
 
 def _fresh(system_id, calls=None):
     """A copy of a built-in system with an empty memo that keeps at most
-    KEEP checkpoints besides depth 0.  Its memo replaces the built-in
+    KEEP checkpoints besides depth 0, so that their spacing doubles at
+    depths 9, 17 and 33 and is 8 from 33 to 64.  Its memo replaces the built-in
     system's in the registry, also when the copy keeps the built-in
     kernel, on which that memo is keyed too.  When calls is a dict,
     calls["kernel"] counts the calls made to the system's kernel and,
@@ -407,6 +445,53 @@ def test_state_profile_around_the_memo_depth(system_id, monkeypatch):
     rule_counting_sequence(system_id, 20)
     for n in (20, 7, 0, 25, 20, 30, 29, 30):
         assert state_profile(system_id, n) == literal[n], n
+
+
+# (entry point, n) -> (kernel, back) steps of test_kernel_calls_per_request
+# for a system with an inverse step, where they differ from the kernel
+# steps alone: the memo is then 61 deep, with checkpoints at 0, 8, ..., 56
+TWO_WAY = {("state_profile", 13): (0, 3),     # back from 16, not on from 8
+           ("state_profile", 7): (0, 1),      # back from 8, not on from 0
+           ("state_profile", 60): (0, 1)}     # back from the level at 61
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+@pytest.mark.parametrize("first", sorted(ENTRY_POINTS))
+def test_kernel_calls_per_request(system_id, first, monkeypatch):
+    """A cold count through depth n steps the kernel n + 1 times, and a
+    cold profile at depth n n times; a shorter prefix steps nothing; a
+    request reaching k depths deeper than the memo steps k times; a
+    profile below the memo's depth, 33 to 64 deep, steps n - c times
+    from the checkpoint c = n - n % 8, or, for a system with an inverse
+    step, steps back from the stored level above n when that is
+    strictly nearer (the (kernel, back) steps of TWO_WAY)."""
+    calls = {}
+    monkeypatch.setitem(SYSTEMS, system_id, _fresh(system_id, calls))
+    ENTRY_POINTS[first](system_id, 40)
+    profile_first = first == "state_profile"
+    two_way = "back" in calls
+    assert calls == {"kernel": 40 if profile_first else 41,
+                     **({"back": 0} if two_way else {})}
+    for name, n, k in (("rule_counting_sequence", 25, 0),
+                       ("count_via_rules", 40, 1 if profile_first else 0),
+                       ("state_profile", 40, 0),
+                       ("rule_counting_sequence", 47, 7),
+                       ("count_via_rules", 50, 3),
+                       ("count_via_rules", 13, 0),
+                       ("state_profile", 61, 10),
+                       ("state_profile", 13, 5),
+                       ("state_profile", 40, 0),
+                       ("state_profile", 0, 0),
+                       ("state_profile", 7, 7),
+                       ("state_profile", 60, 4),
+                       ("state_profile", 56, 0)):
+        calls.update(kernel=0, **({"back": 0} if two_way else {}))
+        ENTRY_POINTS[name](system_id, n)
+        if two_way:
+            forward, back = TWO_WAY.get((name, n), (k, 0))
+            assert calls == {"kernel": forward, "back": back}, (name, n)
+        else:
+            assert calls == {"kernel": k}, (name, n)
 
 
 def test_minpoly_b_reads_the_201_210_memo():

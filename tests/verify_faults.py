@@ -1,5 +1,6 @@
 """The fault table of the verify checks, FAULTS, read by ``test_cli``
-and ``test_checks``.
+and ``test_checks``, and its one census planter, ``bump_census``, which
+``test_series`` also plants.
 
 FAULTS has one row per check of ``invseq.checks.CHECKS``, with the
 check's OK line, the depths of its order test and its planted faults.
@@ -77,7 +78,7 @@ def _bump_fe(real):
     return planted
 
 
-def _bump_census(real):
+def bump_census(real):
     """The 201-210 kernel with one more (k,F,F) state at x^5 u^2, in the
     slices of the level it steps to."""
     def planted(level):
@@ -92,9 +93,9 @@ def _bump_census(real):
 
 def _bump_system_step(real):
     """The step of the system prefix, handed the 201-210 kernel with one
-    more (k,F,F) state at x^5 u^2 (see _bump_census)."""
+    more (k,F,F) state at x^5 u^2 (see bump_census)."""
     def planted(prev, kernel, decode, axiom):
-        return real(prev, _bump_census(kernel), decode, axiom)
+        return real(prev, bump_census(kernel), decode, axiom)
     return planted
 
 
@@ -137,20 +138,20 @@ FAULTS = {
           "FAIL: residual first nonzero at order 5"),
          (vars(checks), "_step_ff", _bump_slice(5, 2), 40, 20,
           "FAIL: residual first nonzero at order 5"),
-         (SYSTEM_201_210, "kernel", _bump_census, 40, 20,
+         (SYSTEM_201_210, "kernel", bump_census, 40, 20,
           "FAIL: residual first nonzero at order 6")]),
     "minpoly-F": (
         "OK: relation holds through n=%d", (0, 1, 13, 40, 64, 90),
         [(SYSTEM_201_210, "kernel", _bump_count(4), 8, 8,
           "FAIL: residual first nonzero at order 5"),
-         (SYSTEM_201_210, "kernel", _bump_census, 40, 20,
+         (SYSTEM_201_210, "kernel", bump_census, 40, 20,
           "FAIL: residual first nonzero at order 6")]),
     "system-201-210": (
         "OK: all seven bivariate identities hold through n=%d",
         (0, 1, 3, 13, 40, 64, 90, 5, 25),
-        [(vars(checks), "_fast_step_201_210", _bump_census, 8, 8,
+        [(vars(checks), "_fast_step_201_210", bump_census, 8, 8,
           "FAIL: equation A first differs at x^5 u^2"),
-         (vars(checks), "_fast_step_201_210", _bump_census, 40, 20,
+         (vars(checks), "_fast_step_201_210", bump_census, 40, 20,
           "FAIL: equation A first differs at x^5 u^2"),
          (vars(series), "_system_step", _bump_system_step, 40, 20,
           "FAIL: equation A first differs at x^5 u^2")]),
